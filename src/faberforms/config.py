@@ -14,21 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import CHECKS
 from .conformal import CapFamily, make_map
 from .numerics import ValidationError
 from .series import TargetForm
 from .surface import SurfaceSpec
 from .targets import build_target
 
-CHECK_NAMES = (
-    "pole-structure",
-    "harmonicity",
-    "q-independence",
-    "r0-independence",
-    "convergence",
-    "uniform convergence",
-    "invariance",
-)
+CHECK_NAMES = tuple(CHECKS)
 
 
 class ConfigError(ValidationError):

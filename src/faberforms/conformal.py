@@ -297,6 +297,11 @@ def make_map(kind: str, **params) -> ConformalMap:
         raise ValidationError(f"bad parameters for {kind} map: {exc}") from None
 
 
+# points per block of CapFamily.min_distance: with 512 boundary samples a
+# block's distance temporaries stay near 16 MB
+_POINT_BLOCK = 2048
+
+
 class CapFamily:
     """An ordered list of cap maps with pairwise disjoint closed images.
 
@@ -312,6 +317,12 @@ class CapFamily:
         self.maps = maps
         self.separation = float(separation)
         self._boundaries = [m.boundary(n_check) for m in maps]
+        # sample centroid and radius of each cap: |z - c_k| - R_k bounds the
+        # distance from z to every boundary sample of cap k from below
+        self._centroids = np.array([np.mean(b) for b in self._boundaries])
+        self._radii = np.array(
+            [np.max(np.abs(b - c)) for b, c in zip(self._boundaries, self._centroids)]
+        )
         self._validate()
 
     def __len__(self):
@@ -343,11 +354,57 @@ class CapFamily:
     def distance_to_caps(self, z) -> np.ndarray:
         """Distance from each point to the nearest cap boundary sample."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        d = np.min(
-            np.stack([np.min(np.abs(p[None, :] - zz[:, None]), axis=1) for p in self._boundaries]),
-            axis=0,
-        )
+        d = self.min_distance(zz.ravel()[None, :]).reshape(zz.shape)
         return d if np.ndim(z) else float(d[0])
+
+    def _lower_bounds(self, z) -> np.ndarray:
+        """|z - c_k| - R_k for every point and cap k, along a new last axis."""
+        centre = np.abs(z[..., None] - self._centroids)
+        # the relative slack keeps the computed bound below every computed
+        # sample distance despite rounding, so pruning never changes a result
+        return (centre - self._radii) - 1e-12 * (centre + self._radii)
+
+    def distance_lower_bound(self, candidates) -> np.ndarray:
+        """A lower bound on ``min_distance(candidates)`` from the cap
+        centroids and radii alone; cheap next to the sample search."""
+        cand = np.asarray(candidates, dtype=complex)
+        return np.min([np.min(self._lower_bounds(c), axis=-1) for c in cand], axis=0)
+
+    def min_distance(self, candidates) -> np.ndarray:
+        """For each column of ``candidates`` (shape (C, P)), the distance from
+        the nearest of its C positions to the nearest cap boundary sample.
+
+        Exact: the result is the minimum of the same |sample - z| floats a
+        full search computes. Per point, (position, cap) pairs are visited
+        in order of the lower bound |z - c_k| - R_k, and a pair's samples
+        are measured only while that bound is below the point's running
+        minimum. Points go in blocks to keep the temporaries small.
+        """
+        cand = np.asarray(candidates, dtype=complex)
+        n_cand, n_pts = cand.shape
+        n_caps = len(self._boundaries)
+        best = np.full(n_pts, np.inf)
+        for lo in range(0, n_pts, _POINT_BLOCK):
+            block = cand[:, lo:lo + _POINT_BLOCK]
+            lower = self._lower_bounds(block)
+            lower = lower.transpose(1, 0, 2).reshape(block.shape[1], n_cand * n_caps)
+            order = np.argsort(lower, axis=1)
+            rows = np.arange(block.shape[1])
+            run = best[lo:lo + _POINT_BLOCK]
+            for rank in range(n_cand * n_caps):
+                pair = order[:, rank]
+                todo = lower[rows, pair] < run
+                if not todo.any():
+                    break
+                for q in np.unique(pair[todo]):
+                    idx = np.flatnonzero(todo & (pair == q))
+                    c, k = divmod(int(q), n_caps)
+                    poly = self._boundaries[k]
+                    z = block[c, idx]
+                    run[idx] = np.minimum(
+                        run[idx], np.min(np.abs(poly[None, :] - z[:, None]), axis=1)
+                    )
+        return best
 
     def _validate(self):
         for i in range(len(self.maps)):

@@ -8,7 +8,7 @@ from equispaced circle samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,14 +77,14 @@ class DiskGrid:
 
     n_radial: int = 48
     n_angular: int = 96
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_radial < 2 or self.n_angular < 4:
             raise ValidationError(
                 f"grid too small: {self.n_radial} radial x {self.n_angular} angular"
             )
-
-    def _build(self):
         x, gw = np.polynomial.legendre.leggauss(self.n_radial)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * gw
@@ -94,15 +94,10 @@ class DiskGrid:
             (TWO_PI / self.n_angular) * (wr * r)[:, None],
             (self.n_radial, self.n_angular),
         ).ravel()
-        return nodes, weights
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._build()[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._build()[1]
+        # built once per grid and shared by every caller, so read-only
+        for name, arr in (("nodes", nodes), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def integrate(self, values: np.ndarray) -> complex:
         vals = np.asarray(values, dtype=complex).ravel()

@@ -153,39 +153,56 @@ class SurfaceSpec:
         return out if np.ndim(z) else bool(out[0])
 
     def cycle_base(self) -> complex:
-        """Deterministic base point for the a/b cycles, away from all caps."""
+        """Deterministic base point for the a/b cycles, away from all caps.
+
+        Of a 25 x 25 grid of candidates in the cell, the first one whose a
+        and b paths (64 samples each) keep the largest clearance from the
+        caps wins.
+        """
         if self.genus == 0:
             raise ValidationError("the sphere has no lattice cycles")
         if self._cycle_base is None:
             grid = np.linspace(0.02, 0.98, 25)
             t = np.linspace(0.0, 1.0, 64, endpoint=False)
-            best, best_d = None, -1.0
-            for x0 in grid:
-                for y0 in grid:
-                    base = x0 + y0 * self.tau
-                    path = np.concatenate([base + t, base + t * self.tau])
-                    d = float(np.min(self.distance_to_caps_reduced(path)))
-                    if d > best_d:
-                        best, best_d = base, d
+            bases = (grid[:, None] + grid[None, :] * self.tau).ravel()
+            paths = np.concatenate([bases[:, None] + t, bases[:, None] + t * self.tau], axis=1)
+            copies = self._lattice_copies(paths)
+            # A base's clearance is at most the exact clearance of every 8th
+            # path point and at least the centroid bound over all of them; a
+            # base whose upper figure is below another's lower one cannot
+            # be the first maximum, so only the rest are searched in full.
+            n = len(copies)
+            lower = np.min(self.caps.distance_lower_bound(copies.reshape(n, -1))
+                           .reshape(paths.shape), axis=1)
+            upper = np.min(self.caps.min_distance(copies[:, :, ::8].reshape(n, -1))
+                           .reshape(len(bases), -1), axis=1)
+            keep = np.flatnonzero(upper >= np.max(lower))
+            clearance = np.min(self.caps.min_distance(copies[:, keep].reshape(n, -1))
+                               .reshape(len(keep), -1), axis=1)
+            j = int(np.argmax(clearance))
+            best_d = float(clearance[j])
             if best_d < 2 * self.margin:
                 raise ValidationError(
                     f"no lattice cycle clears the caps (best clearance {best_d:.3g})"
                 )
-            self._cycle_base = best
+            self._cycle_base = bases[keep[j]]
         return self._cycle_base
+
+    def _lattice_copies(self, w) -> np.ndarray:
+        """The 3x3 block of lattice copies around the cell of each torus
+        point w reduced into the cell, stacked along a new first axis."""
+        x, y = self.cell_coordinates(w)
+        return np.stack([
+            (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * self.tau
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+        ])
 
     def distance_to_caps_reduced(self, w) -> np.ndarray:
         """Distance to the nearest cap boundary, torus points reduced first."""
         ww = np.atleast_1d(np.asarray(w, dtype=complex))
         if self.genus == 1:
-            x, y = self.cell_coordinates(ww)
-            # compare against the 3x3 block of lattice copies around the cell
-            best = np.full(ww.shape, np.inf)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * self.tau
-                    best = np.minimum(best, self.caps.distance_to_caps(shifted))
-            return best
+            return self.caps.min_distance(self._lattice_copies(ww.ravel())).reshape(ww.shape)
         return self.caps.distance_to_caps(ww)
 
     def translated(self, t: complex) -> "SurfaceSpec":

@@ -97,6 +97,14 @@ def test_disk_grid_moment():
     assert abs(g.integrate(np.abs(z) ** 2) - np.pi / 2) < 1e-12
 
 
+def test_disk_grid_built_once_and_read_only():
+    g = DiskGrid(24, 48)
+    assert g.nodes is g.nodes and g.weights is g.weights
+    with pytest.raises(ValueError):
+        g.weights[0] = 0.0
+    assert g == DiskGrid(24, 48) and hash(g) == hash(DiskGrid(24, 48))
+
+
 def test_area_pairing_monomials():
     g = DiskGrid(24, 48)
     chart = _IdentityChart()

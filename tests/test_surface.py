@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
 from faberforms.numerics import NumericalError, ValidationError
 from faberforms.surface import (
@@ -297,6 +300,64 @@ def test_translated_surface():
     t = torus_two_caps()
     shifted = t.translated(0.05)
     assert shifted.caps.centers[1] == pytest.approx(t.caps.centers[1] + 0.05)
+
+
+def brute_force_cycle_base(surface):
+    """The full search: every candidate path point against every sample of
+    every cap in the 3x3 block of lattice copies, strict-> first maximum."""
+    grid = np.linspace(0.02, 0.98, 25)
+    t = np.linspace(0.0, 1.0, 64, endpoint=False)
+    polys = [surface.caps.boundary_samples(k) for k in range(surface.n_caps)]
+    best, best_d = None, -1.0
+    for x0 in grid:
+        for y0 in grid:
+            base = x0 + y0 * surface.tau
+            path = np.concatenate([base + t, base + t * surface.tau])
+            x, y = surface.cell_coordinates(path)
+            d = np.inf
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
+                    for p in polys:
+                        d = min(d, float(np.min(np.abs(p[None, :] - shifted[:, None]))))
+            if d > best_d:
+                best, best_d = base, d
+    return best, best_d
+
+
+def test_cycle_base_matches_brute_force():
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "torus_two_caps.cfg"
+    mixed = CapFamily(
+        [
+            AffineMap(0.11, offset=0.39 + 0.33j),
+            JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
+        ],
+        separation=0.05,
+    )
+    for surface in (parse_config(str(cfg)).surface, SurfaceSpec.torus(TAU, mixed)):
+        base, clearance = brute_force_cycle_base(surface)
+        assert surface.cycle_base() == base
+        t = np.linspace(0.0, 1.0, 64, endpoint=False)
+        path = np.concatenate([base + t, base + t * surface.tau])
+        assert float(np.min(surface.distance_to_caps_reduced(path))) == clearance
+        # the pruned distance is the same float as the full search
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-1, 2, 300) + rng.uniform(-1, 2, 300) * TAU
+        x, y = surface.cell_coordinates(pts)
+        full = np.full(pts.shape, np.inf)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
+                for k in range(surface.n_caps):
+                    p = surface.caps.boundary_samples(k)
+                    full = np.minimum(full, np.min(np.abs(p[None, :] - shifted[:, None]), axis=1))
+        assert np.array_equal(surface.distance_to_caps_reduced(pts), full)
+
+
+def test_cycle_base_crowded_cell_raises():
+    crowded = SurfaceSpec.torus(1j, CapFamily([AffineMap(0.4, offset=0.5 + 0.5j)]))
+    with pytest.raises(ValidationError, match="no lattice cycle clears the caps"):
+        crowded.cycle_base()
 
 
 def test_cycle_base_clears_caps():

@@ -3,7 +3,15 @@ import numpy as np
 import pytest
 
 from faberforms.numerics import ValidationError
-from faberforms.theta import lattice_reduce, log_abs, log_derivative, log_derivative2, theta1
+from faberforms.theta import (
+    _TAIL_TOLERANCE,
+    _n_terms,
+    lattice_reduce,
+    log_abs,
+    log_derivative,
+    log_derivative2,
+    theta1,
+)
 
 TAU = 0.3 + 1.1j
 PI = np.pi
@@ -132,3 +140,56 @@ def test_tau_validation():
         theta1(0.3, 0.5 - 1.0j)
     with pytest.raises(ValidationError):
         log_abs(0.3, 1.0)
+
+
+ORACLE_TAUS = (0.2 + 0.3j, -0.1 + 0.7j, 0.3 + 1.1j, 0.45 + 2.0j)
+
+
+def mp_theta1_derivs(v, tau):
+    """theta1, theta1', theta1'' in v (mpmath differentiates in pi v)."""
+    q = mpmath.exp(1j * mpmath.pi * tau)
+    z = mpmath.pi * mpmath.mpc(complex(v))
+    return [complex(mpmath.jtheta(1, z, q, derivative=d) * mpmath.pi ** d) for d in range(3)]
+
+
+def oracle_points(tau):
+    # reduced points: |Im v| up to 0.49 Im(tau), the edge where the series
+    # terms are largest, plus a ring of radius 1e-3 around the zero at 0
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.5, 0.5, 12)
+    y = rng.choice([-0.49, -0.45, 0.45, 0.49], 12) * tau.imag
+    edge = x + y / tau.imag * tau
+    ring = 1e-3 * np.exp(2j * PI * np.arange(6) / 6 + 0.3j)
+    return np.concatenate([edge, ring, rng.uniform(-0.4, 0.4, 6) + 0.2j * tau.imag])
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_theta1_derivatives_match_mpmath(tau):
+    v = oracle_points(tau)
+    with mpmath.workdps(30):
+        ref = np.array([mp_theta1_derivs(vj, tau) for vj in v])
+    assert np.all(lattice_reduce(v, tau)[2] == 0)
+    for d in range(3):
+        ours = theta1(v, tau, d)
+        assert np.max(np.abs(ours - ref[:, d]) / np.abs(ref[:, d])) < 1e-12, d
+    exact = ref[:, 2] / ref[:, 0] - (ref[:, 1] / ref[:, 0]) ** 2
+    rel = np.abs(log_derivative2(v, tau) - exact) / np.abs(exact)
+    assert np.max(rel) < 1e-12
+    rel = np.abs(log_derivative(v, tau) - ref[:, 1] / ref[:, 0]) / np.abs(ref[:, 1] / ref[:, 0])
+    assert np.max(rel) < 1e-12
+
+
+def test_term_count_falls_as_im_tau_grows():
+    counts = [_n_terms(tau) for tau in ORACLE_TAUS]
+    assert counts == sorted(counts, reverse=True)
+    assert counts[0] > counts[-1]
+    # the first omitted term is negligible; the last kept one is not
+    for tau in ORACLE_TAUS:
+        j = _n_terms(tau)
+        assert np.exp(-PI * tau.imag * (j ** 2 - 0.25)) < _TAIL_TOLERANCE
+        assert np.exp(-PI * tau.imag * ((j - 1) ** 2 - 0.25)) > _TAIL_TOLERANCE
+
+
+def test_theta1_rejects_unsupported_derivative():
+    with pytest.raises(ValidationError):
+        theta1(0.3, TAU, deriv=3)
