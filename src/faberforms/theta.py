@@ -56,8 +56,8 @@ def _theta1_series(v, tau: complex, n_deriv: int):
     one pass; returns a list of n_deriv + 1 arrays shaped like v.
 
     sin((2j+1) pi v) and cos((2j+1) pi v) come from the three-term
-    recurrence f_(j+1) = 2 cos(2 pi v) f_j - f_(j-1), so after one sin and
-    one cos each term costs a few array products. Unlike differences of
+    recurrence f_(j+1) = 2 cos(2 pi v) f_j - f_(j-1), so after sin(pi v) and
+    cos(pi v) each term costs a few array products. Unlike differences of
     exp(+-i (2j+1) pi v), the recurrence keeps full relative accuracy next
     to the zero at v = 0.
     """
@@ -67,13 +67,13 @@ def _theta1_series(v, tau: complex, n_deriv: int):
     # sin and cos of pi v from the real functions of its parts, which numpy
     # evaluates several times faster than its complex sin and cos
     a, b = PI * v.real, PI * v.imag
-    sin_a, cosh_b = np.sin(a), np.cosh(b)
-    sin_j = sin_a * cosh_b + 1j * (np.cos(a) * np.sinh(b))
+    sin_a, cos_a, sinh_b, cosh_b = np.sin(a), np.cos(a), np.sinh(b), np.cosh(b)
+    sin_j = sin_a * cosh_b + 1j * (cos_a * sinh_b)
     sin_prev = -sin_j
     two_cos2 = 2.0 - 4.0 * sin_j * sin_j
     cos_j = cos_prev = None
     if n_deriv:
-        cos_j = np.cos(a) * cosh_b - 1j * (sin_a * np.sinh(b))
+        cos_j = cos_a * cosh_b - 1j * (sin_a * sinh_b)
         cos_prev = cos_j.copy()
     tmp = np.empty(v.shape, dtype=complex)
     sums = None
