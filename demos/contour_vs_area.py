@@ -43,6 +43,13 @@ print()
 print(f"radius spread {spread:.1e}, contour-to-area gap {gap:.1e}")
 
 print()
-print("default radius grows with the order to keep the integrand tame:")
-for m in (1, 4, 12, 40):
-    print(f"  m = {m:>3}: r0 = {contour_radius(m):.3f}")
+print("default radius grows with the order in steps, to keep the integrand tame;")
+print("all orders of a step share one radius and so one kernel block:")
+for first, last in ((1, 6), (7, 12), (13, 24), (25, 48), (49, 96)):
+    print(f"  m = {first:>2}..{last:<3}: r0 = {contour_radius(last):.3f}")
+
+orders = range(7, 13)
+block = schiffer_contour(surface, 0, orders, pts)
+single = np.stack([schiffer_contour(surface, 0, m, pts) for m in orders], axis=-1)
+print(f"orders 7..12 from one block vs one call each: max gap "
+      f"{float(np.max(np.abs(block - single))):.1e}")

@@ -15,7 +15,7 @@ import numpy as np
 from .faber import faber_form, principal_part
 from .numerics import DiskGrid, NumericalError, ValidationError
 from .schiffer import CapDatum, apply_schiffer, schiffer_contour
-from .series import invariance_check, uniform_error
+from .series import invariance_check
 from .surface import SurfaceSpec, green, schiffer_kernel
 from .targets import build_target
 
@@ -92,12 +92,11 @@ def check_harmonicity(ctx) -> CheckResult:
         w = _sample_points(surface, rng, 1, clearance=0.0)[0]
         if _separation(surface, w, (z, q)) > 0.25:
             pts.append(w)
-    worst = 0.0
-    for w in pts:
-        stencil = np.array([w + h, w - h, w + 1j * h, w - 1j * h, w])
-        vals = np.array([green(surface, p, z, q=q) for p in stencil])
-        lap = (np.sum(vals[:4]) - 4.0 * vals[4]) / h**2
-        worst = max(worst, abs(float(lap.real)))
+    pts = np.array(pts)
+    stencil = np.stack([pts + h, pts - h, pts + 1j * h, pts - 1j * h, pts], axis=1)
+    vals = green(surface, stencil, z, q=q)
+    lap = (np.sum(vals[:, :4], axis=1) - 4.0 * vals[:, 4]) / h**2
+    worst = float(np.max(np.abs(lap.real)))
     return CheckResult("harmonicity", worst < 1e-4, worst, 1e-4,
                        f"{ctx.samples} points, step {h:g}")
 
@@ -184,15 +183,12 @@ def check_convergence(ctx) -> CheckResult:
 
 
 def check_uniform_convergence(ctx) -> CheckResult:
-    """Sup error on the probe circle: decreasing in M, final under tolerance."""
-    theta = 2.0 * np.pi * np.arange(ctx.probe_points) / ctx.probe_points
-    ring = ctx.probe_center + ctx.probe_radius * np.exp(1j * theta)
+    """Sup error on the probe circle: decreasing in M, final under tolerance.
+
+    The errors at the checkpoint orders are the ones the runner measured
+    for residuals.csv."""
     orders = [m for m, _ in ctx.decomposition.residual_history]
-    errs = [
-        uniform_error(ctx.target, ctx.surface, ctx.decomposition, ring,
-                      upto=m, margin=ctx.uniform_margin)
-        for m in orders
-    ]
+    errs = list(ctx.sup_errors)
     final = errs[-1]
     # once under tolerance the sequence may sit on the roundoff floor, so
     # strict decrease is only demanded above it

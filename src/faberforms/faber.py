@@ -100,6 +100,25 @@ def faber_form(surface: SurfaceSpec, k: int, m: int, r0: float | None = None,
                              quadrature=(("r0", rr), ("nodes", n)))
 
 
+def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int = 256) -> np.ndarray:
+    """Values at z of the basis forms of cap k for every order in
+    ``orders``, along a trailing axis over the orders.
+
+    One multi-order ``schiffer_contour`` call per radius step, each at the
+    default radius ``faber_form`` uses, so column j equals
+    ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff.
+    """
+    orders = [int(m) for m in orders]
+    steps: dict = {}
+    for i, m in enumerate(orders):
+        steps.setdefault(contour_radius(m), []).append(i)
+    zz = np.asarray(z, dtype=complex)
+    out = np.empty(zz.shape + (len(orders),), dtype=complex)
+    for idx in steps.values():
+        out[..., idx] = schiffer_contour(surface, k, [orders[i] for i in idx], zz, n=n)
+    return out
+
+
 def beta_element(surface: SurfaceSpec, k: int) -> FaberBasisElement:
     """The k-th double-pole-free closed-form basis element (simple poles
     at centers k and n-1)."""

@@ -181,24 +181,28 @@ def extract_taylor(fn, center: complex, radius: float, order: int, n: int | None
     return PowerSeries(center, coeffs, radius)
 
 
-def fft_antiderivative(samples: np.ndarray, mean_tol: float = 1e-7) -> np.ndarray:
+def fft_antiderivative(samples: np.ndarray, mean_tol: float = 1e-7, axis: int = -1) -> np.ndarray:
     """Periodic antiderivative (in the angle theta) of equispaced samples.
 
-    The input must have (numerically) zero mean, else no periodic primitive
-    exists; the returned samples are normalized to zero mean themselves.
+    The samples run along ``axis``; every other axis indexes a separate
+    column. Each column must have (numerically) zero mean, else no
+    periodic primitive exists; the returned samples are normalized to
+    zero mean themselves.
     """
-    g = np.asarray(samples, dtype=complex)
-    n = g.size
+    g = np.moveaxis(np.asarray(samples, dtype=complex), axis, -1)
+    n = g.shape[-1]
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=-1))
     ghat = np.fft.fft(g)
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if abs(ghat[0]) / n > mean_tol * scale:
+    mean = ghat[..., 0] / n
+    bad = np.abs(mean) > mean_tol * scale
+    if np.any(bad):
         raise NumericalError(
-            f"samples have nonzero mean {ghat[0] / n:.3e}; no periodic antiderivative"
+            f"samples have nonzero mean {mean[bad][0]:.3e}; no periodic antiderivative"
         )
     k = np.fft.fftfreq(n, d=1.0 / n)
-    out = np.zeros_like(ghat)
-    out[1:] = ghat[1:] / (1j * k[1:])
-    return np.fft.ifft(out)
+    ghat[..., 0] = 0.0
+    ghat[..., 1:] /= 1j * k[1:]
+    return np.moveaxis(np.fft.ifft(ghat), -1, axis)
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,7 @@ class RunContext:
     pole_orders: int
     l2_tolerance: float
     sup_tolerance: float
-    probe_center: complex
-    probe_radius: float
-    probe_points: int
-    uniform_margin: float
+    sup_errors: tuple
     translation: complex
     invariance_order: int
 
@@ -174,10 +171,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             pole_orders=config.pole_orders,
             l2_tolerance=config.l2_tolerance,
             sup_tolerance=config.sup_tolerance,
-            probe_center=config.probe_center,
-            probe_radius=config.probe_radius,
-            probe_points=config.probe_points,
-            uniform_margin=config.uniform_margin,
+            sup_errors=tuple(sup for _order, _l2, sup in residual_rows),
             translation=config.translation,
             invariance_order=config.invariance_order,
         )

@@ -130,17 +130,32 @@ def _apply_area(surface, datum, zz, grid):
     return out
 
 
+# Default contour radii come in steps that end at orders 6, 12, 24, 48, ...
+RADIUS_STEP = 6
+# Largest roundoff amplification r0^(-m) * eps a contour read may carry.
+ROUNDOFF_LIMIT = 1e-8
+
+
 def contour_radius(m: int) -> float:
     """Default contour radius for the order-m monomial datum.
 
     The integrand carries zeta^(-m), which amplifies roundoff like
     r0^(-m); pushing the radius out with m keeps the amplification at a
-    few orders of magnitude while staying clear of |zeta| = 1.
+    few orders of magnitude while staying clear of |zeta| = 1. The radius
+    is a step function of m: orders up to 6, 7..12, 13..24, 25..48, ...
+    share the radius e / (e + 6) of their step's last order e, that is
+    0.5, 0.667, 0.8, 0.889, capped at 0.92. Every order sits on a radius
+    at least as large as its own m / (m + 6), so the amplification never
+    grows, and all orders of a step read one shared kernel block (see
+    ``schiffer_contour``).
     """
-    return float(min(max(0.5, m / (m + 6.0)), 0.92))
+    end = RADIUS_STEP
+    while end < m:
+        end *= 2
+    return float(min(max(0.5, end / (end + 6.0)), 0.92))
 
 
-def schiffer_contour(surface: SurfaceSpec, k: int, m: int, z, r0: float | None = None,
+def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None,
                      n: int = 256):
     """Contour-reduced evaluation of the operator on the order-m monomial
     datum of cap k.
@@ -153,25 +168,52 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m: int, z, r0: float | None =
     on |zeta_j| = r0, valid for any z strictly outside the image of that
     circle. Radius independence on the exact annulus is a property the
     checks verify rather than assume.
+
+    ``m`` may also be a sequence of orders that share one contour radius
+    (with r0 omitted: one radius step). The kernel block K(f(zeta_j), z)
+    is then built and guarded once and every order comes out of one
+    matrix product, as a trailing axis over the orders. Reads whose
+    roundoff amplification r0^(-m) * eps exceeds ROUNDOFF_LIMIT raise.
     """
-    if m < 1:
-        raise ValidationError(f"monomial order must be >= 1, got {m}")
+    orders = np.atleast_1d(np.asarray(m))
+    if orders.ndim != 1 or orders.size == 0 or not np.issubdtype(orders.dtype, np.integer):
+        raise ValidationError(f"orders must be one integer or a flat sequence of them, got {m!r}")
+    if np.any(orders < 1):
+        raise ValidationError(f"monomial order must be >= 1, got {int(np.min(orders))}")
     if not 0 <= k < surface.n_caps:
         raise ValidationError(f"cap index {k} out of range")
-    r0 = contour_radius(m) if r0 is None else float(r0)
+    if r0 is None:
+        radii = {contour_radius(int(mi)) for mi in orders}
+        if len(radii) > 1:
+            raise ValidationError(
+                f"orders {orders.tolist()} span {len(radii)} default contour radii; "
+                "split them by radius step or pass r0"
+            )
+        r0 = radii.pop()
+    r0 = float(r0)
     if not 0 < r0 < 1:
         raise ValidationError(f"contour radius must sit in (0, 1), got {r0}")
+    top = int(np.max(orders))
+    figure = r0 ** (-top) * np.finfo(float).eps
+    if figure > ROUNDOFF_LIMIT:
+        raise NumericalError(
+            f"order {top} on the contour radius {r0:.4g} amplifies roundoff to "
+            f"r0^(-m) * eps = {figure:.2e}, above {ROUNDOFF_LIMIT:.0e}"
+        )
     f = surface.caps[k]
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    zz = np.asarray(z, dtype=complex)
+    pts = zz.ravel()
     zeta = r0 * np.exp(1j * TWO_PI * np.arange(n) / n)
     w = f.evaluate(zeta)
-    _guard_outside_contour(surface, w, zz)
-    vals = -(PI / n) * np.sum(
-        schiffer_kernel(surface, w[None, :], zz[:, None])
-        * (zeta ** (1 - m) * f.derivative(zeta))[None, :],
-        axis=1,
+    _guard_outside_contour(surface, w, pts)
+    weights = -(PI / n) * zeta[:, None] ** (1 - orders[None, :]) * f.derivative(zeta)[:, None]
+    vals = (schiffer_kernel(surface, w[None, :], pts[:, None]) @ weights).reshape(
+        zz.shape + (orders.size,)
     )
-    return vals if np.ndim(z) else complex(vals[0])
+    if np.ndim(m) == 0:
+        vals = vals[..., 0]
+        return vals if zz.ndim else complex(vals)
+    return vals
 
 
 def _guard_outside_contour(surface: SurfaceSpec, contour_image: np.ndarray, zz: np.ndarray):
@@ -181,15 +223,21 @@ def _guard_outside_contour(surface: SurfaceSpec, contour_image: np.ndarray, zz: 
     if surface.genus == 1:
         x, y = surface.cell_coordinates(zz)
         pts = (x - np.floor(x)) + (y - np.floor(y)) * surface.tau
-    gap = np.min(np.abs(contour_image[None, :] - pts[:, None]), axis=1)
-    scale = float(np.max(np.abs(contour_image - np.mean(contour_image))))
-    if np.any(gap < 1e-6 * max(scale, 1.0)):
-        j = int(np.argmin(gap))
+    center = np.mean(contour_image)
+    scale = float(np.max(np.abs(contour_image - center)))
+    tol = 1e-6 * max(scale, 1.0)
+    # the sample polygon lies in the disk |w - center| <= scale, so a point
+    # farther out than scale + tol is outside it and clear of it; only the
+    # points nearer in are measured, with the same verdicts
+    near = np.flatnonzero(np.abs(pts - center) <= scale + tol)
+    gap = np.min(np.abs(contour_image[None, :] - pts[near, None]), axis=1, initial=np.inf)
+    if np.any(gap < tol):
+        j = int(near[np.argmin(gap)])
         raise ValidationError(f"z = {zz[j]:.6g} sits on the evaluation contour")
-    inside = winding_number(contour_image, pts) != 0
+    inside = winding_number(contour_image, pts[near]) != 0
     if np.any(inside):
-        j = int(np.flatnonzero(inside)[0])
+        j = int(near[np.flatnonzero(inside)[0]])
         raise ValidationError(
             f"z = {zz[j]:.6g} lies inside the evaluation contour; "
-            f"shrink r0 below {float(np.min(np.abs(pts[j] - np.mean(contour_image)))):.3g}"
+            f"shrink r0 below {float(np.abs(pts[j] - center)):.3g}"
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faber import faber_form
+from .faber import alpha_values
 from .numerics import (
     TWO_PI,
     NumericalError,
@@ -83,36 +83,37 @@ class SeriesDecomposition:
 
 @dataclass(frozen=True)
 class PairingData:
-    """Cached boundary/period data of one form; a linear-space element.
+    """Cached boundary/period data of one form, or of a stack of forms.
 
     g[l] samples the theta-derivative of the form's antiderivative along
-    cap boundary l; F[l] is its zero-mean periodic antiderivative.
+    cap boundary l; F[l] is its zero-mean periodic antiderivative; a and
+    b are its lattice periods (zero on the sphere). A stack of forms
+    carries its index in trailing axes of g, F, a and b.
     """
 
-    g: tuple
-    F: tuple
-    a: complex
-    b: complex
-
-    def __add__(self, other):
-        return PairingData(
-            tuple(x + y for x, y in zip(self.g, other.g)),
-            tuple(x + y for x, y in zip(self.F, other.F)),
-            self.a + other.a,
-            self.b + other.b,
-        )
+    g: np.ndarray
+    F: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return PairingData(self.g - other.g, self.F - other.F,
+                           self.a - other.a, self.b - other.b)
 
-    def __rmul__(self, scalar):
-        s = complex(scalar)
-        return PairingData(
-            tuple(s * x for x in self.g),
-            tuple(s * x for x in self.F),
-            s * self.a,
-            s * self.b,
-        )
+    def combine(self, x) -> "PairingData":
+        """Data of sum_i x[i] form_i over the first len(x) forms of a
+        stack with one trailing axis."""
+        x = np.asarray(x, dtype=complex)
+        p = x.size
+        return PairingData(self.g[..., :p] @ x, self.F[..., :p] @ x,
+                           self.a[:p] @ x, self.b[:p] @ x)
+
+
+def _finite(vals, where: str) -> np.ndarray:
+    vals = np.asarray(vals, dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"form not finite on {where}")
+    return vals
 
 
 class ExteriorPairing:
@@ -120,7 +121,8 @@ class ExteriorPairing:
 
     Valid for holomorphic (dz-type) forms whose cap-boundary periods all
     vanish; the construction raises otherwise. Pairing any two cached
-    data objects afterwards is a cheap contour sum.
+    data objects afterwards is a contour sum, and pairing two stacks is
+    one matrix product.
     """
 
     def __init__(self, surface: SurfaceSpec, n_boundary: int = 512, n_cycle: int = 64):
@@ -132,33 +134,60 @@ class ExteriorPairing:
         for f in surface.caps:
             self._boundary.append((f.evaluate(zeta), f.derivative(zeta) * 1j * zeta))
         if surface.genus == 1:
-            self._a = a_cycle(surface, n=n_cycle)
-            self._b = b_cycle(surface, n=n_cycle)
+            self._cycles = (a_cycle(surface, n=n_cycle), b_cycle(surface, n=n_cycle))
         else:
-            self._a = self._b = None
+            self._cycles = ()
 
     def data(self, form: OneForm) -> PairingData:
         if getattr(form, "conjugate", False):
             raise ValidationError("boundary reduction applies to dz-type forms only")
-        g, F = [], []
-        for w, dw in self._boundary:
-            gl = np.asarray(form(w), dtype=complex) * dw
-            if not np.all(np.isfinite(gl)):
-                raise NumericalError("form not finite on a cap boundary")
-            g.append(gl)
-            F.append(fft_antiderivative(gl))
-        if self.surface.genus == 1:
-            pa = period(form, self._a)
-            pb = period(form, self._b)
-        else:
-            pa = pb = 0.0j
-        return PairingData(tuple(g), tuple(F), complex(pa), complex(pb))
+        return self._pack(form)
 
-    def inner(self, d1: PairingData, d2: PairingData) -> complex:
-        boundary = 0.0j
-        for F1, g2 in zip(d1.F, d2.g):
-            boundary += (TWO_PI / self.n_boundary) * np.sum(F1 * np.conj(g2))
-        return complex(1j * (d1.a * np.conj(d2.b) - d1.b * np.conj(d2.a) - boundary))
+    def alpha_data(self, M: int) -> PairingData:
+        """Data of the order-1..M basis forms of every cap, stacked along
+        one trailing axis in the order (m - 1) * n_caps + k.
+
+        Each (cap, node set) pair is sampled by ``alpha_values``, one
+        kernel block per radius step."""
+        n = self.surface.n_caps
+
+        def sample(nodes):
+            vals = np.empty((nodes.size, M, n), dtype=complex)
+            for k in range(n):
+                vals[:, :, k] = alpha_values(self.surface, k, range(1, M + 1), nodes)
+            return vals.reshape(nodes.size, M * n)
+
+        return self._pack(sample)
+
+    def _pack(self, sample) -> PairingData:
+        # sample(nodes) returns the values on one node set with the stack
+        # axes trailing; node sets are sampled one at a time, so only one
+        # is held besides the stacked boundary data
+        g = None
+        for k, (w, dw) in enumerate(self._boundary):
+            vals = _finite(sample(w), f"the boundary of cap {k}")
+            if g is None:
+                g = np.empty((len(self._boundary),) + vals.shape, dtype=complex)
+            np.multiply(vals, dw.reshape(dw.shape + (1,) * (vals.ndim - 1)), out=g[k])
+        F = fft_antiderivative(g, axis=1)
+        if self._cycles:
+            a, b = (
+                np.tensordot(c.weights, _finite(sample(c.nodes), f"the {c.kind} cycle"),
+                             axes=(0, 0))
+                for c in self._cycles
+            )
+        else:
+            a = b = np.zeros(g.shape[2:], dtype=complex)
+        return PairingData(g, F, a, b)
+
+    def inner(self, d1: PairingData, d2: PairingData):
+        """<form1, form2>, linear in the first slot. For stacks, the array
+        of all products over the stack axes of d1, then those of d2."""
+        boundary = np.tensordot(d1.F, np.conj(d2.g), axes=([0, 1], [0, 1]))
+        val = 1j * (np.multiply.outer(d1.a, np.conj(d2.b))
+                    - np.multiply.outer(d1.b, np.conj(d2.a))
+                    - (TWO_PI / self.n_boundary) * boundary)
+        return complex(val) if np.ndim(val) == 0 else val
 
     def norm(self, d: PairingData) -> float:
         return float(np.sqrt(max(self.inner(d, d).real, 0.0)))
@@ -269,19 +298,11 @@ def project_faber(target, surface: SurfaceSpec, M: int,
         c_vec, d_vec = cycle_coefficients(rho, surface, n=n_cycle)
 
     pairing = ExteriorPairing(surface, n_boundary=n_boundary, n_cycle=n_cycle)
-    basis = [
-        faber_form(surface, k, m, max_order=max(24, M))
-        for m in range(1, M + 1)
-        for k in range(n)
-    ]
-    data = [pairing.data(el.form) for el in basis]
+    data = pairing.alpha_data(M)
     rho_data = pairing.data(rho)
-    size = len(basis)
-    gram = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            gram[i, j] = pairing.inner(data[j], data[i])
-    rhs = np.array([pairing.inner(rho_data, data[i]) for i in range(size)])
+    # gram[i, j] = <form_j, form_i> and rhs[i] = <rho, form_i>
+    gram = pairing.inner(data, data).T
+    rhs = pairing.inner(rho_data, data)
 
     orders = sorted({mp for mp in checkpoints if mp < M} | {M})
     scale = max(1.0, pairing.norm(rho_data))
@@ -290,10 +311,7 @@ def project_faber(target, surface: SurfaceSpec, M: int,
     for mp in orders:
         p = mp * n
         sol = least_squares(gram[:p, :p], rhs[:p], condition_limit=condition_limit)
-        diff = rho_data
-        for i in range(p):
-            diff = diff - sol.coefficients[i] * data[i]
-        res = pairing.norm(diff)
+        res = pairing.norm(rho_data - data.combine(sol.coefficients))
         if res > prev + 1e-10 * scale:
             raise NumericalError(
                 f"L2 residual increased from {prev:.6e} to {res:.6e} "
@@ -338,16 +356,24 @@ def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
     terms = [(decomposition.epsilon[k], beta_form(surface, k)) for k in range(n - 1)]
     if surface.genus == 1:
         terms.append((decomposition.c[0], gamma_basis(surface)[0]))
-    for m in range(1, M + 1):
-        for k in range(n):
-            hk = h[m - 1, k]
-            if hk != 0:
-                terms.append(
-                    (hk, faber_form(surface, k, m, max_order=max(24, M)).form)
-                )
-    if not terms:
-        return OneForm(lambda z: np.zeros(np.shape(z), dtype=complex), label="series")
-    return OneForm.combine(terms, label=f"series[{M}]")
+    closed = OneForm.combine(terms)
+    active = [k for k in range(n) if np.any(h[:, k] != 0)]
+
+    def ev(z):
+        # alpha terms: one multi-order contour read per (cap, radius step),
+        # contracted with that cap's coefficient column
+        out = closed.evaluator(z)
+        for k in active:
+            out = out + alpha_values(surface, k, range(1, M + 1), z) @ h[:, k]
+        return out
+
+    poles = closed.poles + tuple(
+        (surface.caps[k].center, m + 1)
+        for m in range(1, M + 1)
+        for k in range(n)
+        if h[m - 1, k] != 0
+    )
+    return OneForm(ev, poles=poles, label=f"series[{M}]")
 
 
 def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,

@@ -7,9 +7,11 @@ from faberforms.conformal import (
     JoukowskiEllipseMap,
     PolynomialCapMap,
 )
+from faberforms import faber
 from faberforms.faber import (
     FaberBasisElement,
     LaurentTail,
+    alpha_values,
     beta_element,
     faber_form,
     faber_polynomial,
@@ -40,6 +42,27 @@ def test_laurent_tail_evaluation_and_derivative():
     want_d = -2.0 * u**2 + 9.0j * u**4
     assert np.max(np.abs(dt(z) - want_d)) < 1e-14
     assert dt.order == 4
+
+
+def test_alpha_values_one_read_per_radius_step(monkeypatch):
+    surface = one_cap_sphere(JoukowskiEllipseMap(0.25, scale=0.5, offset=0.0))
+    pts = np.array([1.5 + 0.2j, -0.3 - 1.4j, 2.0j])
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append(list(m))
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    vals = alpha_values(surface, 0, range(1, 31), pts)
+    assert calls == [list(range(1, 7)), list(range(7, 13)),
+                     list(range(13, 25)), list(range(25, 31))]
+    monkeypatch.undo()
+    want = np.stack([faber_form(surface, 0, m, max_order=30).form(pts)
+                     for m in range(1, 31)], axis=-1)
+    assert vals.shape == (3, 30)
+    assert np.max(np.abs(vals - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_unit_cap_form_value():

@@ -202,6 +202,23 @@ def test_fft_antiderivative_rejects_nonzero_mean():
         fft_antiderivative(np.ones(64))
 
 
+def test_fft_antiderivative_along_an_axis():
+    # samples along axis 1, columns on axes 0 and 2: each column equals its
+    # own one-dimensional antiderivative, and one bad column is caught
+    n = 128
+    theta = TWO_PI * np.arange(n) / n
+    cols = np.stack([np.exp(1j * p * theta) for p in (1, -2, 5)], axis=-1)
+    g = np.stack([cols, 2.0 * cols])
+    F = fft_antiderivative(g, axis=1)
+    assert F.shape == g.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.max(np.abs(F[i, :, j] - fft_antiderivative(g[i, :, j]))) < 1e-15
+    g[1, :, 2] += 1e-3
+    with pytest.raises(NumericalError, match="mean 1.000e-03"):
+        fft_antiderivative(g, axis=1)
+
+
 def test_least_squares_identity():
     rhs = np.array([1.0, 2.0j, -3.0])
     res = least_squares(np.eye(3), rhs)

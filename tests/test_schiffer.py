@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
+from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.numerics import DiskGrid, NumericalError, ValidationError
-from faberforms.schiffer import CapDatum, apply_schiffer, contour_radius, schiffer_contour
-from faberforms.surface import SurfaceSpec
+from faberforms.schiffer import (
+    CapDatum,
+    apply_schiffer,
+    contour_radius,
+    schiffer_contour,
+)
+from faberforms.surface import SurfaceSpec, schiffer_kernel
 
 TAU = 0.3 + 1.1j
 
@@ -105,6 +110,97 @@ def test_default_radius_policy():
     assert contour_radius(1) == 0.5
     assert contour_radius(12) == pytest.approx(12.0 / 18.0)
     assert contour_radius(200) == 0.92
+
+
+def test_default_radius_steps():
+    # steps end at orders 6, 12, 24, 48, ...; each takes the radius of its
+    # last order, so no order sits below its own m / (m + 6)
+    for m in range(1, 301):
+        own = min(max(0.5, m / (m + 6.0)), 0.92)
+        assert contour_radius(m) >= own
+    assert {contour_radius(m) for m in range(1, 7)} == {0.5}
+    assert {contour_radius(m) for m in range(7, 13)} == {12.0 / 18.0}
+    assert {contour_radius(m) for m in range(13, 25)} == {0.8}
+    assert {contour_radius(m) for m in range(25, 49)} == {48.0 / 54.0}
+    assert {contour_radius(m) for m in range(49, 301)} == {0.92}
+
+
+def _summand_scale(surface, k, orders, pts, r0, n=256):
+    # (pi/n) sum_j |K(f(zeta_j), z)| |zeta_j^(1-m) f'(zeta_j)|: the size of
+    # the roundoff any summation order of the contour sum may carry; the
+    # value itself can be far smaller after cancellation at high orders
+    f = surface.caps[k]
+    zeta = r0 * np.exp(2j * np.pi * np.arange(n) / n)
+    kern = np.abs(schiffer_kernel(surface, f.evaluate(zeta)[None, :], pts[:, None]))
+    weight = np.abs(zeta[:, None] ** (1 - np.asarray(orders)[None, :])
+                    * f.derivative(zeta)[:, None])
+    return (np.pi / n) * kern @ weight
+
+
+def _multi_vs_single(surface, k, pts):
+    blocks = [(range(1, 7), None), (range(7, 13), None), (range(13, 25), None),
+              # an explicit radius lets orders of several steps share a block
+              ([1, 5, 9], 0.7)]
+    for orders, r0 in blocks:
+        multi = schiffer_contour(surface, k, orders, pts, r0=r0)
+        assert multi.shape == pts.shape + (len(orders),)
+        single = np.stack([schiffer_contour(surface, k, m, pts, r0=r0) for m in orders], -1)
+        radius = contour_radius(orders[-1]) if r0 is None else r0
+        scale = _summand_scale(surface, k, orders, pts, radius)
+        assert np.all(np.abs(multi - single) <= 1e-13 * scale), (k, list(orders))
+
+
+def test_multi_order_matches_single_orders_sphere():
+    caps = CapFamily([
+        AffineMap(0.5, 3.0 + 0.5j),
+        JoukowskiEllipseMap(0.25, scale=1.0, offset=0.0),
+        PolynomialCapMap([0.6, 0.08, 0.02], offset=-1.2 + 2.8j),
+    ])
+    surface = SurfaceSpec.sphere(caps)
+    pts = np.array([5.0 + 0.1j, -3.0 - 1.0j, 1.5 + 1.5j, 0.2 - 2.5j])
+    assert np.all(surface.in_sigma(pts))
+    for k in range(3):
+        _multi_vs_single(surface, k, pts)
+
+
+def test_multi_order_matches_single_orders_torus():
+    surface = torus_two_caps()
+    pts = np.array([0.5 + 0.12j, 0.15 + 0.6 * TAU, 0.9 + 0.2 * TAU])
+    _multi_vs_single(surface, 0, pts)
+
+
+def test_multi_order_scalar_point_and_bad_orders():
+    surface = sphere_one_cap()
+    vals = schiffer_contour(surface, 0, [1, 2, 3], 2.0)
+    assert vals.shape == (3,)
+    assert np.max(np.abs(vals - np.array([1, 2, 3]) * 2.0 ** -np.arange(2, 5))) < 1e-12
+    with pytest.raises(ValidationError, match="radius step"):
+        schiffer_contour(surface, 0, [6, 7], 2.0)
+    with pytest.raises(ValidationError, match="order"):
+        schiffer_contour(surface, 0, [1, 0], 2.0)
+    with pytest.raises(ValidationError, match="integer"):
+        schiffer_contour(surface, 0, [1.0, 2.0], 2.0)
+
+
+def test_multi_order_guard_rejects_z_inside_or_on_contour():
+    surface = sphere_one_cap()
+    with pytest.raises(ValidationError, match="inside the evaluation contour"):
+        schiffer_contour(surface, 0, [1, 2, 3], np.array([2.0, 0.1]), r0=0.8)
+    with pytest.raises(ValidationError, match="sits on the evaluation contour"):
+        schiffer_contour(surface, 0, range(7, 13), np.array([2.0, 12.0 / 18.0]))
+
+
+def test_roundoff_guard_names_order_radius_and_figure():
+    surface = sphere_one_cap()
+    # 0.5^-40 * eps = 2.44e-04
+    with pytest.raises(NumericalError,
+                       match=r"order 40 on the contour radius 0\.5 .* 2\.44e-04"):
+        schiffer_contour(surface, 0, [30, 40], 2.0, r0=0.5)
+    # the default radius tops out at 0.92, where order 250 is past the bound
+    with pytest.raises(NumericalError, match=r"order 250 on the contour radius 0\.92 "):
+        schiffer_contour(surface, 0, 250, 2.0)
+    # the long sphere run reads order 40 at radius 48/54: figure ~ 2.5e-14
+    assert abs(schiffer_contour(surface, 0, 40, 2.0) - 40 * 2.0**-41) < 1e-12
 
 
 def test_base_point_independence():

@@ -1,11 +1,16 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
 from faberforms.faber import faber_form
 from faberforms.numerics import DiskGrid, NumericalError, ValidationError, area_pairing
 from faberforms.series import (
     ExteriorPairing,
+    SeriesDecomposition,
     TargetForm,
     boundary_coefficients,
     cycle_coefficients,
@@ -18,6 +23,7 @@ from faberforms.surface import OneForm, SurfaceSpec, beta_form, gamma_basis
 from faberforms.targets import build_target
 
 TAU = 0.3 + 1.1j
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def identity_cap_sphere():
@@ -74,6 +80,42 @@ def test_pairing_matches_area_quadrature():
         via_boundary = pairing.inner(pairing.data(fm), pairing.data(fj))
         via_area = area_pairing(fm, fj, _InversionChart(), DiskGrid(64, 128))
         assert abs(via_boundary - via_area) < 1e-8, (m, j)
+
+
+def test_gram_by_products_matches_inner_double_loop():
+    # the Gram of the M = 40 Joukowski config, once from the stacked
+    # multi-order data by one product and once entry by entry from the
+    # per-form data of single-order evaluators
+    config = parse_config(os.path.join(ROOT, "configs", "sphere_joukowski.cfg"))
+    surface, M = config.surface, config.M
+    pairing = ExteriorPairing(surface)
+    stacked = pairing.alpha_data(M)
+    gram = pairing.inner(stacked, stacked).T
+    data = [pairing.data(faber_form(surface, 0, m, max_order=M).form) for m in range(1, M + 1)]
+    step = 2.0 * np.pi / pairing.n_boundary
+    loop = np.zeros((M, M), dtype=complex)
+    for i, di in enumerate(data):
+        for j, dj in enumerate(data):
+            boundary = sum(step * np.sum(Fj * np.conj(gi)) for Fj, gi in zip(dj.F, di.g))
+            loop[i, j] = 1j * (dj.a * np.conj(di.b) - dj.b * np.conj(di.a) - boundary)
+    assert np.max(np.abs(gram - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
+def test_stacked_residual_matches_sequential_subtraction():
+    surface = torus_two_caps()
+    pairing = ExteriorPairing(surface)
+    data = pairing.alpha_data(3)
+    target = build_target(surface, "combination", epsilon=[0.0], c=[0.7],
+                          h={(1, 0): 0.5, (2, 1): -0.2j})
+    rho = pairing.data(target.form)
+    x = np.array([0.3 - 0.1j, 1.2, -0.5j, 0.25, 0.1 + 0.1j])
+    g, F, a, b = rho.g, rho.F, rho.a, rho.b
+    for i, xi in enumerate(x):
+        g, F = g - xi * data.g[..., i], F - xi * data.F[..., i]
+        a, b = a - xi * data.a[i], b - xi * data.b[i]
+    stacked = rho - data.combine(x)
+    for got, want in zip((stacked.g, stacked.F, stacked.a, stacked.b), (g, F, a, b)):
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_pairing_torus_gamma_norm():
@@ -232,6 +274,44 @@ def test_series_evaluator_reproduces_target():
     assert err < 1e-9
     with pytest.raises(ValidationError, match="order"):
         series_evaluator(surface, dec, upto=7)
+
+
+def test_project_matches_sphere_multicap_reference(tmp_path):
+    # pool input 0 of the sphere-multicap benchmark workload against the
+    # seed code's committed coefficients
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import gate
+        import workloads
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / "input0.cfg"
+    path.write_text(workloads.make_config(workloads.WORKLOADS["sphere-multicap"], 0))
+    config = parse_config(str(path))
+    dec = project_faber(config.target, config.surface, config.M,
+                        condition_limit=config.condition_limit)
+    got = {("epsilon", k, ""): v for k, v in enumerate(dec.epsilon)}
+    got.update({("h", k, m): dec.h[m - 1, k]
+                for m in range(1, dec.M + 1) for k in range(dec.h.shape[1])})
+    ref = gate.read_reference(os.path.join(ROOT, "perfbench", "reference",
+                                           "sphere-multicap.csv"))[0]
+    assert gate.max_deviation(got, ref) <= 1e-10
+
+
+def test_series_evaluator_order_past_roundoff_bound_raises():
+    # no silent order ceiling: an order whose contour read amplifies
+    # roundoff past the bound fails loudly and names the figure
+    surface = identity_cap_sphere()
+    M = 250
+    dec = SeriesDecomposition(
+        epsilon=np.zeros(1, dtype=complex), c=np.zeros(0), d=np.zeros(0),
+        h=np.ones((M, 1), dtype=complex), M=M, residual_history=(),
+        gram_condition=1.0, regularized=False, consistency=0.0,
+    )
+    partial = series_evaluator(surface, dec)
+    with pytest.raises(NumericalError,
+                       match=r"order 250 on the contour radius 0\.92 .* = 2\.5\de-07"):
+        partial(np.array([3.0 + 1.0j]))
 
 
 def test_invariance_identity_is_exact():
