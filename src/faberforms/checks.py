@@ -157,14 +157,16 @@ def check_r0_independence(ctx) -> CheckResult:
     grid = DiskGrid(64, 128)
     worst_r = 0.0
     worst_a = 0.0
+    orders = (1, 2, 3)
     for k in range(surface.n_caps):
-        for m in (1, 2, 3):
-            vals = [schiffer_contour(surface, k, m, pts, r0=r) for r in (0.4, 0.6, 0.8)]
-            for i in range(3):
-                for j in range(i):
-                    worst_r = max(worst_r, float(np.max(np.abs(vals[i] - vals[j]))))
-            area = apply_schiffer(surface, CapDatum.monomial(k, m), pts, grid=grid)
-            worst_a = max(worst_a, float(np.max(np.abs(area - vals[1]))))
+        # every read carries a trailing axis over the orders: one contour
+        # kernel block per radius and one area kernel block per grid
+        vals = [schiffer_contour(surface, k, orders, pts, r0=r) for r in (0.4, 0.6, 0.8)]
+        for i in range(3):
+            for j in range(i):
+                worst_r = max(worst_r, float(np.max(np.abs(vals[i] - vals[j]))))
+        area = apply_schiffer(surface, [CapDatum.monomial(k, m) for m in orders], pts, grid=grid)
+        worst_a = max(worst_a, float(np.max(np.abs(area - vals[1]))))
     passed = worst_r < 1e-9 and worst_a < 1e-8
     return CheckResult("r0-independence", passed, max(worst_r, worst_a), 1e-8,
                        f"radius spread {worst_r:.3e}, area gap {worst_a:.3e}")

@@ -92,41 +92,56 @@ def _require_in_sigma(surface: SurfaceSpec, z: np.ndarray):
         raise ValidationError(f"evaluation point z = {zz[j]:.6g} lies inside a closed cap")
 
 
-def apply_schiffer(surface: SurfaceSpec, datum: CapDatum, z, grid: DiskGrid | None = None,
+def apply_schiffer(surface: SurfaceSpec, datum, z, grid: DiskGrid | None = None,
                    check: bool = True):
     """Area-quadrature evaluation of the operator at points z in the
     cap complement.
 
-    With ``check`` on, the value is recomputed on a 1.5x refined grid and
-    a disagreement beyond 1e-8 raises; this is the self-report for grids
+    ``datum`` is one CapDatum, or a sequence of them: the values then
+    carry a trailing axis over the data, and every cap's kernel block is
+    built once per grid and shared by all of them. With ``check`` on,
+    the values are recomputed on a 1.5x refined grid and a disagreement
+    beyond 1e-8 for any datum raises; this is the self-report for grids
     too coarse for the datum's oscillation.
     """
+    single = isinstance(datum, CapDatum)
+    data = [datum] if single else list(datum)
     grid = DiskGrid() if grid is None else grid
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _require_in_sigma(surface, zz)
-    val = _apply_area(surface, datum, zz, grid)
+    val = _apply_area(surface, data, zz, grid)
     if check:
-        ref = _apply_area(surface, datum, zz, grid.refined())
-        err = float(np.max(np.abs(val - ref)))
-        if err > 1e-8 * max(1.0, float(np.max(np.abs(ref)))):
-            raise NumericalError(
-                f"area quadrature too coarse: refinement moved values by {err:.3e}"
-            )
+        ref = _apply_area(surface, data, zz, grid.refined())
+        for j in range(len(data)):
+            err = float(np.max(np.abs(val[:, j] - ref[:, j])))
+            if err > 1e-8 * max(1.0, float(np.max(np.abs(ref[:, j])))):
+                raise NumericalError(
+                    f"area quadrature too coarse: refinement moved values by {err:.3e}"
+                    + ("" if single else f" for datum {j}")
+                )
         val = ref
-    return val if np.ndim(z) else complex(val[0])
+    if single:
+        val = val[:, 0]
+        return val if np.ndim(z) else complex(val[0])
+    return val if np.ndim(z) else val[0]
 
 
-def _apply_area(surface, datum, zz, grid):
+def _apply_area(surface, data, zz, grid):
+    # values at the points zz (flat) of every datum, along a trailing axis;
+    # one kernel block per cap, contracted with the weighted densities of
+    # all data at once
     zeta = grid.nodes
-    out = np.zeros(zz.shape, dtype=complex)
-    for k in datum.caps():
+    out = np.zeros((zz.size, len(data)), dtype=complex)
+    for k in sorted({k for d in data for k in d.caps()}):
         f = surface.caps[k]
-        w = f.evaluate(zeta)
-        dens = datum.dbar_coefficient(k, zeta) * f.derivative(zeta)
+        # the kernel block first: its temporaries set the peak memory, so
+        # the densities are not held while it is built
+        kern = schiffer_kernel(surface, f.evaluate(zeta)[None, :], zz[:, None])
+        fp = f.derivative(zeta)
+        dens = np.stack([d.dbar_coefficient(k, zeta) * fp for d in data], axis=1)
         if not np.all(np.isfinite(dens)):
             raise NumericalError(f"datum not finite on cap {k}")
-        kern = schiffer_kernel(surface, w[None, :], zz[:, None])
-        out += -np.sum(grid.weights[None, :] * kern * dens[None, :], axis=1)
+        out -= kern @ (grid.weights[:, None] * dens)
     return out
 
 

@@ -14,6 +14,14 @@ Stokes plus the bilinear period identity reduce it to cap-boundary
 contour sums and (torus) lattice periods. Every form that reaches the
 pairing has zero cap periods by construction, and the antiderivative
 step enforces that numerically.
+
+All three stages read the target on the same fixed node sets: each
+cap's circles at the measuring radii 0.95 and 1 in its disk chart and,
+on the torus, the a and b lattice cycles. The target is sampled once on
+each of them; epsilon comes from the periods on the two circles, the
+remainder's samples are the target's minus those of the pole-difference
+and holomorphic forms, and c, d and the remainder's pairing data are
+read from the remainder's samples.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ from .surface import (
 )
 
 DEFAULT_CHECKPOINTS = (5, 10, 20, 40)
+# Radii of the two circles around each cap that the boundary coefficients
+# are measured on.
+MEASURING_RADII = (0.95, 1.0)
 
 
 @dataclass(frozen=True)
@@ -112,8 +123,13 @@ class PairingData:
 def _finite(vals, where: str) -> np.ndarray:
     vals = np.asarray(vals, dtype=complex)
     if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"form not finite on {where}")
+        raise NumericalError(f"form not finite on the {where}")
     return vals
+
+
+def _require_dz(form: OneForm):
+    if getattr(form, "conjugate", False):
+        raise ValidationError("boundary reduction applies to dz-type forms only")
 
 
 class ExteriorPairing:
@@ -123,25 +139,29 @@ class ExteriorPairing:
     vanish; the construction raises otherwise. Pairing any two cached
     data objects afterwards is a contour sum, and pairing two stacks is
     one matrix product.
+
+    ``circles`` are the radius-1 boundary cycles of the caps and
+    ``cycles`` the a and b lattice cycles (empty on the sphere): the
+    node sets every pairing datum is sampled on.
     """
 
     def __init__(self, surface: SurfaceSpec, n_boundary: int = 512, n_cycle: int = 64):
         self.surface = surface
         self.n_boundary = int(n_boundary)
+        self.circles = tuple(boundary_cycle(surface, k, radius=1.0, n=self.n_boundary)
+                             for k in range(surface.n_caps))
         theta = TWO_PI * np.arange(self.n_boundary) / self.n_boundary
         zeta = np.exp(1j * theta)
-        self._boundary = []
-        for f in surface.caps:
-            self._boundary.append((f.evaluate(zeta), f.derivative(zeta) * 1j * zeta))
+        self._dw = tuple(f.derivative(zeta) * 1j * zeta for f in surface.caps)
         if surface.genus == 1:
-            self._cycles = (a_cycle(surface, n=n_cycle), b_cycle(surface, n=n_cycle))
+            self.cycles = (a_cycle(surface, n=n_cycle), b_cycle(surface, n=n_cycle))
         else:
-            self._cycles = ()
+            self.cycles = ()
 
     def data(self, form: OneForm) -> PairingData:
-        if getattr(form, "conjugate", False):
-            raise ValidationError("boundary reduction applies to dz-type forms only")
-        return self._pack(form)
+        _require_dz(form)
+        return self._pack([c.sample(form) for c in self.circles],
+                         [c.sample(form) for c in self.cycles])
 
     def alpha_data(self, M: int) -> PairingData:
         """Data of the order-1..M basis forms of every cap, stacked along
@@ -157,24 +177,29 @@ class ExteriorPairing:
                 vals[:, :, k] = alpha_values(self.surface, k, range(1, M + 1), nodes)
             return vals.reshape(nodes.size, M * n)
 
-        return self._pack(sample)
+        # generators: one node set is sampled at a time, so only one is
+        # held besides the stacked boundary data
+        return self._pack((sample(c.nodes) for c in self.circles),
+                         (sample(c.nodes) for c in self.cycles))
 
-    def _pack(self, sample) -> PairingData:
-        # sample(nodes) returns the values on one node set with the stack
-        # axes trailing; node sets are sampled one at a time, so only one
-        # is held besides the stacked boundary data
+    def _pack(self, on_circles, on_cycles) -> PairingData:
+        """Pairing data from samples: one array per circle, then one per
+        lattice cycle, in the order of ``circles`` and ``cycles``, with
+        any stack axes trailing."""
+        # indexed, not zipped: a zip tuple would keep the previous circle's
+        # samples alive while the next ones are drawn
         g = None
-        for k, (w, dw) in enumerate(self._boundary):
-            vals = _finite(sample(w), f"the boundary of cap {k}")
+        for k, vals in enumerate(on_circles):
+            vals = _finite(vals, self.circles[k].name)
+            dw = self._dw[k]
             if g is None:
-                g = np.empty((len(self._boundary),) + vals.shape, dtype=complex)
+                g = np.empty((len(self._dw),) + vals.shape, dtype=complex)
             np.multiply(vals, dw.reshape(dw.shape + (1,) * (vals.ndim - 1)), out=g[k])
         F = fft_antiderivative(g, axis=1)
-        if self._cycles:
+        if self.cycles:
             a, b = (
-                np.tensordot(c.weights, _finite(sample(c.nodes), f"the {c.kind} cycle"),
-                             axes=(0, 0))
-                for c in self._cycles
+                np.tensordot(c.weights, _finite(vals, c.name), axes=(0, 0))
+                for c, vals in zip(self.cycles, on_cycles)
             )
         else:
             a = b = np.zeros(g.shape[2:], dtype=complex)
@@ -193,7 +218,7 @@ class ExteriorPairing:
         return float(np.sqrt(max(self.inner(d, d).real, 0.0)))
 
 
-def boundary_coefficients(target, surface: SurfaceSpec, radii=(0.95, 1.0),
+def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII,
                           n: int = 512, tol: float = 1e-9) -> np.ndarray:
     """Per-cap boundary coefficients: the counterclockwise period around
     each cap divided by 2 pi i, so that subtracting the pole-difference
@@ -209,19 +234,25 @@ def boundary_coefficients(target, surface: SurfaceSpec, radii=(0.95, 1.0),
     if not 0 < r1 < r2 <= 1.0:
         raise ValidationError(f"radii must satisfy 0 < r1 < r2 <= 1, got {radii}")
     _check_poles_clear(form, surface, r1)
-    out = np.zeros(surface.n_caps, dtype=complex)
-    for k in range(surface.n_caps):
-        vals = [
-            period(form, boundary_cycle(surface, k, radius=r, n=n)) / (TWO_PI * 1j)
-            for r in (r1, r2)
-        ]
-        gap = abs(vals[0] - vals[1])
-        if gap > tol * max(1.0, abs(vals[1])):
+    inner, outer = (
+        [period(form, boundary_cycle(surface, k, radius=r, n=n)) for k in range(surface.n_caps)]
+        for r in (r1, r2)
+    )
+    return _boundary_coefficients(inner, outer, r1, r2, tol)
+
+
+def _boundary_coefficients(inner, outer, r1: float, r2: float, tol: float) -> np.ndarray:
+    # inner[k], outer[k]: the periods around cap k on the circles of radii r1 < r2
+    out = np.zeros(len(outer), dtype=complex)
+    for k, (p1, p2) in enumerate(zip(inner, outer)):
+        v1, v2 = p1 / (TWO_PI * 1j), p2 / (TWO_PI * 1j)
+        gap = abs(v1 - v2)
+        if gap > tol * max(1.0, abs(v2)):
             raise NumericalError(
                 f"boundary coefficient of cap {k} moved by {gap:.3e} "
                 f"between radii {r1} and {r2}"
             )
-        out[k] = vals[1]
+        out[k] = v2
     return out
 
 
@@ -250,24 +281,85 @@ def cycle_coefficients(form: OneForm, surface: SurfaceSpec, n: int = 64,
     mass the input carries (the cap basis forms are all of that type) and
     is returned for diagnostics. Sphere surfaces return empty vectors.
     """
-    for k in range(surface.n_caps):
-        p = period(form, boundary_cycle(surface, k, radius=1.0, n=512))
-        if abs(p) / TWO_PI > boundary_tol:
+    _check_boundary_free(
+        [period(form, boundary_cycle(surface, k, radius=1.0, n=512))
+         for k in range(surface.n_caps)],
+        boundary_tol,
+    )
+    cycles = (a_cycle(surface, n=n), b_cycle(surface, n=n)) if surface.genus == 1 else ()
+    return _cycle_split(surface, [period(form, c) for c in cycles])
+
+
+def _check_boundary_free(periods, tol: float):
+    for k, p in enumerate(periods):
+        if abs(p) / TWO_PI > tol:
             raise ValidationError(
                 f"input has nonvanishing boundary period {abs(p):.3e} at cap {k}; "
                 "remove the boundary coefficients first"
             )
+
+
+def _cycle_split(surface: SurfaceSpec, lattice_periods) -> tuple:
+    # (c, d) from the a- and b-periods; empty on the sphere, which has none
     if surface.genus == 0:
         empty = np.zeros(0, dtype=complex)
         return empty, empty
+    A, B = lattice_periods
     tau = surface.tau
     det = tau - np.conj(tau)
     assert abs(det) > 0  # Im tau > 0 is a construction invariant
-    A = period(form, a_cycle(surface, n=n))
-    B = period(form, b_cycle(surface, n=n))
     c = (B - np.conj(tau) * A) / det
     d = (tau * A - B) / det
     return np.array([c]), np.array([d])
+
+
+def _integrals(cycles, samples) -> list:
+    return [c.integrate(v) for c, v in zip(cycles, samples)]
+
+
+def _subtract(vals, terms, nodes) -> np.ndarray:
+    # samples of (form - sum_j coef_j form_j) at the nodes, from the form's
+    # samples, subtracting in the order of the terms; like OneForm.combine,
+    # the terms are read through their evaluators
+    for coef, f in terms:
+        vals = vals - coef * np.asarray(f.evaluator(nodes), dtype=complex)
+    return vals
+
+
+def _split_target(form: OneForm, pairing: ExteriorPairing) -> tuple:
+    """The first two stages of the decomposition from one sample of the
+    target per fixed node set: (epsilon, c, d, pairing data of the
+    remainder rho).
+
+    The node sets are each cap's circles at the two measuring radii (the
+    radius-1 circles are the pairing's ``circles``) and, on the torus,
+    the pairing's a and b cycles. The remainder's samples are the
+    target's minus those of the pole-difference and holomorphic forms.
+    """
+    _require_dz(form)
+    surface = pairing.surface
+    r1, r2 = MEASURING_RADII  # r2 = 1: the outer circles are the pairing's
+    _check_poles_clear(form, surface, r1)
+    inner = [boundary_cycle(surface, k, radius=r1, n=pairing.n_boundary)
+             for k in range(surface.n_caps)]
+    on_inner = [c.sample(form) for c in inner]
+    on_circles = [c.sample(form) for c in pairing.circles]
+    on_cycles = [c.sample(form) for c in pairing.cycles]
+    eps = _boundary_coefficients(_integrals(inner, on_inner),
+                                 _integrals(pairing.circles, on_circles), r1, r2, tol=1e-9)
+
+    def remove(terms):
+        return ([_subtract(v, terms, c.nodes) for c, v in zip(pairing.circles, on_circles)],
+                [_subtract(v, terms, c.nodes) for c, v in zip(pairing.cycles, on_cycles)])
+
+    on_circles, on_cycles = remove(
+        [(eps[k], beta_form(surface, k)) for k in range(surface.n_caps - 1)]
+    )
+    _check_boundary_free(_integrals(pairing.circles, on_circles), 1e-8)
+    c_vec, d_vec = _cycle_split(surface, _integrals(pairing.cycles, on_cycles))
+    if surface.genus == 1:
+        on_circles, on_cycles = remove([(c_vec[0], gamma_basis(surface)[0])])
+    return eps, c_vec, d_vec, pairing._pack(on_circles, on_cycles)
 
 
 def project_faber(target, surface: SurfaceSpec, M: int,
@@ -276,30 +368,21 @@ def project_faber(target, surface: SurfaceSpec, M: int,
                   checkpoints=DEFAULT_CHECKPOINTS) -> SeriesDecomposition:
     """Full decomposition of a target at truncation order M.
 
-    Boundary and lattice coefficients are measured first; the remainder
-    is projected onto the order-(1..M) basis of every cap by Gram least
-    squares. The L2 residual is recorded at each checkpoint order and
-    must not increase with M.
+    The target is sampled once per fixed node set: each cap's
+    n_boundary-node circles at the radii 0.95 and 1 and, on the torus,
+    the n_cycle-node a and b cycles. Boundary and lattice coefficients
+    come from those samples, and so do the pairing data of the
+    remainder; the remainder is projected onto the order-(1..M) basis of
+    every cap by Gram least squares. The L2 residual is recorded at each
+    checkpoint order and must not increase with M.
     """
     if M < 1:
         raise ValidationError(f"truncation order must be >= 1, got {M}")
-    form = getattr(target, "form", target)
     n = surface.n_caps
-    eps = boundary_coefficients(target, surface, n=n_boundary)
-    consistency = float(abs(np.sum(eps)))
-    terms = [(1.0, form)] + [(-eps[k], beta_form(surface, k)) for k in range(n - 1)]
-    rho = OneForm.combine(terms, label="remainder")
-    if surface.genus == 1:
-        c_vec, d_vec = cycle_coefficients(rho, surface, n=n_cycle)
-        rho = OneForm.combine(
-            [(1.0, rho), (-c_vec[0], gamma_basis(surface)[0])], label="remainder"
-        )
-    else:
-        c_vec, d_vec = cycle_coefficients(rho, surface, n=n_cycle)
-
     pairing = ExteriorPairing(surface, n_boundary=n_boundary, n_cycle=n_cycle)
+    eps, c_vec, d_vec, rho_data = _split_target(getattr(target, "form", target), pairing)
+    consistency = float(abs(np.sum(eps)))
     data = pairing.alpha_data(M)
-    rho_data = pairing.data(rho)
     # gram[i, j] = <form_j, form_i> and rhs[i] = <rho, form_i>
     gram = pairing.inner(data, data).T
     rhs = pairing.inner(rho_data, data)

@@ -84,6 +84,31 @@ class Cycle:
     nodes: np.ndarray
     weights: np.ndarray
 
+    @property
+    def name(self) -> str:
+        if self.kind == "boundary":
+            return f"boundary cycle of cap {self.index}"
+        return f"{self.kind} cycle"
+
+    def sample(self, form: OneForm) -> np.ndarray:
+        """The form's coefficient at the nodes. Raises when a declared
+        pole sits on the path or a value is not finite."""
+        if form.poles:
+            locs = np.array([p for p, _ in form.poles])
+            gap = np.min(np.abs(self.nodes[None, :] - locs[:, None]))
+            if gap < 1e-8:
+                raise NumericalError(f"a pole sits on the {self.name} (gap {gap:.2e})")
+        vals = np.asarray(form(self.nodes), dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError(f"form not finite on the {self.name}")
+        return vals
+
+    def integrate(self, vals, conjugate: bool = False) -> complex:
+        """Path integral from samples at the nodes; ``conjugate`` marks
+        samples of a dw-bar form."""
+        out = np.sum(vals * self.weights)
+        return complex(np.conj(out)) if conjugate else complex(out)
+
 
 class SurfaceSpec:
     """A capped sphere or torus: genus, caps, base point q, normalization w0.
@@ -413,13 +438,4 @@ def b_cycle(surface: SurfaceSpec, base=None, n: int = 64) -> Cycle:
 
 def period(form: OneForm, cycle: Cycle) -> complex:
     """Path integral of the form over the cycle's quadrature rule."""
-    if form.poles:
-        locs = np.array([p for p, _ in form.poles])
-        gap = np.min(np.abs(cycle.nodes[None, :] - locs[:, None]))
-        if gap < 1e-8:
-            raise NumericalError(f"a pole sits on the {cycle.kind} cycle (gap {gap:.2e})")
-    vals = np.asarray(form(cycle.nodes), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"form not finite on the {cycle.kind} cycle")
-    out = np.sum(vals * cycle.weights)
-    return complex(np.conj(out)) if form.conjugate else complex(out)
+    return cycle.integrate(cycle.sample(form), form.conjugate)

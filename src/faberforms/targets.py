@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .faber import faber_form
+from .faber import _check_order, alpha_values, faber_form
 from .numerics import ValidationError
 from .series import TargetForm
 from .surface import OneForm, SurfaceSpec, beta_form, gamma_basis
@@ -114,13 +114,29 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     terms = [(epsilon[k], beta_form(surface, k)) for k in range(n - 1)]
     if g == 1:
         terms.append((c[0], gamma_basis(surface)[0]))
-    top = max((m for (m, _k) in h), default=1)
-    for (m, k), v in sorted(h.items()):
-        terms.append((v, faber_form(surface, k, m, max_order=max(max_order, top)).form))
     terms = [(coef, f) for coef, f in terms if coef != 0]
-    if not terms:
+    top = max((m for (m, _k) in h), default=1)
+    for m, _k in h:
+        _check_order(m, max(max_order, top))
+    alpha = sorted((m, k) for (m, k), v in h.items() if v != 0)
+    if not terms and not alpha:
         raise ValidationError("combination target has no nonzero terms")
-    form = OneForm.combine(terms, label="combination")
+    closed = OneForm.combine(terms)
+    columns = {}
+    for k in sorted({k for _m, k in alpha}):
+        orders = [m for m, kk in alpha if kk == k]
+        columns[k] = (orders, np.array([h[(m, k)] for m in orders]))
+
+    def ev(z):
+        # alpha terms: one multi-order contour read per (cap, radius step),
+        # contracted with that cap's coefficients
+        out = closed.evaluator(z)
+        for k, (orders, coefs) in columns.items():
+            out = out + alpha_values(surface, k, orders, z) @ coefs
+        return out
+
+    poles = closed.poles + tuple((surface.caps[k].center, m + 1) for m, k in alpha)
+    form = OneForm(ev, poles=poles, label="combination")
     eps_full = np.concatenate([epsilon, [-np.sum(epsilon)]]) if n > 0 else epsilon
     known = {"epsilon": eps_full, "c": c, "h": dict(h)}
     return TargetForm(form, label="combination", known=known)

@@ -287,3 +287,44 @@ def test_coarse_grid_self_report():
     fine = apply_schiffer(surface, datum, z, check=True)
     ref = schiffer_contour(surface, 1, 6, z)
     assert np.max(np.abs(fine - ref)) < 1e-8
+
+
+def test_stacked_area_read_matches_per_datum_reads():
+    # one kernel block per (cap, grid), shared by every datum of the stack
+    data = [
+        CapDatum.monomial(1, 2),
+        CapDatum.monomial(0, 1),
+        CapDatum.linear([(0.5, CapDatum.monomial(0, 3)), (2j, CapDatum.monomial(1, 1))]),
+    ]
+    grid = DiskGrid(64, 128)
+    cases = (
+        (sphere_two_caps(), np.array([1.4 + 1.0j, -0.9 - 0.7j, 2.5 + 0.9j])),
+        (torus_two_caps(), np.array([0.5 + 0.1 * TAU, 0.1 + 0.55 * TAU])),
+    )
+    for surface, pts in cases:
+        stacked = apply_schiffer(surface, data, pts, grid=grid)
+        assert stacked.shape == (pts.size, len(data))
+        for j, datum in enumerate(data):
+            single = apply_schiffer(surface, datum, pts, grid=grid)
+            scale = max(1.0, float(np.max(np.abs(single))))
+            assert np.max(np.abs(stacked[:, j] - single)) <= 1e-13 * scale, j
+    # a scalar point keeps only the axis over the data
+    surface, pts = cases[0]
+    point = apply_schiffer(surface, data, complex(pts[0]), grid=grid)
+    assert point.shape == (len(data),)
+    assert np.max(np.abs(point - apply_schiffer(surface, data, pts, grid=grid)[0])) < 1e-15
+
+
+def test_stacked_coarse_grid_names_the_datum_that_needs_refinement():
+    surface = sphere_two_caps()
+    z = np.array([2.5 + 0.55j])
+    grid = DiskGrid(6, 12)
+    # the cap-0 data are resolved on this grid; the order-6 datum on the
+    # Joukowski cap is not
+    resolved = [CapDatum.monomial(0, 1), CapDatum.monomial(0, 6)]
+    apply_schiffer(surface, resolved, z, grid=grid)
+    with pytest.raises(NumericalError,
+                       match=r"too coarse: refinement moved values by .* for datum 1$"):
+        apply_schiffer(surface, [resolved[0], CapDatum.monomial(1, 6)], z, grid=grid)
+    with pytest.raises(NumericalError, match=r"too coarse: refinement moved values by \S+$"):
+        apply_schiffer(surface, CapDatum.monomial(1, 6), z, grid=grid)

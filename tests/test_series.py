@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from faberforms import faber
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
 from faberforms.faber import faber_form
@@ -12,6 +13,7 @@ from faberforms.series import (
     ExteriorPairing,
     SeriesDecomposition,
     TargetForm,
+    _split_target,
     boundary_coefficients,
     cycle_coefficients,
     invariance_check,
@@ -19,7 +21,7 @@ from faberforms.series import (
     series_evaluator,
     uniform_error,
 )
-from faberforms.surface import OneForm, SurfaceSpec, beta_form, gamma_basis
+from faberforms.surface import OneForm, SurfaceSpec, beta_form, boundary_cycle, gamma_basis
 from faberforms.targets import build_target
 
 TAU = 0.3 + 1.1j
@@ -276,26 +278,42 @@ def test_series_evaluator_reproduces_target():
         series_evaluator(surface, dec, upto=7)
 
 
-def test_project_matches_sphere_multicap_reference(tmp_path):
-    # pool input 0 of the sphere-multicap benchmark workload against the
-    # seed code's committed coefficients
+def _pool_input(workload, index, tmp_path):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         import gate
         import workloads
     finally:
         sys.path.pop(0)
-    path = tmp_path / "input0.cfg"
-    path.write_text(workloads.make_config(workloads.WORKLOADS["sphere-multicap"], 0))
-    config = parse_config(str(path))
-    dec = project_faber(config.target, config.surface, config.M,
-                        condition_limit=config.condition_limit)
-    got = {("epsilon", k, ""): v for k, v in enumerate(dec.epsilon)}
+    path = tmp_path / f"input{index}.cfg"
+    path.write_text(workloads.make_config(workloads.WORKLOADS[workload], index))
+    ref = gate.read_reference(os.path.join(ROOT, "perfbench", "reference", f"{workload}.csv"))
+    return parse_config(str(path)), ref[index], gate.max_deviation
+
+
+def _solved(dec) -> dict:
+    got = {(tag, i, ""): v for tag in ("epsilon", "c", "d")
+           for i, v in enumerate(getattr(dec, tag))}
     got.update({("h", k, m): dec.h[m - 1, k]
                 for m in range(1, dec.M + 1) for k in range(dec.h.shape[1])})
-    ref = gate.read_reference(os.path.join(ROOT, "perfbench", "reference",
-                                           "sphere-multicap.csv"))[0]
-    assert gate.max_deviation(got, ref) <= 1e-10
+    return got
+
+
+def _reference_deviation(workload, tmp_path) -> float:
+    # pool input 0 of a benchmark workload against the seed code's
+    # committed coefficients
+    config, ref, max_deviation = _pool_input(workload, 0, tmp_path)
+    dec = project_faber(config.target, config.surface, config.M,
+                        condition_limit=config.condition_limit)
+    return max_deviation(_solved(dec), ref)
+
+
+def test_project_matches_sphere_multicap_reference(tmp_path):
+    assert _reference_deviation("sphere-multicap", tmp_path) <= 1e-10
+
+
+def test_project_matches_torus_solve_reference(tmp_path):
+    assert _reference_deviation("torus-solve", tmp_path) <= 1e-10
 
 
 def test_series_evaluator_order_past_roundoff_bound_raises():
@@ -349,3 +367,111 @@ def test_build_target_validation():
         build_target(surface, "combination", epsilon=[1.0, 2.0], h={(1, 0): 1.0})
     with pytest.raises(ValidationError, match="out of range"):
         build_target(surface, "combination", h={(0, 0): 1.0})
+
+
+def _counting(form):
+    sizes = []
+
+    def ev(z):
+        sizes.append(np.size(z))
+        return form.evaluator(z)
+
+    return OneForm(ev, poles=form.poles, label=form.label), sizes
+
+
+def test_project_samples_the_target_once_per_node_set():
+    # each cap's circles at radii 0.95 and 1 (512 nodes), then on the torus
+    # the a and b cycles (64 nodes): 2n + 2 evaluations, 2n on the sphere
+    torus, sphere = torus_two_caps(), two_cap_sphere()
+    cases = (
+        (torus, build_target(torus, "combination", seed=3, order=2), [512] * 4 + [64] * 2),
+        (sphere, build_target(sphere, "pole", cap=1, eta=0.3), [512] * 4),
+        (joukowski_sphere(), build_target(joukowski_sphere(), "pole", cap=0, eta=0.55),
+         [512] * 2),
+    )
+    for surface, target, want in cases:
+        form, sizes = _counting(target.form)
+        dec = project_faber(TargetForm(form), surface, M=3, checkpoints=())
+        assert sizes == want
+        ref = project_faber(target, surface, M=3, checkpoints=())
+        assert np.array_equal(dec.h, ref.h)
+
+
+def _wrapper_path(target, surface):
+    # the decomposition's first stages composed from the public wrappers,
+    # each of which samples the form it is given on its own
+    n = surface.n_caps
+    eps = boundary_coefficients(target, surface)
+    rho = OneForm.combine([(1.0, target.form)]
+                          + [(-eps[k], beta_form(surface, k)) for k in range(n - 1)])
+    c, d = cycle_coefficients(rho, surface)
+    if surface.genus == 1:
+        rho = OneForm.combine([(1.0, rho), (-c[0], gamma_basis(surface)[0])])
+    return eps, c, d, ExteriorPairing(surface).data(rho)
+
+
+@pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
+def test_sampled_split_matches_the_wrapper_path(name):
+    config = parse_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+    got = _split_target(config.target.form, ExteriorPairing(config.surface))
+    want = _wrapper_path(config.target, config.surface)
+    rho, rho_want = got[3], want[3]
+    pairs = list(zip(got[:3], want[:3])) + [
+        (rho.g, rho_want.g), (rho.F, rho_want.F), (rho.a, rho_want.a), (rho.b, rho_want.b),
+    ]
+    for x, y in pairs:
+        assert x.shape == y.shape
+        if y.size:
+            assert np.max(np.abs(x - y)) <= 1e-13 * max(1.0, float(np.max(np.abs(y))))
+
+
+def test_project_faber_raises_the_sampling_guards():
+    surface = two_cap_sphere()
+    f = surface.caps[1]
+    # a declared pole just inside the inner measuring circle
+    a = complex(f.evaluate(0.94))
+    declared = OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - a) ** 2,
+                       poles=((a, 2),))
+    with pytest.raises(ValidationError, match="close"):
+        project_faber(TargetForm(declared), surface, M=2)
+    # an undeclared simple pole between the two measuring circles
+    b = complex(f.evaluate(0.97))
+    hidden = OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - b))
+    with pytest.raises(NumericalError, match="moved"):
+        project_faber(TargetForm(hidden), surface, M=2)
+    # a lone simple pole in cap 0: its residue is balanced at infinity, not
+    # by the caps, so the remainder keeps a period around the last cap
+    p = complex(surface.caps[0].evaluate(0.3))
+    lone = OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - p), poles=((p, 1),))
+    with pytest.raises(ValidationError, match="boundary period .* at cap 1"):
+        project_faber(TargetForm(lone), surface, M=2)
+    conj = OneForm(lambda z: np.ones(np.shape(z), dtype=complex), conjugate=True)
+    with pytest.raises(ValidationError, match="dz-type"):
+        project_faber(TargetForm(conj), surface, M=2)
+
+
+def test_combination_target_reads_each_cap_once_per_radius_step(monkeypatch):
+    config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
+    surface, target = config.surface, config.target
+    known = target.known
+    assert len(known["h"]) == 12
+    pts = np.concatenate([boundary_cycle(surface, k, radius=1.0, n=64).nodes
+                          for k in range(surface.n_caps)])
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append((k, list(m)))
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    got = target.form(pts)
+    # orders 1..6 share one radius step
+    assert calls == [(0, list(range(1, 7))), (1, list(range(1, 7)))]
+    monkeypatch.undo()
+    terms = [known["epsilon"][0] * beta_form(surface, 0)(pts),
+             known["c"][0] * gamma_basis(surface)[0](pts)]
+    terms += [v * faber_form(surface, k, m).form(pts) for (m, k), v in known["h"].items()]
+    want = np.sum(terms, axis=0)
+    scale = np.sum(np.abs(terms), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
