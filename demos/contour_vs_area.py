@@ -15,6 +15,7 @@ from faberforms import (
     JoukowskiEllipseMap,
     SurfaceSpec,
     apply_schiffer,
+    contour_nodes,
     contour_radius,
     schiffer_contour,
 )
@@ -44,9 +45,13 @@ print(f"radius spread {spread:.1e}, contour-to-area gap {gap:.1e}")
 
 print()
 print("default radius grows with the order in steps, to keep the integrand tame;")
-print("all orders of a step share one radius and so one kernel block:")
+print("all orders of a step share one radius and so one kernel block, read with")
+print("the fewest of 64, 128, 256 nodes whose aliasing factor r0^n is at most 1e-19")
+print("(256 where none is):")
 for first, last in ((1, 6), (7, 12), (13, 24), (25, 48), (49, 96)):
-    print(f"  m = {first:>2}..{last:<3}: r0 = {contour_radius(last):.3f}")
+    r0 = contour_radius(last)
+    print(f"  m = {first:>2}..{last:<3}: r0 = {r0:.3f}, n = {contour_nodes(r0):>3}, "
+          f"r0^n = {r0 ** contour_nodes(r0):.1e}")
 
 orders = range(7, 13)
 block = schiffer_contour(surface, 0, orders, pts)

@@ -39,7 +39,7 @@ from .numerics import (
     laurent_coefficients,
     least_squares,
 )
-from .schiffer import CapDatum, apply_schiffer, contour_radius, schiffer_contour
+from .schiffer import CapDatum, apply_schiffer, contour_nodes, contour_radius, schiffer_contour
 from .series import (
     ExteriorPairing,
     SeriesDecomposition,
@@ -94,6 +94,7 @@ __all__ = [
     "beta_form",
     "build_target",
     "circle_integral",
+    "contour_nodes",
     "contour_radius",
     "faber_form",
     "faber_polynomial",

@@ -25,7 +25,7 @@ from .numerics import (
     ValidationError,
     laurent_from_samples,
 )
-from .schiffer import contour_radius, schiffer_contour
+from .schiffer import contour_nodes, contour_radius, schiffer_contour
 from .surface import OneForm, SurfaceSpec, beta_form, gamma_basis
 
 # Coefficient magnitudes in the principal-part read grow like (1/rho)^m,
@@ -79,34 +79,46 @@ class FaberBasisElement:
 
 
 def faber_form(surface: SurfaceSpec, k: int, m: int, r0: float | None = None,
-               n: int = 256, max_order: int = DEFAULT_MAX_ORDER) -> FaberBasisElement:
+               n: int | None = None, max_order: int = DEFAULT_MAX_ORDER) -> FaberBasisElement:
     """The order-m basis form of cap k, as a contour evaluator on the
     surface minus the cap center.
 
-    Points inside the evaluation contour itself are rejected by the
-    underlying quadrature; shrink r0 to evaluate deeper into the cap.
+    The read sits on ``contour_radius(m)`` unless r0 is given, with
+    ``contour_nodes`` of that radius unless n is given; ``quadrature``
+    records both. The default count assumes the points read satisfy
+    |f^(-1)(z)| >= 0.95 (see ``contour_nodes``). Points inside the
+    evaluation contour itself are rejected by the underlying quadrature;
+    shrink r0 to evaluate deeper into the cap, and pass n with it.
     """
     _check_order(m, max_order)
     if not 0 <= k < surface.n_caps:
         raise ValidationError(f"cap index {k} out of range")
     rr = contour_radius(m) if r0 is None else float(r0)
+    nn = contour_nodes(rr) if n is None else int(n)
 
-    def ev(z, surface=surface, k=k, m=m, rr=rr, n=n):
-        return schiffer_contour(surface, k, m, z, r0=rr, n=n)
+    def ev(z, surface=surface, k=k, m=m, rr=rr, nn=nn):
+        return schiffer_contour(surface, k, m, z, r0=rr, n=nn)
 
     form = OneForm(ev, conjugate=False, poles=((surface.caps[k].center, m + 1),),
                    label=f"alpha[{k},{m}]")
     return FaberBasisElement("alpha", form, cap=k, order=m, method="contour",
-                             quadrature=(("r0", rr), ("nodes", n)))
+                             quadrature=(("r0", rr), ("nodes", nn)))
 
 
-def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int = 256) -> np.ndarray:
+def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int | None = None) -> np.ndarray:
     """Values at z of the basis forms of cap k for every order in
     ``orders``, along a trailing axis over the orders.
 
     One multi-order ``schiffer_contour`` call per radius step, each at the
-    default radius ``faber_form`` uses, so column j equals
-    ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff.
+    default radius and node count ``faber_form`` uses, so column j equals
+    ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff. An
+    explicit n replaces the node count of every step.
+
+    The default node count ``contour_nodes`` assumes every point read
+    satisfies |f^(-1)(z)| >= 0.95 for the map f of cap k: on and outside
+    the cap boundary, and on the inner measuring circle at 0.95, where
+    the step-1 read (r0 = 0.5, 64 nodes) aliases at (0.5 / 0.95)^64 =
+    1.4e-18. Reads deeper inside the cap must pass n.
     """
     orders = [int(m) for m in orders]
     steps: dict = {}
@@ -114,8 +126,9 @@ def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int = 256) -> np.nd
         steps.setdefault(contour_radius(m), []).append(i)
     zz = np.asarray(z, dtype=complex)
     out = np.empty(zz.shape + (len(orders),), dtype=complex)
-    for idx in steps.values():
-        out[..., idx] = schiffer_contour(surface, k, [orders[i] for i in idx], zz, n=n)
+    for r0, idx in steps.items():
+        out[..., idx] = schiffer_contour(surface, k, [orders[i] for i in idx], zz,
+                                         n=contour_nodes(r0) if n is None else n)
     return out
 
 
@@ -143,37 +156,61 @@ def principal_part(surface: SurfaceSpec, element: FaberBasisElement,
     zeta^-J read on |zeta| = rho, head the regular part as a power series.
     The read self-checks the structure theorem (coefficient m at index
     -(m+1), nothing deeper) at a loose 1e-5 tolerance and raises on
-    violation; tests pin the sharp tolerances.
+    violation; tests pin the sharp tolerances. This is the one-element
+    view of ``principal_parts``.
     """
     if element.tag != "alpha" or element.cap is None or element.order is None:
         raise ValidationError("principal part is defined for alpha elements only")
+    # the element checked its order against its own ceiling when it was built
+    return principal_parts(surface, element.cap, [element.order], order=order, rho=rho,
+                           n=n, contour_nodes=contour_nodes, max_order=element.order)[0]
+
+
+def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = None,
+                    rho: float = 0.5, n: int = 2048, contour_nodes: int = 512,
+                    max_order: int = DEFAULT_MAX_ORDER) -> list:
+    """``principal_part`` of the basis form of cap k for every order in
+    ``orders``: a list of (tail, head) pairs, one per order.
+
+    Every order is sampled on the same n-point expansion circle through
+    one multi-order ``schiffer_contour`` read at 0.6 * rho with
+    ``contour_nodes`` nodes, so the cap's kernel block is built once.
+    Each order gets its own Laurent fit (J = max(8, m + 4) unless
+    ``order`` is given) and its own pole-structure guard.
+    """
     if not 0 < rho < 1:
         raise ValidationError(f"expansion radius must sit in (0, 1), got {rho}")
-    m, k = element.order, element.cap
-    J = max(8, m + 4) if order is None else int(order)
-    if J < m + 1:
-        raise ValidationError(f"expansion order {J} cannot reach the pole order {m + 1}")
+    orders = [int(m) for m in orders]
+    depths = []
+    for m in orders:
+        _check_order(m, max_order)
+        J = max(8, m + 4) if order is None else int(order)
+        if J < m + 1:
+            raise ValidationError(f"expansion order {J} cannot reach the pole order {m + 1}")
+        depths.append(J)
     f = surface.caps[k]
     zeta = rho * np.exp(1j * TWO_PI * np.arange(n) / n)
     # evaluate through the meromorphic extension: the quadrature contour
     # must sit strictly inside the expansion circle
-    vals = schiffer_contour(surface, k, m, f.evaluate(zeta), r0=0.6 * rho, n=contour_nodes)
-    samples = vals * f.derivative(zeta)
+    vals = schiffer_contour(surface, k, orders, f.evaluate(zeta), r0=0.6 * rho, n=contour_nodes)
+    samples = vals * f.derivative(zeta)[:, None]
     if not np.all(np.isfinite(samples)):
         raise NumericalError("pullback not finite on the expansion circle")
-    orders = np.arange(-J, J + 1)
-    coeff = laurent_from_samples(samples, rho, orders)
-    neg = {int(-p): c for p, c in zip(orders, coeff) if p < 0}
-    lead_err = abs(neg[m + 1] - m)
-    deep = max((abs(neg[j]) for j in range(m + 2, J + 1)), default=0.0)
-    if lead_err > 1e-5 or deep > 1e-5:
-        raise NumericalError(
-            f"pole structure violated: |c[-(m+1)] - m| = {lead_err:.3e}, "
-            f"deeper mass {deep:.3e}"
-        )
-    tail = LaurentTail(0.0, [neg[j] for j in range(1, J + 1)])
-    head = PowerSeries(0.0, coeff[J:], radius=rho)
-    return tail, head
+    parts = []
+    for i, (m, J) in enumerate(zip(orders, depths)):
+        powers = np.arange(-J, J + 1)
+        coeff = laurent_from_samples(samples[:, i], rho, powers)
+        neg = {int(-p): c for p, c in zip(powers, coeff) if p < 0}
+        lead_err = abs(neg[m + 1] - m)
+        deep = max((abs(neg[j]) for j in range(m + 2, J + 1)), default=0.0)
+        if lead_err > 1e-5 or deep > 1e-5:
+            raise NumericalError(
+                f"pole structure violated at order {m}: |c[-(m+1)] - m| = {lead_err:.3e}, "
+                f"deeper mass {deep:.3e}"
+            )
+        tail = LaurentTail(0.0, [neg[j] for j in range(1, J + 1)])
+        parts.append((tail, PowerSeries(0.0, coeff[J:], radius=rho)))
+    return parts
 
 
 def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None, n: int = 512,

@@ -25,7 +25,7 @@ from . import __version__
 from .checks import CHECKS, CheckResult
 from .config import ExperimentConfig
 from .numerics import NumericalError
-from .series import SeriesDecomposition, project_faber, uniform_error
+from .series import SeriesDecomposition, project_faber, uniform_errors
 from .surface import SurfaceSpec
 
 
@@ -154,11 +154,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     results = []
     residual_rows = []
     if dec is not None:
-        ring = _probe_ring(config)
-        for order, l2 in dec.residual_history:
-            sup = uniform_error(config.target, config.surface, dec, ring,
-                                upto=order, margin=config.uniform_margin)
-            residual_rows.append((order, l2, sup))
+        # one read of the probe ring serves every checkpoint order
+        sups = uniform_errors(config.target, config.surface, dec, _probe_ring(config),
+                              [order for order, _l2 in dec.residual_history],
+                              margin=config.uniform_margin)
+        residual_rows = [(order, l2, sup)
+                         for (order, l2), sup in zip(dec.residual_history, sups)]
 
         ctx = RunContext(
             surface=config.surface,

@@ -11,6 +11,14 @@ of order m on cap k the integrand is holomorphic in an annulus, so the
 area integral collapses to a circle integral (the contour route); both are
 implemented and tested against each other. The contour route is the
 default evaluation path: it is spectrally accurate and much cheaper.
+
+The default contour read sits on a radius that steps up with the order
+(``contour_radius``) and uses a node count sized to that radius
+(``contour_nodes``): the smallest of 64, 128 and 256 nodes whose
+trapezoid aliasing factor r0^n is at most 1e-19, else 256. The factor
+bounds the error for points whose preimage under the cap map has modulus
+at least 1, and stays near it down to 0.95, the inner measuring circle
+of the series; reads deeper inside a cap pass their own node count.
 """
 
 from __future__ import annotations
@@ -149,6 +157,10 @@ def _apply_area(surface, data, zz, grid):
 RADIUS_STEP = 6
 # Largest roundoff amplification r0^(-m) * eps a contour read may carry.
 ROUNDOFF_LIMIT = 1e-8
+# Node counts a default contour read may use, and the trapezoid aliasing
+# factor r0^n the smallest admissible one must reach.
+NODE_COUNTS = (64, 128, 256)
+ALIASING_LIMIT = 1e-19
 
 
 def contour_radius(m: int) -> float:
@@ -162,12 +174,36 @@ def contour_radius(m: int) -> float:
     0.5, 0.667, 0.8, 0.889, capped at 0.92. Every order sits on a radius
     at least as large as its own m / (m + 6), so the amplification never
     grows, and all orders of a step read one shared kernel block (see
-    ``schiffer_contour``).
+    ``schiffer_contour``). The node count of a read at that radius is
+    ``contour_nodes``: 64, 128 and 256 for the first three steps, 256
+    from then on, under the same precondition on the evaluation points.
     """
     end = RADIUS_STEP
     while end < m:
         end *= 2
     return float(min(max(0.5, end / (end + 6.0)), 0.92))
+
+
+def contour_nodes(r0: float) -> int:
+    """Default node count of a contour read on the radius r0.
+
+    The n-node trapezoid sum on |zeta| = r0 aliases the integrand's
+    Laurent terms of degree n onto the constant one; for a point z whose
+    preimage f^(-1)(z) under the cap map lies at modulus rho, those
+    terms fall like (r0 / rho)^n (Trefethen and Weideman, SIAM Rev. 56,
+    2014). The count is the smallest of NODE_COUNTS with
+    r0^n <= ALIASING_LIMIT, and the largest when none qualifies, so
+    0.5 -> 64, 2/3 -> 128 and 256 from 0.8 up.
+
+    Precondition: the points read satisfy rho >= 0.95, the inner
+    measuring circle of the series, where r0 = 0.5 with 64 nodes gives
+    (0.5 / 0.95)^64 = 1.4e-18. Reads deeper inside a cap must pass n.
+    """
+    r0 = float(r0)
+    for n in NODE_COUNTS:
+        if r0**n <= ALIASING_LIMIT:
+            return n
+    return NODE_COUNTS[-1]
 
 
 def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None,

@@ -421,6 +421,24 @@ def project_faber(target, surface: SurfaceSpec, M: int,
     )
 
 
+def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
+    # the order-M partial sum's basis coefficients: a checkpoint order's
+    # own sub-solve, any other order the full solution truncated
+    if not 1 <= M <= decomposition.M:
+        raise ValidationError(f"order {M} outside 1..{decomposition.M}")
+    h = dict(decomposition.checkpoints).get(M)
+    return decomposition.h[:M] if h is None else h
+
+
+def _closed_part(surface: SurfaceSpec, decomposition: SeriesDecomposition) -> OneForm:
+    # the pole-difference and lattice parts of every partial sum
+    terms = [(decomposition.epsilon[k], beta_form(surface, k))
+             for k in range(surface.n_caps - 1)]
+    if surface.genus == 1:
+        terms.append((decomposition.c[0], gamma_basis(surface)[0]))
+    return OneForm.combine(terms)
+
+
 def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
                      upto: int | None = None) -> OneForm:
     """The partial sum as a form: pole-difference and lattice parts plus
@@ -431,15 +449,8 @@ def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
     """
     n = surface.n_caps
     M = decomposition.M if upto is None else int(upto)
-    if not 1 <= M <= decomposition.M:
-        raise ValidationError(f"order {M} outside 1..{decomposition.M}")
-    h = dict(decomposition.checkpoints).get(M)
-    if h is None:
-        h = decomposition.h[:M]
-    terms = [(decomposition.epsilon[k], beta_form(surface, k)) for k in range(n - 1)]
-    if surface.genus == 1:
-        terms.append((decomposition.c[0], gamma_basis(surface)[0]))
-    closed = OneForm.combine(terms)
+    h = _partial_h(decomposition, M)
+    closed = _closed_part(surface, decomposition)
     active = [k for k in range(n) if np.any(h[:, k] != 0)]
 
     def ev(z):
@@ -459,10 +470,16 @@ def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
     return OneForm(ev, poles=poles, label=f"series[{M}]")
 
 
-def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                  points, upto: int | None = None, margin: float = 0.1) -> float:
-    """Sup-norm coefficient error of the partial sum on a point set that
-    keeps a stated distance from every cap."""
+def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
+                   points, orders, margin: float = 0.1) -> list:
+    """Sup-norm coefficient errors of the partial sums of every order in
+    ``orders`` on a point set that keeps a stated distance from every cap.
+
+    The target and the closed part are read on the points once, and the
+    basis forms of orders 1..max(orders) of each cap with one
+    ``alpha_values`` call; each partial sum contracts the leading columns
+    with its own coefficients, chosen as ``series_evaluator`` chooses them.
+    """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if surface.genus == 1:
         dist = surface.distance_to_caps_reduced(pts)
@@ -474,9 +491,30 @@ def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecompositi
             f"point {pts[j]:.6g} is {float(dist[j]):.3f} from a cap, "
             f"inside the margin {margin}"
         )
+    orders = [int(M) for M in orders]
+    hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)
-    partial = series_evaluator(surface, decomposition, upto=upto)
-    return float(np.max(np.abs(np.asarray(form(pts)) - np.asarray(partial(pts)))))
+    want = np.asarray(form(pts))
+    closed = np.asarray(_closed_part(surface, decomposition).evaluator(pts))
+    top = max(orders, default=0)
+    basis = {k: alpha_values(surface, k, range(1, top + 1), pts)
+             for k in range(surface.n_caps) if any(np.any(h[:, k] != 0) for h in hs)}
+    errors = []
+    for M, h in zip(orders, hs):
+        partial = closed
+        for k, vals in basis.items():
+            partial = partial + vals[:, :M] @ h[:, k]
+        errors.append(float(np.max(np.abs(want - partial))))
+    return errors
+
+
+def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
+                  points, upto: int | None = None, margin: float = 0.1) -> float:
+    """Sup-norm coefficient error of the partial sum on a point set that
+    keeps a stated distance from every cap: ``uniform_errors`` at the one
+    order upto (default: the full truncation)."""
+    M = decomposition.M if upto is None else int(upto)
+    return uniform_errors(target, surface, decomposition, points, [M], margin=margin)[0]
 
 
 def invariance_check(surface: SurfaceSpec, build, translation, M: int,

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from faberforms.checks import check_pole_structure
 from faberforms.conformal import (
     AffineMap,
     CapFamily,
@@ -17,6 +20,7 @@ from faberforms.faber import (
     faber_polynomial,
     gamma_element,
     principal_part,
+    principal_parts,
 )
 from faberforms.numerics import NumericalError, ValidationError, laurent_coefficients
 from faberforms.surface import SurfaceSpec
@@ -63,6 +67,70 @@ def test_alpha_values_one_read_per_radius_step(monkeypatch):
                      for m in range(1, 31)], axis=-1)
     assert vals.shape == (3, 30)
     assert np.max(np.abs(vals - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_node_count_follows_the_radius_unless_given(monkeypatch):
+    surface = one_cap_sphere(JoukowskiEllipseMap(0.25, scale=0.5, offset=0.0))
+    # the record holds the count the read uses
+    assert faber_form(surface, 0, 1).quadrature == (("r0", 0.5), ("nodes", 64))
+    assert dict(faber_form(surface, 0, 9).quadrature)["nodes"] == 128
+    assert dict(faber_form(surface, 0, 20).quadrature)["nodes"] == 256
+    assert faber_form(surface, 0, 2, r0=0.8).quadrature == (("r0", 0.8), ("nodes", 256))
+    # an explicit count wins
+    assert faber_form(surface, 0, 1, n=256).quadrature == (("r0", 0.5), ("nodes", 256))
+    pts = np.array([1.5 + 0.2j, 2.0j])
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append(kwargs["n"])
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    faber_form(surface, 0, 3).form(pts)
+    faber_form(surface, 0, 3, n=96).form(pts)
+    alpha_values(surface, 0, range(1, 20), pts)
+    alpha_values(surface, 0, range(1, 20), pts, n=512)
+    assert calls == [64, 96, 64, 128, 256, 512, 512, 512]
+
+
+def test_principal_parts_match_single_element_reads(monkeypatch):
+    # the pole-structure check's reads, orders 1..6 of both torus caps;
+    # orders 5 and 6 fit deeper tails than the others
+    surface = SurfaceSpec.torus(TAU, CapFamily([
+        AffineMap(0.11, 0.39 + 0.33j),
+        JoukowskiEllipseMap(0.2, scale=0.1, offset=0.8 + 0.7j),
+    ]))
+    orders = range(1, 7)
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append(k)
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    parts = [principal_parts(surface, k, orders, n=1024, contour_nodes=384) for k in (0, 1)]
+    assert calls == [0, 1]
+    res = check_pole_structure(SimpleNamespace(surface=surface, pole_orders=6))
+    assert calls == [0, 1, 0, 1]
+    monkeypatch.undo()
+    worst = 0.0
+    for k in (0, 1):
+        for m, (tail, head) in zip(orders, parts[k]):
+            want, want_head = principal_part(surface, faber_form(surface, k, m),
+                                             n=1024, contour_nodes=384)
+            assert tail.order == want.order == max(8, m + 4)
+            got, ref = np.array(tail.coefficients), np.array(want.coefficients)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+            # head coefficient j is a Fourier mode divided by rho^j
+            gap = np.abs(head.coefficients - want_head.coefficients)
+            assert np.max(gap * 0.5 ** np.arange(gap.size)) <= 1e-13
+            worst = max(worst, abs(ref[m] - m), float(np.max(np.abs(ref[m + 1:]))))
+    assert res.passed and res.threshold == 1e-7
+    assert abs(res.value - worst) <= 1e-13
+    with pytest.raises(ValidationError, match="cannot reach the pole order 10"):
+        principal_parts(surface, 0, [1, 9], order=8)
 
 
 def test_unit_cap_form_value():

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
+from faberforms.faber import alpha_values
 from faberforms.numerics import DiskGrid, NumericalError, ValidationError
 from faberforms.schiffer import (
+    NODE_COUNTS,
     CapDatum,
     apply_schiffer,
+    contour_nodes,
     contour_radius,
     schiffer_contour,
 )
-from faberforms.surface import SurfaceSpec, schiffer_kernel
+from faberforms.surface import SurfaceSpec, a_cycle, b_cycle, boundary_cycle, schiffer_kernel
 
 TAU = 0.3 + 1.1j
 
@@ -125,6 +128,19 @@ def test_default_radius_steps():
     assert {contour_radius(m) for m in range(49, 301)} == {0.92}
 
 
+def test_contour_nodes_by_radius_step():
+    # steps 1-5 of the default radius: 0.5, 2/3, 0.8, 8/9, 0.92
+    assert [contour_nodes(contour_radius(e)) for e in (6, 12, 24, 48, 96)] == [
+        64, 128, 256, 256, 256]
+    for r0 in np.linspace(0.01, 0.99, 99):
+        n = contour_nodes(r0)
+        assert n in NODE_COUNTS and n <= 256
+        if n < 256:
+            assert r0**n <= 1e-19
+        # the smallest count that qualifies
+        assert all(r0**fewer > 1e-19 for fewer in NODE_COUNTS if fewer < n)
+
+
 def _summand_scale(surface, k, orders, pts, r0, n=256):
     # (pi/n) sum_j |K(f(zeta_j), z)| |zeta_j^(1-m) f'(zeta_j)|: the size of
     # the roundoff any summation order of the contour sum may carry; the
@@ -167,6 +183,41 @@ def test_multi_order_matches_single_orders_torus():
     surface = torus_two_caps()
     pts = np.array([0.5 + 0.12j, 0.15 + 0.6 * TAU, 0.9 + 0.2 * TAU])
     _multi_vs_single(surface, 0, pts)
+
+
+def _default_vs_fine_reads(surface, point_sets):
+    # default-node reads of steps 1-3 against 1024-node reads on the same
+    # radius, for every cap, at every point set
+    for k in range(surface.n_caps):
+        for orders in (range(1, 7), range(7, 13), range(13, 25)):
+            r0 = contour_radius(orders[-1])
+            for pts in point_sets:
+                got = alpha_values(surface, k, orders, pts)
+                fine = schiffer_contour(surface, k, orders, pts, r0=r0, n=1024)
+                scale = _summand_scale(surface, k, orders, pts, r0, n=1024)
+                assert np.all(np.abs(got - fine) <= 1e-13 * scale), (k, orders[-1])
+
+
+def _measuring_circles(surface, n=64):
+    # own and foreign circles at the radii the series measures on
+    return [boundary_cycle(surface, k, radius=r, n=n).nodes
+            for k in range(surface.n_caps) for r in (0.95, 1.0)]
+
+
+def test_default_node_count_matches_fine_reads_sphere():
+    caps = CapFamily([
+        AffineMap(0.5, 3.0 + 0.5j),
+        JoukowskiEllipseMap(0.25, scale=1.0, offset=0.0),
+        PolynomialCapMap([0.6, 0.08, 0.02], offset=-1.2 + 2.8j),
+    ])
+    surface = SurfaceSpec.sphere(caps)
+    _default_vs_fine_reads(surface, _measuring_circles(surface))
+
+
+def test_default_node_count_matches_fine_reads_torus():
+    surface = torus_two_caps()
+    cycles = [a_cycle(surface).nodes, b_cycle(surface).nodes]
+    _default_vs_fine_reads(surface, _measuring_circles(surface) + cycles)
 
 
 def test_multi_order_scalar_point_and_bad_orders():

@@ -20,6 +20,7 @@ from faberforms.series import (
     project_faber,
     series_evaluator,
     uniform_error,
+    uniform_errors,
 )
 from faberforms.surface import OneForm, SurfaceSpec, beta_form, boundary_cycle, gamma_basis
 from faberforms.targets import build_target
@@ -223,6 +224,58 @@ def test_uniform_error_decreases_for_pole_target():
     assert errs[-1] < 1e-3
     with pytest.raises(ValidationError, match="margin"):
         uniform_error(target, surface, dec, np.array([1.4 + 0.0j]), margin=0.5)
+
+
+def test_uniform_errors_read_the_ring_once_for_every_order(monkeypatch):
+    surface = joukowski_sphere()
+    target = build_target(surface, "pole", cap=0, eta=0.55)
+    dec = project_faber(target, surface, M=20, checkpoints=(5, 10))
+    ring = 2.0 * np.exp(2j * np.pi * np.arange(40) / 40)
+    orders = (5, 10, 15, 20)
+    want = [uniform_error(target, surface, dec, ring, upto=mp) for mp in orders]
+    form, sizes = _counting(target.form)
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append(list(m))
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    got = uniform_errors(TargetForm(form), surface, dec, ring, orders)
+    # one target read and one basis read per radius step of orders 1..20
+    assert sizes == [40]
+    assert calls == [list(range(1, 7)), list(range(7, 13)), list(range(13, 21))]
+    monkeypatch.undo()
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValidationError, match="margin"):
+        uniform_errors(target, surface, dec, np.array([1.4 + 0.0j]), orders, margin=0.5)
+
+
+def test_uniform_errors_match_per_order_reads_torus():
+    surface = torus_two_caps()
+    # order-6 terms that a partial sum of order <= 4 cannot reproduce
+    target = build_target(surface, "combination", seed=3, order=6)
+    dec = project_faber(target, surface, M=4, checkpoints=(2, 3))
+    ring = 0.15 + 0.75 * TAU + 0.15 * np.exp(2j * np.pi * np.arange(24) / 24)
+    orders = (1, 2, 3, 4)  # 1 is not a checkpoint: it truncates h
+    # partial sums built term by term, each checkpoint with its own
+    # sub-solve coefficients, which differ from the truncated full solve
+    stored = dict(dec.checkpoints)
+    vals = target.form(ring)
+    closed = (dec.epsilon[0] * beta_form(surface, 0)(ring)
+              + dec.c[0] * gamma_basis(surface)[0](ring))
+    alpha = {(m, k): faber_form(surface, k, m).form(ring) for m in range(1, 5) for k in (0, 1)}
+    ref = []
+    for mp in orders:
+        h = stored.get(mp, dec.h[:mp])
+        partial = closed + sum(h[m - 1, k] * alpha[m, k] for m in range(1, mp + 1) for k in (0, 1))
+        ref.append(np.max(np.abs(vals - partial)))
+    want = [uniform_error(target, surface, dec, ring, upto=mp) for mp in orders]
+    assert np.allclose(want, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(vals)))
+    got = uniform_errors(target, surface, dec, ring, orders)
+    assert min(want) > 1e-6
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_round_trip_combination_torus():
