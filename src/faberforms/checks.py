@@ -32,21 +32,18 @@ class CheckResult:
 def _sample_points(surface: SurfaceSpec, rng, count: int, clearance: float):
     """Points of the cap complement with a stated clearance, reproducible
     from the rng state."""
-    pts = []
     if surface.genus == 1:
-        tau = surface.tau
-        while len(pts) < count:
-            z = rng.uniform(0.02, 0.98) + rng.uniform(0.02, 0.98) * tau
-            if surface.in_sigma(z) and float(surface.distance_to_caps_reduced(z)[0]) > clearance:
-                pts.append(z)
+        origin, lo, hi, step = 0.0, 0.02, 0.98, surface.tau
     else:
         centers = np.asarray(surface.caps.centers)
-        mid = complex(np.mean(centers))
-        span = 2.0 + float(np.max(np.abs(centers - mid)))
-        while len(pts) < count:
-            z = mid + complex(rng.uniform(-span, span), rng.uniform(-span, span))
-            if surface.in_sigma(z) and float(surface.caps.distance_to_caps(z)) > clearance:
-                pts.append(z)
+        origin = complex(np.mean(centers))
+        hi = 2.0 + float(np.max(np.abs(centers - origin)))
+        lo, step = -hi, 1j
+    pts = []
+    while len(pts) < count:
+        z = origin + rng.uniform(lo, hi) + rng.uniform(lo, hi) * step
+        if surface.in_sigma(z) and float(surface.distance_to_caps_reduced(z)[0]) > clearance:
+            pts.append(z)
     return np.array(pts)
 
 
@@ -57,7 +54,7 @@ def check_pole_structure(ctx) -> CheckResult:
     orders = range(1, ctx.pole_orders + 1)
     for k in range(surface.n_caps):
         # every order of the cap from one contour kernel block
-        parts = principal_parts(surface, k, orders, n=1024, contour_nodes=384)
+        parts = principal_parts(surface, k, orders)
         for m, (tail, _head) in zip(orders, parts):
             worst = max(worst, abs(tail.coefficients[m] - m))
             worst = max(worst, float(np.max(np.abs(tail.coefficients[m + 1:]))))

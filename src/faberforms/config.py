@@ -77,6 +77,13 @@ def _int(block: str, key: str, raw: str) -> int:
         raise ConfigError(f"{block}.{key}: not an integer: {raw!r}") from None
 
 
+def _count(block: str, key: str, raw: str) -> int:
+    value = _int(block, key, raw)
+    if value < 1:
+        raise ConfigError(f"{block}.{key}: must be >= 1, got {value}")
+    return value
+
+
 def _parse_map_spec(key: str, spec: str):
     tokens = spec.split()
     if not tokens:
@@ -202,9 +209,7 @@ def parse_config(path: str) -> ExperimentConfig:
     r = parser["run"]
     if "m" not in r:
         raise ConfigError("run.M: required")
-    M = _int("run", "M", r["m"])
-    if M < 1:
-        raise ConfigError(f"run.M: must be >= 1, got {M}")
+    M = _count("run", "M", r["m"])
     raw_checks = [c.strip() for c in r.get("checks", "").split(",") if c.strip()]
     seen = []
     for name in raw_checks:
@@ -224,16 +229,16 @@ def parse_config(path: str) -> ExperimentConfig:
         M=M,
         checks=tuple(seen),
         seed=_int("run", "seed", r.get("seed", "0")),
-        samples=_int("run", "samples", r.get("samples", "100")),
+        samples=_count("run", "samples", r.get("samples", "100")),
         l2_tolerance=_float("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
         sup_tolerance=_float("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
-        pole_orders=_int("run", "pole_orders", r.get("pole_orders", "4")),
+        pole_orders=_count("run", "pole_orders", r.get("pole_orders", "4")),
         translation=_complex("run", "translation", r.get("translation", translation_default)),
-        invariance_order=_int("run", "invariance_order", r.get("invariance_order", "3")),
+        invariance_order=_count("run", "invariance_order", r.get("invariance_order", "3")),
         condition_limit=_float("run", "condition_limit", r.get("condition_limit", "1e12")),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=_float("run", "probe_radius", r.get("probe_radius", "0")),
-        probe_points=_int("run", "probe_points", r.get("probe_points", "40")),
+        probe_points=_count("run", "probe_points", r.get("probe_points", "40")),
         uniform_margin=_float("run", "uniform_margin", r.get("uniform_margin", margin_default)),
         strict=r.get("strict", "false").strip().lower() in ("1", "true", "yes"),
         out_dir=parser["output"].get("directory") if "output" in parser else None,

@@ -4,11 +4,12 @@ The order-m basis form of cap k is the operator image of the order-m
 monomial datum on that cap. It is stored as a contour evaluator valid on
 the whole surface minus the cap center, where it has a single pole of
 order m + 1 whose leading pullback coefficient is exactly m; the
-``principal_part`` reader verifies that expansion numerically. On a
-sphere with one cap the same data has a second, independent description
-through the classical polynomial family Phi^m, a finite tail in
-1/(z - center); its z-derivative must reproduce the basis form, and the
-tests hold the two constructions against each other.
+``principal_part`` reader verifies that expansion numerically.
+``contour_nodes`` sizes every default read, principal parts included. On
+a sphere with one cap the same data has a second, independent
+description through the classical polynomial family Phi^m, a finite tail
+in 1/(z - center); its z-derivative must reproduce the basis form, and
+the tests hold the two constructions against each other.
 """
 
 from __future__ import annotations
@@ -84,11 +85,10 @@ def faber_form(surface: SurfaceSpec, k: int, m: int, r0: float | None = None,
     surface minus the cap center.
 
     The read sits on ``contour_radius(m)`` unless r0 is given, with
-    ``contour_nodes`` of that radius unless n is given; ``quadrature``
-    records both. The default count assumes the points read satisfy
-    |f^(-1)(z)| >= 0.95 (see ``contour_nodes``). Points inside the
-    evaluation contour itself are rejected by the underlying quadrature;
-    shrink r0 to evaluate deeper into the cap, and pass n with it.
+    ``contour_nodes`` of that radius (see its precondition) unless n is
+    given; ``quadrature`` records both. Points inside the evaluation
+    contour itself are rejected by the underlying quadrature; shrink r0 to
+    evaluate deeper into the cap, and pass n with it.
     """
     _check_order(m, max_order)
     if not 0 <= k < surface.n_caps:
@@ -111,14 +111,9 @@ def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int | None = None) 
 
     One multi-order ``schiffer_contour`` call per radius step, each at the
     default radius and node count ``faber_form`` uses, so column j equals
-    ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff. An
-    explicit n replaces the node count of every step.
-
-    The default node count ``contour_nodes`` assumes every point read
-    satisfies |f^(-1)(z)| >= 0.95 for the map f of cap k: on and outside
-    the cap boundary, and on the inner measuring circle at 0.95, where
-    the step-1 read (r0 = 0.5, 64 nodes) aliases at (0.5 / 0.95)^64 =
-    1.4e-18. Reads deeper inside the cap must pass n.
+    ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff, under
+    the precondition of ``contour_nodes``. An explicit n replaces the
+    node count of every step.
     """
     orders = [int(m) for m in orders]
     steps: dict = {}
@@ -148,8 +143,7 @@ def gamma_element(surface: SurfaceSpec) -> FaberBasisElement:
 
 
 def principal_part(surface: SurfaceSpec, element: FaberBasisElement,
-                   order: int | None = None, rho: float = 0.5, n: int = 2048,
-                   contour_nodes: int = 512):
+                   order: int | None = None, rho: float = 0.5):
     """Laurent data of the alpha element's pullback through its own cap.
 
     Returns (tail, head): tail holds the coefficients of zeta^-1 ..
@@ -157,26 +151,31 @@ def principal_part(surface: SurfaceSpec, element: FaberBasisElement,
     The read self-checks the structure theorem (coefficient m at index
     -(m+1), nothing deeper) at a loose 1e-5 tolerance and raises on
     violation; tests pin the sharp tolerances. This is the one-element
-    view of ``principal_parts``.
+    view of ``principal_parts``, with the same read sizes.
     """
     if element.tag != "alpha" or element.cap is None or element.order is None:
         raise ValidationError("principal part is defined for alpha elements only")
     # the element checked its order against its own ceiling when it was built
     return principal_parts(surface, element.cap, [element.order], order=order, rho=rho,
-                           n=n, contour_nodes=contour_nodes, max_order=element.order)[0]
+                           max_order=element.order)[0]
 
 
 def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = None,
-                    rho: float = 0.5, n: int = 2048, contour_nodes: int = 512,
-                    max_order: int = DEFAULT_MAX_ORDER) -> list:
+                    rho: float = 0.5, max_order: int = DEFAULT_MAX_ORDER) -> list:
     """``principal_part`` of the basis form of cap k for every order in
     ``orders``: a list of (tail, head) pairs, one per order.
 
-    Every order is sampled on the same n-point expansion circle through
-    one multi-order ``schiffer_contour`` read at 0.6 * rho with
-    ``contour_nodes`` nodes, so the cap's kernel block is built once.
-    Each order gets its own Laurent fit (J = max(8, m + 4) unless
-    ``order`` is given) and its own pole-structure guard.
+    Every order is sampled on one expansion circle |zeta| = rho through
+    one multi-order ``schiffer_contour`` read at r0 = 0.6 * rho, so the
+    cap's kernel block is built once; each order gets its own Laurent fit
+    (J = max(8, m + 4) unless ``order`` is given) and pole-structure guard.
+    ``contour_nodes`` sizes both reads. The points read have preimage
+    modulus rho, so the contour aliases like 0.6^n: contour_nodes(0.6)
+    nodes. The pullback's regular part is analytic on the closed unit
+    disk, so its modes on the circle fall like rho^j and contour_nodes(rho)
+    samples are alias-free; the circle takes twice that, since one- and
+    multi-order reads round apart by 1e-13 in a head mode at the plain
+    count by order 6, then doubles until n > 2J.
     """
     if not 0 < rho < 1:
         raise ValidationError(f"expansion radius must sit in (0, 1), got {rho}")
@@ -189,11 +188,14 @@ def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = No
             raise ValidationError(f"expansion order {J} cannot reach the pole order {m + 1}")
         depths.append(J)
     f = surface.caps[k]
+    n = 2 * contour_nodes(rho)
+    while n <= 2 * max(depths, default=0):
+        n *= 2
     zeta = rho * np.exp(1j * TWO_PI * np.arange(n) / n)
     # evaluate through the meromorphic extension: the quadrature contour
     # must sit strictly inside the expansion circle
-    vals = schiffer_contour(surface, k, orders, f.evaluate(zeta), r0=0.6 * rho, n=contour_nodes)
-    samples = vals * f.derivative(zeta)[:, None]
+    samples = schiffer_contour(surface, k, orders, f.evaluate(zeta), r0=0.6 * rho,
+                               n=contour_nodes(0.6)) * f.derivative(zeta)[:, None]
     if not np.all(np.isfinite(samples)):
         raise NumericalError("pullback not finite on the expansion circle")
     parts = []

@@ -18,7 +18,7 @@ The default contour read sits on a radius that steps up with the order
 trapezoid aliasing factor r0^n is at most 1e-19, else 256. The factor
 bounds the error for points whose preimage under the cap map has modulus
 at least 1, and stays near it down to 0.95, the inner measuring circle
-of the series; reads deeper inside a cap pass their own node count.
+of the series; points at a smaller modulus rho take contour_nodes(r0 / rho).
 """
 
 from __future__ import annotations
@@ -197,7 +197,8 @@ def contour_nodes(r0: float) -> int:
 
     Precondition: the points read satisfy rho >= 0.95, the inner
     measuring circle of the series, where r0 = 0.5 with 64 nodes gives
-    (0.5 / 0.95)^64 = 1.4e-18. Reads deeper inside a cap must pass n.
+    (0.5 / 0.95)^64 = 1.4e-18. A read deeper inside a cap, down to rho,
+    takes contour_nodes(r0 / rho) or passes n.
     """
     r0 = float(r0)
     for n in NODE_COUNTS:

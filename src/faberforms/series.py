@@ -53,6 +53,8 @@ DEFAULT_CHECKPOINTS = (5, 10, 20, 40)
 # Radii of the two circles around each cap that the boundary coefficients
 # are measured on.
 MEASURING_RADII = (0.95, 1.0)
+RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circles
+BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ class ExteriorPairing:
 
 
 def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII,
-                          n: int = 512, tol: float = 1e-9) -> np.ndarray:
+                          n: int = 512, tol: float = RADIUS_GAP_TOL) -> np.ndarray:
     """Per-cap boundary coefficients: the counterclockwise period around
     each cap divided by 2 pi i, so that subtracting the pole-difference
     combination kills every boundary period.
@@ -272,7 +274,7 @@ def _check_poles_clear(form: OneForm, surface: SurfaceSpec, r_min: float):
 
 
 def cycle_coefficients(form: OneForm, surface: SurfaceSpec, n: int = 64,
-                       boundary_tol: float = 1e-8) -> tuple:
+                       boundary_tol: float = BOUNDARY_FREE_TOL) -> tuple:
     """Split the lattice periods of a boundary-period-free form into the
     holomorphic and conjugate directions.
 
@@ -346,7 +348,7 @@ def _split_target(form: OneForm, pairing: ExteriorPairing) -> tuple:
     on_circles = [c.sample(form) for c in pairing.circles]
     on_cycles = [c.sample(form) for c in pairing.cycles]
     eps = _boundary_coefficients(_integrals(inner, on_inner),
-                                 _integrals(pairing.circles, on_circles), r1, r2, tol=1e-9)
+                                 _integrals(pairing.circles, on_circles), r1, r2, RADIUS_GAP_TOL)
 
     def remove(terms):
         return ([_subtract(v, terms, c.nodes) for c, v in zip(pairing.circles, on_circles)],
@@ -355,7 +357,7 @@ def _split_target(form: OneForm, pairing: ExteriorPairing) -> tuple:
     on_circles, on_cycles = remove(
         [(eps[k], beta_form(surface, k)) for k in range(surface.n_caps - 1)]
     )
-    _check_boundary_free(_integrals(pairing.circles, on_circles), 1e-8)
+    _check_boundary_free(_integrals(pairing.circles, on_circles), BOUNDARY_FREE_TOL)
     c_vec, d_vec = _cycle_split(surface, _integrals(pairing.cycles, on_cycles))
     if surface.genus == 1:
         on_circles, on_cycles = remove([(c_vec[0], gamma_basis(surface)[0])])
@@ -481,10 +483,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     with its own coefficients, chosen as ``series_evaluator`` chooses them.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if surface.genus == 1:
-        dist = surface.distance_to_caps_reduced(pts)
-    else:
-        dist = surface.caps.distance_to_caps(pts)
+    dist = surface.distance_to_caps_reduced(pts)
     if np.any(dist < margin):
         j = int(np.argmin(dist))
         raise ValidationError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .faber import _check_order, alpha_values, faber_form
+from .faber import alpha_values, faber_form
 from .numerics import ValidationError
 from .series import TargetForm
 from .surface import OneForm, SurfaceSpec, beta_form, gamma_basis
@@ -34,8 +34,8 @@ def build_target(surface: SurfaceSpec, kind: str, **params) -> TargetForm:
     raise ValidationError(f"unknown target family {kind!r}; choose from {FAMILIES}")
 
 
-def _basis_target(surface, k: int = 0, m: int = 1, max_order: int = 24) -> TargetForm:
-    el = faber_form(surface, int(k), int(m), max_order=max_order)
+def _basis_target(surface, k: int = 0, m: int = 1) -> TargetForm:
+    el = faber_form(surface, int(k), int(m))
     known = {
         "epsilon": np.zeros(surface.n_caps, dtype=complex),
         "c": np.zeros(surface.genus, dtype=complex),
@@ -79,8 +79,7 @@ def _pole_target(surface, cap: int = 0, eta: complex = 0.5,
 
 
 def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
-                        order: int = 6, decay: float = 0.75,
-                        max_order: int = 24) -> TargetForm:
+                        order: int = 6, decay: float = 0.75) -> TargetForm:
     n = surface.n_caps
     g = surface.genus
     if seed is not None:
@@ -115,9 +114,6 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     if g == 1:
         terms.append((c[0], gamma_basis(surface)[0]))
     terms = [(coef, f) for coef, f in terms if coef != 0]
-    top = max((m for (m, _k) in h), default=1)
-    for m, _k in h:
-        _check_order(m, max(max_order, top))
     alpha = sorted((m, k) for (m, k), v in h.items() if v != 0)
     if not terms and not alpha:
         raise ValidationError("combination target has no nonzero terms")

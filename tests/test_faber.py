@@ -22,7 +22,13 @@ from faberforms.faber import (
     principal_part,
     principal_parts,
 )
-from faberforms.numerics import NumericalError, ValidationError, laurent_coefficients
+from faberforms.numerics import (
+    NumericalError,
+    ValidationError,
+    laurent_coefficients,
+    laurent_from_samples,
+)
+from faberforms.schiffer import schiffer_contour
 from faberforms.surface import SurfaceSpec
 
 TAU = 0.3 + 1.1j
@@ -110,7 +116,7 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
-    parts = [principal_parts(surface, k, orders, n=1024, contour_nodes=384) for k in (0, 1)]
+    parts = [principal_parts(surface, k, orders) for k in (0, 1)]
     assert calls == [0, 1]
     res = check_pole_structure(SimpleNamespace(surface=surface, pole_orders=6))
     assert calls == [0, 1, 0, 1]
@@ -118,8 +124,7 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
     worst = 0.0
     for k in (0, 1):
         for m, (tail, head) in zip(orders, parts[k]):
-            want, want_head = principal_part(surface, faber_form(surface, k, m),
-                                             n=1024, contour_nodes=384)
+            want, want_head = principal_part(surface, faber_form(surface, k, m))
             assert tail.order == want.order == max(8, m + 4)
             got, ref = np.array(tail.coefficients), np.array(want.coefficients)
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
@@ -131,6 +136,39 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
     assert abs(res.value - worst) <= 1e-13
     with pytest.raises(ValidationError, match="cannot reach the pole order 10"):
         principal_parts(surface, 0, [1, 9], order=8)
+
+
+@pytest.mark.parametrize("genus", [1, 0])
+def test_principal_parts_match_a_fine_read(genus):
+    # the default sizes (a 128-node contour read on a 128-sample circle)
+    # against a 1024-node read on a 4096-sample circle, built by hand, on
+    # the two torus caps of the benchmark's check path and one sphere cap
+    # of each kind
+    if genus == 1:
+        surface = SurfaceSpec.torus(TAU, CapFamily([
+            AffineMap(0.11, 0.39 + 0.33j),
+            JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
+        ]))
+    else:
+        surface = SurfaceSpec.sphere(CapFamily([
+            JoukowskiEllipseMap(0.25, scale=1.0),
+            AffineMap(0.5, 3.0 + 0.5j),
+            PolynomialCapMap([0.6, 0.08, 0.02], offset=-1.2 + 2.8j),
+        ]))
+    rho, n, orders = 0.5, 4096, range(1, 13)
+    zeta = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    for k in range(surface.n_caps):
+        f = surface.caps[k]
+        vals = schiffer_contour(surface, k, list(orders), f.evaluate(zeta), r0=0.6 * rho,
+                                n=1024) * f.derivative(zeta)[:, None]
+        for i, (m, (tail, _head)) in enumerate(zip(orders, principal_parts(surface, k, orders))):
+            J = tail.order
+            ref = laurent_from_samples(vals[:, i], rho, np.arange(-1, -J - 1, -1))
+            gap = np.abs(np.array(tail.coefficients) - ref)
+            # within the roundoff figure schiffer_contour guards at r0 = 0.6 rho
+            assert np.max(gap) <= 10 * (0.6 * rho) ** (-m) * np.finfo(float).eps
+            # the pole-structure check reads slot m and deeper
+            assert np.max(gap[m:]) <= 1e-13
 
 
 def test_unit_cap_form_value():
