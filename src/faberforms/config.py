@@ -16,6 +16,7 @@ import numpy as np
 
 from .checks import CHECKS
 from .conformal import CapFamily, make_map
+from .faber import DEFAULT_MAX_ORDER
 from .numerics import ValidationError
 from .series import TargetForm
 from .surface import SurfaceSpec
@@ -106,7 +107,11 @@ def _parse_map_spec(key: str, spec: str):
         raise ConfigError(f"caps.{key}: {exc}") from None
 
 
-def _parse_h_entries(raw: str) -> dict:
+def _complex_list(block: str, key: str, raw: str) -> list:
+    return [_complex(block, key, v) for v in raw.split(",") if v.strip()]
+
+
+def _h_entries(block: str, key: str, raw: str) -> dict:
     # grammar: m,k:value entries separated by semicolons
     out = {}
     for chunk in raw.split(";"):
@@ -119,9 +124,19 @@ def _parse_h_entries(raw: str) -> dict:
             out[(int(m_txt), int(k_txt))] = complex(value.strip().replace(" ", ""))
         except ValueError:
             raise ConfigError(
-                f"target.h: expected m,k:value entries separated by ';', got {chunk!r}"
+                f"{block}.{key}: expected m,k:value entries separated by ';', got {chunk!r}"
             ) from None
     return out
+
+
+# How each [target] key is read; ``build_target`` checks the family takes it.
+TARGET_PARAMS = {
+    "k": _int, "m": _int, "cap": _int, "seed": _int, "order": _int,
+    "eta": _complex, "strength": _complex,
+    "decay": _float,
+    "epsilon": _complex_list, "c": _complex_list,
+    "h": _h_entries,
+}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -185,21 +200,9 @@ def parse_config(path: str) -> ExperimentConfig:
     for key in t:
         if key == "family":
             continue
-        raw = t[key]
-        if key in ("k", "m", "cap", "seed", "order"):
-            params[key] = _int("target", key, raw)
-        elif key in ("eta", "strength"):
-            params[key] = _complex("target", key, raw)
-        elif key == "decay":
-            params[key] = _float("target", key, raw)
-        elif key == "epsilon" or key == "c":
-            params[key] = [
-                _complex("target", key, v) for v in raw.split(",") if v.strip()
-            ]
-        elif key == "h":
-            params[key] = _parse_h_entries(raw)
-        else:
+        if key not in TARGET_PARAMS:
             raise ConfigError(f"target.{key}: unknown parameter")
+        params[key] = TARGET_PARAMS[key]("target", key, t[key])
     try:
         target = build_target(surface, family, **params)
     except ValidationError as exc:
@@ -244,6 +247,9 @@ def parse_config(path: str) -> ExperimentConfig:
         out_dir=parser["output"].get("directory") if "output" in parser else None,
         echo=echo,
     )
+    if cfg.pole_orders > DEFAULT_MAX_ORDER:
+        raise ConfigError(f"run.pole_orders: must be <= {DEFAULT_MAX_ORDER}, the order "
+                          f"ceiling of the principal-part read, got {cfg.pole_orders}")
     if cfg.probe_radius == 0.0:
         center, radius = _default_probe(surface)
         cfg.probe_center, cfg.probe_radius = center, radius

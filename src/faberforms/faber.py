@@ -34,6 +34,7 @@ from .surface import OneForm, SurfaceSpec, beta_form, gamma_basis
 # ceiling is generous for the read radius 0.5; raise it per call when a
 # long series truncation needs higher orders through a larger contour.
 DEFAULT_MAX_ORDER = 24
+EXPANSION_RADIUS = 0.5  # |zeta| of the circle the pullback tails are expanded on
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,38 @@ def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int | None = None) 
     return out
 
 
+def closed_terms(surface: SurfaceSpec, epsilon, c) -> list:
+    """The closed-form part of a Faber-Tietz sum as (coefficient, form)
+    pairs: epsilon[k] beta_k for k < n - 1 and, on the torus, c[0] gamma.
+    Terms whose coefficient is zero are left out."""
+    terms = [(epsilon[k], beta_form(surface, k))
+             for k in range(surface.n_caps - 1) if epsilon[k] != 0]
+    if surface.genus == 1 and c[0] != 0:
+        terms.append((c[0], gamma_basis(surface)[0]))
+    return terms
+
+
+def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneForm:
+    """The finite Faber-Tietz sum: the ``closed_terms`` plus
+    sum_{m,k} h[m-1, k] alpha_{k,m}, as a form. Each cap's nonzero orders
+    are read with one ``alpha_values`` call; poles are listed by order m,
+    then cap k."""
+    h = np.asarray(h, dtype=complex)
+    closed = OneForm.combine(closed_terms(surface, epsilon, c))
+    rows, caps = np.nonzero(h)  # row i holds order i + 1, whose pole has order i + 2
+
+    def ev(z):
+        out = closed.evaluator(z)
+        for k in np.unique(caps).tolist():
+            idx = rows[caps == k]
+            out = out + alpha_values(surface, k, idx + 1, z) @ h[idx, k]
+        return out
+
+    poles = closed.poles + tuple((surface.caps[k].center, i + 2)
+                                 for i, k in zip(rows.tolist(), caps.tolist()))
+    return OneForm(ev, poles=poles, label=label)
+
+
 def beta_element(surface: SurfaceSpec, k: int) -> FaberBasisElement:
     """The k-th double-pole-free closed-form basis element (simple poles
     at centers k and n-1)."""
@@ -143,42 +176,40 @@ def gamma_element(surface: SurfaceSpec) -> FaberBasisElement:
 
 
 def principal_part(surface: SurfaceSpec, element: FaberBasisElement,
-                   order: int | None = None, rho: float = 0.5):
+                   order: int | None = None):
     """Laurent data of the alpha element's pullback through its own cap.
 
     Returns (tail, head): tail holds the coefficients of zeta^-1 ..
-    zeta^-J read on |zeta| = rho, head the regular part as a power series.
-    The read self-checks the structure theorem (coefficient m at index
-    -(m+1), nothing deeper) at a loose 1e-5 tolerance and raises on
-    violation; tests pin the sharp tolerances. This is the one-element
-    view of ``principal_parts``, with the same read sizes.
+    zeta^-J read on |zeta| = EXPANSION_RADIUS, head the regular part as a
+    power series. The read self-checks the structure theorem (coefficient
+    m at index -(m+1), nothing deeper) at a loose 1e-5 tolerance and
+    raises on violation; tests pin the sharp tolerances. This is the
+    one-element view of ``principal_parts``, with the same read sizes.
     """
     if element.tag != "alpha" or element.cap is None or element.order is None:
         raise ValidationError("principal part is defined for alpha elements only")
     # the element checked its order against its own ceiling when it was built
-    return principal_parts(surface, element.cap, [element.order], order=order, rho=rho,
+    return principal_parts(surface, element.cap, [element.order], order=order,
                            max_order=element.order)[0]
 
 
 def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = None,
-                    rho: float = 0.5, max_order: int = DEFAULT_MAX_ORDER) -> list:
+                    max_order: int = DEFAULT_MAX_ORDER) -> list:
     """``principal_part`` of the basis form of cap k for every order in
     ``orders``: a list of (tail, head) pairs, one per order.
 
-    Every order is sampled on one expansion circle |zeta| = rho through
-    one multi-order ``schiffer_contour`` read at r0 = 0.6 * rho, so the
-    cap's kernel block is built once; each order gets its own Laurent fit
-    (J = max(8, m + 4) unless ``order`` is given) and pole-structure guard.
-    ``contour_nodes`` sizes both reads. The points read have preimage
-    modulus rho, so the contour aliases like 0.6^n: contour_nodes(0.6)
-    nodes. The pullback's regular part is analytic on the closed unit
-    disk, so its modes on the circle fall like rho^j and contour_nodes(rho)
-    samples are alias-free; the circle takes twice that, since one- and
-    multi-order reads round apart by 1e-13 in a head mode at the plain
-    count by order 6, then doubles until n > 2J.
+    Every order is sampled on one expansion circle |zeta| = rho, with rho
+    = EXPANSION_RADIUS, through one multi-order ``schiffer_contour`` read
+    at r0 = 0.6 * rho, so the cap's kernel block is built once; each order
+    gets its own Laurent fit (J = max(8, m + 4) unless ``order`` is given)
+    and pole-structure guard. ``contour_nodes`` sizes both reads. The
+    points read have preimage modulus rho, so the contour aliases like
+    0.6^n: contour_nodes(0.6) nodes. The pullback's regular part is
+    analytic on the closed unit disk, so its modes on the circle fall like
+    rho^j and contour_nodes(rho) samples are alias-free; the circle takes
+    twice that, since one- and multi-order reads round apart by 1e-13 in a
+    head mode at the plain count by order 6, then doubles until n > 2J.
     """
-    if not 0 < rho < 1:
-        raise ValidationError(f"expansion radius must sit in (0, 1), got {rho}")
     orders = [int(m) for m in orders]
     depths = []
     for m in orders:
@@ -188,6 +219,7 @@ def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = No
             raise ValidationError(f"expansion order {J} cannot reach the pole order {m + 1}")
         depths.append(J)
     f = surface.caps[k]
+    rho = EXPANSION_RADIUS
     n = 2 * contour_nodes(rho)
     while n <= 2 * max(depths, default=0):
         n *= 2

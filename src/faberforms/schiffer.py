@@ -271,10 +271,7 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
 def _guard_outside_contour(surface: SurfaceSpec, contour_image: np.ndarray, zz: np.ndarray):
     # reduce torus points into the fundamental cell before the winding test;
     # the kernel itself is elliptic, so lattice copies are legitimate inputs
-    pts = zz
-    if surface.genus == 1:
-        x, y = surface.cell_coordinates(zz)
-        pts = (x - np.floor(x)) + (y - np.floor(y)) * surface.tau
+    pts = surface.reduce_to_cell(zz) if surface.genus == 1 else zz
     center = np.mean(contour_image)
     scale = float(np.max(np.abs(contour_image - center)))
     tol = 1e-6 * max(scale, 1.0)

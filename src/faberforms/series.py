@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faber import alpha_values
+from .faber import alpha_values, closed_terms, faber_series
 from .numerics import (
     TWO_PI,
     NumericalError,
@@ -43,9 +43,7 @@ from .surface import (
     SurfaceSpec,
     a_cycle,
     b_cycle,
-    beta_form,
     boundary_cycle,
-    gamma_basis,
     period,
 )
 
@@ -53,6 +51,8 @@ DEFAULT_CHECKPOINTS = (5, 10, 20, 40)
 # Radii of the two circles around each cap that the boundary coefficients
 # are measured on.
 MEASURING_RADII = (0.95, 1.0)
+BOUNDARY_NODES = 512  # trapezoid nodes on each measuring circle
+CYCLE_NODES = 64  # Gauss-Legendre nodes on each lattice cycle
 RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circles
 BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
 
@@ -147,16 +147,15 @@ class ExteriorPairing:
     node sets every pairing datum is sampled on.
     """
 
-    def __init__(self, surface: SurfaceSpec, n_boundary: int = 512, n_cycle: int = 64):
+    def __init__(self, surface: SurfaceSpec):
         self.surface = surface
-        self.n_boundary = int(n_boundary)
-        self.circles = tuple(boundary_cycle(surface, k, radius=1.0, n=self.n_boundary)
+        self.circles = tuple(boundary_cycle(surface, k, radius=1.0, n=BOUNDARY_NODES)
                              for k in range(surface.n_caps))
-        theta = TWO_PI * np.arange(self.n_boundary) / self.n_boundary
+        theta = TWO_PI * np.arange(BOUNDARY_NODES) / BOUNDARY_NODES
         zeta = np.exp(1j * theta)
         self._dw = tuple(f.derivative(zeta) * 1j * zeta for f in surface.caps)
         if surface.genus == 1:
-            self.cycles = (a_cycle(surface, n=n_cycle), b_cycle(surface, n=n_cycle))
+            self.cycles = (a_cycle(surface, n=CYCLE_NODES), b_cycle(surface, n=CYCLE_NODES))
         else:
             self.cycles = ()
 
@@ -213,23 +212,22 @@ class ExteriorPairing:
         boundary = np.tensordot(d1.F, np.conj(d2.g), axes=([0, 1], [0, 1]))
         val = 1j * (np.multiply.outer(d1.a, np.conj(d2.b))
                     - np.multiply.outer(d1.b, np.conj(d2.a))
-                    - (TWO_PI / self.n_boundary) * boundary)
+                    - (TWO_PI / BOUNDARY_NODES) * boundary)
         return complex(val) if np.ndim(val) == 0 else val
 
     def norm(self, d: PairingData) -> float:
         return float(np.sqrt(max(self.inner(d, d).real, 0.0)))
 
 
-def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII,
-                          n: int = 512, tol: float = RADIUS_GAP_TOL) -> np.ndarray:
+def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII) -> np.ndarray:
     """Per-cap boundary coefficients: the counterclockwise period around
     each cap divided by 2 pi i, so that subtracting the pole-difference
     combination kills every boundary period.
 
-    Measured on two circle representatives; disagreement beyond ``tol``
-    raises. All n values are returned; their sum vanishes for a form
-    holomorphic on the complement, and the decomposition uses the first
-    n - 1.
+    Measured on two circle representatives; a relative disagreement
+    beyond RADIUS_GAP_TOL raises. All n values are returned; their sum
+    vanishes for a form holomorphic on the complement, and the
+    decomposition uses the first n - 1.
     """
     form = getattr(target, "form", target)
     r1, r2 = sorted(float(r) for r in radii)
@@ -237,19 +235,20 @@ def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII,
         raise ValidationError(f"radii must satisfy 0 < r1 < r2 <= 1, got {radii}")
     _check_poles_clear(form, surface, r1)
     inner, outer = (
-        [period(form, boundary_cycle(surface, k, radius=r, n=n)) for k in range(surface.n_caps)]
+        [period(form, boundary_cycle(surface, k, radius=r, n=BOUNDARY_NODES))
+         for k in range(surface.n_caps)]
         for r in (r1, r2)
     )
-    return _boundary_coefficients(inner, outer, r1, r2, tol)
+    return _boundary_coefficients(inner, outer, r1, r2)
 
 
-def _boundary_coefficients(inner, outer, r1: float, r2: float, tol: float) -> np.ndarray:
+def _boundary_coefficients(inner, outer, r1: float, r2: float) -> np.ndarray:
     # inner[k], outer[k]: the periods around cap k on the circles of radii r1 < r2
     out = np.zeros(len(outer), dtype=complex)
     for k, (p1, p2) in enumerate(zip(inner, outer)):
         v1, v2 = p1 / (TWO_PI * 1j), p2 / (TWO_PI * 1j)
         gap = abs(v1 - v2)
-        if gap > tol * max(1.0, abs(v2)):
+        if gap > RADIUS_GAP_TOL * max(1.0, abs(v2)):
             raise NumericalError(
                 f"boundary coefficient of cap {k} moved by {gap:.3e} "
                 f"between radii {r1} and {r2}"
@@ -273,8 +272,7 @@ def _check_poles_clear(form: OneForm, surface: SurfaceSpec, r_min: float):
             )
 
 
-def cycle_coefficients(form: OneForm, surface: SurfaceSpec, n: int = 64,
-                       boundary_tol: float = BOUNDARY_FREE_TOL) -> tuple:
+def cycle_coefficients(form: OneForm, surface: SurfaceSpec) -> tuple:
     """Split the lattice periods of a boundary-period-free form into the
     holomorphic and conjugate directions.
 
@@ -282,19 +280,16 @@ def cycle_coefficients(form: OneForm, surface: SurfaceSpec, n: int = 64,
     holomorphic coefficient; d collects whatever conjugate-type period
     mass the input carries (the cap basis forms are all of that type) and
     is returned for diagnostics. Sphere surfaces return empty vectors.
+    Both are read on the node sets of ``ExteriorPairing``.
     """
-    _check_boundary_free(
-        [period(form, boundary_cycle(surface, k, radius=1.0, n=512))
-         for k in range(surface.n_caps)],
-        boundary_tol,
-    )
-    cycles = (a_cycle(surface, n=n), b_cycle(surface, n=n)) if surface.genus == 1 else ()
-    return _cycle_split(surface, [period(form, c) for c in cycles])
+    pairing = ExteriorPairing(surface)
+    _check_boundary_free([period(form, c) for c in pairing.circles])
+    return _cycle_split(surface, [period(form, c) for c in pairing.cycles])
 
 
-def _check_boundary_free(periods, tol: float):
+def _check_boundary_free(periods):
     for k, p in enumerate(periods):
-        if abs(p) / TWO_PI > tol:
+        if abs(p) / TWO_PI > BOUNDARY_FREE_TOL:
             raise ValidationError(
                 f"input has nonvanishing boundary period {abs(p):.3e} at cap {k}; "
                 "remove the boundary coefficients first"
@@ -342,37 +337,33 @@ def _split_target(form: OneForm, pairing: ExteriorPairing) -> tuple:
     surface = pairing.surface
     r1, r2 = MEASURING_RADII  # r2 = 1: the outer circles are the pairing's
     _check_poles_clear(form, surface, r1)
-    inner = [boundary_cycle(surface, k, radius=r1, n=pairing.n_boundary)
+    inner = [boundary_cycle(surface, k, radius=r1, n=BOUNDARY_NODES)
              for k in range(surface.n_caps)]
     on_inner = [c.sample(form) for c in inner]
     on_circles = [c.sample(form) for c in pairing.circles]
     on_cycles = [c.sample(form) for c in pairing.cycles]
     eps = _boundary_coefficients(_integrals(inner, on_inner),
-                                 _integrals(pairing.circles, on_circles), r1, r2, RADIUS_GAP_TOL)
+                                 _integrals(pairing.circles, on_circles), r1, r2)
 
     def remove(terms):
         return ([_subtract(v, terms, c.nodes) for c, v in zip(pairing.circles, on_circles)],
                 [_subtract(v, terms, c.nodes) for c, v in zip(pairing.cycles, on_cycles)])
 
-    on_circles, on_cycles = remove(
-        [(eps[k], beta_form(surface, k)) for k in range(surface.n_caps - 1)]
-    )
-    _check_boundary_free(_integrals(pairing.circles, on_circles), BOUNDARY_FREE_TOL)
+    on_circles, on_cycles = remove(closed_terms(surface, eps, np.zeros(surface.genus)))
+    _check_boundary_free(_integrals(pairing.circles, on_circles))
     c_vec, d_vec = _cycle_split(surface, _integrals(pairing.cycles, on_cycles))
-    if surface.genus == 1:
-        on_circles, on_cycles = remove([(c_vec[0], gamma_basis(surface)[0])])
+    on_circles, on_cycles = remove(closed_terms(surface, np.zeros(surface.n_caps - 1), c_vec))
     return eps, c_vec, d_vec, pairing._pack(on_circles, on_cycles)
 
 
 def project_faber(target, surface: SurfaceSpec, M: int,
-                  n_boundary: int = 512, n_cycle: int = 64,
                   condition_limit: float = 1e12,
                   checkpoints=DEFAULT_CHECKPOINTS) -> SeriesDecomposition:
     """Full decomposition of a target at truncation order M.
 
     The target is sampled once per fixed node set: each cap's
-    n_boundary-node circles at the radii 0.95 and 1 and, on the torus,
-    the n_cycle-node a and b cycles. Boundary and lattice coefficients
+    BOUNDARY_NODES-node circles at the radii 0.95 and 1 and, on the torus,
+    the CYCLE_NODES-node a and b cycles. Boundary and lattice coefficients
     come from those samples, and so do the pairing data of the
     remainder; the remainder is projected onto the order-(1..M) basis of
     every cap by Gram least squares. The L2 residual is recorded at each
@@ -381,7 +372,7 @@ def project_faber(target, surface: SurfaceSpec, M: int,
     if M < 1:
         raise ValidationError(f"truncation order must be >= 1, got {M}")
     n = surface.n_caps
-    pairing = ExteriorPairing(surface, n_boundary=n_boundary, n_cycle=n_cycle)
+    pairing = ExteriorPairing(surface)
     eps, c_vec, d_vec, rho_data = _split_target(getattr(target, "form", target), pairing)
     consistency = float(abs(np.sum(eps)))
     data = pairing.alpha_data(M)
@@ -432,15 +423,6 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
     return decomposition.h[:M] if h is None else h
 
 
-def _closed_part(surface: SurfaceSpec, decomposition: SeriesDecomposition) -> OneForm:
-    # the pole-difference and lattice parts of every partial sum
-    terms = [(decomposition.epsilon[k], beta_form(surface, k))
-             for k in range(surface.n_caps - 1)]
-    if surface.genus == 1:
-        terms.append((decomposition.c[0], gamma_basis(surface)[0]))
-    return OneForm.combine(terms)
-
-
 def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
                      upto: int | None = None) -> OneForm:
     """The partial sum as a form: pole-difference and lattice parts plus
@@ -449,27 +431,9 @@ def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
     A checkpoint order reuses its own sub-solve coefficients; any other
     order truncates the full solution.
     """
-    n = surface.n_caps
     M = decomposition.M if upto is None else int(upto)
-    h = _partial_h(decomposition, M)
-    closed = _closed_part(surface, decomposition)
-    active = [k for k in range(n) if np.any(h[:, k] != 0)]
-
-    def ev(z):
-        # alpha terms: one multi-order contour read per (cap, radius step),
-        # contracted with that cap's coefficient column
-        out = closed.evaluator(z)
-        for k in active:
-            out = out + alpha_values(surface, k, range(1, M + 1), z) @ h[:, k]
-        return out
-
-    poles = closed.poles + tuple(
-        (surface.caps[k].center, m + 1)
-        for m in range(1, M + 1)
-        for k in range(n)
-        if h[m - 1, k] != 0
-    )
-    return OneForm(ev, poles=poles, label=f"series[{M}]")
+    return faber_series(surface, decomposition.epsilon, decomposition.c,
+                        _partial_h(decomposition, M), label=f"series[{M}]")
 
 
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
@@ -494,7 +458,8 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)
     want = np.asarray(form(pts))
-    closed = np.asarray(_closed_part(surface, decomposition).evaluator(pts))
+    closed = np.asarray(OneForm.combine(
+        closed_terms(surface, decomposition.epsilon, decomposition.c)).evaluator(pts))
     top = max(orders, default=0)
     basis = {k: alpha_values(surface, k, range(1, top + 1), pts)
              for k in range(surface.n_caps) if any(np.any(h[:, k] != 0) for h in hs)}

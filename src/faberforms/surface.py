@@ -11,7 +11,7 @@ so are exactly doubly periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -168,12 +168,16 @@ class SurfaceSpec:
         x = w.real - y * self.tau.real
         return x, y
 
+    def reduce_to_cell(self, w) -> np.ndarray:
+        """Torus points w moved into the cell {x + y tau : 0 <= x, y < 1}."""
+        x, y = self.cell_coordinates(w)
+        return (x - np.floor(x)) + (y - np.floor(y)) * self.tau
+
     def in_sigma(self, z) -> np.ndarray:
         """True where z lies outside every closed cap (torus: after reduction)."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         if self.genus == 1:
-            x, y = self.cell_coordinates(zz)
-            zz = (x - np.floor(x)) + (y - np.floor(y)) * self.tau
+            zz = self.reduce_to_cell(zz)
         out = self.caps.which_cap(zz) == -1
         return out if np.ndim(z) else bool(out[0])
 

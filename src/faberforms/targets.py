@@ -8,30 +8,21 @@ against construction values without re-deriving them:
     pole         double pole inside a cap; on the sphere the exact h
                  column is eta^(m-1)/f'(eta) by the generating identity,
                  on the torus the lattice coefficient is -s/Im(tau)
-    combination  explicit or seeded finite combination of basis terms
+    combination  explicit or seeded finite combination of basis terms,
+                 evaluated as a ``faber.faber_series``
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-from .faber import alpha_values, faber_form
+from .faber import faber_form, faber_series
 from .numerics import ValidationError
 from .series import TargetForm
-from .surface import OneForm, SurfaceSpec, beta_form, gamma_basis
+from .surface import OneForm, SurfaceSpec
 from .theta import log_derivative2
-
-FAMILIES = ("basis", "pole", "combination")
-
-
-def build_target(surface: SurfaceSpec, kind: str, **params) -> TargetForm:
-    if kind == "basis":
-        return _basis_target(surface, **params)
-    if kind == "pole":
-        return _pole_target(surface, **params)
-    if kind == "combination":
-        return _combination_target(surface, **params)
-    raise ValidationError(f"unknown target family {kind!r}; choose from {FAMILIES}")
 
 
 def _basis_target(surface, k: int = 0, m: int = 1) -> TargetForm:
@@ -106,33 +97,37 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
         raise ValidationError(f"epsilon needs {n - 1} entries, got {epsilon.size}")
     if c.size != g:
         raise ValidationError(f"c needs {g} entries, got {c.size}")
-    for (m, k) in h:
+    h_matrix = np.zeros((max([0, *(m for m, _k in h)]), n), dtype=complex)
+    for (m, k), v in h.items():
         if m < 1 or not 0 <= k < n:
             raise ValidationError(f"h entry ({m}, {k}) out of range")
-
-    terms = [(epsilon[k], beta_form(surface, k)) for k in range(n - 1)]
-    if g == 1:
-        terms.append((c[0], gamma_basis(surface)[0]))
-    terms = [(coef, f) for coef, f in terms if coef != 0]
-    alpha = sorted((m, k) for (m, k), v in h.items() if v != 0)
-    if not terms and not alpha:
+        h_matrix[m - 1, k] = v
+    if not (np.any(epsilon) or np.any(c) or np.any(h_matrix)):
         raise ValidationError("combination target has no nonzero terms")
-    closed = OneForm.combine(terms)
-    columns = {}
-    for k in sorted({k for _m, k in alpha}):
-        orders = [m for m, kk in alpha if kk == k]
-        columns[k] = (orders, np.array([h[(m, k)] for m in orders]))
-
-    def ev(z):
-        # alpha terms: one multi-order contour read per (cap, radius step),
-        # contracted with that cap's coefficients
-        out = closed.evaluator(z)
-        for k, (orders, coefs) in columns.items():
-            out = out + alpha_values(surface, k, orders, z) @ coefs
-        return out
-
-    poles = closed.poles + tuple((surface.caps[k].center, m + 1) for m, k in alpha)
-    form = OneForm(ev, poles=poles, label="combination")
+    form = faber_series(surface, epsilon, c, h_matrix, label="combination")
     eps_full = np.concatenate([epsilon, [-np.sum(epsilon)]]) if n > 0 else epsilon
     known = {"epsilon": eps_full, "c": c, "h": dict(h)}
     return TargetForm(form, label="combination", known=known)
+
+
+FAMILIES = {
+    "basis": _basis_target,
+    "pole": _pole_target,
+    "combination": _combination_target,
+}
+
+
+def build_target(surface: SurfaceSpec, kind: str, **params) -> TargetForm:
+    """Build a target of family ``kind``; a keyword its builder does not
+    take is rejected by name."""
+    if kind not in FAMILIES:
+        raise ValidationError(f"unknown target family {kind!r}; choose from {tuple(FAMILIES)}")
+    builder = FAMILIES[kind]
+    takes = list(inspect.signature(builder).parameters)[1:]  # all but the surface
+    for key in params:
+        if key not in takes:
+            raise ValidationError(
+                f"target.{key}: not a parameter of the {kind} family, "
+                f"which takes {', '.join(takes)}"
+            )
+    return builder(surface, **params)

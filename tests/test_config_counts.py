@@ -1,10 +1,16 @@
 """The counts in [run] must be positive: a zero or negative count is a
-config error that names its field and exits 2 before anything runs."""
+config error that names its field and exits 2 before anything runs. The
+same holds for a pole-structure order past the read's order ceiling and
+for a [target] parameter that the chosen family does not take."""
+
+import inspect
 
 import pytest
 
 from faberforms.cli import main
-from faberforms.config import ConfigError, parse_config
+from faberforms.config import TARGET_PARAMS, ConfigError, parse_config
+from faberforms.faber import DEFAULT_MAX_ORDER
+from faberforms.targets import FAMILIES
 
 BASE = (
     "[surface]\ngenus = 0\nq = inf\n"
@@ -32,3 +38,41 @@ def test_a_count_of_one_is_accepted(tmp_path, field):
     path = tmp_path / "ok.cfg"
     path.write_text(BASE + f"{field} = 1\n")
     assert getattr(parse_config(str(path)), field) == 1
+
+
+def _rejected_before_anything_runs(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_pole_orders_past_the_order_ceiling_is_a_named_config_error(tmp_path, capsys):
+    assert DEFAULT_MAX_ORDER == 24
+    _rejected_before_anything_runs(tmp_path, capsys, BASE + "pole_orders = 25\n",
+                                   "run.pole_orders")
+    path = tmp_path / "ok.cfg"
+    path.write_text(BASE + "pole_orders = 24\n")
+    assert parse_config(str(path)).pole_orders == 24
+
+
+@pytest.mark.parametrize("target, key", [
+    ("family = basis\nk = 0\nm = 1\ndecay = 0.5", "decay"),
+    ("family = pole\ncap = 0\neta = 0.3\nk = 0", "k"),
+    ("family = combination\nseed = 3\norder = 1\neta = 0.3", "eta"),
+    ("family = basis\nk = 0\nm = 1\ncap = 0", "cap"),
+])
+def test_a_parameter_of_another_family_is_a_named_config_error(tmp_path, capsys, target, key):
+    text = BASE.replace("family = basis\nk = 0\nm = 1", target)
+    _rejected_before_anything_runs(tmp_path, capsys, text, f"target.{key}")
+
+
+def test_every_target_key_is_a_parameter_of_some_family():
+    # and every family parameter can be set from a config
+    taken = {name for builder in FAMILIES.values()
+             for name in list(inspect.signature(builder).parameters)[1:]}
+    assert set(TARGET_PARAMS) == taken

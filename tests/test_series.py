@@ -10,6 +10,7 @@ from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
 from faberforms.faber import faber_form
 from faberforms.numerics import DiskGrid, NumericalError, ValidationError, area_pairing
 from faberforms.series import (
+    BOUNDARY_NODES,
     ExteriorPairing,
     SeriesDecomposition,
     TargetForm,
@@ -95,7 +96,7 @@ def test_gram_by_products_matches_inner_double_loop():
     stacked = pairing.alpha_data(M)
     gram = pairing.inner(stacked, stacked).T
     data = [pairing.data(faber_form(surface, 0, m, max_order=M).form) for m in range(1, M + 1)]
-    step = 2.0 * np.pi / pairing.n_boundary
+    step = 2.0 * np.pi / BOUNDARY_NODES
     loop = np.zeros((M, M), dtype=complex)
     for i, di in enumerate(data):
         for j, dj in enumerate(data):
@@ -528,3 +529,38 @@ def test_combination_target_reads_each_cap_once_per_radius_step(monkeypatch):
     want = np.sum(terms, axis=0)
     scale = np.sum(np.abs(terms), axis=0)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_sparse_combination_reads_only_its_orders(monkeypatch):
+    surface = two_cap_sphere()
+    target = build_target(surface, "combination", h={(3, 0): 1.0, (9, 1): 2.0})
+    centers = surface.caps.centers
+    assert target.form.poles == ((centers[0], 4), (centers[1], 10))
+    pts = np.array([4.0 + 1.0j, -2.5 + 2.0j, 0.5 - 3.0j])
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append((k, list(m)))
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    got = target.form(pts)
+    assert calls == [(0, [3]), (1, [9])]
+    monkeypatch.undo()
+    want = faber_form(surface, 0, 3).form(pts) + 2.0 * faber_form(surface, 1, 9).form(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_series_evaluator_poles_follow_order_then_cap():
+    surface = torus_two_caps()
+    dec = project_faber(build_target(surface, "combination", seed=3, order=2), surface,
+                        M=3, checkpoints=())
+    assert np.all(dec.h != 0) and np.all(dec.epsilon != 0) and np.all(dec.c != 0)
+    # the poles of the closed part, every beta form then gamma, then one
+    # per nonzero h entry, order by order and cap by cap within an order
+    closed = OneForm.combine([(dec.epsilon[0], beta_form(surface, 0)),
+                              (dec.c[0], gamma_basis(surface)[0])])
+    want = closed.poles + tuple((surface.caps[k].center, m + 1)
+                                for m in range(1, 4) for k in range(2))
+    assert series_evaluator(surface, dec).poles == want
