@@ -29,9 +29,14 @@ class CheckResult:
     detail: str = ""
 
 
-def _sample_points(surface: SurfaceSpec, rng, count: int, clearance: float):
+def _sample_points(surface: SurfaceSpec, rng, count: int, clearance: float, accept=None):
     """Points of the cap complement with a stated clearance, reproducible
-    from the rng state."""
+    from the rng state; ``accept(z)``, given, is a further vectorized test.
+
+    Candidates are drawn and tested a batch at a time, but the accepted
+    points, and the rng state left behind, are those of drawing and testing
+    one candidate at a time until ``count`` pass.
+    """
     if surface.genus == 1:
         origin, lo, hi, step = 0.0, 0.02, 0.98, surface.tau
     else:
@@ -41,9 +46,20 @@ def _sample_points(surface: SurfaceSpec, rng, count: int, clearance: float):
         lo, step = -hi, 1j
     pts = []
     while len(pts) < count:
-        z = origin + rng.uniform(lo, hi) + rng.uniform(lo, hi) * step
-        if surface.in_sigma(z) and float(surface.distance_to_caps_reduced(z)[0]) > clearance:
-            pts.append(z)
+        state = rng.bit_generator.state
+        # surplus candidates cost only their tests, as the rewind below
+        # undoes their draws; real and imaginary parts alternate
+        u = rng.uniform(lo, hi, size=2 * max(16, 2 * (count - len(pts))))
+        z = origin + u[0::2] + u[1::2] * step
+        ok = surface.in_sigma(z) & (surface.distance_to_caps_reduced(z) > clearance)
+        if accept is not None:
+            ok &= accept(z)
+        hits = np.flatnonzero(ok)[:count - len(pts)]
+        pts.extend(z[hits])
+        if len(pts) == count:
+            # rewind to just past the last accepted candidate's draws
+            rng.bit_generator.state = state
+            rng.uniform(lo, hi, size=2 * (int(hits[-1]) + 1))
     return np.array(pts)
 
 
@@ -62,16 +78,18 @@ def check_pole_structure(ctx) -> CheckResult:
                        f"caps 0..{surface.n_caps - 1}, orders 1..{ctx.pole_orders}")
 
 
-def _separation(surface: SurfaceSpec, w, marks) -> float:
-    """Smallest distance from w to any marked point, over lattice copies
-    on the torus."""
-    w = complex(w)
+def _separation(surface: SurfaceSpec, w, marks):
+    """Smallest distance from each w to any marked point, over lattice
+    copies on the torus; a float for a scalar w."""
     if surface.genus == 1:
         tau = surface.tau
         shifts = [dx + dy * tau for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
     else:
         shifts = [0.0]
-    return min(abs(w + s - m) for m in marks for s in shifts)
+    ww = np.asarray(w, dtype=complex)[..., None, None]
+    gaps = np.abs(ww + np.array(shifts, dtype=complex)[:, None] - np.array(marks, dtype=complex))
+    out = np.min(gaps, axis=(-2, -1))
+    return out if np.ndim(w) else float(out)
 
 
 def check_harmonicity(ctx) -> CheckResult:
@@ -85,12 +103,8 @@ def check_harmonicity(ctx) -> CheckResult:
     else:
         z = complex(np.mean(np.asarray(surface.caps.centers))) + 0.31j
         q = z + 1.7 - 0.9j
-    pts = []
-    while len(pts) < ctx.samples:
-        w = _sample_points(surface, rng, 1, clearance=0.0)[0]
-        if _separation(surface, w, (z, q)) > 0.25:
-            pts.append(w)
-    pts = np.array(pts)
+    pts = _sample_points(surface, rng, ctx.samples, clearance=0.0,
+                         accept=lambda w: _separation(surface, w, (z, q)) > 0.25)
     stencil = np.stack([pts + h, pts - h, pts + 1j * h, pts - 1j * h, pts], axis=1)
     vals = green(surface, stencil, z, q=q)
     lap = (np.sum(vals[:, :4], axis=1) - 4.0 * vals[:, 4]) / h**2

@@ -73,10 +73,6 @@ class ConformalMap:
         zeta = radius * np.exp(1j * TWO_PI * np.arange(n) / n)
         return self.evaluate(zeta)
 
-    def scale(self) -> float:
-        """Rough linear size of the image, used for relative tolerances."""
-        return float(np.max(np.abs(self.boundary(128) - self.center)))
-
     def invert(self, w, tol: float = 1e-12, max_iter: int = 50):
         """Newton solve of f(zeta) = w, seeded from a forward-sample table.
 
@@ -141,7 +137,10 @@ class ConformalMap:
         th = TWO_PI * np.arange(64) / 64.0
         grid = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
         d = np.abs(self._derivative(grid))
-        ref = float(np.median(d))
+        # the median as np.median computes it (the mean of the middle one or
+        # two sorted values), without the numpy.ma import np.median pulls in
+        srt = np.sort(d)
+        ref = float(np.mean(srt[(srt.size - 1) // 2:srt.size // 2 + 1]))
         if np.any(d < 1e-8 * max(ref, 1e-30)):
             raise ValidationError(
                 f"{self.kind} map derivative vanishes on the disk "
@@ -297,9 +296,16 @@ def make_map(kind: str, **params) -> ConformalMap:
         raise ValidationError(f"bad parameters for {kind} map: {exc}") from None
 
 
+# boundary samples per cap for the disjointness, containment and distance
+# tests
+CAP_SAMPLES = 512
 # points per block of CapFamily.min_distance: with 512 boundary samples a
 # block's distance temporaries stay near 16 MB
 _POINT_BLOCK = 2048
+# a cap's sample polygon lies in the disk |z - centroid| <= radius; a point
+# farther out than radius + _DISK_SLACK is more than 1e-6 from the polygon
+# and outside it, so the near-polygon and winding tests may skip it
+_DISK_SLACK = 1e-6
 
 
 class CapFamily:
@@ -310,13 +316,13 @@ class CapFamily:
     inside another (winding-number test).
     """
 
-    def __init__(self, maps, separation: float = 0.02, n_check: int = 512):
+    def __init__(self, maps, separation: float = 0.02):
         maps = list(maps)
         if not maps:
             raise ValidationError("cap family needs at least one map")
         self.maps = maps
         self.separation = float(separation)
-        self._boundaries = [m.boundary(n_check) for m in maps]
+        self._boundaries = [m.boundary(CAP_SAMPLES) for m in maps]
         # sample centroid and radius of each cap: |z - c_k| - R_k bounds the
         # distance from z to every boundary sample of cap k from below
         self._centroids = np.array([np.mean(b) for b in self._boundaries])
@@ -342,14 +348,26 @@ class CapFamily:
         return self._boundaries[k]
 
     def which_cap(self, z) -> np.ndarray:
-        """Index of the cap whose closed image contains each point, else -1."""
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        """Index of the cap whose closed image contains each point, else -1.
+
+        Only the points in a cap's bounding disk are measured against its
+        polygon; the rest are far from it and outside it, so the verdicts
+        are those of testing every point.
+        """
+        zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         out = np.full(zz.shape, -1, dtype=int)
         for k, poly in enumerate(self._boundaries):
-            near = np.min(np.abs(poly[None, :] - zz[:, None]), axis=1) < 1e-9
-            inside = winding_number(poly, zz) != 0
-            out[near | inside] = k
-        return out if np.ndim(z) else int(out[0])
+            idx = self._in_disk(zz, k)
+            w = zz[idx]
+            near = np.min(np.abs(poly[None, :] - w[:, None]), axis=1, initial=np.inf) < 1e-9
+            inside = winding_number(poly, w) != 0
+            out[idx[near | inside]] = k
+        return out.reshape(np.shape(z)) if np.ndim(z) else int(out[0])
+
+    def _in_disk(self, z, k: int) -> np.ndarray:
+        """Indices of the points of the 1-d array ``z`` within cap k's
+        bounding disk plus the slack."""
+        return np.flatnonzero(np.abs(z - self._centroids[k]) <= self._radii[k] + _DISK_SLACK)
 
     def distance_to_caps(self, z) -> np.ndarray:
         """Distance from each point to the nearest cap boundary sample."""
@@ -363,12 +381,6 @@ class CapFamily:
         # the relative slack keeps the computed bound below every computed
         # sample distance despite rounding, so pruning never changes a result
         return (centre - self._radii) - 1e-12 * (centre + self._radii)
-
-    def distance_lower_bound(self, candidates) -> np.ndarray:
-        """A lower bound on ``min_distance(candidates)`` from the cap
-        centroids and radii alone; cheap next to the sample search."""
-        cand = np.asarray(candidates, dtype=complex)
-        return np.min([np.min(self._lower_bounds(c), axis=-1) for c in cand], axis=0)
 
     def min_distance(self, candidates) -> np.ndarray:
         """For each column of ``candidates`` (shape (C, P)), the distance from
@@ -396,7 +408,9 @@ class CapFamily:
                 todo = lower[rows, pair] < run
                 if not todo.any():
                     break
-                for q in np.unique(pair[todo]):
+                # the pairs in use, in ascending order (np.unique would
+                # import numpy.ma)
+                for q in np.flatnonzero(np.bincount(pair[todo], minlength=n_cand * n_caps)):
                     idx = np.flatnonzero(todo & (pair == q))
                     c, k = divmod(int(q), n_caps)
                     poly = self._boundaries[k]
@@ -410,10 +424,20 @@ class CapFamily:
         for i in range(len(self.maps)):
             for j in range(i + 1, len(self.maps)):
                 pi, pj = self._boundaries[i], self._boundaries[j]
-                gap = float(np.min(np.abs(pi[None, :] - pj[:, None])))
-                if gap < self.separation:
-                    raise ValidationError(
-                        f"caps {i} and {j} come within {gap:.4g} < separation {self.separation}"
-                    )
-                if np.any(winding_number(pj, pi) != 0) or np.any(winding_number(pi, pj) != 0):
+                # the centroid bound on the gap, with the slack of
+                # _lower_bounds: a pair it keeps apart is not measured
+                centre = abs(self._centroids[i] - self._centroids[j])
+                reach = self._radii[i] + self._radii[j]
+                if (centre - reach) - 1e-12 * (centre + reach) < self.separation:
+                    gap = float(np.min(np.abs(pi[None, :] - pj[:, None])))
+                    if gap < self.separation:
+                        raise ValidationError(
+                            f"caps {i} and {j} come within {gap:.4g} "
+                            f"< separation {self.separation}"
+                        )
+                # a sample outside the other cap's bounding disk is outside
+                # that cap, so only the samples inside it are tested; a pair
+                # with disjoint disks has none
+                if (np.any(winding_number(pj, pi[self._in_disk(pi, j)]) != 0)
+                        or np.any(winding_number(pi, pj[self._in_disk(pj, i)]) != 0)):
                     raise ValidationError(f"caps {i} and {j} overlap (one contains the other)")

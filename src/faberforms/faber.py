@@ -150,7 +150,7 @@ def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneFor
 
     def ev(z):
         out = closed.evaluator(z)
-        for k in np.unique(caps).tolist():
+        for k in sorted(set(caps.tolist())):  # np.unique would import numpy.ma
             idx = rows[caps == k]
             out = out + alpha_values(surface, k, idx + 1, z) @ h[idx, k]
         return out

@@ -195,19 +195,15 @@ class SurfaceSpec:
             t = np.linspace(0.0, 1.0, 64, endpoint=False)
             bases = (grid[:, None] + grid[None, :] * self.tau).ravel()
             paths = np.concatenate([bases[:, None] + t, bases[:, None] + t * self.tau], axis=1)
-            copies = self._lattice_copies(paths)
-            # A base's clearance is at most the exact clearance of every 8th
-            # path point and at least the centroid bound over all of them; a
-            # base whose upper figure is below another's lower one cannot
-            # be the first maximum, so only the rest are searched in full.
-            n = len(copies)
-            lower = np.min(self.caps.distance_lower_bound(copies.reshape(n, -1))
-                           .reshape(paths.shape), axis=1)
-            upper = np.min(self.caps.min_distance(copies[:, :, ::8].reshape(n, -1))
-                           .reshape(len(bases), -1), axis=1)
-            keep = np.flatnonzero(upper >= np.max(lower))
-            clearance = np.min(self.caps.min_distance(copies[:, keep].reshape(n, -1))
-                               .reshape(len(keep), -1), axis=1)
+            # A base's clearance is at most the exact clearance of every 16th
+            # path point. The full clearance of the base with the largest such
+            # upper figure is at most the maximum, so a base whose upper
+            # figure is below it cannot be a maximum. Every maximum is kept,
+            # and the first kept one in index order wins.
+            upper = self._path_clearance(paths[:, ::16])
+            threshold = self._path_clearance(paths[[int(np.argmax(upper))]])[0]
+            keep = np.flatnonzero(upper >= threshold)
+            clearance = self._path_clearance(paths[keep])
             j = int(np.argmax(clearance))
             best_d = float(clearance[j])
             if best_d < 2 * self.margin:
@@ -216,6 +212,11 @@ class SurfaceSpec:
                 )
             self._cycle_base = bases[keep[j]]
         return self._cycle_base
+
+    def _path_clearance(self, paths) -> np.ndarray:
+        """Exact distance from each row of torus points to the caps and
+        their lattice copies."""
+        return np.min(self.distance_to_caps_reduced(paths), axis=1)
 
     def _lattice_copies(self, w) -> np.ndarray:
         """The 3x3 block of lattice copies around the cell of each torus

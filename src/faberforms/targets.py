@@ -70,10 +70,24 @@ def _pole_target(surface, cap: int = 0, eta: complex = 0.5,
 
 
 def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
-                        order: int = 6, decay: float = 0.75) -> TargetForm:
+                        order=None, decay=None) -> TargetForm:
+    """Explicit terms epsilon, c and h, or terms drawn from ``seed`` up to
+    ``order`` (default 6) with h shrinking like ``decay`` (default 0.75)
+    to the power m; a term of the other kind is rejected by name."""
+    if seed is None:
+        stray = {"order": order, "decay": decay}
+        why = "only shape the terms that target.seed draws, and no seed is given"
+    else:
+        stray = {"epsilon": epsilon, "c": c, "h": h}
+        why = "cannot be mixed with target.seed, which draws every term"
+    named = [f"target.{key}" for key, value in stray.items() if value is not None]
+    if named:
+        raise ValidationError(f"{', '.join(named)}: {why}")
     n = surface.n_caps
     g = surface.genus
     if seed is not None:
+        order = 6 if order is None else order
+        decay = 0.75 if decay is None else decay
         rng = np.random.default_rng(int(seed))
 
         def draw(size):

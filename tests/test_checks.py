@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
+
+from faberforms import checks
 
 from faberforms.checks import (
     _sample_points,
@@ -13,10 +19,69 @@ from faberforms.checks import (
     check_uniform_convergence,
 )
 from faberforms.cli import main
+from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily
 from faberforms.surface import SurfaceSpec, green
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TAU = 0.3 + 1.1j
+
+
+def _config_path(name):
+    return os.path.join(ROOT, "configs", name + ".cfg")
+
+
+def _one_at_a_time(surface, rng, count, clearance, accept=None):
+    # the sampler drawn and tested one candidate at a time
+    if surface.genus == 1:
+        origin, lo, hi, step = 0.0, 0.02, 0.98, surface.tau
+    else:
+        centers = np.asarray(surface.caps.centers)
+        origin = complex(np.mean(centers))
+        hi = 2.0 + float(np.max(np.abs(centers - origin)))
+        lo, step = -hi, 1j
+    pts = []
+    while len(pts) < count:
+        z = origin + rng.uniform(lo, hi) + rng.uniform(lo, hi) * step
+        if (surface.in_sigma(z) and float(surface.distance_to_caps_reduced(z)[0]) > clearance
+                and (accept is None or accept(z))):
+            pts.append(z)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
+def test_batched_sample_points_match_the_one_at_a_time_loop(name):
+    surface = parse_config(_config_path(name)).surface
+    marks = (surface.w0, surface.w0 + 0.3)
+    for count in (1, 20, 100):
+        for clearance in (0.0, 0.05, 0.25):
+            for accept in (None, lambda w: _separation(surface, w, marks) > 0.25):
+                want_rng = np.random.default_rng(count)
+                got_rng = np.random.default_rng(count)
+                want = _one_at_a_time(surface, want_rng, count, clearance, accept)
+                got = _sample_points(surface, got_rng, count, clearance, accept=accept)
+                assert got.shape == (count,) and np.array_equal(got, want)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_vectorized_separation_matches_scalar_calls():
+    for surface in (parse_config(_config_path("torus_two_caps")).surface,
+                    parse_config(_config_path("sphere_joukowski")).surface):
+        marks = (surface.w0, surface.w0 + 0.4 - 0.1j)
+        w = surface.w0 + np.random.default_rng(3).normal(size=50) * (1 + 1j)
+        got = _separation(surface, w, marks)
+        assert np.array_equal(got, [_separation(surface, v, marks) for v in w])
+        assert isinstance(_separation(surface, w[0], marks), float)
+
+
+@pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
+def test_random_point_checks_read_the_one_at_a_time_values(name, monkeypatch):
+    config = parse_config(_config_path(name))
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    runs = (checks.check_harmonicity, checks.check_q_independence, checks.check_r0_independence)
+    got = [run(ctx).value for run in runs]
+    monkeypatch.setattr(checks, "_sample_points", _one_at_a_time)
+    assert got == [run(ctx).value for run in runs]
 
 
 def _pointwise_harmonicity(surface, seed, samples):
@@ -79,3 +144,23 @@ def _config(tmp_path):
         "l2_tolerance = 1e-6\nsup_tolerance = 1e-6\nprobe_radius = 2.0\n"
     )
     return path
+
+
+def test_setup_does_not_import_numpy_ma():
+    # numpy.ma costs a set-up about 15 ms; importing the entry point and
+    # parsing a sphere and a torus config must not pull it in
+    code = (
+        "import sys\n"
+        "import faberforms.cli\n"
+        "from faberforms.config import parse_config\n"
+        f"parse_config({_config_path('sphere_joukowski')!r})\n"
+        f"parse_config({_config_path('torus_two_caps')!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -76,3 +76,43 @@ def test_every_target_key_is_a_parameter_of_some_family():
     taken = {name for builder in FAMILIES.values()
              for name in list(inspect.signature(builder).parameters)[1:]}
     assert set(TARGET_PARAMS) == taken
+
+
+TWO_CAPS = BASE.replace("main = affine scale=1 offset=0",
+                        "left = affine scale=0.5 offset=-2\nright = affine scale=0.5 offset=2")
+
+
+@pytest.mark.parametrize("target, keys", [
+    ("seed = 3\nepsilon = 5\nh = 2,0:1", ["target.epsilon", "target.h"]),
+    ("seed = 3\norder = 2\nh = 1,1:2", ["target.h"]),
+    ("decay = 0.5\nh = 1,0:1", ["target.decay"]),
+    ("order = 2\nepsilon = 1", ["target.order"]),
+    ("order = 2\ndecay = 0.5\nepsilon = 1", ["target.order", "target.decay"]),
+])
+def test_a_combination_term_that_would_be_dropped_is_a_named_config_error(
+        tmp_path, capsys, target, keys):
+    # seeded terms replace explicit ones, and order and decay only shape
+    # seeded terms: either mix would run a target the config did not write
+    text = TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\n" + target)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert all(key in str(err.value) for key in keys)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    message = capsys.readouterr().err
+    assert all(key in message for key in keys)
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("target", [
+    "seed = 3\norder = 2\ndecay = 0.5",
+    "seed = 3",
+    "epsilon = 5\nh = 2,0:1",
+])
+def test_a_combination_of_one_kind_is_accepted(tmp_path, target):
+    path = tmp_path / "ok.cfg"
+    path.write_text(TWO_CAPS.replace("family = basis\nk = 0\nm = 1",
+                                     "family = combination\n" + target))
+    assert parse_config(str(path)).target_family == "combination"

@@ -160,6 +160,99 @@ def test_cap_family_rejects_containment():
         CapFamily([AffineMap(1.0), AffineMap(0.2)])
 
 
+@pytest.mark.parametrize("separation", [0.02, 0.0, -1.0])
+def test_cap_family_rejects_containment_in_either_order(separation):
+    # a separation that waives the gap test still leaves the winding test
+    big, small = AffineMap(1.0), AffineMap(0.2, offset=0.1 + 0.1j)
+    for maps in ([big, small], [small, big]):
+        with pytest.raises(ValidationError, match="overlap"):
+            CapFamily(maps, separation=separation)
+
+
+@pytest.mark.parametrize("separation", [0.02, 0.0])
+def test_cap_family_names_close_and_crossing_caps(separation):
+    # a nested cap 0.01 from its host's boundary, and two crossing disks
+    for pair in ([AffineMap(1.0), AffineMap(0.2, offset=0.79)],
+                 [AffineMap(1.0), AffineMap(1.0, offset=0.5)]):
+        for maps in (pair, pair[::-1]):
+            with pytest.raises(ValidationError,
+                               match="come within" if separation > 0 else "overlap"):
+                CapFamily(maps, separation=separation)
+
+
+def test_cap_family_accepts_disjoint_caps_with_overlapping_bounding_disks():
+    # two flat ovals (half-width 1, half-height 0.53) stacked 1.2 apart
+    ovals = [JoukowskiEllipseMap(0.5, scale=0.5), JoukowskiEllipseMap(0.5, scale=0.5, offset=1.2j)]
+    fam = CapFamily(ovals, separation=0.1)
+    assert np.all(fam.which_cap(np.array([0.9, 0.9 + 1.2j, 0.6j])) == [0, 1, -1])
+    with pytest.raises(ValidationError, match="come within"):
+        CapFamily(ovals, separation=0.2)
+
+
+def unfiltered_which_cap(fam, z):
+    """Every point against every cap's polygon, with no bounding-disk
+    prefilter."""
+    out = np.full(z.shape, -1, dtype=int)
+    for k in range(len(fam)):
+        poly = fam.boundary_samples(k)
+        near = np.min(np.abs(poly[None, :] - z[:, None]), axis=1) < 1e-9
+        inside = winding_number(poly, z) != 0
+        out[near | inside] = k
+    return out
+
+
+def probe_points(fam, rng, n=2000):
+    """Random points around the caps, the boundary samples, points within
+    1e-10 of them and points on and about each cap's bounding circle."""
+    samples = [fam.boundary_samples(k) for k in range(len(fam))]
+    b = np.concatenate(samples)
+    centre = np.mean(b)
+    span = 1.2 * float(np.max(np.abs(b - centre)))
+    cloud = centre + span * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    jitter = 1e-10 * rng.uniform(0, 1, b.size) * np.exp(1j * TWO_PI * rng.uniform(0, 1, b.size))
+    rings = []
+    for p in samples:
+        c = np.mean(p)
+        radius = float(np.max(np.abs(p - c)))
+        for d in (-1e-6, 0.0, 5e-7, 1e-6, 2e-6):
+            rings.append(c + (radius + d) * np.exp(1j * TWO_PI * rng.uniform(0, 1, 200)))
+    return np.concatenate([cloud, b, b + jitter, *rings])
+
+
+def test_which_cap_prefilter_matches_unfiltered_loop():
+    rng = np.random.default_rng(11)
+    fam = CapFamily([
+        AffineMap(0.5 + 0.2j, offset=-1.0),
+        JoukowskiEllipseMap(0.4, scale=0.6, offset=1.0 + 0.5j),
+        PolynomialCapMap([0.5, 0.05, 0.02j], offset=-0.5 + 1.8j),
+    ])
+    z = probe_points(fam, rng)
+    got = fam.which_cap(z)
+    assert np.array_equal(got, unfiltered_which_cap(fam, z))
+    assert set(got.tolist()) == {-1, 0, 1, 2}
+    assert [fam.which_cap(w) for w in z[::97]] == got[::97].tolist()
+
+
+def test_which_cap_prefilter_matches_unfiltered_loop_on_the_torus():
+    from faberforms.surface import SurfaceSpec
+
+    tau = 0.3 + 1.1j
+    surface = SurfaceSpec.torus(tau, CapFamily([
+        AffineMap(0.11, offset=0.39 + 0.33j),
+        JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
+        PolynomialCapMap([0.07, 0.01], offset=0.25 + 0.75 * tau),
+    ], separation=0.05))
+    rng = np.random.default_rng(12)
+    fam = surface.caps
+    near = probe_points(fam, rng)
+    shifts = rng.integers(-2, 3, near.size) + rng.integers(-2, 3, near.size) * tau
+    wide = rng.uniform(-2, 3, 3000) + rng.uniform(-2, 3, 3000) * tau
+    z = surface.reduce_to_cell(np.concatenate([near + shifts, wide]))
+    got = fam.which_cap(z)
+    assert np.array_equal(got, unfiltered_which_cap(fam, z))
+    assert set(got.tolist()) == {-1, 0, 1, 2}
+
+
 def test_which_cap_and_distance():
     fam = CapFamily([AffineMap(0.5), JoukowskiEllipseMap(0.25, scale=0.5, offset=3.0)])
     assert fam.which_cap(0.1) == 0

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from faberforms.surface import (
     schiffer_kernel,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 TAU = 0.3 + 1.1j
 TWO_PI = 2.0 * np.pi
 
@@ -325,8 +327,20 @@ def brute_force_cycle_base(surface):
     return best, best_d
 
 
-def test_cycle_base_matches_brute_force():
-    cfg = Path(__file__).resolve().parents[1] / "configs" / "torus_two_caps.cfg"
+def pool_surface(workload, index, tmp_path):
+    """The surface of a benchmark pool input."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / f"{workload}-{index}.cfg"
+    path.write_text(workloads.make_config(workloads.WORKLOADS[workload], index))
+    return parse_config(str(path)).surface
+
+
+def test_cycle_base_matches_brute_force(tmp_path):
+    cfg = ROOT / "configs" / "torus_two_caps.cfg"
     mixed = CapFamily(
         [
             AffineMap(0.11, offset=0.39 + 0.33j),
@@ -334,7 +348,17 @@ def test_cycle_base_matches_brute_force():
         ],
         separation=0.05,
     )
-    for surface in (parse_config(str(cfg)).surface, SurfaceSpec.torus(TAU, mixed)):
+    # caps by a corner and by the right edge push the winner inside the grid
+    inner = SurfaceSpec.torus(TAU, CapFamily(
+        [AffineMap(0.08, offset=0.15 + 0.15 * TAU), AffineMap(0.08, offset=0.85 + 0.5 * TAU)],
+        separation=0.05,
+    ))
+    surfaces = (parse_config(str(cfg)).surface, SurfaceSpec.torus(TAU, mixed), inner,
+                pool_surface("torus-solve", 4, tmp_path),
+                pool_surface("torus-verify", 0, tmp_path))
+    x, y = inner.cell_coordinates(inner.cycle_base())
+    assert 0.1 < x < 0.9 and 0.1 < y < 0.9
+    for surface in surfaces:
         base, clearance = brute_force_cycle_base(surface)
         assert surface.cycle_base() == base
         t = np.linspace(0.0, 1.0, 64, endpoint=False)
