@@ -295,8 +295,10 @@ class SurfaceSpec:
         return f"SurfaceSpec({kind}, {len(self.caps)} caps)"
 
 
-def _guard_apart(a, b, what: str, tol: float = 1e-12):
-    if np.any(np.abs(np.asarray(a) - np.asarray(b)) < tol):
+def _guard_apart(diff, what: str, tol: float = 1e-12):
+    """Raise when any entry of the difference ``diff`` of two point sets is
+    below ``tol`` in modulus."""
+    if np.any(np.abs(diff) < tol):
         raise NumericalError(f"{what} (distance below {tol:.0e})")
 
 
@@ -318,11 +320,11 @@ def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT, w0=None):
         q = surface.q
     elif q is not None:
         q = complex(q)
-    _guard_apart(w, z, "Green's function evaluated at its z-singularity")
+    _guard_apart(w - z, "Green's function evaluated at its z-singularity")
     if surface.genus == 0:
         if q is None:
             return np.log(np.abs(z - w0)) - np.log(np.abs(w - z))
-        _guard_apart(w, q, "Green's function evaluated at its q-singularity")
+        _guard_apart(w - q, "Green's function evaluated at its q-singularity")
         # single log of the cross-ratio modulus: at w = w0 numerator and
         # denominator are the same doubles, so the value is exactly zero
         return np.log(
@@ -330,7 +332,7 @@ def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT, w0=None):
         )
     if q is None:
         raise ValidationError("torus Green's function needs a finite base point q")
-    _guard_apart(w, q, "Green's function evaluated at its q-singularity")
+    _guard_apart(w - q, "Green's function evaluated at its q-singularity")
     tau = surface.tau
 
     def g0(u):
@@ -352,10 +354,15 @@ def schiffer_kernel(surface: SurfaceSpec, w, z):
     """
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    _guard_apart(w, z, "Schiffer kernel evaluated on its diagonal")
+    d = w - z
+    _guard_apart(d, "Schiffer kernel evaluated on its diagonal")
     if surface.genus == 0:
-        return -1.0 / (PI * (w - z) ** 2)
-    return theta.log_derivative2(w - z, surface.tau) / PI + 1.0 / surface.tau.imag
+        # -1 / (pi d^2) with d squared and scaled in place: the same bits,
+        # without a second block-sized array next to d
+        d **= 2
+        d *= PI
+        return -1.0 / d
+    return theta.log_derivative2(d, surface.tau) / PI + 1.0 / surface.tau.imag
 
 
 def beta_form(surface: SurfaceSpec, k: int) -> OneForm:

@@ -88,11 +88,21 @@ def test_green_normalization_exact():
 
 def test_green_coincidence_guard():
     s = sphere_two_caps()
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="at its z-singularity"):
         green(s, 1.0 + 1.0j, 1.0 + 1.0j)
     t = torus_two_caps()
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="at its q-singularity"):
         green(t, t.q, 0.5 + 0.5 * TAU)
+
+
+def test_kernel_diagonal_guard():
+    w = np.array([[0.2 + 0.3 * TAU, 0.5 + 0.1j], [0.6 + 0.8 * TAU, 0.1j]])
+    for surface in (sphere_two_caps(), torus_two_caps()):
+        # a scalar z, and an array z that meets w in one entry
+        for z in (0.5 + 0.1j, w + np.array([[0.3, 0.0], [0.3, 0.3]])):
+            with pytest.raises(NumericalError, match="on its diagonal \\(distance below 1e-12\\)"):
+                schiffer_kernel(surface, w, z)
+        assert np.all(np.isfinite(schiffer_kernel(surface, w, w + 0.05)))
 
 
 def test_torus_green_doubly_periodic():

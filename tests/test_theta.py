@@ -1,9 +1,13 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
+from faberforms import theta
 from faberforms.numerics import ValidationError
 from faberforms.theta import (
+    _BLOCK,
     _TAIL_TOLERANCE,
     _n_terms,
     lattice_reduce,
@@ -177,6 +181,68 @@ def test_theta1_derivatives_match_mpmath(tau):
     assert np.max(rel) < 1e-12
     rel = np.abs(log_derivative(v, tau) - ref[:, 1] / ref[:, 0]) / np.abs(ref[:, 1] / ref[:, 0])
     assert np.max(rel) < 1e-12
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_theta1_derivatives_match_mpmath_off_the_strip(tau):
+    # the closed-form quasi-period factor and its v-derivatives restore
+    # theta1, theta1' and theta1'' from the reduced argument, up to 6 tau-shifts
+    rng = np.random.default_rng(12)
+    y = rng.choice([-1, 1], 16) * rng.uniform(0.5, 6.0, 16)
+    v = rng.uniform(-2.0, 2.0, 16) + y * tau
+    assert np.max(np.abs(v.imag)) > 5 * tau.imag
+    with mpmath.workdps(30):
+        ref = np.array([mp_theta1_derivs(vj, tau) for vj in v])
+    for d in range(3):
+        ours = theta1(v, tau, d)
+        assert np.max(np.abs(ours - ref[:, d]) / np.abs(ref[:, d])) < 1e-12, d
+
+
+PUBLIC = (
+    lambda v: theta1(v, TAU),
+    lambda v: theta1(v, TAU, 1),
+    lambda v: theta1(v, TAU, 2),
+    lambda v: log_derivative(v, TAU),
+    lambda v: log_derivative2(v, TAU),
+    lambda v: log_abs(v, TAU),
+)
+
+
+@pytest.mark.parametrize("fn", PUBLIC)
+def test_blocked_evaluation_matches_slices_and_one_call(fn, monkeypatch):
+    rng = np.random.default_rng(13)
+    n = 3 * _BLOCK + 17
+    flat = rng.uniform(-3.0, 3.0, n) + rng.uniform(-3.0, 3.0, n) * TAU
+    v = flat.reshape(-1, 1)
+    out = fn(v)
+    assert out.shape == v.shape
+    slices = np.concatenate([fn(flat[i:i + _BLOCK]) for i in range(0, n, _BLOCK)])
+    assert np.array_equal(out, slices.reshape(v.shape))
+    monkeypatch.setattr(theta, "_BLOCK", n)
+    assert np.array_equal(out, fn(v))
+
+
+@pytest.mark.parametrize("fn", PUBLIC)
+def test_scalar_and_empty_inputs(fn):
+    scalar = fn(0.31 + 0.22j + 2 * TAU)
+    assert type(scalar) is (float if fn is PUBLIC[-1] else complex)
+    for shape in ((0,), (0, 3)):
+        out = fn(np.zeros(shape, dtype=complex))
+        assert out.shape == shape
+
+
+def test_blocked_series_keeps_its_temporaries_small():
+    # an area block of the r0-independence check: the series' temporaries
+    # live one block at a time, so the peak is the output plus one block
+    rng = np.random.default_rng(14)
+    v = rng.uniform(-0.5, 0.5, (20, 18432)) + 0.4j * rng.uniform(-1.0, 1.0, (20, 18432))
+    tracemalloc.start()
+    try:
+        out = log_derivative2(v, TAU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def test_term_count_falls_as_im_tau_grows():
