@@ -19,6 +19,7 @@ from faberforms import (
     contour_radius,
     schiffer_contour,
 )
+from faberforms.schiffer import order_limit
 
 surface = SurfaceSpec.sphere(CapFamily([
     AffineMap(0.4),
@@ -46,12 +47,13 @@ print(f"radius spread {spread:.1e}, contour-to-area gap {gap:.1e}")
 print()
 print("default radius grows with the order in steps, to keep the integrand tame;")
 print("all orders of a step share one radius and so one kernel block, read with")
-print("the fewest of 64, 128, 256 nodes whose aliasing factor r0^n is at most 1e-19")
-print("(256 where none is):")
+print("the fewest of 64, 128, 256, 512, 1024 nodes whose aliasing factor r0^n is")
+print("at most 1e-19 (1024 where none is); each radius carries orders up to the")
+print("largest m with roundoff amplification r0^(-m) * eps at most 1e-8:")
 for first, last in ((1, 6), (7, 12), (13, 24), (25, 48), (49, 96)):
     r0 = contour_radius(last)
-    print(f"  m = {first:>2}..{last:<3}: r0 = {r0:.3f}, n = {contour_nodes(r0):>3}, "
-          f"r0^n = {r0 ** contour_nodes(r0):.1e}")
+    print(f"  m = {first:>2}..{last:<3}: r0 = {r0:.3f}, n = {contour_nodes(r0):>4}, "
+          f"r0^n = {r0 ** contour_nodes(r0):.1e}, order limit {order_limit(r0)}")
 
 orders = range(7, 13)
 block = schiffer_contour(surface, 0, orders, pts)

@@ -16,7 +16,7 @@ from .faber import principal_parts
 from .numerics import DiskGrid, NumericalError, ValidationError
 from .schiffer import CapDatum, apply_schiffer, schiffer_contour
 from .series import invariance_check
-from .surface import SurfaceSpec, green, schiffer_kernel
+from .surface import SurfaceSpec, green
 from .targets import build_target
 
 
@@ -140,19 +140,23 @@ def _alternative_q(surface: SurfaceSpec) -> SurfaceSpec:
 
 
 def check_q_independence(ctx) -> CheckResult:
-    """The kernel must not feel the auxiliary base point."""
+    """The kernel, the Green's function's mixed derivative, must not feel
+    the base point: the difference D(w, z) of the Green's functions of two
+    base points is then a function of w alone, so the value is the largest
+    |D(w, z_i) - D(w, z_0) - D(w_0, z_i) + D(w_0, z_0)| over the samples."""
     surface = ctx.surface
     rng = np.random.default_rng(ctx.seed + 1)
     alt = _alternative_q(surface)
-    w = _sample_points(surface, rng, ctx.samples, clearance=0.05)
-    z = _sample_points(surface, rng, ctx.samples, clearance=0.05)
-    keep = np.abs(w - z) > 0.1
-    w, z = w[keep], z[keep]
-    worst = float(np.max(np.abs(
-        schiffer_kernel(surface, w, z) - schiffer_kernel(alt, w, z)
-    )))
+    # both Green's functions are finite away from z, both q and w0
+    bases = tuple(q for q in (surface.q, alt.q) if q is not None)
+    z = _sample_points(surface, rng, 4, clearance=0.05,
+                       accept=lambda v: _separation(surface, v, bases + (surface.w0,)) > 0.1)
+    w = _sample_points(surface, rng, ctx.samples, clearance=0.05,
+                       accept=lambda v: _separation(surface, v, bases + tuple(z)) > 0.1)
+    d = np.stack([green(surface, w, zi) - green(alt, w, zi) for zi in z], axis=1)
+    worst = float(np.max(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0])))
     return CheckResult("q-independence", worst < 1e-9, worst, 1e-9,
-                       f"{w.size} point pairs")
+                       f"{w.size} points w, {z.size} points z")
 
 
 def check_r0_independence(ctx) -> CheckResult:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .checks import CHECKS
 from .conformal import CapFamily, make_map
-from .faber import DEFAULT_MAX_ORDER
+from .faber import PRINCIPAL_RADIUS
 from .numerics import ValidationError
+from .schiffer import order_limit
 from .series import TargetForm
 from .surface import SurfaceSpec
 from .targets import build_target
@@ -247,9 +248,10 @@ def parse_config(path: str) -> ExperimentConfig:
         out_dir=parser["output"].get("directory") if "output" in parser else None,
         echo=echo,
     )
-    if cfg.pole_orders > DEFAULT_MAX_ORDER:
-        raise ConfigError(f"run.pole_orders: must be <= {DEFAULT_MAX_ORDER}, the order "
-                          f"ceiling of the principal-part read, got {cfg.pole_orders}")
+    top = order_limit(PRINCIPAL_RADIUS)
+    if cfg.pole_orders > top:
+        raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "
+                          f"principal-part read, got {cfg.pole_orders}")
     if cfg.probe_radius == 0.0:
         center, radius = _default_probe(surface)
         cfg.probe_center, cfg.probe_radius = center, radius

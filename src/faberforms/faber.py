@@ -5,11 +5,12 @@ monomial datum on that cap. It is stored as a contour evaluator valid on
 the whole surface minus the cap center, where it has a single pole of
 order m + 1 whose leading pullback coefficient is exactly m; the
 ``principal_part`` reader verifies that expansion numerically.
-``contour_nodes`` sizes every default read, principal parts included. On
-a sphere with one cap the same data has a second, independent
-description through the classical polynomial family Phi^m, a finite tail
-in 1/(z - center); its z-derivative must reproduce the basis form, and
-the tests hold the two constructions against each other.
+``contour_nodes`` sizes every read and ``order_limit`` of its radius
+bounds its order, principal parts included. On a sphere with one cap the
+same data has a second, independent description through the classical
+polynomial family Phi^m, a finite tail in 1/(z - center); its
+z-derivative must reproduce the basis form, and the tests hold the two
+constructions against each other.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ from .numerics import (
     ValidationError,
     laurent_from_samples,
 )
-from .schiffer import contour_nodes, contour_radius, schiffer_contour
+from .schiffer import contour_nodes, contour_radius, guard_order, schiffer_contour
 from .surface import OneForm, SurfaceSpec, beta_form, gamma_basis
 
-# Coefficient magnitudes in the principal-part read grow like (1/rho)^m,
-# so double precision runs out of headroom for very large m. The default
-# ceiling is generous for the read radius 0.5; raise it per call when a
-# long series truncation needs higher orders through a larger contour.
-DEFAULT_MAX_ORDER = 24
 EXPANSION_RADIUS = 0.5  # |zeta| of the circle the pullback tails are expanded on
+PRINCIPAL_RADIUS = 0.6 * EXPANSION_RADIUS  # radius of the principal-part contour read
 
 
 @dataclass(frozen=True)
@@ -76,45 +73,39 @@ class FaberBasisElement:
     form: OneForm
     cap: int | None = None
     order: int | None = None
-    method: str = ""
-    quadrature: tuple = ()
 
 
-def faber_form(surface: SurfaceSpec, k: int, m: int, r0: float | None = None,
-               n: int | None = None, max_order: int = DEFAULT_MAX_ORDER) -> FaberBasisElement:
+def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
     """The order-m basis form of cap k, as a contour evaluator on the
     surface minus the cap center.
 
-    The read sits on ``contour_radius(m)`` unless r0 is given, with
-    ``contour_nodes`` of that radius (see its precondition) unless n is
-    given; ``quadrature`` records both. Points inside the evaluation
-    contour itself are rejected by the underlying quadrature; shrink r0 to
-    evaluate deeper into the cap, and pass n with it.
+    Its values are those of ``alpha_values`` for the one order m: a read
+    on ``contour_radius(m)`` with ``contour_nodes`` of that radius (see
+    its precondition). An order past ``order_limit`` of that radius raises
+    when the element is built; points inside the evaluation contour
+    itself are rejected by the underlying quadrature.
     """
-    _check_order(m, max_order)
+    _check_order(m, contour_radius(m))
     if not 0 <= k < surface.n_caps:
         raise ValidationError(f"cap index {k} out of range")
-    rr = contour_radius(m) if r0 is None else float(r0)
-    nn = contour_nodes(rr) if n is None else int(n)
 
-    def ev(z, surface=surface, k=k, m=m, rr=rr, nn=nn):
-        return schiffer_contour(surface, k, m, z, r0=rr, n=nn)
+    def ev(z, surface=surface, k=k, m=m):
+        vals = alpha_values(surface, k, [m], z)[..., 0]
+        return vals if vals.ndim else complex(vals)
 
     form = OneForm(ev, conjugate=False, poles=((surface.caps[k].center, m + 1),),
                    label=f"alpha[{k},{m}]")
-    return FaberBasisElement("alpha", form, cap=k, order=m, method="contour",
-                             quadrature=(("r0", rr), ("nodes", nn)))
+    return FaberBasisElement("alpha", form, cap=k, order=m)
 
 
-def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int | None = None) -> np.ndarray:
+def alpha_values(surface: SurfaceSpec, k: int, orders, z) -> np.ndarray:
     """Values at z of the basis forms of cap k for every order in
     ``orders``, along a trailing axis over the orders.
 
     One multi-order ``schiffer_contour`` call per radius step, each at the
-    default radius and node count ``faber_form`` uses, so column j equals
-    ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff, under
-    the precondition of ``contour_nodes``. An explicit n replaces the
-    node count of every step.
+    radius ``contour_radius`` and the node count ``contour_nodes`` of that
+    radius, so column j equals ``faber_form(surface, k, orders[j]).form(z)``
+    up to roundoff, under the precondition of ``contour_nodes``.
     """
     orders = [int(m) for m in orders]
     steps: dict = {}
@@ -124,7 +115,7 @@ def alpha_values(surface: SurfaceSpec, k: int, orders, z, n: int | None = None) 
     out = np.empty(zz.shape + (len(orders),), dtype=complex)
     for r0, idx in steps.items():
         out[..., idx] = schiffer_contour(surface, k, [orders[i] for i in idx], zz,
-                                         n=contour_nodes(r0) if n is None else n)
+                                         n=contour_nodes(r0))
     return out
 
 
@@ -163,8 +154,7 @@ def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneFor
 def beta_element(surface: SurfaceSpec, k: int) -> FaberBasisElement:
     """The k-th double-pole-free closed-form basis element (simple poles
     at centers k and n-1)."""
-    return FaberBasisElement("beta", beta_form(surface, k), cap=k,
-                             method="closed-form")
+    return FaberBasisElement("beta", beta_form(surface, k), cap=k)
 
 
 def gamma_element(surface: SurfaceSpec) -> FaberBasisElement:
@@ -172,11 +162,10 @@ def gamma_element(surface: SurfaceSpec) -> FaberBasisElement:
     forms = gamma_basis(surface)
     if not forms:
         raise ValidationError("sphere surfaces carry no holomorphic one-form")
-    return FaberBasisElement("gamma", forms[0], method="closed-form")
+    return FaberBasisElement("gamma", forms[0])
 
 
-def principal_part(surface: SurfaceSpec, element: FaberBasisElement,
-                   order: int | None = None):
+def principal_part(surface: SurfaceSpec, element: FaberBasisElement):
     """Laurent data of the alpha element's pullback through its own cap.
 
     Returns (tail, head): tail holds the coefficients of zeta^-1 ..
@@ -188,36 +177,28 @@ def principal_part(surface: SurfaceSpec, element: FaberBasisElement,
     """
     if element.tag != "alpha" or element.cap is None or element.order is None:
         raise ValidationError("principal part is defined for alpha elements only")
-    # the element checked its order against its own ceiling when it was built
-    return principal_parts(surface, element.cap, [element.order], order=order,
-                           max_order=element.order)[0]
+    return principal_parts(surface, element.cap, [element.order])[0]
 
 
-def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = None,
-                    max_order: int = DEFAULT_MAX_ORDER) -> list:
+def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
     """``principal_part`` of the basis form of cap k for every order in
     ``orders``: a list of (tail, head) pairs, one per order.
 
     Every order is sampled on one expansion circle |zeta| = rho, with rho
     = EXPANSION_RADIUS, through one multi-order ``schiffer_contour`` read
-    at r0 = 0.6 * rho, so the cap's kernel block is built once; each order
-    gets its own Laurent fit (J = max(8, m + 4) unless ``order`` is given)
-    and pole-structure guard. ``contour_nodes`` sizes both reads. The
-    points read have preimage modulus rho, so the contour aliases like
-    0.6^n: contour_nodes(0.6) nodes. The pullback's regular part is
+    at r0 = PRINCIPAL_RADIUS = 0.6 * rho, so the cap's kernel block is
+    built once and orders past ``order_limit(PRINCIPAL_RADIUS)`` raise; each
+    order gets its own Laurent fit (J = max(8, m + 4)) and pole-structure
+    guard. ``contour_nodes`` sizes both reads. The points read have
+    preimage modulus rho, so the contour aliases like 0.6^n:
+    contour_nodes(0.6) nodes. The pullback's regular part is
     analytic on the closed unit disk, so its modes on the circle fall like
     rho^j and contour_nodes(rho) samples are alias-free; the circle takes
     twice that, since one- and multi-order reads round apart by 1e-13 in a
     head mode at the plain count by order 6, then doubles until n > 2J.
     """
     orders = [int(m) for m in orders]
-    depths = []
-    for m in orders:
-        _check_order(m, max_order)
-        J = max(8, m + 4) if order is None else int(order)
-        if J < m + 1:
-            raise ValidationError(f"expansion order {J} cannot reach the pole order {m + 1}")
-        depths.append(J)
+    depths = [max(8, m + 4) for m in orders]
     f = surface.caps[k]
     rho = EXPANSION_RADIUS
     n = 2 * contour_nodes(rho)
@@ -226,7 +207,7 @@ def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = No
     zeta = rho * np.exp(1j * TWO_PI * np.arange(n) / n)
     # evaluate through the meromorphic extension: the quadrature contour
     # must sit strictly inside the expansion circle
-    samples = schiffer_contour(surface, k, orders, f.evaluate(zeta), r0=0.6 * rho,
+    samples = schiffer_contour(surface, k, orders, f.evaluate(zeta), r0=PRINCIPAL_RADIUS,
                                n=contour_nodes(0.6)) * f.derivative(zeta)[:, None]
     if not np.all(np.isfinite(samples)):
         raise NumericalError("pullback not finite on the expansion circle")
@@ -247,8 +228,8 @@ def principal_parts(surface: SurfaceSpec, k: int, orders, order: int | None = No
     return parts
 
 
-def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None, n: int = 512,
-                     max_order: int = DEFAULT_MAX_ORDER) -> LaurentTail:
+def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None,
+                     n: int = 512) -> LaurentTail:
     """The order-m polynomial in 1/(z - center) attached to a sphere cap.
 
     Built from the contour formula
@@ -258,12 +239,11 @@ def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None, n: int = 
     on |zeta| = r0, sampled on a large circle and solved for the finite
     tail; the fit must leave no mass on nonnegative powers or beyond
     order -m, else the read raises (a wrong power convention and an r0
-    too small both show up as residual mass).
+    too small both show up as residual mass). r0 defaults to
+    ``contour_radius(m)``; an order past its ``order_limit`` raises.
     """
-    _check_order(m, max_order)
     rr = contour_radius(m) if r0 is None else float(r0)
-    if not 0 < rr < 1:
-        raise ValidationError(f"contour radius must sit in (0, 1), got {rr}")
+    _check_order(m, rr)
     zeta = rr * np.exp(1j * TWO_PI * np.arange(n) / n)
     w = f.evaluate(zeta)
     fp = f.derivative(zeta)
@@ -284,11 +264,7 @@ def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None, n: int = 
     return tail
 
 
-def _check_order(m: int, max_order: int):
+def _check_order(m: int, r0: float):
     if m < 1:
         raise ValidationError(f"order must be >= 1, got {m}")
-    if m > max_order:
-        raise ValidationError(
-            f"order {m} exceeds the precision ceiling {max_order}; "
-            "pass max_order explicitly to override"
-        )
+    guard_order(m, r0, ValidationError)

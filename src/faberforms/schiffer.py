@@ -13,12 +13,12 @@ implemented and tested against each other. The contour route is the
 default evaluation path: it is spectrally accurate and much cheaper.
 
 The default contour read sits on a radius that steps up with the order
-(``contour_radius``) and uses a node count sized to that radius
-(``contour_nodes``): the smallest of 64, 128 and 256 nodes whose
-trapezoid aliasing factor r0^n is at most 1e-19, else 256. The factor
-bounds the error for points whose preimage under the cap map has modulus
-at least 1, and stays near it down to 0.95, the inner measuring circle
-of the series; points at a smaller modulus rho take contour_nodes(r0 / rho).
+(``contour_radius``), carries orders up to ``order_limit`` of that radius,
+and uses the fewest of 64, 128, 256, 512 and 1024 nodes whose trapezoid
+aliasing factor r0^n is at most 1e-19, else 1024 (``contour_nodes``).
+The factor bounds the error for points whose preimage under the cap map
+has modulus at least 1, and stays near it down to 0.95, the inner measuring
+circle of the series; points at a smaller modulus rho take contour_nodes(r0 / rho).
 """
 
 from __future__ import annotations
@@ -159,8 +159,32 @@ RADIUS_STEP = 6
 ROUNDOFF_LIMIT = 1e-8
 # Node counts a default contour read may use, and the trapezoid aliasing
 # factor r0^n the smallest admissible one must reach.
-NODE_COUNTS = (64, 128, 256)
+NODE_COUNTS = (64, 128, 256, 512, 1024)
 ALIASING_LIMIT = 1e-19
+
+
+def order_limit(r0: float) -> int:
+    """The highest order a contour read on the radius r0 may carry, the
+    largest m with roundoff amplification r0^(-m) * eps <= ROUNDOFF_LIMIT:
+    the one limit that every guard on an order reads."""
+    r0 = float(r0)
+    if not 0 < r0 < 1:
+        raise ValidationError(f"contour radius must sit in (0, 1), got {r0}")
+    # one past the logarithm's answer, then down until the guard's own
+    # figure passes, so the rounding of the logarithm cannot decide
+    m = int(np.log(ROUNDOFF_LIMIT / np.finfo(float).eps) / -np.log(r0)) + 1
+    while r0 ** (-m) * np.finfo(float).eps > ROUNDOFF_LIMIT:
+        m -= 1
+    return m
+
+
+def guard_order(m: int, r0: float, error=NumericalError):
+    """Raise ``error`` naming the order, the radius and the roundoff
+    figure when m is past ``order_limit(r0)``."""
+    if m > order_limit(r0):
+        raise error(f"order {m} on the contour radius {r0:.4g} amplifies roundoff to "
+                    f"r0^(-m) * eps = {r0 ** (-m) * np.finfo(float).eps:.2e}, "
+                    f"above {ROUNDOFF_LIMIT:.0e}")
 
 
 def contour_radius(m: int) -> float:
@@ -175,8 +199,8 @@ def contour_radius(m: int) -> float:
     at least as large as its own m / (m + 6), so the amplification never
     grows, and all orders of a step read one shared kernel block (see
     ``schiffer_contour``). The node count of a read at that radius is
-    ``contour_nodes``: 64, 128 and 256 for the first three steps, 256
-    from then on, under the same precondition on the evaluation points.
+    ``contour_nodes``: 64, 128, 256, 512 and 1024 for the five steps,
+    under the same precondition on the evaluation points.
     """
     end = RADIUS_STEP
     while end < m:
@@ -193,7 +217,7 @@ def contour_nodes(r0: float) -> int:
     terms fall like (r0 / rho)^n (Trefethen and Weideman, SIAM Rev. 56,
     2014). The count is the smallest of NODE_COUNTS with
     r0^n <= ALIASING_LIMIT, and the largest when none qualifies, so
-    0.5 -> 64, 2/3 -> 128 and 256 from 0.8 up.
+    0.5 -> 64, 2/3 -> 128, 0.8 -> 256, 8/9 -> 512 and 0.92 -> 1024.
 
     Precondition: the points read satisfy rho >= 0.95, the inner
     measuring circle of the series, where r0 = 0.5 with 64 nodes gives
@@ -224,8 +248,8 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     ``m`` may also be a sequence of orders that share one contour radius
     (with r0 omitted: one radius step). The kernel block K(f(zeta_j), z)
     is then built and guarded once and every order comes out of one
-    matrix product, as a trailing axis over the orders. Reads whose
-    roundoff amplification r0^(-m) * eps exceeds ROUNDOFF_LIMIT raise.
+    matrix product, as a trailing axis over the orders. Reads of an order
+    past ``order_limit(r0)`` raise.
     """
     orders = np.atleast_1d(np.asarray(m))
     if orders.ndim != 1 or orders.size == 0 or not np.issubdtype(orders.dtype, np.integer):
@@ -243,15 +267,7 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
             )
         r0 = radii.pop()
     r0 = float(r0)
-    if not 0 < r0 < 1:
-        raise ValidationError(f"contour radius must sit in (0, 1), got {r0}")
-    top = int(np.max(orders))
-    figure = r0 ** (-top) * np.finfo(float).eps
-    if figure > ROUNDOFF_LIMIT:
-        raise NumericalError(
-            f"order {top} on the contour radius {r0:.4g} amplifies roundoff to "
-            f"r0^(-m) * eps = {figure:.2e}, above {ROUNDOFF_LIMIT:.0e}"
-        )
+    guard_order(int(np.max(orders)), r0)
     f = surface.caps[k]
     zz = np.asarray(z, dtype=complex)
     pts = zz.ravel()

@@ -84,6 +84,23 @@ def test_random_point_checks_read_the_one_at_a_time_values(name, monkeypatch):
     assert got == [run(ctx).value for run in runs]
 
 
+@pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
+def test_q_independence_fails_a_green_function_that_feels_q(name, monkeypatch):
+    config = parse_config(_config_path(name))
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    res = checks.check_q_independence(ctx)
+    assert res.passed and res.threshold == 1e-9 and res.value < 1e-13
+
+    def feels_q(surface, w, z, **kwargs):
+        # a term coupling w, z and the base point survives the double difference
+        q = 0.0 if surface.q is None else surface.q
+        return green(surface, w, z, **kwargs) + 1e-6 * (q * np.asarray(w) * np.conj(z)).real
+
+    monkeypatch.setattr(checks, "green", feels_q)
+    res = checks.check_q_independence(ctx)
+    assert not res.passed and res.value > 1e-9
+
+
 def _pointwise_harmonicity(surface, seed, samples):
     # one Green's function call per stencil point, the points drawn from
     # the rng exactly as the check draws them

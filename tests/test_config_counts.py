@@ -1,7 +1,8 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
-same holds for a pole-structure order past the read's order ceiling and
-for a [target] parameter that the chosen family does not take."""
+same holds for a pole-structure order past the roundoff limit of the
+principal-part read and for a [target] parameter that the chosen family
+does not take."""
 
 import inspect
 
@@ -9,7 +10,6 @@ import pytest
 
 from faberforms.cli import main
 from faberforms.config import TARGET_PARAMS, ConfigError, parse_config
-from faberforms.faber import DEFAULT_MAX_ORDER
 from faberforms.targets import FAMILIES
 
 BASE = (
@@ -51,13 +51,18 @@ def _rejected_before_anything_runs(tmp_path, capsys, text, field):
     assert not (out / "report.json").exists()
 
 
-def test_pole_orders_past_the_order_ceiling_is_a_named_config_error(tmp_path, capsys):
-    assert DEFAULT_MAX_ORDER == 24
-    _rejected_before_anything_runs(tmp_path, capsys, BASE + "pole_orders = 25\n",
+def test_pole_orders_past_the_roundoff_limit_is_a_named_config_error(tmp_path, capsys):
+    # the principal-part read on radius 0.3 carries orders up to 14
+    _rejected_before_anything_runs(tmp_path, capsys, BASE + "pole_orders = 15\n",
                                    "run.pole_orders")
+    bad = tmp_path / "bad.cfg"
+    with pytest.raises(ConfigError, match=r"run\.pole_orders: must be <= 14, .* got 15"):
+        parse_config(str(bad))
     path = tmp_path / "ok.cfg"
-    path.write_text(BASE + "pole_orders = 24\n")
-    assert parse_config(str(path)).pole_orders == 24
+    path.write_text(BASE.replace(BASE.splitlines()[-1], "checks = pole-structure")
+                    + "pole_orders = 14\n")
+    assert parse_config(str(path)).pole_orders == 14
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "ok")]) == 0
 
 
 @pytest.mark.parametrize("target, key", [

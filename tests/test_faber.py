@@ -28,7 +28,7 @@ from faberforms.numerics import (
     laurent_coefficients,
     laurent_from_samples,
 )
-from faberforms.schiffer import schiffer_contour
+from faberforms.schiffer import contour_nodes, contour_radius, schiffer_contour
 from faberforms.surface import SurfaceSpec
 
 TAU = 0.3 + 1.1j
@@ -69,21 +69,14 @@ def test_alpha_values_one_read_per_radius_step(monkeypatch):
     assert calls == [list(range(1, 7)), list(range(7, 13)),
                      list(range(13, 25)), list(range(25, 31))]
     monkeypatch.undo()
-    want = np.stack([faber_form(surface, 0, m, max_order=30).form(pts)
+    want = np.stack([faber_form(surface, 0, m).form(pts)
                      for m in range(1, 31)], axis=-1)
     assert vals.shape == (3, 30)
     assert np.max(np.abs(vals - want)) < 1e-13 * np.max(np.abs(want))
 
 
-def test_node_count_follows_the_radius_unless_given(monkeypatch):
+def test_node_count_follows_the_radius(monkeypatch):
     surface = one_cap_sphere(JoukowskiEllipseMap(0.25, scale=0.5, offset=0.0))
-    # the record holds the count the read uses
-    assert faber_form(surface, 0, 1).quadrature == (("r0", 0.5), ("nodes", 64))
-    assert dict(faber_form(surface, 0, 9).quadrature)["nodes"] == 128
-    assert dict(faber_form(surface, 0, 20).quadrature)["nodes"] == 256
-    assert faber_form(surface, 0, 2, r0=0.8).quadrature == (("r0", 0.8), ("nodes", 256))
-    # an explicit count wins
-    assert faber_form(surface, 0, 1, n=256).quadrature == (("r0", 0.5), ("nodes", 256))
     pts = np.array([1.5 + 0.2j, 2.0j])
     calls = []
     contour = faber.schiffer_contour
@@ -93,11 +86,25 @@ def test_node_count_follows_the_radius_unless_given(monkeypatch):
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
-    faber_form(surface, 0, 3).form(pts)
-    faber_form(surface, 0, 3, n=96).form(pts)
-    alpha_values(surface, 0, range(1, 20), pts)
-    alpha_values(surface, 0, range(1, 20), pts, n=512)
-    assert calls == [64, 96, 64, 128, 256, 512, 512, 512]
+    for m in (3, 9, 20, 30, 60):
+        faber_form(surface, 0, m).form(pts)
+    alpha_values(surface, 0, range(1, 97), pts)
+    assert calls == [64, 128, 256, 512, 1024] * 2
+
+
+@pytest.mark.parametrize("m", [1, 25, 60])
+def test_faber_form_is_the_one_order_alpha_read(m):
+    # bit for bit: the same contour read, radius, node count and weights
+    surface = one_cap_sphere(JoukowskiEllipseMap(0.25, scale=0.5, offset=0.0))
+    pts = np.array([1.5 + 0.2j, -0.3 - 1.4j, 2.0j])
+    form = faber_form(surface, 0, m).form
+    got = form(pts)
+    assert np.array_equal(got, alpha_values(surface, 0, [m], pts)[..., 0])
+    r0 = contour_radius(m)
+    assert np.array_equal(got, schiffer_contour(surface, 0, m, pts, r0=r0, n=contour_nodes(r0)))
+    point = form(pts[2])
+    assert type(point) is complex
+    assert point == schiffer_contour(surface, 0, m, pts[2], r0=r0, n=contour_nodes(r0))
 
 
 def test_principal_parts_match_single_element_reads(monkeypatch):
@@ -134,8 +141,6 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
             worst = max(worst, abs(ref[m] - m), float(np.max(np.abs(ref[m + 1:]))))
     assert res.passed and res.threshold == 1e-7
     assert abs(res.value - worst) <= 1e-13
-    with pytest.raises(ValidationError, match="cannot reach the pole order 10"):
-        principal_parts(surface, 0, [1, 9], order=8)
 
 
 @pytest.mark.parametrize("genus", [1, 0])
@@ -301,17 +306,23 @@ def test_order_guards():
     surface = one_cap_sphere(AffineMap(1.0))
     with pytest.raises(ValidationError, match="order"):
         faber_form(surface, 0, 0)
-    with pytest.raises(ValidationError, match="ceiling"):
-        faber_form(surface, 0, 25)
-    el = faber_form(surface, 0, 25, max_order=40)
-    assert el.order == 25
+    # the roundoff limit of the read's radius is the only ceiling: orders
+    # from 49 up read on 0.92, which carries 211
+    assert faber_form(surface, 0, 211).order == 211
+    with pytest.raises(ValidationError,
+                       match=r"order 212 on the contour radius 0\.92 .* eps = \S+, above 1e-08"):
+        faber_form(surface, 0, 212)
     with pytest.raises(ValidationError, match="alpha"):
         principal_part(surface, beta_element(SurfaceSpec.sphere(
             CapFamily([AffineMap(0.4), AffineMap(0.4, 2.0)]), w0=1.0 - 2.0j), 0))
-    with pytest.raises(ValidationError, match="reach"):
-        principal_part(surface, faber_form(surface, 0, 9), order=8)
-    with pytest.raises(ValidationError, match="ceiling"):
-        faber_polynomial(AffineMap(1.0), 30)
+    # the principal-part read sits on 0.3, which carries 14
+    with pytest.raises(NumericalError, match=r"order 15 on the contour radius 0\.3 "):
+        principal_part(surface, faber_form(surface, 0, 15))
+    # the polynomial reads on its own radius: 0.5 carries 25
+    with pytest.raises(ValidationError, match=r"order 26 on the contour radius 0\.5 "):
+        faber_polynomial(AffineMap(1.0), 26, r0=0.5)
+    with pytest.raises(ValidationError, match=r"order 212 on the contour radius 0\.92 "):
+        faber_polynomial(AffineMap(1.0), 212)
 
 
 def test_tail_fit_self_report():

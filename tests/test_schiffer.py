@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
-from faberforms.faber import alpha_values
+from faberforms.faber import PRINCIPAL_RADIUS, alpha_values
 from faberforms.numerics import DiskGrid, NumericalError, ValidationError
 from faberforms.schiffer import (
     NODE_COUNTS,
@@ -10,6 +10,7 @@ from faberforms.schiffer import (
     apply_schiffer,
     contour_nodes,
     contour_radius,
+    order_limit,
     schiffer_contour,
 )
 from faberforms.surface import SurfaceSpec, a_cycle, b_cycle, boundary_cycle, schiffer_kernel
@@ -131,11 +132,11 @@ def test_default_radius_steps():
 def test_contour_nodes_by_radius_step():
     # steps 1-5 of the default radius: 0.5, 2/3, 0.8, 8/9, 0.92
     assert [contour_nodes(contour_radius(e)) for e in (6, 12, 24, 48, 96)] == [
-        64, 128, 256, 256, 256]
+        64, 128, 256, 512, 1024]
     for r0 in np.linspace(0.01, 0.99, 99):
         n = contour_nodes(r0)
-        assert n in NODE_COUNTS and n <= 256
-        if n < 256:
+        assert n in NODE_COUNTS and n <= 1024
+        if n < 1024:
             assert r0**n <= 1e-19
         # the smallest count that qualifies
         assert all(r0**fewer > 1e-19 for fewer in NODE_COUNTS if fewer < n)
@@ -186,15 +187,18 @@ def test_multi_order_matches_single_orders_torus():
 
 
 def _default_vs_fine_reads(surface, point_sets):
-    # default-node reads of steps 1-3 against 1024-node reads on the same
-    # radius, for every cap, at every point set
+    # default-node reads of steps 1-3 against 1024-node reads and of steps
+    # 4-5 against 2048-node reads on the same radius, for every cap, at
+    # every point set
+    steps = ((range(1, 7), 1024), (range(7, 13), 1024), (range(13, 25), 1024),
+             (range(25, 49), 2048), (range(49, 97), 2048))
     for k in range(surface.n_caps):
-        for orders in (range(1, 7), range(7, 13), range(13, 25)):
+        for orders, fine_n in steps:
             r0 = contour_radius(orders[-1])
             for pts in point_sets:
                 got = alpha_values(surface, k, orders, pts)
-                fine = schiffer_contour(surface, k, orders, pts, r0=r0, n=1024)
-                scale = _summand_scale(surface, k, orders, pts, r0, n=1024)
+                fine = schiffer_contour(surface, k, orders, pts, r0=r0, n=fine_n)
+                scale = _summand_scale(surface, k, orders, pts, r0, n=fine_n)
                 assert np.all(np.abs(got - fine) <= 1e-13 * scale), (k, orders[-1])
 
 
@@ -252,6 +256,25 @@ def test_roundoff_guard_names_order_radius_and_figure():
         schiffer_contour(surface, 0, 250, 2.0)
     # the long sphere run reads order 40 at radius 48/54: figure ~ 2.5e-14
     assert abs(schiffer_contour(surface, 0, 40, 2.0) - 40 * 2.0**-41) < 1e-12
+
+
+@pytest.mark.parametrize("r0", [PRINCIPAL_RADIUS] + [contour_radius(e)
+                                                      for e in (6, 12, 24, 48, 96)])
+def test_order_limit_is_the_roundoff_guard(r0):
+    # the largest order the guard lets through on r0, and the next one it
+    # refuses, at the principal-part radius and every default radius
+    surface = sphere_one_cap()
+    top = order_limit(r0)
+    schiffer_contour(surface, 0, top, 2.0, r0=r0)
+    with pytest.raises(NumericalError, match=rf"order {top + 1} on the contour radius "):
+        schiffer_contour(surface, 0, top + 1, 2.0, r0=r0)
+
+
+def test_order_limit_of_the_principal_part_and_last_default_radius():
+    assert order_limit(PRINCIPAL_RADIUS) == 14
+    assert order_limit(contour_radius(10**6)) == 211
+    with pytest.raises(ValidationError, match="radius"):
+        order_limit(1.0)
 
 
 def test_base_point_independence():

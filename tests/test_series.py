@@ -95,7 +95,7 @@ def test_gram_by_products_matches_inner_double_loop():
     pairing = ExteriorPairing(surface)
     stacked = pairing.alpha_data(M)
     gram = pairing.inner(stacked, stacked).T
-    data = [pairing.data(faber_form(surface, 0, m, max_order=M).form) for m in range(1, M + 1)]
+    data = [pairing.data(faber_form(surface, 0, m).form) for m in range(1, M + 1)]
     step = 2.0 * np.pi / BOUNDARY_NODES
     loop = np.zeros((M, M), dtype=complex)
     for i, di in enumerate(data):
