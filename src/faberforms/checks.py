@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .faber import principal_parts
-from .numerics import DiskGrid, NumericalError, ValidationError
+from .numerics import NumericalError, ValidationError
 from .schiffer import CapDatum, apply_schiffer, schiffer_contour
 from .series import invariance_check
 from .surface import SurfaceSpec, green
@@ -164,13 +164,12 @@ def check_r0_independence(ctx) -> CheckResult:
     surface = ctx.surface
     rng = np.random.default_rng(ctx.seed + 2)
     # the area integrand steepens near large caps, so keep the evaluation
-    # points clear in proportion to cap size and refine the grid
+    # points clear in proportion to cap size
     extent = max(
         float(np.max(np.abs(surface.caps.boundary_samples(k) - surface.caps.centers[k])))
         for k in range(surface.n_caps)
     )
     pts = _sample_points(surface, rng, 20, clearance=max(0.25, 0.35 * extent))
-    grid = DiskGrid(64, 128)
     worst_r = 0.0
     worst_a = 0.0
     orders = (1, 2, 3)
@@ -181,7 +180,7 @@ def check_r0_independence(ctx) -> CheckResult:
         for i in range(3):
             for j in range(i):
                 worst_r = max(worst_r, float(np.max(np.abs(vals[i] - vals[j]))))
-        area = apply_schiffer(surface, [CapDatum.monomial(k, m) for m in orders], pts, grid=grid)
+        area = apply_schiffer(surface, [CapDatum.monomial(k, m) for m in orders], pts)
         worst_a = max(worst_a, float(np.max(np.abs(area - vals[1]))))
     passed = worst_r < 1e-9 and worst_a < 1e-8
     return CheckResult("r0-independence", passed, max(worst_r, worst_a), 1e-8,

@@ -10,7 +10,7 @@ artifact directory. Parse errors name the offending block.field.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class ExperimentConfig:
     uniform_margin: float
     strict: bool
     out_dir: str | None
-    echo: dict = field(default_factory=dict)
 
 
 def _complex(block: str, key: str, raw: str) -> complex:
@@ -154,8 +153,6 @@ def parse_config(path: str) -> ExperimentConfig:
         if block not in parser:
             raise ConfigError(f"missing [{block}] block")
 
-    echo = {s: dict(parser[s]) for s in parser.sections()}
-
     # -- surface ------------------------------------------------------------
     s = parser["surface"]
     if "genus" not in s:
@@ -246,7 +243,6 @@ def parse_config(path: str) -> ExperimentConfig:
         uniform_margin=_float("run", "uniform_margin", r.get("uniform_margin", margin_default)),
         strict=r.get("strict", "false").strip().lower() in ("1", "true", "yes"),
         out_dir=parser["output"].get("directory") if "output" in parser else None,
-        echo=echo,
     )
     top = order_limit(PRINCIPAL_RADIUS)
     if cfg.pole_orders > top:

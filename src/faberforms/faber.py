@@ -184,20 +184,22 @@ def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
     """``principal_part`` of the basis form of cap k for every order in
     ``orders``: a list of (tail, head) pairs, one per order.
 
-    Every order is sampled on one expansion circle |zeta| = rho, with rho
-    = EXPANSION_RADIUS, through one multi-order ``schiffer_contour`` read
-    at r0 = PRINCIPAL_RADIUS = 0.6 * rho, so the cap's kernel block is
-    built once and orders past ``order_limit(PRINCIPAL_RADIUS)`` raise; each
-    order gets its own Laurent fit (J = max(8, m + 4)) and pole-structure
-    guard. ``contour_nodes`` sizes both reads. The points read have
-    preimage modulus rho, so the contour aliases like 0.6^n:
-    contour_nodes(0.6) nodes. The pullback's regular part is
-    analytic on the closed unit disk, so its modes on the circle fall like
-    rho^j and contour_nodes(rho) samples are alias-free; the circle takes
-    twice that, since one- and multi-order reads round apart by 1e-13 in a
-    head mode at the plain count by order 6, then doubles until n > 2J.
+    Every order is sampled on one expansion circle |zeta| = rho, with
+    rho = EXPANSION_RADIUS, through one multi-order ``schiffer_contour``
+    read at r0 = PRINCIPAL_RADIUS = 0.6 * rho, so the cap's kernel block is
+    built once; an order past ``order_limit(PRINCIPAL_RADIUS)`` raises
+    ValidationError before any read. Each order gets its own Laurent fit
+    (J = max(8, m + 4)) and pole-structure guard. ``contour_nodes`` sizes
+    both reads. The points read have preimage modulus rho, so the contour
+    aliases like 0.6^n: contour_nodes(0.6) nodes. The pullback's regular
+    part is analytic on the closed unit disk, so its modes on the circle
+    fall like rho^j and contour_nodes(rho) samples are alias-free; the
+    circle takes twice that, since one- and multi-order reads round apart
+    by 1e-13 in a head mode at the plain count by order 6, then doubles
+    until n > 2J.
     """
     orders = [int(m) for m in orders]
+    guard_order(max(orders, default=0), PRINCIPAL_RADIUS, ValidationError)
     depths = [max(8, m + 4) for m in orders]
     f = surface.caps[k]
     rho = EXPANSION_RADIUS

@@ -72,19 +72,18 @@ class DiskGrid:
 
     Gauss-Legendre in radius on [0, 1), equispaced in angle. Weights carry
     the area element r dr dtheta, so ``integrate(1)`` returns pi exactly up
-    to the Legendre rule's reach.
+    to the Legendre rule's reach. ``measured_area`` picks the area grids.
     """
 
-    n_radial: int = 48
-    n_angular: int = 96
+    n_radial: int
+    n_angular: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_radial < 2 or self.n_angular < 4:
-            raise ValidationError(
-                f"grid too small: {self.n_radial} radial x {self.n_angular} angular"
-            )
+            raise ValidationError(f"grid too small: {self.n_radial} radial x "
+                                  f"{self.n_angular} angular")
         x, gw = np.polynomial.legendre.leggauss(self.n_radial)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * gw
@@ -107,10 +106,8 @@ class DiskGrid:
         return complex(np.sum(w * vals))
 
     def refined(self) -> "DiskGrid":
-        return DiskGrid(
-            n_radial=int(np.ceil(1.5 * self.n_radial)),
-            n_angular=int(np.ceil(1.5 * self.n_angular)),
-        )
+        """The grid with 1.5x the nodes each way, rounded up."""
+        return DiskGrid(-(-3 * self.n_radial // 2), -(-3 * self.n_angular // 2))
 
 
 @dataclass(frozen=True)
@@ -241,35 +238,64 @@ def least_squares(gram: np.ndarray, rhs: np.ndarray, condition_limit: float = 1e
     return LeastSquaresResult(coefficients=x, condition=condition, regularized=regularized)
 
 
-def area_pairing(form1, form2, chart_map, grid: DiskGrid, check: bool = True) -> complex:
+# The area routes' grids: the first one, the relative delta of two
+# successive reads at which a datum stops, and the most 1.5x refinements.
+AREA_START = (32, 64)
+AREA_DELTA = 1e-12
+AREA_REFINEMENTS = 5
+
+
+def measured_area(evaluate, n_data: int) -> np.ndarray:
+    """Area values on grids sized by measurement; ``evaluate(grid, columns)``
+    reads the data ``columns`` on ``grid`` as an array (points, data).
+
+    From ``AREA_START`` the grid refines by 1.5x. Each datum stops at the
+    first two successive reads v, v' with max|v - v'| <= AREA_DELTA *
+    max(1, max|v'|) and keeps v'; only open data are read again. After
+    AREA_REFINEMENTS refinements the bound is 1e-8, and a datum past it
+    raises, naming the move (and the datum, when there are several).
+    """
+    grid = DiskGrid(*AREA_START)
+    cols = np.arange(n_data)
+    prev = evaluate(grid, cols)
+    out = np.empty_like(prev)
+    for step in range(AREA_REFINEMENTS):
+        grid = grid.refined()
+        vals = evaluate(grid, cols)
+        moved = np.max(np.abs(vals - prev), axis=0)
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+        last = step == AREA_REFINEMENTS - 1
+        done = moved <= (1e-8 if last else AREA_DELTA) * scale
+        if last and not done.all():
+            j = int(np.argmin(done))
+            which = f" for datum {cols[j]}" if n_data > 1 else ""
+            raise NumericalError(f"area quadrature too coarse: refinement moved values by "
+                                 f"{moved[j]:.3e}{which}")
+        out[:, cols[done]] = vals[:, done]
+        cols, prev = cols[~done], vals[:, ~done]
+        if not cols.size:
+            return out
+
+
+def area_pairing(form1, form2, chart_map) -> complex:
     """L2 pairing of two one-forms over the image of ``chart_map``.
 
     Computes i * integral of form1 wedge star-conjugate(form2) by pullback
     to the unit disk; for two holomorphic forms this is the literal
     i * integral of form1 wedge conjugate(form2), the Bergman inner
     product. Forms of opposite type (dz versus conjugate) pair to zero.
+    ``measured_area`` sizes the grid.
     """
-    val = _area_pairing_once(form1, form2, chart_map, grid)
-    if check:
-        val2 = _area_pairing_once(form1, form2, chart_map, grid.refined())
-        scale = max(1.0, abs(val2))
-        if abs(val - val2) > 1e-8 * scale:
-            raise NumericalError(
-                f"grid too coarse: pairing moved by {abs(val - val2):.3e} under refinement"
-            )
-        val = val2
-    return val
-
-
-def _area_pairing_once(form1, form2, chart_map, grid: DiskGrid) -> complex:
-    zeta = grid.nodes
-    w = chart_map.evaluate(zeta)
-    jac = chart_map.derivative(zeta)
-    g1 = np.asarray(form1(w), dtype=complex) * jac
-    g2 = np.asarray(form2(w), dtype=complex) * jac
     c1 = bool(getattr(form1, "conjugate", False))
     c2 = bool(getattr(form2, "conjugate", False))
     if c1 != c2:
         return 0.0 + 0.0j
-    val = 2.0 * grid.integrate(g1 * np.conj(g2))
-    return complex(np.conj(val)) if c1 else complex(val)
+
+    def evaluate(grid, columns):
+        w, jac = chart_map.evaluate(grid.nodes), chart_map.derivative(grid.nodes)
+        g1 = np.asarray(form1(w), dtype=complex) * jac
+        g2 = np.asarray(form2(w), dtype=complex) * jac
+        return np.array([[2.0 * grid.integrate(g1 * np.conj(g2))]])
+
+    val = complex(measured_area(evaluate, 1)[0, 0])
+    return val.conjugate() if c1 else val

@@ -10,7 +10,10 @@ pulled back to the unit disk through each cap map. For the monomial datum
 of order m on cap k the integrand is holomorphic in an annulus, so the
 area integral collapses to a circle integral (the contour route); both are
 implemented and tested against each other. The contour route is the
-default evaluation path: it is spectrally accurate and much cheaper.
+default evaluation path: it is spectrally accurate and much cheaper. The
+area route sizes its disk grid by measurement (``numerics.measured_area``):
+a small affine torus cap stops at 48 x 96, a large Joukowski cap of the
+sphere goes on to 162 x 324.
 
 The default contour read sits on a radius that steps up with the order
 (``contour_radius``), carries orders up to ``order_limit`` of that radius,
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conformal import winding_number
-from .numerics import TWO_PI, DiskGrid, NumericalError, ValidationError
+from .numerics import TWO_PI, NumericalError, ValidationError, measured_area
 from .surface import SurfaceSpec, schiffer_kernel
 
 PI = np.pi
@@ -64,21 +67,13 @@ class CapDatum:
         The combination acts on the d(conj zeta) coefficients; since those
         are conj(b_k), the stored analytic parts pick up conj(c_j).
         """
-        merged: dict = {}
-        for c, datum in terms:
-            cbar = np.conj(complex(c))
-            for k, fn in datum.analytic.items():
-                prev = merged.get(k)
-                if prev is None:
-                    merged[k] = (
-                        lambda zeta, cbar=cbar, fn=fn: cbar * np.asarray(fn(zeta), dtype=complex)
-                    )
-                else:
-                    merged[k] = (
-                        lambda zeta, cbar=cbar, fn=fn, prev=prev: prev(zeta)
-                        + cbar * np.asarray(fn(zeta), dtype=complex)
-                    )
-        return cls(merged)
+        terms = [(np.conj(complex(c)), datum.analytic) for c, datum in terms]
+
+        def part(k):
+            fns = [(cbar, parts[k]) for cbar, parts in terms if k in parts]
+            return lambda zeta: sum(cbar * np.asarray(fn(zeta), dtype=complex) for cbar, fn in fns)
+
+        return cls({k: part(k) for k in {k for _, parts in terms for k in parts}})
 
     def dbar_coefficient(self, k: int, zeta) -> np.ndarray:
         """The d(conj zeta) coefficient on cap k at the disk points zeta."""
@@ -100,34 +95,24 @@ def _require_in_sigma(surface: SurfaceSpec, z: np.ndarray):
         raise ValidationError(f"evaluation point z = {zz[j]:.6g} lies inside a closed cap")
 
 
-def apply_schiffer(surface: SurfaceSpec, datum, z, grid: DiskGrid | None = None,
-                   check: bool = True):
+def apply_schiffer(surface: SurfaceSpec, datum, z):
     """Area-quadrature evaluation of the operator at points z in the
     cap complement.
 
     ``datum`` is one CapDatum, or a sequence of them: the values then
     carry a trailing axis over the data, and every cap's kernel block is
-    built once per grid and shared by all of them. With ``check`` on,
-    the values are recomputed on a 1.5x refined grid and a disagreement
-    beyond 1e-8 for any datum raises; this is the self-report for grids
-    too coarse for the datum's oscillation.
+    built once per grid and shared by the data still open. Each datum is
+    read on 1.5x refined grids until two successive reads agree to 1e-12
+    relative (``numerics.measured_area``); one still moving by more than
+    1e-8 at the last refinement raises, the self-report for data too
+    steep for the grids.
     """
     single = isinstance(datum, CapDatum)
     data = [datum] if single else list(datum)
-    grid = DiskGrid() if grid is None else grid
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _require_in_sigma(surface, zz)
-    val = _apply_area(surface, data, zz, grid)
-    if check:
-        ref = _apply_area(surface, data, zz, grid.refined())
-        for j in range(len(data)):
-            err = float(np.max(np.abs(val[:, j] - ref[:, j])))
-            if err > 1e-8 * max(1.0, float(np.max(np.abs(ref[:, j])))):
-                raise NumericalError(
-                    f"area quadrature too coarse: refinement moved values by {err:.3e}"
-                    + ("" if single else f" for datum {j}")
-                )
-        val = ref
+    val = measured_area(
+        lambda grid, cols: _apply_area(surface, [data[j] for j in cols], zz, grid), len(data))
     if single:
         val = val[:, 0]
         return val if np.ndim(z) else complex(val[0])

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import theta
-from .conformal import CapFamily, ConformalMap, MoebiusComposedMap
+from .conformal import CapFamily, MoebiusComposedMap
 from .numerics import TWO_PI, NumericalError, ValidationError
 
 PI = np.pi
@@ -39,15 +39,6 @@ class OneForm:
 
     def __call__(self, w):
         return self.evaluator(w)
-
-    def pullback(self, chart_map: ConformalMap) -> Callable:
-        """Analytic representative of the pullback: a(f(zeta)) f'(zeta)."""
-
-        def rep(zeta):
-            return np.asarray(self.evaluator(chart_map.evaluate(zeta)), dtype=complex) \
-                * chart_map.derivative(zeta)
-
-        return rep
 
     @staticmethod
     def combine(terms, label: str = "") -> "OneForm":

@@ -316,7 +316,7 @@ def test_order_guards():
         principal_part(surface, beta_element(SurfaceSpec.sphere(
             CapFamily([AffineMap(0.4), AffineMap(0.4, 2.0)]), w0=1.0 - 2.0j), 0))
     # the principal-part read sits on 0.3, which carries 14
-    with pytest.raises(NumericalError, match=r"order 15 on the contour radius 0\.3 "):
+    with pytest.raises(ValidationError, match=r"order 15 on the contour radius 0\.3 "):
         principal_part(surface, faber_form(surface, 0, 15))
     # the polynomial reads on its own radius: 0.5 carries 25
     with pytest.raises(ValidationError, match=r"order 26 on the contour radius 0\.5 "):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from faberforms import numerics
 from faberforms.numerics import (
     CircleContour,
     DiskGrid,
@@ -15,6 +16,7 @@ from faberforms.numerics import (
     fft_antiderivative,
     laurent_coefficients,
     least_squares,
+    measured_area,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -106,39 +108,74 @@ def test_disk_grid_built_once_and_read_only():
 
 
 def test_area_pairing_monomials():
-    g = DiskGrid(24, 48)
     chart = _IdentityChart()
     one = _Form(lambda w: np.ones_like(w))
     z = _Form(lambda w: w)
     # i dz wedge conj(dz) = 2 dA, so (dz, dz) over the disk is 2 pi
-    assert abs(area_pairing(one, one, chart, g) - TWO_PI) < 1e-12
+    assert abs(area_pairing(one, one, chart) - TWO_PI) < 1e-12
     # angular symmetry kills mixed monomials
-    assert abs(area_pairing(z, one, chart, g)) < 1e-13
-    assert abs(area_pairing(z, z, chart, g) - np.pi) < 1e-12
+    assert abs(area_pairing(z, one, chart)) < 1e-13
+    assert abs(area_pairing(z, z, chart) - np.pi) < 1e-12
 
 
 def test_area_pairing_norm_positive():
     rng = np.random.default_rng(7)
-    g = DiskGrid(24, 48)
     chart = _IdentityChart()
     for _ in range(10):
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         form = _Form(lambda w, c=c: np.polynomial.polynomial.polyval(w, c))
-        val = area_pairing(form, form, chart, g)
+        val = area_pairing(form, form, chart)
         assert abs(val.imag) < 1e-12 * max(1.0, abs(val))
         assert val.real >= 0
         anti = _Form(lambda w, c=c: np.polynomial.polynomial.polyval(w, c), conjugate=True)
-        anti_val = area_pairing(anti, anti, chart, g)
+        anti_val = area_pairing(anti, anti, chart)
         assert abs(anti_val - np.conj(val)) < 1e-10 * max(1.0, abs(val))
         assert anti_val.real >= 0
 
 
 def test_area_pairing_mixed_types_orthogonal():
-    g = DiskGrid(16, 32)
     chart = _IdentityChart()
     hol = _Form(lambda w: 1.0 + w)
     anti = _Form(lambda w: w ** 2, conjugate=True)
-    assert area_pairing(hol, anti, chart, g) == 0
+    assert area_pairing(hol, anti, chart) == 0
+
+
+def test_measured_area_stops_each_datum_on_its_own_grid():
+    # column j reads 1 + n^-p_j on a grid of n radial nodes: p = 6 settles
+    # to 1e-12 on 162 radial nodes, p = 4 never does but moves by 1.2e-9
+    # on the last refinement, under the 1e-8 guard
+    powers = np.array([0.0, 6.0, 4.0])
+    asked = []
+
+    def evaluate(grid, columns):
+        asked.append(((grid.n_radial, grid.n_angular), columns.tolist()))
+        n = float(grid.n_radial)
+        return np.array([[1.0 + n ** -powers[j] if powers[j] else 1.0 for j in columns]] * 2)
+
+    got = measured_area(evaluate, 3)
+    seq = [(32, 64), (48, 96), (72, 144), (108, 216), (162, 324), (243, 486)]
+    # five 1.5x refinements; only the data still open are read on the next grid
+    assert asked == [(seq[0], [0, 1, 2]), (seq[1], [0, 1, 2]), (seq[2], [1, 2]),
+                     (seq[3], [1, 2]), (seq[4], [1, 2]), (seq[5], [2])]
+    assert got.shape == (2, 3)
+    assert np.array_equal(got[0], [1.0, 1.0 + 162.0 ** -6, 1.0 + 243.0 ** -4])
+
+
+def test_measured_area_raises_past_the_guard_and_names_the_datum(monkeypatch):
+    def evaluate(grid, columns):
+        # column 1 moves by 1e-5 per radial node, so never settles
+        return np.array([[[1.0, 1.0 + 1e-5 * grid.n_radial][j] for j in columns]])
+
+    with pytest.raises(NumericalError,
+                       match=r"^area quadrature too coarse: refinement moved values by "
+                             r"\S+ for datum 1$"):
+        measured_area(evaluate, 2)
+    with pytest.raises(NumericalError, match=r"moved values by 8\.100e-04$"):
+        measured_area(lambda grid, columns: evaluate(grid, columns + 1), 1)
+    # the guard reads the last refinement only
+    monkeypatch.setattr(numerics, "AREA_REFINEMENTS", 1)
+    with pytest.raises(NumericalError, match=r"by 1\.600e-04 for datum 1$"):
+        measured_area(evaluate, 2)
 
 
 def test_extract_taylor_identity():
@@ -235,12 +272,11 @@ def test_least_squares_diagonal():
 def test_least_squares_orthogonal_monomial_basis():
     # gram of {dz, z dz} on the unit disk is diag(2 pi, pi); rhs from
     # nu = (1 + z) dz pairs to (2 pi, pi), so the solve returns (1, 1)
-    g = DiskGrid(24, 48)
     chart = _IdentityChart()
     basis = [_Form(lambda w: np.ones_like(w)), _Form(lambda w: w)]
     nu = _Form(lambda w: 1.0 + w)
-    gram = np.array([[area_pairing(bj, bi, chart, g) for bj in basis] for bi in basis])
-    rhs = np.array([area_pairing(nu, bi, chart, g) for bi in basis])
+    gram = np.array([[area_pairing(bj, bi, chart) for bj in basis] for bi in basis])
+    rhs = np.array([area_pairing(nu, bi, chart) for bi in basis])
     res = least_squares(gram, rhs)
     assert np.max(np.abs(res.coefficients - 1.0)) < 1e-10
     assert gram @ res.coefficients == pytest.approx(rhs, abs=1e-10)

@@ -1,12 +1,18 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from faberforms import checks, numerics, schiffer
+from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.faber import PRINCIPAL_RADIUS, alpha_values
 from faberforms.numerics import DiskGrid, NumericalError, ValidationError
 from faberforms.schiffer import (
     NODE_COUNTS,
     CapDatum,
+    _apply_area,
     apply_schiffer,
     contour_nodes,
     contour_radius,
@@ -16,6 +22,7 @@ from faberforms.schiffer import (
 from faberforms.surface import SurfaceSpec, a_cycle, b_cycle, boundary_cycle, schiffer_kernel
 
 TAU = 0.3 + 1.1j
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def sphere_one_cap(r=1.0):
@@ -352,53 +359,127 @@ def test_rejects_bad_arguments():
         schiffer_contour(surface, 0, 1, 2.0, r0=1.2)
 
 
-def test_coarse_grid_self_report():
+# a point 0.03 outside the Joukowski cap of sphere_two_caps: the order-6
+# datum there moves by 1.3e-5 from the first grid to the second and
+# settles on the fourth
+NEAR_JOUKOWSKI = np.array([2.5 + 0.27j])
+
+
+def test_coarse_grid_self_report(monkeypatch):
     surface = sphere_two_caps()
     datum = CapDatum.monomial(1, 6)
-    z = np.array([2.5 + 0.55j])
-    with pytest.raises(NumericalError, match="coarse"):
-        apply_schiffer(surface, datum, z, grid=DiskGrid(4, 8), check=True)
-    fine = apply_schiffer(surface, datum, z, check=True)
+    z = NEAR_JOUKOWSKI
+    fine = apply_schiffer(surface, datum, z)
     ref = schiffer_contour(surface, 1, 6, z)
     assert np.max(np.abs(fine - ref)) < 1e-8
+    monkeypatch.setattr(numerics, "AREA_REFINEMENTS", 1)
+    with pytest.raises(NumericalError, match="coarse"):
+        apply_schiffer(surface, datum, z)
 
 
 def test_stacked_area_read_matches_per_datum_reads():
     # one kernel block per (cap, grid), shared by every datum of the stack
+    # still open; each datum stops on its own grid
     data = [
         CapDatum.monomial(1, 2),
         CapDatum.monomial(0, 1),
         CapDatum.linear([(0.5, CapDatum.monomial(0, 3)), (2j, CapDatum.monomial(1, 1))]),
+        CapDatum.monomial(1, 6),
     ]
-    grid = DiskGrid(64, 128)
     cases = (
-        (sphere_two_caps(), np.array([1.4 + 1.0j, -0.9 - 0.7j, 2.5 + 0.9j])),
+        (sphere_two_caps(), np.array([1.4 + 1.0j, -0.9 - 0.7j, 2.5 + 0.9j, NEAR_JOUKOWSKI[0]])),
         (torus_two_caps(), np.array([0.5 + 0.1 * TAU, 0.1 + 0.55 * TAU])),
     )
     for surface, pts in cases:
-        stacked = apply_schiffer(surface, data, pts, grid=grid)
+        stacked = apply_schiffer(surface, data, pts)
         assert stacked.shape == (pts.size, len(data))
         for j, datum in enumerate(data):
-            single = apply_schiffer(surface, datum, pts, grid=grid)
+            single = apply_schiffer(surface, datum, pts)
             scale = max(1.0, float(np.max(np.abs(single))))
             assert np.max(np.abs(stacked[:, j] - single)) <= 1e-13 * scale, j
     # a scalar point keeps only the axis over the data
     surface, pts = cases[0]
-    point = apply_schiffer(surface, data, complex(pts[0]), grid=grid)
+    point = apply_schiffer(surface, data, complex(pts[0]))
     assert point.shape == (len(data),)
-    assert np.max(np.abs(point - apply_schiffer(surface, data, pts, grid=grid)[0])) < 1e-15
+    assert np.max(np.abs(point - apply_schiffer(surface, data, pts)[0])) < 1e-15
 
 
-def test_stacked_coarse_grid_names_the_datum_that_needs_refinement():
+def test_stacked_coarse_grid_names_the_datum_that_needs_refinement(monkeypatch):
     surface = sphere_two_caps()
-    z = np.array([2.5 + 0.55j])
-    grid = DiskGrid(6, 12)
-    # the cap-0 data are resolved on this grid; the order-6 datum on the
-    # Joukowski cap is not
+    z = NEAR_JOUKOWSKI
+    monkeypatch.setattr(numerics, "AREA_REFINEMENTS", 1)
+    # the cap-0 data are resolved after one refinement; the order-6 datum
+    # on the Joukowski cap is not
     resolved = [CapDatum.monomial(0, 1), CapDatum.monomial(0, 6)]
-    apply_schiffer(surface, resolved, z, grid=grid)
+    apply_schiffer(surface, resolved, z)
     with pytest.raises(NumericalError,
                        match=r"too coarse: refinement moved values by .* for datum 1$"):
-        apply_schiffer(surface, [resolved[0], CapDatum.monomial(1, 6)], z, grid=grid)
+        apply_schiffer(surface, [resolved[0], CapDatum.monomial(1, 6)], z)
     with pytest.raises(NumericalError, match=r"too coarse: refinement moved values by \S+$"):
-        apply_schiffer(surface, CapDatum.monomial(1, 6), z, grid=grid)
+        apply_schiffer(surface, CapDatum.monomial(1, 6), z)
+
+
+def _r0_check_area_reads(surface, seed, monkeypatch):
+    """The stacked area reads ``check_r0_independence`` makes on ``surface``:
+    (data, points, values) per call."""
+    reads = []
+
+    def recording(surface, data, pts):
+        values = apply_schiffer(surface, data, pts)
+        reads.append((data, pts, values))
+        return values
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "apply_schiffer", recording)
+        checks.check_r0_independence(SimpleNamespace(surface=surface, seed=seed))
+    return reads
+
+
+def torus_affine_joukowski():
+    # shaped like the torus-verify benchmark inputs
+    caps = CapFamily([
+        AffineMap(0.11, offset=0.39 + 0.33j),
+        JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
+    ], separation=0.05)
+    return SurfaceSpec.torus(TAU, caps)
+
+
+def _check_cases():
+    """(name, surface, seed) of every config with the r0 check, and a torus
+    shaped like the torus-verify inputs."""
+    cases = []
+    for name in ("sphere_identity", "sphere_joukowski", "torus_two_caps"):
+        config = parse_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+        cases.append((name, config.surface, config.seed))
+    return cases + [("affine_joukowski_torus", torus_affine_joukowski(), 5)]
+
+
+def test_measured_area_read_matches_the_old_fixed_grid(monkeypatch):
+    # the r0 check used to read on a fixed 64 x 128 grid, refined to 96 x 192
+    for name, surface, seed in _check_cases():
+        reads = _r0_check_area_reads(surface, seed, monkeypatch)
+        assert len(reads) == surface.n_caps
+        for data, pts, values in reads:
+            old = _apply_area(surface, data, pts, DiskGrid(96, 192))
+            scale = max(1.0, float(np.max(np.abs(old))))
+            assert np.max(np.abs(values - old)) <= 1e-13 * scale, name
+
+
+def test_area_grid_stops_by_measurement(monkeypatch):
+    visited = {}
+    for name, surface, seed in _check_cases():
+        grids = visited[name] = []
+
+        def recording(surface, data, zz, grid, grids=grids):
+            grids.append((grid.n_radial, grid.n_angular))
+            return _apply_area(surface, data, zz, grid)
+
+        monkeypatch.setattr(schiffer, "_apply_area", recording)
+        _r0_check_area_reads(surface, seed, monkeypatch)
+        assert grids[0] == numerics.AREA_START == (32, 64), name
+    # every torus cap settles after one 1.5x refinement; the large
+    # Joukowski cap of the sphere goes on past the identity cap
+    for name in ("torus_two_caps", "affine_joukowski_torus"):
+        assert visited[name] == [(32, 64), (48, 96)] * 2, name
+    assert max(visited["sphere_identity"]) == (72, 144)
+    assert max(visited["sphere_joukowski"]) > (72, 144)

@@ -314,6 +314,9 @@ def test_translated_surface():
     assert shifted.caps.centers[1] == pytest.approx(t.caps.centers[1] + 0.05)
 
 
+LATTICE_SHIFTS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
 def brute_force_cycle_base(surface):
     """The full search: every candidate path point against every sample of
     every cap in the 3x3 block of lattice copies, strict-> first maximum."""
@@ -327,14 +330,54 @@ def brute_force_cycle_base(surface):
             path = np.concatenate([base + t, base + t * surface.tau])
             x, y = surface.cell_coordinates(path)
             d = np.inf
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
-                    for p in polys:
-                        d = min(d, float(np.min(np.abs(p[None, :] - shifted[:, None]))))
+            for dx, dy in LATTICE_SHIFTS:
+                shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
+                for p in polys:
+                    d = min(d, float(np.min(np.abs(p[None, :] - shifted[:, None]))))
             if d > best_d:
                 best, best_d = base, d
     return best, best_d
+
+
+def nearest_sample_cycle_base(surface, tree_class):
+    """The full search's answer, with the same floats, from a k-d tree.
+
+    The tree holds every cap sample moved by each lattice shift and
+    nominates, for each reduced path point, its 4 nearest (shift, sample)
+    pairs; the nominees are then measured as the full search measures
+    them. A point whose 4th nominee is not clearly farther than the
+    nearest measured one is measured against everything."""
+    grid = np.linspace(0.02, 0.98, 25)
+    t = np.linspace(0.0, 1.0, 64, endpoint=False)
+    samples = np.concatenate([surface.caps.boundary_samples(j) for j in range(surface.n_caps)])
+    bases = (grid[:, None] + grid[None, :] * surface.tau).ravel()
+    path = np.concatenate([bases[:, None] + t, bases[:, None] + t * surface.tau], axis=1)
+    x, y = surface.cell_coordinates(path.ravel())
+    fx, fy = x - np.floor(x), y - np.floor(y)
+    moved = np.concatenate([samples - (dx + dy * surface.tau) for dx, dy in LATTICE_SHIFTS])
+    reduced = fx + fy * surface.tau
+    tree = tree_class(np.column_stack([moved.real, moved.imag]))
+    dist, idx = tree.query(np.column_stack([reduced.real, reduced.imag]), k=4)
+    shift, s = np.divmod(idx, samples.size)
+    dxy = np.array(LATTICE_SHIFTS, dtype=float)
+    shifted = (fx[:, None] + dxy[shift, 0]) + (fy[:, None] + dxy[shift, 1]) * surface.tau
+    nearest = np.min(np.abs(samples[s] - shifted), axis=1)
+    for j in np.flatnonzero(dist[:, -1] <= nearest * (1 + 1e-12) + 1e-13):
+        for dx, dy in LATTICE_SHIFTS:
+            shifted_j = (fx[j] + dx) + (fy[j] + dy) * surface.tau
+            nearest[j] = min(nearest[j], float(np.min(np.abs(samples - shifted_j))))
+    clearance = np.min(nearest.reshape(bases.size, -1), axis=1)
+    j = int(np.argmax(clearance))
+    return bases[j], float(clearance[j])
+
+
+def test_cycle_base_matches_numpy_brute_force():
+    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+    base, clearance = brute_force_cycle_base(surface)
+    assert surface.cycle_base() == base
+    t = np.linspace(0.0, 1.0, 64, endpoint=False)
+    path = np.concatenate([base + t, base + t * surface.tau])
+    assert float(np.min(surface.distance_to_caps_reduced(path))) == clearance
 
 
 def pool_surface(workload, index, tmp_path):
@@ -350,6 +393,8 @@ def pool_surface(workload, index, tmp_path):
 
 
 def test_cycle_base_matches_brute_force(tmp_path):
+    # the full search's answer from a k-d tree of the cap samples
+    spatial = pytest.importorskip("scipy.spatial")
     cfg = ROOT / "configs" / "torus_two_caps.cfg"
     mixed = CapFamily(
         [
@@ -369,7 +414,7 @@ def test_cycle_base_matches_brute_force(tmp_path):
     x, y = inner.cell_coordinates(inner.cycle_base())
     assert 0.1 < x < 0.9 and 0.1 < y < 0.9
     for surface in surfaces:
-        base, clearance = brute_force_cycle_base(surface)
+        base, clearance = nearest_sample_cycle_base(surface, spatial.cKDTree)
         assert surface.cycle_base() == base
         t = np.linspace(0.0, 1.0, 64, endpoint=False)
         path = np.concatenate([base + t, base + t * surface.tau])
