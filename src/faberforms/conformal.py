@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import TWO_PI, NumericalError, PowerSeries, ValidationError, extract_taylor
+from .numerics import TWO_PI, NumericalError, ValidationError, row_slices
 
 # evaluation is allowed on the closed disk; anything beyond is a caller bug
 _DOMAIN_SLACK = 1e-12
@@ -21,16 +21,34 @@ def winding_number(polygon: np.ndarray, z) -> np.ndarray:
 
     The polygon is given by its vertices in order (the closing edge back to
     the first vertex is implicit). Points on or extremely near the polygon
-    give unreliable results; callers guard with a distance check.
+    give unreliable results; callers guard with a distance check. The
+    point-by-vertex block of edge ratios is built in row slices of
+    ``numerics.row_slices``; a point's sum does not depend on the slicing.
     """
     p = np.asarray(polygon, dtype=complex)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    d = p[None, :] - zz[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.roll(d, -1, axis=1) / d
-        total = np.nansum(np.angle(ratio), axis=1) / TWO_PI
-    out = np.round(total.real).astype(int)
+    p_next = np.roll(p, -1)
+    out = np.empty(zz.shape, dtype=int)
+    for rows in row_slices(zz.size, p.size):
+        w = zz[rows, None]
+        ratio = p_next - w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(ratio, p - w, out=ratio)
+            out[rows] = np.round(np.nansum(np.angle(ratio), axis=1) / TWO_PI)
     return out if np.ndim(z) else out[0]
+
+
+def nearest_distance(samples: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """min_j |samples_j - z_i| for each point z_i of the 1-d array ``z``.
+
+    The point-by-sample block is built in row slices of
+    ``numerics.row_slices``, so it never exists whole; the minima are the
+    same floats.
+    """
+    out = np.empty(z.shape)
+    for rows in row_slices(z.size, samples.size):
+        np.min(np.abs(samples - z[rows, None]), axis=1, out=out[rows])
+    return out
 
 
 class ConformalMap:
@@ -44,7 +62,6 @@ class ConformalMap:
     def __init__(self, parameters):
         self.parameters = tuple(complex(p) for p in parameters)
         self._seed_table = None
-        self._taylor_cache = {}
         self._validate_construction()
         self.center = complex(self._evaluate(np.zeros(1))[0])
 
@@ -105,12 +122,6 @@ class ConformalMap:
                 f"with residual {res[j]:.3e} for w = {ww[j]:.6g}"
             )
         return zeta if np.ndim(w) else complex(zeta[0])
-
-    def taylor(self, order: int, radius: float = 0.5) -> PowerSeries:
-        key = (order, radius)
-        if key not in self._taylor_cache:
-            self._taylor_cache[key] = extract_taylor(self._evaluate, 0.0, radius, order)
-        return self._taylor_cache[key]
 
     # -- internals ------------------------------------------------------------
 
@@ -299,9 +310,6 @@ def make_map(kind: str, **params) -> ConformalMap:
 # boundary samples per cap for the disjointness, containment and distance
 # tests
 CAP_SAMPLES = 512
-# points per block of CapFamily.min_distance: with 512 boundary samples a
-# block's distance temporaries stay near 16 MB
-_POINT_BLOCK = 2048
 # a cap's sample polygon lies in the disk |z - centroid| <= radius; a point
 # farther out than radius + _DISK_SLACK is more than 1e-6 from the polygon
 # and outside it, so the near-polygon and winding tests may skip it
@@ -359,7 +367,7 @@ class CapFamily:
         for k, poly in enumerate(self._boundaries):
             idx = self._in_disk(zz, k)
             w = zz[idx]
-            near = np.min(np.abs(poly[None, :] - w[:, None]), axis=1, initial=np.inf) < 1e-9
+            near = nearest_distance(poly, w) < 1e-9
             inside = winding_number(poly, w) != 0
             out[idx[near | inside]] = k
         return out.reshape(np.shape(z)) if np.ndim(z) else int(out[0])
@@ -390,33 +398,34 @@ class CapFamily:
         full search computes. Per point, (position, cap) pairs are visited
         in order of the lower bound |z - c_k| - R_k, and a pair's samples
         are measured only while that bound is below the point's running
-        minimum. Points go in blocks to keep the temporaries small.
+        minimum. The points go in row slices of ``numerics.row_slices``
+        (a slice's bounds are a block as wide as the pairs), and so does
+        every measured point-by-sample block (``nearest_distance``).
         """
         cand = np.asarray(candidates, dtype=complex)
         n_cand, n_pts = cand.shape
         n_caps = len(self._boundaries)
+        n_pairs = n_cand * n_caps
         best = np.full(n_pts, np.inf)
-        for lo in range(0, n_pts, _POINT_BLOCK):
-            block = cand[:, lo:lo + _POINT_BLOCK]
+        for cols in row_slices(n_pts, n_pairs):
+            block = cand[:, cols]
             lower = self._lower_bounds(block)
-            lower = lower.transpose(1, 0, 2).reshape(block.shape[1], n_cand * n_caps)
+            lower = lower.transpose(1, 0, 2).reshape(block.shape[1], n_pairs)
             order = np.argsort(lower, axis=1)
             rows = np.arange(block.shape[1])
-            run = best[lo:lo + _POINT_BLOCK]
-            for rank in range(n_cand * n_caps):
+            run = best[cols]
+            for rank in range(n_pairs):
                 pair = order[:, rank]
                 todo = lower[rows, pair] < run
                 if not todo.any():
                     break
                 # the pairs in use, in ascending order (np.unique would
                 # import numpy.ma)
-                for q in np.flatnonzero(np.bincount(pair[todo], minlength=n_cand * n_caps)):
+                for q in np.flatnonzero(np.bincount(pair[todo], minlength=n_pairs)):
                     idx = np.flatnonzero(todo & (pair == q))
                     c, k = divmod(int(q), n_caps)
-                    poly = self._boundaries[k]
-                    z = block[c, idx]
                     run[idx] = np.minimum(
-                        run[idx], np.min(np.abs(poly[None, :] - z[:, None]), axis=1)
+                        run[idx], nearest_distance(self._boundaries[k], block[c, idx])
                     )
         return best
 
@@ -429,7 +438,7 @@ class CapFamily:
                 centre = abs(self._centroids[i] - self._centroids[j])
                 reach = self._radii[i] + self._radii[j]
                 if (centre - reach) - 1e-12 * (centre + reach) < self.separation:
-                    gap = float(np.min(np.abs(pi[None, :] - pj[:, None])))
+                    gap = float(np.min(nearest_distance(pi, pj)))
                     if gap < self.separation:
                         raise ValidationError(
                             f"caps {i} and {j} come within {gap:.4g} "

@@ -14,6 +14,20 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# Complex entries (512 KiB) in one row slice of a point-by-sample block,
+# such as |sample - z| or a kernel block K(f(zeta_j), z): the slice and its
+# few temporaries stay in a core's cache. Whole blocks of a few million
+# entries ran at memory speed and set the peak memory of a run.
+BLOCK_ENTRIES = 32768
+
+
+def row_slices(n_rows: int, width: int):
+    """Successive slices of range(n_rows) of at most BLOCK_ENTRIES // width
+    rows each, and at least one row, for blocks ``width`` entries wide."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step)
+
 
 class NumericalError(Exception):
     """A quadrature or solve failed in a way a retry will not fix."""

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import winding_number
-from .numerics import TWO_PI, NumericalError, ValidationError, measured_area
+from .conformal import nearest_distance, winding_number
+from .numerics import TWO_PI, NumericalError, ValidationError, measured_area, row_slices
 from .surface import SurfaceSpec, schiffer_kernel
 
 PI = np.pi
@@ -121,20 +121,20 @@ def apply_schiffer(surface: SurfaceSpec, datum, z):
 
 def _apply_area(surface, data, zz, grid):
     # values at the points zz (flat) of every datum, along a trailing axis;
-    # one kernel block per cap, contracted with the weighted densities of
-    # all data at once
+    # per cap, the kernel block is built in row slices of the block budget
+    # and each slice is contracted with the weighted densities of all data
     zeta = grid.nodes
     out = np.zeros((zz.size, len(data)), dtype=complex)
     for k in sorted({k for d in data for k in d.caps()}):
         f = surface.caps[k]
-        # the kernel block first: its temporaries set the peak memory, so
-        # the densities are not held while it is built
-        kern = schiffer_kernel(surface, f.evaluate(zeta)[None, :], zz[:, None])
+        w = f.evaluate(zeta)[None, :]
         fp = f.derivative(zeta)
         dens = np.stack([d.dbar_coefficient(k, zeta) * fp for d in data], axis=1)
         if not np.all(np.isfinite(dens)):
             raise NumericalError(f"datum not finite on cap {k}")
-        out -= kern @ (grid.weights[:, None] * dens)
+        dens = grid.weights[:, None] * dens
+        for rows in row_slices(zz.size, zeta.size):
+            out[rows] -= schiffer_kernel(surface, w, zz[rows, None]) @ dens
     return out
 
 
@@ -235,6 +235,11 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     is then built and guarded once and every order comes out of one
     matrix product, as a trailing axis over the orders. Reads of an order
     past ``order_limit(r0)`` raise.
+
+    The kernel block, points by the n nodes, is built in row slices of
+    ``numerics.row_slices``, and each slice's product with the weights
+    fills its rows of one output; the kernel values do not depend on the
+    slicing.
     """
     orders = np.atleast_1d(np.asarray(m))
     if orders.ndim != 1 or orders.size == 0 or not np.issubdtype(orders.dtype, np.integer):
@@ -260,9 +265,10 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     w = f.evaluate(zeta)
     _guard_outside_contour(surface, w, pts)
     weights = -(PI / n) * zeta[:, None] ** (1 - orders[None, :]) * f.derivative(zeta)[:, None]
-    vals = (schiffer_kernel(surface, w[None, :], pts[:, None]) @ weights).reshape(
-        zz.shape + (orders.size,)
-    )
+    vals = np.empty((pts.size, orders.size), dtype=complex)
+    for rows in row_slices(pts.size, n):
+        np.matmul(schiffer_kernel(surface, w[None, :], pts[rows, None]), weights, out=vals[rows])
+    vals = vals.reshape(zz.shape + (orders.size,))
     if np.ndim(m) == 0:
         vals = vals[..., 0]
         return vals if zz.ndim else complex(vals)
@@ -280,7 +286,7 @@ def _guard_outside_contour(surface: SurfaceSpec, contour_image: np.ndarray, zz: 
     # farther out than scale + tol is outside it and clear of it; only the
     # points nearer in are measured, with the same verdicts
     near = np.flatnonzero(np.abs(pts - center) <= scale + tol)
-    gap = np.min(np.abs(contour_image[None, :] - pts[near, None]), axis=1, initial=np.inf)
+    gap = nearest_distance(contour_image, pts[near])
     if np.any(gap < tol):
         j = int(near[np.argmin(gap)])
         raise ValidationError(f"z = {zz[j]:.6g} sits on the evaluation contour")

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .numerics import ValidationError
+from .numerics import BLOCK_ENTRIES, ValidationError
 
 PI = np.pi
 
@@ -105,13 +105,18 @@ def _theta1_series(v, tau: complex, n_deriv: int):
     return sums
 
 
-# Points per block of the public functions. Measured on a 2-vCPU x86-64 VM
-# (AVX-512, numpy 2.4) for log_derivative2 on a 20 x 18432 area block,
-# median of 7 calls: blocks of 4096 to 16384 points take 39-46 ms against
-# 96-103 ms unblocked, 32768 take 51 ms and 65536 no less than unblocked,
-# as the series' temporaries outgrow the cache; 2048 pay 52 ms in per-call
-# overhead.
-_BLOCK = 8192
+# Points per block of the public functions: an eighth of the block budget,
+# 4096 points, so each of the series' dozen temporaries is 64 KiB. Measured
+# in fresh processes on a 2-vCPU x86-64 VM (AVX-512, numpy 2.4) for
+# log_derivative2 on a 20 x 18432 area block, median of 7 processes:
+# 4096 and 8192 points take 56 and 53 ms against 118 ms unblocked, 16384
+# and 32768 take 59 and 64 ms, 2048 take 65 ms. In a whole run 8192 loses:
+# its temporaries are exactly 128 KiB, glibc's initial mmap threshold, so
+# unless an earlier large temporary has raised the allocator's dynamic
+# thresholds, the heap is trimmed and faulted in again on every call (run
+# stage of a torus-solve input, median of 10 processes: 77 ms at 4096
+# points, 101 ms at 8192).
+_BLOCK = BLOCK_ENTRIES // 8
 
 
 def _blockwise(fn, v, dtype):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from faberforms import numerics
 from faberforms.conformal import (
     AffineMap,
     CapFamily,
@@ -10,7 +11,7 @@ from faberforms.conformal import (
     make_map,
     winding_number,
 )
-from faberforms.numerics import NumericalError, ValidationError
+from faberforms.numerics import NumericalError, ValidationError, extract_taylor
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,9 +86,9 @@ def test_invert_reports_failure():
         f.invert(10.0)  # far outside the image; the clamped iteration stalls
 
 
-def test_taylor_cache_matches_map():
+def test_extract_taylor_matches_map():
     f = JoukowskiEllipseMap(0.25)
-    s = f.taylor(20)
+    s = extract_taylor(f.evaluate, 0.0, 0.5, 20)
     zeta = 0.25 * np.exp(1j * TWO_PI * np.arange(7) / 7)
     assert np.max(np.abs(s(zeta) - f.evaluate(zeta))) < 1e-12
     # odd map: even Taylor coefficients vanish, odd ones are a^(j)
@@ -251,6 +252,42 @@ def test_which_cap_prefilter_matches_unfiltered_loop_on_the_torus():
     got = fam.which_cap(z)
     assert np.array_equal(got, unfiltered_which_cap(fam, z))
     assert set(got.tolist()) == {-1, 0, 1, 2}
+
+
+def cap_geometry_reads(surface, z):
+    """Every blocked cap-geometry read at the points z: winding numbers,
+    pruned distances of three positions per point, cap indices and
+    lattice-reduced distances."""
+    fam = surface.caps
+    return (
+        *(winding_number(fam.boundary_samples(k), z) for k in range(len(fam))),
+        fam.min_distance(np.stack([z, z + 0.25, z - 0.25j])),
+        fam.which_cap(z),
+        surface.distance_to_caps_reduced(z),
+    )
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-row", "unbounded"])
+def test_block_budget_does_not_change_cap_geometry(budget, monkeypatch):
+    # the point-by-sample blocks go in row slices of numerics.BLOCK_ENTRIES
+    # entries: one row per slice, and one slice for everything, give the
+    # same floats and verdicts as the default budget
+    from faberforms.surface import SurfaceSpec
+
+    tau = 0.3 + 1.1j
+    surface = SurfaceSpec.torus(tau, CapFamily([
+        AffineMap(0.11, offset=0.39 + 0.33j),
+        JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
+        PolynomialCapMap([0.07, 0.01], offset=0.25 + 0.75 * tau),
+    ], separation=0.05))
+    z = probe_points(surface.caps, np.random.default_rng(15), n=600)[::5]
+    assert z.size > 4 * (numerics.BLOCK_ENTRIES // 512)
+    want = cap_geometry_reads(surface, z)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
+    got = cap_geometry_reads(surface, z)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert set(want[-2].tolist()) == {-1, 0, 1, 2}
 
 
 def test_which_cap_and_distance():

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from faberforms.numerics import (
     laurent_from_samples,
 )
 from faberforms.schiffer import contour_nodes, contour_radius, schiffer_contour
-from faberforms.surface import SurfaceSpec
+from faberforms.surface import SurfaceSpec, boundary_cycle
 
 TAU = 0.3 + 1.1j
 
@@ -73,6 +74,26 @@ def test_alpha_values_one_read_per_radius_step(monkeypatch):
                      for m in range(1, 31)], axis=-1)
     assert vals.shape == (3, 30)
     assert np.max(np.abs(vals - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_alpha_values_keeps_its_kernel_blocks_small():
+    # M = 40 reaches the 1024-node radius step, whose kernel block on a
+    # 512-node circle is 8.4 MB whole; it is built in row slices of
+    # numerics.BLOCK_ENTRIES entries
+    surface = SurfaceSpec.sphere(CapFamily([
+        JoukowskiEllipseMap(0.25),
+        AffineMap(0.5, offset=3.0 + 0.5j),
+        PolynomialCapMap([0.6, 0.08, 0.02], offset=-1.2 + 2.8j),
+    ]))
+    nodes = boundary_cycle(surface, 0).nodes
+    tracemalloc.start()
+    try:
+        vals = alpha_values(surface, 0, range(1, 41), nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (512, 40)
+    assert peak < 3e6
 
 
 def test_node_count_follows_the_radius(monkeypatch):

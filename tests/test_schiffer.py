@@ -252,6 +252,106 @@ def test_multi_order_guard_rejects_z_inside_or_on_contour():
         schiffer_contour(surface, 0, range(7, 13), np.array([2.0, 12.0 / 18.0]))
 
 
+BUDGETS = pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-row", "unbounded"])
+
+
+def ring(center, radius, n):
+    return center + radius * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+@BUDGETS
+def test_block_budget_does_not_change_contour_guard_verdicts(budget, monkeypatch):
+    # the guard's gap and winding blocks go in row slices of
+    # numerics.BLOCK_ENTRIES entries; every verdict and message stays. Only
+    # points in the contour's bounding disk are measured, so the rings of
+    # 1000 points sit just inside the contours
+    sphere, torus = sphere_one_cap(), torus_two_caps()
+    far = ring(0.0, 2.0, 1000)
+    c0 = torus.caps[0].center
+    torus_inner = ring(c0, 0.05, 1000)
+    # a node of the order-1 contour (radius 0.055), moved by a lattice vector
+    on_torus_contour = torus.caps[0].evaluate(ring(0.0, 0.5, 256)[3]) + 1.0 - TAU
+    cases = (
+        (sphere, 1, far, 0.8),
+        (sphere, 1, np.append(far, ring(0.0, 0.79, 1000)), 0.8),
+        (sphere, list(range(7, 13)), np.append(ring(0.0, 0.66, 1000), 12.0 / 18.0), None),
+        (torus, 1, ring(c0, 0.3, 1000), None),
+        (torus, 1, torus_inner + 1.0 + TAU, None),
+        (torus, 1, np.append(torus_inner - TAU, on_torus_contour), None),
+    )
+
+    def verdicts():
+        out = []
+        for surface, m, z, r0 in cases:
+            try:
+                schiffer_contour(surface, 0, m, z, r0=r0)
+                out.append(None)
+            except ValidationError as exc:
+                out.append(str(exc))
+        return out
+
+    want = verdicts()
+    assert want[0] is None and want[3] is None
+    assert all("inside the evaluation contour" in want[j] for j in (1, 4))
+    assert all("sits on the evaluation contour" in want[j] for j in (2, 5))
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
+    assert verdicts() == want
+
+
+def contour_term_scale(surface, k, orders, pts, r0, n=256):
+    """sum_j |K(f(zeta_j), z) w_j| for each point and order: the scale of
+    the contour sum's roundoff, which r0^(1 - m) amplifies."""
+    f = surface.caps[k]
+    zeta = ring(0.0, r0, n)
+    kern = np.abs(schiffer_kernel(surface, f.evaluate(zeta)[None, :], pts[:, None]))
+    amp = np.abs(zeta[:, None] ** (1 - np.asarray(orders)[None, :]) * f.derivative(zeta)[:, None])
+    return kern @ ((np.pi / n) * amp)
+
+
+def area_term_scale(surface, data, pts):
+    """The integral of |K(w, z)| |datum| over the caps, for each point and
+    datum: the scale of the area sum's roundoff, on the first grid."""
+    grid = DiskGrid(*numerics.AREA_START)
+    total = 0.0
+    for k in range(surface.n_caps):
+        f = surface.caps[k]
+        kern = np.abs(schiffer_kernel(surface, f.evaluate(grid.nodes)[None, :], pts[:, None]))
+        dens = np.stack([np.abs(d.dbar_coefficient(k, grid.nodes) * f.derivative(grid.nodes))
+                         for d in data], axis=1)
+        total = total + kern @ (grid.weights[:, None] * dens)
+    return total
+
+
+@BUDGETS
+def test_block_budget_does_not_change_contour_and_area_reads(budget, monkeypatch):
+    # the kernel blocks go in row slices of numerics.BLOCK_ENTRIES entries;
+    # the kernel values are the same floats, and only the rounding of the
+    # products with the weights may move, as a one-row slice is a
+    # matrix-vector product that sums in another order. The bound is on the
+    # sum of the terms' moduli, which cancellation puts above the values:
+    # about sqrt(n) eps of it for n terms, 1e-15 for the 256-node contour
+    # and 1e-14 for the 4608-node area grid these points stop on
+    cases = (
+        (sphere_two_caps(), ring(0.0, 1.0, 1100)),
+        (torus_two_caps(), ring(0.3 + 0.3 * TAU, 0.2, 1100)),
+    )
+    orders = list(range(1, 7))
+    data = [CapDatum.monomial(0, 2), CapDatum.monomial(1, 1)]
+
+    def reads(surface, pts):
+        return (schiffer_contour(surface, 0, orders, pts),
+                apply_schiffer(surface, data, pts[::25]))
+
+    want = [reads(*case) for case in cases]
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
+    for (surface, pts), (contour, area) in zip(cases, want):
+        got_contour, got_area = reads(surface, pts)
+        scale = contour_term_scale(surface, 0, orders, pts, contour_radius(6))
+        assert np.all(np.abs(got_contour - contour) <= 1e-15 * scale)
+        scale = area_term_scale(surface, data, pts[::25])
+        assert np.all(np.abs(got_area - area) <= 1e-14 * scale)
+
+
 def test_roundoff_guard_names_order_radius_and_figure():
     surface = sphere_one_cap()
     # 0.5^-40 * eps = 2.44e-04

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,20 @@ def test_cycle_base_matches_brute_force(tmp_path):
                     p = surface.caps.boundary_samples(k)
                     full = np.minimum(full, np.min(np.abs(p[None, :] - shifted[:, None]), axis=1))
         assert np.array_equal(surface.distance_to_caps_reduced(pts), full)
+
+
+def test_torus_setup_keeps_its_temporaries_small():
+    # the cycle-base search measures its point-by-sample blocks in row
+    # slices of numerics.BLOCK_ENTRIES entries, never whole (a 2048 x 512
+    # block is 16.8 MB)
+    tracemalloc.start()
+    try:
+        surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+        surface.cycle_base()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_cycle_base_crowded_cell_raises():
