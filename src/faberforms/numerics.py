@@ -192,30 +192,6 @@ def extract_taylor(fn, center: complex, radius: float, order: int, n: int | None
     return PowerSeries(center, coeffs, radius)
 
 
-def fft_antiderivative(samples: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Periodic antiderivative (in the angle theta) of equispaced samples.
-
-    The samples run along ``axis``; every other axis indexes a separate
-    column. Each column's mean must be below 1e-7 * max(1, its largest
-    |sample|), else no periodic primitive exists; the returned samples
-    are normalized to zero mean themselves.
-    """
-    g = np.moveaxis(np.asarray(samples, dtype=complex), axis, -1)
-    n = g.shape[-1]
-    scale = np.maximum(1.0, np.max(np.abs(g), axis=-1))
-    ghat = np.fft.fft(g)
-    mean = ghat[..., 0] / n
-    bad = np.abs(mean) > 1e-7 * scale
-    if np.any(bad):
-        raise NumericalError(
-            f"samples have nonzero mean {mean[bad][0]:.3e}; no periodic antiderivative"
-        )
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    ghat[..., 0] = 0.0
-    ghat[..., 1:] /= 1j * k[1:]
-    return np.moveaxis(np.fft.ifft(ghat), -1, axis)
-
-
 @dataclass(frozen=True)
 class LeastSquaresResult:
     coefficients: np.ndarray

@@ -12,8 +12,8 @@ That inner product is evaluated without any 2D quadrature over the
 awkward exterior region: for holomorphic forms with zero cap periods,
 Stokes plus the bilinear period identity reduce it to cap-boundary
 contour sums and (torus) lattice periods. Every form that reaches the
-pairing has zero cap periods by construction, and the antiderivative
-step enforces that numerically.
+pairing has zero cap periods by construction, and the pairing data's
+mean guard (no periodic antiderivative otherwise) enforces that numerically.
 
 All three stages read the target on the same fixed node sets: each
 cap's circles at the measuring radii 0.95 and 1 in its disk chart and,
@@ -35,8 +35,8 @@ from .numerics import (
     TWO_PI,
     NumericalError,
     ValidationError,
-    fft_antiderivative,
     least_squares,
+    row_slices,
 )
 from .surface import (
     OneForm,
@@ -98,28 +98,31 @@ class SeriesDecomposition:
 class PairingData:
     """Cached boundary/period data of one form, or of a stack of forms.
 
-    g[l] samples the theta-derivative of the form's antiderivative along
-    cap boundary l; F[l] is its zero-mean periodic antiderivative; a and
-    b are its lattice periods (zero on the sphere). A stack of forms
-    carries its index in trailing axes of g, F, a and b.
+    ghat[l] is the DFT along the node axis of g, the form times dw sampled
+    on cap boundary l (the theta-derivative of the form's antiderivative);
+    a and b are its lattice periods (zero on the sphere). A stack of forms
+    carries its index in trailing axes of ghat, a and b.
     """
 
-    g: np.ndarray
-    F: np.ndarray
+    ghat: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
     def __sub__(self, other):
-        return PairingData(self.g - other.g, self.F - other.F,
-                           self.a - other.a, self.b - other.b)
+        return PairingData(self.ghat - other.ghat, self.a - other.a, self.b - other.b)
 
     def combine(self, x) -> "PairingData":
         """Data of sum_i x[i] form_i over the first len(x) forms of a
         stack with one trailing axis."""
         x = np.asarray(x, dtype=complex)
         p = x.size
-        return PairingData(self.g[..., :p] @ x, self.F[..., :p] @ x,
-                           self.a[:p] @ x, self.b[:p] @ x)
+        return PairingData(self.ghat[..., :p] @ x, self.a[:p] @ x, self.b[:p] @ x)
+
+
+# the boundary sum's weights 2 pi / (N^2 k) at frequency k != 0 (Nyquist -N/2)
+_FREQS = np.fft.fftfreq(BOUNDARY_NODES, 1.0 / BOUNDARY_NODES)
+_WEIGHTS = np.divide(TWO_PI / BOUNDARY_NODES**2, _FREQS, out=np.zeros(BOUNDARY_NODES),
+                     where=_FREQS != 0)
 
 
 def _finite(vals, where: str) -> np.ndarray:
@@ -138,9 +141,9 @@ class ExteriorPairing:
     """L2 inner products over the cap complement by boundary reduction.
 
     Valid for holomorphic (dz-type) forms whose cap-boundary periods all
-    vanish; the construction raises otherwise. Pairing any two cached
-    data objects afterwards is a contour sum, and pairing two stacks is
-    one matrix product.
+    vanish; the construction raises otherwise. Each datum holds the DFT
+    of its boundary samples, one FFT per circle; pairing two stacks is a
+    Parseval sum, one matrix product per row slice of frequencies.
 
     ``circles`` are the radius-1 boundary cycles of the caps and
     ``cycles`` the a and b lattice cycles (empty on the sphere): the
@@ -186,37 +189,52 @@ class ExteriorPairing:
     def _pack(self, on_circles, on_cycles) -> PairingData:
         """Pairing data from samples: one array per circle, then one per
         lattice cycle, in the order of ``circles`` and ``cycles``, with
-        any stack axes trailing."""
-        # indexed, not zipped: a zip tuple would keep the previous circle's
-        # samples alive while the next ones are drawn
-        g = None
+        any stack axes trailing. Each column of g must have a mean below
+        1e-7 * max(1, max|g|), else it has no periodic antiderivative."""
+        # indexed, not zipped, and the samples and g deleted: nothing of
+        # the previous circle is held while the next one is drawn
+        ghat = None
         for k, vals in enumerate(on_circles):
             vals = _finite(vals, self.circles[k].name)
-            dw = self._dw[k]
-            if g is None:
-                g = np.empty((len(self._dw),) + vals.shape, dtype=complex)
-            np.multiply(vals, dw.reshape(dw.shape + (1,) * (vals.ndim - 1)), out=g[k])
-        F = fft_antiderivative(g, axis=1)
+            g = vals * self._dw[k].reshape((-1,) + (1,) * (vals.ndim - 1))
+            del vals
+            if ghat is None:
+                ghat = np.empty((len(self._dw),) + g.shape, dtype=complex)
+            ghat[k] = np.fft.fft(g, axis=0)  # np.fft.fft has no out= before numpy 2.0
+            mean = ghat[k, 0] / BOUNDARY_NODES
+            bad = np.abs(mean) > 1e-7 * np.maximum(1.0, np.max(np.abs(g), axis=0))
+            del g
+            if np.any(bad):
+                raise NumericalError(f"samples have nonzero mean {mean[bad][0]:.3e}; "
+                                     "no periodic antiderivative")
         if self.cycles:
             a, b = (
                 np.tensordot(c.weights, _finite(vals, c.name), axes=(0, 0))
                 for c, vals in zip(self.cycles, on_cycles)
             )
         else:
-            a = b = np.zeros(g.shape[2:], dtype=complex)
-        return PairingData(g, F, a, b)
+            a = b = np.zeros(ghat.shape[2:], dtype=complex)
+        return PairingData(ghat, a, b)
 
     def inner(self, d1: PairingData, d2: PairingData):
         """<form1, form2>, linear in the first slot. For stacks, the array
-        of all products over the stack axes of d1, then those of d2."""
-        boundary = np.tensordot(d1.F, np.conj(d2.g), axes=([0, 1], [0, 1]))
+        of all products over the stack axes of d1, then those of d2. The
+        Stokes sum (2 pi i / N) sum_j F1_j conj(g2_j), F1 the zero-mean
+        periodic antiderivative of g1, is by Parseval the sum over k != 0
+        of 2 pi ghat1_k conj(ghat2_k) / (N^2 k), per circle in row slices."""
+        boundary = np.zeros(d1.ghat.shape[2:] + d2.ghat.shape[2:], dtype=complex)
+        for g1, g2 in zip(d1.ghat, d2.ghat):
+            for rows in row_slices(BOUNDARY_NODES, max(g1[0].size, g2[0].size)):
+                w = _WEIGHTS[rows].reshape((-1,) + (1,) * (g1.ndim - 1))
+                boundary += np.tensordot(w * g1[rows], np.conj(g2[rows]), axes=(0, 0))
         val = 1j * (np.multiply.outer(d1.a, np.conj(d2.b))
-                    - np.multiply.outer(d1.b, np.conj(d2.a))
-                    - (TWO_PI / BOUNDARY_NODES) * boundary)
+                    - np.multiply.outer(d1.b, np.conj(d2.a))) - boundary
         return complex(val) if np.ndim(val) == 0 else val
 
     def norm(self, d: PairingData) -> float:
-        return float(np.sqrt(max(self.inner(d, d).real, 0.0)))
+        """sqrt(|<form, form>|): the boundary form is indefinite, so at
+        roundoff the product may be negative, and reads as roundoff, not 0."""
+        return float(np.sqrt(abs(self.inner(d, d).real)))
 
 
 def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII) -> np.ndarray:

@@ -13,7 +13,6 @@ from faberforms.numerics import (
     area_pairing,
     circle_integral,
     extract_taylor,
-    fft_antiderivative,
     laurent_coefficients,
     least_squares,
     measured_area,
@@ -222,38 +221,6 @@ def test_laurent_coefficients_two_sided():
 def test_laurent_order_band_guard():
     with pytest.raises(ValidationError):
         laurent_coefficients(lambda w: w, 0.0, 0.5, [200], n=256)
-
-
-def test_fft_antiderivative_matches_closed_form():
-    n = 256
-    theta = TWO_PI * np.arange(n) / n
-    g = np.cos(3 * theta) + 1j * np.sin(theta)
-    F = fft_antiderivative(g)
-    expect = np.sin(3 * theta) / 3.0 - 1j * np.cos(theta)
-    expect -= expect.mean()
-    assert np.max(np.abs(F - expect)) < 1e-13
-
-
-def test_fft_antiderivative_rejects_nonzero_mean():
-    with pytest.raises(NumericalError, match="mean"):
-        fft_antiderivative(np.ones(64))
-
-
-def test_fft_antiderivative_along_an_axis():
-    # samples along axis 1, columns on axes 0 and 2: each column equals its
-    # own one-dimensional antiderivative, and one bad column is caught
-    n = 128
-    theta = TWO_PI * np.arange(n) / n
-    cols = np.stack([np.exp(1j * p * theta) for p in (1, -2, 5)], axis=-1)
-    g = np.stack([cols, 2.0 * cols])
-    F = fft_antiderivative(g, axis=1)
-    assert F.shape == g.shape
-    for i in range(2):
-        for j in range(3):
-            assert np.max(np.abs(F[i, :, j] - fft_antiderivative(g[i, :, j]))) < 1e-15
-    g[1, :, 2] += 1e-3
-    with pytest.raises(NumericalError, match="mean 1.000e-03"):
-        fft_antiderivative(g, axis=1)
 
 
 def test_least_squares_identity():

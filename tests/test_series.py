@@ -1,12 +1,13 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from faberforms import faber
+from faberforms import faber, numerics
 from faberforms.config import parse_config
-from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
+from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.faber import faber_form
 from faberforms.numerics import NumericalError, ValidationError, area_pairing
 from faberforms.series import (
@@ -43,6 +44,15 @@ def joukowski_sphere():
 def two_cap_sphere():
     caps = CapFamily([AffineMap(0.4), JoukowskiEllipseMap(0.25, scale=0.3, offset=2.5)])
     return SurfaceSpec.sphere(caps, w0=1.0 - 2.0j)
+
+
+def multicap_sphere():
+    # the shape of sphere-multicap input 0: one cap of each map kind
+    return SurfaceSpec.sphere(CapFamily([
+        JoukowskiEllipseMap(0.25, scale=1.0, offset=0.008074 - 0.007721j),
+        AffineMap(0.5, offset=2.995968 + 0.481214j),
+        PolynomialCapMap([0.6, 0.08, 0.02], offset=-1.120547 + 2.985978j),
+    ]))
 
 
 def torus_two_caps():
@@ -86,22 +96,41 @@ def test_pairing_matches_area_quadrature():
         assert abs(via_boundary - via_area) < 1e-8, (m, j)
 
 
+def _antiderivative(g):
+    # zero-mean periodic antiderivative in theta of equispaced samples
+    # along axis 0, with its own FFTs
+    n = g.shape[0]
+    ghat = np.fft.fft(g, axis=0)
+    ghat[0] = 0.0
+    ghat[1:] /= (1j * np.fft.fftfreq(n, 1.0 / n)[1:]).reshape((-1,) + (1,) * (g.ndim - 1))
+    return np.fft.ifft(ghat, axis=0)
+
+
 def test_gram_by_products_matches_inner_double_loop():
     # the Gram of the M = 40 Joukowski config, once from the stacked
-    # multi-order data by one product and once entry by entry from the
-    # per-form data of single-order evaluators
+    # multi-order Fourier data by Parseval, and once entry by entry in
+    # physical space: the Stokes sum of F conj(g) over the boundary nodes,
+    # with g the samples of each single-order form times dw and F its
+    # antiderivative
+    n = BOUNDARY_NODES
+    theta = 2.0 * np.pi * np.arange(n) / n
+    F = _antiderivative(np.cos(3 * theta) + 1j * np.sin(theta))
+    want = np.sin(3 * theta) / 3.0 - 1j * np.cos(theta)
+    assert np.max(np.abs(F - (want - want.mean()))) < 1e-13
     config = parse_config(os.path.join(ROOT, "configs", "sphere_joukowski.cfg"))
     surface, M = config.surface, config.M
     pairing = ExteriorPairing(surface)
     stacked = pairing.alpha_data(M)
     gram = pairing.inner(stacked, stacked).T
-    data = [pairing.data(faber_form(surface, 0, m).form) for m in range(1, M + 1)]
-    step = 2.0 * np.pi / BOUNDARY_NODES
+    zeta = np.exp(1j * theta)
+    dw = [f.derivative(zeta) * 1j * zeta for f in surface.caps]
+    forms = [faber_form(surface, 0, m).form for m in range(1, M + 1)]
+    g = np.stack([[c.sample(f) * w for c, w in zip(pairing.circles, dw)] for f in forms])
+    F = _antiderivative(np.moveaxis(g, 2, 0))
     loop = np.zeros((M, M), dtype=complex)
-    for i, di in enumerate(data):
-        for j, dj in enumerate(data):
-            boundary = sum(step * np.sum(Fj * np.conj(gi)) for Fj, gi in zip(dj.F, di.g))
-            loop[i, j] = 1j * (dj.a * np.conj(di.b) - dj.b * np.conj(di.a) - boundary)
+    for i in range(M):
+        for j in range(M):
+            loop[i, j] = -1j * (2.0 * np.pi / n) * np.sum(F[:, j] * np.conj(g[i].T))
     assert np.max(np.abs(gram - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
@@ -113,13 +142,58 @@ def test_stacked_residual_matches_sequential_subtraction():
                           h={(1, 0): 0.5, (2, 1): -0.2j})
     rho = pairing.data(target.form)
     x = np.array([0.3 - 0.1j, 1.2, -0.5j, 0.25, 0.1 + 0.1j])
-    g, F, a, b = rho.g, rho.F, rho.a, rho.b
+    ghat, a, b = rho.ghat, rho.a, rho.b
     for i, xi in enumerate(x):
-        g, F = g - xi * data.g[..., i], F - xi * data.F[..., i]
+        ghat = ghat - xi * data.ghat[..., i]
         a, b = a - xi * data.a[i], b - xi * data.b[i]
     stacked = rho - data.combine(x)
-    for got, want in zip((stacked.g, stacked.F, stacked.a, stacked.b), (g, F, a, b)):
+    for got, want in zip((stacked.ghat, stacked.a, stacked.b), (ghat, a, b)):
         assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_residual_in_the_span_reads_roundoff_not_zero():
+    # the boundary form is indefinite, so the squared norm of a remainder
+    # at roundoff can come out negative: the norm reads its modulus, not
+    # an exact fit (the basis target of configs/fail_tolerance.cfg)
+    config = parse_config(os.path.join(ROOT, "configs", "fail_tolerance.cfg"))
+    dec = project_faber(config.target, config.surface, config.M)
+    res = dec.residual_history[-1][1]
+    assert 0.0 < res < 1e-15
+    pairing = ExteriorPairing(config.surface)
+    rest = pairing.data(config.target.form) - pairing.alpha_data(config.M).combine(dec.h.ravel())
+    assert pairing.norm(rest) == np.sqrt(abs(pairing.inner(rest, rest).real))
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-row", "unbounded"])
+def test_block_budget_does_not_change_the_gram(budget, monkeypatch):
+    # the products go in row slices of frequencies of numerics.BLOCK_ENTRIES
+    # entries (two slices a circle at the default budget, for 120 forms)
+    surface = multicap_sphere()
+    pairing = ExteriorPairing(surface)
+    data = pairing.alpha_data(40)
+    rho = pairing.data(build_target(surface, "pole", cap=0, eta=0.55).form)
+    assert BOUNDARY_NODES > numerics.BLOCK_ENTRIES // 120
+    want = pairing.inner(data, data), pairing.inner(rho, data), pairing.norm(rho)
+    monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
+    got = pairing.inner(data, data), pairing.inner(rho, data), pairing.norm(rho)
+    for x, y in zip(got, want):
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+
+
+def test_project_faber_keeps_its_pairing_data_small():
+    # sphere-multicap's shape at M = 40: the basis data are one stack of
+    # boundary DFTs, 3 x 512 x 120 complex (2.9 MB), with no antiderivative
+    # stack beside it, and the products go in row slices
+    surface = multicap_sphere()
+    target = build_target(surface, "pole", cap=0, eta=0.55)
+    tracemalloc.start()
+    try:
+        dec = project_faber(target, surface, M=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.h.shape == (40, 3)
+    assert peak < 7e6
 
 
 def test_pairing_torus_gamma_norm():
@@ -138,6 +212,17 @@ def test_pairing_rejects_unsuitable_forms():
         pairing.data(conj_gamma)
     with pytest.raises(NumericalError, match="mean"):
         pairing.data(beta_form(surface, 0))
+
+
+def test_pairing_data_rejects_nonzero_mean():
+    # a form with a boundary period has samples times dw of nonzero mean,
+    # so no periodic antiderivative: the pairing data refuse it
+    surface = identity_cap_sphere()
+    pole = OneForm(lambda z: 1.0 / np.asarray(z, dtype=complex), poles=((0j, 1),))
+    # g = (1/z) i z = i on the unit circle
+    with pytest.raises(NumericalError, match=r"samples have nonzero mean \S+\+1\.000e\+00j; "
+                                             "no periodic antiderivative"):
+        ExteriorPairing(surface).data(pole)
 
 
 def test_boundary_coefficients_of_beta():
@@ -471,7 +556,7 @@ def test_sampled_split_matches_the_wrapper_path(name):
     want = _wrapper_path(config.target, config.surface)
     rho, rho_want = got[3], want[3]
     pairs = list(zip(got[:3], want[:3])) + [
-        (rho.g, rho_want.g), (rho.F, rho_want.F), (rho.a, rho_want.a), (rho.b, rho_want.b),
+        (rho.ghat, rho_want.ghat), (rho.a, rho_want.a), (rho.b, rho_want.b),
     ]
     for x, y in pairs:
         assert x.shape == y.shape
