@@ -119,10 +119,11 @@ class PairingData:
         return PairingData(self.ghat[..., :p] @ x, self.a[:p] @ x, self.b[:p] @ x)
 
 
-# the boundary sum's weights 2 pi / (N^2 k) at frequency k != 0 (Nyquist -N/2)
-_FREQS = np.fft.fftfreq(BOUNDARY_NODES, 1.0 / BOUNDARY_NODES)
-_WEIGHTS = np.divide(TWO_PI / BOUNDARY_NODES**2, _FREQS, out=np.zeros(BOUNDARY_NODES),
-                     where=_FREQS != 0)
+# weights 2 pi / (N^2 k) of the frequencies k of np.fft.fftfreq(N, 1/N) (Nyquist
+# -N/2), 0 at k = 0; built in Python, since numpy calls at import fault in
+# pages of numpy's code (numpy.fft, other ufunc loops) before a run needs them
+_WEIGHTS = np.array([TWO_PI / BOUNDARY_NODES**2 / k if k else 0.0
+                     for k in (*range(BOUNDARY_NODES // 2), *range(-BOUNDARY_NODES // 2, 0))])
 
 
 def _finite(vals, where: str) -> np.ndarray:

@@ -4,6 +4,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +38,14 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; loaded at import, its pages are
+    # resident through a run's first transient peak, which raised a torus
+    # run's peak RSS by about 0.1 MB
+    code = "import sys, faberforms.cli; print('numpy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(PACKAGE, ".."))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
