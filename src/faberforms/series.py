@@ -143,8 +143,8 @@ class ExteriorPairing:
 
     Valid for holomorphic (dz-type) forms whose cap-boundary periods all
     vanish; the construction raises otherwise. Each datum holds the DFT
-    of its boundary samples, one FFT per circle; pairing two stacks is a
-    Parseval sum, one matrix product per row slice of frequencies.
+    of its boundary samples, transformed in place; pairing two stacks is
+    a Parseval sum, one matrix product per row slice of frequencies.
 
     ``circles`` are the radius-1 boundary cycles of the caps and
     ``cycles`` the a and b lattice cycles (empty on the sphere): the
@@ -192,19 +192,23 @@ class ExteriorPairing:
         lattice cycle, in the order of ``circles`` and ``cycles``, with
         any stack axes trailing. Each column of g must have a mean below
         1e-7 * max(1, max|g|), else it has no periodic antiderivative."""
-        # indexed, not zipped, and the samples and g deleted: nothing of
-        # the previous circle is held while the next one is drawn
+        # indexed, not zipped, and the samples deleted: the previous
+        # circle's are not held while the next ones are drawn
         ghat = None
         for k, vals in enumerate(on_circles):
             vals = _finite(vals, self.circles[k].name)
-            g = vals * self._dw[k].reshape((-1,) + (1,) * (vals.ndim - 1))
-            del vals
             if ghat is None:
-                ghat = np.empty((len(self._dw),) + g.shape, dtype=complex)
-            ghat[k] = np.fft.fft(g, axis=0)  # np.fft.fft has no out= before numpy 2.0
-            mean = ghat[k, 0] / BOUNDARY_NODES
-            bad = np.abs(mean) > 1e-7 * np.maximum(1.0, np.max(np.abs(g), axis=0))
-            del g
+                ghat = np.empty((len(self._dw),) + vals.shape, dtype=complex)
+            np.multiply(vals, self._dw[k].reshape((-1,) + (1,) * (vals.ndim - 1)), out=ghat[k])
+            del vals
+        # g to its DFT along the nodes in place, a row slice of columns at a
+        # time (np.fft.fft has no out= before numpy 2.0)
+        g = ghat.reshape(ghat.shape[:2] + (-1,))
+        for cols in row_slices(g.shape[2], g.shape[0] * g.shape[1]):
+            scale = np.maximum(1.0, np.max(np.abs(g[..., cols]), axis=1))
+            g[..., cols] = np.fft.fft(g[..., cols], axis=1)
+            mean = g[:, 0, cols] / BOUNDARY_NODES
+            bad = np.abs(mean) > 1e-7 * scale
             if np.any(bad):
                 raise NumericalError(f"samples have nonzero mean {mean[bad][0]:.3e}; "
                                      "no periodic antiderivative")

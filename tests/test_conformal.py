@@ -110,6 +110,32 @@ def test_injectivity_spot_check_rejects_folding():
         PolynomialCapMap([1.0, 0.0, 0.0, 0.0, 2.0])
 
 
+class _ExpMap(ConformalMap):
+    # f(zeta) = (exp(lam zeta) - 1) / lam: f' never vanishes, and for
+    # lam < 2 pi the center 0 has one preimage, but for lam > pi two points
+    # of the disk 2 pi i / lam apart share an image
+    kind = "exp"
+
+    def __init__(self, lam):
+        self.lam = lam
+        super().__init__((lam,))
+
+    def _evaluate(self, zeta):
+        return np.expm1(self.lam * zeta) / self.lam
+
+    def _derivative(self, zeta):
+        return np.exp(self.lam * zeta)
+
+
+def test_injectivity_spot_check_rejects_a_boundary_self_intersection():
+    # the other guards pass this map: at lam = pi / sin(pi/4) the samples at
+    # angles +-pi/4 (nodes 32 and 224 of 256) share an image, while lam = 3
+    # is injective
+    _ExpMap(3.0)
+    with pytest.raises(ValidationError, match="^exp map is not injective on boundary samples$"):
+        _ExpMap(np.pi / np.sin(np.pi / 4))
+
+
 def test_joukowski_parameter_range():
     with pytest.raises(ValidationError):
         JoukowskiEllipseMap(0.9)
@@ -284,40 +310,11 @@ def test_block_budget_does_not_change_cap_geometry(budget, monkeypatch):
     z = probe_points(surface.caps, np.random.default_rng(15), n=600)[::5]
     assert z.size > 4 * (numerics.BLOCK_ENTRIES // 512)
     want = cap_geometry_reads(surface, z)
-    check_injectivity_verdicts()
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
     got = cap_geometry_reads(surface, z)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert set(want[-2].tolist()) == {-1, 0, 1, 2}
-    check_injectivity_verdicts()
-
-
-class _ExpMap(ConformalMap):
-    # f(zeta) = (exp(lam zeta) - 1) / lam: f' never vanishes, and for
-    # lam < 2 pi the center 0 has one preimage, but for lam > pi two points
-    # of the disk 2 pi i / lam apart share an image
-    kind = "exp"
-
-    def __init__(self, lam):
-        self.lam = lam
-        super().__init__((lam,))
-
-    def _evaluate(self, zeta):
-        return np.expm1(self.lam * zeta) / self.lam
-
-    def _derivative(self, zeta):
-        return np.exp(self.lam * zeta)
-
-
-def check_injectivity_verdicts():
-    # the spot check takes the closest pair of distinct boundary samples in
-    # row slices of numerics.BLOCK_ENTRIES entries. At lam = pi / sin(pi/4)
-    # the samples at angles +-pi/4 (nodes 32 and 224 of 256) share an image
-    builtin_maps()
-    _ExpMap(3.0)
-    with pytest.raises(ValidationError, match="^exp map is not injective on boundary samples$"):
-        _ExpMap(np.pi / np.sin(np.pi / 4))
 
 
 def test_which_cap_and_distance():
