@@ -166,8 +166,10 @@ def test_residual_in_the_span_reads_roundoff_not_zero():
 
 @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-row", "unbounded"])
 def test_block_budget_does_not_change_the_gram(budget, monkeypatch):
-    # the products go in row slices of frequencies of numerics.BLOCK_ENTRIES
-    # entries (two slices a circle at the default budget, for 120 forms)
+    # the data are transformed in row slices of columns and the products
+    # taken in row slices of frequencies of numerics.BLOCK_ENTRIES entries
+    # (at the default budget, 21 columns and two slices a circle, for 120
+    # forms on three circles)
     surface = multicap_sphere()
     pairing = ExteriorPairing(surface)
     data = pairing.alpha_data(40)
@@ -175,7 +177,9 @@ def test_block_budget_does_not_change_the_gram(budget, monkeypatch):
     assert BOUNDARY_NODES > numerics.BLOCK_ENTRIES // 120
     want = pairing.inner(data, data), pairing.inner(rho, data), pairing.norm(rho)
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
-    got = pairing.inner(data, data), pairing.inner(rho, data), pairing.norm(rho)
+    again = pairing.alpha_data(40)
+    assert np.max(np.abs(again.ghat - data.ghat)) <= 1e-13 * np.max(np.abs(data.ghat))
+    got = pairing.inner(again, again), pairing.inner(rho, again), pairing.norm(rho)
     for x, y in zip(got, want):
         assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
 
