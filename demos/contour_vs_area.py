@@ -19,6 +19,7 @@ from faberforms import (
     contour_radius,
     schiffer_contour,
 )
+from faberforms.faber import alpha_values
 from faberforms.schiffer import order_limit
 
 surface = SurfaceSpec.sphere(CapFamily([
@@ -46,17 +47,26 @@ print(f"radius spread {spread:.1e}, contour-to-area gap {gap:.1e}")
 
 print()
 print("default radius grows with the order in steps, to keep the integrand tame;")
-print("all orders of a step share one radius and so one kernel block, read with")
-print("the fewest of 64, 128, 256, 512, 1024 nodes whose aliasing factor r0^n is")
-print("at most 1e-19 (1024 where none is); each radius carries orders up to the")
-print("largest m with roundoff amplification r0^(-m) * eps at most 1e-8:")
+print("each step's radius is read with the fewest of 64, 128, 256, 512, 1024 nodes")
+print("whose aliasing factor r0^n is at most 1e-19 (1024 where none is) and carries")
+print("orders up to the largest m with roundoff amplification r0^(-m) * eps at most 1e-8:")
 for first, last in ((1, 6), (7, 12), (13, 24), (25, 48), (49, 96)):
     r0 = contour_radius(last)
     print(f"  m = {first:>2}..{last:<3}: r0 = {r0:.3f}, n = {contour_nodes(r0):>4}, "
           f"r0^n = {r0 ** contour_nodes(r0):.1e}, order limit {order_limit(r0)}")
 
-orders = range(7, 13)
-block = schiffer_contour(surface, 0, orders, pts)
-single = np.stack([schiffer_contour(surface, 0, m, pts) for m in orders], axis=-1)
-print(f"orders 7..12 from one block vs one call each: max gap "
-      f"{float(np.max(np.abs(block - single))):.1e}")
+print()
+print("alpha_values reads orders 1..M of a cap from one kernel block, on the step")
+print("of order M: a lower order's roundoff r0^(-m) * eps only shrinks on the larger")
+print("radius, and the aliasing (r0 / rho)^n does not depend on m; at the inner")
+r0 = contour_radius(30)
+print(f"measuring circle rho = 0.95 it is ({r0:.3f} / 0.95)^{contour_nodes(r0)} = "
+      f"{(r0 / 0.95) ** contour_nodes(r0):.1e},")
+print("the figure orders 25..48 carry on their own step")
+orders = range(1, 31)
+block = alpha_values(surface, 0, orders, pts)
+own = np.stack([schiffer_contour(surface, 0, m, pts, r0=contour_radius(m), n=2048)
+                for m in orders], axis=-1)
+gap = float(np.max(np.abs(block - own)) / np.max(np.abs(own)))
+print("orders 1..30 from one block vs 2048-node reads, each on its own radius:")
+print(f"  max gap {gap:.1e} of max |value|")

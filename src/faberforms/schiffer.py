@@ -22,6 +22,11 @@ aliasing factor r0^n is at most 1e-19, else 1024 (``contour_nodes``).
 The factor bounds the error for points whose preimage under the cap map
 has modulus at least 1, and stays near it down to 0.95, the inner measuring
 circle of the series; points at a smaller modulus rho take contour_nodes(r0 / rho).
+A read of several orders (``faber.alpha_values``) takes the radius and
+node count of its highest order: a lower order's roundoff only shrinks on
+a larger radius and the aliasing does not depend on the order, so at the
+0.95 circle every order of a read up to order 48 aliases like
+(8/9 / 0.95)^512 = 1.6e-15.
 """
 
 from __future__ import annotations
@@ -182,10 +187,11 @@ def contour_radius(m: int) -> float:
     share the radius e / (e + 6) of their step's last order e, that is
     0.5, 0.667, 0.8, 0.889, capped at 0.92. Every order sits on a radius
     at least as large as its own m / (m + 6), so the amplification never
-    grows, and all orders of a step read one shared kernel block (see
-    ``schiffer_contour``). The node count of a read at that radius is
-    ``contour_nodes``: 64, 128, 256, 512 and 1024 for the five steps,
-    under the same precondition on the evaluation points.
+    grows; a read of several orders takes the radius of its highest one
+    and shares one kernel block (see ``schiffer_contour``). The node count
+    of a read at that radius is ``contour_nodes``: 64, 128, 256, 512 and
+    1024 for the five steps, under the same precondition on the
+    evaluation points.
     """
     end = RADIUS_STEP
     while end < m:
@@ -231,7 +237,8 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     checks verify rather than assume.
 
     ``m`` may also be a sequence of orders that share one contour radius
-    (with r0 omitted: one radius step). The kernel block K(f(zeta_j), z)
+    (with r0 omitted: one radius step; ``faber.alpha_values`` passes the
+    radius of its highest order). The kernel block K(f(zeta_j), z)
     is then built and guarded once and every order comes out of one
     matrix product, as a trailing axis over the orders. Reads of an order
     past ``order_limit(r0)`` raise.

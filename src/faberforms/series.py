@@ -172,8 +172,8 @@ class ExteriorPairing:
         """Data of the order-1..M basis forms of every cap, stacked along
         one trailing axis in the order (m - 1) * n_caps + k.
 
-        Each (cap, node set) pair is sampled by ``alpha_values``, one
-        kernel block per radius step."""
+        Each (cap, node set) pair is sampled by one ``alpha_values`` call:
+        one kernel block, on the radius step of order M."""
         n = self.surface.n_caps
 
         def sample(nodes):
@@ -466,8 +466,11 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
 
     The target and the closed part are read on the points once, and the
     basis forms of orders 1..max(orders) of each cap with one
-    ``alpha_values`` call; each partial sum contracts the leading columns
-    with its own coefficients, chosen as ``series_evaluator`` chooses them.
+    ``alpha_values`` call, one kernel block on the radius step of the
+    highest order; each partial sum contracts the leading columns with its
+    own coefficients, chosen as ``series_evaluator`` chooses them. A
+    one-order ``uniform_error`` reads its basis forms on the step of its
+    own order, so the two agree up to roundoff.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     dist = surface.distance_to_caps_reduced(pts)

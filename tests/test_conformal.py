@@ -105,8 +105,12 @@ def test_derivative_vanishing_rejected():
         PolynomialCapMap([0.0, 1.0])
 
 
-def test_injectivity_spot_check_rejects_folding():
-    with pytest.raises(ValidationError):
+def test_derivative_winding_guard_rejects_folding():
+    # f = zeta + 2 zeta^5 folds the disk: f' has zeros inside it, which the
+    # derivative-winding guard sees before the injectivity spot check runs
+    # (``_ExpMap`` below reaches that check)
+    with pytest.raises(ValidationError, match="polynomial-perturbation map derivative "
+                                              "vanishes inside the disk"):
         PolynomialCapMap([1.0, 0.0, 0.0, 0.0, 2.0])
 
 

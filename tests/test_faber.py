@@ -55,30 +55,38 @@ def test_laurent_tail_evaluation_and_derivative():
     assert dt.order == 4
 
 
-def test_alpha_values_one_read_per_radius_step(monkeypatch):
+def test_alpha_values_reads_every_order_from_one_block(monkeypatch):
     surface = one_cap_sphere(JoukowskiEllipseMap(0.25, scale=0.5, offset=0.0))
     pts = np.array([1.5 + 0.2j, -0.3 - 1.4j, 2.0j])
     calls = []
     contour = faber.schiffer_contour
 
     def counting(surface, k, m, z, **kwargs):
-        calls.append(list(m))
+        calls.append((list(m), kwargs))
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
     vals = alpha_values(surface, 0, range(1, 31), pts)
-    assert calls == [list(range(1, 7)), list(range(7, 13)),
-                     list(range(13, 25)), list(range(25, 31))]
+    # one read, on the radius step of the highest order
+    assert calls == [(list(range(1, 31)), {"r0": contour_radius(30), "n": 512})]
     monkeypatch.undo()
-    want = np.stack([faber_form(surface, 0, m).form(pts)
+    # against fine reads, each order on its own radius
+    want = np.stack([schiffer_contour(surface, 0, m, pts, r0=contour_radius(m), n=2048)
                      for m in range(1, 31)], axis=-1)
     assert vals.shape == (3, 30)
     assert np.max(np.abs(vals - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def test_alpha_values_without_orders_has_an_empty_order_axis():
+    surface = one_cap_sphere(JoukowskiEllipseMap(0.25, scale=0.5, offset=0.0))
+    pts = np.array([[1.5 + 0.2j, 2.0j]])
+    assert alpha_values(surface, 0, [], pts).shape == (1, 2, 0)
+    assert alpha_values(surface, 0, range(1, 1), 2.0j).shape == (0,)
+
+
 def test_alpha_values_keeps_its_kernel_blocks_small():
-    # M = 40 reaches the 1024-node radius step, whose kernel block on a
-    # 512-node circle is 8.4 MB whole; it is built in row slices of
+    # M = 40 reaches the 512-node radius step, whose kernel block on a
+    # 512-node circle is 4.2 MB whole; it is built in row slices of
     # numerics.BLOCK_ENTRIES entries
     surface = SurfaceSpec.sphere(CapFamily([
         JoukowskiEllipseMap(0.25),
@@ -103,14 +111,18 @@ def test_node_count_follows_the_radius(monkeypatch):
     contour = faber.schiffer_contour
 
     def counting(surface, k, m, z, **kwargs):
-        calls.append(kwargs["n"])
+        calls.append((kwargs["r0"], kwargs["n"]))
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
     for m in (3, 9, 20, 30, 60):
         faber_form(surface, 0, m).form(pts)
+    # every order of a multi-order read takes the highest order's step
     alpha_values(surface, 0, range(1, 97), pts)
-    assert calls == [64, 128, 256, 512, 1024] * 2
+    alpha_values(surface, 0, [2, 5, 20], pts)
+    radii = [contour_radius(m) for m in (3, 9, 20, 30, 60)]
+    assert calls == list(zip(radii, [64, 128, 256, 512, 1024])) + [(radii[-1], 1024),
+                                                                   (radii[2], 256)]
 
 
 @pytest.mark.parametrize("m", [1, 25, 60])

@@ -49,3 +49,42 @@ def test_import_leaves_numpy_fft_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+SPHERE_MULTICAP = """[surface]
+genus = 0
+q = inf
+
+[caps]
+ellipse = joukowski-ellipse a=0.25 scale=1 offset=0
+disk = affine scale=0.5 offset=3+0.5j
+poly = polynomial-perturbation coefficients=0.6,0.08,0.02 offset=-1.2+2.8j
+
+[target]
+family = pole
+cap = 0
+eta = 0.55
+strength = 1
+
+[run]
+M = 40
+checks = convergence, uniform convergence
+seed = 2
+l2_tolerance = 1e-6
+sup_tolerance = 1e-6
+"""
+
+
+def test_sphere_run_leaves_numpy_random_unloaded(tmp_path):
+    # importing numpy.random costs about 6 MB of RSS, most of it OpenSSL's
+    # libcrypto (bit_generator -> secrets -> hmac); a sphere run with a pole
+    # target and the convergence checks draws no random numbers
+    config = tmp_path / "multicap.cfg"
+    config.write_text(SPHERE_MULTICAP)
+    code = ("import sys\nfrom faberforms.cli import main\n"
+            f"code = main(['run', {str(config)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PACKAGE, ".."))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"

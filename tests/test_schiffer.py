@@ -231,6 +231,37 @@ def test_default_node_count_matches_fine_reads_torus():
     _default_vs_fine_reads(surface, _measuring_circles(surface) + cycles)
 
 
+def _one_read_vs_own_steps(surface, M):
+    # alpha_values reads orders 1..M from one block on the step of order M;
+    # each order against a 2048-node read on its own step's radius, for
+    # every cap, on its own and the foreign measuring circles
+    steps = [range(lo, min(hi, M) + 1) for lo, hi in ((1, 6), (7, 12), (13, 24), (25, 48))
+             if lo <= M]
+    for k in range(surface.n_caps):
+        for pts in _measuring_circles(surface):
+            got = alpha_values(surface, k, range(1, M + 1), pts)
+            want = np.concatenate([
+                schiffer_contour(surface, k, orders, pts, r0=contour_radius(orders[-1]), n=2048)
+                for orders in steps], axis=-1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), k
+
+
+def test_one_read_matches_each_order_on_its_own_step_sphere():
+    # the caps of the sphere-multicap benchmark workload, M = 40
+    caps = CapFamily([
+        JoukowskiEllipseMap(0.25, scale=1.0, offset=0.0),
+        AffineMap(0.5, offset=3.0 + 0.5j),
+        PolynomialCapMap([0.6, 0.08, 0.02], offset=-1.2 + 2.8j),
+    ])
+    _one_read_vs_own_steps(SurfaceSpec.sphere(caps), 40)
+
+
+def test_one_read_matches_each_order_on_its_own_step_torus():
+    config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
+    assert config.M == 10
+    _one_read_vs_own_steps(config.surface, config.M)
+
+
 def test_multi_order_scalar_point_and_bad_orders():
     surface = sphere_one_cap()
     vals = schiffer_contour(surface, 0, [1, 2, 3], 2.0)

@@ -10,6 +10,7 @@ from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.faber import faber_form
 from faberforms.numerics import NumericalError, ValidationError, area_pairing
+from faberforms.schiffer import contour_radius
 from faberforms.series import (
     BOUNDARY_NODES,
     ExteriorPairing,
@@ -319,20 +320,24 @@ def test_uniform_errors_read_the_ring_once_for_every_order(monkeypatch):
     dec = project_faber(target, surface, M=20, checkpoints=(5, 10))
     ring = 2.0 * np.exp(2j * np.pi * np.arange(40) / 40)
     orders = (5, 10, 15, 20)
-    want = [uniform_error(target, surface, dec, ring, upto=mp) for mp in orders]
     form, sizes = _counting(target.form)
     calls = []
     contour = faber.schiffer_contour
 
     def counting(surface, k, m, z, **kwargs):
-        calls.append(list(m))
+        calls.append((list(m), kwargs))
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
     got = uniform_errors(TargetForm(form), surface, dec, ring, orders)
-    # one target read and one basis read per radius step of orders 1..20
+    # one target read and one basis read of orders 1..20, on the step of 20
     assert sizes == [40]
-    assert calls == [list(range(1, 7)), list(range(7, 13)), list(range(13, 21))]
+    assert calls == [(list(range(1, 21)), {"r0": contour_radius(20), "n": 256})]
+    monkeypatch.undo()
+    # the one-order path on the same read: each partial sum's basis forms
+    # from the step of order 20, as the batched read takes them
+    monkeypatch.setattr(faber, "contour_radius", lambda m: contour_radius(20))
+    want = [uniform_error(target, surface, dec, ring, upto=mp) for mp in orders]
     monkeypatch.undo()
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
     with pytest.raises(ValidationError, match="margin"):
