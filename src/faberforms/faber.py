@@ -83,9 +83,10 @@ def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
     bit: a read on the order's own ``contour_radius(m)`` with
     ``contour_nodes`` of that radius (see its precondition). A read of
     several orders takes the radius of the highest one instead, so there
-    the values agree with this form's up to roundoff. An order past ``order_limit`` of that radius raises
-    when the element is built; points inside the evaluation contour
-    itself are rejected by the underlying quadrature.
+    the values agree with this form's up to roundoff. An order past
+    ``order_limit`` of that radius raises when the element is built;
+    points inside the evaluation contour itself are rejected by the
+    underlying quadrature.
     """
     _check_order(m, contour_radius(m))
     if not 0 <= k < surface.n_caps:
