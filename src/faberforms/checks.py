@@ -15,7 +15,7 @@ import numpy as np
 from .faber import principal_parts
 from .numerics import NumericalError, ValidationError
 from .schiffer import CapDatum, apply_schiffer, schiffer_contour
-from .series import invariance_check
+from .series import coefficient_deviations, project_faber
 from .surface import SurfaceSpec, green
 from .targets import build_target
 
@@ -218,16 +218,18 @@ def check_uniform_convergence(ctx) -> CheckResult:
 
 
 def check_invariance(ctx) -> CheckResult:
-    """Coefficients must survive a translation carrying caps to caps."""
-    dev = invariance_check(
-        ctx.surface,
-        lambda s: build_target(s, ctx.target_family, **ctx.target_params),
-        ctx.translation,
-        M=ctx.invariance_order,
-        checkpoints=(),
-    )
-    return CheckResult("invariance", dev < 1e-8, dev, 1e-8,
-                       f"translation {ctx.translation}")
+    """The reported coefficients must survive a translation carrying caps
+    to caps: the target built on the moved surface is decomposed there at
+    the run's order and condition limit and compared with the reported
+    decomposition, checkpoints included."""
+    dec = ctx.decomposition
+    moved = ctx.surface.translated(ctx.translation)
+    target = build_target(moved, ctx.target_family, **ctx.target_params)
+    devs = coefficient_deviations(
+        dec, project_faber(target, moved, dec.M, condition_limit=ctx.condition_limit))
+    worst = max(devs, key=devs.get)
+    return CheckResult("invariance", devs[worst] < 1e-8, devs[worst], 1e-8,
+                       f"translation {ctx.translation}, M={dec.M}, worst in {worst}")
 
 
 CHECKS = {

@@ -4,7 +4,8 @@ A config has five blocks. [surface] fixes genus and marked points,
 [caps] lists one map spec per line in the order the cap indices will
 use, [target] names a target family with its parameters, [run] holds
 truncation order, check list, seed, and tolerances, [output] the
-artifact directory. Parse errors name the offending block.field.
+artifact directory. Parse errors name the offending block.field; a key
+that [surface], [run] or [output] does not read is one of them.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ExperimentConfig:
     sup_tolerance: float
     pole_orders: int
     translation: complex
-    invariance_order: int
     condition_limit: float
     probe_center: complex
     probe_radius: float
@@ -52,6 +52,33 @@ class ExperimentConfig:
     uniform_margin: float
     strict: bool
     out_dir: str | None
+
+
+class _Block:
+    """One config block that records every key the parse looks up, so that
+    a key the parse never reads can be refused as unknown."""
+
+    def __init__(self, parser, name: str):
+        self.name = name
+        self._keys = parser[name] if name in parser else {}
+        self._read = set()
+
+    def __contains__(self, key: str) -> bool:
+        self._read.add(key)
+        return key in self._keys
+
+    def __getitem__(self, key: str) -> str:
+        self._read.add(key)
+        return self._keys[key]
+
+    def get(self, key: str, default: str | None = None) -> str | None:
+        self._read.add(key)
+        return self._keys.get(key, default)
+
+    def reject_unread(self) -> None:
+        for key in self._keys:
+            if key not in self._read:
+                raise ConfigError(f"{self.name}.{key}: unknown key")
 
 
 def _complex(block: str, key: str, raw: str) -> complex:
@@ -154,7 +181,7 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"missing [{block}] block")
 
     # -- surface ------------------------------------------------------------
-    s = parser["surface"]
+    s = _Block(parser, "surface")
     if "genus" not in s:
         raise ConfigError("surface.genus: required")
     genus = _int("surface", "genus", s["genus"])
@@ -175,6 +202,7 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError("surface.q: must be finite on the torus")
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
     margin = _float("surface", "margin", s.get("margin", "0.05"))
+    s.reject_unread()
 
     caps_items = list(parser["caps"].items())
     if not caps_items:
@@ -207,7 +235,7 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"target: {exc}") from None
 
     # -- run -------------------------------------------------------------------
-    r = parser["run"]
+    r = _Block(parser, "run")
     if "m" not in r:
         raise ConfigError("run.M: required")
     M = _count("run", "M", r["m"])
@@ -220,6 +248,7 @@ def parse_config(path: str) -> ExperimentConfig:
             )
         if name not in seen:
             seen.append(name)
+    output = _Block(parser, "output")
     translation_default = "0.5" if genus == 0 else "0.05"
     margin_default = "0.1" if genus == 0 else "0.05"
     cfg = ExperimentConfig(
@@ -235,15 +264,16 @@ def parse_config(path: str) -> ExperimentConfig:
         sup_tolerance=_float("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
         pole_orders=_count("run", "pole_orders", r.get("pole_orders", "4")),
         translation=_complex("run", "translation", r.get("translation", translation_default)),
-        invariance_order=_count("run", "invariance_order", r.get("invariance_order", "3")),
         condition_limit=_float("run", "condition_limit", r.get("condition_limit", "1e12")),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=_float("run", "probe_radius", r.get("probe_radius", "0")),
         probe_points=_count("run", "probe_points", r.get("probe_points", "40")),
         uniform_margin=_float("run", "uniform_margin", r.get("uniform_margin", margin_default)),
         strict=r.get("strict", "false").strip().lower() in ("1", "true", "yes"),
-        out_dir=parser["output"].get("directory") if "output" in parser else None,
+        out_dir=output.get("directory"),
     )
+    r.reject_unread()
+    output.reject_unread()
     top = order_limit(PRINCIPAL_RADIUS)
     if cfg.pole_orders > top:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "

@@ -34,7 +34,6 @@ class RunContext:
     """Everything a check function may consult."""
 
     surface: SurfaceSpec
-    target: object
     target_family: str
     target_params: dict
     decomposition: SeriesDecomposition
@@ -45,7 +44,7 @@ class RunContext:
     sup_tolerance: float
     sup_errors: tuple
     translation: complex
-    invariance_order: int
+    condition_limit: float
 
 
 def _num(x) -> float | None:
@@ -163,7 +162,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
 
         ctx = RunContext(
             surface=config.surface,
-            target=config.target,
             target_family=config.target_family,
             target_params=config.target_params,
             decomposition=dec,
@@ -174,7 +172,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             sup_tolerance=config.sup_tolerance,
             sup_errors=tuple(sup for _order, _l2, sup in residual_rows),
             translation=config.translation,
-            invariance_order=config.invariance_order,
+            condition_limit=config.condition_limit,
         )
         for name in config.checks:
             fn = CHECKS[name][0]

@@ -507,6 +507,18 @@ def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecompositi
     return uniform_errors(target, surface, decomposition, points, [M], margin=margin)[0]
 
 
+def coefficient_deviations(a: SeriesDecomposition, b: SeriesDecomposition) -> dict:
+    """Largest absolute difference between two decompositions of the same
+    order and checkpoints, per component: epsilon, c, d, h, and the h of
+    each checkpoint order m under the name "h at M=m"."""
+    if a.M != b.M or [m for m, _h in a.checkpoints] != [m for m, _h in b.checkpoints]:
+        raise ValidationError("decompositions of different orders or checkpoints do not compare")
+    pairs = [("epsilon", a.epsilon, b.epsilon), ("c", a.c, b.c), ("d", a.d, b.d),
+             ("h", a.h, b.h)]
+    pairs += [(f"h at M={m}", ha, hb) for (m, ha), (_m, hb) in zip(a.checkpoints, b.checkpoints)]
+    return {name: float(np.max(np.abs(x - y), initial=0.0)) for name, x, y in pairs}
+
+
 def invariance_check(surface: SurfaceSpec, build, translation, M: int,
                      **kwargs) -> float:
     """Decompose a transported target on a translated surface and report
@@ -518,10 +530,4 @@ def invariance_check(surface: SurfaceSpec, build, translation, M: int,
     moved = surface.translated(translation)
     dec1 = project_faber(build(surface), surface, M, **kwargs)
     dec2 = project_faber(build(moved), moved, M, **kwargs)
-    dev = max(
-        float(np.max(np.abs(dec1.epsilon - dec2.epsilon))),
-        float(np.max(np.abs(dec1.h - dec2.h))),
-    )
-    if dec1.c.size:
-        dev = max(dev, float(np.max(np.abs(dec1.c - dec2.c))))
-    return dev
+    return max(coefficient_deviations(dec1, dec2).values())

@@ -21,7 +21,9 @@ from faberforms.checks import (
 from faberforms.cli import main
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily
+from faberforms.series import project_faber
 from faberforms.surface import SurfaceSpec, green
+from faberforms.targets import build_target
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TAU = 0.3 + 1.1j
@@ -99,6 +101,45 @@ def test_q_independence_fails_a_green_function_that_feels_q(name, monkeypatch):
     monkeypatch.setattr(checks, "green", feels_q)
     res = checks.check_q_independence(ctx)
     assert not res.passed and res.value > 1e-9
+
+
+def _invariance_context(config):
+    dec = project_faber(config.target, config.surface, config.M,
+                        condition_limit=config.condition_limit)
+    return SimpleNamespace(surface=config.surface, target_family=config.target_family,
+                           target_params=config.target_params, translation=config.translation,
+                           condition_limit=config.condition_limit, decomposition=dec)
+
+
+@pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
+def test_invariance_solves_once_on_the_moved_surface_at_the_run_order(name, monkeypatch):
+    config = parse_config(_config_path(name))
+    ctx = _invariance_context(config)
+    calls = []
+
+    def counted(target, surface, M, **kwargs):
+        calls.append((surface, M, kwargs))
+        return project_faber(target, surface, M, **kwargs)
+
+    monkeypatch.setattr(checks, "project_faber", counted)
+    res = checks.check_invariance(ctx)
+    assert res.passed and res.threshold == 1e-8 and res.value < 1e-14
+    assert res.detail.startswith(f"translation {config.translation}, M={config.M}, worst in ")
+    assert [(M, kwargs) for _s, M, kwargs in calls] == [
+        (config.M, {"condition_limit": config.condition_limit})]
+    moved = np.asarray(calls[0][0].caps.centers)
+    assert np.allclose(moved, np.asarray(config.surface.caps.centers) + config.translation)
+
+
+def test_invariance_fails_a_target_that_ignores_the_moved_surface(monkeypatch):
+    config = parse_config(_config_path("sphere_joukowski"))
+    ctx = _invariance_context(config)
+    monkeypatch.setattr(checks, "build_target",
+                        lambda _surface, family, **params:
+                        build_target(config.surface, family, **params))
+    res = checks.check_invariance(ctx)
+    assert not res.passed and res.value > 1e-8
+    assert res.detail == f"translation {config.translation}, M={config.M}, worst in h"
 
 
 def _pointwise_harmonicity(surface, seed, samples):

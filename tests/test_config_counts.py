@@ -1,8 +1,9 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
 same holds for a pole-structure order past the roundoff limit of the
-principal-part read and for a [target] parameter that the chosen family
-does not take."""
+principal-part read, for a [target] parameter that the chosen family
+does not take and for a key that [surface], [run] or [output] does not
+read."""
 
 import inspect
 
@@ -20,7 +21,7 @@ BASE = (
 )
 
 
-@pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders", "invariance_order"])
+@pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, value):
     path = tmp_path / "bad.cfg"
@@ -33,7 +34,7 @@ def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, 
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders", "invariance_order"])
+@pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders"])
 def test_a_count_of_one_is_accepted(tmp_path, field):
     path = tmp_path / "ok.cfg"
     path.write_text(BASE + f"{field} = 1\n")
@@ -63,6 +64,20 @@ def test_pole_orders_past_the_roundoff_limit_is_a_named_config_error(tmp_path, c
                     + "pole_orders = 14\n")
     assert parse_config(str(path)).pole_orders == 14
     assert main(["run", str(path), "--out-dir", str(tmp_path / "ok")]) == 0
+
+
+def test_the_retired_invariance_order_is_a_named_config_error(tmp_path, capsys):
+    _rejected_before_anything_runs(tmp_path, capsys, BASE + "invariance_order = 3\n",
+                                   "run.invariance_order: unknown key")
+
+
+@pytest.mark.parametrize("text, field", [
+    (BASE.replace("genus = 0\n", "genus = 0\ntua = 0.3+1.1j\n"), "surface.tua"),
+    (BASE + "sup_tolerence = 1e-30\n", "run.sup_tolerence"),
+    (BASE + "[output]\ndirectroy = out\n", "output.directroy"),
+], ids=["surface", "run", "output"])
+def test_an_unknown_key_is_a_named_config_error(tmp_path, capsys, text, field):
+    _rejected_before_anything_runs(tmp_path, capsys, text, f"{field}: unknown key")
 
 
 @pytest.mark.parametrize("target, key", [

@@ -1,6 +1,7 @@
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from faberforms.series import (
     TargetForm,
     _split_target,
     boundary_coefficients,
+    coefficient_deviations,
     cycle_coefficients,
     invariance_check,
     project_faber,
@@ -493,6 +495,19 @@ def test_invariance_under_sphere_translation():
         M=4, checkpoints=(),
     )
     assert dev < 1e-8
+
+
+def test_coefficient_deviations_name_each_component_and_checkpoint():
+    surface = joukowski_sphere()
+    target = build_target(surface, "pole", cap=0, eta=0.55)
+    dec = project_faber(target, surface, 10, checkpoints=(5,))
+    h5 = dict(dec.checkpoints)[5]
+    bumped = replace(dec, checkpoints=((5, h5 + 1e-3), (10, dec.h)))
+    devs = coefficient_deviations(dec, bumped)
+    assert list(devs) == ["epsilon", "c", "d", "h", "h at M=5", "h at M=10"]
+    assert devs["h at M=5"] == pytest.approx(1e-3) and devs["epsilon"] == devs["h"] == 0.0
+    with pytest.raises(ValidationError, match="do not compare"):
+        coefficient_deviations(dec, project_faber(target, surface, 10, checkpoints=()))
 
 
 def test_project_rejects_bad_order():
