@@ -15,27 +15,22 @@ from .conformal import (
     CapFamily,
     ConformalMap,
     JoukowskiEllipseMap,
-    MoebiusComposedMap,
     PolynomialCapMap,
     make_map,
 )
 from .faber import (
     FaberBasisElement,
     LaurentTail,
-    beta_element,
     faber_form,
     faber_polynomial,
-    gamma_element,
     principal_part,
 )
 from .numerics import (
-    CircleContour,
     DiskGrid,
     NumericalError,
     PowerSeries,
     ValidationError,
     area_pairing,
-    circle_integral,
     laurent_coefficients,
     least_squares,
 )
@@ -59,7 +54,6 @@ from .surface import (
     gamma_basis,
     green,
     period,
-    period_matrix,
     schiffer_kernel,
 )
 from .targets import FAMILIES, build_target
@@ -68,7 +62,6 @@ __all__ = [
     "AffineMap",
     "CapDatum",
     "CapFamily",
-    "CircleContour",
     "ConformalMap",
     "Cycle",
     "DiskGrid",
@@ -77,7 +70,6 @@ __all__ = [
     "FaberBasisElement",
     "JoukowskiEllipseMap",
     "LaurentTail",
-    "MoebiusComposedMap",
     "NumericalError",
     "OneForm",
     "PolynomialCapMap",
@@ -90,23 +82,19 @@ __all__ = [
     "apply_schiffer",
     "area_pairing",
     "b_cycle",
-    "beta_element",
     "beta_form",
     "build_target",
-    "circle_integral",
     "contour_nodes",
     "contour_radius",
     "faber_form",
     "faber_polynomial",
     "gamma_basis",
-    "gamma_element",
     "green",
     "invariance_check",
     "laurent_coefficients",
     "least_squares",
     "make_map",
     "period",
-    "period_matrix",
     "principal_part",
     "project_faber",
     "schiffer_contour",

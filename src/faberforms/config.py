@@ -179,6 +179,9 @@ def parse_config(path: str) -> ExperimentConfig:
     for block in ("surface", "caps", "target", "run"):
         if block not in parser:
             raise ConfigError(f"missing [{block}] block")
+    for block in parser.sections():
+        if block not in ("surface", "caps", "target", "run", "output"):
+            raise ConfigError(f"{block}: unknown block")
 
     # -- surface ------------------------------------------------------------
     s = _Block(parser, "surface")

@@ -251,37 +251,20 @@ class PolynomialCapMap(ConformalMap):
         return np.polynomial.polynomial.polyval(zeta, dpoly)
 
 
-class MoebiusComposedMap(ConformalMap):
-    """g(f0(zeta)) for a Moebius g(w) = (a w + b)/(c w + d) and a base map f0.
+class TranslatedMap(ConformalMap):
+    """f0(zeta) + shift for a base map f0: the cap of f0 moved by shift."""
 
-    Used to transport cap families under ambient automorphisms; the Moebius
-    pole must stay outside the image of the base map.
-    """
+    kind = "translated"
 
-    kind = "moebius-composed"
-
-    def __init__(self, moebius, base: ConformalMap):
-        a, b, c, d = (complex(t) for t in moebius)
-        if abs(a * d - b * c) < 1e-14:
-            raise ValidationError("moebius determinant vanishes")
+    def __init__(self, base: ConformalMap, shift: complex):
         self.base = base
-        super().__init__((a, b, c, d))
+        super().__init__((shift,))
 
     def _evaluate(self, zeta):
-        a, b, c, d = self.parameters
-        w = self.base._evaluate(zeta)
-        denom = c * w + d
-        if np.any(np.abs(denom) < 1e-12):
-            raise ValidationError("moebius pole meets the cap image")
-        return (a * w + b) / denom
+        return self.base._evaluate(zeta) + self.parameters[0]
 
     def _derivative(self, zeta):
-        a, b, c, d = self.parameters
-        w = self.base._evaluate(zeta)
-        denom = c * w + d
-        if np.any(np.abs(denom) < 1e-12):
-            raise ValidationError("moebius pole meets the cap image")
-        return (a * d - b * c) / denom ** 2 * self.base._derivative(zeta)
+        return self.base._derivative(zeta)
 
 
 _FAMILIES = {

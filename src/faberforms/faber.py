@@ -64,15 +64,12 @@ class LaurentTail:
 
 @dataclass(frozen=True)
 class FaberBasisElement:
-    """One member of the decomposition basis with its construction record.
+    """The order-``order`` basis form of cap ``cap``, as ``faber_form``
+    builds it."""
 
-    tag is "alpha" (cap + order set), "beta" (cap set), or "gamma".
-    """
-
-    tag: str
     form: OneForm
-    cap: int | None = None
-    order: int | None = None
+    cap: int
+    order: int
 
 
 def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
@@ -98,7 +95,7 @@ def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
 
     form = OneForm(ev, conjugate=False, poles=((surface.caps[k].center, m + 1),),
                    label=f"alpha[{k},{m}]")
-    return FaberBasisElement("alpha", form, cap=k, order=m)
+    return FaberBasisElement(form, cap=k, order=m)
 
 
 def alpha_values(surface: SurfaceSpec, k: int, orders, z) -> np.ndarray:
@@ -156,22 +153,8 @@ def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneFor
     return OneForm(ev, poles=poles, label=label)
 
 
-def beta_element(surface: SurfaceSpec, k: int) -> FaberBasisElement:
-    """The k-th double-pole-free closed-form basis element (simple poles
-    at centers k and n-1)."""
-    return FaberBasisElement("beta", beta_form(surface, k), cap=k)
-
-
-def gamma_element(surface: SurfaceSpec) -> FaberBasisElement:
-    """The holomorphic basis element; torus surfaces only."""
-    forms = gamma_basis(surface)
-    if not forms:
-        raise ValidationError("sphere surfaces carry no holomorphic one-form")
-    return FaberBasisElement("gamma", forms[0])
-
-
 def principal_part(surface: SurfaceSpec, element: FaberBasisElement):
-    """Laurent data of the alpha element's pullback through its own cap.
+    """Laurent data of the basis element's pullback through its own cap.
 
     Returns (tail, head): tail holds the coefficients of zeta^-1 ..
     zeta^-J read on |zeta| = EXPANSION_RADIUS, head the regular part as a
@@ -180,8 +163,6 @@ def principal_part(surface: SurfaceSpec, element: FaberBasisElement):
     raises on violation; tests pin the sharp tolerances. This is the
     one-element view of ``principal_parts``, with the same read sizes.
     """
-    if element.tag != "alpha" or element.cap is None or element.order is None:
-        raise ValidationError("principal part is defined for alpha elements only")
     return principal_parts(surface, element.cap, [element.order])[0]
 
 

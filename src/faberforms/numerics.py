@@ -1,9 +1,8 @@
-"""Contour and area quadrature, series extraction, regularized least squares.
+"""Area quadrature, series extraction, regularized least squares.
 
-Everything downstream runs on three discretizations: trapezoid sums on
-circles (spectrally accurate for analytic integrands), Gauss-Legendre-by-
-radius grids on the unit disk, and FFT reads of Taylor/Laurent coefficients
-from equispaced circle samples.
+Two discretizations live here: Gauss-Legendre-by-radius grids on the unit
+disk, and FFT reads of Taylor/Laurent coefficients from equispaced circle
+samples.
 """
 
 from __future__ import annotations
@@ -35,49 +34,6 @@ class NumericalError(Exception):
 
 class ValidationError(Exception):
     """Inputs violate a documented precondition or parameter range."""
-
-
-@dataclass(frozen=True)
-class CircleContour:
-    """Equispaced nodes on a circle, oriented counterclockwise.
-
-    Parameters
-    ----------
-    center, radius : circle geometry, radius > 0.
-    n : node count, at least 16. Trapezoid sums over these nodes integrate
-        analytic functions with spectral accuracy.
-    """
-
-    center: complex
-    radius: float
-    n: int = 256
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValidationError(f"contour radius must be positive, got {self.radius}")
-        if self.n < 16:
-            raise ValidationError(f"contour needs at least 16 nodes, got {self.n}")
-
-    def angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.n) / self.n
-
-    def nodes(self) -> np.ndarray:
-        return self.center + self.radius * np.exp(1j * self.angles())
-
-    def dw(self) -> np.ndarray:
-        # weights for sum(f(nodes) * dw) ~ integral of f dw, counterclockwise
-        return (TWO_PI * 1j * self.radius / self.n) * np.exp(1j * self.angles())
-
-
-def circle_integral(integrand, contour: CircleContour) -> complex:
-    """Contour integral of ``integrand`` over ``contour`` by the trapezoid rule."""
-    w = contour.nodes()
-    vals = np.asarray(integrand(w), dtype=complex)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        raise NumericalError(f"integrand not finite at node {j} (w = {w[j]:.6g})")
-    return complex(np.sum(vals * contour.dw()))
 
 
 @dataclass(frozen=True)
@@ -175,21 +131,6 @@ def laurent_from_samples(samples: np.ndarray, radius: float, orders) -> np.ndarr
 def laurent_coefficients(fn, center: complex, radius: float, orders, n: int = 512) -> np.ndarray:
     """Sample ``fn`` on a circle and read off Laurent coefficients at ``orders``."""
     return laurent_from_samples(_circle_samples(fn, center, radius, n), radius, orders)
-
-
-def extract_taylor(fn, center: complex, radius: float, order: int, n: int | None = None) -> PowerSeries:
-    """Taylor coefficients c_0..c_order of ``fn`` around ``center``.
-
-    ``fn`` must be analytic on the closed disk of the given radius; the
-    coefficients are discrete Fourier transforms of circle samples divided
-    by radius powers.
-    """
-    if order < 0:
-        raise ValidationError(f"order must be nonnegative, got {order}")
-    if n is None:
-        n = max(128, 1 << int(np.ceil(np.log2(4 * (order + 1)))))
-    coeffs = laurent_coefficients(fn, center, radius, range(order + 1), n=n)
-    return PowerSeries(center, coeffs, radius)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import theta
-from .conformal import CapFamily, MoebiusComposedMap
+from .conformal import CapFamily, TranslatedMap
 from .numerics import TWO_PI, NumericalError, ValidationError
 
 PI = np.pi
@@ -229,10 +229,8 @@ class SurfaceSpec:
     def translated(self, t: complex) -> "SurfaceSpec":
         """The same surface with every marked object shifted by t."""
         t = complex(t)
-        moved = CapFamily(
-            [MoebiusComposedMap((1.0, t, 0.0, 1.0), m) for m in self.caps],
-            separation=self.caps.separation,
-        )
+        moved = CapFamily([TranslatedMap(m, t) for m in self.caps],
+                          separation=self.caps.separation)
         q = None if self.q is None else self.q + t
         return SurfaceSpec(self.genus, moved, tau=self.tau, q=q, w0=self.w0 + t, margin=self.margin)
 
@@ -394,13 +392,6 @@ def gamma_basis(surface: SurfaceSpec) -> list:
         return np.ones_like(np.asarray(w, dtype=complex))
 
     return [OneForm(ev, label="gamma_0")]
-
-
-def period_matrix(surface: SurfaceSpec) -> np.ndarray:
-    """b-periods of the a-normalized basis: empty (sphere) or [[tau]]."""
-    if surface.genus == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return np.array([[surface.tau]], dtype=complex)
 
 
 def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 512) -> Cycle:

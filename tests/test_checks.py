@@ -21,6 +21,7 @@ from faberforms.checks import (
 from faberforms.cli import main
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily
+from faberforms.numerics import NumericalError, ValidationError
 from faberforms.series import project_faber
 from faberforms.surface import SurfaceSpec, green
 from faberforms.targets import build_target
@@ -101,6 +102,22 @@ def test_q_independence_fails_a_green_function_that_feels_q(name, monkeypatch):
     monkeypatch.setattr(checks, "green", feels_q)
     res = checks.check_q_independence(ctx)
     assert not res.passed and res.value > 1e-9
+
+
+def test_q_independence_names_a_surface_without_an_alternative_base_point(monkeypatch):
+    # every candidate base point is refused, on either kind of surface
+    sphere = SurfaceSpec.sphere(CapFamily([AffineMap(0.5)]))
+    torus = SurfaceSpec.torus(0.3 + 1.1j, CapFamily([AffineMap(0.1, 0.5 + 0.5j)]))
+
+    def refuse(cls, *args, **kwargs):
+        raise ValidationError("base point too close to a cap")
+
+    monkeypatch.setattr(SurfaceSpec, "sphere", classmethod(refuse))
+    monkeypatch.setattr(SurfaceSpec, "torus", classmethod(refuse))
+    for surface in (sphere, torus):
+        ctx = SimpleNamespace(surface=surface, seed=0, samples=4)
+        with pytest.raises(NumericalError, match="^no admissible alternative base point found$"):
+            checks.check_q_independence(ctx)
 
 
 def _invariance_context(config):

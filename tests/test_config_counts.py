@@ -2,8 +2,8 @@
 config error that names its field and exits 2 before anything runs. The
 same holds for a pole-structure order past the roundoff limit of the
 principal-part read, for a [target] parameter that the chosen family
-does not take and for a key that [surface], [run] or [output] does not
-read."""
+does not take, for a key that [surface], [run] or [output] does not
+read and for a block that the parse does not read."""
 
 import inspect
 
@@ -78,6 +78,12 @@ def test_the_retired_invariance_order_is_a_named_config_error(tmp_path, capsys):
 ], ids=["surface", "run", "output"])
 def test_an_unknown_key_is_a_named_config_error(tmp_path, capsys, text, field):
     _rejected_before_anything_runs(tmp_path, capsys, text, f"{field}: unknown key")
+
+
+def test_an_unknown_block_is_a_named_config_error(tmp_path, capsys):
+    # a misspelt [output] would otherwise drop the output directory unread
+    _rejected_before_anything_runs(tmp_path, capsys, BASE + "[outptu]\ndirectory = out\n",
+                                   "outptu: unknown block")
 
 
 @pytest.mark.parametrize("target, key", [

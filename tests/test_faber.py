@@ -13,13 +13,10 @@ from faberforms.conformal import (
 )
 from faberforms import faber
 from faberforms.faber import (
-    FaberBasisElement,
     LaurentTail,
     alpha_values,
-    beta_element,
     faber_form,
     faber_polynomial,
-    gamma_element,
     principal_part,
     principal_parts,
 )
@@ -212,7 +209,7 @@ def test_principal_parts_match_a_fine_read(genus):
 def test_unit_cap_form_value():
     surface = one_cap_sphere(AffineMap(1.0))
     el = faber_form(surface, 0, 1)
-    assert el.tag == "alpha" and el.cap == 0 and el.order == 1
+    assert el.cap == 0 and el.order == 1
     assert el.form.poles == ((0.0, 2),)
     assert abs(el.form(2.0) - 0.25) < 1e-10
 
@@ -322,17 +319,23 @@ def test_translation_invariance_of_forms():
         assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_beta_and_gamma_elements():
-    caps = CapFamily([AffineMap(0.4), JoukowskiEllipseMap(0.25, scale=0.3, offset=2.5)])
-    surface = SurfaceSpec.sphere(caps, w0=1.0 - 2.0j)
-    b = beta_element(surface, 0)
-    assert b.tag == "beta" and b.cap == 0
-    assert {loc for loc, _ in b.form.poles} == {0.0, 2.5}
-    with pytest.raises(ValidationError):
-        gamma_element(surface)
-    g = gamma_element(torus_one_cap())
-    assert g.tag == "gamma" and g.form.poles == ()
-    assert abs(g.form(0.3 + 0.2j) - 1.0) < 1e-15
+def test_principal_parts_fail_a_form_off_its_pole_structure(monkeypatch):
+    # a basis form scaled by 1.01 leads its pullback with 1.01 m, not m
+    surface = one_cap_sphere(AffineMap(1.0))
+    monkeypatch.setattr(faber, "schiffer_contour",
+                        lambda *a, **kw: 1.01 * schiffer_contour(*a, **kw))
+    with pytest.raises(NumericalError, match=r"^pole structure violated at order 2: "
+                                             r"\|c\[-\(m\+1\)\] - m\| = 2\.000e-02, "
+                                             r"deeper mass \d\.\d{3}e-1\d$"):
+        principal_parts(surface, 0, [2, 3])
+
+
+def test_principal_parts_refuse_a_pullback_that_is_not_finite(monkeypatch):
+    surface = one_cap_sphere(AffineMap(1.0))
+    monkeypatch.setattr(faber, "schiffer_contour",
+                        lambda *a, **kw: np.nan * schiffer_contour(*a, **kw))
+    with pytest.raises(NumericalError, match="^pullback not finite on the expansion circle$"):
+        principal_parts(surface, 0, [1])
 
 
 def test_order_guards():
@@ -345,9 +348,6 @@ def test_order_guards():
     with pytest.raises(ValidationError,
                        match=r"order 212 on the contour radius 0\.92 .* eps = \S+, above 1e-08"):
         faber_form(surface, 0, 212)
-    with pytest.raises(ValidationError, match="alpha"):
-        principal_part(surface, beta_element(SurfaceSpec.sphere(
-            CapFamily([AffineMap(0.4), AffineMap(0.4, 2.0)]), w0=1.0 - 2.0j), 0))
     # the principal-part read sits on 0.3, which carries 14
     with pytest.raises(ValidationError, match=r"order 15 on the contour radius 0\.3 "):
         principal_part(surface, faber_form(surface, 0, 15))

@@ -88,3 +88,11 @@ def test_sphere_run_leaves_numpy_random_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_every_export_resolves_once():
+    import faberforms
+
+    names = faberforms.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(faberforms, name)] == []

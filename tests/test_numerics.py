@@ -1,18 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from faberforms import numerics
 from faberforms.numerics import (
-    CircleContour,
     DiskGrid,
     LeastSquaresResult,
     NumericalError,
+    PowerSeries,
     ValidationError,
     area_pairing,
-    circle_integral,
-    extract_taylor,
     laurent_coefficients,
     least_squares,
     measured_area,
@@ -38,51 +34,6 @@ class _IdentityChart:
 
     def derivative(self, zeta):
         return np.ones_like(np.asarray(zeta, dtype=complex))
-
-
-def test_circle_integral_residue():
-    c = CircleContour(0.0, 1.0, n=64)
-    assert abs(circle_integral(lambda w: 1.0 / w, c) - TWO_PI * 1j) < 1e-13
-
-
-def test_circle_integral_analytic_integrand_vanishes():
-    c = CircleContour(0.0, 1.0, n=64)
-    assert abs(circle_integral(lambda w: w, c)) < 1e-14
-
-
-def test_circle_integral_shifted_pole():
-    # residue theorem: single simple pole at 0.3 inside the unit circle
-    c = CircleContour(0.0, 1.0, n=128)
-    assert abs(circle_integral(lambda w: 1.0 / (w - 0.3), c) - TWO_PI * 1j) < 1e-12
-
-
-def test_circle_integral_spectral_convergence():
-    # doubling the node count beyond 64 must not move the value
-    vals = []
-    for n in (64, 128, 256):
-        c = CircleContour(0.2, 0.7, n=n)
-        vals.append(circle_integral(lambda w: np.exp(w) / (w - 0.1), c))
-    assert abs(vals[1] - vals[0]) < 1e-10
-    assert abs(vals[2] - vals[1]) < 1e-13
-
-
-def test_circle_integral_reports_bad_node():
-    c = CircleContour(0.0, 1.0, n=16)
-
-    def fn(w):
-        out = 1.0 / w
-        out = np.where(np.abs(w - w[3]) < 1e-12, np.nan, out)
-        return out
-
-    with pytest.raises(NumericalError, match="node 3"):
-        circle_integral(fn, c)
-
-
-def test_contour_validation():
-    with pytest.raises(ValidationError):
-        CircleContour(0.0, -1.0)
-    with pytest.raises(ValidationError):
-        CircleContour(0.0, 1.0, n=8)
 
 
 def test_disk_grid_total_weight_is_pi():
@@ -177,35 +128,8 @@ def test_measured_area_raises_past_the_guard_and_names_the_datum(monkeypatch):
         measured_area(evaluate, 2)
 
 
-def test_extract_taylor_identity():
-    s = extract_taylor(lambda w: w, 0.0, 0.5, 4)
-    expect = np.array([0, 1, 0, 0, 0], dtype=complex)
-    assert np.max(np.abs(s.coefficients - expect)) < 1e-13
-
-
-def test_extract_taylor_exp():
-    s = extract_taylor(np.exp, 0.0, 0.5, 8)
-    expect = 1.0 / np.array([math.factorial(j) for j in range(9)])
-    assert np.max(np.abs(s.coefficients - expect)) < 1e-12
-
-
-def test_extract_taylor_geometric():
-    s = extract_taylor(lambda w: 1.0 / (1.0 - w), 0.0, 0.5, 10)
-    assert np.max(np.abs(s.coefficients - 1.0)) < 1e-12
-
-
-def test_extract_taylor_reproduces_on_half_radius():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        a = rng.standard_normal() + 1j * rng.standard_normal()
-        fn = lambda w, a=a: np.exp(a * w / 2.0)
-        s = extract_taylor(fn, 0.1, 0.8, 24)
-        z = 0.1 + 0.4 * np.exp(1j * TWO_PI * np.arange(13) / 13)
-        assert np.max(np.abs(s(z) - fn(z))) < 1e-10
-
-
 def test_power_series_center_value_and_derivative():
-    s = extract_taylor(np.cos, 0.0, 0.7, 12)
+    s = PowerSeries(0.0, laurent_coefficients(np.cos, 0.0, 0.7, range(13), n=128), 0.7)
     assert abs(s(0.0) - s.coefficients[0]) < 1e-15
     ds = s.derivative()
     assert abs(ds(0.2) + np.sin(0.2)) < 1e-10

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from faberforms import faber, numerics
+from faberforms import faber, numerics, series
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.faber import faber_form
@@ -508,6 +508,26 @@ def test_coefficient_deviations_name_each_component_and_checkpoint():
     assert devs["h at M=5"] == pytest.approx(1e-3) and devs["epsilon"] == devs["h"] == 0.0
     with pytest.raises(ValidationError, match="do not compare"):
         coefficient_deviations(dec, project_faber(target, surface, 10, checkpoints=()))
+
+
+def test_project_refuses_a_residual_that_rises_with_the_order(monkeypatch):
+    # a solve that returns zeros at the top order leaves the whole
+    # remainder, above the order-2 residual
+    surface = identity_cap_sphere()
+    target = build_target(surface, "basis", k=0, m=1)
+    r2 = project_faber(target, surface, M=2, checkpoints=()).residual_history[-1][1]
+    pairing = ExteriorPairing(surface)
+    rho = pairing.norm(_split_target(target.form, pairing)[3])
+
+    def zero_at_the_top(gram, rhs, condition_limit):
+        sol = numerics.least_squares(gram, rhs, condition_limit)
+        return replace(sol, coefficients=0 * sol.coefficients) if rhs.size == 3 else sol
+
+    monkeypatch.setattr(series, "least_squares", zero_at_the_top)
+    with pytest.raises(NumericalError) as err:
+        project_faber(target, surface, M=3, checkpoints=(2,))
+    assert str(err.value) == (f"L2 residual increased from {r2:.6e} to {rho:.6e} between "
+                              f"orders; projection monotonicity violated")
 
 
 def test_project_rejects_bad_order():
