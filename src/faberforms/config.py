@@ -98,6 +98,13 @@ def _float(block: str, key: str, raw: str) -> float:
         raise ConfigError(f"{block}.{key}: not a number: {raw!r}") from None
 
 
+def _positive(block: str, key: str, raw: str) -> float:
+    value = _float(block, key, raw)
+    if not value > 0:
+        raise ConfigError(f"{block}.{key}: must be > 0, got {value}")
+    return value
+
+
 def _int(block: str, key: str, raw: str) -> int:
     try:
         return int(raw.strip())
@@ -269,9 +276,10 @@ def parse_config(path: str) -> ExperimentConfig:
         translation=_complex("run", "translation", r.get("translation", translation_default)),
         condition_limit=_float("run", "condition_limit", r.get("condition_limit", "1e12")),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
-        probe_radius=_float("run", "probe_radius", r.get("probe_radius", "0")),
+        probe_radius=(_positive("run", "probe_radius", r["probe_radius"])
+                      if "probe_radius" in r else 0.0),
         probe_points=_count("run", "probe_points", r.get("probe_points", "40")),
-        uniform_margin=_float("run", "uniform_margin", r.get("uniform_margin", margin_default)),
+        uniform_margin=_positive("run", "uniform_margin", r.get("uniform_margin", margin_default)),
         strict=r.get("strict", "false").strip().lower() in ("1", "true", "yes"),
         out_dir=output.get("directory"),
     )
@@ -282,8 +290,9 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "
                           f"principal-part read, got {cfg.pole_orders}")
     if cfg.probe_radius == 0.0:
-        center, radius = _default_probe(surface)
-        cfg.probe_center, cfg.probe_radius = center, radius
+        if "probe_center" in r:
+            raise ConfigError("run.probe_center: set without run.probe_radius")
+        cfg.probe_center, cfg.probe_radius = _default_probe(surface)
     return cfg
 
 

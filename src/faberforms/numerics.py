@@ -92,13 +92,6 @@ class PowerSeries:
         u = np.asarray(z, dtype=complex) - self.center
         return np.polynomial.polynomial.polyval(u, self.coefficients)
 
-    def derivative(self) -> "PowerSeries":
-        c = np.polynomial.polynomial.polyder(self.coefficients)
-        return PowerSeries(self.center, np.asarray(c, dtype=complex), self.radius)
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
 
 def _circle_samples(fn, center: complex, radius: float, n: int) -> np.ndarray:
     zeta = center + radius * np.exp(1j * TWO_PI * np.arange(n) / n)

@@ -17,11 +17,11 @@ mean guard (no periodic antiderivative otherwise) enforces that numerically.
 
 All three stages read the target on the same fixed node sets: each
 cap's circles at the measuring radii 0.95 and 1 in its disk chart and,
-on the torus, the a and b lattice cycles. The target is sampled once on
-each of them; epsilon comes from the periods on the two circles, the
-remainder's samples are the target's minus those of the pole-difference
-and holomorphic forms, and c, d and the remainder's pairing data are
-read from the remainder's samples.
+on the torus, the a and b lattice cycles. The target is evaluated once
+per solve, on all of them concatenated; epsilon comes from the periods
+on the two circles, the remainder's samples are the target's minus
+those of the pole-difference and holomorphic forms, and c, d and the
+remainder's pairing data are read from the remainder's samples.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ from .surface import (
     a_cycle,
     b_cycle,
     boundary_cycle,
+    per_cycle,
     period,
+    require_finite,
+    sample,
 )
 
 DEFAULT_CHECKPOINTS = (5, 10, 20, 40)
@@ -126,13 +129,6 @@ _WEIGHTS = np.array([TWO_PI / BOUNDARY_NODES**2 / k if k else 0.0
                      for k in (*range(BOUNDARY_NODES // 2), *range(-BOUNDARY_NODES // 2, 0))])
 
 
-def _finite(vals, where: str) -> np.ndarray:
-    vals = np.asarray(vals, dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"form not finite on the {where}")
-    return vals
-
-
 def _require_dz(form: OneForm):
     if getattr(form, "conjugate", False):
         raise ValidationError("boundary reduction applies to dz-type forms only")
@@ -147,60 +143,47 @@ class ExteriorPairing:
     a Parseval sum, one matrix product per row slice of frequencies.
 
     ``circles`` are the radius-1 boundary cycles of the caps and
-    ``cycles`` the a and b lattice cycles (empty on the sphere): the
-    node sets every pairing datum is sampled on.
+    ``cycles`` the a and b lattice cycles (empty on the sphere); ``nodes``
+    holds their nodes in that order, the one node array every pairing
+    datum is sampled on.
     """
 
     def __init__(self, surface: SurfaceSpec):
         self.surface = surface
         self.circles = tuple(boundary_cycle(surface, k, radius=1.0, n=BOUNDARY_NODES)
                              for k in range(surface.n_caps))
-        theta = TWO_PI * np.arange(BOUNDARY_NODES) / BOUNDARY_NODES
-        zeta = np.exp(1j * theta)
-        self._dw = tuple(f.derivative(zeta) * 1j * zeta for f in surface.caps)
-        if surface.genus == 1:
-            self.cycles = (a_cycle(surface, n=CYCLE_NODES), b_cycle(surface, n=CYCLE_NODES))
-        else:
-            self.cycles = ()
+        zeta = np.exp(1j * (TWO_PI * np.arange(BOUNDARY_NODES) / BOUNDARY_NODES))
+        self._dw = np.array([f.derivative(zeta) * 1j * zeta for f in surface.caps])
+        self.cycles = ((a_cycle(surface, n=CYCLE_NODES), b_cycle(surface, n=CYCLE_NODES))
+                       if surface.genus == 1 else ())
+        self.nodes = np.concatenate([c.nodes for c in self.circles + self.cycles])
 
     def data(self, form: OneForm) -> PairingData:
         _require_dz(form)
-        return self._pack([c.sample(form) for c in self.circles],
-                         [c.sample(form) for c in self.cycles])
+        return self._pack(sample(form, self.circles + self.cycles))
 
     def alpha_data(self, M: int) -> PairingData:
         """Data of the order-1..M basis forms of every cap, stacked along
         one trailing axis in the order (m - 1) * n_caps + k.
 
-        Each (cap, node set) pair is sampled by one ``alpha_values`` call:
-        one kernel block, on the radius step of order M."""
+        Each cap is read by one ``alpha_values`` call on ``nodes``: one
+        kernel block, on the radius step of order M."""
         n = self.surface.n_caps
+        vals = np.empty((self.nodes.size, M, n), dtype=complex)
+        for k in range(n):
+            vals[:, :, k] = alpha_values(self.surface, k, range(1, M + 1), self.nodes)
+        return self._pack(vals.reshape(self.nodes.size, M * n))
 
-        def sample(nodes):
-            vals = np.empty((nodes.size, M, n), dtype=complex)
-            for k in range(n):
-                vals[:, :, k] = alpha_values(self.surface, k, range(1, M + 1), nodes)
-            return vals.reshape(nodes.size, M * n)
-
-        # generators: one node set is sampled at a time, so only one is
-        # held besides the stacked boundary data
-        return self._pack((sample(c.nodes) for c in self.circles),
-                         (sample(c.nodes) for c in self.cycles))
-
-    def _pack(self, on_circles, on_cycles) -> PairingData:
-        """Pairing data from samples: one array per circle, then one per
-        lattice cycle, in the order of ``circles`` and ``cycles``, with
-        any stack axes trailing. Each column of g must have a mean below
-        1e-7 * max(1, max|g|), else it has no periodic antiderivative."""
-        # indexed, not zipped, and the samples deleted: the previous
-        # circle's are not held while the next ones are drawn
-        ghat = None
-        for k, vals in enumerate(on_circles):
-            vals = _finite(vals, self.circles[k].name)
-            if ghat is None:
-                ghat = np.empty((len(self._dw),) + vals.shape, dtype=complex)
-            np.multiply(vals, self._dw[k].reshape((-1,) + (1,) * (vals.ndim - 1)), out=ghat[k])
-            del vals
+    def _pack(self, vals) -> PairingData:
+        """Pairing data from samples on ``nodes``, with any stack axes
+        trailing. Consumes ``vals``: its circle rows are multiplied by dw
+        and transformed in place, and ghat is a view of them. Each column
+        of g must have a mean below 1e-7 * max(1, max|g|), else it has no
+        periodic antiderivative."""
+        require_finite(vals, self.circles + self.cycles)
+        n_caps, stack = len(self._dw), vals.shape[1:]
+        ghat = vals[:n_caps * BOUNDARY_NODES].reshape((n_caps, BOUNDARY_NODES) + stack)
+        ghat *= self._dw.reshape(self._dw.shape + (1,) * len(stack))
         # g to its DFT along the nodes in place, a row slice of columns at a
         # time (np.fft.fft has no out= before numpy 2.0)
         g = ghat.reshape(ghat.shape[:2] + (-1,))
@@ -212,13 +195,9 @@ class ExteriorPairing:
             if np.any(bad):
                 raise NumericalError(f"samples have nonzero mean {mean[bad][0]:.3e}; "
                                      "no periodic antiderivative")
-        if self.cycles:
-            a, b = (
-                np.tensordot(c.weights, _finite(vals, c.name), axes=(0, 0))
-                for c, vals in zip(self.cycles, on_cycles)
-            )
-        else:
-            a = b = np.zeros(ghat.shape[2:], dtype=complex)
+        on_cycles = per_cycle(vals, self.circles + self.cycles)[n_caps:]
+        a, b = ([np.tensordot(c.weights, v, axes=(0, 0)) for c, v in zip(self.cycles, on_cycles)]
+                or [np.zeros(stack, dtype=complex)] * 2)  # the sphere has no lattice periods
         return PairingData(ghat, a, b)
 
     def inner(self, d1: PairingData, d2: PairingData):
@@ -247,10 +226,10 @@ def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII) -
     each cap divided by 2 pi i, so that subtracting the pole-difference
     combination kills every boundary period.
 
-    Measured on two circle representatives; a relative disagreement
-    beyond RADIUS_GAP_TOL raises. All n values are returned; their sum
-    vanishes for a form holomorphic on the complement, and the
-    decomposition uses the first n - 1.
+    Measured on two circle representatives, each read on its own by
+    ``period``; a relative disagreement beyond RADIUS_GAP_TOL raises. All
+    n values are returned; their sum vanishes for a form holomorphic on
+    the complement, and the decomposition uses the first n - 1.
     """
     form = getattr(target, "form", target)
     r1, r2 = sorted(float(r) for r in radii)
@@ -306,8 +285,10 @@ def cycle_coefficients(form: OneForm, surface: SurfaceSpec) -> tuple:
     Both are read on the node sets of ``ExteriorPairing``.
     """
     pairing = ExteriorPairing(surface)
-    _check_boundary_free([period(form, c) for c in pairing.circles])
-    return _cycle_split(surface, [period(form, c) for c in pairing.cycles])
+    cycles = pairing.circles + pairing.cycles
+    periods = _periods(cycles, sample(form, cycles), form.conjugate)
+    _check_boundary_free(periods[:surface.n_caps])
+    return _cycle_split(surface, periods[surface.n_caps:])
 
 
 def _check_boundary_free(periods):
@@ -322,8 +303,7 @@ def _check_boundary_free(periods):
 def _cycle_split(surface: SurfaceSpec, lattice_periods) -> tuple:
     # (c, d) from the a- and b-periods; empty on the sphere, which has none
     if surface.genus == 0:
-        empty = np.zeros(0, dtype=complex)
-        return empty, empty
+        return (np.zeros(0, dtype=complex),) * 2
     A, B = lattice_periods
     tau = surface.tau
     det = tau - np.conj(tau)
@@ -333,8 +313,9 @@ def _cycle_split(surface: SurfaceSpec, lattice_periods) -> tuple:
     return np.array([c]), np.array([d])
 
 
-def _integrals(cycles, samples) -> list:
-    return [c.integrate(v) for c, v in zip(cycles, samples)]
+def _periods(cycles, vals, conjugate: bool = False) -> list:
+    # the period over each cycle from samples on their concatenated nodes
+    return [c.integrate(v, conjugate) for c, v in zip(cycles, per_cycle(vals, cycles))]
 
 
 def _subtract(vals, terms, nodes) -> np.ndarray:
@@ -347,36 +328,32 @@ def _subtract(vals, terms, nodes) -> np.ndarray:
 
 
 def _split_target(form: OneForm, pairing: ExteriorPairing) -> tuple:
-    """The first two stages of the decomposition from one sample of the
-    target per fixed node set: (epsilon, c, d, pairing data of the
-    remainder rho).
+    """The first two stages of the decomposition from one evaluation of
+    the target: (epsilon, c, d, pairing data of the remainder rho).
 
-    The node sets are each cap's circles at the two measuring radii (the
-    radius-1 circles are the pairing's ``circles``) and, on the torus,
-    the pairing's a and b cycles. The remainder's samples are the
-    target's minus those of the pole-difference and holomorphic forms.
+    The target is sampled on each cap's circle at the inner measuring
+    radius, followed by the pairing's ``nodes`` (the radius-1 circles
+    and, on the torus, the a and b cycles). The remainder's samples are
+    the target's minus those of the pole-difference and holomorphic
+    forms, each evaluated once on ``nodes``.
     """
     _require_dz(form)
     surface = pairing.surface
     r1, r2 = MEASURING_RADII  # r2 = 1: the outer circles are the pairing's
     _check_poles_clear(form, surface, r1)
-    inner = [boundary_cycle(surface, k, radius=r1, n=BOUNDARY_NODES)
-             for k in range(surface.n_caps)]
-    on_inner = [c.sample(form) for c in inner]
-    on_circles = [c.sample(form) for c in pairing.circles]
-    on_cycles = [c.sample(form) for c in pairing.cycles]
-    eps = _boundary_coefficients(_integrals(inner, on_inner),
-                                 _integrals(pairing.circles, on_circles), r1, r2)
-
-    def remove(terms):
-        return ([_subtract(v, terms, c.nodes) for c, v in zip(pairing.circles, on_circles)],
-                [_subtract(v, terms, c.nodes) for c, v in zip(pairing.cycles, on_cycles)])
-
-    on_circles, on_cycles = remove(closed_terms(surface, eps, np.zeros(surface.genus)))
-    _check_boundary_free(_integrals(pairing.circles, on_circles))
-    c_vec, d_vec = _cycle_split(surface, _integrals(pairing.cycles, on_cycles))
-    on_circles, on_cycles = remove(closed_terms(surface, np.zeros(surface.n_caps - 1), c_vec))
-    return eps, c_vec, d_vec, pairing._pack(on_circles, on_cycles)
+    inner = tuple(boundary_cycle(surface, k, radius=r1, n=BOUNDARY_NODES)
+                  for k in range(surface.n_caps))
+    n, cycles = surface.n_caps, pairing.circles + pairing.cycles
+    vals = sample(form, inner + cycles)
+    periods = _periods(inner + pairing.circles, vals[:2 * n * BOUNDARY_NODES])
+    eps = _boundary_coefficients(periods[:n], periods[n:], r1, r2)
+    rho = _subtract(vals[n * BOUNDARY_NODES:], closed_terms(surface, eps, np.zeros(surface.genus)),
+                    pairing.nodes)
+    periods = _periods(cycles, rho)
+    _check_boundary_free(periods[:n])
+    c_vec, d_vec = _cycle_split(surface, periods[n:])
+    rho = _subtract(rho, closed_terms(surface, np.zeros(n - 1), c_vec), pairing.nodes)
+    return eps, c_vec, d_vec, pairing._pack(rho)
 
 
 def project_faber(target, surface: SurfaceSpec, M: int,
@@ -384,11 +361,11 @@ def project_faber(target, surface: SurfaceSpec, M: int,
                   checkpoints=DEFAULT_CHECKPOINTS) -> SeriesDecomposition:
     """Full decomposition of a target at truncation order M.
 
-    The target is sampled once per fixed node set: each cap's
-    BOUNDARY_NODES-node circles at the radii 0.95 and 1 and, on the torus,
-    the CYCLE_NODES-node a and b cycles. Boundary and lattice coefficients
-    come from those samples, and so do the pairing data of the
-    remainder; the remainder is projected onto the order-(1..M) basis of
+    The target is evaluated once, on every fixed node set at once: each
+    cap's BOUNDARY_NODES-node circles at the radii 0.95 and 1 and, on the
+    torus, the CYCLE_NODES-node a and b cycles. Boundary and lattice
+    coefficients come from those samples, and so do the pairing data of
+    the remainder; the remainder is projected onto the order-(1..M) basis of
     every cap by Gram least squares. The L2 residual is recorded at each
     checkpoint order and must not increase with M.
     """
@@ -397,7 +374,6 @@ def project_faber(target, surface: SurfaceSpec, M: int,
     n = surface.n_caps
     pairing = ExteriorPairing(surface)
     eps, c_vec, d_vec, rho_data = _split_target(getattr(target, "form", target), pairing)
-    consistency = float(abs(np.sum(eps)))
     data = pairing.alpha_data(M)
     # gram[i, j] = <form_j, form_i> and rhs[i] = <rho, form_i>
     gram = pairing.inner(data, data).T
@@ -406,8 +382,7 @@ def project_faber(target, surface: SurfaceSpec, M: int,
     orders = sorted({mp for mp in checkpoints if mp < M} | {M})
     scale = max(1.0, pairing.norm(rho_data))
     history, stored, prev = [], [], np.inf
-    condition, regularized, h_flat = np.inf, False, None
-    for mp in orders:
+    for mp in orders:  # ascending, ending with M: the last solve is the reported one
         p = mp * n
         sol = least_squares(gram[:p, :p], rhs[:p], condition_limit=condition_limit)
         res = pairing.norm(rho_data - data.combine(sol.coefficients))
@@ -419,20 +394,17 @@ def project_faber(target, surface: SurfaceSpec, M: int,
         prev = res
         history.append((mp, res))
         stored.append((mp, sol.coefficients.reshape(mp, n).copy()))
-        if mp == M:
-            condition, regularized = sol.condition, sol.regularized
-            h_flat = sol.coefficients
 
     return SeriesDecomposition(
         epsilon=eps,
         c=c_vec,
         d=d_vec,
-        h=h_flat.reshape(M, n),
+        h=sol.coefficients.reshape(M, n),
         M=M,
         residual_history=tuple(history),
-        gram_condition=float(condition),
-        regularized=bool(regularized),
-        consistency=consistency,
+        gram_condition=float(sol.condition),
+        regularized=bool(sol.regularized),
+        consistency=float(abs(np.sum(eps))),
         checkpoints=tuple(stored),
     )
 

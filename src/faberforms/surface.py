@@ -81,19 +81,6 @@ class Cycle:
             return f"boundary cycle of cap {self.index}"
         return f"{self.kind} cycle"
 
-    def sample(self, form: OneForm) -> np.ndarray:
-        """The form's coefficient at the nodes. Raises when a declared
-        pole sits on the path or a value is not finite."""
-        if form.poles:
-            locs = np.array([p for p, _ in form.poles])
-            gap = np.min(np.abs(self.nodes[None, :] - locs[:, None]))
-            if gap < 1e-8:
-                raise NumericalError(f"a pole sits on the {self.name} (gap {gap:.2e})")
-        vals = np.asarray(form(self.nodes), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalError(f"form not finite on the {self.name}")
-        return vals
-
     def integrate(self, vals, conjugate: bool = False) -> complex:
         """Path integral from samples at the nodes; ``conjugate`` marks
         samples of a dw-bar form."""
@@ -406,7 +393,11 @@ def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 5
     return Cycle("boundary", k, nodes, weights)
 
 
-def _segment_cycle(kind: str, base: complex, direction: complex, n: int) -> Cycle:
+def _segment_cycle(surface: SurfaceSpec, kind: str, base, n: int) -> Cycle:
+    if surface.genus == 0:
+        raise ValidationError("the sphere has no lattice cycles")
+    base = surface.cycle_base() if base is None else complex(base)
+    direction = 1.0 if kind == "a" else surface.tau
     x, gw = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (x + 1.0)
     nodes = base + t * direction
@@ -416,20 +407,44 @@ def _segment_cycle(kind: str, base: complex, direction: complex, n: int) -> Cycl
 
 def a_cycle(surface: SurfaceSpec, base=None, n: int = 64) -> Cycle:
     """Lattice cycle [base, base + 1] with a Gauss-Legendre rule."""
-    if surface.genus == 0:
-        raise ValidationError("the sphere has no lattice cycles")
-    base = surface.cycle_base() if base is None else complex(base)
-    return _segment_cycle("a", base, 1.0, n)
+    return _segment_cycle(surface, "a", base, n)
 
 
 def b_cycle(surface: SurfaceSpec, base=None, n: int = 64) -> Cycle:
     """Lattice cycle [base, base + tau] with a Gauss-Legendre rule."""
-    if surface.genus == 0:
-        raise ValidationError("the sphere has no lattice cycles")
-    base = surface.cycle_base() if base is None else complex(base)
-    return _segment_cycle("b", base, surface.tau, n)
+    return _segment_cycle(surface, "b", base, n)
+
+
+def per_cycle(vals, cycles) -> list:
+    """Samples on the concatenated nodes of the cycles, split along the
+    leading axis into one view per cycle."""
+    return np.split(vals, np.cumsum([c.nodes.size for c in cycles])[:-1])
+
+
+def sample(form: OneForm, cycles) -> np.ndarray:
+    """The form's coefficient at the nodes of the cycles, concatenated in
+    their order, from one evaluation. Raises, naming the cycle, when a
+    declared pole sits on a cycle or a value is not finite."""
+    nodes = np.concatenate([c.nodes for c in cycles])
+    if form.poles:
+        locs = np.array([p for p, _ in form.poles])
+        gaps = np.min(np.abs(nodes[None, :] - locs[:, None]), axis=0)
+        for c, g in zip(cycles, per_cycle(gaps, cycles)):
+            if np.min(g) < 1e-8:
+                raise NumericalError(f"a pole sits on the {c.name} (gap {np.min(g):.2e})")
+    vals = np.asarray(form(nodes), dtype=complex)
+    require_finite(vals, cycles)
+    return vals
+
+
+def require_finite(vals, cycles):
+    """Raise naming the first cycle on whose nodes, along the leading axis
+    of ``vals``, a value is not finite."""
+    for c, v in zip(cycles, per_cycle(vals, cycles)):
+        if not np.all(np.isfinite(v)):
+            raise NumericalError(f"form not finite on the {c.name}")
 
 
 def period(form: OneForm, cycle: Cycle) -> complex:
     """Path integral of the form over the cycle's quadrature rule."""
-    return cycle.integrate(cycle.sample(form), form.conjugate)
+    return cycle.integrate(sample(form, [cycle]), form.conjugate)

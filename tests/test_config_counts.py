@@ -1,9 +1,10 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
-same holds for a pole-structure order past the roundoff limit of the
-principal-part read, for a [target] parameter that the chosen family
-does not take, for a key that [surface], [run] or [output] does not
-read and for a block that the parse does not read."""
+same holds for a probe radius or uniform margin that is not positive, a
+probe center without a probe radius, a pole-structure order past the
+roundoff limit of the principal-part read, a [target] parameter that the
+chosen family does not take, a key that [surface], [run] or [output]
+does not read and a block that the parse does not read."""
 
 import inspect
 
@@ -32,6 +33,32 @@ def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, 
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
     assert f"run.{field}" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("probe_center = 5+5j", r"run\.probe_center: set without run\.probe_radius$"),
+    ("probe_radius = -1.5", r"run\.probe_radius: must be > 0, got -1\.5$"),
+    ("probe_radius = 0", r"run\.probe_radius: must be > 0, got 0\.0$"),
+    ("uniform_margin = -1", r"run\.uniform_margin: must be > 0, got -1\.0$"),
+], ids=["center-without-radius", "negative-radius", "zero-radius", "negative-margin"])
+def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, line, message):
+    # each was parsed silently: the default probe replaced a lone center,
+    # and a negative margin switched off the guard of the sup-norm errors
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE + line + "\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_a_probe_with_center_and_radius_is_kept(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text(BASE + "probe_center = 5+5j\nprobe_radius = 1.5\nuniform_margin = 0.2\n")
+    config = parse_config(str(path))
+    assert (config.probe_center, config.probe_radius, config.uniform_margin) == (5 + 5j, 1.5, 0.2)
 
 
 @pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders"])

@@ -27,7 +27,14 @@ from faberforms.series import (
     uniform_error,
     uniform_errors,
 )
-from faberforms.surface import OneForm, SurfaceSpec, beta_form, boundary_cycle, gamma_basis
+from faberforms.surface import (
+    OneForm,
+    SurfaceSpec,
+    beta_form,
+    boundary_cycle,
+    gamma_basis,
+    sample,
+)
 from faberforms.targets import build_target
 
 TAU = 0.3 + 1.1j
@@ -128,7 +135,7 @@ def test_gram_by_products_matches_inner_double_loop():
     zeta = np.exp(1j * theta)
     dw = [f.derivative(zeta) * 1j * zeta for f in surface.caps]
     forms = [faber_form(surface, 0, m).form for m in range(1, M + 1)]
-    g = np.stack([[c.sample(f) * w for c, w in zip(pairing.circles, dw)] for f in forms])
+    g = np.stack([[sample(f, [c]) * w for c, w in zip(pairing.circles, dw)] for f in forms])
     F = _antiderivative(np.moveaxis(g, 2, 0))
     loop = np.zeros((M, M), dtype=complex)
     for i in range(M):
@@ -559,15 +566,15 @@ def _counting(form):
     return OneForm(ev, poles=form.poles, label=form.label), sizes
 
 
-def test_project_samples_the_target_once_per_node_set():
-    # each cap's circles at radii 0.95 and 1 (512 nodes), then on the torus
-    # the a and b cycles (64 nodes): 2n + 2 evaluations, 2n on the sphere
+def test_project_samples_the_target_once_per_solve():
+    # one evaluation on every cap's circles at radii 0.95 and 1 (512 nodes
+    # each), then on the torus the a and b cycles (64 nodes each)
     torus, sphere = torus_two_caps(), two_cap_sphere()
     cases = (
-        (torus, build_target(torus, "combination", seed=3, order=2), [512] * 4 + [64] * 2),
-        (sphere, build_target(sphere, "pole", cap=1, eta=0.3), [512] * 4),
+        (torus, build_target(torus, "combination", seed=3, order=2), [4 * 512 + 2 * 64]),
+        (sphere, build_target(sphere, "pole", cap=1, eta=0.3), [4 * 512]),
         (joukowski_sphere(), build_target(joukowski_sphere(), "pole", cap=0, eta=0.55),
-         [512] * 2),
+         [2 * 512]),
     )
     for surface, target, want in cases:
         form, sizes = _counting(target.form)
@@ -575,6 +582,26 @@ def test_project_samples_the_target_once_per_node_set():
         assert sizes == want
         ref = project_faber(target, surface, M=3, checkpoints=())
         assert np.array_equal(dec.h, ref.h)
+
+
+def test_project_reads_each_cap_once_for_the_target_and_once_for_the_basis(monkeypatch):
+    # the combination target of orders 1..6 and the basis of orders 1..10
+    # each take one contour read per cap, on every node set at once
+    config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
+    pairing_nodes = ExteriorPairing(config.surface).nodes.size
+    calls = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        calls.append((k, list(m), np.size(z)))
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    project_faber(config.target, config.surface, config.M)
+    target_nodes = pairing_nodes + 2 * BOUNDARY_NODES
+    assert calls == [(0, list(range(1, 7)), target_nodes), (1, list(range(1, 7)), target_nodes),
+                     (0, list(range(1, 11)), pairing_nodes),
+                     (1, list(range(1, 11)), pairing_nodes)]
 
 
 def _wrapper_path(target, surface):
@@ -628,6 +655,42 @@ def test_project_faber_raises_the_sampling_guards():
     conj = OneForm(lambda z: np.ones(np.shape(z), dtype=complex), conjugate=True)
     with pytest.raises(ValidationError, match="dz-type"):
         project_faber(TargetForm(conj), surface, M=2)
+
+
+def test_project_faber_names_the_cycle_a_sampling_guard_trips_on():
+    config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
+    surface, target = config.surface, config.target.form
+    pairing = ExteriorPairing(surface)
+    on_b = pairing.cycles[1].nodes
+
+    def nan_on_b(z):
+        vals = np.array(target(z), dtype=complex)
+        vals[np.isin(z, on_b)] = np.nan
+        return vals
+
+    with pytest.raises(NumericalError, match="^form not finite on the b cycle$"):
+        project_faber(TargetForm(OneForm(nan_on_b, poles=target.poles)), surface, M=2)
+    # a declared pole on a node of the a cycle, away from every cap
+    node = complex(pairing.cycles[0].nodes[10])
+    on_a = OneForm(target.evaluator, poles=target.poles + ((node, 1),))
+    with pytest.raises(NumericalError, match=r"^a pole sits on the a cycle \(gap 0\.00e\+00\)$"):
+        project_faber(TargetForm(on_a), surface, M=2)
+
+
+def test_project_faber_refuses_basis_data_that_are_not_finite(monkeypatch):
+    # a basis read that is not finite on the a cycle (the rows after the
+    # two radius-1 circles) is refused by the pairing data, naming the cycle
+    config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
+    read = series.alpha_values
+
+    def nan_on_a(surface, k, orders, z):
+        vals = read(surface, k, orders, z)
+        vals[2 * BOUNDARY_NODES + 3, -1] = np.nan
+        return vals
+
+    monkeypatch.setattr(series, "alpha_values", nan_on_a)
+    with pytest.raises(NumericalError, match="^form not finite on the a cycle$"):
+        project_faber(config.target, config.surface, M=2)
 
 
 def test_combination_target_reads_each_cap_once_per_radius_step(monkeypatch):

@@ -256,6 +256,13 @@ def test_exact_form_has_zero_periods():
         assert abs(period(form, boundary_cycle(t, k))) < 1e-12
 
 
+def test_the_sphere_has_no_lattice_cycles():
+    s = sphere_two_caps()
+    for read in (a_cycle, b_cycle, lambda surface: surface.cycle_base()):
+        with pytest.raises(ValidationError, match="^the sphere has no lattice cycles$"):
+            read(s)
+
+
 def test_period_pole_on_path_guard():
     s = sphere_two_caps()
     b = beta_form(s, 0)
