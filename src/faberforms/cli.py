@@ -10,10 +10,11 @@ requested check failed, 2 the config is unreadable or out of range,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .checks import catalog
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, valid_seed
 from .numerics import NumericalError, ValidationError
 from .runner import run_experiment
 
@@ -44,13 +45,19 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
+        if args.seed is not None:
+            valid_seed("--seed", args.seed)
+        # the flags given override the config once: the report, the checks
+        # and strict mode all read the one record
+        flags = {"out_dir": args.out_dir, "seed": args.seed, "strict": args.strict or None}
+        config = dataclasses.replace(
+            config, **{key: value for key, value in flags.items() if value is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        report, code = run_experiment(config, out_dir=args.out_dir, seed=args.seed,
-                                      strict=True if args.strict else None)
+        report, code = run_experiment(config)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -71,7 +78,7 @@ def main(argv=None) -> int:
     if dec is not None:
         print(f"M={dec['M']}  final residual {dec['residual_history'][-1][1]:.3e}  "
               f"gram condition {dec['gram_condition']:.3e}")
-    print(f"artifacts written to {args.out_dir or config.out_dir or '.'}")
+    print(f"artifacts written to {config.out_dir or '.'}")
     return code
 
 

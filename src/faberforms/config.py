@@ -5,7 +5,9 @@ A config has five blocks. [surface] fixes genus and marked points,
 use, [target] names a target family with its parameters, [run] holds
 truncation order, check list, seed, and tolerances, [output] the
 artifact directory. Parse errors name the offending block.field; a key
-that [surface], [run] or [output] does not read is one of them.
+that [surface], [run] or [output] does not read is one of them. The
+parsed config is frozen: the command line's overrides make a new one
+with ``dataclasses.replace``, and the run picks the default probe ring.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class ConfigError(ValidationError):
     """A config file is unreadable, incomplete, or out of documented range."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     surface: SurfaceSpec
     target: TargetForm
@@ -47,7 +49,7 @@ class ExperimentConfig:
     translation: complex
     condition_limit: float
     probe_center: complex
-    probe_radius: float
+    probe_radius: float | None  # None: the run picks a ring clear of the caps
     probe_points: int
     uniform_margin: float
     strict: bool
@@ -82,11 +84,8 @@ class _Block:
 
 
 def _complex(block: str, key: str, raw: str) -> complex:
-    text = raw.strip().replace(" ", "")
-    if text.lower() in ("inf", "infinity"):
-        return complex(np.inf)
     try:
-        return complex(text)
+        return complex(raw.strip().replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{block}.{key}: not a complex number: {raw!r}") from None
 
@@ -117,6 +116,18 @@ def _count(block: str, key: str, raw: str) -> int:
     if value < 1:
         raise ConfigError(f"{block}.{key}: must be >= 1, got {value}")
     return value
+
+
+def valid_seed(name: str, value: int) -> int:
+    """The rule for every seed, named ``name`` in the error: numpy's
+    generators take no negative one."""
+    if value < 0:
+        raise ConfigError(f"{name}: must be >= 0, got {value}")
+    return value
+
+
+def _seed(block: str, key: str, raw: str) -> int:
+    return valid_seed(f"{block}.{key}", _int(block, key, raw))
 
 
 def _parse_map_spec(key: str, spec: str):
@@ -165,7 +176,7 @@ def _h_entries(block: str, key: str, raw: str) -> dict:
 
 # How each [target] key is read; ``build_target`` checks the family takes it.
 TARGET_PARAMS = {
-    "k": _int, "m": _int, "cap": _int, "seed": _int, "order": _int,
+    "k": _int, "m": _int, "cap": _int, "seed": _seed, "order": _int,
     "eta": _complex, "strength": _complex,
     "decay": _float,
     "epsilon": _complex_list, "c": _complex_list,
@@ -205,11 +216,14 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"surface.tau: Im tau must be positive, got {tau}")
     elif tau is not None:
         raise ConfigError("surface.tau: not allowed for genus 0")
-    q = _complex("surface", "q", s["q"]) if "q" in s else None
-    if q in (complex(np.inf),) or (q is not None and not np.isfinite(q)):
-        q = None
+    q = None
+    if "q" in s and s["q"].strip().lower() in ("inf", "infinity"):
         if genus == 1:
             raise ConfigError("surface.q: must be finite on the torus")
+    elif "q" in s:
+        q = _complex("surface", "q", s["q"])
+        if not np.isfinite(q):
+            raise ConfigError(f"surface.q: must be finite or inf, got {s['q']!r}")
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
     margin = _float("surface", "margin", s.get("margin", "0.05"))
     s.reject_unread()
@@ -258,6 +272,8 @@ def parse_config(path: str) -> ExperimentConfig:
             )
         if name not in seen:
             seen.append(name)
+    if "probe_center" in r and "probe_radius" not in r:
+        raise ConfigError("run.probe_center: set without run.probe_radius")
     output = _Block(parser, "output")
     translation_default = "0.5" if genus == 0 else "0.05"
     margin_default = "0.1" if genus == 0 else "0.05"
@@ -268,7 +284,7 @@ def parse_config(path: str) -> ExperimentConfig:
         target_params=params,
         M=M,
         checks=tuple(seen),
-        seed=_int("run", "seed", r.get("seed", "0")),
+        seed=_seed("run", "seed", r.get("seed", "0")),
         samples=_count("run", "samples", r.get("samples", "100")),
         l2_tolerance=_float("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
         sup_tolerance=_float("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
@@ -277,7 +293,7 @@ def parse_config(path: str) -> ExperimentConfig:
         condition_limit=_float("run", "condition_limit", r.get("condition_limit", "1e12")),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=(_positive("run", "probe_radius", r["probe_radius"])
-                      if "probe_radius" in r else 0.0),
+                      if "probe_radius" in r else None),
         probe_points=_count("run", "probe_points", r.get("probe_points", "40")),
         uniform_margin=_positive("run", "uniform_margin", r.get("uniform_margin", margin_default)),
         strict=r.get("strict", "false").strip().lower() in ("1", "true", "yes"),
@@ -289,25 +305,4 @@ def parse_config(path: str) -> ExperimentConfig:
     if cfg.pole_orders > top:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "
                           f"principal-part read, got {cfg.pole_orders}")
-    if cfg.probe_radius == 0.0:
-        if "probe_center" in r:
-            raise ConfigError("run.probe_center: set without run.probe_radius")
-        cfg.probe_center, cfg.probe_radius = _default_probe(surface)
     return cfg
-
-
-def _default_probe(surface: SurfaceSpec):
-    """A circle of evaluation points away from every cap."""
-    if surface.genus == 0:
-        centers = surface.caps.centers
-        mid = complex(np.mean(centers))
-        radius = 0.5
-        for k in range(surface.n_caps):
-            radius = max(
-                radius,
-                float(np.max(np.abs(surface.caps.boundary_samples(k) - mid))),
-            )
-        return mid, radius + 0.75
-    # torus: ride the corridor the cycle base found
-    base = surface.cycle_base()
-    return complex(base), 0.04

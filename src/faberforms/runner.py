@@ -30,21 +30,12 @@ from .surface import SurfaceSpec
 
 
 @dataclass(frozen=True)
-class RunContext:
-    """Everything a check function may consult."""
+class RunContext(ExperimentConfig):
+    """Everything a check function may consult: the run's config and what
+    the solve produced."""
 
-    surface: SurfaceSpec
-    target_family: str
-    target_params: dict
     decomposition: SeriesDecomposition
-    seed: int
-    samples: int
-    pole_orders: int
-    l2_tolerance: float
-    sup_tolerance: float
     sup_errors: tuple
-    translation: complex
-    condition_limit: float
 
 
 def _num(x) -> float | None:
@@ -64,8 +55,20 @@ def _fmt(x: float) -> str:
 
 
 def _probe_ring(config: ExperimentConfig) -> np.ndarray:
+    """The circle the sup errors are read on: the configured one, or by
+    default one away from every cap."""
+    surface = config.surface
+    center, radius = config.probe_center, config.probe_radius
+    if radius is None and surface.genus == 0:
+        center = complex(np.mean(surface.caps.centers))
+        reach = max(float(np.max(np.abs(surface.caps.boundary_samples(k) - center)))
+                    for k in range(surface.n_caps))
+        radius = max(0.5, reach) + 0.75
+    elif radius is None:
+        # torus: ride the corridor of the cycle base the pairing searched for
+        center, radius = complex(surface.cycle_base()), 0.04
     theta = 2.0 * np.pi * np.arange(config.probe_points) / config.probe_points
-    return config.probe_center + config.probe_radius * np.exp(1j * theta)
+    return center + radius * np.exp(1j * theta)
 
 
 def write_coefficients(path: str, dec: SeriesDecomposition) -> None:
@@ -119,17 +122,13 @@ def _check_entry(res: CheckResult) -> dict:
     }
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
-                   seed: int | None = None, strict: bool | None = None):
-    """Solve, check, and write artifacts. Returns (report, exit_code).
+def run_experiment(config: ExperimentConfig):
+    """Solve, check, and write artifacts into config.out_dir, or the
+    current directory when it is unset. Returns (report, exit_code).
 
-    seed and strict, when given, override the config's values; out_dir
-    overrides the [output] directory and falls back to the current
-    directory when neither is set. ValidationError escapes to the caller
-    because it always names a config-level problem."""
-    seed = config.seed if seed is None else int(seed)
-    strict_flag = bool(config.strict if strict is None else strict)
-    directory = out_dir if out_dir is not None else (config.out_dir or ".")
+    ValidationError escapes to the caller because it always names a
+    config-level problem."""
+    directory = config.out_dir or "."
     os.makedirs(directory, exist_ok=True)
 
     timings = {}
@@ -145,7 +144,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         numerical_failures.append(f"solve: {exc}")
     timings["solve_seconds"] = time.perf_counter() - t0
 
-    if dec is not None and strict_flag and dec.regularized:
+    if dec is not None and config.strict and dec.regularized:
         numerical_failures.append(
             "strict mode: Gram matrix exceeded the condition limit and was regularized"
         )
@@ -160,20 +159,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         residual_rows = [(order, l2, sup)
                          for (order, l2), sup in zip(dec.residual_history, sups)]
 
-        ctx = RunContext(
-            surface=config.surface,
-            target_family=config.target_family,
-            target_params=config.target_params,
-            decomposition=dec,
-            seed=seed,
-            samples=config.samples,
-            pole_orders=config.pole_orders,
-            l2_tolerance=config.l2_tolerance,
-            sup_tolerance=config.sup_tolerance,
-            sup_errors=tuple(sup for _order, _l2, sup in residual_rows),
-            translation=config.translation,
-            condition_limit=config.condition_limit,
-        )
+        ctx = RunContext(**vars(config), decomposition=dec,
+                         sup_errors=tuple(sup for _order, _l2, sup in residual_rows))
         for name in config.checks:
             fn = CHECKS[name][0]
             t0 = time.perf_counter()
@@ -202,8 +189,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                    "label": getattr(config.target, "label", "")},
         "run": {
             "M": config.M,
-            "seed": seed,
-            "strict": strict_flag,
+            "seed": config.seed,
+            "strict": config.strict,
             "checks": list(config.checks),
             "l2_tolerance": config.l2_tolerance,
             "sup_tolerance": config.sup_tolerance,

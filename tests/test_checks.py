@@ -120,6 +120,25 @@ def test_q_independence_names_a_surface_without_an_alternative_base_point(monkey
             checks.check_q_independence(ctx)
 
 
+def test_r0_independence_reports_the_figure_nearer_its_bound(monkeypatch):
+    config = parse_config(_config_path("sphere_identity"))
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    res = checks.check_r0_independence(ctx)
+    assert res.passed and res.threshold == 1e-9 and res.value < 1e-13
+    contour = checks.schiffer_contour
+
+    def drifts(surface, k, orders, pts, r0):
+        # radius spread 5e-9 over r0 = 0.4..0.8; area gap 7.5e-9 at r0 = 0.6
+        return contour(surface, k, orders, pts, r0=r0) + 1.25e-8 * r0
+
+    monkeypatch.setattr(checks, "schiffer_contour", drifts)
+    res = checks.check_r0_independence(ctx)
+    assert res.passed is False
+    assert res.threshold == 1e-9 and res.value >= res.threshold
+    assert res.value == pytest.approx(5e-9, rel=1e-3)
+    assert res.detail.startswith("radius spread 5.000e-09, area gap 7.500e-09")
+
+
 def _invariance_context(config):
     dec = project_faber(config.target, config.surface, config.M,
                         condition_limit=config.condition_limit)

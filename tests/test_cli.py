@@ -1,5 +1,6 @@
 """End-to-end tests of config parsing, the runner, and the CLI exit codes."""
 
+import dataclasses
 import json
 import os
 
@@ -28,7 +29,7 @@ def test_report_round_trip(tmp_path):
     from faberforms.runner import run_experiment
 
     config = parse_config(cfg("sphere_identity.cfg"))
-    report, code = run_experiment(config, out_dir=str(tmp_path))
+    report, code = run_experiment(dataclasses.replace(config, out_dir=str(tmp_path)))
     assert code == 0
     with open(tmp_path / "report.json", "r", encoding="utf-8") as fh:
         on_disk = json.load(fh)
@@ -94,13 +95,14 @@ def test_seed_override_changes_nothing_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", cfg("sphere_identity.cfg"), "--out-dir", str(d1)]) == 0
     assert main(["run", cfg("sphere_identity.cfg"), "--out-dir", str(d2),
-                 "--seed", "77"]) == 0
+                 "--seed", "77", "--strict"]) == 0
     with open(d1 / "report.json") as fh:
         r1 = json.load(fh)
     with open(d2 / "report.json") as fh:
         r2 = json.load(fh)
     assert r1["run"]["seed"] == 1
     assert r2["run"]["seed"] == 77
+    assert (r1["run"]["strict"], r2["run"]["strict"]) == (False, True)
     assert (d1 / "coefficients.csv").read_bytes() == (d2 / "coefficients.csv").read_bytes()
 
 
@@ -166,4 +168,40 @@ def test_inline_comments_and_defaults(tmp_path):
     assert config.checks == ()
     assert config.seed == 0
     assert config.out_dir is None
-    assert config.probe_radius > 0.5  # default probe sits outside the cap
+    assert config.probe_radius is None  # the run picks the probe ring
+    from faberforms.runner import _probe_ring
+
+    ring = _probe_ring(config)
+    assert ring.size == 40
+    assert np.allclose(np.abs(ring), 1.25)  # 0.75 outside the cap of radius 0.5
+
+
+def test_one_record_from_parse_to_report():
+    from faberforms.config import ExperimentConfig
+    from faberforms.runner import RunContext
+
+    config = parse_config(cfg("sphere_identity.cfg"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 2
+    # the run's context adds only what the solve produced
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(RunContext.__annotations__) == {"decomposition", "sup_errors"}
+    assert {f.name for f in dataclasses.fields(RunContext)} == config_fields | {
+        "decomposition", "sup_errors"}
+
+
+def test_a_torus_whose_caps_block_every_lattice_cycle_is_a_config_error(tmp_path, capsys):
+    # the cycle-base search runs in the solve, not the parse; its refusal
+    # names the cause and exits 2
+    path = tmp_path / "blocked.cfg"
+    path.write_text(
+        "[surface]\ngenus = 1\ntau = 0+1j\n"
+        "[caps]\nmain = affine scale=0.43 offset=0.5+0.5j\n"
+        "[target]\nfamily = basis\nk = 0\nm = 1\n[run]\nM = 2\n"
+    )
+    parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: no lattice cycle clears the caps (best clearance 0.05)\n"
+    assert not (out / "report.json").exists()

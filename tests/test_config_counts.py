@@ -4,14 +4,18 @@ same holds for a probe radius or uniform margin that is not positive, a
 probe center without a probe radius, a pole-structure order past the
 roundoff limit of the principal-part read, a [target] parameter that the
 chosen family does not take, a key that [surface], [run] or [output]
-does not read and a block that the parse does not read."""
+does not read, a block that the parse does not read, a negative seed and
+a base point q that is neither finite nor inf. Every other refusal of the
+parse is matched by its full message too."""
 
 import inspect
+import os
 
 import pytest
 
 from faberforms.cli import main
 from faberforms.config import TARGET_PARAMS, ConfigError, parse_config
+from faberforms.surface import SurfaceSpec
 from faberforms.targets import FAMILIES
 
 BASE = (
@@ -52,6 +56,17 @@ def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, lin
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_the_parse_leaves_the_probe_to_the_run(monkeypatch):
+    # the default ring rides the torus cycle base, which the run searches for
+    def searched(self):
+        raise AssertionError("the parse searched for the cycle base")
+
+    monkeypatch.setattr(SurfaceSpec, "cycle_base", searched)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "torus_two_caps.cfg")
+    config = parse_config(path)
+    assert config.surface.genus == 1 and config.probe_radius is None
 
 
 def test_a_probe_with_center_and_radius_is_kept(tmp_path):
@@ -169,3 +184,81 @@ def test_a_combination_of_one_kind_is_accepted(tmp_path, target):
     path.write_text(TWO_CAPS.replace("family = basis\nk = 0\nm = 1",
                                      "family = combination\n" + target))
     assert parse_config(str(path)).target_family == "combination"
+
+
+def test_a_negative_seed_flag_is_a_named_config_error(tmp_path, capsys):
+    path = tmp_path / "ok.cfg"
+    path.write_text(BASE)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out), "--seed", "-2"]) == 2
+    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -2\n"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "Infinity"])
+def test_inf_is_the_point_at_infinity_of_the_sphere_only(tmp_path, capsys, value):
+    path = tmp_path / "ok.cfg"
+    path.write_text(BASE.replace("q = inf\n", f"q = {value}\n"))
+    assert parse_config(str(path)).surface.q is None
+    torus = BASE.replace("genus = 0\nq = inf\n", f"genus = 1\ntau = 1j\nq = {value}\n")
+    _rejected_before_anything_runs(tmp_path, capsys, torus,
+                                   "surface.q: must be finite on the torus")
+
+
+CAP = "main = affine scale=1 offset=0"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not an ini\n", r"malformed config: File contains no section headers\.\n"
+                     r"file: '.*bad\.cfg', line: 1\n'not an ini\\n'"),
+    (BASE.replace("q = inf", "q = 1+"), r"surface\.q: not a complex number: '1\+'"),
+    (BASE.replace("q = inf", "margin = wide"), r"surface\.margin: not a number: 'wide'"),
+    (BASE.replace("genus = 0", "genus = one"), r"surface\.genus: not an integer: 'one'"),
+    (BASE.replace("genus = 0\n", ""), r"surface\.genus: required"),
+    (BASE.replace("genus = 0", "genus = 2"), r"surface\.genus: must be 0 or 1, got 2"),
+    (BASE.replace("genus = 0\nq = inf", "genus = 1"), r"surface\.tau: required for genus 1"),
+    (BASE.replace("q = inf", "tau = 1j"), r"surface\.tau: not allowed for genus 0"),
+    (BASE.replace(CAP, "main ="), r"caps\.main: empty map spec"),
+    (BASE.replace(CAP, "main = affine scale=1 offset"),
+     r"caps\.main: expected key=value, got 'offset'"),
+    (BASE.replace(CAP, "main = polynomial-perturbation coefficients=1,x"),
+     r"caps\.main: bad coefficient list '1,x'"),
+    (BASE.replace(CAP + "\n", ""), r"caps: at least one map spec required"),
+    (BASE.replace(CAP, CAP + "\ninner = affine scale=0.2 offset=0"),
+     r"surface: caps 0 and 1 overlap \(one contains the other\)"),
+    (BASE.replace("family = basis\n", ""), r"target\.family: required"),
+    (BASE.replace("m = 1\n", "m = 1\nwibble = 2\n"), r"target\.wibble: unknown parameter"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1;2:1"),
+     r"target\.h: expected m,k:value entries separated by ';', got '1'"),
+    (BASE.replace("M = 2\n", ""), r"run\.M: required"),
+    # numpy's generators refuse a negative seed: it crashed the target or
+    # the first random-point check
+    (BASE + "seed = -1\n", r"run\.seed: must be >= 0, got -1"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nseed = -3"),
+     r"target\.seed: must be >= 0, got -3"),
+    # nan parsed as the point at infinity, and the run exited 0
+    *[(BASE.replace("q = inf", f"q = {value}"),
+       rf"surface\.q: must be finite or inf, got '{value}'")
+      for value in ("nan", "-inf", "1e999", "infj")],
+], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
+        "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
+        "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
+        "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
+        "q-inf-imaginary"])
+def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{message}$") as err:
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {err.value}\n"
+    assert not (out / "report.json").exists()
+
+
+def test_an_unreadable_config_is_a_named_config_error(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match=r"^cannot read config: \[Errno 2\] No such file"):
+        parse_config(str(path))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")

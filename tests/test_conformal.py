@@ -105,6 +105,26 @@ def test_derivative_vanishing_rejected():
         PolynomialCapMap([0.0, 1.0])
 
 
+def test_derivative_grid_guard_names_the_smallest_derivative():
+    # f = zeta + zeta^2 has f'(-1/2) = 0, a node of the derivative grid
+    with pytest.raises(ValidationError,
+                       match=r"^polynomial-perturbation map derivative vanishes on the disk "
+                             r"\(min \d\.\d{3}e[-+]\d+ at \|zeta\| <= 1\)$") as err:
+        PolynomialCapMap([1, 1])
+    assert err.type is ValidationError
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AffineMap(0.0, offset=1.0), "affine scale must be nonzero"),
+    (lambda: JoukowskiEllipseMap(0.3, scale=0.0), "joukowski scale must be nonzero"),
+    (lambda: CapFamily([]), "cap family needs at least one map"),
+], ids=["affine", "joukowski", "empty-family"])
+def test_a_degenerate_map_or_family_is_refused_by_name(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$") as err:
+        build()
+    assert err.type is ValidationError
+
+
 def test_derivative_winding_guard_rejects_folding():
     # f = zeta + 2 zeta^5 folds the disk: f' has zeros inside it, which the
     # derivative-winding guard sees before the injectivity spot check runs
