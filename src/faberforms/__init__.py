@@ -41,7 +41,6 @@ from .series import (
     TargetForm,
     invariance_check,
     project_faber,
-    series_evaluator,
     uniform_error,
 )
 from .surface import (
@@ -99,7 +98,6 @@ __all__ = [
     "project_faber",
     "schiffer_contour",
     "schiffer_kernel",
-    "series_evaluator",
     "uniform_error",
     "__version__",
 ]

@@ -1,9 +1,10 @@
 """Runtime verification checks and their catalog.
 
 Each check measures one defining property of the construction on the
-configured surface and returns a CheckResult with the measured value and
-the threshold it was held to. The catalog names are the exact strings a
-config's run.checks list may use.
+configured surface and hands its figures and bounds to one verdict rule,
+which returns a CheckResult with the measured value and the threshold it
+was held to. The catalog names are the exact strings a config's
+run.checks list may use.
 """
 
 from __future__ import annotations
@@ -27,6 +28,23 @@ class CheckResult:
     value: float
     threshold: float
     detail: str = ""
+
+
+def _verdict(name: str, figures: dict, detail, steps=(), rule=None) -> CheckResult:
+    """The pass rule of every check: each figure of ``figures`` (label ->
+    (value, bound)) under its bound, and the values of the (label, value)
+    ``steps`` keeping rule(previous, next). A figure or step that is not
+    finite raises NumericalError naming it. Reports the figure nearest its
+    own bound; ``detail`` is text, or a function of that figure's label."""
+    for label, value in [(label, v) for label, (v, _b) in figures.items()] + list(steps):
+        if not np.isfinite(value):
+            raise NumericalError(f"{label} is not finite")
+    labels, (values, bounds) = list(figures), np.array(list(figures.values())).T
+    i = int(np.argmax(values / bounds))
+    seq = [value for _label, value in steps]
+    passed = bool(np.all(values < bounds)) and all(map(rule, seq, seq[1:]))
+    return CheckResult(name, passed, float(values[i]), float(bounds[i]),
+                       detail if isinstance(detail, str) else detail(labels[i]))
 
 
 def _sample_points(surface: SurfaceSpec, rng, count: int, clearance: float, accept=None):
@@ -66,16 +84,16 @@ def _sample_points(surface: SurfaceSpec, rng, count: int, clearance: float, acce
 def check_pole_structure(ctx) -> CheckResult:
     """Pullback tail of each cap form: coefficient m at -(m+1), nothing deeper."""
     surface = ctx.surface
-    worst = 0.0
+    gaps = []
     orders = range(1, ctx.pole_orders + 1)
     for k in range(surface.n_caps):
         # every order of the cap from one contour kernel block
         parts = principal_parts(surface, k, orders)
         for m, (tail, _head) in zip(orders, parts):
-            worst = max(worst, abs(tail.coefficients[m] - m))
-            worst = max(worst, float(np.max(np.abs(tail.coefficients[m + 1:]))))
-    return CheckResult("pole-structure", worst < 1e-7, worst, 1e-7,
-                       f"caps 0..{surface.n_caps - 1}, orders 1..{ctx.pole_orders}")
+            gaps.append(abs(tail.coefficients[m] - m))
+            gaps.append(np.max(np.abs(tail.coefficients[m + 1:])))
+    return _verdict("pole-structure", {"tail": (np.max(gaps), 1e-7)},
+                    f"caps 0..{surface.n_caps - 1}, orders 1..{ctx.pole_orders}")
 
 
 def _separation(surface: SurfaceSpec, w, marks):
@@ -108,9 +126,8 @@ def check_harmonicity(ctx) -> CheckResult:
     stencil = np.stack([pts + h, pts - h, pts + 1j * h, pts - 1j * h, pts], axis=1)
     vals = green(surface, stencil, z, q=q)
     lap = (np.sum(vals[:, :4], axis=1) - 4.0 * vals[:, 4]) / h**2
-    worst = float(np.max(np.abs(lap.real)))
-    return CheckResult("harmonicity", worst < 1e-4, worst, 1e-4,
-                       f"{ctx.samples} points, step {h:g}")
+    return _verdict("harmonicity", {"Laplacian": (np.max(np.abs(lap.real)), 1e-4)},
+                    f"{ctx.samples} points, step {h:g}")
 
 
 def _alternative_q(surface: SurfaceSpec) -> SurfaceSpec:
@@ -154,9 +171,9 @@ def check_q_independence(ctx) -> CheckResult:
     w = _sample_points(surface, rng, ctx.samples, clearance=0.05,
                        accept=lambda v: _separation(surface, v, bases + tuple(z)) > 0.1)
     d = np.stack([green(surface, w, zi) - green(alt, w, zi) for zi in z], axis=1)
-    worst = float(np.max(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0])))
-    return CheckResult("q-independence", worst < 1e-9, worst, 1e-9,
-                       f"{w.size} points w, {z.size} points z")
+    worst = np.max(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0]))
+    return _verdict("q-independence", {"double difference": (worst, 1e-9)},
+                    f"{w.size} points w, {z.size} points z")
 
 
 def check_r0_independence(ctx) -> CheckResult:
@@ -170,35 +187,28 @@ def check_r0_independence(ctx) -> CheckResult:
         for k in range(surface.n_caps)
     )
     pts = _sample_points(surface, rng, 20, clearance=max(0.25, 0.35 * extent))
-    worst_r = 0.0
-    worst_a = 0.0
+    spreads, gaps = [], []
     orders = (1, 2, 3)
     for k in range(surface.n_caps):
         # every read carries a trailing axis over the orders: one contour
         # kernel block per radius and one area kernel block per grid
-        vals = [schiffer_contour(surface, k, orders, pts, r0=r) for r in (0.4, 0.6, 0.8)]
-        for i in range(3):
-            for j in range(i):
-                worst_r = max(worst_r, float(np.max(np.abs(vals[i] - vals[j]))))
+        vals = np.stack([schiffer_contour(surface, k, orders, pts, r0=r) for r in (0.4, 0.6, 0.8)])
+        spreads.append(np.max(np.abs(vals[:, None] - vals[None, :])))
         area = apply_schiffer(surface, [CapDatum.monomial(k, m) for m in orders], pts)
-        worst_a = max(worst_a, float(np.max(np.abs(area - vals[1]))))
-    passed = worst_r < 1e-9 and worst_a < 1e-8
-    # report the figure nearer its own bound
-    value, bound = max((worst_r, 1e-9), (worst_a, 1e-8), key=lambda pair: pair[0] / pair[1])
-    return CheckResult("r0-independence", passed, value, bound,
-                       f"radius spread {worst_r:.3e}, area gap {worst_a:.3e}")
+        gaps.append(np.max(np.abs(area - vals[1])))
+    spread, gap = np.max(spreads), np.max(gaps)
+    return _verdict("r0-independence", {"radius spread": (spread, 1e-9), "area gap": (gap, 1e-8)},
+                    f"radius spread {spread:.3e}, area gap {gap:.3e}")
 
 
 def check_convergence(ctx) -> CheckResult:
     """L2 residual history: nonincreasing, final value under tolerance."""
     hist = ctx.decomposition.residual_history
-    final = hist[-1][1]
-    monotone = all(
-        hist[i + 1][1] <= hist[i][1] + 1e-10 for i in range(len(hist) - 1)
-    )
-    passed = monotone and final < ctx.l2_tolerance
-    trail = ", ".join(f"M={m}: {r:.3e}" for m, r in hist)
-    return CheckResult("convergence", passed, final, ctx.l2_tolerance, trail)
+    steps = [(f"L2 residual at M={m}", r) for m, r in hist]
+    label, final = steps[-1]
+    return _verdict("convergence", {label: (final, ctx.l2_tolerance)},
+                    ", ".join(f"M={m}: {r:.3e}" for m, r in hist),
+                    steps, lambda a, b: b <= a + 1e-10)
 
 
 def check_uniform_convergence(ctx) -> CheckResult:
@@ -207,16 +217,14 @@ def check_uniform_convergence(ctx) -> CheckResult:
     The errors at the checkpoint orders are the ones the runner measured
     for residuals.csv."""
     orders = [m for m, _ in ctx.decomposition.residual_history]
-    errs = list(ctx.sup_errors)
-    final = errs[-1]
+    tol = ctx.sup_tolerance
+    steps = [(f"sup error at M={m}", e) for m, e in zip(orders, ctx.sup_errors)]
+    label, final = steps[-1]
     # once under tolerance the sequence may sit on the roundoff floor, so
     # strict decrease is only demanded above it
-    decreasing = all(
-        errs[i + 1] < max(errs[i], ctx.sup_tolerance) for i in range(len(errs) - 1)
-    )
-    passed = decreasing and final < ctx.sup_tolerance
-    trail = ", ".join(f"M={m}: {e:.3e}" for m, e in zip(orders, errs))
-    return CheckResult("uniform convergence", passed, final, ctx.sup_tolerance, trail)
+    return _verdict("uniform convergence", {label: (final, tol)},
+                    ", ".join(f"M={m}: {e:.3e}" for m, e in zip(orders, ctx.sup_errors)),
+                    steps, lambda a, b: b < a or b < tol)
 
 
 def check_invariance(ctx) -> CheckResult:
@@ -229,9 +237,8 @@ def check_invariance(ctx) -> CheckResult:
     target = build_target(moved, ctx.target_family, **ctx.target_params)
     devs = coefficient_deviations(
         dec, project_faber(target, moved, dec.M, condition_limit=ctx.condition_limit))
-    worst = max(devs, key=devs.get)
-    return CheckResult("invariance", devs[worst] < 1e-8, devs[worst], 1e-8,
-                       f"translation {ctx.translation}, M={dec.M}, worst in {worst}")
+    return _verdict("invariance", {name: (dev, 1e-8) for name, dev in devs.items()},
+                    lambda worst: f"translation {ctx.translation}, M={dec.M}, worst in {worst}")
 
 
 CHECKS = {

@@ -4,7 +4,7 @@ Two sub-commands: ``run <config>`` executes the experiment a config file
 describes and writes its artifacts, ``list-checks`` prints the catalog
 of runtime checks a config may request. Exit codes: 0 success, 1 a
 requested check failed, 2 the config is unreadable or out of range,
-3 a numerical self-check tripped.
+3 a numerical self-check tripped, such as a check figure that is not finite.
 """
 
 from __future__ import annotations

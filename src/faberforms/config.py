@@ -286,11 +286,11 @@ def parse_config(path: str) -> ExperimentConfig:
         checks=tuple(seen),
         seed=_seed("run", "seed", r.get("seed", "0")),
         samples=_count("run", "samples", r.get("samples", "100")),
-        l2_tolerance=_float("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
-        sup_tolerance=_float("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
+        l2_tolerance=_positive("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
+        sup_tolerance=_positive("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
         pole_orders=_count("run", "pole_orders", r.get("pole_orders", "4")),
         translation=_complex("run", "translation", r.get("translation", translation_default)),
-        condition_limit=_float("run", "condition_limit", r.get("condition_limit", "1e12")),
+        condition_limit=_positive("run", "condition_limit", r.get("condition_limit", "1e12")),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=(_positive("run", "probe_radius", r["probe_radius"])
                       if "probe_radius" in r else None),
@@ -301,6 +301,9 @@ def parse_config(path: str) -> ExperimentConfig:
     )
     r.reject_unread()
     output.reject_unread()
+    for key in ("l2_tolerance", "sup_tolerance", "translation", "probe_center"):
+        if not np.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"run.{key}: must be finite, got {getattr(cfg, key)}")
     top = order_limit(PRINCIPAL_RADIUS)
     if cfg.pole_orders > top:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "

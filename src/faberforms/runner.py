@@ -10,6 +10,8 @@ Exit codes: 0 all requested checks passed, 1 at least one check failed,
 3 a numerical self-check tripped (or the Gram matrix needed
 regularization under strict mode). Code 2 is reserved for config errors
 and is produced by the command-line wrapper, not here.
+A check figure that is not finite raises NumericalError (the checks' one
+verdict rule), so it is a numerical failure with a null value in the report.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faber import alpha_values, closed_terms, faber_series
+from .faber import alpha_values, closed_terms
 from .numerics import (
     TWO_PI,
     NumericalError,
@@ -418,19 +418,6 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
     return decomposition.h[:M] if h is None else h
 
 
-def series_evaluator(surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                     upto: int | None = None) -> OneForm:
-    """The partial sum as a form: pole-difference and lattice parts plus
-    the cap basis terms of order <= upto (default: the full truncation).
-
-    A checkpoint order reuses its own sub-solve coefficients; any other
-    order truncates the full solution.
-    """
-    M = decomposition.M if upto is None else int(upto)
-    return faber_series(surface, decomposition.epsilon, decomposition.c,
-                        _partial_h(decomposition, M), label=f"series[{M}]")
-
-
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
                    points, orders, margin: float = 0.1) -> list:
     """Sup-norm coefficient errors of the partial sums of every order in
@@ -440,9 +427,10 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     basis forms of orders 1..max(orders) of each cap with one
     ``alpha_values`` call, one kernel block on the radius step of the
     highest order; each partial sum contracts the leading columns with its
-    own coefficients, chosen as ``series_evaluator`` chooses them. A
-    one-order ``uniform_error`` reads its basis forms on the step of its
-    own order, so the two agree up to roundoff.
+    own coefficients, a checkpoint order's own sub-solve and any other
+    order's the full solution truncated. A one-order ``uniform_error``
+    reads its basis forms on the step of its own order, so the two agree
+    up to roundoff.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     dist = surface.distance_to_caps_reduced(pts)
@@ -502,4 +490,4 @@ def invariance_check(surface: SurfaceSpec, build, translation, M: int,
     moved = surface.translated(translation)
     dec1 = project_faber(build(surface), surface, M, **kwargs)
     dec2 = project_faber(build(moved), moved, M, **kwargs)
-    return max(coefficient_deviations(dec1, dec2).values())
+    return float(np.max(list(coefficient_deviations(dec1, dec2).values())))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,8 @@ from faberforms.cli import main
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily
 from faberforms.numerics import NumericalError, ValidationError
-from faberforms.series import project_faber
+from faberforms.runner import RunContext, _probe_ring
+from faberforms.series import project_faber, uniform_errors
 from faberforms.surface import SurfaceSpec, green
 from faberforms.targets import build_target
 
@@ -228,13 +230,13 @@ def test_uniform_convergence_value_is_the_residuals_csv_figure(tmp_path):
     assert check["value"] == float(rows[-1]["sup_error"])
 
 
-def _config(tmp_path):
+def _config(tmp_path, check_list="uniform convergence"):
     path = tmp_path / "run.cfg"
     path.write_text(
         "[surface]\ngenus = 0\nq = inf\n\n"
         "[caps]\nmain = affine scale=1 offset=0\n\n"
         "[target]\nfamily = pole\neta = 0.3\nstrength = 1\n\n"
-        "[run]\nM = 12\nchecks = uniform convergence\n"
+        f"[run]\nM = 12\nchecks = {check_list}\n"
         "l2_tolerance = 1e-6\nsup_tolerance = 1e-6\nprobe_radius = 2.0\n"
     )
     return path
@@ -258,3 +260,163 @@ def test_setup_does_not_import_numpy_ma():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
+def test_harmonicity_fails_a_green_function_that_is_not_harmonic(name, monkeypatch):
+    config = parse_config(_config_path(name))
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+
+    def bowl(surface, w, z, **kwargs):
+        # 1e-3 |w|^2 has Laplacian 4e-3, 40 times the bound; the 3e-4 stencil
+        # reads a quadratic exactly
+        return green(surface, w, z, **kwargs) + 1e-3 * np.abs(np.asarray(w)) ** 2
+
+    monkeypatch.setattr(checks, "green", bowl)
+    res = checks.check_harmonicity(ctx)
+    assert res.passed is False and res.value > 1e-4 and res.threshold == 1e-4
+
+
+@pytest.fixture(scope="module")
+def torus_run():
+    """The torus config's run context, as the runner builds it."""
+    config = parse_config(_config_path("torus_two_caps"))
+    dec = project_faber(config.target, config.surface, config.M,
+                        condition_limit=config.condition_limit)
+    sups = uniform_errors(config.target, config.surface, dec, _probe_ring(config),
+                          [order for order, _l2 in dec.residual_history],
+                          margin=config.uniform_margin)
+    return RunContext(**vars(config), decomposition=dec, sup_errors=tuple(sups))
+
+
+@pytest.mark.parametrize("name", list(checks.CHECKS))
+def test_every_check_reaches_its_verdict_through_the_one_rule(name, torus_run, monkeypatch):
+    verdicts = []
+    rule = checks._verdict
+
+    def counted(*args, **kwargs):
+        verdicts.append(rule(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(checks, "_verdict", counted)
+    res = checks.CHECKS[name][0](torus_run)
+    assert len(verdicts) == 1 and res is verdicts[0]
+    assert res.name == name and res.passed
+
+
+def _poisoned(values, index=0):
+    out = np.array(values, dtype=complex)
+    out.flat[index] = np.nan
+    return out
+
+
+def _poison_call(monkeypatch, attr, when=lambda *args, **kwargs: True):
+    # checks.<attr> with its first output entry NaN on the calls ``when`` picks
+    original = getattr(checks, attr)
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        return _poisoned(out) if when(*args, **kwargs) else out
+
+    monkeypatch.setattr(checks, attr, poisoned)
+
+
+def _poison_tail(monkeypatch, index):
+    # the tail coefficient ``index`` places past coefficient m of every order
+    original = checks.principal_parts
+
+    def poisoned(surface, k, orders):
+        parts = original(surface, k, orders)
+        return [(replace(tail, coefficients=_poisoned(tail.coefficients, m + index)), head)
+                for m, (tail, head) in zip(orders, parts)]
+
+    monkeypatch.setattr(checks, "principal_parts", poisoned)
+
+
+def _poison_history(ctx, index):
+    dec = ctx.decomposition
+    hist = list(dec.residual_history)
+    hist[index] = (hist[index][0], float("nan"))
+    return replace(ctx, decomposition=replace(dec, residual_history=tuple(hist)))
+
+
+def _poison_sup(ctx, index):
+    return replace(ctx, sup_errors=tuple(_poisoned(ctx.sup_errors, index).real))
+
+
+def _poison_moved_solve(monkeypatch, ctx, component):
+    # the moved surface's solve returns the reported decomposition with
+    # one entry of one component NaN
+    dec = ctx.decomposition
+    if component.startswith("h at M="):
+        m = int(component.split("=")[1])
+        poisoned = replace(dec, checkpoints=tuple(
+            (mp, _poisoned(h) if mp == m else h) for mp, h in dec.checkpoints))
+    else:
+        poisoned = replace(dec, **{component: _poisoned(getattr(dec, component))})
+    monkeypatch.setattr(checks, "project_faber", lambda *args, **kwargs: poisoned)
+
+
+# (check, poisoned input, figure the NumericalError names); the torus
+# config solves to M = 10 with checkpoints 5 and 10
+POISONS = [
+    ("pole-structure", "head coefficient", "tail"),
+    ("pole-structure", "deeper tail coefficient", "tail"),
+    ("harmonicity", "Green's function", "Laplacian"),
+    ("q-independence", "Green's function", "double difference"),
+    ("r0-independence", "contour read at r0=0.4", "radius spread"),
+    ("r0-independence", "contour read at r0=0.6", "radius spread"),
+    ("r0-independence", "contour read at r0=0.8", "radius spread"),
+    ("r0-independence", "area read", "area gap"),
+    ("convergence", "residual 0", "L2 residual at M=5"),
+    ("convergence", "residual 1", "L2 residual at M=10"),
+    ("uniform convergence", "sup error 0", "sup error at M=5"),
+    ("uniform convergence", "sup error 1", "sup error at M=10"),
+    ("invariance", "epsilon", "epsilon"),
+    ("invariance", "c", "c"),
+    ("invariance", "d", "d"),
+    ("invariance", "h", "h"),
+    ("invariance", "h at M=5", "h at M=5"),
+    ("invariance", "h at M=10", "h at M=10"),
+]
+
+
+@pytest.mark.parametrize("name, read, figure", POISONS,
+                         ids=[f"{name}-{read}" for name, read, _figure in POISONS])
+def test_a_poisoned_read_is_a_numerical_failure_naming_its_figure(name, read, figure, torus_run,
+                                                                   monkeypatch):
+    ctx = torus_run
+    if read == "head coefficient":
+        _poison_tail(monkeypatch, 0)
+    elif read == "deeper tail coefficient":
+        _poison_tail(monkeypatch, 2)
+    elif read == "Green's function":
+        _poison_call(monkeypatch, "green")
+    elif read.startswith("contour read"):
+        r = float(read.split("=")[1])
+        _poison_call(monkeypatch, "schiffer_contour", lambda *args, r0: r0 == r)
+    elif read == "area read":
+        _poison_call(monkeypatch, "apply_schiffer")
+    elif read.startswith("residual"):
+        ctx = _poison_history(ctx, int(read.split()[1]))
+    elif read.startswith("sup error"):
+        ctx = _poison_sup(ctx, int(read.split()[2]))
+    else:
+        _poison_moved_solve(monkeypatch, ctx, read)
+    with pytest.raises(NumericalError, match=f"^{figure} is not finite$"):
+        checks.CHECKS[name][0](ctx)
+
+
+def test_a_poisoned_read_exits_3_with_a_readable_report(tmp_path, monkeypatch, capsys):
+    _poison_call(monkeypatch, "apply_schiffer")
+    path = _config(tmp_path, check_list="r0-independence, uniform convergence")
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
+    assert "r0-independence: area gap is not finite" in capsys.readouterr().err
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["exit_code"] == 3
+    assert report["numerical_failures"] == ["r0-independence: area gap is not finite"]
+    r0, uniform = report["checks"]
+    assert r0 == {"name": "r0-independence", "passed": False, "value": None,
+                  "threshold": None, "detail": "numerical failure: area gap is not finite"}
+    assert uniform["passed"] is True

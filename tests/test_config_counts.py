@@ -1,7 +1,9 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
 same holds for a probe radius or uniform margin that is not positive, a
-probe center without a probe radius, a pole-structure order past the
+probe center without a probe radius, a tolerance that is not finite and
+positive, a condition limit that is not positive, a translation or probe
+center that is not finite, a pole-structure order past the
 roundoff limit of the principal-part read, a [target] parameter that the
 chosen family does not take, a key that [surface], [run] or [output]
 does not read, a block that the parse does not read, a negative seed and
@@ -48,6 +50,32 @@ def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, 
 def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, line, message):
     # each was parsed silently: the default probe replaced a lone center,
     # and a negative margin switched off the guard of the sup-norm errors
+    path = tmp_path / "bad.cfg"
+    path.write_text(BASE + line + "\n")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("l2_tolerance = nan", r"run\.l2_tolerance: must be > 0, got nan$"),
+    ("l2_tolerance = inf", r"run\.l2_tolerance: must be finite, got inf$"),
+    ("l2_tolerance = 0", r"run\.l2_tolerance: must be > 0, got 0\.0$"),
+    ("sup_tolerance = -1", r"run\.sup_tolerance: must be > 0, got -1\.0$"),
+    ("sup_tolerance = inf", r"run\.sup_tolerance: must be finite, got inf$"),
+    ("condition_limit = nan", r"run\.condition_limit: must be > 0, got nan$"),
+    ("translation = nan", r"run\.translation: must be finite, got \(nan\+0j\)$"),
+    ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: must be finite, got \(nan\+0j\)$"),
+], ids=["nan-l2", "inf-l2", "zero-l2", "negative-sup", "inf-sup", "nan-condition-limit",
+        "nan-translation", "nan-probe-center"])
+def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, message):
+    # each ran: a tolerance of nan or inf died writing the report (exit 1),
+    # 0 or -1 could never pass, a nan condition limit never regularized, a
+    # nan probe center poisoned the sup errors and a nan translation was
+    # refused as a map covering its center more than once
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + line + "\n")
     with pytest.raises(ConfigError, match=message):

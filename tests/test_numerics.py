@@ -57,6 +57,18 @@ def test_disk_grid_built_once_and_read_only():
     assert g == DiskGrid(24, 48) and hash(g) == hash(DiskGrid(24, 48))
 
 
+@pytest.mark.parametrize("n_radial, n_angular", [(1, 8), (4, 3)])
+def test_disk_grid_refuses_a_grid_too_small(n_radial, n_angular):
+    with pytest.raises(ValidationError,
+                       match=f"^grid too small: {n_radial} radial x {n_angular} angular$"):
+        DiskGrid(n_radial, n_angular)
+
+
+def test_disk_grid_integrate_needs_one_sample_per_node():
+    with pytest.raises(ValidationError, match="^expected 32 samples, got 31$"):
+        DiskGrid(4, 8).integrate(np.ones(31))
+
+
 def test_area_pairing_monomials():
     chart = _IdentityChart()
     one = _Form(lambda w: np.ones_like(w))
@@ -145,6 +157,13 @@ def test_laurent_order_band_guard():
         laurent_coefficients(lambda w: w, 0.0, 0.5, [200], n=256)
 
 
+def test_laurent_coefficients_refuse_samples_that_are_not_finite():
+    # node 0 of the radius-2 circle around 1 is w = 3
+    fn = lambda w: np.where(np.abs(w - 3.0) < 1e-12, np.nan, 1.0 / w)
+    with pytest.raises(NumericalError, match=r"^samples not finite at node 0 \(w = 3\+0j\)$"):
+        laurent_coefficients(fn, 1.0, 2.0, [0, 1], n=16)
+
+
 def test_least_squares_identity():
     rhs = np.array([1.0, 2.0j, -3.0])
     res = least_squares(np.eye(3), rhs)
@@ -187,6 +206,13 @@ def test_least_squares_flags_bad_conditioning():
     res = least_squares(G, np.array([1.0, 0.0]), condition_limit=1e12)
     assert res.regularized
     assert res.condition > 1e12
+
+
+def test_least_squares_rejects_mismatched_shapes():
+    with pytest.raises(ValidationError, match=r"^shape mismatch: gram \(2, 2\), rhs \(3,\)$"):
+        least_squares(np.eye(2), np.ones(3))
+    with pytest.raises(ValidationError, match=r"^shape mismatch: gram \(2, 3\), rhs \(2,\)$"):
+        least_squares(np.ones((2, 3)), np.ones(2))
 
 
 def test_least_squares_rejects_non_hermitian():

@@ -508,6 +508,17 @@ def test_coarse_grid_self_report(monkeypatch):
         apply_schiffer(surface, datum, z)
 
 
+def test_a_datum_must_be_callable():
+    with pytest.raises(ValidationError, match="^datum for cap 0 is not callable$"):
+        CapDatum({0: 3.0})
+
+
+def test_area_read_refuses_a_datum_not_finite_on_a_cap():
+    datum = CapDatum({1: lambda zeta: np.where(np.abs(zeta) < 0.5, np.nan, zeta)})
+    with pytest.raises(NumericalError, match="^datum not finite on cap 1$"):
+        apply_schiffer(sphere_two_caps(), [CapDatum.monomial(0, 1), datum], 5.0)
+
+
 def test_stacked_area_read_matches_per_datum_reads():
     # one kernel block per (cap, grid), shared by every datum of the stack
     # still open; each datum stops on its own grid

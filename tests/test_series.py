@@ -15,7 +15,6 @@ from faberforms.schiffer import contour_radius
 from faberforms.series import (
     BOUNDARY_NODES,
     ExteriorPairing,
-    SeriesDecomposition,
     TargetForm,
     _split_target,
     boundary_coefficients,
@@ -23,7 +22,6 @@ from faberforms.series import (
     cycle_coefficients,
     invariance_check,
     project_faber,
-    series_evaluator,
     uniform_error,
     uniform_errors,
 )
@@ -419,17 +417,17 @@ def test_coefficient_stability_under_truncation_growth():
         assert abs(d9.h[m - 1, k] - v) < 1e-9
 
 
-def test_series_evaluator_reproduces_target():
+def test_faber_series_of_the_solve_reproduces_target():
     surface = identity_cap_sphere()
     target = build_target(surface, "basis", k=0, m=2)
     dec = project_faber(target, surface, M=3, checkpoints=())
-    partial = series_evaluator(surface, dec)
+    partial = faber.faber_series(surface, dec.epsilon, dec.c, dec.h)
     pts = np.array([2.0 + 1.0j, -3.0, 1.5j])
     assert np.max(np.abs(partial(pts) - target.form(pts))) < 1e-9
     err = uniform_error(target, surface, dec, pts)
     assert err < 1e-9
-    with pytest.raises(ValidationError, match="order"):
-        series_evaluator(surface, dec, upto=7)
+    with pytest.raises(ValidationError, match=r"^order 7 outside 1\.\.3$"):
+        uniform_error(target, surface, dec, pts, upto=7)
 
 
 def _pool_input(workload, index, tmp_path):
@@ -470,17 +468,12 @@ def test_project_matches_torus_solve_reference(tmp_path):
     assert _reference_deviation("torus-solve", tmp_path) <= 1e-10
 
 
-def test_series_evaluator_order_past_roundoff_bound_raises():
+def test_faber_series_order_past_roundoff_bound_raises():
     # no silent order ceiling: an order whose contour read amplifies
     # roundoff past the bound fails loudly and names the figure
     surface = identity_cap_sphere()
-    M = 250
-    dec = SeriesDecomposition(
-        epsilon=np.zeros(1, dtype=complex), c=np.zeros(0), d=np.zeros(0),
-        h=np.ones((M, 1), dtype=complex), M=M, residual_history=(),
-        gram_condition=1.0, regularized=False, consistency=0.0,
-    )
-    partial = series_evaluator(surface, dec)
+    partial = faber.faber_series(surface, np.zeros(1, dtype=complex), np.zeros(0),
+                                 np.ones((250, 1), dtype=complex))
     with pytest.raises(NumericalError,
                        match=r"order 250 on the contour radius 0\.92 .* = 2\.5\de-07"):
         partial(np.array([3.0 + 1.0j]))
@@ -493,6 +486,27 @@ def test_invariance_identity_is_exact():
         checkpoints=(),
     )
     assert dev < 1e-14
+
+
+@pytest.mark.parametrize("component", ["epsilon", "h", "h at M=2"])
+def test_invariance_returns_a_nan_deviation(component, monkeypatch):
+    # the moved surface's solve carries one NaN entry; the fold returns it
+    solve = series.project_faber
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        dec = solve(*args, **kwargs)
+        calls.append(dec)
+        if len(calls) == 1:
+            return dec
+        if component == "h at M=2":
+            return replace(dec, checkpoints=((2, np.full((2, 2), np.nan)),) + dec.checkpoints[1:])
+        return replace(dec, **{component: np.full_like(getattr(dec, component), np.nan)})
+
+    monkeypatch.setattr(series, "project_faber", poisoned)
+    dev = invariance_check(two_cap_sphere(), lambda s: build_target(s, "pole", cap=1, eta=0.3),
+                           0.0, M=3, checkpoints=(2,))
+    assert len(calls) == 2 and np.isnan(dev)
 
 
 def test_invariance_under_sphere_translation():
@@ -741,7 +755,7 @@ def test_sparse_combination_reads_only_its_orders(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_series_evaluator_poles_follow_order_then_cap():
+def test_faber_series_poles_follow_order_then_cap():
     surface = torus_two_caps()
     dec = project_faber(build_target(surface, "combination", seed=3, order=2), surface,
                         M=3, checkpoints=())
@@ -752,4 +766,4 @@ def test_series_evaluator_poles_follow_order_then_cap():
                               (dec.c[0], gamma_basis(surface)[0])])
     want = closed.poles + tuple((surface.caps[k].center, m + 1)
                                 for m in range(1, 4) for k in range(2))
-    assert series_evaluator(surface, dec).poles == want
+    assert faber.faber_series(surface, dec.epsilon, dec.c, dec.h).poles == want
