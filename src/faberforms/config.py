@@ -225,8 +225,11 @@ def parse_config(path: str) -> ExperimentConfig:
         if not np.isfinite(q):
             raise ConfigError(f"surface.q: must be finite or inf, got {s['q']!r}")
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
-    margin = _float("surface", "margin", s.get("margin", "0.05"))
+    margin = _positive("surface", "margin", s.get("margin", "0.05"))
     s.reject_unread()
+    for key, value in (("w0", w0), ("margin", margin)):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"surface.{key}: must be finite, got {value}")
 
     caps_items = list(parser["caps"].items())
     if not caps_items:
@@ -301,9 +304,11 @@ def parse_config(path: str) -> ExperimentConfig:
     )
     r.reject_unread()
     output.reject_unread()
-    for key in ("l2_tolerance", "sup_tolerance", "translation", "probe_center"):
-        if not np.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"run.{key}: must be finite, got {getattr(cfg, key)}")
+    for key in ("l2_tolerance", "sup_tolerance", "translation", "probe_center",
+                "probe_radius", "uniform_margin"):
+        value = getattr(cfg, key)
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"run.{key}: must be finite, got {value}")
     top = order_limit(PRINCIPAL_RADIUS)
     if cfg.pole_orders > top:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "

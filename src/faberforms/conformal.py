@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import TWO_PI, NumericalError, ValidationError, row_slices
+from .numerics import TWO_PI, NumericalError, ValidationError, slice_views
 
 # evaluation is allowed on the closed disk; anything beyond is a caller bug
 _DOMAIN_SLACK = 1e-12
@@ -23,18 +23,21 @@ def winding_number(polygon: np.ndarray, z) -> np.ndarray:
     the first vertex is implicit). Points on or extremely near the polygon
     give unreliable results; callers guard with a distance check. The
     point-by-vertex block of edge ratios is built in row slices of
-    ``numerics.row_slices``; a point's sum does not depend on the slicing.
+    ``numerics.row_slices``, into buffers allocated once per call; a
+    point's sum does not depend on the slicing. The angles are those of
+    ``np.angle`` and the sum that of ``np.nansum``, without their copies.
     """
     p = np.asarray(polygon, dtype=complex)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     p_next = np.roll(p, -1)
     out = np.empty(zz.shape, dtype=int)
-    for rows in row_slices(zz.size, p.size):
+    for rows, (ratio, below, angle) in slice_views(zz.size, p.size, complex, complex, float):
         w = zz[rows, None]
-        ratio = p_next - w
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ratio, p - w, out=ratio)
-            out[rows] = np.round(np.nansum(np.angle(ratio), axis=1) / TWO_PI)
+            np.divide(np.subtract(p_next, w, out=ratio), np.subtract(p, w, out=below), out=ratio)
+        np.arctan2(ratio.imag, ratio.real, out=angle)
+        np.copyto(angle, 0.0, where=np.isnan(angle))
+        out[rows] = np.round(np.sum(angle, axis=1) / TWO_PI)
     return out if np.ndim(z) else out[0]
 
 
@@ -42,12 +45,13 @@ def nearest_distance(samples: np.ndarray, z: np.ndarray) -> np.ndarray:
     """min_j |samples_j - z_i| for each point z_i of the 1-d array ``z``.
 
     The point-by-sample block is built in row slices of
-    ``numerics.row_slices``, so it never exists whole; the minima are the
-    same floats.
+    ``numerics.row_slices``, into buffers allocated once per call, so it
+    never exists whole; the minima are the same floats.
     """
     out = np.empty(z.shape)
-    for rows in row_slices(z.size, samples.size):
-        np.min(np.abs(samples - z[rows, None]), axis=1, out=out[rows])
+    for rows, (diff, dist) in slice_views(z.size, samples.size, complex, float):
+        np.subtract(samples, z[rows, None], out=diff)
+        np.min(np.abs(diff, out=dist), axis=1, out=out[rows])
     return out
 
 
@@ -167,9 +171,15 @@ class ConformalMap:
         b = self._evaluate(circle)
         if winding_number(b, self._evaluate(np.zeros(1))[0]) != 1:
             raise ValidationError(f"{self.kind} map covers its center more than once")
-        # injectivity spot check on the boundary (heuristic, not a proof)
-        diff = np.abs(b[None, :] - b[:, None]) + np.eye(256)
-        if float(diff.min()) < 1e-9 * max(float(np.abs(b).max()), 1.0):
+        # injectivity spot check on the boundary (heuristic, not a proof):
+        # the least |b_j - b_i| over j != i, with 1 standing in on the
+        # diagonal, taken in row slices; np.minimum keeps a NaN
+        least = np.inf
+        for rows, (diff, dist) in slice_views(b.size, b.size, complex, float):
+            np.abs(np.subtract(b[None, :], b[rows, None], out=diff), out=dist)
+            dist[np.arange(dist.shape[0]), np.arange(rows.start, rows.stop)] += 1.0
+            least = np.minimum(least, dist.min())
+        if float(least) < 1e-9 * max(float(np.abs(b).max()), 1.0):
             raise ValidationError(f"{self.kind} map is not injective on boundary samples")
 
     def __repr__(self):
@@ -366,12 +376,18 @@ class CapFamily:
         d = self.min_distance(zz.ravel()[None, :]).reshape(zz.shape)
         return d if np.ndim(z) else float(d[0])
 
-    def _lower_bounds(self, z) -> np.ndarray:
-        """|z - c_k| - R_k for every point and cap k, along a new last axis."""
-        centre = np.abs(z[..., None] - self._centroids)
+    def _lower_bounds(self, z, out, diff, slack) -> np.ndarray:
+        """|z - c_k| - R_k for every point and cap k, along a new last axis,
+        written into the real array ``out``; ``diff`` (complex) and
+        ``slack`` (real) are scratch arrays of its shape."""
+        centre = np.abs(np.subtract(z[..., None], self._centroids, out=diff), out=out)
         # the relative slack keeps the computed bound below every computed
         # sample distance despite rounding, so pruning never changes a result
-        return (centre - self._radii) - 1e-12 * (centre + self._radii)
+        np.add(centre, self._radii, out=slack)
+        slack *= 1e-12
+        centre -= self._radii
+        centre -= slack
+        return centre
 
     def min_distance(self, candidates) -> np.ndarray:
         """For each column of ``candidates`` (shape (C, P)), the distance from
@@ -382,18 +398,22 @@ class CapFamily:
         in order of the lower bound |z - c_k| - R_k, and a pair's samples
         are measured only while that bound is below the point's running
         minimum. The points go in row slices of ``numerics.row_slices``
-        (a slice's bounds are a block as wide as the pairs), and so does
-        every measured point-by-sample block (``nearest_distance``).
+        (a slice's bounds are a block as wide as the pairs, built in
+        buffers allocated once per call), and so does every measured
+        point-by-sample block (``nearest_distance``).
         """
         cand = np.asarray(candidates, dtype=complex)
         n_cand, n_pts = cand.shape
         n_caps = len(self._boundaries)
         n_pairs = n_cand * n_caps
         best = np.full(n_pts, np.inf)
-        for cols in row_slices(n_pts, n_pairs):
+        for cols, (lower, diff, slack) in slice_views(n_pts, n_pairs, float, complex, float):
             block = cand[:, cols]
-            lower = self._lower_bounds(block)
-            lower = lower.transpose(1, 0, 2).reshape(block.shape[1], n_pairs)
+            # bounds laid out (point, position, cap): a point's row lists
+            # its pairs (position, cap) in the order q = position * n_caps + cap
+            shape = (-1, n_cand, n_caps)
+            self._lower_bounds(block.T, lower.reshape(shape), diff.reshape(shape),
+                               slack.reshape(shape))
             order = np.argsort(lower, axis=1)
             rows = np.arange(block.shape[1])
             run = best[cols]

@@ -98,7 +98,7 @@ def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
     return FaberBasisElement(form, cap=k, order=m)
 
 
-def alpha_values(surface: SurfaceSpec, k: int, orders, z) -> np.ndarray:
+def alpha_values(surface: SurfaceSpec, k: int, orders, z, out=None) -> np.ndarray:
     """Values at z of the basis forms of cap k for every order in
     ``orders``, along a trailing axis over the orders.
 
@@ -112,13 +112,21 @@ def alpha_values(surface: SurfaceSpec, k: int, orders, z) -> np.ndarray:
     the precondition of ``contour_nodes``. Column j thus equals
     ``faber_form(surface, k, orders[j]).form(z)`` up to roundoff, and
     bit for bit when ``orders`` is the one order.
+
+    ``out``, given, is written in place and returned: an array of the
+    result's shape z.shape + (len(orders),), such as one cap's columns of
+    a stack of several caps (``series.ExteriorPairing.alpha_data``). The
+    values are the same bits as those returned without it.
     """
     orders = [int(m) for m in orders]
     zz = np.asarray(z, dtype=complex)
     if not orders:
-        return np.empty(zz.shape + (0,), dtype=complex)
+        return np.empty(zz.shape + (0,), dtype=complex) if out is None else out
     r0 = contour_radius(max(orders))
-    return schiffer_contour(surface, k, orders, zz, r0=r0, n=contour_nodes(r0))
+    read = {"r0": r0, "n": contour_nodes(r0)}
+    if out is not None:
+        read["out"] = out
+    return schiffer_contour(surface, k, orders, zz, **read)
 
 
 def closed_terms(surface: SurfaceSpec, epsilon, c) -> list:

@@ -17,6 +17,20 @@ TWO_PI = 2.0 * np.pi
 # such as |sample - z| or a kernel block K(f(zeta_j), z): the slice and its
 # few temporaries stay in a core's cache. Whole blocks of a few million
 # entries ran at memory speed and set the peak memory of a run.
+#
+# A block read allocates its slice storage once (``slice_views``), at most
+# these 512 KiB for all of its buffers, and writes every slice into it,
+# because of how glibc's malloc places blocks: one of at least the mmap
+# threshold (128 KiB at start) is mapped on its own, and freeing such a
+# block raises the threshold to its size and the heap's trim threshold to
+# twice that. So the largest temporary freed early in a run decides the
+# rest. Below it, later temporaries come from the heap, which stays
+# resident at its largest extent: a whole 256 x 256 injectivity block at
+# parse time, and fresh temporaries in every slice, held about 1.5 MB more
+# of a torus run resident. Above it, every slice temporary is mapped,
+# faulted in and unmapped again: slicing that block alone did that to the
+# kernel slices. One storage per read, never larger than the budget, keeps
+# the heap small and steady whatever came before.
 BLOCK_ENTRIES = 32768
 
 
@@ -25,7 +39,35 @@ def row_slices(n_rows: int, width: int):
     rows each, and at least one row, for blocks ``width`` entries wide."""
     step = max(1, BLOCK_ENTRIES // max(width, 1))
     for lo in range(0, n_rows, step):
-        yield slice(lo, lo + step)
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def slice_views(n_rows: int, width: int, *dtypes):
+    """Row slices of a block ``width`` entries wide with storage: yields
+    (rows, views), where views holds one (rows, width) array of each dtype
+    in ``dtypes``, the leading rows of buffers allocated once.
+
+    The slices are those of ``row_slices`` for a block whose entries take
+    the bytes of all the buffers together, so the storage of a read is at
+    most BLOCK_ENTRIES complex entries (and one row); a read with one
+    complex buffer slices as ``row_slices`` does. The buffers are cut from
+    one allocation: several smaller ones would keep the allocator's
+    thresholds below a read's whole storage, and the heap would be trimmed
+    and faulted in again at every read. A slice's values do not outlive
+    the next step of the loop.
+    """
+    dtypes = [np.dtype(d) for d in dtypes]
+    share = -(-sum(d.itemsize for d in dtypes) // np.dtype(complex).itemsize)
+    rows0 = next(row_slices(n_rows, width * share), slice(0, 0)).stop
+    # one allocation, cut widest item first so that every view is aligned
+    storage = np.empty(rows0 * width * sum(d.itemsize for d in dtypes), dtype=np.uint8)
+    buffers, at = {}, 0
+    for i in sorted(range(len(dtypes)), key=lambda i: -dtypes[i].itemsize):
+        size = rows0 * width * dtypes[i].itemsize
+        buffers[i] = storage[at:at + size].view(dtypes[i]).reshape(rows0, width)
+        at += size
+    for rows in row_slices(n_rows, width * share):
+        yield rows, [buffers[i][:rows.stop - rows.start] for i in range(len(dtypes))]
 
 
 class NumericalError(Exception):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conformal import nearest_distance, winding_number
-from .numerics import TWO_PI, NumericalError, ValidationError, measured_area, row_slices
+from .numerics import TWO_PI, NumericalError, ValidationError, measured_area, slice_views
 from .surface import SurfaceSpec, schiffer_kernel
 
 PI = np.pi
@@ -138,8 +138,8 @@ def _apply_area(surface, data, zz, grid):
         if not np.all(np.isfinite(dens)):
             raise NumericalError(f"datum not finite on cap {k}")
         dens = grid.weights[:, None] * dens
-        for rows in row_slices(zz.size, zeta.size):
-            out[rows] -= schiffer_kernel(surface, w, zz[rows, None]) @ dens
+        for rows, (kernel,) in slice_views(zz.size, zeta.size, complex):
+            out[rows] -= schiffer_kernel(surface, w, zz[rows, None], kernel) @ dens
     return out
 
 
@@ -223,7 +223,7 @@ def contour_nodes(r0: float) -> int:
 
 
 def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None,
-                     n: int = 256):
+                     n: int = 256, out=None):
     """Contour-reduced evaluation of the operator on the order-m monomial
     datum of cap k.
 
@@ -244,9 +244,13 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     past ``order_limit(r0)`` raise.
 
     The kernel block, points by the n nodes, is built in row slices of
-    ``numerics.row_slices``, and each slice's product with the weights
-    fills its rows of one output; the kernel values do not depend on the
-    slicing.
+    ``numerics.row_slices``, each written in place into one kernel buffer
+    that the read allocates once (``numerics.slice_views``); each slice's
+    product with the weights fills its rows of one output. The kernel
+    values do not depend on the slicing. ``out``, given, is that output,
+    written in place and returned: an array of the multi-order shape
+    z.shape + (len(orders),), which may be a strided view such as one
+    cap's columns of a larger stack.
     """
     orders = np.atleast_1d(np.asarray(m))
     if orders.ndim != 1 or orders.size == 0 or not np.issubdtype(orders.dtype, np.integer):
@@ -268,18 +272,27 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     f = surface.caps[k]
     zz = np.asarray(z, dtype=complex)
     pts = zz.ravel()
+    shape = zz.shape + (orders.size,)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape:
+        raise ValidationError(f"out has shape {out.shape}; the read gives {shape}")
+    # a view of out, except for a strided out over several point axes,
+    # whose copy is written back at the end
+    vals = out.reshape(pts.size, orders.size)
     zeta = r0 * np.exp(1j * TWO_PI * np.arange(n) / n)
     w = f.evaluate(zeta)
     _guard_outside_contour(surface, w, pts)
     weights = -(PI / n) * zeta[:, None] ** (1 - orders[None, :]) * f.derivative(zeta)[:, None]
-    vals = np.empty((pts.size, orders.size), dtype=complex)
-    for rows in row_slices(pts.size, n):
-        np.matmul(schiffer_kernel(surface, w[None, :], pts[rows, None]), weights, out=vals[rows])
-    vals = vals.reshape(zz.shape + (orders.size,))
+    for rows, (kernel,) in slice_views(pts.size, n, complex):
+        np.matmul(schiffer_kernel(surface, w[None, :], pts[rows, None], kernel),
+                  weights, out=vals[rows])
+    if not np.may_share_memory(vals, out):
+        out[...] = vals.reshape(shape)
     if np.ndim(m) == 0:
-        vals = vals[..., 0]
-        return vals if zz.ndim else complex(vals)
-    return vals
+        out = out[..., 0]
+        return out if zz.ndim else complex(out)
+    return out
 
 
 def _guard_outside_contour(surface: SurfaceSpec, contour_image: np.ndarray, zz: np.ndarray):

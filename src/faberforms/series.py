@@ -167,11 +167,12 @@ class ExteriorPairing:
         one trailing axis in the order (m - 1) * n_caps + k.
 
         Each cap is read by one ``alpha_values`` call on ``nodes``: one
-        kernel block, on the radius step of order M."""
+        kernel block, on the radius step of order M, written straight into
+        the cap's columns of the stack."""
         n = self.surface.n_caps
         vals = np.empty((self.nodes.size, M, n), dtype=complex)
         for k in range(n):
-            vals[:, :, k] = alpha_values(self.surface, k, range(1, M + 1), self.nodes)
+            alpha_values(self.surface, k, range(1, M + 1), self.nodes, out=vals[:, :, k])
         return self._pack(vals.reshape(self.nodes.size, M * n))
 
     def _pack(self, vals) -> PairingData:
@@ -206,11 +207,7 @@ class ExteriorPairing:
         Stokes sum (2 pi i / N) sum_j F1_j conj(g2_j), F1 the zero-mean
         periodic antiderivative of g1, is by Parseval the sum over k != 0
         of 2 pi ghat1_k conj(ghat2_k) / (N^2 k), per circle in row slices."""
-        boundary = np.zeros(d1.ghat.shape[2:] + d2.ghat.shape[2:], dtype=complex)
-        for g1, g2 in zip(d1.ghat, d2.ghat):
-            for rows in row_slices(BOUNDARY_NODES, max(g1[0].size, g2[0].size)):
-                w = _WEIGHTS[rows].reshape((-1,) + (1,) * (g1.ndim - 1))
-                boundary += np.tensordot(w * g1[rows], np.conj(g2[rows]), axes=(0, 0))
+        boundary = _boundary_sum(d1.ghat, d2.ghat)
         val = 1j * (np.multiply.outer(d1.a, np.conj(d2.b))
                     - np.multiply.outer(d1.b, np.conj(d2.a))) - boundary
         return complex(val) if np.ndim(val) == 0 else val
@@ -219,6 +216,25 @@ class ExteriorPairing:
         """sqrt(|<form, form>|): the boundary form is indefinite, so at
         roundoff the product may be negative, and reads as roundoff, not 0."""
         return float(np.sqrt(abs(self.inner(d, d).real)))
+
+
+def _boundary_sum(ghat1, ghat2) -> np.ndarray:
+    # sum over circles and frequencies k of 2 pi ghat1_k conj(ghat2_k) / (N^2 k),
+    # over every pair of columns of the two stacks, in row slices of
+    # frequencies; the weighted and conjugated factors of the slices go into
+    # buffers allocated once, which are freed before the caller goes on
+    shape = ghat1.shape[2:] + ghat2.shape[2:]
+    ghat1, ghat2 = (g.reshape(g.shape[:2] + (-1,)) for g in (ghat1, ghat2))
+    p, q = ghat1.shape[2], ghat2.shape[2]
+    total, prod = np.zeros((p, q), dtype=complex), np.empty((p, q), dtype=complex)
+    rows0 = next(row_slices(BOUNDARY_NODES, max(p, q))).stop
+    wg1, cg2 = np.empty((rows0, p), dtype=complex), np.empty((rows0, q), dtype=complex)
+    for g1, g2 in zip(ghat1, ghat2):
+        for rows in row_slices(BOUNDARY_NODES, max(p, q)):
+            r = rows.stop - rows.start
+            np.multiply(_WEIGHTS[rows, None], g1[rows], out=wg1[:r])
+            total += np.dot(wg1[:r].T, np.conj(g2[rows], out=cg2[:r]), out=prod)
+    return total.reshape(shape)
 
 
 def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII) -> np.ndarray:

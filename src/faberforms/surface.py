@@ -18,7 +18,7 @@ import numpy as np
 
 from . import theta
 from .conformal import CapFamily, TranslatedMap
-from .numerics import TWO_PI, NumericalError, ValidationError
+from .numerics import BLOCK_ENTRIES, TWO_PI, NumericalError, ValidationError
 
 PI = np.pi
 
@@ -172,16 +172,22 @@ class SurfaceSpec:
             grid = np.linspace(0.02, 0.98, 25)
             t = np.linspace(0.0, 1.0, 64, endpoint=False)
             bases = (grid[:, None] + grid[None, :] * self.tau).ravel()
-            paths = np.concatenate([bases[:, None] + t, bases[:, None] + t * self.tau], axis=1)
+
+            def paths(b, at):
+                # the a and b path points at the parameters ``at`` of the bases b
+                return np.concatenate([b[:, None] + at, b[:, None] + at * self.tau], axis=1)
+
             # A base's clearance is at most the exact clearance of every 16th
             # path point. The full clearance of the base with the largest such
             # upper figure is at most the maximum, so a base whose upper
             # figure is below it cannot be a maximum. Every maximum is kept,
-            # and the first kept one in index order wins.
-            upper = self._path_clearance(paths[:, ::16])
-            threshold = self._path_clearance(paths[[int(np.argmax(upper))]])[0]
+            # and the first kept one in index order wins. Only the points
+            # measured are built: every 16th for all bases, whole paths for
+            # the kept ones.
+            upper = self._path_clearance(paths(bases, t[::16]))
+            threshold = self._path_clearance(paths(bases[[int(np.argmax(upper))]], t))[0]
             keep = np.flatnonzero(upper >= threshold)
-            clearance = self._path_clearance(paths[keep])
+            clearance = self._path_clearance(paths(bases[keep], t))
             j = int(np.argmax(clearance))
             best_d = float(clearance[j])
             if best_d < 2 * self.margin:
@@ -273,9 +279,16 @@ class SurfaceSpec:
 
 def _guard_apart(diff, what: str, tol: float = 1e-12):
     """Raise when any entry of the difference ``diff`` of two point sets is
-    below ``tol`` in modulus."""
-    if np.any(np.abs(diff) < tol):
-        raise NumericalError(f"{what} (distance below {tol:.0e})")
+    below ``tol`` in modulus. The moduli are taken a chunk of an eighth of
+    the block budget at a time, into one small buffer, so a guard on a
+    kernel slice adds no slice-sized array."""
+    flat = np.asarray(diff).reshape(-1)
+    step = BLOCK_ENTRIES // 8
+    moduli = np.empty(min(flat.size, step))
+    for start in range(0, flat.size, step):
+        part = flat[start:start + step]
+        if np.any(np.abs(part, out=moduli[:part.size]) < tol):
+            raise NumericalError(f"{what} (distance below {tol:.0e})")
 
 
 _SURFACE_DEFAULT = object()
@@ -321,24 +334,37 @@ def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT, w0=None):
     return g0(w) - g0(w0)
 
 
-def schiffer_kernel(surface: SurfaceSpec, w, z):
+def schiffer_kernel(surface: SurfaceSpec, w, z, out=None):
     """Kernel of the cap-to-surface operator; (2/pi) d2 G / dw dz.
 
     Sphere: exactly -(1/pi) (w - z)^(-2), independent of q and w0. Torus:
     (log theta1)''(w - z)/pi plus the constant 1/Im tau contributed by the
     periodicity correction; the base point drops out exactly.
+
+    ``out``, given, is a C-contiguous complex array of the broadcast shape
+    of w and z that receives the kernel and is returned: w - z is written
+    into it and turned into the kernel in place, so a caller that builds
+    many kernel slices (``schiffer.schiffer_contour``) reuses one buffer
+    for all of them. Without it the call allocates that array and runs the
+    same arithmetic, so the values are the same bits either way. Scalar w
+    and z give a scalar.
     """
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    d = w - z
+    if out is None:
+        out = np.empty(np.broadcast_shapes(w.shape, z.shape), dtype=complex)
+    d = np.subtract(w, z, out=out)
     _guard_apart(d, "Schiffer kernel evaluated on its diagonal")
     if surface.genus == 0:
-        # -1 / (pi d^2) with d squared and scaled in place: the same bits,
-        # without a second block-sized array next to d
+        # -1 / (pi d^2), with d squared, scaled and inverted in place
         d **= 2
         d *= PI
-        return -1.0 / d
-    return theta.log_derivative2(d, surface.tau) / PI + 1.0 / surface.tau.imag
+        np.divide(-1.0, d, out=d)
+    else:
+        theta.log_derivative2(d, surface.tau, out=d)
+        d /= PI
+        d += 1.0 / surface.tau.imag
+    return d if d.ndim else d[()]
 
 
 def beta_form(surface: SurfaceSpec, k: int) -> OneForm:

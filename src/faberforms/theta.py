@@ -115,17 +115,25 @@ def _theta1_series(v, tau: complex, n_deriv: int):
 # unless an earlier large temporary has raised the allocator's dynamic
 # thresholds, the heap is trimmed and faulted in again on every call (run
 # stage of a torus-solve input, median of 10 processes: 77 ms at 4096
-# points, 101 ms at 8192).
+# points, 101 ms at 8192). That is glibc's rule (see numerics.BLOCK_ENTRIES):
+# a block of at least the mmap threshold is mapped on its own and faulted
+# in at every use, and only freeing such a block raises the threshold to
+# its size, so the largest temporary freed early in a run decides whether
+# later ones cost page faults or resident heap. 64 KiB temporaries stay
+# below the threshold whatever came before, and the kernel has the series
+# write into its slice buffer (``log_derivative2(..., out=)``), so no
+# output the size of a kernel slice is allocated.
 _BLOCK = BLOCK_ENTRIES // 8
 
 
-def _blockwise(fn, v, dtype):
+def _blockwise(fn, v, dtype, out=None):
     """fn on successive flat blocks of v, of at most ``_BLOCK`` points each.
 
     fn maps a 1-D complex array to an array of ``dtype`` values of the same
-    length. Its results fill one output shaped like v; an input of at most
-    one block is a single call on a view of v. A scalar v gives a ``dtype``
-    scalar.
+    length. Its results fill one output shaped like v: ``out`` when given,
+    which may be v itself, since each block of v is read before its block
+    of the output is written, else a new array. A scalar v gives a
+    ``dtype`` scalar.
 
     A block gives the same bits as one call on the whole array only if fn's
     arithmetic does not depend on the array's size. numpy reuses a large
@@ -135,15 +143,14 @@ def _blockwise(fn, v, dtype):
     a complex product in the bodies below.
     """
     v = np.asarray(v, dtype=complex)
-    flat = v.reshape(-1)
-    if flat.size <= _BLOCK:
-        out = fn(flat).reshape(v.shape)
-        return out if v.ndim else dtype(out)
-    out = np.empty(v.shape, dtype=dtype)
-    out_flat = out.reshape(-1)
+    if out is None:
+        out = np.empty(v.shape, dtype=dtype)
+    elif out.shape != v.shape or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be a C-contiguous array of shape {v.shape}")
+    flat, out_flat = v.reshape(-1), out.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
         out_flat[start:start + _BLOCK] = fn(flat[start:start + _BLOCK])
-    return out
+    return out if v.ndim else dtype(out)
 
 
 def lattice_reduce(v, tau):
@@ -205,8 +212,14 @@ def log_derivative(v, tau):
     return _blockwise(block, v, complex)
 
 
-def log_derivative2(v, tau):
-    """(log theta1)''(v): elliptic, hence computed on the reduced argument."""
+def log_derivative2(v, tau, out=None):
+    """(log theta1)''(v): elliptic, hence computed on the reduced argument.
+
+    ``out``, given, is a C-contiguous complex array shaped like v that
+    receives the values and is returned; it may be v itself, which the
+    Schiffer kernel uses to turn w - z into the kernel in place. The values
+    are the same bits with or without it.
+    """
     tau = _check_tau(tau)
 
     def block(v):
@@ -217,7 +230,7 @@ def log_derivative2(v, tau):
         t2 -= t1 * t1
         return t2
 
-    return _blockwise(block, v, complex)
+    return _blockwise(block, v, complex, out)
 
 
 def log_abs(v, tau):

@@ -1,0 +1,74 @@
+"""Peak resident memory and minor page faults after each stage of one run.
+
+Run from the repository root, one config per process:
+
+    python tests/memory_stages.py CONFIG
+
+It runs the stages of ``faberforms run CONFIG`` in this process, in the
+runner's order, and after each one prints the process's VmHWM and VmRSS
+(from ``/proc/self/status``, in MB) and its minor page faults so far
+(``resource.getrusage``). The stages are: import, parse, cycle base (torus
+only), project_faber, the sup errors on the probe ring, then each check
+of the config. Nothing is written to disk. Every figure is cumulative
+from the start of the process, so run it in a fresh process for each
+config; a VmHWM that rises at a stage was set by that stage. Pytest does
+not collect this file, and the tier-1 run only smoke-tests it.
+"""
+
+import os
+import resource
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def memory() -> tuple:
+    """(VmHWM MB, VmRSS MB, minor faults) of this process so far."""
+    fields = {}
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            key, _, value = line.partition(":")
+            if key in ("VmHWM", "VmRSS"):
+                fields[key] = int(value.split()[0]) / 1024.0
+    return fields["VmHWM"], fields["VmRSS"], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python tests/memory_stages.py CONFIG", file=sys.stderr)
+        return 2
+    rows = []
+
+    def stage(name: str):
+        rows.append((name,) + memory())
+
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from faberforms import checks, config, runner, series
+
+    stage("import")
+    cfg = config.parse_config(argv[0])
+    stage("parse")
+    surface = cfg.surface
+    if surface.genus == 1:
+        surface.cycle_base()
+        stage("cycle base")
+    dec = series.project_faber(cfg.target, surface, cfg.M, condition_limit=cfg.condition_limit)
+    stage("project_faber")
+    sups = series.uniform_errors(cfg.target, surface, dec, runner._probe_ring(cfg),
+                                 [order for order, _l2 in dec.residual_history],
+                                 margin=cfg.uniform_margin)
+    stage("sup errors")
+    ctx = runner.RunContext(**vars(cfg), decomposition=dec, sup_errors=tuple(sups))
+    for name in cfg.checks:
+        checks.CHECKS[name][0](ctx)
+        stage(f"check {name}")
+
+    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'minflt':>8}")
+    for name, hwm, rss, faults in rows:
+        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {faults:>8d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

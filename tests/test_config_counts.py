@@ -1,9 +1,11 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
 same holds for a probe radius or uniform margin that is not positive, a
-probe center without a probe radius, a tolerance that is not finite and
-positive, a condition limit that is not positive, a translation or probe
-center that is not finite, a pole-structure order past the
+probe center without a probe radius, a tolerance, probe radius or
+uniform margin that is not finite and positive, a condition limit that
+is not positive, a translation or probe center that is not finite, a
+[surface] w0 that is not finite or a margin that is not finite and
+positive, a pole-structure order past the
 roundoff limit of the principal-part read, a [target] parameter that the
 chosen family does not take, a key that [surface], [run] or [output]
 does not read, a block that the parse does not read, a negative seed and
@@ -69,13 +71,17 @@ def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, lin
     ("condition_limit = nan", r"run\.condition_limit: must be > 0, got nan$"),
     ("translation = nan", r"run\.translation: must be finite, got \(nan\+0j\)$"),
     ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: must be finite, got \(nan\+0j\)$"),
+    ("probe_radius = inf", r"run\.probe_radius: must be finite, got inf$"),
+    ("uniform_margin = inf", r"run\.uniform_margin: must be finite, got inf$"),
 ], ids=["nan-l2", "inf-l2", "zero-l2", "negative-sup", "inf-sup", "nan-condition-limit",
-        "nan-translation", "nan-probe-center"])
+        "nan-translation", "nan-probe-center", "inf-probe-radius", "inf-uniform-margin"])
 def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, message):
     # each ran: a tolerance of nan or inf died writing the report (exit 1),
     # 0 or -1 could never pass, a nan condition limit never regularized, a
-    # nan probe center poisoned the sup errors and a nan translation was
-    # refused as a map covering its center more than once
+    # nan probe center poisoned the sup errors, a nan translation was
+    # refused as a map covering its center more than once, an inf probe
+    # radius failed the run as a sup error that is not finite (exit 3) and
+    # an inf uniform margin was refused naming a point, not the key
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + line + "\n")
     with pytest.raises(ConfigError, match=message):
@@ -84,6 +90,38 @@ def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, 
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+TORUS = BASE.replace("genus = 0\nq = inf\n", "genus = 1\ntau = 1j\n").replace(
+    "main = affine scale=1 offset=0", "main = affine scale=0.1 offset=0.5+0.5j")
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASE.replace("q = inf", "q = inf\nw0 = nan"), r"surface\.w0: must be finite, got \(nan\+0j\)"),
+    (BASE.replace("q = inf", "q = inf\nw0 = inf"), r"surface\.w0: must be finite, got \(inf\+0j\)"),
+    (TORUS.replace("tau = 1j", "tau = 1j\nmargin = nan"), r"surface\.margin: must be > 0, got nan"),
+    (TORUS.replace("tau = 1j", "tau = 1j\nmargin = inf"), r"surface\.margin: must be finite, got inf"),
+    (TORUS.replace("tau = 1j", "tau = 1j\nmargin = 0"), r"surface\.margin: must be > 0, got 0\.0"),
+], ids=["nan-w0", "inf-w0", "nan-margin", "inf-margin", "zero-margin"])
+def test_an_unusable_surface_number_is_a_named_config_error(tmp_path, capsys, text, message):
+    # a nan w0 made the q-independence check draw points forever and the
+    # convergence report die in json.dump (exit 1); a nan margin on the
+    # torus switched the caps-in-cell and cycle clearance checks off (exit 0)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{message}$") as err:
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {err.value}\n"
+    assert not (out / "report.json").exists()
+
+
+def test_the_torus_config_of_the_surface_number_cases_parses(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text(TORUS.replace("tau = 1j", "tau = 1j\nmargin = 0.1\nw0 = 0.1+0.1j"))
+    surface = parse_config(str(path)).surface
+    assert (surface.genus, surface.margin, surface.w0) == (1, 0.1, 0.1 + 0.1j)
 
 
 def test_the_parse_leaves_the_probe_to_the_run(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,20 @@ def test_injectivity_spot_check_rejects_a_boundary_self_intersection():
     _ExpMap(3.0)
     with pytest.raises(ValidationError, match="^exp map is not injective on boundary samples$"):
         _ExpMap(np.pi / np.sin(np.pi / 4))
+
+
+def test_map_construction_keeps_its_temporaries_small():
+    # the injectivity spot check measures the 256 x 256 sample gaps in row
+    # slices of numerics.BLOCK_ENTRIES entries (whole, the complex block
+    # alone is 1 MB)
+    JoukowskiEllipseMap(0.3)
+    tracemalloc.start()
+    try:
+        JoukowskiEllipseMap(0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25e6
 
 
 def test_joukowski_parameter_range():
@@ -333,11 +349,19 @@ def test_block_budget_does_not_change_cap_geometry(budget, monkeypatch):
     z = probe_points(surface.caps, np.random.default_rng(15), n=600)[::5]
     assert z.size > 4 * (numerics.BLOCK_ENTRIES // 512)
     want = cap_geometry_reads(surface, z)
+    base = surface.cycle_base()
     monkeypatch.setattr(numerics, "BLOCK_ENTRIES", budget)
     got = cap_geometry_reads(surface, z)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert set(want[-2].tolist()) == {-1, 0, 1, 2}
+    # the injectivity spot check of a map, in row slices of the budget,
+    # keeps both verdicts, and the cycle-base search (cached, so on a new
+    # surface) picks the same base
+    _ExpMap(3.0)
+    with pytest.raises(ValidationError, match="^exp map is not injective on boundary samples$"):
+        _ExpMap(np.pi / np.sin(np.pi / 4))
+    assert SurfaceSpec.torus(tau, surface.caps).cycle_base() == base
 
 
 def test_which_cap_and_distance():

@@ -81,6 +81,31 @@ def test_alpha_values_without_orders_has_an_empty_order_axis():
     assert alpha_values(surface, 0, range(1, 1), 2.0j).shape == (0,)
 
 
+def test_alpha_values_write_into_a_strided_view_bit_for_bit():
+    # the pairing stacks every cap's reads along one axis; a read written
+    # into its cap's columns is bit for bit the array a read returns, across
+    # kernel slices (order 30 reads 512 nodes: 64 points a slice)
+    surface = SurfaceSpec.sphere(CapFamily([JoukowskiEllipseMap(0.25, scale=0.5),
+                                            AffineMap(0.5, offset=3.0 + 0.5j)]))
+    pts = 5.0 * np.exp(2j * np.pi * np.arange(150) / 150) + 1.5 + 0.25j
+    stack = np.empty((pts.size, 30, 2), dtype=complex)
+    for k in range(2):
+        view = stack[:, :, k]
+        assert alpha_values(surface, k, range(1, 31), pts, out=view) is view
+        assert np.array_equal(view, alpha_values(surface, k, range(1, 31), pts))
+    # points along two axes into a strided view: the copy a reshape makes
+    # is written back
+    grid = np.empty((2, 75, 3, 30), dtype=complex)
+    got = alpha_values(surface, 1, range(1, 31), pts.reshape(2, 75), out=grid[:, :, 1])
+    assert np.array_equal(got, stack[:, :, 1].reshape(2, 75, 30))
+    assert np.array_equal(grid[:, :, 1], got)
+    empty = np.empty((pts.size, 0), dtype=complex)
+    assert alpha_values(surface, 0, [], pts, out=empty) is empty
+    with pytest.raises(ValidationError, match=r"^out has shape \(150, 29\); the read gives "
+                                              r"\(150, 30\)$"):
+        alpha_values(surface, 0, range(1, 31), pts, out=stack[:, 1:, 0])
+
+
 def test_alpha_values_keeps_its_kernel_blocks_small():
     # M = 40 reaches the 512-node radius step, whose kernel block on a
     # 512-node circle is 4.2 MB whole; it is built in row slices of

@@ -1,0 +1,28 @@
+"""Smoke test of the opt-in tool ``tests/memory_stages.py``: one config in
+a fresh process, one row of VmHWM, VmRSS and minor faults per stage."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_memory_stages_reports_every_stage_of_a_sphere_run():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "memory_stages.py"),
+         str(ROOT / "configs" / "sphere_identity.cfg")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["stage", "VmHWM", "MB", "VmRSS", "MB", "minflt"]
+    stages = [row.rsplit(None, 3)[0] for row in rows]
+    # the sphere has no cycle base; the config asks for three checks
+    assert stages[:4] == ["import", "parse", "project_faber", "sup errors"]
+    assert len(stages) > 4 and all(name.startswith("check ") for name in stages[4:])
+    figures = [[float(x) for x in row.rsplit(None, 3)[1:]] for row in rows]
+    hwm, rss, faults = zip(*figures)
+    # cumulative figures of one process: the high-water mark and the fault
+    # count never fall, and the resident size never exceeds the mark
+    assert list(hwm) == sorted(hwm) and list(faults) == sorted(faults)
+    assert all(0 < r <= h for r, h in zip(rss, hwm))

@@ -693,12 +693,13 @@ def test_project_faber_names_the_cycle_a_sampling_guard_trips_on():
 
 def test_project_faber_refuses_basis_data_that_are_not_finite(monkeypatch):
     # a basis read that is not finite on the a cycle (the rows after the
-    # two radius-1 circles) is refused by the pairing data, naming the cycle
+    # two radius-1 circles) is refused by the pairing data, naming the cycle;
+    # the pairing has each read write into its columns of the stack (out=)
     config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
     read = series.alpha_values
 
-    def nan_on_a(surface, k, orders, z):
-        vals = read(surface, k, orders, z)
+    def nan_on_a(surface, k, orders, z, out=None):
+        vals = read(surface, k, orders, z, out=out)
         vals[2 * BOUNDARY_NODES + 3, -1] = np.nan
         return vals
 

@@ -7,7 +7,7 @@ import pytest
 
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
-from faberforms.numerics import NumericalError, ValidationError
+from faberforms.numerics import NumericalError, ValidationError, slice_views
 from faberforms.surface import (
     Cycle,
     OneForm,
@@ -103,6 +103,31 @@ def test_kernel_diagonal_guard():
             with pytest.raises(NumericalError, match="on its diagonal \\(distance below 1e-12\\)"):
                 schiffer_kernel(surface, w, z)
         assert np.all(np.isfinite(schiffer_kernel(surface, w, w + 0.05)))
+
+
+def test_kernel_slices_in_one_buffer_are_the_fresh_values():
+    # a contour read writes every kernel slice into one buffer; each slice,
+    # the shorter last one too, is bit for bit a fresh kernel call and the
+    # rows of the whole block
+    for surface in (sphere_two_caps(), torus_two_caps()):
+        w = surface.caps[0].evaluate(0.8 * np.exp(2j * np.pi * np.arange(256) / 256))
+        z = surface.caps.centers[1] + 0.2 * np.exp(2j * np.pi * np.arange(300) / 300)
+        whole = schiffer_kernel(surface, w[None, :], z[:, None])
+        sizes = []
+        for rows, (kernel,) in slice_views(z.size, w.size, complex):
+            got = schiffer_kernel(surface, w[None, :], z[rows, None], out=kernel)
+            assert got is kernel
+            assert np.array_equal(got, schiffer_kernel(surface, w[None, :], z[rows, None]))
+            assert np.array_equal(got, whole[rows])
+            sizes.append(got.shape[0])
+        assert sizes == [128, 128, 44]
+
+
+def test_scalar_kernel_inputs_give_a_scalar():
+    for surface in (sphere_two_caps(), torus_two_caps()):
+        k = schiffer_kernel(surface, 0.2 + 0.3j, 0.6 + 0.5j)
+        assert np.ndim(k) == 0 and isinstance(k, complex)
+        assert k == schiffer_kernel(surface, np.array([0.2 + 0.3j]), np.array([0.6 + 0.5j]))[0]
 
 
 def test_torus_green_doubly_periodic():
@@ -453,6 +478,19 @@ def test_torus_setup_keeps_its_temporaries_small():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_cycle_base_builds_only_the_points_it_measures():
+    # every 16th path point of all 625 candidate bases, and whole paths only
+    # for the bases kept (the 625 x 128 path array alone is 1.28 MB)
+    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+    tracemalloc.start()
+    try:
+        surface.cycle_base()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
 
 
 def test_cycle_base_crowded_cell_raises():

@@ -259,3 +259,20 @@ def test_term_count_falls_as_im_tau_grows():
 def test_theta1_rejects_unsupported_derivative():
     with pytest.raises(ValidationError):
         theta1(0.3, TAU, deriv=3)
+
+
+def test_log_derivative2_writes_its_output_in_place():
+    # the Schiffer kernel turns w - z into the kernel in one buffer: the
+    # output may be the input itself, over several blocks, with the same bits
+    v = random_cell_points(np.random.default_rng(4), 2 * _BLOCK + 100)
+    want = log_derivative2(v, TAU)
+    out = np.empty_like(v)
+    assert log_derivative2(v, TAU, out=out) is out
+    assert np.array_equal(out, want)
+    same = v.copy()
+    log_derivative2(same, TAU, out=same)
+    assert np.array_equal(same, want)
+    for bad in (np.empty(3, dtype=complex), np.empty(2 * v.size, dtype=complex)[::2]):
+        with pytest.raises(ValidationError,
+                           match=rf"^out must be a C-contiguous array of shape \({v.size},\)$"):
+            log_derivative2(v, TAU, out=bad)
