@@ -14,6 +14,7 @@ import pytest
 from faberforms import checks
 
 from faberforms.checks import (
+    _UniformStream,
     _sample_points,
     _separation,
     check_harmonicity,
@@ -47,7 +48,7 @@ def _one_at_a_time(surface, rng, count, clearance, accept=None):
         lo, step = -hi, 1j
     pts = []
     while len(pts) < count:
-        z = origin + rng.uniform(lo, hi) + rng.uniform(lo, hi) * step
+        z = origin + rng.uniform(lo, hi, 1)[0] + rng.uniform(lo, hi, 1)[0] * step
         if (surface.in_sigma(z) and float(surface.distance_to_caps_reduced(z)[0]) > clearance
                 and (accept is None or accept(z))):
             pts.append(z)
@@ -62,11 +63,67 @@ def test_batched_sample_points_match_the_one_at_a_time_loop(name):
         for clearance in (0.0, 0.05, 0.25):
             for accept in (None, lambda w: _separation(surface, w, marks) > 0.25):
                 want_rng = np.random.default_rng(count)
-                got_rng = np.random.default_rng(count)
+                got_rng = _UniformStream(count)
                 want = _one_at_a_time(surface, want_rng, count, clearance, accept)
                 got = _sample_points(surface, got_rng, count, clearance, accept=accept)
                 assert got.shape == (count,) and np.array_equal(got, want)
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                pcg = want_rng.bit_generator.state["state"]
+                assert (got_rng.state, got_rng.inc) == (pcg["state"], pcg["inc"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
+def test_the_stream_draws_numpys_default_rng_uniforms_bit_for_bit(seed):
+    for size in (1, 16, 333):
+        for low, high in ((0.02, 0.98), (-3.5, 3.5)):
+            want = np.random.default_rng(seed).uniform(low, high, size)
+            got = _UniformStream(seed).uniform(low, high, size)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    # the sampler's pattern: save, draw a surplus, restore, draw again
+    want_rng, got_rng = np.random.default_rng(seed), _UniformStream(seed)
+    want = want_rng.uniform(0.02, 0.98, 10)
+    state = got_rng.state
+    got_rng.uniform(0.02, 0.98, 40)
+    got_rng.state = state
+    assert got_rng.uniform(0.02, 0.98, 10).tobytes() == want.tobytes()
+    assert got_rng.uniform(-3.5, 3.5, 333).tobytes() == want_rng.uniform(-3.5, 3.5, 333).tobytes()
+    pcg = want_rng.bit_generator.state["state"]
+    assert (got_rng.state, got_rng.inc) == (pcg["state"], pcg["inc"])
+
+
+# a torus whose cycle base clears the caps, but no point of its cell is
+# more than 0.245 from them, while r0-independence asks for more than 0.25
+NO_CLEAR_POINT = """[surface]
+genus = 1
+tau = -0.0562+0.5216j
+[caps]
+a = affine scale=0.1 offset=0.6868+0.2337j
+b = affine scale=0.1345 offset=0.1806+0.1669j
+[target]
+family = basis
+k = 0
+m = 1
+[run]
+M = 1
+checks = r0-independence
+"""
+NO_CLEAR_POINT_MESSAGE = ("found 0 of 20 sample points with clearance 0.25 "
+                          "from the caps in 20000 candidates")
+
+
+def test_a_sampling_region_without_admissible_points_is_refused(tmp_path):
+    # the sampler used to draw without end on this config
+    path = tmp_path / "no_clear_point.cfg"
+    path.write_text(NO_CLEAR_POINT)
+    config = parse_config(str(path))
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    with pytest.raises(ValidationError, match=f"^{NO_CLEAR_POINT_MESSAGE}$"):
+        checks.check_r0_independence(ctx)
+    out = subprocess.run([sys.executable, "-m", "faberforms.cli", "run", str(path),
+                          "--out-dir", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2
+    assert out.stderr == f"config error: {NO_CLEAR_POINT_MESSAGE}\n"
 
 
 def test_vectorized_separation_matches_scalar_calls():
@@ -182,8 +239,8 @@ def test_invariance_fails_a_target_that_ignores_the_moved_surface(monkeypatch):
 
 def _pointwise_harmonicity(surface, seed, samples):
     # one Green's function call per stencil point, the points drawn from
-    # the rng exactly as the check draws them
-    rng = np.random.default_rng(seed)
+    # the stream exactly as the check draws them
+    rng = _UniformStream(seed)
     h = 3e-4
     z = 0.5 * (1.0 + surface.tau) + 0.06
     q = surface.q

@@ -306,11 +306,18 @@ CAP = "main = affine scale=1 offset=0"
     *[(BASE.replace("q = inf", f"q = {value}"),
        rf"surface\.q: must be finite or inf, got '{value}'")
       for value in ("nan", "-inf", "1e999", "infj")],
+    # refused when the target is built
+    (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\ncap = 5"),
+     r"target: cap index 5 out of range"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nc = 1"),
+     r"target: c needs 0 entries, got 1"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 0"),
+     r"target: combination target has no nonzero terms"),
 ], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
         "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
-        "q-inf-imaginary"])
+        "q-inf-imaginary", "pole-cap-index", "c-length", "no-nonzero-terms"])
 def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

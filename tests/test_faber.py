@@ -363,6 +363,12 @@ def test_principal_parts_refuse_a_pullback_that_is_not_finite(monkeypatch):
         principal_parts(surface, 0, [1])
 
 
+@pytest.mark.parametrize("k", [-1, 1])
+def test_faber_form_refuses_a_cap_index_out_of_range(k):
+    with pytest.raises(ValidationError, match=f"^cap index {k} out of range$"):
+        faber_form(one_cap_sphere(AffineMap(1.0)), k, 1)
+
+
 def test_order_guards():
     surface = one_cap_sphere(AffineMap(1.0))
     with pytest.raises(ValidationError, match="order"):

@@ -75,19 +75,52 @@ sup_tolerance = 1e-6
 """
 
 
+def _run_loads(tmp_path, text: str, modules) -> str:
+    """Exit code of a run of config ``text`` in a fresh process, then
+    whether it loaded each of ``modules``."""
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    code = ("import sys\nfrom faberforms.cli import main\n"
+            f"code = main(['run', {str(config)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+            f"print(code, *[name in sys.modules for name in {list(modules)!r}])")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PACKAGE, ".."))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
 def test_sphere_run_leaves_numpy_random_unloaded(tmp_path):
     # importing numpy.random costs about 6 MB of RSS, most of it OpenSSL's
     # libcrypto (bit_generator -> secrets -> hmac); a sphere run with a pole
     # target and the convergence checks draws no random numbers
-    config = tmp_path / "multicap.cfg"
-    config.write_text(SPHERE_MULTICAP)
-    code = ("import sys\nfrom faberforms.cli import main\n"
-            f"code = main(['run', {str(config)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
-            "print(code, 'numpy.random' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.path.join(PACKAGE, ".."))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert _run_loads(tmp_path, SPHERE_MULTICAP, ["numpy.random"]) == "0 False"
+
+
+TORUS_CHECKS = """[surface]
+genus = 1
+tau = 0.3+1.1j
+
+[caps]
+lower = affine scale=0.11 offset=0.39+0.33j
+upper = joukowski-ellipse a=0.2 scale=0.1 offset=0.924+0.748j
+
+[target]
+family = basis
+k = 1
+m = 1
+
+[run]
+M = 1
+checks = harmonicity, q-independence, r0-independence
+seed = 5
+"""
+
+
+def test_torus_check_run_leaves_numpy_random_and_hashlib_unloaded(tmp_path):
+    # the checks draw their random points from the package's own copy of
+    # numpy's PCG64 stream, so a torus run with a basis target loads
+    # neither numpy.random nor, through _hashlib, OpenSSL's libcrypto
+    assert _run_loads(tmp_path, TORUS_CHECKS, ["numpy.random", "_hashlib"]) == "0 False False"
 
 
 def test_every_export_resolves_once():

@@ -318,6 +318,10 @@ def test_surface_validation():
         SurfaceSpec.torus(TAU, big)
     with pytest.raises(ValidationError):
         SurfaceSpec(2, caps)
+    with pytest.raises(ValidationError, match="^torus surface needs a lattice parameter tau$"):
+        SurfaceSpec(1, caps)
+    with pytest.raises(ValidationError, match="^sphere surface takes no lattice parameter$"):
+        SurfaceSpec(0, caps, tau=TAU)
 
 
 def test_auto_marked_points():
@@ -505,3 +509,23 @@ def test_cycle_base_clears_caps():
     path = np.concatenate([a_cycle(t).nodes, b_cycle(t).nodes])
     assert float(np.min(t.distance_to_caps_reduced(path))) > 2 * t.margin
     assert base == t.cycle_base()  # cached, deterministic
+
+
+def test_combine_refuses_dz_forms_with_conjugated_forms():
+    dz = OneForm(lambda w: np.asarray(w, dtype=complex), label="w dw")
+    bar = OneForm(lambda w: np.asarray(w, dtype=complex), conjugate=True, label="w-bar dw-bar")
+    with pytest.raises(ValidationError, match="^cannot combine dz-forms with conjugated forms$"):
+        OneForm.combine([(1.0, dz), (2.0, bar)])
+
+
+def test_torus_green_function_needs_a_base_point():
+    t = torus_two_caps()
+    with pytest.raises(ValidationError,
+                       match="^torus Green's function needs a finite base point q$"):
+        green(t, t.w0 + 0.1, t.w0, q=None)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_boundary_cycle_refuses_a_cap_index_out_of_range(k):
+    with pytest.raises(ValidationError, match=f"^cap index {k} out of range$"):
+        boundary_cycle(sphere_two_caps(), k)
