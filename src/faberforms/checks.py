@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .faber import principal_parts
-from .numerics import NumericalError, ValidationError
+from .numerics import NumericalError, Pcg64Stream, ValidationError
 from .schiffer import CapDatum, apply_schiffer, schiffer_contour
 from .series import coefficient_deviations, project_faber
 from .surface import SurfaceSpec, green
@@ -47,76 +47,12 @@ def _verdict(name: str, figures: dict, detail, steps=(), rule=None) -> CheckResu
                        detail if isinstance(detail, str) else detail(labels[i]))
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-class _UniformStream:
-    """The uniform draws of numpy's ``np.random.default_rng(seed)``, bit for
-    bit, computed here so that a check run does not load numpy.random.
-
-    The seed goes through numpy's SeedSequence (the seed's little-endian
-    32-bit words hashed into a pool of 4 words, then 4 64-bit words drawn
-    from the pool), which seeds the 128-bit PCG64 generator with its
-    XSL-RR output (O'Neill 2014); a uniform draw is
-    ``low + (high - low) * ((x >> 11) * 2**-53)`` of one 64-bit output x.
-    ``state`` may be saved and assigned back to replay the draws since.
-    """
-
-    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed: int):
-        seed = int(seed)
-        entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-        hash_const = 0x43B0D7E5
-
-        def hashmix(value):
-            nonlocal hash_const
-            value ^= hash_const
-            hash_const = hash_const * 0x931E8875 & _M32
-            value = value * hash_const & _M32
-            return value ^ value >> 16
-
-        def mix(x, y):
-            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-            return value ^ value >> 16
-
-        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        hash_const, words = 0x8B51F9DD, []
-        for i in range(8):
-            value = pool[i % 4] ^ hash_const
-            hash_const = hash_const * 0x58F38DED & _M32
-            value = value * hash_const & _M32
-            words.append(value ^ value >> 16)
-        initstate = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
-        initseq = words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]
-        # from state 0: step, add initstate, step
-        self.inc = (initseq << 1 | 1) & _M128
-        self.state = ((self.inc + initstate) * self._MULT + self.inc) & _M128
-
-    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        state, inc, mult = self.state, self.inc, self._MULT
-        out = []
-        for _ in range(size):
-            state = (state * mult + inc) & _M128
-            x, rot = (state >> 64 ^ state) & _M64, state >> 122
-            out.append(((x >> rot | x << (64 - rot)) & _M64) >> 11)
-        self.state = state
-        return low + (high - low) * (np.array(out, dtype=float) * 2.0**-53)
-
-
 # candidates a sampling call tests per point it asks for before it gives
 # up on the region; the shipped configs and benchmark inputs test at most 5
 _CANDIDATES_PER_POINT = 1000
 
 
-def _sample_points(surface: SurfaceSpec, rng: _UniformStream, count: int, clearance: float,
+def _sample_points(surface: SurfaceSpec, rng: Pcg64Stream, count: int, clearance: float,
                    accept=None):
     """Points of the cap complement with a stated clearance, reproducible
     from the stream's state; ``accept(z)``, given, is a further vectorized
@@ -191,7 +127,7 @@ def _separation(surface: SurfaceSpec, w, marks):
 def check_harmonicity(ctx) -> CheckResult:
     """Five-point Laplacian of the Green's function away from its singularities."""
     surface = ctx.surface
-    rng = _UniformStream(ctx.seed)
+    rng = Pcg64Stream(ctx.seed)
     h = 3e-4
     if surface.genus == 1:
         z = 0.5 * (1.0 + surface.tau) + 0.06
@@ -240,7 +176,7 @@ def check_q_independence(ctx) -> CheckResult:
     base points is then a function of w alone, so the value is the largest
     |D(w, z_i) - D(w, z_0) - D(w_0, z_i) + D(w_0, z_0)| over the samples."""
     surface = ctx.surface
-    rng = _UniformStream(ctx.seed + 1)
+    rng = Pcg64Stream(ctx.seed + 1)
     alt = _alternative_q(surface)
     # both Green's functions are finite away from z, both q and w0
     bases = tuple(q for q in (surface.q, alt.q) if q is not None)
@@ -257,7 +193,7 @@ def check_q_independence(ctx) -> CheckResult:
 def check_r0_independence(ctx) -> CheckResult:
     """Contour evaluation: radius-independent and equal to area quadrature."""
     surface = ctx.surface
-    rng = _UniformStream(ctx.seed + 2)
+    rng = Pcg64Stream(ctx.seed + 2)
     # the area integrand steepens near large caps, so keep the evaluation
     # points clear in proportion to cap size
     extent = max(

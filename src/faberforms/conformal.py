@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import TWO_PI, NumericalError, ValidationError, slice_views
+from .numerics import TWO_PI, NumericalError, ValidationError, polyder, polyval, slice_views
 
 # evaluation is allowed on the closed disk; anything beyond is a caller bug
 _DOMAIN_SLACK = 1e-12
@@ -253,12 +253,11 @@ class PolynomialCapMap(ConformalMap):
     def _evaluate(self, zeta):
         b = self.parameters[0]
         poly = np.concatenate(([0.0], self.parameters[1:]))
-        return b + np.polynomial.polynomial.polyval(zeta, poly)
+        return b + polyval(zeta, poly)
 
     def _derivative(self, zeta):
         poly = np.concatenate(([0.0], self.parameters[1:]))
-        dpoly = np.polynomial.polynomial.polyder(poly)
-        return np.polynomial.polynomial.polyval(zeta, dpoly)
+        return polyval(zeta, polyder(poly))
 
 
 class TranslatedMap(ConformalMap):

@@ -2,11 +2,14 @@
 
 Two discretizations live here: Gauss-Legendre-by-radius grids on the unit
 disk, and FFT reads of Taylor/Laurent coefficients from equispaced circle
-samples.
+samples. So do numpy's polynomial evaluation and Gauss-Legendre rule, and
+numpy's ``default_rng`` uniform and normal draws, each computed here bit
+for bit so that no run loads numpy.polynomial or numpy.random.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +81,90 @@ class ValidationError(Exception):
     """Inputs violate a documented precondition or parameter range."""
 
 
+def polyval(x, c):
+    """``numpy.polynomial.polynomial.polyval(x, c)`` for 1-D float or complex
+    ``c``, bit for bit: numpy's Horner steps on numpy's shapes, with the
+    operands in numpy's order (the complex product is not bitwise
+    commutative)."""
+    c = np.asarray(c)
+    if isinstance(x, np.ndarray):
+        c = c.reshape(c.shape + (1,) * x.ndim)
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def polyder(c) -> np.ndarray:
+    """``numpy.polynomial.polynomial.polyder(c)`` for 1-D float or complex
+    ``c``, bit for bit."""
+    c = np.asarray(c)
+    if len(c) < 2:
+        return c[:1] * 0
+    c = c * 1  # numpy scales by 1 first: on complex entries, inf * 0 parts turn NaN
+    der = np.empty(len(c) - 1, dtype=c.dtype)
+    for j in range(len(c) - 1, 0, -1):
+        der[j - 1] = j * c[j]
+    return der
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's ``legval(x, c)`` for 1-D float ``x`` and ``c``: Clenshaw's
+    recurrence in numpy's order."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legder(c: np.ndarray) -> np.ndarray:
+    """numpy's ``legder(c)`` for float ``c`` of length 2 or more."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * c[j]
+        c[j - 2] += c[j]
+    if n > 1:
+        der[1] = 3 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def leggauss(n: int):
+    """``numpy.polynomial.legendre.leggauss(n)``, bit for bit: nodes and
+    weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the eigenvalues of the symmetric Legendre companion
+    matrix of P_n (numpy's ``legcompanion``, whose last-column term is zero
+    for a basis polynomial), refined by one Newton step; the weights are
+    1 / (P_(n-1) P_n') at the nodes, each factor scaled by its largest
+    modulus. Both are symmetrized, and the weights normalized to sum 2.
+    """
+    if n < 1:
+        raise ValidationError(f"a Gauss-Legendre rule needs at least one node, got {n}")
+    c = np.zeros(n + 1)
+    c[-1] = 1.0  # P_n in the Legendre basis
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    mat = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[1::n + 1] = off
+    mat.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(mat)
+    dy, df = _legval(x, c), _legval(x, _legder(c))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Quadrature grid on the closed unit disk.
@@ -96,7 +183,7 @@ class DiskGrid:
         if self.n_radial < 2 or self.n_angular < 4:
             raise ValidationError(f"grid too small: {self.n_radial} radial x "
                                   f"{self.n_angular} angular")
-        x, gw = np.polynomial.legendre.leggauss(self.n_radial)
+        x, gw = leggauss(self.n_radial)
         r = 0.5 * (x + 1.0)
         wr = 0.5 * gw
         theta = TWO_PI * np.arange(self.n_angular) / self.n_angular
@@ -132,7 +219,7 @@ class PowerSeries:
 
     def __call__(self, z):
         u = np.asarray(z, dtype=complex) - self.center
-        return np.polynomial.polynomial.polyval(u, self.coefficients)
+        return polyval(u, self.coefficients)
 
 
 def _circle_samples(fn, center: complex, radius: float, n: int) -> np.ndarray:
@@ -265,3 +352,116 @@ def area_pairing(form1, form2, chart_map) -> complex:
 
     val = complex(measured_area(evaluate, 1)[0, 0])
     return val.conjugate() if c1 else val
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class Pcg64Stream:
+    """The uniform and normal draws of numpy's ``np.random.default_rng(seed)``,
+    bit for bit, computed here so that no run loads numpy.random (and,
+    through it, OpenSSL's libcrypto).
+
+    The seed goes through numpy's SeedSequence (the seed's little-endian
+    32-bit words hashed into a pool of 4 words, then 4 64-bit words drawn
+    from the pool), which seeds the 128-bit PCG64 generator with its
+    XSL-RR output (O'Neill 2014). A uniform draw is
+    ``low + (high - low) * ((x >> 11) * 2**-53)`` of one 64-bit output x;
+    a normal draw is numpy's 256-layer ziggurat (Marsaglia & Tsang 2000)
+    on the same outputs, whose tables ``_ziggurat`` holds and the first
+    normal draw loads. ``state`` may be saved and assigned back to replay
+    the draws since.
+    """
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        seed = int(seed)
+        entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * 0x931E8875 & _M32
+            value = value * hash_const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return value ^ value >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const, words = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _M32
+            value = value * hash_const & _M32
+            words.append(value ^ value >> 16)
+        initstate = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+        initseq = words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]
+        # from state 0: step, add initstate, step
+        self.inc = (initseq << 1 | 1) & _M128
+        self.state = ((self.inc + initstate) * self._MULT + self.inc) & _M128
+
+    def _outputs(self):
+        """The 64-bit outputs from ``state`` on; ``state`` follows each one
+        taken."""
+        state, inc, mult = self.state, self.inc, self._MULT
+        while True:
+            state = (state * mult + inc) & _M128
+            self.state = state
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            yield (x >> rot | x << (64 - rot)) & _M64
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        outputs = self._outputs()
+        out = [next(outputs) >> 11 for _ in range(size)]
+        return low + (high - low) * (np.array(out, dtype=float) * 2.0**-53)
+
+    def normal(self, size) -> np.ndarray:
+        """numpy's ``normal(0.0, 1.0, size)``: ``0.0 + 1.0 * x`` of each
+        standard normal draw x, as a float64 array of shape ``size``."""
+        from . import _ziggurat
+
+        outputs = self._outputs()
+        out = [0.0 + 1.0 * _standard_normal(outputs, _ziggurat) for _ in range(int(np.prod(size)))]
+        return np.array(out, dtype=float).reshape(size)
+
+
+def _standard_normal(outputs, zig) -> float:
+    """numpy's ``random_standard_normal`` on the 64-bit ``outputs``, with
+    the tables of module ``zig``: the low 8 bits of an output pick a layer,
+    the next its sign, and the 52 above them a position in the layer; a
+    draw under the layer's KI bound is accepted at once, the others go to
+    the tail test (layer 0) or the wedge test."""
+
+    def uniform():
+        return (next(outputs) >> 11) * 2.0**-53
+
+    while True:
+        r = next(outputs)
+        idx, r = r & 0xFF, r >> 8
+        rabs = r >> 1 & 0xFFFFFFFFFFFFF
+        x = rabs * zig.WI[idx]
+        if r & 1:
+            x = -x
+        if rabs < zig.KI[idx]:
+            return x
+        if idx == 0:
+            # beyond R, by Marsaglia's exponential tail test; numpy takes
+            # log1p(-U) rather than log(U), so U = 0 is harmless
+            while True:
+                xx = -zig.INV_R * math.log1p(-uniform())
+                yy = -math.log1p(-uniform())
+                if yy + yy > xx * xx:
+                    return -(zig.R + xx) if rabs >> 8 & 1 else zig.R + xx
+        elif (zig.FI[idx - 1] - zig.FI[idx]) * uniform() + zig.FI[idx] < math.exp(-0.5 * x * x):
+            return x

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import theta
 from .conformal import CapFamily, TranslatedMap
-from .numerics import BLOCK_ENTRIES, TWO_PI, NumericalError, ValidationError
+from .numerics import BLOCK_ENTRIES, TWO_PI, NumericalError, ValidationError, leggauss
 
 PI = np.pi
 
@@ -424,7 +424,7 @@ def _segment_cycle(surface: SurfaceSpec, kind: str, base, n: int) -> Cycle:
         raise ValidationError("the sphere has no lattice cycles")
     base = surface.cycle_base() if base is None else complex(base)
     direction = 1.0 if kind == "a" else surface.tau
-    x, gw = np.polynomial.legendre.leggauss(n)
+    x, gw = leggauss(n)
     t = 0.5 * (x + 1.0)
     nodes = base + t * direction
     weights = (0.5 * gw) * direction

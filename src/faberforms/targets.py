@@ -19,7 +19,7 @@ import inspect
 import numpy as np
 
 from .faber import faber_form, faber_series
-from .numerics import ValidationError
+from .numerics import Pcg64Stream, ValidationError
 from .series import TargetForm
 from .surface import OneForm, SurfaceSpec
 from .theta import log_derivative2
@@ -88,10 +88,10 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     if seed is not None:
         order = 6 if order is None else order
         decay = 0.75 if decay is None else decay
-        rng = np.random.default_rng(int(seed))
+        rng = Pcg64Stream(int(seed))
 
         def draw(size):
-            return rng.normal(size=size) + 1j * rng.normal(size=size)
+            return rng.normal(size) + 1j * rng.normal(size)
 
         epsilon = draw(n - 1)
         c = draw(g)

@@ -6,13 +6,17 @@ Run from the repository root, one config per process:
 
 It runs the stages of ``faberforms run CONFIG`` in this process, in the
 runner's order, and after each one prints the process's VmHWM and VmRSS
-(from ``/proc/self/status``, in MB) and its minor page faults so far
-(``resource.getrusage``). The stages are: import, parse, cycle base (torus
-only), project_faber, the sup errors on the probe ring, then each check
-of the config. Nothing is written to disk. Every figure is cumulative
-from the start of the process, so run it in a fresh process for each
-config; a VmHWM that rises at a stage was set by that stage. Pytest does
-not collect this file, and the tier-1 run only smoke-tests it.
+(from ``/proc/self/status``, in MB), its minor page faults so far
+(``resource.getrusage``), and the numpy subpackages (``numpy.<name>``)
+and ``_hashlib`` that the stage loaded first, comma-separated, or ``-``.
+The import stage names what the package's import loads beyond numpy's
+own. The stages are: import, parse, cycle base (torus only),
+project_faber, the sup errors on the probe ring, then each check of the
+config. Nothing is written to disk. Every figure is cumulative from the
+start of the process, so run it in a fresh process for each config; a
+VmHWM that rises at a stage was set by that stage, and the modules named
+beside it often say why. Pytest does not collect this file, and the
+tier-1 run only smoke-tests it.
 """
 
 import os
@@ -33,17 +37,29 @@ def memory() -> tuple:
     return fields["VmHWM"], fields["VmRSS"], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def first_loaded(seen: set) -> str:
+    """The ``numpy.<name>`` subpackages and ``_hashlib`` in sys.modules
+    that are not in ``seen``, comma-separated or ``-``; adds them to it."""
+    names = {".".join(name.split(".")[:2]) for name in sys.modules
+             if name.startswith("numpy.") or name == "_hashlib"}
+    new = sorted(names - seen)
+    seen.update(new)
+    return ",".join(new) or "-"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python tests/memory_stages.py CONFIG", file=sys.stderr)
         return 2
-    rows = []
+    rows, seen = [], set()
 
     def stage(name: str):
-        rows.append((name,) + memory())
+        rows.append((name,) + memory() + (first_loaded(seen),))
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    __import__("numpy")
+    first_loaded(seen)  # numpy's own import
     from faberforms import checks, config, runner, series
 
     stage("import")
@@ -64,9 +80,9 @@ def main(argv) -> int:
         checks.CHECKS[name][0](ctx)
         stage(f"check {name}")
 
-    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'minflt':>8}")
-    for name, hwm, rss, faults in rows:
-        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {faults:>8d}")
+    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'minflt':>8}  loaded first")
+    for name, hwm, rss, faults, loaded in rows:
+        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {faults:>8d}  {loaded}")
     return 0
 
 

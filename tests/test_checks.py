@@ -14,7 +14,6 @@ import pytest
 from faberforms import checks
 
 from faberforms.checks import (
-    _UniformStream,
     _sample_points,
     _separation,
     check_harmonicity,
@@ -23,7 +22,7 @@ from faberforms.checks import (
 from faberforms.cli import main
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily
-from faberforms.numerics import NumericalError, ValidationError
+from faberforms.numerics import NumericalError, Pcg64Stream, ValidationError
 from faberforms.runner import RunContext, _probe_ring
 from faberforms.series import project_faber, uniform_errors
 from faberforms.surface import SurfaceSpec, green
@@ -63,7 +62,7 @@ def test_batched_sample_points_match_the_one_at_a_time_loop(name):
         for clearance in (0.0, 0.05, 0.25):
             for accept in (None, lambda w: _separation(surface, w, marks) > 0.25):
                 want_rng = np.random.default_rng(count)
-                got_rng = _UniformStream(count)
+                got_rng = Pcg64Stream(count)
                 want = _one_at_a_time(surface, want_rng, count, clearance, accept)
                 got = _sample_points(surface, got_rng, count, clearance, accept=accept)
                 assert got.shape == (count,) and np.array_equal(got, want)
@@ -76,10 +75,10 @@ def test_the_stream_draws_numpys_default_rng_uniforms_bit_for_bit(seed):
     for size in (1, 16, 333):
         for low, high in ((0.02, 0.98), (-3.5, 3.5)):
             want = np.random.default_rng(seed).uniform(low, high, size)
-            got = _UniformStream(seed).uniform(low, high, size)
+            got = Pcg64Stream(seed).uniform(low, high, size)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     # the sampler's pattern: save, draw a surplus, restore, draw again
-    want_rng, got_rng = np.random.default_rng(seed), _UniformStream(seed)
+    want_rng, got_rng = np.random.default_rng(seed), Pcg64Stream(seed)
     want = want_rng.uniform(0.02, 0.98, 10)
     state = got_rng.state
     got_rng.uniform(0.02, 0.98, 40)
@@ -240,7 +239,7 @@ def test_invariance_fails_a_target_that_ignores_the_moved_surface(monkeypatch):
 def _pointwise_harmonicity(surface, seed, samples):
     # one Green's function call per stencil point, the points drawn from
     # the stream exactly as the check draws them
-    rng = _UniformStream(seed)
+    rng = Pcg64Stream(seed)
     h = 3e-4
     z = 0.5 * (1.0 + surface.tau) + 0.06
     q = surface.q

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,16 @@ def test_derivative_winding_guard_rejects_folding():
     with pytest.raises(ValidationError, match="polynomial-perturbation map derivative "
                                               "vanishes inside the disk"):
         PolynomialCapMap([1.0, 0.0, 0.0, 0.0, 2.0])
+
+
+def test_center_winding_guard_rejects_a_map_that_covers_its_center_three_times():
+    # f = (1 + zeta / 1.1)^7 - 1: f' vanishes only at zeta = -1.1, outside
+    # the disk, but f also takes the center value f(0) = 0 at
+    # zeta = 1.1 (exp(+-2 pi i / 7) - 1), |zeta| = 0.955, so the boundary
+    # winds three times around it
+    with pytest.raises(ValidationError,
+                       match="^polynomial-perturbation map covers its center more than once$"):
+        PolynomialCapMap([math.comb(7, j) / 1.1**j for j in range(1, 8)])
 
 
 class _ExpMap(ConformalMap):

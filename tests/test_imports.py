@@ -92,8 +92,10 @@ def _run_loads(tmp_path, text: str, modules) -> str:
 def test_sphere_run_leaves_numpy_random_unloaded(tmp_path):
     # importing numpy.random costs about 6 MB of RSS, most of it OpenSSL's
     # libcrypto (bit_generator -> secrets -> hmac); a sphere run with a pole
-    # target and the convergence checks draws no random numbers
-    assert _run_loads(tmp_path, SPHERE_MULTICAP, ["numpy.random"]) == "0 False"
+    # target and the convergence checks draws no random numbers, and its
+    # polynomial cap and Gauss-Legendre grids need no numpy.polynomial
+    assert _run_loads(tmp_path, SPHERE_MULTICAP,
+                      ["numpy.random", "numpy.polynomial"]) == "0 False False"
 
 
 TORUS_CHECKS = """[surface]
@@ -119,8 +121,37 @@ seed = 5
 def test_torus_check_run_leaves_numpy_random_and_hashlib_unloaded(tmp_path):
     # the checks draw their random points from the package's own copy of
     # numpy's PCG64 stream, so a torus run with a basis target loads
-    # neither numpy.random nor, through _hashlib, OpenSSL's libcrypto
-    assert _run_loads(tmp_path, TORUS_CHECKS, ["numpy.random", "_hashlib"]) == "0 False False"
+    # neither numpy.random nor, through _hashlib, OpenSSL's libcrypto, and
+    # its cycles' Gauss-Legendre rules need no numpy.polynomial
+    assert _run_loads(tmp_path, TORUS_CHECKS,
+                      ["numpy.random", "_hashlib", "numpy.polynomial"]) == "0 False False False"
+
+
+TORUS_SOLVE = """[surface]
+genus = 1
+tau = 0.3+1.1j
+
+[caps]
+lower = affine scale=0.11 offset=0.39+0.33j
+upper = affine scale=0.11 offset=0.924+0.748j
+
+[target]
+family = combination
+seed = 1234567
+order = 1
+
+[run]
+M = 2
+checks = convergence, uniform convergence
+seed = 5
+"""
+
+
+def test_torus_solve_run_leaves_numpy_random_hashlib_and_polynomial_unloaded(tmp_path):
+    # the combination target draws its normals from the same in-package
+    # stream, and the cycles' Gauss-Legendre rules come from numerics
+    assert _run_loads(tmp_path, TORUS_SOLVE,
+                      ["numpy.random", "_hashlib", "numpy.polynomial"]) == "0 False False False"
 
 
 def test_every_export_resolves_once():

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from faberforms import numerics
+from faberforms import _ziggurat, numerics
 from faberforms.numerics import (
     DiskGrid,
     LeastSquaresResult,
     NumericalError,
+    Pcg64Stream,
     PowerSeries,
     ValidationError,
     area_pairing,
     laurent_coefficients,
     least_squares,
+    leggauss,
     measured_area,
+    polyder,
+    polyval,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -218,3 +222,81 @@ def test_least_squares_rejects_mismatched_shapes():
 def test_least_squares_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         least_squares(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 1, 10**30])
+def test_the_stream_draws_numpys_default_rng_normals_bit_for_bit(seed):
+    for size in ((), 0, 1, 7):
+        want = np.random.default_rng(seed).normal(size=size)
+        got = Pcg64Stream(seed).normal(size)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    # one stream serves both kinds of draw, each going on where the last stopped
+    want_rng, got_rng = np.random.default_rng(seed), Pcg64Stream(seed)
+    for _ in range(3):
+        assert got_rng.normal(7).tobytes() == want_rng.normal(size=7).tobytes()
+        assert got_rng.uniform(-1.0, 2.0, 5).tobytes() == want_rng.uniform(-1.0, 2.0, 5).tobytes()
+    pcg = want_rng.bit_generator.state["state"]
+    assert (got_rng.state, got_rng.inc) == (pcg["state"], pcg["inc"])
+
+
+def test_a_long_normal_stream_matches_numpy_through_the_tail_and_wedge_branches(monkeypatch):
+    # record the 64-bit outputs the stream takes and where each draw starts
+    outputs, starts = [], []
+    draw = numerics._standard_normal
+
+    def recording_draw(source, zig):
+        starts.append(len(outputs))
+        return draw(source, zig)
+
+    stream = Pcg64Stream(2024)
+    raw = stream._outputs
+    stream._outputs = lambda: (outputs.append(x) or x for x in raw())
+    monkeypatch.setattr(numerics, "_standard_normal", recording_draw)
+    got = stream.normal(200_000)
+    assert got.tobytes() == np.random.default_rng(2024).normal(size=200_000).tobytes()
+    # a draw's first output picks its layer and position; past the layer's
+    # KI bound the draw takes the tail test (layer 0) or the wedge test
+    branches = {"fast": 0, "tail": 0, "wedge": 0}
+    for start in starts:
+        r = outputs[start]
+        layer, rabs = r & 0xFF, r >> 9 & (2**52 - 1)
+        if rabs < _ziggurat.KI[layer]:
+            branches["fast"] += 1
+        else:
+            branches["tail" if layer == 0 else "wedge"] += 1
+    assert len(starts) == 200_000 and branches["tail"] >= 1 and branches["wedge"] >= 1
+
+
+def test_leggauss_is_numpys_bit_for_bit():
+    from numpy.polynomial import legendre
+
+    for n in range(1, 257):
+        for got, want in zip(leggauss(n), legendre.leggauss(n)):
+            assert got.tobytes() == want.tobytes(), n
+    with pytest.raises(ValidationError,
+                       match=r"^a Gauss-Legendre rule needs at least one node, got 0$"):
+        leggauss(0)
+
+
+def test_polyval_and_polyder_are_numpys_bit_for_bit():
+    from numpy.polynomial import polynomial
+
+    rng = np.random.default_rng(11)
+    for length in range(1, 9):
+        for _ in range(20):
+            c = rng.normal(size=length) + 1j * rng.normal(size=length)
+            for x in (rng.normal(size=33), rng.normal(size=33) + 1j * rng.normal(size=33),
+                      rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
+                      np.complex128(0.3 - 0.2j), 0.7):
+                want = polynomial.polyval(x, c)
+                assert np.shape(polyval(x, c)) == np.shape(want)
+                assert np.asarray(polyval(x, c)).tobytes() == np.asarray(want).tobytes()
+            assert polyder(c).tobytes() == polynomial.polyder(c).tobytes()
+    # signed zeros and infinite parts go through the same complex products
+    special = [0.0, -0.0, np.inf, -1.5]
+    for re, im in ((special, special[::-1]), (special[::-1], special), (special[:1], [-0.0])):
+        c = np.array([complex(a, b) for a, b in zip(re, im)])
+        with np.errstate(invalid="ignore"):
+            assert polyder(c).tobytes() == polynomial.polyder(c).tobytes()
+

@@ -377,6 +377,24 @@ def test_uniform_errors_match_per_order_reads_torus():
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+@pytest.mark.parametrize("order", [1, 6])
+def test_a_seeded_combination_draws_numpys_default_rng_normals(seed, order):
+    # the terms that np.random.default_rng(seed).normal draws, in the same order
+    surface = torus_two_caps()
+    known = build_target(surface, "combination", seed=seed, order=order).known
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    epsilon, c = draw(1), draw(1)
+    h = {(m, k): complex(draw(()) * 0.75**m) for m in range(1, order + 1) for k in range(2)}
+    assert known["epsilon"].tobytes() == np.concatenate([epsilon, -epsilon]).tobytes()
+    assert known["c"].tobytes() == c.tobytes()
+    assert known["h"] == h
+
+
 def test_round_trip_combination_torus():
     surface = torus_two_caps()
     target = build_target(surface, "combination", seed=3, order=6)

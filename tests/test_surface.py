@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faberforms.config import parse_config
-from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap
+from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.numerics import NumericalError, ValidationError, slice_views
 from faberforms.surface import (
     Cycle,
@@ -322,6 +322,16 @@ def test_surface_validation():
         SurfaceSpec(1, caps)
     with pytest.raises(ValidationError, match="^sphere surface takes no lattice parameter$"):
         SurfaceSpec(0, caps, tau=TAU)
+
+
+def test_a_torus_whose_cap_covers_every_candidate_has_no_marked_point():
+    # the degree-13 truncation of the Schwarz-Christoffel map of the disk
+    # onto a square, scaled by 0.51, fills the cell's 22 x 22 grid of
+    # candidate marked points; margin 0 lets it reach the cell's edges
+    square = [1, 0, 0, 0, -1 / 10, 0, 0, 0, 1 / 24, 0, 0, 0, -5 / 208]
+    caps = CapFamily([PolynomialCapMap([0.51 * c for c in square], offset=0.5 + 0.5j)])
+    with pytest.raises(ValidationError, match=r"^found no marked point clear of the caps$"):
+        SurfaceSpec.torus(1j, caps, margin=0.0)
 
 
 def test_auto_marked_points():
