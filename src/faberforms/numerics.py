@@ -83,12 +83,9 @@ class ValidationError(Exception):
 
 def polyval(x, c):
     """``numpy.polynomial.polynomial.polyval(x, c)`` for 1-D float or complex
-    ``c``, bit for bit: numpy's Horner steps on numpy's shapes, with the
-    operands in numpy's order (the complex product is not bitwise
-    commutative)."""
+    ``c``, bit for bit: numpy's Horner steps, with the operands in numpy's
+    order (the complex product is not bitwise commutative)."""
     c = np.asarray(c)
-    if isinstance(x, np.ndarray):
-        c = c.reshape(c.shape + (1,) * x.ndim)
     c0 = c[-1] + x * 0
     for i in range(2, len(c) + 1):
         c0 = c[-i] + c0 * x

@@ -257,15 +257,10 @@ def test_a_long_normal_stream_matches_numpy_through_the_tail_and_wedge_branches(
     assert got.tobytes() == np.random.default_rng(2024).normal(size=200_000).tobytes()
     # a draw's first output picks its layer and position; past the layer's
     # KI bound the draw takes the tail test (layer 0) or the wedge test
-    branches = {"fast": 0, "tail": 0, "wedge": 0}
-    for start in starts:
-        r = outputs[start]
-        layer, rabs = r & 0xFF, r >> 9 & (2**52 - 1)
-        if rabs < _ziggurat.KI[layer]:
-            branches["fast"] += 1
-        else:
-            branches["tail" if layer == 0 else "wedge"] += 1
-    assert len(starts) == 200_000 and branches["tail"] >= 1 and branches["wedge"] >= 1
+    layers = [r & 0xFF for r in (outputs[start] for start in starts)
+              if r >> 9 & (2**52 - 1) >= _ziggurat.KI[r & 0xFF]]
+    assert len(starts) == 200_000
+    assert 0 in layers and any(layers)  # the tail test, and the wedge test
 
 
 def test_leggauss_is_numpys_bit_for_bit():
