@@ -21,7 +21,7 @@ from .checks import CHECKS
 from .conformal import CapFamily, make_map
 from .faber import PRINCIPAL_RADIUS
 from .numerics import ValidationError
-from .schiffer import order_limit
+from .schiffer import contour_radius, order_limit
 from .series import TargetForm
 from .surface import SurfaceSpec
 from .targets import build_target
@@ -146,6 +146,8 @@ def _parse_map_spec(key: str, spec: str):
                 raise ConfigError(f"caps.{key}: bad coefficient list {value!r}") from None
         else:
             params[name] = _complex("caps", key, value)
+        if not np.all(np.isfinite(params[name])):
+            raise ConfigError(f"caps.{key}: {name} must be finite, got {value!r}")
     try:
         return make_map(kind, **params)
     except ValidationError as exc:
@@ -227,7 +229,7 @@ def parse_config(path: str) -> ExperimentConfig:
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
     margin = _positive("surface", "margin", s.get("margin", "0.05"))
     s.reject_unread()
-    for key, value in (("w0", w0), ("margin", margin)):
+    for key, value in (("tau", tau), ("w0", w0), ("margin", margin)):
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"surface.{key}: must be finite, got {value}")
 
@@ -256,6 +258,10 @@ def parse_config(path: str) -> ExperimentConfig:
         if key not in TARGET_PARAMS:
             raise ConfigError(f"target.{key}: unknown parameter")
         params[key] = TARGET_PARAMS[key]("target", key, t[key])
+        value = params[key]  # an integer, or complex and real numbers to check
+        numbers = list(value.values()) if isinstance(value, dict) else value
+        if not isinstance(value, int) and not np.all(np.isfinite(numbers)):
+            raise ConfigError(f"target.{key}: must be finite, got {t[key].strip()!r}")
     try:
         target = build_target(surface, family, **params)
     except ValidationError as exc:
@@ -309,6 +315,11 @@ def parse_config(path: str) -> ExperimentConfig:
         value = getattr(cfg, key)
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"run.{key}: must be finite, got {value}")
+    radius = contour_radius(cfg.M)
+    top = order_limit(radius)
+    if cfg.M > top:
+        raise ConfigError(f"run.M: must be <= {top}, the roundoff limit of the basis read "
+                          f"on the contour radius {radius:.4g}, got {cfg.M}")
     top = order_limit(PRINCIPAL_RADIUS)
     if cfg.pole_orders > top:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "

@@ -172,9 +172,20 @@ def guard_order(m: int, r0: float, error=NumericalError):
     """Raise ``error`` naming the order, the radius and the roundoff
     figure when m is past ``order_limit(r0)``."""
     if m > order_limit(r0):
+        # the figure is printed from its logarithm: r0^(-m) itself
+        # overflows a float once m is a few thousand
+        log10 = float(np.log10(np.finfo(float).eps) - m * np.log10(r0))
         raise error(f"order {m} on the contour radius {r0:.4g} amplifies roundoff to "
-                    f"r0^(-m) * eps = {r0 ** (-m) * np.finfo(float).eps:.2e}, "
-                    f"above {ROUNDOFF_LIMIT:.0e}")
+                    f"r0^(-m) * eps = {_scientific(log10)}, above {ROUNDOFF_LIMIT:.0e}")
+
+
+def _scientific(log10: float) -> str:
+    # format(10 ** log10, ".2e") for a figure of any magnitude
+    exponent = int(np.floor(log10))
+    mantissa = round(10.0 ** (log10 - exponent), 2)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{mantissa:.2f}e{exponent:+03d}"
 
 
 def contour_radius(m: int) -> float:

@@ -39,6 +39,7 @@ from .numerics import (
     row_slices,
 )
 from .surface import (
+    CYCLE_NODES,
     OneForm,
     SurfaceSpec,
     a_cycle,
@@ -55,7 +56,6 @@ DEFAULT_CHECKPOINTS = (5, 10, 20, 40)
 # are measured on.
 MEASURING_RADII = (0.95, 1.0)
 BOUNDARY_NODES = 512  # trapezoid nodes on each measuring circle
-CYCLE_NODES = 64  # Gauss-Legendre nodes on each lattice cycle
 RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circles
 BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
 
@@ -379,10 +379,12 @@ def project_faber(target, surface: SurfaceSpec, M: int,
 
     The target is evaluated once, on every fixed node set at once: each
     cap's BOUNDARY_NODES-node circles at the radii 0.95 and 1 and, on the
-    torus, the CYCLE_NODES-node a and b cycles. Boundary and lattice
-    coefficients come from those samples, and so do the pairing data of
-    the remainder; the remainder is projected onto the order-(1..M) basis of
-    every cap by Gram least squares. The L2 residual is recorded at each
+    torus, the CYCLE_NODES-node a and b cycles, whose nodes are the points
+    at which the cycle-base search measured their clearance from the caps.
+    Every one of these cycles carries the trapezoid rule. Boundary and
+    lattice coefficients come from those samples, and so do the pairing
+    data of the remainder; the remainder is projected onto the
+    order-(1..M) basis of every cap by Gram least squares. The L2 residual is recorded at each
     checkpoint order and must not increase with M.
     """
     if M < 1:

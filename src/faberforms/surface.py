@@ -18,9 +18,12 @@ import numpy as np
 
 from . import theta
 from .conformal import CapFamily, TranslatedMap
-from .numerics import BLOCK_ENTRIES, TWO_PI, NumericalError, ValidationError, leggauss
+from .numerics import BLOCK_ENTRIES, TWO_PI, NumericalError, ValidationError
 
 PI = np.pi
+# Nodes on each lattice cycle: the trapezoid rule's nodes, and the path
+# points at which SurfaceSpec.cycle_base measures clearance
+CYCLE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,14 @@ class OneForm:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A closed path with a precomputed quadrature rule.
+    """A closed periodic path with the trapezoid rule: equispaced nodes
+    in the path's parameter, each weighted by its step.
 
     ``sum(a(nodes) * weights)`` is the path integral of a(w) dw. Boundary
-    cycles are circles (trapezoid rule, spectral); lattice cycles are
-    straight segments (Gauss-Legendre, spectral for analytic data).
+    cycles are circles around a cap; lattice cycles are the segments
+    [base, base + 1] and [base, base + tau], closed on the torus. Every
+    form integrated over a cycle is periodic along it, so the rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
     """
 
     kind: str
@@ -163,14 +169,15 @@ class SurfaceSpec:
         """Deterministic base point for the a/b cycles, away from all caps.
 
         Of a 25 x 25 grid of candidates in the cell, the first one whose a
-        and b paths (64 samples each) keep the largest clearance from the
-        caps wins.
+        and b paths keep the largest clearance from the caps wins. The
+        paths are measured at the CYCLE_NODES nodes of the a and b cycles,
+        so the clearance is that of the quadrature nodes.
         """
         if self.genus == 0:
             raise ValidationError("the sphere has no lattice cycles")
         if self._cycle_base is None:
             grid = np.linspace(0.02, 0.98, 25)
-            t = np.linspace(0.0, 1.0, 64, endpoint=False)
+            t = _cycle_parameters(CYCLE_NODES)
             bases = (grid[:, None] + grid[None, :] * self.tau).ravel()
 
             def paths(b, at):
@@ -419,25 +426,29 @@ def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 5
     return Cycle("boundary", k, nodes, weights)
 
 
+def _cycle_parameters(n: int) -> np.ndarray:
+    # the path parameters j / n, j = 0..n-1, of a lattice cycle's nodes
+    return np.arange(n) / n
+
+
 def _segment_cycle(surface: SurfaceSpec, kind: str, base, n: int) -> Cycle:
     if surface.genus == 0:
         raise ValidationError("the sphere has no lattice cycles")
     base = surface.cycle_base() if base is None else complex(base)
     direction = 1.0 if kind == "a" else surface.tau
-    x, gw = leggauss(n)
-    t = 0.5 * (x + 1.0)
-    nodes = base + t * direction
-    weights = (0.5 * gw) * direction
-    return Cycle(kind, 0, nodes.astype(complex), weights.astype(complex))
+    nodes = base + _cycle_parameters(n) * direction
+    return Cycle(kind, 0, nodes, np.full(n, direction / n, dtype=complex))
 
 
-def a_cycle(surface: SurfaceSpec, base=None, n: int = 64) -> Cycle:
-    """Lattice cycle [base, base + 1] with a Gauss-Legendre rule."""
+def a_cycle(surface: SurfaceSpec, base=None, n: int = CYCLE_NODES) -> Cycle:
+    """Lattice cycle [base, base + 1], closed on the torus, with the
+    n-node trapezoid rule."""
     return _segment_cycle(surface, "a", base, n)
 
 
-def b_cycle(surface: SurfaceSpec, base=None, n: int = 64) -> Cycle:
-    """Lattice cycle [base, base + tau] with a Gauss-Legendre rule."""
+def b_cycle(surface: SurfaceSpec, base=None, n: int = CYCLE_NODES) -> Cycle:
+    """Lattice cycle [base, base + tau], closed on the torus, with the
+    n-node trapezoid rule."""
     return _segment_cycle(surface, "b", base, n)
 
 

@@ -5,8 +5,8 @@ Run from the repository root, one config per process:
     python tests/memory_stages.py CONFIG
 
 It runs the stages of ``faberforms run CONFIG`` in this process, in the
-runner's order, and after each one prints the process's VmHWM and VmRSS
-(from ``/proc/self/status``, in MB), its minor page faults so far
+runner's order, and after each one prints the process's VmHWM, VmRSS and
+RssFile (from ``/proc/self/status``, in MB), its minor page faults so far
 (``resource.getrusage``), and the numpy subpackages (``numpy.<name>``)
 and ``_hashlib`` that the stage loaded first, comma-separated, or ``-``.
 The import stage names what the package's import loads beyond numpy's
@@ -15,7 +15,10 @@ project_faber, the sup errors on the probe ring, then each check of the
 config. Nothing is written to disk. Every figure is cumulative from the
 start of the process, so run it in a fresh process for each config; a
 VmHWM that rises at a stage was set by that stage, and the modules named
-beside it often say why. Pytest does not collect this file, and the
+beside it often say why. RssFile is the resident part mapped from files,
+mostly library code pages: a stage whose VmRSS rises with it paged in
+code (a library call used for the first time), one whose VmRSS rises
+without it grew the heap. Pytest does not collect this file, and the
 tier-1 run only smoke-tests it.
 """
 
@@ -26,15 +29,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+STATUS_FIELDS = ("VmHWM", "VmRSS", "RssFile")
+
+
 def memory() -> tuple:
-    """(VmHWM MB, VmRSS MB, minor faults) of this process so far."""
+    """(VmHWM MB, VmRSS MB, RssFile MB, minor faults) of this process so far."""
     fields = {}
     with open("/proc/self/status", encoding="ascii") as fh:
         for line in fh:
             key, _, value = line.partition(":")
-            if key in ("VmHWM", "VmRSS"):
+            if key in STATUS_FIELDS:
                 fields[key] = int(value.split()[0]) / 1024.0
-    return fields["VmHWM"], fields["VmRSS"], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return (*(fields[key] for key in STATUS_FIELDS),
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
 
 def first_loaded(seen: set) -> str:
@@ -80,9 +87,10 @@ def main(argv) -> int:
         checks.CHECKS[name][0](ctx)
         stage(f"check {name}")
 
-    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'minflt':>8}  loaded first")
-    for name, hwm, rss, faults, loaded in rows:
-        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {faults:>8d}  {loaded}")
+    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'RssFile MB':>10} {'minflt':>8}"
+          "  loaded first")
+    for name, hwm, rss, rss_file, faults, loaded in rows:
+        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {rss_file:>10.2f} {faults:>8d}  {loaded}")
     return 0
 
 

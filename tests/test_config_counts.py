@@ -5,7 +5,9 @@ probe center without a probe radius, a tolerance, probe radius or
 uniform margin that is not finite and positive, a condition limit that
 is not positive, a translation or probe center that is not finite, a
 [surface] w0 that is not finite or a margin that is not finite and
-positive, a pole-structure order past the
+positive, a [surface] tau, cap parameter or [target] number that is not
+finite, a truncation order past the roundoff limit of the basis read, a
+pole-structure order past the
 roundoff limit of the principal-part read, a [target] parameter that the
 chosen family does not take, a key that [surface], [run] or [output]
 does not read, a block that the parse does not read, a negative seed and
@@ -174,6 +176,21 @@ def test_pole_orders_past_the_roundoff_limit_is_a_named_config_error(tmp_path, c
     assert main(["run", str(path), "--out-dir", str(tmp_path / "ok")]) == 0
 
 
+@pytest.mark.parametrize("M", [212, 100000])
+def test_M_past_the_roundoff_limit_is_a_named_config_error(tmp_path, capsys, M):
+    # the basis read of order M sits on the contour radius 0.92 from order
+    # 49 on, which carries orders up to 211; M = 100000 crashed formatting
+    # the guard's figure, 0.92^(-M), which overflows a float
+    _rejected_before_anything_runs(tmp_path, capsys, BASE.replace("M = 2", f"M = {M}"), "run.M")
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(tmp_path / "bad.cfg"))
+    assert str(err.value) == ("run.M: must be <= 211, the roundoff limit of the basis read "
+                              f"on the contour radius 0.92, got {M}")
+    path = tmp_path / "ok.cfg"
+    path.write_text(BASE.replace("M = 2", "M = 211"))
+    assert parse_config(str(path)).M == 211
+
+
 def test_the_retired_invariance_order_is_a_named_config_error(tmp_path, capsys):
     _rejected_before_anything_runs(tmp_path, capsys, BASE + "invariance_order = 3\n",
                                    "run.invariance_order: unknown key")
@@ -313,11 +330,27 @@ CAP = "main = affine scale=1 offset=0"
      r"target: c needs 0 entries, got 1"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 0"),
      r"target: combination target has no nonzero terms"),
+    # a number that is not finite: a nan in tau died writing the report
+    # (exit 1), an inf offset or a nan Joukowski parameter was refused as a
+    # map covering its center more than once, and a nan strength failed the
+    # run as a form not finite on a boundary cycle (exit 3)
+    (TORUS.replace("tau = 1j", "tau = nan+1j"), r"surface\.tau: must be finite, got \(nan\+1j\)"),
+    (BASE.replace(CAP, "main = affine scale=1 offset=inf"),
+     r"caps\.main: offset must be finite, got 'inf'"),
+    (BASE.replace(CAP, "main = joukowski-ellipse a=nan scale=1 offset=0"),
+     r"caps\.main: a must be finite, got 'nan'"),
+    (BASE.replace(CAP, "main = polynomial-perturbation coefficients=1,nan"),
+     r"caps\.main: coefficients must be finite, got '1,nan'"),
+    (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\neta = 0.3\nstrength = nan"),
+     r"target\.strength: must be finite, got 'nan'"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1,0:inf"),
+     r"target\.h: must be finite, got '1,0:inf'"),
 ], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
         "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
-        "q-inf-imaginary", "pole-cap-index", "c-length", "no-nonzero-terms"])
+        "q-inf-imaginary", "pole-cap-index", "c-length", "no-nonzero-terms", "tau-nan",
+        "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf"])
 def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -7,7 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from faberforms import numerics
+from faberforms.cli import main
 
 PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "faberforms")
 MODULES = sorted(name for name in os.listdir(PACKAGE)
@@ -122,7 +126,7 @@ def test_torus_check_run_leaves_numpy_random_and_hashlib_unloaded(tmp_path):
     # the checks draw their random points from the package's own copy of
     # numpy's PCG64 stream, so a torus run with a basis target loads
     # neither numpy.random nor, through _hashlib, OpenSSL's libcrypto, and
-    # its cycles' Gauss-Legendre rules need no numpy.polynomial
+    # its disk grids' Gauss-Legendre rules need no numpy.polynomial
     assert _run_loads(tmp_path, TORUS_CHECKS,
                       ["numpy.random", "_hashlib", "numpy.polynomial"]) == "0 False False False"
 
@@ -149,9 +153,29 @@ seed = 5
 
 def test_torus_solve_run_leaves_numpy_random_hashlib_and_polynomial_unloaded(tmp_path):
     # the combination target draws its normals from the same in-package
-    # stream, and the cycles' Gauss-Legendre rules come from numerics
+    # stream, and the lattice cycles carry the trapezoid rule
     assert _run_loads(tmp_path, TORUS_SOLVE,
                       ["numpy.random", "_hashlib", "numpy.polynomial"]) == "0 False False False"
+
+
+def test_torus_solve_run_never_calls_the_symmetric_eigensolver(tmp_path, monkeypatch):
+    # the lattice cycles carry the trapezoid rule, so a torus solve builds
+    # no Gauss-Legendre rule: LAPACK's symmetric eigensolver, whose code
+    # pages raised the solve's peak RSS by about 0.7 MB, never runs
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    config = tmp_path / "run.cfg"
+    config.write_text(TORUS_SOLVE)
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == []
+    numerics.leggauss(8)  # the spy sees the one caller
+    assert calls == [(8, 8)]
 
 
 def test_every_export_resolves_once():

@@ -16,6 +16,7 @@ from faberforms.schiffer import (
     apply_schiffer,
     contour_nodes,
     contour_radius,
+    guard_order,
     order_limit,
     schiffer_contour,
 )
@@ -394,6 +395,20 @@ def test_roundoff_guard_names_order_radius_and_figure():
         schiffer_contour(surface, 0, 250, 2.0)
     # the long sphere run reads order 40 at radius 48/54: figure ~ 2.5e-14
     assert abs(schiffer_contour(surface, 0, 40, 2.0) - 40 * 2.0**-41) < 1e-12
+
+
+def test_the_roundoff_guard_prints_a_figure_past_the_float_range():
+    # 0.92^(-100000) * eps overflows a float, and formatting it crashed the
+    # guard with an OverflowError; the figure comes from its logarithm and
+    # reads as mpmath's at 50 digits
+    message = ("order 100000 on the contour radius 0.92 amplifies roundoff to "
+               "r0^(-m) * eps = 3.66e+3605, above 1e-08")
+    with pytest.raises(NumericalError) as err:
+        schiffer_contour(sphere_one_cap(), 0, 100000, 2.0)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        guard_order(100000, 0.92, ValidationError)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("r0", [PRINCIPAL_RADIUS] + [contour_radius(e)
