@@ -31,7 +31,6 @@ from .numerics import (
     PowerSeries,
     ValidationError,
     area_pairing,
-    laurent_coefficients,
     least_squares,
 )
 from .schiffer import CapDatum, apply_schiffer, contour_nodes, contour_radius, schiffer_contour
@@ -90,7 +89,6 @@ __all__ = [
     "gamma_basis",
     "green",
     "invariance_check",
-    "laurent_coefficients",
     "least_squares",
     "make_map",
     "period",

@@ -111,6 +111,13 @@ def _int(block: str, key: str, raw: str) -> int:
         raise ConfigError(f"{block}.{key}: not an integer: {raw!r}") from None
 
 
+def _bool(block: str, key: str, raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{block}.{key}: not a boolean: {raw!r}") from None
+
+
 def _count(block: str, key: str, raw: str) -> int:
     value = _int(block, key, raw)
     if value < 1:
@@ -305,7 +312,7 @@ def parse_config(path: str) -> ExperimentConfig:
                       if "probe_radius" in r else None),
         probe_points=_count("run", "probe_points", r.get("probe_points", "40")),
         uniform_margin=_positive("run", "uniform_margin", r.get("uniform_margin", margin_default)),
-        strict=r.get("strict", "false").strip().lower() in ("1", "true", "yes"),
+        strict=_bool("run", "strict", r.get("strict", "false")),
         out_dir=output.get("directory"),
     )
     r.reject_unread()

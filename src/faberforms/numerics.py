@@ -219,16 +219,6 @@ class PowerSeries:
         return polyval(u, self.coefficients)
 
 
-def _circle_samples(fn, center: complex, radius: float, n: int) -> np.ndarray:
-    zeta = center + radius * np.exp(1j * TWO_PI * np.arange(n) / n)
-    vals = np.asarray(fn(zeta), dtype=complex)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        raise NumericalError(f"samples not finite at node {j} (w = {zeta[j]:.6g})")
-    return vals
-
-
 def laurent_from_samples(samples: np.ndarray, radius: float, orders) -> np.ndarray:
     """Laurent coefficients c_k, k in ``orders``, from equispaced circle samples.
 
@@ -245,11 +235,6 @@ def laurent_from_samples(samples: np.ndarray, radius: float, orders) -> np.ndarr
         )
     fhat = np.fft.fft(samples) / n
     return fhat[np.mod(orders, n)] * radius ** (-orders.astype(float))
-
-
-def laurent_coefficients(fn, center: complex, radius: float, orders, n: int = 512) -> np.ndarray:
-    """Sample ``fn`` on a circle and read off Laurent coefficients at ``orders``."""
-    return laurent_from_samples(_circle_samples(fn, center, radius, n), radius, orders)
 
 
 @dataclass(frozen=True)

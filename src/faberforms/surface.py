@@ -21,8 +21,8 @@ from .conformal import CapFamily, TranslatedMap
 from .numerics import BLOCK_ENTRIES, TWO_PI, NumericalError, ValidationError
 
 PI = np.pi
-# Nodes on each lattice cycle: the trapezoid rule's nodes, and the path
-# points at which SurfaceSpec.cycle_base measures clearance
+# Nodes on each lattice cycle: the trapezoid rule's nodes, and the side of
+# the node lattice on which SurfaceSpec.cycle_base measures clearance
 CYCLE_NODES = 64
 
 
@@ -168,46 +168,28 @@ class SurfaceSpec:
     def cycle_base(self) -> complex:
         """Deterministic base point for the a/b cycles, away from all caps.
 
-        Of a 25 x 25 grid of candidates in the cell, the first one whose a
-        and b paths keep the largest clearance from the caps wins. The
-        paths are measured at the CYCLE_NODES nodes of the a and b cycles,
-        so the clearance is that of the quadrature nodes.
+        The candidates are the points (j + i tau) / n of the cell's n x n
+        node lattice, n = CYCLE_NODES. The a-cycle nodes of the base (i, j)
+        are row i of that lattice and its b-cycle nodes are column j, up to
+        lattice shifts, so its clearance, that of its quadrature nodes, is
+        the smaller of its row's and its column's minimum. The first
+        maximum in row-major order wins.
         """
         if self.genus == 0:
             raise ValidationError("the sphere has no lattice cycles")
         if self._cycle_base is None:
-            grid = np.linspace(0.02, 0.98, 25)
-            t = _cycle_parameters(CYCLE_NODES)
-            bases = (grid[:, None] + grid[None, :] * self.tau).ravel()
-
-            def paths(b, at):
-                # the a and b path points at the parameters ``at`` of the bases b
-                return np.concatenate([b[:, None] + at, b[:, None] + at * self.tau], axis=1)
-
-            # A base's clearance is at most the exact clearance of every 16th
-            # path point. The full clearance of the base with the largest such
-            # upper figure is at most the maximum, so a base whose upper
-            # figure is below it cannot be a maximum. Every maximum is kept,
-            # and the first kept one in index order wins. Only the points
-            # measured are built: every 16th for all bases, whole paths for
-            # the kept ones.
-            upper = self._path_clearance(paths(bases, t[::16]))
-            threshold = self._path_clearance(paths(bases[[int(np.argmax(upper))]], t))[0]
-            keep = np.flatnonzero(upper >= threshold)
-            clearance = self._path_clearance(paths(bases[keep], t))
+            k = np.arange(CYCLE_NODES)
+            nodes = (k + k[:, None] * self.tau) / CYCLE_NODES
+            d = self.distance_to_caps_reduced(nodes)
+            clearance = np.minimum(d.min(axis=1)[:, None], d.min(axis=0))
             j = int(np.argmax(clearance))
-            best_d = float(clearance[j])
+            best_d = float(clearance.flat[j])
             if best_d < 2 * self.margin:
                 raise ValidationError(
                     f"no lattice cycle clears the caps (best clearance {best_d:.3g})"
                 )
-            self._cycle_base = bases[keep[j]]
+            self._cycle_base = complex(nodes.flat[j])
         return self._cycle_base
-
-    def _path_clearance(self, paths) -> np.ndarray:
-        """Exact distance from each row of torus points to the caps and
-        their lattice copies."""
-        return np.min(self.distance_to_caps_reduced(paths), axis=1)
 
     def _lattice_copies(self, w) -> np.ndarray:
         """The 3x3 block of lattice copies around the cell of each torus
@@ -255,7 +237,7 @@ class SurfaceSpec:
         for name, p in (("q", self.q), ("w0", self.w0)):
             if p is None:
                 continue
-            if self.caps.which_cap(p) != -1 or self.caps.distance_to_caps(p) < 1e-6:
+            if not self.in_sigma(p) or self.distance_to_caps_reduced(p)[0] < 1e-6:
                 raise ValidationError(f"marked point {name} = {p:.6g} lies in a closed cap")
         if self.q is not None and abs(self.q - self.w0) < 1e-9:
             raise ValidationError("q and w0 must be distinct")

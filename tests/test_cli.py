@@ -89,6 +89,22 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert report["decomposition"]["regularized"] is True
 
 
+def test_a_misspelt_strict_is_a_config_error(tmp_path, capsys):
+    # a misspelling read as false would turn fail_numerics' exit 3 into 0
+    text = open(cfg("fail_numerics.cfg"), encoding="utf-8").read()
+    assert "strict = true\n" in text
+    path = tmp_path / "misspelt.cfg"
+    path.write_text(text.replace("strict = true\n", "strict = ture\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: run.strict: not a boolean: 'ture'\n"
+    assert not (out / "report.json").exists()
+    # configparser's spellings of the two states parse
+    for raw, strict in (("on", True), ("1", True), ("No", False), ("off", False)):
+        path.write_text(text.replace("strict = true\n", f"strict = {raw}\n"))
+        assert parse_config(str(path)).strict is strict
+
+
 def test_seed_override_changes_nothing_deterministic(tmp_path):
     # the identity run has no randomness in its artifacts beyond the seed
     # echoed into the report
@@ -192,7 +208,8 @@ def test_one_record_from_parse_to_report():
 
 def test_a_torus_whose_caps_block_every_lattice_cycle_is_a_config_error(tmp_path, capsys):
     # the cycle-base search runs in the solve, not the parse; its refusal
-    # names the cause and exits 2
+    # names the cause and exits 2 (lattice row 0 passes 0.5 - 0.43 = 0.07
+    # below the cap)
     path = tmp_path / "blocked.cfg"
     path.write_text(
         "[surface]\ngenus = 1\ntau = 0+1j\n"
@@ -203,5 +220,5 @@ def test_a_torus_whose_caps_block_every_lattice_cycle_is_a_config_error(tmp_path
     out = tmp_path / "out"
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: no lattice cycle clears the caps (best clearance 0.05)\n"
+    assert err == "config error: no lattice cycle clears the caps (best clearance 0.07)\n"
     assert not (out / "report.json").exists()

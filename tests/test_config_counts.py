@@ -11,7 +11,8 @@ pole-structure order past the
 roundoff limit of the principal-part read, a [target] parameter that the
 chosen family does not take, a key that [surface], [run] or [output]
 does not read, a block that the parse does not read, a negative seed and
-a base point q that is neither finite nor inf. Every other refusal of the
+a base point q that is neither finite nor inf, or a torus marked point
+on a lattice copy of a cap. Every other refusal of the
 parse is matched by its full message too."""
 
 import inspect
@@ -124,6 +125,20 @@ def test_the_torus_config_of_the_surface_number_cases_parses(tmp_path):
     path.write_text(TORUS.replace("tau = 1j", "tau = 1j\nmargin = 0.1\nw0 = 0.1+0.1j"))
     surface = parse_config(str(path)).surface
     assert (surface.genus, surface.margin, surface.w0) == (1, 0.1, 0.1 + 0.1j)
+
+
+def test_a_torus_q_on_a_lattice_copy_of_a_cap_is_a_config_error(tmp_path, capsys):
+    # 1.5+1.5j is the cap's center moved by 1 + tau: it parsed, and the run
+    # passed every check with its base point inside the cap (exit 0)
+    path = tmp_path / "bad.cfg"
+    path.write_text(TORUS.replace("tau = 1j", "tau = 1j\nq = 1.5+1.5j"))
+    message = "surface: marked point q = 1.5+1.5j lies in a closed cap"
+    with pytest.raises(ConfigError, match=r"^surface: marked point q = 1\.5\+1\.5j lies"):
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "report.json").exists()
 
 
 def test_the_parse_leaves_the_probe_to_the_run(monkeypatch):

@@ -23,7 +23,6 @@ from faberforms.faber import (
 from faberforms.numerics import (
     NumericalError,
     ValidationError,
-    laurent_coefficients,
     laurent_from_samples,
 )
 from faberforms.schiffer import contour_nodes, contour_radius, schiffer_contour
@@ -285,8 +284,8 @@ def test_holomorphic_across_other_caps():
     el = faber_form(surface, 0, 3)
     other = caps[1].center
     assert abs(other - 2.5) < 1e-12
-    tails = laurent_coefficients(el.form, center=other, radius=0.15,
-                                 orders=np.arange(-6, 0))
+    w = other + 0.15 * np.exp(2j * np.pi * np.arange(512) / 512)
+    tails = laurent_from_samples(el.form(w), 0.15, np.arange(-6, 0))
     assert np.max(np.abs(tails)) < 1e-8
 
 

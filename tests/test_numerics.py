@@ -10,7 +10,7 @@ from faberforms.numerics import (
     PowerSeries,
     ValidationError,
     area_pairing,
-    laurent_coefficients,
+    laurent_from_samples,
     least_squares,
     leggauss,
     measured_area,
@@ -144,28 +144,26 @@ def test_measured_area_raises_past_the_guard_and_names_the_datum(monkeypatch):
         measured_area(evaluate, 2)
 
 
+def circle(center, radius, n):
+    """n equispaced points on the circle |w - center| = radius."""
+    return center + radius * np.exp(1j * TWO_PI * np.arange(n) / n)
+
+
 def test_power_series_reads_its_constant_term_at_the_center():
-    s = PowerSeries(0.0, laurent_coefficients(np.cos, 0.0, 0.7, range(13), n=128), 0.7)
+    s = PowerSeries(0.0, laurent_from_samples(np.cos(circle(0.0, 0.7, 128)), 0.7, range(13)), 0.7)
     assert abs(s(0.0) - s.coefficients[0]) < 1e-15
 
 
 def test_laurent_coefficients_two_sided():
     fn = lambda w: 3.0 / w ** 2 + 1.0 + 2.0 * w
-    c = laurent_coefficients(fn, 0.0, 0.7, [-3, -2, -1, 0, 1, 2], n=256)
+    c = laurent_from_samples(fn(circle(0.0, 0.7, 256)), 0.7, [-3, -2, -1, 0, 1, 2])
     expect = np.array([0, 3, 0, 1, 2, 0], dtype=complex)
     assert np.max(np.abs(c - expect)) < 1e-12
 
 
 def test_laurent_order_band_guard():
-    with pytest.raises(ValidationError):
-        laurent_coefficients(lambda w: w, 0.0, 0.5, [200], n=256)
-
-
-def test_laurent_coefficients_refuse_samples_that_are_not_finite():
-    # node 0 of the radius-2 circle around 1 is w = 3
-    fn = lambda w: np.where(np.abs(w - 3.0) < 1e-12, np.nan, 1.0 / w)
-    with pytest.raises(NumericalError, match=r"^samples not finite at node 0 \(w = 3\+0j\)$"):
-        laurent_coefficients(fn, 1.0, 2.0, [0, 1], n=16)
+    with pytest.raises(ValidationError, match=r"^order 200 needs more than 256 samples$"):
+        laurent_from_samples(circle(0.0, 0.5, 256), 0.5, [200])
 
 
 def test_least_squares_identity():

@@ -120,6 +120,54 @@ def test_one_cap_sphere_gram_is_the_closed_form(cap, a):
     assert np.all(np.abs(off) <= 1e-12 * np.sqrt(np.outer(want, want)))
 
 
+def closed_form_residual(a, h_column, M):
+    """||rho_M|| = sqrt(sum_{m>M} |h_m|^2 2 pi m (1 - |a|^(2m))): the pole
+    target's tail in a diagonal Gram, summed to m = 400 (|eta|^800 is far
+    below roundoff for every eta used here)."""
+    m = np.arange(M + 1, 401)
+    h = np.array([h_column(int(j)) for j in m])
+    return np.sqrt(np.sum(np.abs(h) ** 2 * 2 * np.pi * m * (1 - abs(a) ** (2 * m))))
+
+
+@pytest.mark.parametrize("cap, eta, a", [
+    (None, None, 0.25),  # configs/sphere_joukowski.cfg: a = 0.25, eta = 0.55
+    (JoukowskiEllipseMap(0.5, scale=0.7, offset=-1 + 2j), 0.3 + 0.4j, 0.5),
+    (AffineMap(0.3 - 0.2j, offset=1.5 + 0.5j), -0.6j, 0.0),
+], ids=["sphere_joukowski", "joukowski-0.5", "affine"])
+def test_one_cap_sphere_residual_history_is_the_closed_form(cap, eta, a):
+    # a diagonal Gram makes Parseval exact, so the residual after order M
+    # is the pole target's tail h_m = s eta^(m-1) / f'(eta) past M. Worst
+    # measured gap: 2.1e-15 absolute (joukowski-0.5 at M = 10); at M = 40
+    # it is at most 2.7e-16, 4e-9 to 9e-6 of residuals of 3e-11 to 7e-8
+    if cap is None:
+        config = parse_config(os.path.join(ROOT, "configs", "sphere_joukowski.cfg"))
+        surface, target = config.surface, config.target
+    else:
+        surface = SurfaceSpec.sphere(CapFamily([cap]))
+        target = build_target(surface, "pole", eta=eta)
+    _k, h_column = target.known["h_column"]
+    history = project_faber(target, surface, 40).residual_history
+    assert [order for order, _res in history] == [5, 10, 20, 40]
+    for order, res in history:
+        assert abs(res - closed_form_residual(a, h_column, order)) <= 1e-13
+
+
+def test_two_cap_sphere_pole_column_is_the_closed_form():
+    # the pole target's h column holds on its own cap whatever the other
+    # caps; M = 40 only, since a truncated solve in a coupled basis is not
+    # the truncated series (at M = 10 the gap is 1e-6 to 1e-4). Worst
+    # measured: 1.9e-15 on the column and 3.0e-15 on the other cap's
+    caps = CapFamily([JoukowskiEllipseMap(0.25), AffineMap(0.5, offset=3 + 1j)])
+    surface = SurfaceSpec.sphere(caps)
+    for cap in (0, 1):
+        target = build_target(surface, "pole", cap=cap, eta=0.55)
+        k, h_column = target.known["h_column"]
+        h = project_faber(target, surface, 40).h
+        want = np.array([h_column(m) for m in range(1, 41)])
+        assert np.max(np.abs(h[:, k] - want)) <= 1e-13
+        assert np.max(np.abs(h[:, 1 - k])) <= 1e-13
+
+
 def test_lattice_periods_match_a_1024_node_trapezoid_read():
     # every form read over the lattice cycles is elliptic, so the
     # CYCLE_NODES-node trapezoid rule converges geometrically: its periods

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -324,6 +325,19 @@ def test_surface_validation():
         SurfaceSpec(0, caps, tau=TAU)
 
 
+def test_a_torus_refuses_a_marked_point_on_a_lattice_copy_of_a_cap():
+    caps = torus_two_caps().caps
+    copy = caps.centers[0] + 1 + TAU
+    for key in ("q", "w0"):
+        message = f"marked point {key} = 1.69+1.43j lies in a closed cap"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SurfaceSpec.torus(TAU, caps, **{key: copy})
+    # a point near a copy of the cap's boundary is refused as well
+    edge = caps.boundary_samples(0)[0] - 1 + 2 * TAU
+    with pytest.raises(ValidationError, match=r"^marked point q = .* lies in a closed cap$"):
+        SurfaceSpec.torus(TAU, caps, q=edge)
+
+
 def test_a_torus_whose_cap_covers_every_candidate_has_no_marked_point():
     # the degree-13 truncation of the Schwarz-Christoffel map of the disk
     # onto a square, scaled by 0.51, fills the cell's 22 x 22 grid of
@@ -365,65 +379,36 @@ LATTICE_SHIFTS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 def brute_force_cycle_base(surface):
-    """The full search: every candidate path point against every sample of
-    every cap in the 3x3 block of lattice copies, strict-> first maximum."""
-    grid = np.linspace(0.02, 0.98, 25)
-    t = np.linspace(0.0, 1.0, 64, endpoint=False)
-    polys = [surface.caps.boundary_samples(k) for k in range(surface.n_caps)]
+    """The full search: every point of the 64 x 64 node lattice against
+    every sample of every cap in the 3x3 block of lattice copies, with no
+    pruning; then a base's clearance is the smaller of its row's and its
+    column's minimum, and the strict-> first maximum in row-major order
+    wins."""
+    n = 64
+    k = np.arange(n)
+    nodes = (k + k[:, None] * surface.tau) / n
+    x, y = surface.cell_coordinates(nodes)
+    d = np.full(nodes.shape, np.inf)
+    for dx, dy in LATTICE_SHIFTS:
+        shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
+        for j in range(surface.n_caps):
+            p = surface.caps.boundary_samples(j)
+            for i in range(n):  # a lattice row at a time
+                d[i] = np.minimum(d[i], np.min(np.abs(p[None, :] - shifted[i, :, None]), axis=1))
+    rows, cols = d.min(axis=1), d.min(axis=0)
     best, best_d = None, -1.0
-    for x0 in grid:
-        for y0 in grid:
-            base = x0 + y0 * surface.tau
-            path = np.concatenate([base + t, base + t * surface.tau])
-            x, y = surface.cell_coordinates(path)
-            d = np.inf
-            for dx, dy in LATTICE_SHIFTS:
-                shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
-                for p in polys:
-                    d = min(d, float(np.min(np.abs(p[None, :] - shifted[:, None]))))
-            if d > best_d:
-                best, best_d = base, d
+    for i in range(n):
+        for j in range(n):
+            if min(rows[i], cols[j]) > best_d:
+                best, best_d = nodes[i, j], float(min(rows[i], cols[j]))
     return best, best_d
-
-
-def nearest_sample_cycle_base(surface, tree_class):
-    """The full search's answer, with the same floats, from a k-d tree.
-
-    The tree holds every cap sample moved by each lattice shift and
-    nominates, for each reduced path point, its 4 nearest (shift, sample)
-    pairs; the nominees are then measured as the full search measures
-    them. A point whose 4th nominee is not clearly farther than the
-    nearest measured one is measured against everything."""
-    grid = np.linspace(0.02, 0.98, 25)
-    t = np.linspace(0.0, 1.0, 64, endpoint=False)
-    samples = np.concatenate([surface.caps.boundary_samples(j) for j in range(surface.n_caps)])
-    bases = (grid[:, None] + grid[None, :] * surface.tau).ravel()
-    path = np.concatenate([bases[:, None] + t, bases[:, None] + t * surface.tau], axis=1)
-    x, y = surface.cell_coordinates(path.ravel())
-    fx, fy = x - np.floor(x), y - np.floor(y)
-    moved = np.concatenate([samples - (dx + dy * surface.tau) for dx, dy in LATTICE_SHIFTS])
-    reduced = fx + fy * surface.tau
-    tree = tree_class(np.column_stack([moved.real, moved.imag]))
-    dist, idx = tree.query(np.column_stack([reduced.real, reduced.imag]), k=4)
-    shift, s = np.divmod(idx, samples.size)
-    dxy = np.array(LATTICE_SHIFTS, dtype=float)
-    shifted = (fx[:, None] + dxy[shift, 0]) + (fy[:, None] + dxy[shift, 1]) * surface.tau
-    nearest = np.min(np.abs(samples[s] - shifted), axis=1)
-    for j in np.flatnonzero(dist[:, -1] <= nearest * (1 + 1e-12) + 1e-13):
-        for dx, dy in LATTICE_SHIFTS:
-            shifted_j = (fx[j] + dx) + (fy[j] + dy) * surface.tau
-            nearest[j] = min(nearest[j], float(np.min(np.abs(samples - shifted_j))))
-    clearance = np.min(nearest.reshape(bases.size, -1), axis=1)
-    j = int(np.argmax(clearance))
-    return bases[j], float(clearance[j])
 
 
 def test_cycle_base_matches_numpy_brute_force():
     surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
     base, clearance = brute_force_cycle_base(surface)
     assert surface.cycle_base() == base
-    t = np.linspace(0.0, 1.0, 64, endpoint=False)
-    path = np.concatenate([base + t, base + t * surface.tau])
+    path = np.concatenate([a_cycle(surface).nodes, b_cycle(surface).nodes])
     assert float(np.min(surface.distance_to_caps_reduced(path))) == clearance
 
 
@@ -440,8 +425,6 @@ def pool_surface(workload, index, tmp_path):
 
 
 def test_cycle_base_matches_brute_force(tmp_path):
-    # the full search's answer from a k-d tree of the cap samples
-    spatial = pytest.importorskip("scipy.spatial")
     cfg = ROOT / "configs" / "torus_two_caps.cfg"
     mixed = CapFamily(
         [
@@ -450,7 +433,8 @@ def test_cycle_base_matches_brute_force(tmp_path):
         ],
         separation=0.05,
     )
-    # caps by a corner and by the right edge push the winner inside the grid
+    # caps by a corner and by the right edge push the winner off row 0
+    # and column 0 of the node lattice
     inner = SurfaceSpec.torus(TAU, CapFamily(
         [AffineMap(0.08, offset=0.15 + 0.15 * TAU), AffineMap(0.08, offset=0.85 + 0.5 * TAU)],
         separation=0.05,
@@ -459,12 +443,12 @@ def test_cycle_base_matches_brute_force(tmp_path):
                 pool_surface("torus-solve", 4, tmp_path),
                 pool_surface("torus-verify", 0, tmp_path))
     x, y = inner.cell_coordinates(inner.cycle_base())
-    assert 0.1 < x < 0.9 and 0.1 < y < 0.9
+    assert (x, y) == (0.5, 0.8125)
     for surface in surfaces:
-        base, clearance = nearest_sample_cycle_base(surface, spatial.cKDTree)
+        base, clearance = brute_force_cycle_base(surface)
         assert surface.cycle_base() == base
-        t = np.linspace(0.0, 1.0, 64, endpoint=False)
-        path = np.concatenate([base + t, base + t * surface.tau])
+        # the clearance is that of the quadrature nodes of both cycles
+        path = np.concatenate([a_cycle(surface).nodes, b_cycle(surface).nodes])
         assert float(np.min(surface.distance_to_caps_reduced(path))) == clearance
         # the pruned distance is the same float as the full search
         rng = np.random.default_rng(8)
@@ -482,8 +466,8 @@ def test_cycle_base_matches_brute_force(tmp_path):
 
 def test_torus_setup_keeps_its_temporaries_small():
     # the cycle-base search measures its point-by-sample blocks in row
-    # slices of numerics.BLOCK_ENTRIES entries, never whole (a 2048 x 512
-    # block is 16.8 MB)
+    # slices of numerics.BLOCK_ENTRIES entries, never whole (the lattice's
+    # 4096 x 512 block against one cap is 33.6 MB)
     tracemalloc.start()
     try:
         surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
@@ -494,9 +478,10 @@ def test_torus_setup_keeps_its_temporaries_small():
     assert peak < 6e6
 
 
-def test_cycle_base_builds_only_the_points_it_measures():
-    # every 16th path point of all 625 candidate bases, and whole paths only
-    # for the bases kept (the 625 x 128 path array alone is 1.28 MB)
+def test_cycle_base_search_peak_stays_under_three_megabytes():
+    # the search measures the 64 x 64 node lattice once: its 3x3 block of
+    # lattice copies is 0.59 MB, and min_distance's row slices add their
+    # buffers on top
     surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
     tracemalloc.start()
     try:
@@ -508,8 +493,11 @@ def test_cycle_base_builds_only_the_points_it_measures():
 
 
 def test_cycle_base_crowded_cell_raises():
-    crowded = SurfaceSpec.torus(1j, CapFamily([AffineMap(0.4, offset=0.5 + 0.5j)]))
-    with pytest.raises(ValidationError, match="no lattice cycle clears the caps"):
+    # lattice row 0 passes 0.5 - 0.42 = 0.08 below the cap, short of twice
+    # the 0.05 margin
+    crowded = SurfaceSpec.torus(1j, CapFamily([AffineMap(0.42, offset=0.5 + 0.5j)]))
+    with pytest.raises(ValidationError,
+                       match=r"^no lattice cycle clears the caps \(best clearance 0\.08\)$"):
         crowded.cycle_base()
 
 
