@@ -27,7 +27,7 @@ from . import __version__
 from .checks import CHECKS, CheckResult
 from .config import ExperimentConfig
 from .numerics import NumericalError
-from .series import SeriesDecomposition, project_faber, uniform_errors
+from .series import SPECTRAL_TAIL_TOL, SeriesDecomposition, project_faber, uniform_errors
 from .surface import SurfaceSpec
 
 
@@ -206,6 +206,8 @@ def run_experiment(config: ExperimentConfig):
             "gram_condition": _num(dec.gram_condition),
             "regularized": bool(dec.regularized),
             "consistency": _num(dec.consistency),
+            "pairing_nodes": dec.pairing_nodes,
+            "spectral_tail": {"value": _num(dec.spectral_tail), "limit": SPECTRAL_TAIL_TOL},
         },
         "checks": [_check_entry(res) for res in results],
         "numerical_failures": numerical_failures,

@@ -15,13 +15,30 @@ contour sums and (torus) lattice periods. Every form that reaches the
 pairing has zero cap periods by construction, and the pairing data's
 mean guard (no periodic antiderivative otherwise) enforces that numerically.
 
-All three stages read the target on the same fixed node sets: each
-cap's circles at the measuring radii 0.95 and 1 in its disk chart and,
-on the torus, the a and b lattice cycles. The target is evaluated once
-per solve, on all of them concatenated; epsilon comes from the periods
+All three stages read the target on the same node sets: each cap's
+circles at the measuring radii 0.95 and 1 in its disk chart and, on the
+torus, the a and b lattice cycles. The target is evaluated once per node
+count tried, on all of them concatenated; epsilon comes from the periods
 on the two circles, the remainder's samples are the target's minus
 those of the pole-difference and holomorphic forms, and c, d and the
 remainder's pairing data are read from the remainder's samples.
+
+The circles' node count N is measured, not assumed. The Parseval read
+of the pairing and the trapezoid periods are exact once N exceeds twice
+the data's bandwidth (Trefethen & Weideman, SIAM Rev. 56, 2014), so
+``project_faber`` starts at the smallest of ``schiffer.NODE_COUNTS`` that
+is at least 4M and doubles N while, on any cap's radius-1 circle, any
+column of the pairing data (the target's, the remainder's and each basis
+form's) has Fourier content c_k = ghat_k / N in the band
+3N/8 <= |k| < N/2 above SPECTRAL_TAIL_TOL = 1e-12 times max(1, that
+column's largest |c_k| on any circle). Data still unresolved at 1024
+nodes raise NumericalError. The periods on the 0.95 circles are left to
+RADIUS_GAP_TOL, which compares them with the radius-1 reads; below the
+last count an unresolved target moves up before that guard reads it,
+so a pole target as deep as |eta| = 0.899 in its disk chart is still
+read, at 1024 nodes. The shipped configs take 64 (``torus_two_caps``,
+``sphere_identity``) and 256 (``sphere_joukowski``, M = 40) nodes; two
+unit disks 0.1 apart take 512.
 """
 
 from __future__ import annotations
@@ -38,6 +55,7 @@ from .numerics import (
     least_squares,
     row_slices,
 )
+from .schiffer import NODE_COUNTS
 from .surface import (
     CYCLE_NODES,
     OneForm,
@@ -55,7 +73,11 @@ DEFAULT_CHECKPOINTS = (5, 10, 20, 40)
 # Radii of the two circles around each cap that the boundary coefficients
 # are measured on.
 MEASURING_RADII = (0.95, 1.0)
-BOUNDARY_NODES = 512  # trapezoid nodes on each measuring circle
+BOUNDARY_NODES = 512  # trapezoid nodes on each measuring circle of the standalone wrappers
+# Largest Fourier content in the band 3N/8 <= |k| < N/2 of a column of
+# pairing data on a circle, relative to max(1, the column's largest |c_k|
+# on any circle), that an N-node pairing accepts
+SPECTRAL_TAIL_TOL = 1e-12
 RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circles
 BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
 
@@ -83,6 +105,9 @@ class SeriesDecomposition:
     (zero in exact arithmetic since residues sum to zero). h[m-1, k] is
     the coefficient of the order-m form on cap k. ``checkpoints`` stores
     the sub-solve coefficient matrices behind ``residual_history``.
+    ``pairing_nodes`` is the node count of the measuring circles and
+    ``spectral_tail`` the largest band content the solve measured on
+    them, which SPECTRAL_TAIL_TOL bounds.
     """
 
     epsilon: np.ndarray
@@ -94,6 +119,8 @@ class SeriesDecomposition:
     gram_condition: float
     regularized: bool
     consistency: float
+    pairing_nodes: int
+    spectral_tail: float
     checkpoints: tuple = ()
 
 
@@ -122,11 +149,30 @@ class PairingData:
         return PairingData(self.ghat[..., :p] @ x, self.a[:p] @ x, self.b[:p] @ x)
 
 
-# weights 2 pi / (N^2 k) of the frequencies k of np.fft.fftfreq(N, 1/N) (Nyquist
-# -N/2), 0 at k = 0; built in Python, since numpy calls at import fault in
-# pages of numpy's code (numpy.fft, other ufunc loops) before a run needs them
-_WEIGHTS = np.array([TWO_PI / BOUNDARY_NODES**2 / k if k else 0.0
-                     for k in (*range(BOUNDARY_NODES // 2), *range(-BOUNDARY_NODES // 2, 0))])
+def _parseval_weights(n: int) -> np.ndarray:
+    # weights 2 pi / (n^2 k) of the frequencies k of np.fft.fftfreq(n, 1/n)
+    # (Nyquist -n/2), 0 at k = 0
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[0] = np.inf
+    return TWO_PI / n**2 / k
+
+
+def _spectral_tail(ghat) -> np.ndarray:
+    """Per circle, the largest over the columns of ghat (circles, N,
+    stack...) of max |c_k| over the band 3N/8 <= |k| < N/2, divided by
+    max(1, the column's largest |c_k| on any circle), where c_k = ghat_k / N;
+    in row slices of columns."""
+    n_circles, n = ghat.shape[:2]
+    g = ghat.reshape(n_circles, n, -1)
+    lo, hi = 3 * n // 8, n // 2
+    tail = np.zeros(n_circles)
+    for cols in row_slices(g.shape[2], n_circles * n):
+        c = np.abs(g[..., cols]) / n
+        # |k| in [lo, hi): indices lo..hi-1 and, for k < 0, n-hi+1..n-lo
+        band = np.maximum(np.max(c[:, lo:hi], axis=1), np.max(c[:, n - hi + 1:n - lo + 1], axis=1))
+        ratio = band / np.maximum(1.0, np.max(c, axis=(0, 1)))
+        tail = np.maximum(tail, np.max(ratio, axis=1, initial=0.0))
+    return tail
 
 
 def _require_dz(form: OneForm):
@@ -142,18 +188,20 @@ class ExteriorPairing:
     of its boundary samples, transformed in place; pairing two stacks is
     a Parseval sum, one matrix product per row slice of frequencies.
 
-    ``circles`` are the radius-1 boundary cycles of the caps and
+    ``circles`` are the n-node radius-1 boundary cycles of the caps and
     ``cycles`` the a and b lattice cycles (empty on the sphere); ``nodes``
     holds their nodes in that order, the one node array every pairing
     datum is sampled on.
     """
 
-    def __init__(self, surface: SurfaceSpec):
+    def __init__(self, surface: SurfaceSpec, n: int):
         self.surface = surface
-        self.circles = tuple(boundary_cycle(surface, k, radius=1.0, n=BOUNDARY_NODES)
+        self.n = n
+        self.circles = tuple(boundary_cycle(surface, k, radius=1.0, n=n)
                              for k in range(surface.n_caps))
-        zeta = np.exp(1j * (TWO_PI * np.arange(BOUNDARY_NODES) / BOUNDARY_NODES))
+        zeta = np.exp(1j * (TWO_PI * np.arange(n) / n))
         self._dw = np.array([f.derivative(zeta) * 1j * zeta for f in surface.caps])
+        self._weights = _parseval_weights(n)
         self.cycles = ((a_cycle(surface, n=CYCLE_NODES), b_cycle(surface, n=CYCLE_NODES))
                        if surface.genus == 1 else ())
         self.nodes = np.concatenate([c.nodes for c in self.circles + self.cycles])
@@ -183,7 +231,7 @@ class ExteriorPairing:
         periodic antiderivative."""
         require_finite(vals, self.circles + self.cycles)
         n_caps, stack = len(self._dw), vals.shape[1:]
-        ghat = vals[:n_caps * BOUNDARY_NODES].reshape((n_caps, BOUNDARY_NODES) + stack)
+        ghat = vals[:n_caps * self.n].reshape((n_caps, self.n) + stack)
         ghat *= self._dw.reshape(self._dw.shape + (1,) * len(stack))
         # g to its DFT along the nodes in place, a row slice of columns at a
         # time (np.fft.fft has no out= before numpy 2.0)
@@ -191,7 +239,7 @@ class ExteriorPairing:
         for cols in row_slices(g.shape[2], g.shape[0] * g.shape[1]):
             scale = np.maximum(1.0, np.max(np.abs(g[..., cols]), axis=1))
             g[..., cols] = np.fft.fft(g[..., cols], axis=1)
-            mean = g[:, 0, cols] / BOUNDARY_NODES
+            mean = g[:, 0, cols] / self.n
             bad = np.abs(mean) > 1e-7 * scale
             if np.any(bad):
                 raise NumericalError(f"samples have nonzero mean {mean[bad][0]:.3e}; "
@@ -207,7 +255,7 @@ class ExteriorPairing:
         Stokes sum (2 pi i / N) sum_j F1_j conj(g2_j), F1 the zero-mean
         periodic antiderivative of g1, is by Parseval the sum over k != 0
         of 2 pi ghat1_k conj(ghat2_k) / (N^2 k), per circle in row slices."""
-        boundary = _boundary_sum(d1.ghat, d2.ghat)
+        boundary = _boundary_sum(d1.ghat, d2.ghat, self._weights)
         val = 1j * (np.multiply.outer(d1.a, np.conj(d2.b))
                     - np.multiply.outer(d1.b, np.conj(d2.a))) - boundary
         return complex(val) if np.ndim(val) == 0 else val
@@ -218,21 +266,22 @@ class ExteriorPairing:
         return float(np.sqrt(abs(self.inner(d, d).real)))
 
 
-def _boundary_sum(ghat1, ghat2) -> np.ndarray:
+def _boundary_sum(ghat1, ghat2, weights) -> np.ndarray:
     # sum over circles and frequencies k of 2 pi ghat1_k conj(ghat2_k) / (N^2 k),
-    # over every pair of columns of the two stacks, in row slices of
-    # frequencies; the weighted and conjugated factors of the slices go into
-    # buffers allocated once, which are freed before the caller goes on
+    # the N weights given, over every pair of columns of the two stacks, in
+    # row slices of frequencies; the weighted and conjugated factors of the
+    # slices go into buffers allocated once, which are freed before the
+    # caller goes on
     shape = ghat1.shape[2:] + ghat2.shape[2:]
     ghat1, ghat2 = (g.reshape(g.shape[:2] + (-1,)) for g in (ghat1, ghat2))
     p, q = ghat1.shape[2], ghat2.shape[2]
     total, prod = np.zeros((p, q), dtype=complex), np.empty((p, q), dtype=complex)
-    rows0 = next(row_slices(BOUNDARY_NODES, max(p, q))).stop
+    rows0 = next(row_slices(weights.size, max(p, q))).stop
     wg1, cg2 = np.empty((rows0, p), dtype=complex), np.empty((rows0, q), dtype=complex)
     for g1, g2 in zip(ghat1, ghat2):
-        for rows in row_slices(BOUNDARY_NODES, max(p, q)):
+        for rows in row_slices(weights.size, max(p, q)):
             r = rows.stop - rows.start
-            np.multiply(_WEIGHTS[rows, None], g1[rows], out=wg1[:r])
+            np.multiply(weights[rows, None], g1[rows], out=wg1[:r])
             total += np.dot(wg1[:r].T, np.conj(g2[rows], out=cg2[:r]), out=prod)
     return total.reshape(shape)
 
@@ -298,9 +347,9 @@ def cycle_coefficients(form: OneForm, surface: SurfaceSpec) -> tuple:
     holomorphic coefficient; d collects whatever conjugate-type period
     mass the input carries (the cap basis forms are all of that type) and
     is returned for diagnostics. Sphere surfaces return empty vectors.
-    Both are read on the node sets of ``ExteriorPairing``.
+    Both are read on the node sets of a BOUNDARY_NODES-node ``ExteriorPairing``.
     """
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     cycles = pairing.circles + pairing.cycles
     periods = _periods(cycles, sample(form, cycles), form.conjugate)
     _check_boundary_free(periods[:surface.n_caps])
@@ -343,33 +392,73 @@ def _subtract(vals, terms, nodes) -> np.ndarray:
     return vals
 
 
-def _split_target(form: OneForm, pairing: ExteriorPairing) -> tuple:
+def _split_target(form: OneForm, pairing: ExteriorPairing,
+                  stop_unresolved: bool = False) -> tuple:
     """The first two stages of the decomposition from one evaluation of
-    the target: (epsilon, c, d, pairing data of the remainder rho).
+    the target: (epsilon, c, d, pairing data of the remainder rho, tails).
 
     The target is sampled on each cap's circle at the inner measuring
     radius, followed by the pairing's ``nodes`` (the radius-1 circles
     and, on the torus, the a and b cycles). The remainder's samples are
     the target's minus those of the pole-difference and holomorphic
     forms, each evaluated once on ``nodes``.
+
+    tails[k] is the band content (``_spectral_tail``) of the target's and
+    the remainder's data on cap k's radius-1 circle. With
+    ``stop_unresolved``, a target whose data there exceed
+    SPECTRAL_TAIL_TOL is split no further: its guards would judge
+    unresolved samples, so (None, None, None, None, tails) is returned.
     """
     _require_dz(form)
     surface = pairing.surface
     r1, r2 = MEASURING_RADII  # r2 = 1: the outer circles are the pairing's
     _check_poles_clear(form, surface, r1)
-    inner = tuple(boundary_cycle(surface, k, radius=r1, n=BOUNDARY_NODES)
+    inner = tuple(boundary_cycle(surface, k, radius=r1, n=pairing.n)
                   for k in range(surface.n_caps))
-    n, cycles = surface.n_caps, pairing.circles + pairing.cycles
+    n, N, cycles = surface.n_caps, pairing.n, pairing.circles + pairing.cycles
     vals = sample(form, inner + cycles)
-    periods = _periods(inner + pairing.circles, vals[:2 * n * BOUNDARY_NODES])
+    tails = _spectral_tail(np.fft.fft(vals[n * N:2 * n * N].reshape(n, N) * pairing._dw, axis=1))
+    if stop_unresolved and np.max(tails) > SPECTRAL_TAIL_TOL:
+        return None, None, None, None, tails
+    periods = _periods(inner + pairing.circles, vals[:2 * n * N])
     eps = _boundary_coefficients(periods[:n], periods[n:], r1, r2)
-    rho = _subtract(vals[n * BOUNDARY_NODES:], closed_terms(surface, eps, np.zeros(surface.genus)),
+    rho = _subtract(vals[n * N:], closed_terms(surface, eps, np.zeros(surface.genus)),
                     pairing.nodes)
     periods = _periods(cycles, rho)
     _check_boundary_free(periods[:n])
     c_vec, d_vec = _cycle_split(surface, periods[n:])
     rho = _subtract(rho, closed_terms(surface, np.zeros(n - 1), c_vec), pairing.nodes)
-    return eps, c_vec, d_vec, pairing._pack(rho)
+    rho_data = pairing._pack(rho)
+    return eps, c_vec, d_vec, rho_data, np.maximum(tails, _spectral_tail(rho_data.ghat))
+
+
+def _resolved_split(form: OneForm, surface: SurfaceSpec, M: int) -> tuple:
+    """(pairing, epsilon, c, d, remainder data, basis data, spectral tail)
+    on the first node count of the ladder whose circles resolve the data.
+
+    The ladder is the entries of NODE_COUNTS from the smallest that is at
+    least 4M (the last alone when none is). At each count the target is split and, once its data pass
+    SPECTRAL_TAIL_TOL, the order-1..M basis of every cap is read; the
+    count is accepted when those pass too. Below the last count an
+    unresolved target goes to the next count before the split's guards
+    read it; at the last count the guards speak first, and then data that
+    are still unresolved raise NumericalError naming the count, the
+    circle and the figure.
+    """
+    ladder = [n for n in NODE_COUNTS if n >= 4 * M] or list(NODE_COUNTS[-1:])
+    for count in ladder:
+        pairing = ExteriorPairing(surface, count)
+        eps, c_vec, d_vec, rho_data, tails = _split_target(
+            form, pairing, stop_unresolved=count != ladder[-1])
+        if np.max(tails) <= SPECTRAL_TAIL_TOL:
+            data = pairing.alpha_data(M)
+            tails = np.maximum(tails, _spectral_tail(data.ghat))
+            if np.max(tails) <= SPECTRAL_TAIL_TOL:
+                return pairing, eps, c_vec, d_vec, rho_data, data, float(np.max(tails))
+    raise NumericalError(
+        f"{count}-node pairing circles do not resolve the data: Fourier tail "
+        f"{np.max(tails):.3e} on the radius-1 circle of cap {int(np.argmax(tails))}, "
+        f"above {SPECTRAL_TAIL_TOL:.0e}")
 
 
 def project_faber(target, surface: SurfaceSpec, M: int,
@@ -377,22 +466,32 @@ def project_faber(target, surface: SurfaceSpec, M: int,
                   checkpoints=DEFAULT_CHECKPOINTS) -> SeriesDecomposition:
     """Full decomposition of a target at truncation order M.
 
-    The target is evaluated once, on every fixed node set at once: each
-    cap's BOUNDARY_NODES-node circles at the radii 0.95 and 1 and, on the
+    The target is evaluated once per node count tried, on every node set
+    at once: each cap's N-node circles at the radii 0.95 and 1 and, on the
     torus, the CYCLE_NODES-node a and b cycles, whose nodes are the points
     at which the cycle-base search measured their clearance from the caps.
     Every one of these cycles carries the trapezoid rule. Boundary and
     lattice coefficients come from those samples, and so do the pairing
     data of the remainder; the remainder is projected onto the
-    order-(1..M) basis of every cap by Gram least squares. The L2 residual is recorded at each
-    checkpoint order and must not increase with M.
+    order-(1..M) basis of every cap by Gram least squares. The L2 residual
+    is recorded at each checkpoint order and must not increase with M.
+
+    N is measured (``_resolved_split``): it starts at the smallest entry of
+    NODE_COUNTS (64, 128, ..., 1024) that is at least 4M and doubles while,
+    on any cap's radius-1 circle, any column of the target's, the
+    remainder's or the basis forms' data has Fourier content c_k in the
+    band 3N/8 <= |k| < N/2 above SPECTRAL_TAIL_TOL = 1e-12 times max(1, the
+    column's largest |c_k| on any circle); past 1024 it raises
+    NumericalError. The benchmark's inputs take 64 (torus-solve), 128
+    (torus-verify, after one 64-node try) and 256 (sphere-multicap,
+    M = 40); the count and the largest band content measured at it are
+    reported as ``pairing_nodes`` and ``spectral_tail``.
     """
     if M < 1:
         raise ValidationError(f"truncation order must be >= 1, got {M}")
     n = surface.n_caps
-    pairing = ExteriorPairing(surface)
-    eps, c_vec, d_vec, rho_data = _split_target(getattr(target, "form", target), pairing)
-    data = pairing.alpha_data(M)
+    pairing, eps, c_vec, d_vec, rho_data, data, tail = _resolved_split(
+        getattr(target, "form", target), surface, M)
     # gram[i, j] = <form_j, form_i> and rhs[i] = <rho, form_i>
     gram = pairing.inner(data, data).T
     rhs = pairing.inner(rho_data, data)
@@ -423,6 +522,8 @@ def project_faber(target, surface: SurfaceSpec, M: int,
         gram_condition=float(sol.condition),
         regularized=bool(sol.regularized),
         consistency=float(abs(np.sum(eps))),
+        pairing_nodes=pairing.n,
+        spectral_tail=tail,
         checkpoints=tuple(stored),
     )
 

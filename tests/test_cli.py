@@ -40,6 +40,20 @@ def test_report_round_trip(tmp_path):
     h1 = on_disk["decomposition"]  # noqa: F841  (round trip is the assertion)
 
 
+@pytest.mark.parametrize("name, nodes", [("sphere_identity", 64), ("sphere_joukowski", 256),
+                                         ("torus_two_caps", 64)])
+def test_report_shows_the_pairing_node_count_and_its_spectral_tail(tmp_path, name, nodes):
+    # every passing shipped config reports the node count its measuring
+    # circles took and the band content measured there, beside its limit
+    assert main(["run", cfg(f"{name}.cfg"), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json", "r", encoding="utf-8") as fh:
+        dec = json.load(fh)["decomposition"]
+    assert dec["pairing_nodes"] == nodes
+    tail = dec["spectral_tail"]
+    assert tail["limit"] == 1e-12
+    assert 0.0 < tail["value"] <= tail["limit"]
+
+
 def test_csv_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", cfg("sphere_identity.cfg"), "--out-dir", str(d1)]) == 0

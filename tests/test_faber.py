@@ -188,10 +188,14 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
             want, want_head = principal_part(surface, faber_form(surface, k, m))
             assert tail.order == want.order == max(8, m + 4)
             got, ref = np.array(tail.coefficients), np.array(want.coefficients)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
-            # head coefficient j is a Fourier mode divided by rho^j
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+            # head coefficient j is a Fourier mode divided by rho^j, read from
+            # the same samples as the tail, so it carries roundoff of the
+            # tail's scale (order m's coefficient m); worst measured 8.1e-14,
+            # 1.4e-14 of the scale (cap 1, m = 6)
             gap = np.abs(head.coefficients - want_head.coefficients)
-            assert np.max(gap * 0.5 ** np.arange(gap.size)) <= 1e-13
+            assert np.max(gap * 0.5 ** np.arange(gap.size)) <= 1e-13 * scale
             worst = max(worst, abs(ref[m] - m), float(np.max(np.abs(ref[m + 1:]))))
     assert res.passed and res.threshold == 1e-7
     assert abs(res.value - worst) <= 1e-13

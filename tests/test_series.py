@@ -85,7 +85,7 @@ class _InversionChart:
 
 def test_pairing_identity_cap_gram_is_diagonal():
     surface = identity_cap_sphere()
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     data = [pairing.data(faber_form(surface, 0, m).form) for m in range(1, 6)]
     for i, di in enumerate(data, start=1):
         for j, dj in enumerate(data, start=1):
@@ -109,7 +109,7 @@ def test_one_cap_sphere_gram_is_the_closed_form(cap, a):
     # offset (an affine cap is a = 0); M = 64 reads radius steps 1 to 5.
     # Worst measured: 5.5e-15 relative on the diagonal (a = 0.8) and
     # 8.4e-14 of sqrt(G_ii G_jj) off it
-    pairing = ExteriorPairing(SurfaceSpec.sphere(CapFamily([cap])))
+    pairing = ExteriorPairing(SurfaceSpec.sphere(CapFamily([cap])), BOUNDARY_NODES)
     data = pairing.alpha_data(64)
     gram = pairing.inner(data, data).T
     m = np.arange(1, 65)
@@ -168,6 +168,64 @@ def test_two_cap_sphere_pole_column_is_the_closed_form():
         assert np.max(np.abs(h[:, 1 - k])) <= 1e-13
 
 
+@pytest.mark.parametrize("name, nodes", [("torus_two_caps", 64), ("sphere_joukowski", 256)])
+def test_project_picks_the_node_count_and_matches_a_512_node_pairing(name, nodes, monkeypatch):
+    # the measured count, against a pairing forced to the old fixed 512
+    # nodes; worst measured deviation 3.0e-15 (sphere_joukowski)
+    config = parse_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
+    dec = project_faber(config.target, config.surface, config.M)
+    assert dec.pairing_nodes == nodes
+    assert 0.0 < dec.spectral_tail <= series.SPECTRAL_TAIL_TOL
+    monkeypatch.setattr(series, "NODE_COUNTS", (512,))
+    fixed = project_faber(config.target, config.surface, config.M)
+    assert fixed.pairing_nodes == 512
+    assert max(coefficient_deviations(dec, fixed).values()) <= 1e-13
+
+
+@pytest.mark.parametrize("gap, nodes", [(1.0, 256), (0.1, 512), (0.03, 512)])
+def test_two_close_disks_take_more_nodes_and_keep_the_pole_column(gap, nodes):
+    # two unit disks: the other disk's basis forms reach further into the
+    # band on each circle as the gap closes. M = 40 starts at 256 nodes.
+    # The pole target's column stays the closed form s eta^(m-1) / f'(eta)
+    # and the other column 0; worst measured 9.8e-15 on the column and
+    # 5.6e-15 on the other (gap 0.03)
+    surface = SurfaceSpec.sphere(CapFamily([AffineMap(1.0), AffineMap(1.0, offset=2.0 + gap)]))
+    for cap in (0, 1):
+        target = build_target(surface, "pole", cap=cap, eta=0.3)
+        k, h_column = target.known["h_column"]
+        dec = project_faber(target, surface, 40)
+        assert dec.pairing_nodes == nodes
+        want = np.array([h_column(m) for m in range(1, 41)])
+        assert np.max(np.abs(dec.h[:, k] - want)) <= 1e-13
+        assert np.max(np.abs(dec.h[:, 1 - k])) <= 1e-13
+
+
+def test_a_deep_pole_target_moves_up_the_ladder_before_the_radius_guard_reads_it():
+    # at eta = 0.85 the 64-node periods on the 0.95 circle alias far past
+    # RADIUS_GAP_TOL; the target goes up a count before that guard reads
+    # them, and its radius-1 data are resolved at 1024. One cap's Gram is
+    # diagonal, so the M = 5 column is the closed form; worst measured
+    # 1.1e-15
+    surface = joukowski_sphere()
+    target = build_target(surface, "pole", cap=0, eta=0.85)
+    _k, h_column = target.known["h_column"]
+    dec = project_faber(target, surface, 5)
+    assert dec.pairing_nodes == 1024
+    want = np.array([h_column(m) for m in range(1, 6)])
+    assert np.max(np.abs(dec.h[:, 0] - want)) <= 1e-13
+
+
+def test_project_refuses_data_the_last_node_count_leaves_unresolved(monkeypatch):
+    # with a one-entry ladder, sphere_joukowski's pole target at M = 40
+    # keeps 2e-5 of its largest coefficient in the band on 64 nodes
+    config = parse_config(os.path.join(ROOT, "configs", "sphere_joukowski.cfg"))
+    monkeypatch.setattr(series, "NODE_COUNTS", (64,))
+    with pytest.raises(NumericalError) as err:
+        project_faber(config.target, config.surface, 40)
+    assert str(err.value) == ("64-node pairing circles do not resolve the data: Fourier tail "
+                              "2.035e-05 on the radius-1 circle of cap 0, above 1e-12")
+
+
 def test_lattice_periods_match_a_1024_node_trapezoid_read():
     # every form read over the lattice cycles is elliptic, so the
     # CYCLE_NODES-node trapezoid rule converges geometrically: its periods
@@ -191,7 +249,7 @@ def test_lattice_periods_match_a_1024_node_trapezoid_read():
     assert got.shape == (2, 9)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
     # the default cycles are this rule
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     for cycle, t in zip(pairing.cycles, (1.0, surface.tau)):
         assert np.array_equal(cycle.nodes, base + np.arange(CYCLE_NODES) / CYCLE_NODES * t)
         assert np.array_equal(cycle.weights, np.full(CYCLE_NODES, t / CYCLE_NODES))
@@ -201,7 +259,7 @@ def test_pairing_matches_area_quadrature():
     # independent route: exterior L2 norm computed as a genuine area
     # integral in the 1/z chart
     surface = identity_cap_sphere()
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     for m, j in ((1, 1), (2, 2), (1, 2), (3, 2)):
         fm = faber_form(surface, 0, m).form
         fj = faber_form(surface, 0, j).form
@@ -233,7 +291,7 @@ def test_gram_by_products_matches_inner_double_loop():
     assert np.max(np.abs(F - (want - want.mean()))) < 1e-13
     config = parse_config(os.path.join(ROOT, "configs", "sphere_joukowski.cfg"))
     surface, M = config.surface, config.M
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     stacked = pairing.alpha_data(M)
     gram = pairing.inner(stacked, stacked).T
     zeta = np.exp(1j * theta)
@@ -250,7 +308,7 @@ def test_gram_by_products_matches_inner_double_loop():
 
 def test_stacked_residual_matches_sequential_subtraction():
     surface = torus_two_caps()
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     data = pairing.alpha_data(3)
     target = build_target(surface, "combination", epsilon=[0.0], c=[0.7],
                           h={(1, 0): 0.5, (2, 1): -0.2j})
@@ -282,7 +340,7 @@ def test_block_budget_does_not_change_the_gram(budget, monkeypatch):
     # (at the default budget, 21 columns and two slices a circle, for 120
     # forms on three circles)
     surface = multicap_sphere()
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     data = pairing.alpha_data(40)
     rho = pairing.data(build_target(surface, "pole", cap=0, eta=0.55).form)
     assert BOUNDARY_NODES > numerics.BLOCK_ENTRIES // 120
@@ -297,8 +355,9 @@ def test_block_budget_does_not_change_the_gram(budget, monkeypatch):
 
 def test_project_faber_keeps_its_pairing_data_small():
     # sphere-multicap's shape at M = 40: the basis data are one stack of
-    # boundary DFTs, 3 x 512 x 120 complex (2.9 MB), with no antiderivative
-    # stack beside it, and the products go in row slices
+    # boundary DFTs on the 256 nodes the circles take, 3 x 256 x 120
+    # complex (1.5 MB), with no antiderivative stack beside it, and the
+    # products go in row slices
     surface = multicap_sphere()
     target = build_target(surface, "pole", cap=0, eta=0.55)
     tracemalloc.start()
@@ -307,13 +366,13 @@ def test_project_faber_keeps_its_pairing_data_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dec.h.shape == (40, 3)
-    assert peak < 7e6
+    assert dec.h.shape == (40, 3) and dec.pairing_nodes == 256
+    assert peak < 5e6
 
 
 def test_pairing_torus_gamma_norm():
     surface = torus_two_caps()
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     d = pairing.data(gamma_basis(surface)[0])
     want = 2.0 * (TAU.imag - 2.0 * np.pi * 0.11**2)
     assert abs(pairing.inner(d, d) - want) < 1e-10
@@ -321,7 +380,7 @@ def test_pairing_torus_gamma_norm():
 
 def test_pairing_rejects_unsuitable_forms():
     surface = torus_two_caps()
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     conj_gamma = OneForm(lambda z: np.ones(np.shape(z), dtype=complex), conjugate=True)
     with pytest.raises(ValidationError, match="dz-type"):
         pairing.data(conj_gamma)
@@ -337,7 +396,7 @@ def test_pairing_data_rejects_nonzero_mean():
     # g = (1/z) i z = i on the unit circle
     with pytest.raises(NumericalError, match=r"samples have nonzero mean \S+\+1\.000e\+00j; "
                                              "no periodic antiderivative"):
-        ExteriorPairing(surface).data(pole)
+        ExteriorPairing(surface, BOUNDARY_NODES).data(pole)
 
 
 def test_boundary_coefficients_of_beta():
@@ -660,8 +719,10 @@ def test_project_refuses_a_residual_that_rises_with_the_order(monkeypatch):
     # remainder, above the order-2 residual
     surface = identity_cap_sphere()
     target = build_target(surface, "basis", k=0, m=1)
-    r2 = project_faber(target, surface, M=2, checkpoints=()).residual_history[-1][1]
-    pairing = ExteriorPairing(surface)
+    dec = project_faber(target, surface, M=2, checkpoints=())
+    r2 = dec.residual_history[-1][1]
+    # the remainder's norm on the pairing the solve picked (64 nodes at M = 2 and 3)
+    pairing = ExteriorPairing(surface, dec.pairing_nodes)
     rho = pairing.norm(_split_target(target.form, pairing)[3])
 
     def zero_at_the_top(gram, rhs, condition_limit):
@@ -705,19 +766,23 @@ def _counting(form):
 
 
 def test_project_samples_the_target_once_per_solve():
-    # one evaluation on every cap's circles at radii 0.95 and 1 (512 nodes
-    # each), then on the torus the a and b cycles (64 nodes each)
+    # one evaluation per node count tried, on every cap's circles at radii
+    # 0.95 and 1 (N nodes each), then on the torus the a and b cycles
+    # (CYCLE_NODES each); the two pole targets are unresolved on the 0.95
+    # circles at 64 and 128 nodes, so they are read at 64, 128 and 256
     torus, sphere = torus_two_caps(), two_cap_sphere()
     cases = (
-        (torus, build_target(torus, "combination", seed=3, order=2), [4 * 512 + 2 * 64]),
-        (sphere, build_target(sphere, "pole", cap=1, eta=0.3), [4 * 512]),
+        (torus, build_target(torus, "combination", seed=3, order=2), [64]),
+        (sphere, build_target(sphere, "pole", cap=1, eta=0.3), [64, 128, 256]),
         (joukowski_sphere(), build_target(joukowski_sphere(), "pole", cap=0, eta=0.55),
-         [2 * 512]),
+         [64, 128, 256]),
     )
-    for surface, target, want in cases:
+    for surface, target, counts in cases:
         form, sizes = _counting(target.form)
         dec = project_faber(TargetForm(form), surface, M=3, checkpoints=())
-        assert sizes == want
+        assert sizes == [2 * surface.n_caps * n + 2 * surface.genus * CYCLE_NODES
+                         for n in counts]
+        assert dec.pairing_nodes == counts[-1]
         ref = project_faber(target, surface, M=3, checkpoints=())
         assert np.array_equal(dec.h, ref.h)
 
@@ -726,7 +791,6 @@ def test_project_reads_each_cap_once_for_the_target_and_once_for_the_basis(monke
     # the combination target of orders 1..6 and the basis of orders 1..10
     # each take one contour read per cap, on every node set at once
     config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
-    pairing_nodes = ExteriorPairing(config.surface).nodes.size
     calls = []
     contour = faber.schiffer_contour
 
@@ -735,8 +799,11 @@ def test_project_reads_each_cap_once_for_the_target_and_once_for_the_basis(monke
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
-    project_faber(config.target, config.surface, config.M)
-    target_nodes = pairing_nodes + 2 * BOUNDARY_NODES
+    n = project_faber(config.target, config.surface, config.M).pairing_nodes
+    # the chosen pairing's nodes: two N-node circles and the two cycles
+    pairing_nodes = ExteriorPairing(config.surface, n).nodes.size
+    assert pairing_nodes == 2 * n + 2 * CYCLE_NODES
+    target_nodes = pairing_nodes + 2 * n
     assert calls == [(0, list(range(1, 7)), target_nodes), (1, list(range(1, 7)), target_nodes),
                      (0, list(range(1, 11)), pairing_nodes),
                      (1, list(range(1, 11)), pairing_nodes)]
@@ -752,13 +819,13 @@ def _wrapper_path(target, surface):
     c, d = cycle_coefficients(rho, surface)
     if surface.genus == 1:
         rho = OneForm.combine([(1.0, rho), (-c[0], gamma_basis(surface)[0])])
-    return eps, c, d, ExteriorPairing(surface).data(rho)
+    return eps, c, d, ExteriorPairing(surface, BOUNDARY_NODES).data(rho)
 
 
 @pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
 def test_sampled_split_matches_the_wrapper_path(name):
     config = parse_config(os.path.join(ROOT, "configs", f"{name}.cfg"))
-    got = _split_target(config.target.form, ExteriorPairing(config.surface))
+    got = _split_target(config.target.form, ExteriorPairing(config.surface, BOUNDARY_NODES))
     want = _wrapper_path(config.target, config.surface)
     rho, rho_want = got[3], want[3]
     pairs = list(zip(got[:3], want[:3])) + [
@@ -798,7 +865,7 @@ def test_project_faber_raises_the_sampling_guards():
 def test_project_faber_names_the_cycle_a_sampling_guard_trips_on():
     config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
     surface, target = config.surface, config.target.form
-    pairing = ExteriorPairing(surface)
+    pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     # the a and b cycles share their first node, the base point, which the
     # a cycle's guard sees first; poison only the nodes of the b cycle alone
     a_nodes, b_nodes = (c.nodes for c in pairing.cycles)
@@ -821,14 +888,16 @@ def test_project_faber_names_the_cycle_a_sampling_guard_trips_on():
 
 def test_project_faber_refuses_basis_data_that_are_not_finite(monkeypatch):
     # a basis read that is not finite on the a cycle (the rows after the
-    # two radius-1 circles) is refused by the pairing data, naming the cycle;
-    # the pairing has each read write into its columns of the stack (out=)
+    # two radius-1 circles of the pairing's N nodes) is refused by the
+    # pairing data, naming the cycle; the pairing has each read write into
+    # its columns of the stack (out=)
     config = parse_config(os.path.join(ROOT, "configs", "torus_two_caps.cfg"))
     read = series.alpha_values
+    n = project_faber(config.target, config.surface, M=2).pairing_nodes
 
     def nan_on_a(surface, k, orders, z, out=None):
         vals = read(surface, k, orders, z, out=out)
-        vals[2 * BOUNDARY_NODES + 3, -1] = np.nan
+        vals[2 * n + 3, -1] = np.nan
         return vals
 
     monkeypatch.setattr(series, "alpha_values", nan_on_a)
