@@ -1,10 +1,10 @@
 """Area quadrature, series extraction, regularized least squares.
 
 Two discretizations live here: Gauss-Legendre-by-radius grids on the unit
-disk, and FFT reads of Taylor/Laurent coefficients from equispaced circle
-samples. So do numpy's polynomial evaluation and Gauss-Legendre rule, and
-numpy's ``default_rng`` uniform and normal draws, each computed here bit
-for bit so that no run loads numpy.polynomial or numpy.random.
+disk (the rule by Newton's iteration), and FFT reads of Taylor/Laurent
+coefficients from equispaced circle samples. So do numpy's ``polyval``,
+``polyder`` and ``default_rng`` uniform and normal draws, each computed
+here bit for bit so that no run loads numpy.polynomial or numpy.random.
 """
 
 from __future__ import annotations
@@ -105,61 +105,26 @@ def polyder(c) -> np.ndarray:
     return der
 
 
-def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """numpy's ``legval(x, c)`` for 1-D float ``x`` and ``c``: Clenshaw's
-    recurrence in numpy's order."""
-    if len(c) == 1:
-        return c[0] + 0 * x
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def _legder(c: np.ndarray) -> np.ndarray:
-    """numpy's ``legder(c)`` for float ``c`` of length 2 or more."""
-    c = c.copy()
-    n = len(c) - 1
-    der = np.empty(n)
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j - 1) * c[j]
-        c[j - 2] += c[j]
-    if n > 1:
-        der[1] = 3 * c[2]
-    der[0] = c[1]
-    return der
-
-
-def leggauss(n: int):
-    """``numpy.polynomial.legendre.leggauss(n)``, bit for bit: nodes and
-    weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    The nodes are the eigenvalues of the symmetric Legendre companion
-    matrix of P_n (numpy's ``legcompanion``, whose last-column term is zero
-    for a basis polynomial), refined by one Newton step; the weights are
-    1 / (P_(n-1) P_n') at the nodes, each factor scaled by its largest
-    modulus. Both are symmetrized, and the weights normalized to sum 2.
-    """
-    if n < 1:
-        raise ValidationError(f"a Gauss-Legendre rule needs at least one node, got {n}")
-    c = np.zeros(n + 1)
-    c[-1] = 1.0  # P_n in the Legendre basis
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    mat = np.zeros((n, n))
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    mat.reshape(-1)[1::n + 1] = off
-    mat.reshape(-1)[n::n + 1] = off
-    x = np.linalg.eigvalsh(mat)
-    dy, df = _legval(x, c), _legval(x, _legder(c))
-    x -= dy / df
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+def _gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], by Newton's iteration on P_n from Tricomi's guesses
+    cos(pi (k - 1/4) / (n + 1/2)) until no node moves by 1e-15; P_n and
+    P_n' come from the three-term recurrence, and the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the final nodes (Hale & Townsend, SIAM J.
+    Sci. Comput. 35, 2013)."""
+    # the nodes in [0, 1), ascending; the others are their mirror images
+    x, step = np.cos(np.pi * (np.arange((n + 1) // 2, 0, -1) - 0.25) / (n + 0.5)), np.inf
+    while True:
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        if np.max(np.abs(step)) < 1e-15:
+            w = 2 / ((1 - x * x) * dp * dp)
+            return (np.concatenate([-x[::-1], x[n % 2:]]),
+                    np.concatenate([w[::-1], w[n % 2:]]))
+        step = p1 / dp
+        x = x - step
 
 
 @dataclass(frozen=True)
@@ -180,9 +145,8 @@ class DiskGrid:
         if self.n_radial < 2 or self.n_angular < 4:
             raise ValidationError(f"grid too small: {self.n_radial} radial x "
                                   f"{self.n_angular} angular")
-        x, gw = leggauss(self.n_radial)
-        r = 0.5 * (x + 1.0)
-        wr = 0.5 * gw
+        x, gw = _gauss_legendre(self.n_radial)
+        r, wr = 0.5 * (x + 1.0), 0.5 * gw
         theta = TWO_PI * np.arange(self.n_angular) / self.n_angular
         nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
         weights = np.broadcast_to(

@@ -10,7 +10,6 @@ import sys
 import numpy as np
 import pytest
 
-from faberforms import numerics
 from faberforms.cli import main
 
 PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "faberforms")
@@ -158,10 +157,30 @@ def test_torus_solve_run_leaves_numpy_random_hashlib_and_polynomial_unloaded(tmp
                       ["numpy.random", "_hashlib", "numpy.polynomial"]) == "0 False False False"
 
 
-def test_torus_solve_run_never_calls_the_symmetric_eigensolver(tmp_path, monkeypatch):
-    # the lattice cycles carry the trapezoid rule, so a torus solve builds
-    # no Gauss-Legendre rule: LAPACK's symmetric eigensolver, whose code
-    # pages raised the solve's peak RSS by about 0.7 MB, never runs
+TORUS_VERIFY = """[surface]
+genus = 1
+tau = 0.3+1.1j
+
+[caps]
+lower = affine scale=0.11 offset=0.39+0.33j
+upper = joukowski-ellipse a=0.2 scale=0.1 offset=0.924+0.748j
+
+[target]
+family = basis
+k = 1
+m = 1
+
+[run]
+M = 1
+checks = pole-structure, harmonicity, q-independence, r0-independence, convergence
+seed = 5
+pole_orders = 1
+"""
+
+
+def _eigvalsh_calls(tmp_path, monkeypatch, text: str) -> list:
+    """Shapes of the matrices that a run of config ``text``, which must
+    pass, hands to ``np.linalg.eigvalsh``."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -171,11 +190,28 @@ def test_torus_solve_run_never_calls_the_symmetric_eigensolver(tmp_path, monkeyp
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     config = tmp_path / "run.cfg"
-    config.write_text(TORUS_SOLVE)
+    config.write_text(text)
     assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == []
-    numerics.leggauss(8)  # the spy sees the one caller
-    assert calls == [(8, 8)]
+    return calls
+
+
+def test_torus_solve_run_never_calls_the_symmetric_eigensolver(tmp_path, monkeypatch):
+    # the lattice cycles carry the trapezoid rule, so a torus solve builds
+    # no Gauss-Legendre rule: LAPACK's symmetric eigensolver, whose code
+    # pages raised the solve's peak RSS by about 0.7 MB, never runs
+    assert _eigvalsh_calls(tmp_path, monkeypatch, TORUS_SOLVE) == []
+
+
+@pytest.mark.parametrize("config", ["torus-verify", "sphere_joukowski.cfg"])
+def test_area_check_runs_never_call_the_symmetric_eigensolver(tmp_path, monkeypatch, config):
+    # the disk grids of the r0-independence check build their
+    # Gauss-Legendre rule by Newton's iteration, not by an eigen-solve
+    if config == "torus-verify":
+        text = TORUS_VERIFY
+    else:
+        with open(os.path.join(PACKAGE, "..", "..", "configs", config), encoding="utf-8") as fh:
+            text = fh.read()
+    assert _eigvalsh_calls(tmp_path, monkeypatch, text) == []
 
 
 def test_every_export_resolves_once():

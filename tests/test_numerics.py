@@ -9,10 +9,10 @@ from faberforms.numerics import (
     Pcg64Stream,
     PowerSeries,
     ValidationError,
+    _gauss_legendre,
     area_pairing,
     laurent_from_samples,
     least_squares,
-    leggauss,
     measured_area,
     polyder,
     polyval,
@@ -261,15 +261,40 @@ def test_a_long_normal_stream_matches_numpy_through_the_tail_and_wedge_branches(
     assert 0 in layers and any(layers)  # the tail test, and the wedge test
 
 
-def test_leggauss_is_numpys_bit_for_bit():
+def test_gauss_legendre_nodes_match_numpys():
     from numpy.polynomial import legendre
 
     for n in range(1, 257):
-        for got, want in zip(leggauss(n), legendre.leggauss(n)):
-            assert got.tobytes() == want.tobytes(), n
-    with pytest.raises(ValidationError,
-                       match=r"^a Gauss-Legendre rule needs at least one node, got 0$"):
-        leggauss(0)
+        x, w = _gauss_legendre(n)
+        assert np.max(np.abs(x - legendre.leggauss(n)[0])) <= 1e-15, n
+        assert np.array_equal(w, w[::-1]), n  # mirror nodes share a weight
+
+
+def test_gauss_legendre_integrates_every_power_below_2n():
+    for n in range(1, 257):
+        x, w = _gauss_legendre(n)
+        k = np.arange(2 * n)
+        powers = np.cumprod(np.vstack([np.ones(n), np.broadcast_to(x, (2 * n - 1, n))]), axis=0)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+        assert np.max(np.abs(powers @ w - exact)) <= 1e-14, n
+
+
+def test_gauss_legendre_weights_match_an_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+
+    def derivative(n, t):  # P_n(t) and P_n'(t)
+        pn = mpmath.legendre(n, t)
+        return pn, n * (t * pn - mpmath.legendre(n - 1, t)) / (t * t - 1)
+
+    with mpmath.workdps(40):
+        for n in (32, 72, 108, 243):
+            x, w = _gauss_legendre(n)
+            for xk, wk in zip(x[n // 2:], w[n // 2:]):  # the others mirror these
+                t = mpmath.mpf(xk)
+                pn, dp = derivative(n, t)
+                t -= pn / dp  # one Newton step from a double node: about 1e-32 off
+                dp = derivative(n, t)[1]
+                assert abs(float(wk * (1 - t * t) * dp * dp / 2) - 1) <= 1e-12, (n, xk)
 
 
 def test_polyval_and_polyder_are_numpys_bit_for_bit():

@@ -427,6 +427,37 @@ def test_boundary_coefficients_pole_guards():
         boundary_coefficients(hidden, surface)
 
 
+@pytest.mark.parametrize("radii", [(0.0, 1.0), (0.9, 0.9), (0.5, 1.2)])
+def test_boundary_coefficients_rejects_radii_out_of_order_or_range(radii):
+    form = OneForm(lambda z: np.ones(np.shape(z), dtype=complex))
+    with pytest.raises(ValidationError) as err:
+        boundary_coefficients(form, two_cap_sphere(), radii=radii)
+    assert str(err.value) == f"radii must satisfy 0 < r1 < r2 <= 1, got {radii}"
+
+
+def test_a_declared_pole_no_node_count_can_read_is_refused_by_name():
+    # a double pole at |eta| = 0.915 solves at 1024 nodes, its h column the
+    # closed form (one cap's Gram is diagonal; worst measured 1.3e-15);
+    # at 0.92 its radius-1 data would keep a Fourier tail above
+    # SPECTRAL_TAIL_TOL at every node count, so the validation refuses it
+    surface = joukowski_sphere()
+    f = surface.caps[0]
+
+    def double_pole(eta):
+        a = complex(f.evaluate(eta))
+        return OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - a) ** 2,
+                       poles=((a, 2),))
+
+    dec = project_faber(double_pole(0.915), surface, 10)
+    assert dec.pairing_nodes == 1024
+    want = np.array([0.915 ** (m - 1) / complex(f.derivative(0.915)) for m in range(1, 11)])
+    assert np.max(np.abs(dec.h[:, 0] - want)) <= 1e-14
+    with pytest.raises(ValidationError) as err:
+        project_faber(double_pole(0.92), surface, 10)
+    assert str(err.value) == ("pole at 1.16692+0j sits too close to the measuring circles "
+                              "of cap 0 (|preimage| = 0.9200, above 0.9195)")
+
+
 def test_cycle_coefficients_torus():
     surface = torus_two_caps()
     gamma = gamma_basis(surface)[0]
