@@ -111,16 +111,15 @@ def check_pole_structure(ctx) -> CheckResult:
 
 
 def _separation(surface: SurfaceSpec, w, marks):
-    """Smallest distance from each w to any marked point, over lattice
-    copies on the torus; a float for a scalar w."""
+    """Smallest distance from each w to any marked point; on the torus
+    from the lattice copies of w around the cell to the marks reduced into
+    it. A float for a scalar w."""
+    ww, marks = np.asarray(w, dtype=complex), np.array(marks, dtype=complex)
     if surface.genus == 1:
-        tau = surface.tau
-        shifts = [dx + dy * tau for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        ww, marks = surface._lattice_copies(ww), surface.reduce_to_cell(marks)
     else:
-        shifts = [0.0]
-    ww = np.asarray(w, dtype=complex)[..., None, None]
-    gaps = np.abs(ww + np.array(shifts, dtype=complex)[:, None] - np.array(marks, dtype=complex))
-    out = np.min(gaps, axis=(-2, -1))
+        ww = ww[None]
+    out = np.min(np.abs(ww[..., None] - marks), axis=(0, -1))
     return out if np.ndim(w) else float(out)
 
 
@@ -161,10 +160,8 @@ def _alternative_q(surface: SurfaceSpec) -> SurfaceSpec:
         candidates = [anchor + off for off in (3.1 + 2.3j, -2.9 + 3.3j, 2.7 - 3.1j)]
     for cand in candidates:
         try:
-            if surface.genus == 1:
-                return SurfaceSpec.torus(surface.tau, surface.caps, q=cand,
-                                         w0=surface.w0, margin=surface.margin)
-            return SurfaceSpec.sphere(surface.caps, q=cand, w0=surface.w0)
+            return SurfaceSpec(surface.genus, surface.caps, tau=surface.tau, q=cand,
+                               w0=surface.w0, margin=surface.margin)
         except ValidationError:
             continue
     raise NumericalError("no admissible alternative base point found")

@@ -20,10 +20,10 @@ import numpy as np
 from .checks import CHECKS
 from .conformal import CapFamily, make_map
 from .faber import PRINCIPAL_RADIUS
-from .numerics import ValidationError
+from .numerics import CONDITION_LIMIT, ValidationError
 from .schiffer import contour_radius, order_limit
-from .series import TargetForm
-from .surface import SurfaceSpec
+from .series import UNIFORM_MARGIN, TargetForm
+from .surface import CELL_MARGIN, SurfaceSpec
 from .targets import build_target
 
 CHECK_NAMES = tuple(CHECKS)
@@ -234,7 +234,7 @@ def parse_config(path: str) -> ExperimentConfig:
         if not np.isfinite(q):
             raise ConfigError(f"surface.q: must be finite or inf, got {s['q']!r}")
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
-    margin = _positive("surface", "margin", s.get("margin", "0.05"))
+    margin = _positive("surface", "margin", s.get("margin", str(CELL_MARGIN)))
     s.reject_unread()
     for key, value in (("tau", tau), ("w0", w0), ("margin", margin)):
         if value is not None and not np.isfinite(value):
@@ -292,7 +292,7 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("run.probe_center: set without run.probe_radius")
     output = _Block(parser, "output")
     translation_default = "0.5" if genus == 0 else "0.05"
-    margin_default = "0.1" if genus == 0 else "0.05"
+    margin_default = str(UNIFORM_MARGIN) if genus == 0 else "0.05"
     cfg = ExperimentConfig(
         surface=surface,
         target=target,
@@ -306,7 +306,8 @@ def parse_config(path: str) -> ExperimentConfig:
         sup_tolerance=_positive("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
         pole_orders=_count("run", "pole_orders", r.get("pole_orders", "4")),
         translation=_complex("run", "translation", r.get("translation", translation_default)),
-        condition_limit=_positive("run", "condition_limit", r.get("condition_limit", "1e12")),
+        condition_limit=_positive("run", "condition_limit",
+                                  r.get("condition_limit", str(CONDITION_LIMIT))),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=(_positive("run", "probe_radius", r["probe_radius"])
                       if "probe_radius" in r else None),

@@ -14,6 +14,8 @@ from .numerics import TWO_PI, NumericalError, ValidationError, polyder, polyval,
 
 # evaluation is allowed on the closed disk; anything beyond is a caller bug
 _DOMAIN_SLACK = 1e-12
+INVERT_TOL = 1e-12  # ConformalMap.invert's relative residual bound
+INVERT_STEPS = 50  # and its most Newton steps
 
 
 def winding_number(polygon: np.ndarray, z) -> np.ndarray:
@@ -89,25 +91,25 @@ class ConformalMap:
         out = self._derivative(z)
         return out if np.ndim(zeta) else complex(out[0])
 
-    def boundary(self, n: int = 512, radius: float = 1.0) -> np.ndarray:
-        """Image samples of the circle |zeta| = radius."""
-        zeta = radius * np.exp(1j * TWO_PI * np.arange(n) / n)
+    def boundary(self, n: int = 512) -> np.ndarray:
+        """Image samples of the unit circle."""
+        zeta = np.exp(1j * TWO_PI * np.arange(n) / n)
         return self.evaluate(zeta)
 
-    def invert(self, w, tol: float = 1e-12, max_iter: int = 50):
+    def invert(self, w):
         """Newton solve of f(zeta) = w, seeded from a forward-sample table.
 
         Accepts scalars or arrays. Raises when any point fails to reach
-        |f(zeta) - w| < tol * max(1, |w|) within ``max_iter`` steps, carrying
-        the last iterate and residual.
+        |f(zeta) - w| < INVERT_TOL * max(1, |w|) within INVERT_STEPS steps,
+        carrying the last iterate and residual.
         """
         ww = np.atleast_1d(np.asarray(w, dtype=complex))
         table_z, table_w = self._seeds()
         # nearest forward sample by modulus of difference
         idx = np.argmin(np.abs(table_w[None, :] - ww[:, None]), axis=1)
         zeta = table_z[idx].copy()
-        target = tol * np.maximum(1.0, np.abs(ww))
-        for _ in range(max_iter):
+        target = INVERT_TOL * np.maximum(1.0, np.abs(ww))
+        for _ in range(INVERT_STEPS):
             res = self._evaluate(zeta) - ww
             if np.all(np.abs(res) < target):
                 break

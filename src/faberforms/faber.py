@@ -93,8 +93,7 @@ def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
         vals = alpha_values(surface, k, [m], z)[..., 0]
         return vals if vals.ndim else complex(vals)
 
-    form = OneForm(ev, conjugate=False, poles=((surface.caps[k].center, m + 1),),
-                   label=f"alpha[{k},{m}]")
+    form = OneForm(ev, poles=((surface.caps[k].center, m + 1),), label=f"alpha[{k},{m}]")
     return FaberBasisElement(form, cap=k, order=m)
 
 

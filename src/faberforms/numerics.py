@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+CONDITION_LIMIT = 1e12  # Gram condition estimate above which least_squares regularizes
 
 # Complex entries (512 KiB) in one row slice of a point-by-sample block,
 # such as |sample - z| or a kernel block K(f(zeta_j), z): the slice and its
@@ -208,7 +209,8 @@ class LeastSquaresResult:
     regularized: bool
 
 
-def least_squares(gram: np.ndarray, rhs: np.ndarray, condition_limit: float = 1e12) -> LeastSquaresResult:
+def least_squares(gram: np.ndarray, rhs: np.ndarray,
+                  condition_limit: float = CONDITION_LIMIT) -> LeastSquaresResult:
     """Solve gram @ x = rhs for Hermitian positive semidefinite ``gram``.
 
     Solved by eigendecomposition. When the condition estimate exceeds
@@ -277,18 +279,12 @@ def measured_area(evaluate, n_data: int) -> np.ndarray:
 
 
 def area_pairing(form1, form2, chart_map) -> complex:
-    """L2 pairing of two one-forms over the image of ``chart_map``.
+    """L2 pairing of two one-forms a(w) dw over the image of ``chart_map``.
 
-    Computes i * integral of form1 wedge star-conjugate(form2) by pullback
-    to the unit disk; for two holomorphic forms this is the literal
-    i * integral of form1 wedge conjugate(form2), the Bergman inner
-    product. Forms of opposite type (dz versus conjugate) pair to zero.
-    ``measured_area`` sizes the grid.
+    Computes i * integral of form1 wedge conjugate(form2), the Bergman
+    inner product, by pullback to the unit disk. ``measured_area`` sizes
+    the grid.
     """
-    c1 = bool(getattr(form1, "conjugate", False))
-    c2 = bool(getattr(form2, "conjugate", False))
-    if c1 != c2:
-        return 0.0 + 0.0j
 
     def evaluate(grid, columns):
         w, jac = chart_map.evaluate(grid.nodes), chart_map.derivative(grid.nodes)
@@ -296,8 +292,7 @@ def area_pairing(form1, form2, chart_map) -> complex:
         g2 = np.asarray(form2(w), dtype=complex) * jac
         return np.array([[2.0 * grid.integrate(g1 * np.conj(g2))]])
 
-    val = complex(measured_area(evaluate, 1)[0, 0])
-    return val.conjugate() if c1 else val
+    return complex(measured_area(evaluate, 1)[0, 0])
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -49,6 +49,7 @@ import numpy as np
 
 from .faber import alpha_values, closed_terms
 from .numerics import (
+    CONDITION_LIMIT,
     TWO_PI,
     NumericalError,
     ValidationError,
@@ -57,7 +58,6 @@ from .numerics import (
 )
 from .schiffer import NODE_COUNTS
 from .surface import (
-    CYCLE_NODES,
     OneForm,
     SurfaceSpec,
     a_cycle,
@@ -87,6 +87,7 @@ RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circl
 # node count. On the 0.95 circle the guard admits up to 0.9195.
 POLE_CLEARANCE = 0.0305
 BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
+UNIFORM_MARGIN = 0.1  # least distance from the caps of a point the sup-norm error reads
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,10 @@ def _spectral_tail(ghat) -> np.ndarray:
     return tail
 
 
-def _require_dz(form: OneForm):
-    if getattr(form, "conjugate", False):
-        raise ValidationError("boundary reduction applies to dz-type forms only")
-
-
 class ExteriorPairing:
     """L2 inner products over the cap complement by boundary reduction.
 
-    Valid for holomorphic (dz-type) forms whose cap-boundary periods all
+    Valid for holomorphic forms a(w) dw whose cap-boundary periods all
     vanish; the construction raises otherwise. Each datum holds the DFT
     of its boundary samples, transformed in place; pairing two stacks is
     a Parseval sum, one matrix product per row slice of frequencies.
@@ -209,12 +205,10 @@ class ExteriorPairing:
         zeta = np.exp(1j * (TWO_PI * np.arange(n) / n))
         self._dw = np.array([f.derivative(zeta) * 1j * zeta for f in surface.caps])
         self._weights = _parseval_weights(n)
-        self.cycles = ((a_cycle(surface, n=CYCLE_NODES), b_cycle(surface, n=CYCLE_NODES))
-                       if surface.genus == 1 else ())
+        self.cycles = (a_cycle(surface), b_cycle(surface)) if surface.genus == 1 else ()
         self.nodes = np.concatenate([c.nodes for c in self.circles + self.cycles])
 
     def data(self, form: OneForm) -> PairingData:
-        _require_dz(form)
         return self._pack(sample(form, self.circles + self.cycles))
 
     def alpha_data(self, M: int) -> PairingData:
@@ -359,7 +353,7 @@ def cycle_coefficients(form: OneForm, surface: SurfaceSpec) -> tuple:
     """
     pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     cycles = pairing.circles + pairing.cycles
-    periods = _periods(cycles, sample(form, cycles), form.conjugate)
+    periods = _periods(cycles, sample(form, cycles))
     _check_boundary_free(periods[:surface.n_caps])
     return _cycle_split(surface, periods[surface.n_caps:])
 
@@ -386,9 +380,9 @@ def _cycle_split(surface: SurfaceSpec, lattice_periods) -> tuple:
     return np.array([c]), np.array([d])
 
 
-def _periods(cycles, vals, conjugate: bool = False) -> list:
+def _periods(cycles, vals) -> list:
     # the period over each cycle from samples on their concatenated nodes
-    return [c.integrate(v, conjugate) for c, v in zip(cycles, per_cycle(vals, cycles))]
+    return [c.integrate(v) for c, v in zip(cycles, per_cycle(vals, cycles))]
 
 
 def _subtract(vals, terms, nodes) -> np.ndarray:
@@ -417,7 +411,6 @@ def _split_target(form: OneForm, pairing: ExteriorPairing,
     SPECTRAL_TAIL_TOL is split no further: its guards would judge
     unresolved samples, so (None, None, None, None, tails) is returned.
     """
-    _require_dz(form)
     surface = pairing.surface
     r1, r2 = MEASURING_RADII  # r2 = 1: the outer circles are the pairing's
     _check_poles_clear(form, surface, r1)
@@ -470,7 +463,7 @@ def _resolved_split(form: OneForm, surface: SurfaceSpec, M: int) -> tuple:
 
 
 def project_faber(target, surface: SurfaceSpec, M: int,
-                  condition_limit: float = 1e12,
+                  condition_limit: float = CONDITION_LIMIT,
                   checkpoints=DEFAULT_CHECKPOINTS) -> SeriesDecomposition:
     """Full decomposition of a target at truncation order M.
 
@@ -546,7 +539,7 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
 
 
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                   points, orders, margin: float = 0.1) -> list:
+                   points, orders, margin: float = UNIFORM_MARGIN) -> list:
     """Sup-norm coefficient errors of the partial sums of every order in
     ``orders`` on a point set that keeps a stated distance from every cap.
 
@@ -586,7 +579,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
 
 
 def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                  points, upto: int | None = None, margin: float = 0.1) -> float:
+                  points, upto: int | None = None, margin: float = UNIFORM_MARGIN) -> float:
     """Sup-norm coefficient error of the partial sum on a point set that
     keeps a stated distance from every cap: ``uniform_errors`` at the one
     order upto (default: the full truncation)."""

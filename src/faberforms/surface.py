@@ -24,19 +24,18 @@ PI = np.pi
 # Nodes on each lattice cycle: the trapezoid rule's nodes, and the side of
 # the node lattice on which SurfaceSpec.cycle_base measures clearance
 CYCLE_NODES = 64
+CELL_MARGIN = 0.05  # least lattice-coordinate gap between a torus cap and the cell's edges
 
 
 @dataclass(frozen=True)
 class OneForm:
-    """A one-form a(w) dw, or its conjugate a(w)-bar dw-bar.
+    """A one-form a(w) dw.
 
-    ``evaluator`` always returns the analytic coefficient a(w); the
-    ``conjugate`` flag says which of the two forms is meant. ``poles``
-    lists known (location, order) pairs of the meromorphic tag.
+    ``evaluator`` returns the coefficient a(w). ``poles`` lists known
+    (location, order) pairs of the meromorphic tag.
     """
 
     evaluator: Callable
-    conjugate: bool = False
     poles: tuple = ()
     label: str = ""
 
@@ -45,13 +44,10 @@ class OneForm:
 
     @staticmethod
     def combine(terms, label: str = "") -> "OneForm":
-        """Linear combination sum_j c_j form_j of same-type forms."""
+        """Linear combination sum_j c_j form_j."""
         terms = [(complex(c), f) for c, f in terms]
         if not terms:
             return OneForm(lambda w: np.zeros_like(np.asarray(w, dtype=complex)), label=label)
-        flags = {f.conjugate for _, f in terms}
-        if len(flags) > 1:
-            raise ValidationError("cannot combine dz-forms with conjugated forms")
         poles = tuple(p for _, f in terms for p in f.poles)
 
         def ev(w, _terms=terms):
@@ -61,7 +57,7 @@ class OneForm:
                 out = out + c * np.asarray(f.evaluator(w), dtype=complex)
             return out
 
-        return OneForm(ev, conjugate=flags.pop(), poles=poles, label=label)
+        return OneForm(ev, poles=poles, label=label)
 
 
 @dataclass(frozen=True)
@@ -87,11 +83,9 @@ class Cycle:
             return f"boundary cycle of cap {self.index}"
         return f"{self.kind} cycle"
 
-    def integrate(self, vals, conjugate: bool = False) -> complex:
-        """Path integral from samples at the nodes; ``conjugate`` marks
-        samples of a dw-bar form."""
-        out = np.sum(vals * self.weights)
-        return complex(np.conj(out)) if conjugate else complex(out)
+    def integrate(self, vals) -> complex:
+        """Path integral from samples at the nodes."""
+        return complex(np.sum(vals * self.weights))
 
 
 class SurfaceSpec:
@@ -101,7 +95,7 @@ class SurfaceSpec:
     away from the caps when they are not given.
     """
 
-    def __init__(self, genus, caps: CapFamily, tau=None, q=None, w0=None, margin: float = 0.05):
+    def __init__(self, genus, caps: CapFamily, tau=None, q=None, w0=None, margin=CELL_MARGIN):
         if genus not in (0, 1):
             raise ValidationError(f"genus must be 0 or 1, got {genus}")
         self.genus = int(genus)
@@ -136,7 +130,7 @@ class SurfaceSpec:
         return cls(0, caps, q=q, w0=w0)
 
     @classmethod
-    def torus(cls, tau, caps: CapFamily, q=None, w0=None, margin: float = 0.05) -> "SurfaceSpec":
+    def torus(cls, tau, caps: CapFamily, q=None, w0=None, margin=CELL_MARGIN) -> "SurfaceSpec":
         return cls(1, caps, tau=tau, q=q, w0=w0, margin=margin)
 
     # -- geometry helpers -----------------------------------------------------
@@ -283,7 +277,7 @@ def _guard_apart(diff, what: str, tol: float = 1e-12):
 _SURFACE_DEFAULT = object()
 
 
-def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT, w0=None):
+def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT):
     """Bipolar Green's function: -log singularity at z, +log at q, zero at w0.
 
     On the sphere with q at infinity this is log(|z - w0| / |w - z|); with
@@ -293,7 +287,7 @@ def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT, w0=None):
     """
     w = np.asarray(w, dtype=complex)
     z = complex(z)
-    w0 = surface.w0 if w0 is None else complex(w0)
+    w0 = surface.w0
     if q is _SURFACE_DEFAULT:
         q = surface.q
     elif q is not None:
@@ -408,30 +402,24 @@ def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 5
     return Cycle("boundary", k, nodes, weights)
 
 
-def _cycle_parameters(n: int) -> np.ndarray:
-    # the path parameters j / n, j = 0..n-1, of a lattice cycle's nodes
-    return np.arange(n) / n
-
-
-def _segment_cycle(surface: SurfaceSpec, kind: str, base, n: int) -> Cycle:
+def _segment_cycle(surface: SurfaceSpec, kind: str) -> Cycle:
     if surface.genus == 0:
         raise ValidationError("the sphere has no lattice cycles")
-    base = surface.cycle_base() if base is None else complex(base)
     direction = 1.0 if kind == "a" else surface.tau
-    nodes = base + _cycle_parameters(n) * direction
-    return Cycle(kind, 0, nodes, np.full(n, direction / n, dtype=complex))
+    nodes = surface.cycle_base() + np.arange(CYCLE_NODES) / CYCLE_NODES * direction
+    return Cycle(kind, 0, nodes, np.full(CYCLE_NODES, direction / CYCLE_NODES, dtype=complex))
 
 
-def a_cycle(surface: SurfaceSpec, base=None, n: int = CYCLE_NODES) -> Cycle:
-    """Lattice cycle [base, base + 1], closed on the torus, with the
-    n-node trapezoid rule."""
-    return _segment_cycle(surface, "a", base, n)
+def a_cycle(surface: SurfaceSpec) -> Cycle:
+    """Lattice cycle [base, base + 1] from the cycle base, closed on the
+    torus, with the CYCLE_NODES-node trapezoid rule."""
+    return _segment_cycle(surface, "a")
 
 
-def b_cycle(surface: SurfaceSpec, base=None, n: int = CYCLE_NODES) -> Cycle:
-    """Lattice cycle [base, base + tau], closed on the torus, with the
-    n-node trapezoid rule."""
-    return _segment_cycle(surface, "b", base, n)
+def b_cycle(surface: SurfaceSpec) -> Cycle:
+    """Lattice cycle [base, base + tau] from the cycle base, closed on the
+    torus, with the CYCLE_NODES-node trapezoid rule."""
+    return _segment_cycle(surface, "b")
 
 
 def per_cycle(vals, cycles) -> list:
@@ -466,4 +454,4 @@ def require_finite(vals, cycles):
 
 def period(form: OneForm, cycle: Cycle) -> complex:
     """Path integral of the form over the cycle's quadrature rule."""
-    return cycle.integrate(sample(form, [cycle]), form.conjugate)
+    return cycle.integrate(sample(form, [cycle]))

@@ -162,16 +162,27 @@ def test_q_independence_fails_a_green_function_that_feels_q(name, monkeypatch):
     assert not res.passed and res.value > 1e-9
 
 
+@pytest.mark.parametrize("shift", [2, 2 * TAU, -3 + TAU])
+def test_green_checks_read_a_base_point_written_cells_away(shift):
+    # the same torus point q written in another cell: the sample points
+    # must keep clear of its image in the cell, or they land beside it
+    config = parse_config(_config_path("torus_two_caps"))
+    s = config.surface
+    moved = SurfaceSpec.torus(s.tau, s.caps, q=s.q + shift, w0=s.w0, margin=s.margin)
+    ctx = SimpleNamespace(surface=moved, seed=config.seed, samples=config.samples)
+    assert check_harmonicity(ctx).passed
+    assert checks.check_q_independence(ctx).passed
+
+
 def test_q_independence_names_a_surface_without_an_alternative_base_point(monkeypatch):
     # every candidate base point is refused, on either kind of surface
     sphere = SurfaceSpec.sphere(CapFamily([AffineMap(0.5)]))
     torus = SurfaceSpec.torus(0.3 + 1.1j, CapFamily([AffineMap(0.1, 0.5 + 0.5j)]))
 
-    def refuse(cls, *args, **kwargs):
+    def refuse(*args, **kwargs):
         raise ValidationError("base point too close to a cap")
 
-    monkeypatch.setattr(SurfaceSpec, "sphere", classmethod(refuse))
-    monkeypatch.setattr(SurfaceSpec, "torus", classmethod(refuse))
+    monkeypatch.setattr(checks, "SurfaceSpec", refuse)
     for surface in (sphere, torus):
         ctx = SimpleNamespace(surface=surface, seed=0, samples=4)
         with pytest.raises(NumericalError, match="^no admissible alternative base point found$"):

@@ -22,11 +22,10 @@ TWO_PI = 2.0 * np.pi
 
 
 class _Form:
-    """Minimal one-form stand-in: analytic evaluator plus a conjugate flag."""
+    """Minimal one-form stand-in: an analytic evaluator."""
 
-    def __init__(self, fn, conjugate=False):
+    def __init__(self, fn):
         self._fn = fn
-        self.conjugate = conjugate
 
     def __call__(self, w):
         return self._fn(np.asarray(w, dtype=complex))
@@ -93,17 +92,6 @@ def test_area_pairing_norm_positive():
         val = area_pairing(form, form, chart)
         assert abs(val.imag) < 1e-12 * max(1.0, abs(val))
         assert val.real >= 0
-        anti = _Form(lambda w, c=c: np.polynomial.polynomial.polyval(w, c), conjugate=True)
-        anti_val = area_pairing(anti, anti, chart)
-        assert abs(anti_val - np.conj(val)) < 1e-10 * max(1.0, abs(val))
-        assert anti_val.real >= 0
-
-
-def test_area_pairing_mixed_types_orthogonal():
-    chart = _IdentityChart()
-    hol = _Form(lambda w: 1.0 + w)
-    anti = _Form(lambda w: w ** 2, conjugate=True)
-    assert area_pairing(hol, anti, chart) == 0
 
 
 def test_measured_area_stops_each_datum_on_its_own_grid():

@@ -297,14 +297,6 @@ def test_period_pole_on_path_guard():
         period(b, through_pole)
 
 
-def test_conjugate_form_period():
-    t = torus_two_caps()
-    (g,) = gamma_basis(t)
-    gbar = OneForm(g.evaluator, conjugate=True)
-    # integral of conj(dw) over the b cycle is conj(tau)
-    assert period(gbar, b_cycle(t)) == pytest.approx(np.conj(TAU), abs=1e-14)
-
-
 def test_surface_validation():
     caps = CapFamily([AffineMap(0.4)])
     with pytest.raises(ValidationError):
@@ -507,13 +499,6 @@ def test_cycle_base_clears_caps():
     path = np.concatenate([a_cycle(t).nodes, b_cycle(t).nodes])
     assert float(np.min(t.distance_to_caps_reduced(path))) > 2 * t.margin
     assert base == t.cycle_base()  # cached, deterministic
-
-
-def test_combine_refuses_dz_forms_with_conjugated_forms():
-    dz = OneForm(lambda w: np.asarray(w, dtype=complex), label="w dw")
-    bar = OneForm(lambda w: np.asarray(w, dtype=complex), conjugate=True, label="w-bar dw-bar")
-    with pytest.raises(ValidationError, match="^cannot combine dz-forms with conjugated forms$"):
-        OneForm.combine([(1.0, dz), (2.0, bar)])
 
 
 def test_torus_green_function_needs_a_base_point():
