@@ -47,6 +47,8 @@ def _verdict(name: str, figures: dict, detail, steps=(), rule=None) -> CheckResu
                        detail if isinstance(detail, str) else detail(labels[i]))
 
 
+SAMPLE_POINTS = 100  # random points of the harmonicity and q-independence checks
+
 # candidates a sampling call tests per point it asks for before it gives
 # up on the region; the shipped configs and benchmark inputs test at most 5
 _CANDIDATES_PER_POINT = 1000
@@ -134,13 +136,13 @@ def check_harmonicity(ctx) -> CheckResult:
     else:
         z = complex(np.mean(np.asarray(surface.caps.centers))) + 0.31j
         q = z + 1.7 - 0.9j
-    pts = _sample_points(surface, rng, ctx.samples, clearance=0.0,
+    pts = _sample_points(surface, rng, SAMPLE_POINTS, clearance=0.0,
                          accept=lambda w: _separation(surface, w, (z, q)) > 0.25)
     stencil = np.stack([pts + h, pts - h, pts + 1j * h, pts - 1j * h, pts], axis=1)
     vals = green(surface, stencil, z, q=q)
     lap = (np.sum(vals[:, :4], axis=1) - 4.0 * vals[:, 4]) / h**2
     return _verdict("harmonicity", {"Laplacian": (np.max(np.abs(lap.real)), 1e-4)},
-                    f"{ctx.samples} points, step {h:g}")
+                    f"{SAMPLE_POINTS} points, step {h:g}")
 
 
 def _alternative_q(surface: SurfaceSpec) -> SurfaceSpec:
@@ -161,7 +163,7 @@ def _alternative_q(surface: SurfaceSpec) -> SurfaceSpec:
     for cand in candidates:
         try:
             return SurfaceSpec(surface.genus, surface.caps, tau=surface.tau, q=cand,
-                               w0=surface.w0, margin=surface.margin)
+                               w0=surface.w0)
         except ValidationError:
             continue
     raise NumericalError("no admissible alternative base point found")
@@ -179,7 +181,7 @@ def check_q_independence(ctx) -> CheckResult:
     bases = tuple(q for q in (surface.q, alt.q) if q is not None)
     z = _sample_points(surface, rng, 4, clearance=0.05,
                        accept=lambda v: _separation(surface, v, bases + (surface.w0,)) > 0.1)
-    w = _sample_points(surface, rng, ctx.samples, clearance=0.05,
+    w = _sample_points(surface, rng, SAMPLE_POINTS, clearance=0.05,
                        accept=lambda v: _separation(surface, v, bases + tuple(z)) > 0.1)
     d = np.stack([green(surface, w, zi) - green(alt, w, zi) for zi in z], axis=1)
     worst = np.max(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0]))

@@ -7,7 +7,8 @@ truncation order, check list, seed, and tolerances, [output] the
 artifact directory. Parse errors name the offending block.field; a key
 that [surface], [run] or [output] does not read is one of them. The
 parsed config is frozen: the command line's overrides make a new one
-with ``dataclasses.replace``, and the run picks the default probe ring.
+with ``dataclasses.replace``. ``probe_ring`` gives the ring the run
+reads its sup errors on; the default one is picked at run time.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ from .conformal import CapFamily, make_map
 from .faber import PRINCIPAL_RADIUS
 from .numerics import CONDITION_LIMIT, ValidationError
 from .schiffer import contour_radius, order_limit
-from .series import UNIFORM_MARGIN, TargetForm
-from .surface import CELL_MARGIN, SurfaceSpec
+from .series import UNIFORM_MARGIN, TargetForm, require_margin
+from .surface import SurfaceSpec
 from .targets import build_target
 
 CHECK_NAMES = tuple(CHECKS)
+PROBE_POINTS = 40  # equispaced points of the probe ring the sup errors are read on
+# least distance from the caps of a torus probe point: the default ring,
+# radius 0.04 about the cycle base, keeps at least 2 * CELL_MARGIN - 0.04
+TORUS_UNIFORM_MARGIN = 0.05
 
 
 class ConfigError(ValidationError):
@@ -42,7 +47,6 @@ class ExperimentConfig:
     M: int
     checks: tuple
     seed: int
-    samples: int
     l2_tolerance: float
     sup_tolerance: float
     pole_orders: int
@@ -50,8 +54,6 @@ class ExperimentConfig:
     condition_limit: float
     probe_center: complex
     probe_radius: float | None  # None: the run picks a ring clear of the caps
-    probe_points: int
-    uniform_margin: float
     strict: bool
     out_dir: str | None
 
@@ -81,6 +83,25 @@ class _Block:
         for key in self._keys:
             if key not in self._read:
                 raise ConfigError(f"{self.name}.{key}: unknown key")
+
+
+def probe_ring(config: ExperimentConfig) -> tuple:
+    """The circle the sup errors are read on, the configured one or by
+    default one away from every cap, as PROBE_POINTS points, and the
+    least distance from the caps that its points must keep."""
+    surface = config.surface
+    center, radius = config.probe_center, config.probe_radius
+    if radius is None and surface.genus == 0:
+        center = complex(np.mean(surface.caps.centers))
+        reach = max(float(np.max(np.abs(surface.caps.boundary_samples(k) - center)))
+                    for k in range(surface.n_caps))
+        radius = max(0.5, reach) + 0.75
+    elif radius is None:
+        # torus: ride the corridor of the cycle base the pairing searched for
+        center, radius = complex(surface.cycle_base()), 0.04
+    theta = 2.0 * np.pi * np.arange(PROBE_POINTS) / PROBE_POINTS
+    margin = UNIFORM_MARGIN if surface.genus == 0 else TORUS_UNIFORM_MARGIN
+    return center + radius * np.exp(1j * theta), margin
 
 
 def _complex(block: str, key: str, raw: str) -> complex:
@@ -234,9 +255,8 @@ def parse_config(path: str) -> ExperimentConfig:
         if not np.isfinite(q):
             raise ConfigError(f"surface.q: must be finite or inf, got {s['q']!r}")
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
-    margin = _positive("surface", "margin", s.get("margin", str(CELL_MARGIN)))
     s.reject_unread()
-    for key, value in (("tau", tau), ("w0", w0), ("margin", margin)):
+    for key, value in (("tau", tau), ("w0", w0)):
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"surface.{key}: must be finite, got {value}")
 
@@ -249,7 +269,7 @@ def parse_config(path: str) -> ExperimentConfig:
         if genus == 0:
             surface = SurfaceSpec.sphere(caps, q=q, w0=w0)
         else:
-            surface = SurfaceSpec.torus(tau, caps, q=q, w0=w0, margin=margin)
+            surface = SurfaceSpec.torus(tau, caps, q=q, w0=w0)
     except ValidationError as exc:
         raise ConfigError(f"surface: {exc}") from None
 
@@ -292,7 +312,6 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("run.probe_center: set without run.probe_radius")
     output = _Block(parser, "output")
     translation_default = "0.5" if genus == 0 else "0.05"
-    margin_default = str(UNIFORM_MARGIN) if genus == 0 else "0.05"
     cfg = ExperimentConfig(
         surface=surface,
         target=target,
@@ -301,7 +320,6 @@ def parse_config(path: str) -> ExperimentConfig:
         M=M,
         checks=tuple(seen),
         seed=_seed("run", "seed", r.get("seed", "0")),
-        samples=_count("run", "samples", r.get("samples", "100")),
         l2_tolerance=_positive("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
         sup_tolerance=_positive("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
         pole_orders=_count("run", "pole_orders", r.get("pole_orders", "4")),
@@ -311,18 +329,26 @@ def parse_config(path: str) -> ExperimentConfig:
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=(_positive("run", "probe_radius", r["probe_radius"])
                       if "probe_radius" in r else None),
-        probe_points=_count("run", "probe_points", r.get("probe_points", "40")),
-        uniform_margin=_positive("run", "uniform_margin", r.get("uniform_margin", margin_default)),
         strict=_bool("run", "strict", r.get("strict", "false")),
         out_dir=output.get("directory"),
     )
     r.reject_unread()
     output.reject_unread()
-    for key in ("l2_tolerance", "sup_tolerance", "translation", "probe_center",
-                "probe_radius", "uniform_margin"):
+    for key in ("l2_tolerance", "sup_tolerance", "translation", "probe_center", "probe_radius"):
         value = getattr(cfg, key)
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"run.{key}: must be finite, got {value}")
+    # the run would refuse these only after the solve, naming no key
+    if cfg.probe_radius is not None:
+        try:
+            require_margin(surface, *probe_ring(cfg))
+        except ValidationError as exc:
+            raise ConfigError(f"run.probe_radius: {exc}") from None
+    if "invariance" in cfg.checks:
+        try:
+            surface.translated(cfg.translation)
+        except ValidationError as exc:
+            raise ConfigError(f"run.translation: {exc}") from None
     radius = contour_radius(cfg.M)
     top = order_limit(radius)
     if cfg.M > top:

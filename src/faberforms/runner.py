@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .checks import CHECKS, CheckResult
-from .config import ExperimentConfig
+from .config import ExperimentConfig, probe_ring
 from .numerics import NumericalError
 from .series import SPECTRAL_TAIL_TOL, SeriesDecomposition, project_faber, uniform_errors
 from .surface import SurfaceSpec
@@ -54,23 +54,6 @@ def _cnum(z) -> list | None:
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
-
-
-def _probe_ring(config: ExperimentConfig) -> np.ndarray:
-    """The circle the sup errors are read on: the configured one, or by
-    default one away from every cap."""
-    surface = config.surface
-    center, radius = config.probe_center, config.probe_radius
-    if radius is None and surface.genus == 0:
-        center = complex(np.mean(surface.caps.centers))
-        reach = max(float(np.max(np.abs(surface.caps.boundary_samples(k) - center)))
-                    for k in range(surface.n_caps))
-        radius = max(0.5, reach) + 0.75
-    elif radius is None:
-        # torus: ride the corridor of the cycle base the pairing searched for
-        center, radius = complex(surface.cycle_base()), 0.04
-    theta = 2.0 * np.pi * np.arange(config.probe_points) / config.probe_points
-    return center + radius * np.exp(1j * theta)
 
 
 def write_coefficients(path: str, dec: SeriesDecomposition) -> None:
@@ -155,9 +138,9 @@ def run_experiment(config: ExperimentConfig):
     residual_rows = []
     if dec is not None:
         # one read of the probe ring serves every checkpoint order
-        sups = uniform_errors(config.target, config.surface, dec, _probe_ring(config),
-                              [order for order, _l2 in dec.residual_history],
-                              margin=config.uniform_margin)
+        ring, margin = probe_ring(config)
+        sups = uniform_errors(config.target, config.surface, dec, ring,
+                              [order for order, _l2 in dec.residual_history], margin=margin)
         residual_rows = [(order, l2, sup)
                          for (order, l2), sup in zip(dec.residual_history, sups)]
 

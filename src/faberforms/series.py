@@ -538,6 +538,24 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
     return decomposition.h[:M] if h is None else h
 
 
+def require_margin(surface: SurfaceSpec, points, margin: float) -> np.ndarray:
+    """The points as a complex array of at least one dimension; raises
+    ValidationError naming the first point in a cap, or the nearest when
+    one lies closer than ``margin`` to a cap."""
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    inside = ~surface.in_sigma(pts)
+    if np.any(inside):
+        raise ValidationError(f"point {pts[inside][0]:.6g} lies in a cap")
+    dist = surface.distance_to_caps_reduced(pts)
+    if np.any(dist < margin):
+        j = int(np.argmin(dist))
+        raise ValidationError(
+            f"point {pts[j]:.6g} is {float(dist[j]):.3f} from a cap, "
+            f"inside the margin {margin}"
+        )
+    return pts
+
+
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
                    points, orders, margin: float = UNIFORM_MARGIN) -> list:
     """Sup-norm coefficient errors of the partial sums of every order in
@@ -552,14 +570,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     reads its basis forms on the step of its own order, so the two agree
     up to roundoff.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    dist = surface.distance_to_caps_reduced(pts)
-    if np.any(dist < margin):
-        j = int(np.argmin(dist))
-        raise ValidationError(
-            f"point {pts[j]:.6g} is {float(dist[j]):.3f} from a cap, "
-            f"inside the margin {margin}"
-        )
+    pts = require_margin(surface, points, margin)
     orders = [int(M) for M in orders]
     hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)

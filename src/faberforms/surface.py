@@ -4,14 +4,15 @@ pole-difference forms, the holomorphic basis, homology cycles and periods.
 Chart conventions. The sphere is the plane plus infinity; the base point q
 defaults to infinity, which turns the Green's function into the elementary
 log ratio. The torus is handled on the universal cover as the fundamental
-parallelogram spanned by 1 and tau; caps must stay inside it by a margin,
-while all torus quantities are built from lattice-reduced theta calls and
-so are exactly doubly periodic.
+parallelogram spanned by 1 and tau; caps must stay inside it by
+CELL_MARGIN, while all torus quantities are built from lattice-reduced
+theta calls and so are exactly doubly periodic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -95,12 +96,11 @@ class SurfaceSpec:
     away from the caps when they are not given.
     """
 
-    def __init__(self, genus, caps: CapFamily, tau=None, q=None, w0=None, margin=CELL_MARGIN):
+    def __init__(self, genus, caps: CapFamily, tau=None, q=None, w0=None):
         if genus not in (0, 1):
             raise ValidationError(f"genus must be 0 or 1, got {genus}")
         self.genus = int(genus)
         self.caps = caps
-        self.margin = float(margin)
         if self.genus == 1:
             if tau is None:
                 raise ValidationError("torus surface needs a lattice parameter tau")
@@ -130,8 +130,8 @@ class SurfaceSpec:
         return cls(0, caps, q=q, w0=w0)
 
     @classmethod
-    def torus(cls, tau, caps: CapFamily, q=None, w0=None, margin=CELL_MARGIN) -> "SurfaceSpec":
-        return cls(1, caps, tau=tau, q=q, w0=w0, margin=margin)
+    def torus(cls, tau, caps: CapFamily, q=None, w0=None) -> "SurfaceSpec":
+        return cls(1, caps, tau=tau, q=q, w0=w0)
 
     # -- geometry helpers -----------------------------------------------------
 
@@ -178,7 +178,7 @@ class SurfaceSpec:
             clearance = np.minimum(d.min(axis=1)[:, None], d.min(axis=0))
             j = int(np.argmax(clearance))
             best_d = float(clearance.flat[j])
-            if best_d < 2 * self.margin:
+            if best_d < 2 * CELL_MARGIN:
                 raise ValidationError(
                     f"no lattice cycle clears the caps (best clearance {best_d:.3g})"
                 )
@@ -208,7 +208,7 @@ class SurfaceSpec:
         moved = CapFamily([TranslatedMap(m, t) for m in self.caps],
                           separation=self.caps.separation)
         q = None if self.q is None else self.q + t
-        return SurfaceSpec(self.genus, moved, tau=self.tau, q=q, w0=self.w0 + t, margin=self.margin)
+        return SurfaceSpec(self.genus, moved, tau=self.tau, q=q, w0=self.w0 + t)
 
     # -- validation -----------------------------------------------------------
 
@@ -216,13 +216,13 @@ class SurfaceSpec:
         for k in range(len(self.caps)):
             x, y = self.cell_coordinates(self.caps.boundary_samples(k))
             if (
-                x.min() < self.margin
-                or x.max() > 1 - self.margin
-                or y.min() < self.margin
-                or y.max() > 1 - self.margin
+                x.min() < CELL_MARGIN
+                or x.max() > 1 - CELL_MARGIN
+                or y.min() < CELL_MARGIN
+                or y.max() > 1 - CELL_MARGIN
             ):
                 raise ValidationError(
-                    f"cap {k} leaves the fundamental cell (margin {self.margin}); "
+                    f"cap {k} leaves the fundamental cell (margin {CELL_MARGIN}); "
                     f"lattice coordinates span [{x.min():.3f}, {x.max():.3f}] x "
                     f"[{y.min():.3f}, {y.max():.3f}]"
                 )
@@ -236,7 +236,10 @@ class SurfaceSpec:
         if self.q is not None and abs(self.q - self.w0) < 1e-9:
             raise ValidationError("q and w0 must be distinct")
 
-    def _auto_point(self, avoid=()):
+    @cached_property
+    def _candidates(self):
+        """The grid q and w0 are placed on, and each point's distance to the
+        caps (torus: to every lattice copy), -1 inside one."""
         if self.genus == 1:
             g = np.linspace(0.08, 0.92, 22)
             cand = (g[:, None] + g[None, :] * self.tau).ravel()
@@ -245,9 +248,12 @@ class SurfaceSpec:
             span = max(float(np.max(np.abs(b - np.mean(b)))), 1.0)
             g = np.linspace(-2.5, 2.5, 21)
             cand = (np.mean(b) + span * (g[:, None] + 1j * g[None, :])).ravel()
-        d = self.caps.distance_to_caps(cand)
-        inside = self.caps.which_cap(cand) != -1
-        d[inside] = -1.0
+        d = self.distance_to_caps_reduced(cand)
+        d[~self.in_sigma(cand)] = -1.0
+        return cand, d
+
+    def _auto_point(self, avoid=()):
+        cand, d = self._candidates
         for p in avoid:
             d = np.minimum(d, np.abs(cand - p))
         j = int(np.argmax(d))

@@ -78,9 +78,9 @@ def main(argv) -> int:
         stage("cycle base")
     dec = series.project_faber(cfg.target, surface, cfg.M, condition_limit=cfg.condition_limit)
     stage("project_faber")
-    sups = series.uniform_errors(cfg.target, surface, dec, runner._probe_ring(cfg),
-                                 [order for order, _l2 in dec.residual_history],
-                                 margin=cfg.uniform_margin)
+    ring, margin = config.probe_ring(cfg)
+    sups = series.uniform_errors(cfg.target, surface, dec, ring,
+                                 [order for order, _l2 in dec.residual_history], margin=margin)
     stage("sup errors")
     ctx = runner.RunContext(**vars(cfg), decomposition=dec, sup_errors=tuple(sups))
     for name in cfg.checks:

@@ -20,10 +20,10 @@ from faberforms.checks import (
     check_uniform_convergence,
 )
 from faberforms.cli import main
-from faberforms.config import parse_config
+from faberforms.config import parse_config, probe_ring
 from faberforms.conformal import AffineMap, CapFamily
 from faberforms.numerics import NumericalError, Pcg64Stream, ValidationError
-from faberforms.runner import RunContext, _probe_ring
+from faberforms.runner import RunContext
 from faberforms.series import project_faber, uniform_errors
 from faberforms.surface import SurfaceSpec, green
 from faberforms.targets import build_target
@@ -114,7 +114,7 @@ def test_a_sampling_region_without_admissible_points_is_refused(tmp_path):
     path = tmp_path / "no_clear_point.cfg"
     path.write_text(NO_CLEAR_POINT)
     config = parse_config(str(path))
-    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed)
     with pytest.raises(ValidationError, match=f"^{NO_CLEAR_POINT_MESSAGE}$"):
         checks.check_r0_independence(ctx)
     out = subprocess.run([sys.executable, "-m", "faberforms.cli", "run", str(path),
@@ -138,7 +138,7 @@ def test_vectorized_separation_matches_scalar_calls():
 @pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
 def test_random_point_checks_read_the_one_at_a_time_values(name, monkeypatch):
     config = parse_config(_config_path(name))
-    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed)
     runs = (checks.check_harmonicity, checks.check_q_independence, checks.check_r0_independence)
     got = [run(ctx).value for run in runs]
     monkeypatch.setattr(checks, "_sample_points", _one_at_a_time)
@@ -148,7 +148,7 @@ def test_random_point_checks_read_the_one_at_a_time_values(name, monkeypatch):
 @pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
 def test_q_independence_fails_a_green_function_that_feels_q(name, monkeypatch):
     config = parse_config(_config_path(name))
-    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed)
     res = checks.check_q_independence(ctx)
     assert res.passed and res.threshold == 1e-9 and res.value < 1e-13
 
@@ -168,8 +168,8 @@ def test_green_checks_read_a_base_point_written_cells_away(shift):
     # must keep clear of its image in the cell, or they land beside it
     config = parse_config(_config_path("torus_two_caps"))
     s = config.surface
-    moved = SurfaceSpec.torus(s.tau, s.caps, q=s.q + shift, w0=s.w0, margin=s.margin)
-    ctx = SimpleNamespace(surface=moved, seed=config.seed, samples=config.samples)
+    moved = SurfaceSpec.torus(s.tau, s.caps, q=s.q + shift, w0=s.w0)
+    ctx = SimpleNamespace(surface=moved, seed=config.seed)
     assert check_harmonicity(ctx).passed
     assert checks.check_q_independence(ctx).passed
 
@@ -184,14 +184,14 @@ def test_q_independence_names_a_surface_without_an_alternative_base_point(monkey
 
     monkeypatch.setattr(checks, "SurfaceSpec", refuse)
     for surface in (sphere, torus):
-        ctx = SimpleNamespace(surface=surface, seed=0, samples=4)
+        ctx = SimpleNamespace(surface=surface, seed=0)
         with pytest.raises(NumericalError, match="^no admissible alternative base point found$"):
             checks.check_q_independence(ctx)
 
 
 def test_r0_independence_reports_the_figure_nearer_its_bound(monkeypatch):
     config = parse_config(_config_path("sphere_identity"))
-    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed)
     res = checks.check_r0_independence(ctx)
     assert res.passed and res.threshold == 1e-9 and res.value < 1e-13
     contour = checks.schiffer_contour
@@ -270,8 +270,8 @@ def _pointwise_harmonicity(surface, seed, samples):
 
 def test_harmonicity_batch_matches_pointwise_loop():
     surface = SurfaceSpec.torus(TAU, CapFamily([AffineMap(0.11, 0.3 + 0.3 * TAU)]))
-    res = check_harmonicity(SimpleNamespace(surface=surface, seed=5, samples=12))
-    want = _pointwise_harmonicity(surface, 5, 12)
+    res = check_harmonicity(SimpleNamespace(surface=surface, seed=5))
+    want = _pointwise_harmonicity(surface, 5, checks.SAMPLE_POINTS)
     assert res.passed and res.threshold == 1e-4
     assert abs(res.value - want) <= 1e-9 * max(want, 1e-12)
 
@@ -332,7 +332,7 @@ def test_setup_does_not_import_numpy_ma():
 @pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
 def test_harmonicity_fails_a_green_function_that_is_not_harmonic(name, monkeypatch):
     config = parse_config(_config_path(name))
-    ctx = SimpleNamespace(surface=config.surface, seed=config.seed, samples=config.samples)
+    ctx = SimpleNamespace(surface=config.surface, seed=config.seed)
 
     def bowl(surface, w, z, **kwargs):
         # 1e-3 |w|^2 has Laplacian 4e-3, 40 times the bound; the 3e-4 stencil
@@ -350,9 +350,9 @@ def torus_run():
     config = parse_config(_config_path("torus_two_caps"))
     dec = project_faber(config.target, config.surface, config.M,
                         condition_limit=config.condition_limit)
-    sups = uniform_errors(config.target, config.surface, dec, _probe_ring(config),
-                          [order for order, _l2 in dec.residual_history],
-                          margin=config.uniform_margin)
+    ring, margin = probe_ring(config)
+    sups = uniform_errors(config.target, config.surface, dec, ring,
+                          [order for order, _l2 in dec.residual_history], margin=margin)
     return RunContext(**vars(config), decomposition=dec, sup_errors=tuple(sups))
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from faberforms.checks import CHECKS, catalog
+from faberforms.checks import CHECKS, SAMPLE_POINTS, catalog
 from faberforms.cli import main
 from faberforms.config import CHECK_NAMES, ConfigError, parse_config
 
@@ -181,7 +181,8 @@ def test_parse_config_fields():
     assert config.target_family == "combination"
     assert config.target_params == {"seed": 3, "order": 6}
     assert config.checks == CHECK_NAMES
-    assert config.samples == 100
+    # the checks' point count is a constant, the former default
+    assert SAMPLE_POINTS == 100 and len(dataclasses.fields(config)) == 16
     assert np.isclose(config.translation, 0.05)
     assert config.out_dir == "runs/torus-two-caps"
 
@@ -199,10 +200,10 @@ def test_inline_comments_and_defaults(tmp_path):
     assert config.seed == 0
     assert config.out_dir is None
     assert config.probe_radius is None  # the run picks the probe ring
-    from faberforms.runner import _probe_ring
+    from faberforms.config import probe_ring
 
-    ring = _probe_ring(config)
-    assert ring.size == 40
+    ring, margin = probe_ring(config)
+    assert ring.size == 40 and margin == 0.1
     assert np.allclose(np.abs(ring), 1.25)  # 0.75 outside the cap of radius 0.5
 
 

@@ -1,30 +1,34 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
-same holds for a probe radius or uniform margin that is not positive, a
-probe center without a probe radius, a tolerance, probe radius or
-uniform margin that is not finite and positive, a condition limit that
-is not positive, a translation or probe center that is not finite, a
-[surface] w0 that is not finite or a margin that is not finite and
-positive, a [surface] tau, cap parameter or [target] number that is not
-finite, a truncation order past the roundoff limit of the basis read, a
-pole-structure order past the
+same holds for a probe radius that is not positive, a probe center
+without a probe radius, a tolerance or probe radius that is not finite
+and positive, a condition limit that is not positive, a translation or
+probe center that is not finite, a probe ring with a point in a cap or
+inside its genus's margin, a translation that carries a torus cap out of
+the cell under the invariance check, a [surface] w0, tau, cap parameter
+or [target] number that is not finite, a truncation order past the
+roundoff limit of the basis read, a pole-structure order past the
 roundoff limit of the principal-part read, a [target] parameter that the
 chosen family does not take, a key that [surface], [run] or [output]
-does not read, a block that the parse does not read, a negative seed and
-a base point q that is neither finite nor inf, or a torus marked point
-on a lattice copy of a cap. Every other refusal of the
-parse is matched by its full message too."""
+does not read (the retired margin, samples, probe_points and
+uniform_margin among them), a block that the parse does not read, a
+negative seed and a base point q that is neither finite nor inf, or a
+torus marked point on a lattice copy of a cap. Every other refusal of
+the parse is matched by its full message too, and the README's lists of
+the keys each block reads are the keys the parse reads."""
 
 import inspect
 import os
+import re
 
 import pytest
 
 from faberforms.cli import main
-from faberforms.config import TARGET_PARAMS, ConfigError, parse_config
+from faberforms.config import TARGET_PARAMS, ConfigError, _Block, parse_config
 from faberforms.surface import SurfaceSpec
 from faberforms.targets import FAMILIES
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 BASE = (
     "[surface]\ngenus = 0\nq = inf\n"
     "[caps]\nmain = affine scale=1 offset=0\n"
@@ -36,9 +40,13 @@ BASE = (
 @pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, value):
+    # samples and probe_points are retired counts (the checks' sample points
+    # and the probe ring's points are constants): any value of them is
+    # refused as an unknown key, naming the field all the same
+    message = "unknown key" if field in ("samples", "probe_points") else f"must be >= 1, got {value}"
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + f"{field} = {value}\n")
-    with pytest.raises(ConfigError, match=rf"run\.{field}: must be >= 1, got {value}"):
+    with pytest.raises(ConfigError, match=rf"^run\.{field}: {message}$"):
         parse_config(str(path))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
@@ -50,11 +58,12 @@ def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, 
     ("probe_center = 5+5j", r"run\.probe_center: set without run\.probe_radius$"),
     ("probe_radius = -1.5", r"run\.probe_radius: must be > 0, got -1\.5$"),
     ("probe_radius = 0", r"run\.probe_radius: must be > 0, got 0\.0$"),
-    ("uniform_margin = -1", r"run\.uniform_margin: must be > 0, got -1\.0$"),
+    ("uniform_margin = -1", r"run\.uniform_margin: unknown key$"),
 ], ids=["center-without-radius", "negative-radius", "zero-radius", "negative-margin"])
 def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, line, message):
     # each was parsed silently: the default probe replaced a lone center,
-    # and a negative margin switched off the guard of the sup-norm errors
+    # and a negative margin switched off the guard of the sup-norm errors;
+    # the margin is a constant now, and the key is refused as unknown
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + line + "\n")
     with pytest.raises(ConfigError, match=message):
@@ -75,7 +84,7 @@ def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, lin
     ("translation = nan", r"run\.translation: must be finite, got \(nan\+0j\)$"),
     ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: must be finite, got \(nan\+0j\)$"),
     ("probe_radius = inf", r"run\.probe_radius: must be finite, got inf$"),
-    ("uniform_margin = inf", r"run\.uniform_margin: must be finite, got inf$"),
+    ("uniform_margin = inf", r"run\.uniform_margin: unknown key$"),
 ], ids=["nan-l2", "inf-l2", "zero-l2", "negative-sup", "inf-sup", "nan-condition-limit",
         "nan-translation", "nan-probe-center", "inf-probe-radius", "inf-uniform-margin"])
 def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, message):
@@ -84,7 +93,7 @@ def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, 
     # nan probe center poisoned the sup errors, a nan translation was
     # refused as a map covering its center more than once, an inf probe
     # radius failed the run as a sup error that is not finite (exit 3) and
-    # an inf uniform margin was refused naming a point, not the key
+    # an inf uniform margin, now a retired key, was refused naming a point
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + line + "\n")
     with pytest.raises(ConfigError, match=message):
@@ -102,14 +111,14 @@ TORUS = BASE.replace("genus = 0\nq = inf\n", "genus = 1\ntau = 1j\n").replace(
 @pytest.mark.parametrize("text, message", [
     (BASE.replace("q = inf", "q = inf\nw0 = nan"), r"surface\.w0: must be finite, got \(nan\+0j\)"),
     (BASE.replace("q = inf", "q = inf\nw0 = inf"), r"surface\.w0: must be finite, got \(inf\+0j\)"),
-    (TORUS.replace("tau = 1j", "tau = 1j\nmargin = nan"), r"surface\.margin: must be > 0, got nan"),
-    (TORUS.replace("tau = 1j", "tau = 1j\nmargin = inf"), r"surface\.margin: must be finite, got inf"),
-    (TORUS.replace("tau = 1j", "tau = 1j\nmargin = 0"), r"surface\.margin: must be > 0, got 0\.0"),
+    *[(TORUS.replace("tau = 1j", f"tau = 1j\nmargin = {value}"), r"surface\.margin: unknown key")
+      for value in ("nan", "inf", "0")],
 ], ids=["nan-w0", "inf-w0", "nan-margin", "inf-margin", "zero-margin"])
 def test_an_unusable_surface_number_is_a_named_config_error(tmp_path, capsys, text, message):
     # a nan w0 made the q-independence check draw points forever and the
     # convergence report die in json.dump (exit 1); a nan margin on the
-    # torus switched the caps-in-cell and cycle clearance checks off (exit 0)
+    # torus switched the caps-in-cell and cycle clearance checks off (exit
+    # 0), and the cell margin is a constant now, its key refused as unknown
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"^{message}$") as err:
@@ -122,9 +131,9 @@ def test_an_unusable_surface_number_is_a_named_config_error(tmp_path, capsys, te
 
 def test_the_torus_config_of_the_surface_number_cases_parses(tmp_path):
     path = tmp_path / "ok.cfg"
-    path.write_text(TORUS.replace("tau = 1j", "tau = 1j\nmargin = 0.1\nw0 = 0.1+0.1j"))
+    path.write_text(TORUS.replace("tau = 1j", "tau = 1j\nw0 = 0.1+0.1j"))
     surface = parse_config(str(path)).surface
-    assert (surface.genus, surface.margin, surface.w0) == (1, 0.1, 0.1 + 0.1j)
+    assert (surface.genus, surface.w0) == (1, 0.1 + 0.1j)
 
 
 def test_a_torus_q_on_a_lattice_copy_of_a_cap_is_a_config_error(tmp_path, capsys):
@@ -147,19 +156,33 @@ def test_the_parse_leaves_the_probe_to_the_run(monkeypatch):
         raise AssertionError("the parse searched for the cycle base")
 
     monkeypatch.setattr(SurfaceSpec, "cycle_base", searched)
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", "torus_two_caps.cfg")
+    path = os.path.join(ROOT, "configs", "torus_two_caps.cfg")
     config = parse_config(path)
     assert config.surface.genus == 1 and config.probe_radius is None
 
 
 def test_a_probe_with_center_and_radius_is_kept(tmp_path):
     path = tmp_path / "ok.cfg"
-    path.write_text(BASE + "probe_center = 5+5j\nprobe_radius = 1.5\nuniform_margin = 0.2\n")
+    path.write_text(BASE + "probe_center = 5+5j\nprobe_radius = 1.5\n")
     config = parse_config(str(path))
-    assert (config.probe_center, config.probe_radius, config.uniform_margin) == (5 + 5j, 1.5, 0.2)
+    assert (config.probe_center, config.probe_radius) == (5 + 5j, 1.5)
 
 
-@pytest.mark.parametrize("field", ["samples", "probe_points", "pole_orders"])
+def test_a_torus_probe_ring_is_held_to_the_torus_margin(tmp_path):
+    # 0.06 from the cap: inside the sphere's margin of 0.1, outside the torus's
+    path = tmp_path / "ok.cfg"
+    path.write_text(TORUS + "probe_center = 0.5+0.5j\nprobe_radius = 0.16\n")
+    assert parse_config(str(path)).probe_radius == 0.16
+
+
+def test_a_translation_out_of_the_cell_is_refused_only_under_invariance(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text(TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j")
+                    .replace(", invariance", ""))
+    assert parse_config(str(path)).translation == 0.05
+
+
+@pytest.mark.parametrize("field", ["pole_orders"])
 def test_a_count_of_one_is_accepted(tmp_path, field):
     path = tmp_path / "ok.cfg"
     path.write_text(BASE + f"{field} = 1\n")
@@ -215,9 +238,40 @@ def test_the_retired_invariance_order_is_a_named_config_error(tmp_path, capsys):
     (BASE.replace("genus = 0\n", "genus = 0\ntua = 0.3+1.1j\n"), "surface.tua"),
     (BASE + "sup_tolerence = 1e-30\n", "run.sup_tolerence"),
     (BASE + "[output]\ndirectroy = out\n", "output.directroy"),
-], ids=["surface", "run", "output"])
+    # retired counts: the checks' sample points and the probe ring's points
+    # are constants (the retired margins are refused with the other
+    # unusable numbers above)
+    (BASE + "samples = 100\n", "run.samples"),
+    (BASE + "probe_points = 40\n", "run.probe_points"),
+], ids=["surface", "run", "output", "samples", "probe-points"])
 def test_an_unknown_key_is_a_named_config_error(tmp_path, capsys, text, field):
     _rejected_before_anything_runs(tmp_path, capsys, text, f"{field}: unknown key")
+
+
+def _readme_keys(block: str) -> set:
+    # the bullet "* `[block]`: `key`, ..." of the README's list of the keys
+    # each block reads, up to the parenthesis that spells out strict's values
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    bullet = re.search(rf"^\* `\[{block}\]`:(.*?)(?=^\*|^$)", text, re.M | re.S).group(1)
+    return {key.lower() for key in re.findall(r"`(\w+)`", bullet.split("(")[0])}
+
+
+@pytest.mark.parametrize("text", [BASE, TORUS + "[output]\ndirectory = out\n"],
+                         ids=["sphere", "torus"])
+def test_the_readme_lists_the_keys_each_block_reads(tmp_path, monkeypatch, text):
+    read = {}
+    reject = _Block.reject_unread
+
+    def record(self):
+        read[self.name] = set(self._read)
+        reject(self)
+
+    monkeypatch.setattr(_Block, "reject_unread", record)
+    path = tmp_path / "ok.cfg"
+    path.write_text(text)
+    parse_config(str(path))
+    assert read == {block: _readme_keys(block) for block in ("surface", "run", "output")}
 
 
 def test_an_unknown_block_is_a_named_config_error(tmp_path, capsys):
@@ -310,7 +364,7 @@ CAP = "main = affine scale=1 offset=0"
     ("not an ini\n", r"malformed config: File contains no section headers\.\n"
                      r"file: '.*bad\.cfg', line: 1\n'not an ini\\n'"),
     (BASE.replace("q = inf", "q = 1+"), r"surface\.q: not a complex number: '1\+'"),
-    (BASE.replace("q = inf", "margin = wide"), r"surface\.margin: not a number: 'wide'"),
+    (BASE + "l2_tolerance = tight\n", r"run\.l2_tolerance: not a number: 'tight'"),
     (BASE.replace("genus = 0", "genus = one"), r"surface\.genus: not an integer: 'one'"),
     (BASE.replace("genus = 0\n", ""), r"surface\.genus: required"),
     (BASE.replace("genus = 0", "genus = 2"), r"surface\.genus: must be 0 or 1, got 2"),
@@ -360,12 +414,26 @@ CAP = "main = affine scale=1 offset=0"
      r"target\.strength: must be finite, got 'nan'"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1,0:inf"),
      r"target\.h: must be finite, got '1,0:inf'"),
+    # refused only after the solve, naming no key: a probe ring inside the
+    # margin of its genus, and a translation carrying a torus cap out of
+    # the cell under the invariance check; a ring over a cap ran (exit 0)
+    (BASE + "probe_radius = 1.05\n",
+     r"run\.probe_radius: point 1\.05\+0j is 0\.050 from a cap, inside the margin 0\.1"),
+    (TORUS + "probe_center = 0.5+0.5j\nprobe_radius = 0.13\n",
+     r"run\.probe_radius: point 0\.591924\+0\.591924j is 0\.030 from a cap, "
+     r"inside the margin 0\.05"),
+    (BASE + "probe_center = 0.5+0.5j\nprobe_radius = 0.16\n",
+     r"run\.probe_radius: point 0\.66\+0\.5j lies in a cap"),
+    (TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j"),
+     r"run\.translation: cap 0 leaves the fundamental cell \(margin 0\.05\); lattice "
+     r"coordinates span \[0\.790, 0\.990\] x \[0\.400, 0\.600\]"),
 ], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
         "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
         "q-inf-imaginary", "pole-cap-index", "c-length", "no-nonzero-terms", "tau-nan",
-        "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf"])
+        "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
+        "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell"])
 def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

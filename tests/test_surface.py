@@ -9,7 +9,9 @@ import pytest
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.numerics import NumericalError, ValidationError, slice_views
+from faberforms import surface as surface_module
 from faberforms.surface import (
+    CELL_MARGIN,
     Cycle,
     OneForm,
     SurfaceSpec,
@@ -173,8 +175,9 @@ def test_torus_green_harmonic():
 
 def test_torus_green_log_singularity_bounded():
     # G + log|w - z| stays bounded on shrinking circles around z and
-    # settles to a limit at rate O(r)
-    t = torus_two_caps()
+    # settles to a limit at rate O(r). The rate's constant, the gradient of
+    # the smooth part at z, grows as q nears z, so q is given: 0.61 from z
+    t = SurfaceSpec.torus(TAU, torus_two_caps().caps, q=0.356 + 1.012j)
     z = 0.55 + 0.45 * TAU
     vals = []
     for r in (1e-2, 1e-4, 1e-6):
@@ -330,14 +333,28 @@ def test_a_torus_refuses_a_marked_point_on_a_lattice_copy_of_a_cap():
         SurfaceSpec.torus(TAU, caps, q=edge)
 
 
-def test_a_torus_whose_cap_covers_every_candidate_has_no_marked_point():
+def test_a_torus_whose_cap_covers_every_candidate_has_no_marked_point(monkeypatch):
     # the degree-13 truncation of the Schwarz-Christoffel map of the disk
     # onto a square, scaled by 0.51, fills the cell's 22 x 22 grid of
-    # candidate marked points; margin 0 lets it reach the cell's edges
+    # candidate marked points; a cell margin of 0 lets it reach the edges
+    monkeypatch.setattr(surface_module, "CELL_MARGIN", 0.0)
     square = [1, 0, 0, 0, -1 / 10, 0, 0, 0, 1 / 24, 0, 0, 0, -5 / 208]
     caps = CapFamily([PolynomialCapMap([0.51 * c for c in square], offset=0.5 + 0.5j)])
     with pytest.raises(ValidationError, match=r"^found no marked point clear of the caps$"):
-        SurfaceSpec.torus(1j, caps, margin=0.0)
+        SurfaceSpec.torus(1j, caps)
+
+
+def test_a_torus_q_is_the_candidate_farthest_from_every_lattice_copy_of_the_caps():
+    # the caps of the torus-solve benchmark input 7: ranked by the distance
+    # within the cell, q went to a grid corner 0.362 from a lattice copy of
+    # a cap, where the best-cleared candidate keeps 0.416
+    caps = CapFamily([AffineMap(0.11, 0.386088 + 0.344628j),
+                      AffineMap(0.11, 0.949700 + 0.772491j)])
+    surface = SurfaceSpec.torus(0.3 + 1.1j, caps)
+    g = np.linspace(0.08, 0.92, 22)
+    cand = (g[:, None] + g[None, :] * surface.tau).ravel()
+    best = np.max(surface.distance_to_caps_reduced(cand[surface.in_sigma(cand)]))
+    assert surface.distance_to_caps_reduced(surface.q)[0] == best > 0.4
 
 
 def test_auto_marked_points():
@@ -497,7 +514,7 @@ def test_cycle_base_clears_caps():
     t = torus_two_caps()
     base = t.cycle_base()
     path = np.concatenate([a_cycle(t).nodes, b_cycle(t).nodes])
-    assert float(np.min(t.distance_to_caps_reduced(path))) > 2 * t.margin
+    assert float(np.min(t.distance_to_caps_reduced(path))) > 2 * CELL_MARGIN
     assert base == t.cycle_base()  # cached, deterministic
 
 
