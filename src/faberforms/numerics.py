@@ -34,7 +34,11 @@ CONDITION_LIMIT = 1e12  # Gram condition estimate above which least_squares regu
 # of a torus run resident. Above it, every slice temporary is mapped,
 # faulted in and unmapped again: slicing that block alone did that to the
 # kernel slices. One storage per read, never larger than the budget, keeps
-# the heap small and steady whatever came before.
+# the heap small and steady whatever came before. What a read computes in
+# its storage counts too: on the torus every kernel slice goes through the
+# theta series, whose rows, 0.35 MB in blocks of theta._BLOCK = 2048
+# points, come on top of the storage (theta._BLOCK has their measured
+# effect on the torus runs' peak RSS).
 BLOCK_ENTRIES = 32768
 
 

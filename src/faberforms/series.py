@@ -270,17 +270,18 @@ class ExteriorPairing:
 def _boundary_sum(ghat1, ghat2, weights) -> np.ndarray:
     # sum over circles and frequencies k of 2 pi ghat1_k conj(ghat2_k) / (N^2 k),
     # the N weights given, over every pair of columns of the two stacks, in
-    # row slices of frequencies; the weighted and conjugated factors of the
-    # slices go into buffers allocated once, which are freed before the
-    # caller goes on
+    # row slices of frequencies; a slice's weighted and conjugated factors,
+    # p + q entries a row, go into one storage of at most the block budget,
+    # allocated once and freed before the caller goes on
     shape = ghat1.shape[2:] + ghat2.shape[2:]
     ghat1, ghat2 = (g.reshape(g.shape[:2] + (-1,)) for g in (ghat1, ghat2))
     p, q = ghat1.shape[2], ghat2.shape[2]
     total, prod = np.zeros((p, q), dtype=complex), np.empty((p, q), dtype=complex)
-    rows0 = next(row_slices(weights.size, max(p, q))).stop
-    wg1, cg2 = np.empty((rows0, p), dtype=complex), np.empty((rows0, q), dtype=complex)
+    rows0 = next(row_slices(weights.size, p + q)).stop
+    storage = np.empty(rows0 * (p + q), dtype=complex)
+    wg1, cg2 = storage[:rows0 * p].reshape(rows0, p), storage[rows0 * p:].reshape(rows0, q)
     for g1, g2 in zip(ghat1, ghat2):
-        for rows in row_slices(weights.size, max(p, q)):
+        for rows in row_slices(weights.size, p + q):
             r = rows.stop - rows.start
             np.multiply(weights[rows, None], g1[rows], out=wg1[:r])
             total += np.dot(wg1[:r].T, np.conj(g2[rows], out=cg2[:r]), out=prod)

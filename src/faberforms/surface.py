@@ -26,6 +26,18 @@ PI = np.pi
 # the node lattice on which SurfaceSpec.cycle_base measures clearance
 CYCLE_NODES = 64
 CELL_MARGIN = 0.05  # least lattice-coordinate gap between a torus cap and the cell's edges
+# Points per slice of SurfaceSpec.distance_to_caps_reduced on the torus.
+# Measured whole, the cycle-base search's 4096-node lattice freed over 1 MB
+# of mapped temporaries, which raised glibc's dynamic mmap and trim
+# thresholds above a contour read's heap; the reads' freed heap then stayed
+# resident until the first LAPACK call paged in its code, where
+# torus-solve's peak RSS is set. In slices of 512 points that peak reads
+# 0.63 MB lower without bytecode and level with it written
+# (perfbench/child.py, the first eight pool inputs, theta's 4096-point
+# blocks on both sides), and the search takes 16.4 ms against 15.8 ms
+# (median over the 16 torus-solve inputs of the best of 7, one process,
+# 2-vCPU x86-64 VM).
+DISTANCE_SLICE = BLOCK_ENTRIES // 64
 
 
 @dataclass(frozen=True)
@@ -196,11 +208,23 @@ class SurfaceSpec:
         ])
 
     def distance_to_caps_reduced(self, w) -> np.ndarray:
-        """Distance to the nearest cap boundary, torus points reduced first."""
+        """Distance to the nearest cap boundary, torus points reduced first.
+
+        On the torus the points go in slices of ``DISTANCE_SLICE``: a
+        slice's nine lattice copies take 72 KiB, and ``min_distance`` sizes
+        its storage by the slice, where the cycle-base search's 4096 nodes
+        at once took nine copies twice over (1.2 MB) and a whole block
+        budget of storage.
+        """
         ww = np.atleast_1d(np.asarray(w, dtype=complex))
-        if self.genus == 1:
-            return self.caps.min_distance(self._lattice_copies(ww.ravel())).reshape(ww.shape)
-        return self.caps.distance_to_caps(ww)
+        if self.genus == 0:
+            return self.caps.distance_to_caps(ww)
+        flat = ww.ravel()
+        d = np.empty(flat.size)
+        for start in range(0, flat.size, DISTANCE_SLICE):
+            part = flat[start:start + DISTANCE_SLICE]
+            d[start:start + part.size] = self.caps.min_distance(self._lattice_copies(part))
+        return d.reshape(ww.shape)
 
     def translated(self, t: complex) -> "SurfaceSpec":
         """The same surface with every marked object shifted by t."""

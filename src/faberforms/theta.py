@@ -14,12 +14,13 @@ forms on the torus single valued.
 
 Every public function runs its whole chain (reduction, series, quotient
 or quasi-period step) on successive flat blocks of ``_BLOCK`` points and
-writes each block's result into one output array. The series keeps about
-a dozen temporaries the size of its input alive; on a block they stay in
-a core's cache, where on a whole area grid of a few hundred thousand
-points they would run at memory speed and dominate peak memory. The
-arithmetic per point does not depend on the blocking, so the values are
-the same as those of one call on the whole array.
+writes each block's result into one output array. The series keeps
+eleven rows of its input's size alive (``_BLOCK`` says which); on a block
+they stay in a core's cache, where on a whole area grid of a few hundred
+thousand points they would run at memory speed and dominate peak memory,
+and on the torus they come on top of every kernel read's slice storage.
+The arithmetic per point does not depend on the blocking, so the values
+are the same as those of one call on the whole array.
 """
 
 from __future__ import annotations
@@ -62,12 +63,16 @@ def _n_terms(tau: complex) -> int:
 
 def _theta1_series(v, tau: complex, n_deriv: int):
     """theta1 and its first ``n_deriv`` v-derivatives at reduced arguments, in
-    one pass; v is a 1-D complex array, and the result is a list of
-    n_deriv + 1 arrays shaped like it.
+    one pass; v is a 1-D complex array, and the result is an
+    (n_deriv + 1, v.size) array, one row per order.
 
     sin((2j+1) pi v) and cos((2j+1) pi v) come from the three-term
-    recurrence f_(j+1) = 2 cos(2 pi v) f_j - f_(j-1), so after sin(pi v) and
-    cos(pi v) each term costs a few array products. Unlike differences of
+    recurrence f_(j+1) = 2 cos(2 pi v) f_j - f_(j-1), stepped as one stacked
+    pair (row 0 the sine, row 1 the cosine when derivatives are asked for),
+    and the three sums are accumulated in place, so a term costs two array
+    operations for the pair and n_deriv + 2 for the sums. Every element
+    goes through the same operations in the same operand order as with one
+    array per sine, cosine and sum. Unlike differences of
     exp(+-i (2j+1) pi v), the recurrence keeps full relative accuracy next
     to the zero at v = 0.
     """
@@ -76,54 +81,57 @@ def _theta1_series(v, tau: complex, n_deriv: int):
     # evaluates several times faster than its complex sin and cos
     a, b = PI * v.real, PI * v.imag
     sin_a, cos_a, sinh_b, cosh_b = np.sin(a), np.cos(a), np.sinh(b), np.cosh(b)
-    sin_j = sin_a * cosh_b + 1j * (cos_a * sinh_b)
-    sin_prev = -sin_j
-    two_cos2 = 2.0 - 4.0 * sin_j * sin_j
-    cos_j = cos_prev = None
+    f = np.empty((2 if n_deriv else 1, v.size), dtype=complex)
+    np.add(sin_a * cosh_b, 1j * (cos_a * sinh_b), out=f[0])
     if n_deriv:
-        cos_j = cos_a * cosh_b - 1j * (sin_a * sinh_b)
-        cos_prev = cos_j.copy()
-    tmp = np.empty(v.shape, dtype=complex)
-    sums = None
+        np.subtract(cos_a * cosh_b, 1j * (sin_a * sinh_b), out=f[1])
+    del a, b, sin_a, cos_a, sinh_b, cosh_b
+    # the pair at j = -1: (-sin, cos) of pi v
+    f_prev = f.copy()
+    np.negative(f[0], out=f_prev[0])
+    two_cos2 = 2.0 - 4.0 * f[0] * f[0]
+    sums = np.empty((n_deriv + 1, v.size), dtype=complex)
+    products = np.empty_like(sums)
     for j in range(_n_terms(tau)):
         if j:
-            sin_prev = np.subtract(np.multiply(two_cos2, sin_j, out=tmp), sin_prev, out=sin_prev)
-            sin_j, sin_prev = sin_prev, sin_j
-            if n_deriv:
-                cos_prev = np.subtract(np.multiply(two_cos2, cos_j, out=tmp), cos_prev, out=cos_prev)
-                cos_j, cos_prev = cos_prev, cos_j
+            np.subtract(np.multiply(two_cos2, f, out=products[:len(f)]), f_prev, out=f_prev)
+            f, f_prev = f_prev, f
         freq = (2 * j + 1) * PI
         amp = 2.0 * (-1.0) ** j * p ** ((j + 0.5) ** 2)
         # d/dv of sin((2j+1) pi v) is freq cos(...), and of cos it is -freq sin(...)
-        weights = (amp, freq * amp, -freq * freq * amp)[:n_deriv + 1]
-        factors = (sin_j, cos_j, sin_j)
-        if sums is None:
-            sums = [f * w for f, w in zip(factors, weights)]
-        else:
-            for total, f, w in zip(sums, factors, weights):
-                total += np.multiply(f, w, out=tmp)
+        weights = (amp, freq * amp, -freq * freq * amp)
+        for k in range(n_deriv + 1):
+            np.multiply(f[k % 2], weights[k], out=products[k] if j else sums[k])
+        if j:
+            sums += products
     return sums
 
 
-# Points per block of the public functions: an eighth of the block budget,
-# 4096 points, so each of the series' dozen temporaries is 64 KiB. Measured
-# in fresh processes on a 2-vCPU x86-64 VM (AVX-512, numpy 2.4) for
-# log_derivative2 on a 20 x 18432 area block, median of 7 processes:
-# 4096 and 8192 points take 56 and 53 ms against 118 ms unblocked, 16384
-# and 32768 take 59 and 64 ms, 2048 take 65 ms. In a whole run 8192 loses:
-# its temporaries are exactly 128 KiB, glibc's initial mmap threshold, so
-# unless an earlier large temporary has raised the allocator's dynamic
-# thresholds, the heap is trimmed and faulted in again on every call (run
-# stage of a torus-solve input, median of 10 processes: 77 ms at 4096
-# points, 101 ms at 8192). That is glibc's rule (see numerics.BLOCK_ENTRIES):
-# a block of at least the mmap threshold is mapped on its own and faulted
-# in at every use, and only freeing such a block raises the threshold to
-# its size, so the largest temporary freed early in a run decides whether
-# later ones cost page faults or resident heap. 64 KiB temporaries stay
-# below the threshold whatever came before, and the kernel has the series
-# write into its slice buffer (``log_derivative2(..., out=)``), so no
-# output the size of a kernel slice is allocated.
-_BLOCK = BLOCK_ENTRIES // 8
+# Points per block of the public functions: a sixteenth of the block
+# budget, 2048 points. The series then holds eleven rows of 32 KiB (the
+# stacked pair and its previous term, two rows each, three sums, three
+# products and 2 cos(2 pi v)), 0.35 MB, where 4096-point blocks of one array
+# per sine, cosine and sum held about 0.9 MB. On the torus that comes on
+# top of a kernel read's 512 KiB slice storage, and it sets torus-verify's
+# peak RSS, which its r0-independence check's area reads reach: against
+# 4096-point blocks, with the distance search sliced (surface.DISTANCE_SLICE)
+# on both sides, 0.37 MB lower without bytecode and 0.36 MB lower with it
+# written (perfbench/child.py, the first eight pool inputs, fresh
+# processes). torus-solve's peak is set later, when the first LAPACK call
+# pages in its code on top of whatever heap the contour reads left
+# resident; a smaller read leaves glibc's trim threshold unreached, so its
+# freed heap stays, and that peak reads 0.34 MB higher without bytecode and
+# 0.06 MB lower with it. The cost is per block, some sixty numpy calls:
+# log_derivative2 takes 20% more per point than with the former 4096-point
+# blocks of one array per sine, cosine and sum, and 9% more at 4096 points
+# (100k reduced points at tau = 0.3+1.1i, best of 15, interleaved, median
+# of ten rounds, 2-vCPU x86-64 VM, numpy 2.4). At 8192 points the old
+# series' temporaries were exactly 128 KiB, glibc's initial mmap
+# threshold, and the heap was trimmed and faulted in again on every call
+# (see numerics.BLOCK_ENTRIES). The kernel has the series write into its
+# slice buffer (``log_derivative2(..., out=)``), so no output the size of
+# a kernel slice is allocated.
+_BLOCK = BLOCK_ENTRIES // 16
 
 
 def _blockwise(fn, v, dtype, out=None):

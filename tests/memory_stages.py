@@ -5,21 +5,23 @@ Run from the repository root, one config per process:
     python tests/memory_stages.py CONFIG
 
 It runs the stages of ``faberforms run CONFIG`` in this process, in the
-runner's order, and after each one prints the process's VmHWM, VmRSS and
-RssFile (from ``/proc/self/status``, in MB), its minor page faults so far
-(``resource.getrusage``), and the numpy subpackages (``numpy.<name>``)
-and ``_hashlib`` that the stage loaded first, comma-separated, or ``-``.
+runner's order, and after each one prints the process's VmHWM, VmRSS,
+RssAnon and RssFile (from ``/proc/self/status``, in MB), its minor page
+faults so far (``resource.getrusage``), and the numpy subpackages
+(``numpy.<name>``) and ``_hashlib`` that the stage loaded first,
+comma-separated, or ``-``.
 The import stage names what the package's import loads beyond numpy's
 own. The stages are: import, parse, cycle base (torus only),
 project_faber, the sup errors on the probe ring, then each check of the
 config. Nothing is written to disk. Every figure is cumulative from the
 start of the process, so run it in a fresh process for each config; a
 VmHWM that rises at a stage was set by that stage, and the modules named
-beside it often say why. RssFile is the resident part mapped from files,
-mostly library code pages: a stage whose VmRSS rises with it paged in
-code (a library call used for the first time), one whose VmRSS rises
-without it grew the heap. Pytest does not collect this file, and the
-tier-1 run only smoke-tests it.
+beside it often say why. VmRSS is RssAnon plus RssFile plus RssShmem.
+RssAnon is the anonymous part, the heap and numpy's mapped arrays: a
+stage whose RssAnon rises grew them. RssFile is the part mapped from
+files, mostly library code pages: a stage whose RssFile rises paged in
+code (a library call used for the first time). Pytest does not collect
+this file, and the tier-1 run only smoke-tests it.
 """
 
 import os
@@ -29,11 +31,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-STATUS_FIELDS = ("VmHWM", "VmRSS", "RssFile")
+STATUS_FIELDS = ("VmHWM", "VmRSS", "RssAnon", "RssFile")
 
 
 def memory() -> tuple:
-    """(VmHWM MB, VmRSS MB, RssFile MB, minor faults) of this process so far."""
+    """(VmHWM MB, VmRSS MB, RssAnon MB, RssFile MB, minor faults) of this
+    process so far."""
     fields = {}
     with open("/proc/self/status", encoding="ascii") as fh:
         for line in fh:
@@ -87,10 +90,11 @@ def main(argv) -> int:
         checks.CHECKS[name][0](ctx)
         stage(f"check {name}")
 
-    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'RssFile MB':>10} {'minflt':>8}"
-          "  loaded first")
-    for name, hwm, rss, rss_file, faults, loaded in rows:
-        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {rss_file:>10.2f} {faults:>8d}  {loaded}")
+    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'RssAnon MB':>10} {'RssFile MB':>10}"
+          f" {'minflt':>8}  loaded first")
+    for name, hwm, rss, rss_anon, rss_file, faults, loaded in rows:
+        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {rss_anon:>10.2f} {rss_file:>10.2f}"
+              f" {faults:>8d}  {loaded}")
     return 0
 
 

@@ -1,10 +1,12 @@
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from faberforms.checks import check_pole_structure
+from faberforms.config import parse_config
 from faberforms.conformal import (
     AffineMap,
     CapFamily,
@@ -28,6 +30,7 @@ from faberforms.numerics import (
 from faberforms.schiffer import contour_nodes, contour_radius, schiffer_contour
 from faberforms.surface import SurfaceSpec, boundary_cycle
 
+ROOT = Path(__file__).resolve().parents[1]
 TAU = 0.3 + 1.1j
 
 
@@ -123,6 +126,25 @@ def test_alpha_values_keeps_its_kernel_blocks_small():
         tracemalloc.stop()
     assert vals.shape == (512, 40)
     assert peak < 3e6
+
+
+def test_torus_alpha_values_keep_one_storage_and_one_theta_block():
+    # a torus read of torus_two_caps' first cap on both caps' 512-node
+    # radius-1 circles: the kernel's slice storage (0.52 MB), the 1024 x 10
+    # output (0.16 MB) and one theta block's eleven rows (0.35 MB), with the
+    # block's reduced points and the real temporaries of sin(pi v), make
+    # the 1.20 MB traced (4096-point blocks of one array per sine, cosine
+    # and sum: 1.61 MB); the margin covers a line tracer's 0.08 MB
+    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+    pts = np.concatenate([boundary_cycle(surface, k).nodes for k in range(surface.n_caps)])
+    tracemalloc.start()
+    try:
+        vals = alpha_values(surface, 0, range(1, 11), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (1024, 10)
+    assert peak < 1.35e6
 
 
 def test_node_count_follows_the_radius(monkeypatch):

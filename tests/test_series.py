@@ -338,7 +338,7 @@ def test_residual_in_the_span_reads_roundoff_not_zero():
 def test_block_budget_does_not_change_the_gram(budget, monkeypatch):
     # the data are transformed in row slices of columns and the products
     # taken in row slices of frequencies of numerics.BLOCK_ENTRIES entries
-    # (at the default budget, 21 columns and two slices a circle, for 120
+    # (at the default budget, 21 columns and four slices a circle, for 120
     # forms on three circles)
     surface = multicap_sphere()
     pairing = ExteriorPairing(surface, BOUNDARY_NODES)
@@ -369,6 +369,24 @@ def test_project_faber_keeps_its_pairing_data_small():
         tracemalloc.stop()
     assert dec.h.shape == (40, 3) and dec.pairing_nodes == 256
     assert peak < 5e6
+
+
+def test_pairing_inner_keeps_its_factors_in_one_block():
+    # sphere-multicap's M = 40 stack on the 256 nodes its circles take: a
+    # frequency slice's weighted and conjugated factors, 120 + 120 entries
+    # a row, share one storage of numerics.BLOCK_ENTRIES entries (0.5 MB)
+    # beside the 120 x 120 sum and product (0.23 MB each)
+    surface = multicap_sphere()
+    pairing = ExteriorPairing(surface, 256)
+    data = pairing.alpha_data(40)
+    tracemalloc.start()
+    try:
+        gram = pairing.inner(data, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (120, 120)
+    assert peak < 1.3e6
 
 
 def test_pairing_torus_gamma_norm():

@@ -1,3 +1,4 @@
+import cmath
 import tracemalloc
 
 import mpmath
@@ -211,8 +212,21 @@ PUBLIC = (
 @pytest.mark.parametrize("fn", PUBLIC)
 def test_blocked_evaluation_matches_slices_and_one_call(fn, monkeypatch):
     rng = np.random.default_rng(13)
-    n = 3 * _BLOCK + 17
+    # 12305 random points, as many as three blocks held at 4096 points
+    n = 6 * _BLOCK + 17
     flat = rng.uniform(-3.0, 3.0, n) + rng.uniform(-3.0, 3.0, n) * TAU
+    # before each block's worth of those points, 64 points on each of the
+    # series' two hard edges, so that every block holds some: |v| = 1e-7,
+    # next to the zero at v = 0, where differences of exponentials lost
+    # digits, and |Im v| = 0.49 Im tau, next to the edge of the reduced cell,
+    # where the terms decay slowest
+    parts = []
+    for i in range(0, n, _BLOCK):
+        parts.append(1e-7 * np.exp(2j * PI * rng.uniform(0.0, 1.0, 64)))
+        parts.append(rng.uniform(-0.5, 0.5, 64) + 0.49j * TAU.imag * rng.choice([-1.0, 1.0], 64))
+        parts.append(flat[i:i + _BLOCK])
+    flat = np.concatenate(parts)
+    n = flat.size
     v = flat.reshape(-1, 1)
     out = fn(v)
     assert out.shape == v.shape
@@ -221,6 +235,43 @@ def test_blocked_evaluation_matches_slices_and_one_call(fn, monkeypatch):
     monkeypatch.setattr(theta, "_BLOCK", n)
     assert np.array_equal(out, fn(v))
 
+
+def one_array_per_sum(v, tau, n_deriv):
+    # the reference arithmetic: sin and cos stepped as separate arrays, and
+    # each sum built term by term on its own
+    p = cmath.exp(1j * PI * tau)
+    a, b = PI * v.real, PI * v.imag
+    sin_a, cos_a, sinh_b, cosh_b = np.sin(a), np.cos(a), np.sinh(b), np.cosh(b)
+    sin_j = sin_a * cosh_b + 1j * (cos_a * sinh_b)
+    cos_j = cos_a * cosh_b - 1j * (sin_a * sinh_b)
+    sin_prev, cos_prev = -sin_j, cos_j
+    two_cos2 = 2.0 - 4.0 * sin_j * sin_j
+    sums = None
+    for j in range(_n_terms(tau)):
+        if j:
+            sin_j, sin_prev = two_cos2 * sin_j - sin_prev, sin_j
+            cos_j, cos_prev = two_cos2 * cos_j - cos_prev, cos_j
+        freq = (2 * j + 1) * PI
+        amp = 2.0 * (-1.0) ** j * p ** ((j + 0.5) ** 2)
+        terms = [sin_j * amp, cos_j * (freq * amp), sin_j * (-freq * freq * amp)][:n_deriv + 1]
+        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+    return sums
+
+
+@pytest.mark.parametrize("tau", [TAU, 0.1 + 0.35j])
+def test_stacked_series_gives_the_bits_of_one_array_per_sum(tau):
+    # random reduced points and the two hard edges, |v| = 1e-7 and
+    # |Im v| = 0.49 Im tau, under two term counts
+    rng = np.random.default_rng(15)
+    n = 3000
+    v = lattice_reduce(rng.uniform(-3.0, 3.0, n) + rng.uniform(-3.0, 3.0, n) * tau, tau)[0]
+    v[0::3] = 1e-7 * np.exp(2j * PI * rng.uniform(0.0, 1.0, n // 3))
+    v[1::3] = rng.uniform(-0.5, 0.5, n // 3) + 0.49j * tau.imag * rng.choice([-1.0, 1.0], n // 3)
+    for n_deriv in range(3):
+        got = theta._theta1_series(v, tau, n_deriv)
+        assert got.shape == (n_deriv + 1, n)
+        for row, want in zip(got, one_array_per_sum(v, tau, n_deriv)):
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), n_deriv
 
 @pytest.mark.parametrize("fn", PUBLIC)
 def test_scalar_and_empty_inputs(fn):
