@@ -70,7 +70,10 @@ def _sample_points(surface: SurfaceSpec, rng: Pcg64Stream, count: int, clearance
     else:
         centers = np.asarray(surface.caps.centers)
         origin = complex(np.mean(centers))
-        hi = 2.0 + float(np.max(np.abs(centers - origin)))
+        # the caps lie within their boundary reach of the origin, so a square
+        # of half-width reach + clearance keeps its corners, 1 - pi/4 of it, open
+        hi = max(2.0 + float(np.max(np.abs(centers - origin))),
+                 surface.caps.reach(origin) + clearance)
         lo, step = -hi, 1j
     pts, tested = [], 0
     while len(pts) < count:

@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from .checks import catalog
-from .config import ConfigError, parse_config, valid_seed
+from .config import ConfigError, parse_config
 from .numerics import NumericalError, ValidationError
 from .runner import run_experiment
 
@@ -29,10 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to an INI-style experiment config")
     run_p.add_argument("--out-dir", default=None,
                        help="artifact directory (overrides the config's [output] block)")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config's random seed")
-    run_p.add_argument("--strict", action="store_true",
-                       help="treat Gram regularization as a numerical failure")
     sub.add_parser("list-checks", help="print the catalog of runtime checks")
     return parser
 
@@ -45,16 +41,11 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
-        if args.seed is not None:
-            valid_seed("--seed", args.seed)
-        # the flags given override the config once: the report, the checks
-        # and strict mode all read the one record
-        flags = {"out_dir": args.out_dir, "seed": args.seed, "strict": args.strict or None}
-        config = dataclasses.replace(
-            config, **{key: value for key, value in flags.items() if value is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.out_dir is not None:
+        config = dataclasses.replace(config, out_dir=args.out_dir)
 
     try:
         report, code = run_experiment(config)

@@ -5,14 +5,16 @@ A config has five blocks. [surface] fixes genus and marked points,
 use, [target] names a target family with its parameters, [run] holds
 truncation order, check list, seed, and tolerances, [output] the
 artifact directory. Parse errors name the offending block.field; a key
-that [surface], [run] or [output] does not read is one of them. The
-parsed config is frozen: the command line's overrides make a new one
-with ``dataclasses.replace``. ``probe_ring`` gives the ring the run
-reads its sup errors on; the default one is picked at run time.
+that [surface], [run] or [output] does not read is one of them, and so
+is a number that is not finite. The parsed config is frozen: the command
+line's ``--out-dir`` makes a new one with ``dataclasses.replace``.
+``probe_ring`` gives the ring the run reads its sup errors on; the
+default one is picked at run time.
 """
 
 from __future__ import annotations
 
+import cmath
 import configparser
 from dataclasses import dataclass
 
@@ -22,16 +24,13 @@ from .checks import CHECKS
 from .conformal import CapFamily, make_map
 from .faber import PRINCIPAL_RADIUS
 from .numerics import CONDITION_LIMIT, ValidationError
-from .schiffer import contour_radius, order_limit
-from .series import UNIFORM_MARGIN, TargetForm, require_margin
+from .schiffer import guard_basis_order, order_limit
+from .series import TargetForm, require_margin
 from .surface import SurfaceSpec
 from .targets import build_target
 
 CHECK_NAMES = tuple(CHECKS)
 PROBE_POINTS = 40  # equispaced points of the probe ring the sup errors are read on
-# least distance from the caps of a torus probe point: the default ring,
-# radius 0.04 about the cycle base, keeps at least 2 * CELL_MARGIN - 0.04
-TORUS_UNIFORM_MARGIN = 0.05
 
 
 class ConfigError(ValidationError):
@@ -85,37 +84,41 @@ class _Block:
                 raise ConfigError(f"{self.name}.{key}: unknown key")
 
 
-def probe_ring(config: ExperimentConfig) -> tuple:
+def probe_ring(config: ExperimentConfig) -> np.ndarray:
     """The circle the sup errors are read on, the configured one or by
-    default one away from every cap, as PROBE_POINTS points, and the
-    least distance from the caps that its points must keep."""
+    default one away from every cap, as PROBE_POINTS points."""
     surface = config.surface
     center, radius = config.probe_center, config.probe_radius
     if radius is None and surface.genus == 0:
         center = complex(np.mean(surface.caps.centers))
-        reach = max(float(np.max(np.abs(surface.caps.boundary_samples(k) - center)))
-                    for k in range(surface.n_caps))
-        radius = max(0.5, reach) + 0.75
+        radius = max(0.5, surface.caps.reach(center)) + 0.75
     elif radius is None:
         # torus: ride the corridor of the cycle base the pairing searched for
         center, radius = complex(surface.cycle_base()), 0.04
     theta = 2.0 * np.pi * np.arange(PROBE_POINTS) / PROBE_POINTS
-    margin = UNIFORM_MARGIN if surface.genus == 0 else TORUS_UNIFORM_MARGIN
-    return center + radius * np.exp(1j * theta), margin
+    return center + radius * np.exp(1j * theta)
+
+
+def _finite(block: str, key: str, raw: str, value):
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{block}.{key}: must be finite, got {raw.strip()!r}")
+    return value
 
 
 def _complex(block: str, key: str, raw: str) -> complex:
     try:
-        return complex(raw.strip().replace(" ", ""))
+        value = complex(raw.strip().replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{block}.{key}: not a complex number: {raw!r}") from None
+    return _finite(block, key, raw, value)
 
 
 def _float(block: str, key: str, raw: str) -> float:
     try:
-        return float(raw.strip())
+        value = float(raw.strip())
     except ValueError:
         raise ConfigError(f"{block}.{key}: not a number: {raw!r}") from None
+    return _finite(block, key, raw, value)
 
 
 def _positive(block: str, key: str, raw: str) -> float:
@@ -139,23 +142,15 @@ def _bool(block: str, key: str, raw: str) -> bool:
         raise ConfigError(f"{block}.{key}: not a boolean: {raw!r}") from None
 
 
-def _count(block: str, key: str, raw: str) -> int:
+def _count(block: str, key: str, raw: str, least: int = 1) -> int:
     value = _int(block, key, raw)
-    if value < 1:
-        raise ConfigError(f"{block}.{key}: must be >= 1, got {value}")
-    return value
-
-
-def valid_seed(name: str, value: int) -> int:
-    """The rule for every seed, named ``name`` in the error: numpy's
-    generators take no negative one."""
-    if value < 0:
-        raise ConfigError(f"{name}: must be >= 0, got {value}")
+    if value < least:
+        raise ConfigError(f"{block}.{key}: must be >= {least}, got {value}")
     return value
 
 
 def _seed(block: str, key: str, raw: str) -> int:
-    return valid_seed(f"{block}.{key}", _int(block, key, raw))
+    return _count(block, key, raw, least=0)  # numpy's generators take no negative seed
 
 
 def _parse_map_spec(key: str, spec: str):
@@ -168,14 +163,9 @@ def _parse_map_spec(key: str, spec: str):
             raise ConfigError(f"caps.{key}: expected key=value, got {tok!r}")
         name, value = tok.split("=", 1)
         if name == "coefficients":
-            try:
-                params[name] = [complex(v) for v in value.split(",")]
-            except ValueError:
-                raise ConfigError(f"caps.{key}: bad coefficient list {value!r}") from None
+            params[name] = [_complex("caps", f"{key}.{name}", v) for v in value.split(",")]
         else:
-            params[name] = _complex("caps", key, value)
-        if not np.all(np.isfinite(params[name])):
-            raise ConfigError(f"caps.{key}: {name} must be finite, got {value!r}")
+            params[name] = _complex("caps", f"{key}.{name}", value)
     try:
         return make_map(kind, **params)
     except ValidationError as exc:
@@ -196,11 +186,12 @@ def _h_entries(block: str, key: str, raw: str) -> dict:
         try:
             mk, value = chunk.split(":")
             m_txt, k_txt = mk.split(",")
-            out[(int(m_txt), int(k_txt))] = complex(value.strip().replace(" ", ""))
+            m, k = int(m_txt), int(k_txt)
         except ValueError:
             raise ConfigError(
                 f"{block}.{key}: expected m,k:value entries separated by ';', got {chunk!r}"
             ) from None
+        out[(m, k)] = _complex(block, key, value)
     return out
 
 
@@ -252,13 +243,8 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError("surface.q: must be finite on the torus")
     elif "q" in s:
         q = _complex("surface", "q", s["q"])
-        if not np.isfinite(q):
-            raise ConfigError(f"surface.q: must be finite or inf, got {s['q']!r}")
     w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
     s.reject_unread()
-    for key, value in (("tau", tau), ("w0", w0)):
-        if value is not None and not np.isfinite(value):
-            raise ConfigError(f"surface.{key}: must be finite, got {value}")
 
     caps_items = list(parser["caps"].items())
     if not caps_items:
@@ -285,10 +271,6 @@ def parse_config(path: str) -> ExperimentConfig:
         if key not in TARGET_PARAMS:
             raise ConfigError(f"target.{key}: unknown parameter")
         params[key] = TARGET_PARAMS[key]("target", key, t[key])
-        value = params[key]  # an integer, or complex and real numbers to check
-        numbers = list(value.values()) if isinstance(value, dict) else value
-        if not isinstance(value, int) and not np.all(np.isfinite(numbers)):
-            raise ConfigError(f"target.{key}: must be finite, got {t[key].strip()!r}")
     try:
         target = build_target(surface, family, **params)
     except ValidationError as exc:
@@ -334,26 +316,19 @@ def parse_config(path: str) -> ExperimentConfig:
     )
     r.reject_unread()
     output.reject_unread()
-    for key in ("l2_tolerance", "sup_tolerance", "translation", "probe_center", "probe_radius"):
-        value = getattr(cfg, key)
-        if value is not None and not np.isfinite(value):
-            raise ConfigError(f"run.{key}: must be finite, got {value}")
     # the run would refuse these only after the solve, naming no key
     if cfg.probe_radius is not None:
         try:
-            require_margin(surface, *probe_ring(cfg))
+            require_margin(surface, probe_ring(cfg))
         except ValidationError as exc:
-            raise ConfigError(f"run.probe_radius: {exc}") from None
+            keys = "run.probe_center, run.probe_radius" if "probe_center" in r else "run.probe_radius"
+            raise ConfigError(f"{keys}: {exc}") from None
     if "invariance" in cfg.checks:
         try:
             surface.translated(cfg.translation)
         except ValidationError as exc:
             raise ConfigError(f"run.translation: {exc}") from None
-    radius = contour_radius(cfg.M)
-    top = order_limit(radius)
-    if cfg.M > top:
-        raise ConfigError(f"run.M: must be <= {top}, the roundoff limit of the basis read "
-                          f"on the contour radius {radius:.4g}, got {cfg.M}")
+    guard_basis_order("run.M", cfg.M, ConfigError)
     top = order_limit(PRINCIPAL_RADIUS)
     if cfg.pole_orders > top:
         raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "

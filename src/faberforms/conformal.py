@@ -349,6 +349,10 @@ class CapFamily:
     def boundary_samples(self, k: int) -> np.ndarray:
         return self._boundaries[k]
 
+    def reach(self, origin: complex) -> float:
+        """The largest distance from ``origin`` of a cap's boundary sample."""
+        return max(float(np.max(np.abs(b - origin))) for b in self._boundaries)
+
     def which_cap(self, z) -> np.ndarray:
         """Index of the cap whose closed image contains each point, else -1.
 

@@ -138,9 +138,8 @@ def run_experiment(config: ExperimentConfig):
     residual_rows = []
     if dec is not None:
         # one read of the probe ring serves every checkpoint order
-        ring, margin = probe_ring(config)
-        sups = uniform_errors(config.target, config.surface, dec, ring,
-                              [order for order, _l2 in dec.residual_history], margin=margin)
+        sups = uniform_errors(config.target, config.surface, dec, probe_ring(config),
+                              [order for order, _l2 in dec.residual_history])
         residual_rows = [(order, l2, sup)
                          for (order, l2), sup in zip(dec.residual_history, sups)]
 

@@ -179,6 +179,16 @@ def guard_order(m: int, r0: float, error=NumericalError):
                     f"r0^(-m) * eps = {_scientific(log10)}, above {ROUNDOFF_LIMIT:.0e}")
 
 
+def guard_basis_order(name: str, m: int, error=ValidationError):
+    """Raise ``error`` naming ``name`` when the order m is past
+    ``order_limit`` of ``contour_radius(m)``, the radius its basis read takes."""
+    radius = contour_radius(m)
+    top = order_limit(radius)
+    if m > top:
+        raise error(f"{name}: must be <= {top}, the roundoff limit of the basis read "
+                    f"on the contour radius {radius:.4g}, got {m}")
+
+
 def _scientific(log10: float) -> str:
     # format(10 ** log10, ".2e") for a figure of any magnitude
     exponent = int(np.floor(log10))

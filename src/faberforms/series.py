@@ -87,7 +87,9 @@ RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circl
 # node count. On the 0.95 circle the guard admits up to 0.9195.
 POLE_CLEARANCE = 0.0305
 BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
-UNIFORM_MARGIN = 0.1  # least distance from the caps of a point the sup-norm error reads
+# Least distance from the caps of a point the sup-norm error reads, by genus; the
+# default torus ring, radius 0.04 about the cycle base, keeps at least 2 * CELL_MARGIN - 0.04
+UNIFORM_MARGIN = (0.1, 0.05)
 
 
 @dataclass(frozen=True)
@@ -539,10 +541,11 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
     return decomposition.h[:M] if h is None else h
 
 
-def require_margin(surface: SurfaceSpec, points, margin: float) -> np.ndarray:
+def require_margin(surface: SurfaceSpec, points) -> np.ndarray:
     """The points as a complex array of at least one dimension; raises
     ValidationError naming the first point in a cap, or the nearest when
-    one lies closer than ``margin`` to a cap."""
+    one lies closer to a cap than its genus's ``UNIFORM_MARGIN``."""
+    margin = UNIFORM_MARGIN[surface.genus]
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     inside = ~surface.in_sigma(pts)
     if np.any(inside):
@@ -558,9 +561,9 @@ def require_margin(surface: SurfaceSpec, points, margin: float) -> np.ndarray:
 
 
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                   points, orders, margin: float = UNIFORM_MARGIN) -> list:
+                   points, orders) -> list:
     """Sup-norm coefficient errors of the partial sums of every order in
-    ``orders`` on a point set that keeps a stated distance from every cap.
+    ``orders`` on a point set that keeps ``UNIFORM_MARGIN`` from every cap.
 
     The target and the closed part are read on the points once, and the
     basis forms of orders 1..max(orders) of each cap with one
@@ -571,7 +574,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     reads its basis forms on the step of its own order, so the two agree
     up to roundoff.
     """
-    pts = require_margin(surface, points, margin)
+    pts = require_margin(surface, points)
     orders = [int(M) for M in orders]
     hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)
@@ -591,12 +594,12 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
 
 
 def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                  points, upto: int | None = None, margin: float = UNIFORM_MARGIN) -> float:
+                  points, upto: int | None = None) -> float:
     """Sup-norm coefficient error of the partial sum on a point set that
-    keeps a stated distance from every cap: ``uniform_errors`` at the one
+    keeps ``UNIFORM_MARGIN`` from every cap: ``uniform_errors`` at the one
     order upto (default: the full truncation)."""
     M = decomposition.M if upto is None else int(upto)
-    return uniform_errors(target, surface, decomposition, points, [M], margin=margin)[0]
+    return uniform_errors(target, surface, decomposition, points, [M])[0]
 
 
 def coefficient_deviations(a: SeriesDecomposition, b: SeriesDecomposition) -> dict:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .faber import faber_form, faber_series
 from .numerics import Pcg64Stream, ValidationError
-from .series import TargetForm
+from .schiffer import guard_basis_order
+from .series import MEASURING_RADII, POLE_CLEARANCE, TargetForm
 from .surface import OneForm, SurfaceSpec
 from .theta import log_derivative2
 
@@ -41,8 +42,11 @@ def _pole_target(surface, cap: int = 0, eta: complex = 0.5,
     if not 0 <= k < surface.n_caps:
         raise ValidationError(f"cap index {k} out of range")
     eta = complex(eta)
-    if not abs(eta) < 0.9:
-        raise ValidationError(f"pole preimage must satisfy |eta| < 0.9, got {abs(eta):.3f}")
+    # the depth the solve's own guard admits inside its inner measuring circle
+    depth = min(MEASURING_RADII) - POLE_CLEARANCE
+    if not abs(eta) <= depth:
+        raise ValidationError(f"target.eta: the pole preimage must satisfy |eta| <= {depth:.4g}, "
+                              f"got {abs(eta):.4g}")
     s = complex(strength)
     f = surface.caps[k]
     a = complex(f.evaluate(eta))
@@ -86,8 +90,16 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     n = surface.n_caps
     g = surface.genus
     if seed is not None:
-        order = 6 if order is None else order
+        order = 6 if order is None else int(order)
         decay = 0.75 if decay is None else decay
+        if order < 0:
+            raise ValidationError(f"target.order: must be >= 0, got {order}")
+        guard_basis_order("target.order", order)
+        try:
+            float(abs(decay)) ** order
+        except OverflowError:
+            raise ValidationError(f"target.decay: {decay:g} to the power {order} "
+                                  f"overflows a float") from None
         rng = Pcg64Stream(int(seed))
 
         def draw(size):
@@ -97,7 +109,7 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
         c = draw(g)
         h = {
             (m, k): complex(draw(()) * decay**m)
-            for m in range(1, int(order) + 1)
+            for m in range(1, order + 1)
             for k in range(n)
         }
     epsilon = np.zeros(n - 1, dtype=complex) if epsilon is None else np.asarray(
@@ -107,6 +119,7 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     h = {} if h is None else {
         (int(m), int(k)): complex(v) for (m, k), v in dict(h).items()
     }
+    guard_basis_order("target.h", max([0, *(m for m, _k in h)]))
     if epsilon.size != max(n - 1, 0):
         raise ValidationError(f"epsilon needs {n - 1} entries, got {epsilon.size}")
     if c.size != g:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -43,7 +44,8 @@ def _one_at_a_time(surface, rng, count, clearance, accept=None):
     else:
         centers = np.asarray(surface.caps.centers)
         origin = complex(np.mean(centers))
-        hi = 2.0 + float(np.max(np.abs(centers - origin)))
+        hi = max(2.0 + float(np.max(np.abs(centers - origin))),
+                 surface.caps.reach(origin) + clearance)
         lo, step = -hi, 1j
     pts = []
     while len(pts) < count:
@@ -123,6 +125,27 @@ def test_a_sampling_region_without_admissible_points_is_refused(tmp_path):
                          capture_output=True, text=True, timeout=20)
     assert out.returncode == 2
     assert out.stderr == f"config error: {NO_CLEAR_POINT_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("name, scale", [("sphere_identity", 2.5), ("sphere_identity", 3),
+                                         ("sphere_joukowski", 2.5)])
+def test_a_cap_wider_than_the_centers_box_leaves_room_to_sample(tmp_path, name, scale):
+    # the box was the centers' mean +- 2, which a cap of radius 2.5 at the
+    # origin covers: each run solved, then found 0 of 20 sample points with
+    # the r0-independence check's clearance and exited 2 naming no key
+    with open(_config_path(name)) as fh:
+        text = fh.read()
+    assert "scale=1 offset=0" in text
+    text = text.replace("scale=1 offset=0", f"scale={scale} offset=0")
+    text = re.sub(r"^probe_\w+ = .*\n", "", text, flags=re.M)
+    text = re.sub(r"^checks = .*$", "checks = " + ", ".join(checks.CHECKS), text, flags=re.M)
+    path = tmp_path / "wide.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.json") as fh:
+        report = json.load(fh)
+    assert [entry["name"] for entry in report["checks"]] == list(checks.CHECKS)
+    assert all(entry["passed"] for entry in report["checks"])
 
 
 def test_vectorized_separation_matches_scalar_calls():
@@ -350,9 +373,8 @@ def torus_run():
     config = parse_config(_config_path("torus_two_caps"))
     dec = project_faber(config.target, config.surface, config.M,
                         condition_limit=config.condition_limit)
-    ring, margin = probe_ring(config)
-    sups = uniform_errors(config.target, config.surface, dec, ring,
-                          [order for order, _l2 in dec.residual_history], margin=margin)
+    sups = uniform_errors(config.target, config.surface, dec, probe_ring(config),
+                          [order for order, _l2 in dec.residual_history])
     return RunContext(**vars(config), decomposition=dec, sup_errors=tuple(sups))
 
 

@@ -123,9 +123,13 @@ def test_seed_override_changes_nothing_deterministic(tmp_path):
     # the identity run has no randomness in its artifacts beyond the seed
     # echoed into the report
     d1, d2 = tmp_path / "a", tmp_path / "b"
+    with open(cfg("sphere_identity.cfg")) as fh:
+        text = fh.read()
+    assert "seed = 1\n" in text and "strict" not in text
+    reseeded = tmp_path / "reseeded.cfg"
+    reseeded.write_text(text.replace("seed = 1\n", "seed = 77\nstrict = true\n"))
     assert main(["run", cfg("sphere_identity.cfg"), "--out-dir", str(d1)]) == 0
-    assert main(["run", cfg("sphere_identity.cfg"), "--out-dir", str(d2),
-                 "--seed", "77", "--strict"]) == 0
+    assert main(["run", str(reseeded), "--out-dir", str(d2)]) == 0
     with open(d1 / "report.json") as fh:
         r1 = json.load(fh)
     with open(d2 / "report.json") as fh:
@@ -134,6 +138,20 @@ def test_seed_override_changes_nothing_deterministic(tmp_path):
     assert r2["run"]["seed"] == 77
     assert (r1["run"]["strict"], r2["run"]["strict"]) == (False, True)
     assert (d1 / "coefficients.csv").read_bytes() == (d2 / "coefficients.csv").read_bytes()
+
+
+def test_run_takes_only_a_config_and_an_out_dir(capsys):
+    # run.seed and run.strict are set in the config alone
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: faberforms run [-h] [--out-dir OUT_DIR] config\n")
+    for flag in ("--seed", "--strict"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg("sphere_identity.cfg"), flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_list_checks_matches_accepted_names(capsys):
@@ -202,8 +220,8 @@ def test_inline_comments_and_defaults(tmp_path):
     assert config.probe_radius is None  # the run picks the probe ring
     from faberforms.config import probe_ring
 
-    ring, margin = probe_ring(config)
-    assert ring.size == 40 and margin == 0.1
+    ring = probe_ring(config)
+    assert ring.size == 40
     assert np.allclose(np.abs(ring), 1.25)  # 0.75 outside the cap of radius 0.5
 
 

@@ -1,21 +1,23 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
 same holds for a probe radius that is not positive, a probe center
-without a probe radius, a tolerance or probe radius that is not finite
-and positive, a condition limit that is not positive, a translation or
-probe center that is not finite, a probe ring with a point in a cap or
-inside its genus's margin, a translation that carries a torus cap out of
-the cell under the invariance check, a [surface] w0, tau, cap parameter
-or [target] number that is not finite, a truncation order past the
-roundoff limit of the basis read, a pole-structure order past the
-roundoff limit of the principal-part read, a [target] parameter that the
-chosen family does not take, a key that [surface], [run] or [output]
-does not read (the retired margin, samples, probe_points and
-uniform_margin among them), a block that the parse does not read, a
-negative seed and a base point q that is neither finite nor inf, or a
-torus marked point on a lattice copy of a cap. Every other refusal of
-the parse is matched by its full message too, and the README's lists of
-the keys each block reads are the keys the parse reads."""
+without a probe radius, a tolerance, condition limit or probe radius
+that is not finite and positive, a translation or probe center that is
+not finite, a probe ring with a point in a cap or inside its genus's
+margin, a translation that carries a torus cap out of the cell under the
+invariance check, a [surface] w0, tau, cap parameter or [target] number
+that is not finite, a truncation order past the roundoff limit of the
+basis read (run.M, a combination target's h orders or seeded order), a
+negative seeded order, a decay whose powers overflow, a pole deeper than
+the solve admits, a pole-structure order past the roundoff limit of the
+principal-part read, a [target] parameter that the chosen family does
+not take, a key that [surface], [run] or [output] does not read (the
+retired margin, samples, probe_points and uniform_margin among them), a
+block that the parse does not read, a negative seed and a base point q
+that is neither finite nor inf, or a torus marked point on a lattice
+copy of a cap. Every other refusal of the parse is matched by its full
+message too, and the README's lists of the keys each block reads are the
+keys the parse reads."""
 
 import inspect
 import os
@@ -23,6 +25,7 @@ import re
 
 import pytest
 
+from faberforms import targets
 from faberforms.cli import main
 from faberforms.config import TARGET_PARAMS, ConfigError, _Block, parse_config
 from faberforms.surface import SurfaceSpec
@@ -75,18 +78,19 @@ def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, lin
 
 
 @pytest.mark.parametrize("line, message", [
-    ("l2_tolerance = nan", r"run\.l2_tolerance: must be > 0, got nan$"),
-    ("l2_tolerance = inf", r"run\.l2_tolerance: must be finite, got inf$"),
+    ("l2_tolerance = nan", r"run\.l2_tolerance: must be finite, got 'nan'$"),
+    ("l2_tolerance = inf", r"run\.l2_tolerance: must be finite, got 'inf'$"),
     ("l2_tolerance = 0", r"run\.l2_tolerance: must be > 0, got 0\.0$"),
     ("sup_tolerance = -1", r"run\.sup_tolerance: must be > 0, got -1\.0$"),
-    ("sup_tolerance = inf", r"run\.sup_tolerance: must be finite, got inf$"),
-    ("condition_limit = nan", r"run\.condition_limit: must be > 0, got nan$"),
-    ("translation = nan", r"run\.translation: must be finite, got \(nan\+0j\)$"),
-    ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: must be finite, got \(nan\+0j\)$"),
-    ("probe_radius = inf", r"run\.probe_radius: must be finite, got inf$"),
+    ("sup_tolerance = inf", r"run\.sup_tolerance: must be finite, got 'inf'$"),
+    ("condition_limit = nan", r"run\.condition_limit: must be finite, got 'nan'$"),
+    ("condition_limit = inf", r"run\.condition_limit: must be finite, got 'inf'$"),
+    ("translation = nan", r"run\.translation: must be finite, got 'nan'$"),
+    ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: must be finite, got 'nan'$"),
+    ("probe_radius = inf", r"run\.probe_radius: must be finite, got 'inf'$"),
     ("uniform_margin = inf", r"run\.uniform_margin: unknown key$"),
 ], ids=["nan-l2", "inf-l2", "zero-l2", "negative-sup", "inf-sup", "nan-condition-limit",
-        "nan-translation", "nan-probe-center", "inf-probe-radius", "inf-uniform-margin"])
+        "inf-condition-limit", "nan-translation", "nan-probe-center", "inf-probe-radius", "inf-uniform-margin"])
 def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, message):
     # each ran: a tolerance of nan or inf died writing the report (exit 1),
     # 0 or -1 could never pass, a nan condition limit never regularized, a
@@ -109,8 +113,8 @@ TORUS = BASE.replace("genus = 0\nq = inf\n", "genus = 1\ntau = 1j\n").replace(
 
 
 @pytest.mark.parametrize("text, message", [
-    (BASE.replace("q = inf", "q = inf\nw0 = nan"), r"surface\.w0: must be finite, got \(nan\+0j\)"),
-    (BASE.replace("q = inf", "q = inf\nw0 = inf"), r"surface\.w0: must be finite, got \(inf\+0j\)"),
+    (BASE.replace("q = inf", "q = inf\nw0 = nan"), r"surface\.w0: must be finite, got 'nan'"),
+    (BASE.replace("q = inf", "q = inf\nw0 = inf"), r"surface\.w0: must be finite, got 'inf'"),
     *[(TORUS.replace("tau = 1j", f"tau = 1j\nmargin = {value}"), r"surface\.margin: unknown key")
       for value in ("nan", "inf", "0")],
 ], ids=["nan-w0", "inf-w0", "nan-margin", "inf-margin", "zero-margin"])
@@ -326,6 +330,48 @@ def test_a_combination_term_that_would_be_dropped_is_a_named_config_error(
     assert not (out / "report.json").exists()
 
 
+ROUNDOFF = "the roundoff limit of the basis read on the contour radius 0.92"
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    # a MemoryError from a 1.46 TiB array (exit 1), and a solve that exited 3
+    ("sphere_identity", "family = basis\nk = 0\nm = 1", "family = combination\nh = 99999999999,0:1",
+     f"target: target.h: must be <= 211, {ROUNDOFF}, got 99999999999"),
+    ("sphere_identity", "family = basis\nk = 0\nm = 1", "family = combination\nh = 300,0:1",
+     f"target: target.h: must be <= 211, {ROUNDOFF}, got 300"),
+    # 7.7 s of normal draws, then exit 3
+    ("torus_two_caps", "order = 6", "order = 100000",
+     f"target: target.order: must be <= 211, {ROUNDOFF}, got 100000"),
+    # ran with no h terms (exit 0)
+    ("torus_two_caps", "order = 6", "order = -3", "target: target.order: must be >= 0, got -3"),
+    # an OverflowError (exit 1)
+    ("torus_two_caps", "order = 6", "order = 6\ndecay = 1e300",
+     "target: target.decay: 1e+300 to the power 6 overflows a float"),
+    # refused at 0.9, short of the depth the solve admits
+    ("sphere_joukowski", "eta = 0.55", "eta = 0.92",
+     "target: target.eta: the pole preimage must satisfy |eta| <= 0.9195, got 0.92"),
+], ids=["h-order-huge", "h-order-300", "seeded-order-huge", "seeded-order-negative",
+        "decay-overflow", "pole-too-deep"])
+def test_a_target_parameter_past_its_limit_is_refused_before_a_draw(
+        tmp_path, capsys, monkeypatch, name, old, new, message):
+    def draw(seed):
+        raise AssertionError("the target drew its terms before checking them")
+
+    monkeypatch.setattr(targets, "Pcg64Stream", draw)
+    with open(os.path.join(ROOT, "configs", name + ".cfg")) as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert str(err.value) == message
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("target", [
     "seed = 3\norder = 2\ndecay = 0.5",
     "seed = 3",
@@ -336,15 +382,6 @@ def test_a_combination_of_one_kind_is_accepted(tmp_path, target):
     path.write_text(TWO_CAPS.replace("family = basis\nk = 0\nm = 1",
                                      "family = combination\n" + target))
     assert parse_config(str(path)).target_family == "combination"
-
-
-def test_a_negative_seed_flag_is_a_named_config_error(tmp_path, capsys):
-    path = tmp_path / "ok.cfg"
-    path.write_text(BASE)
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out-dir", str(out), "--seed", "-2"]) == 2
-    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -2\n"
-    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "Infinity"])
@@ -374,7 +411,7 @@ CAP = "main = affine scale=1 offset=0"
     (BASE.replace(CAP, "main = affine scale=1 offset"),
      r"caps\.main: expected key=value, got 'offset'"),
     (BASE.replace(CAP, "main = polynomial-perturbation coefficients=1,x"),
-     r"caps\.main: bad coefficient list '1,x'"),
+     r"caps\.main\.coefficients: not a complex number: 'x'"),
     (BASE.replace(CAP + "\n", ""), r"caps: at least one map spec required"),
     (BASE.replace(CAP, CAP + "\ninner = affine scale=0.2 offset=0"),
      r"surface: caps 0 and 1 overlap \(one contains the other\)"),
@@ -390,7 +427,7 @@ CAP = "main = affine scale=1 offset=0"
      r"target\.seed: must be >= 0, got -3"),
     # nan parsed as the point at infinity, and the run exited 0
     *[(BASE.replace("q = inf", f"q = {value}"),
-       rf"surface\.q: must be finite or inf, got '{value}'")
+       rf"surface\.q: must be finite, got '{value}'")
       for value in ("nan", "-inf", "1e999", "infj")],
     # refused when the target is built
     (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\ncap = 5"),
@@ -403,27 +440,27 @@ CAP = "main = affine scale=1 offset=0"
     # (exit 1), an inf offset or a nan Joukowski parameter was refused as a
     # map covering its center more than once, and a nan strength failed the
     # run as a form not finite on a boundary cycle (exit 3)
-    (TORUS.replace("tau = 1j", "tau = nan+1j"), r"surface\.tau: must be finite, got \(nan\+1j\)"),
+    (TORUS.replace("tau = 1j", "tau = nan+1j"), r"surface\.tau: must be finite, got 'nan\+1j'"),
     (BASE.replace(CAP, "main = affine scale=1 offset=inf"),
-     r"caps\.main: offset must be finite, got 'inf'"),
+     r"caps\.main\.offset: must be finite, got 'inf'"),
     (BASE.replace(CAP, "main = joukowski-ellipse a=nan scale=1 offset=0"),
-     r"caps\.main: a must be finite, got 'nan'"),
+     r"caps\.main\.a: must be finite, got 'nan'"),
     (BASE.replace(CAP, "main = polynomial-perturbation coefficients=1,nan"),
-     r"caps\.main: coefficients must be finite, got '1,nan'"),
+     r"caps\.main\.coefficients: must be finite, got 'nan'"),
     (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\neta = 0.3\nstrength = nan"),
      r"target\.strength: must be finite, got 'nan'"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1,0:inf"),
-     r"target\.h: must be finite, got '1,0:inf'"),
+     r"target\.h: must be finite, got 'inf'"),
     # refused only after the solve, naming no key: a probe ring inside the
     # margin of its genus, and a translation carrying a torus cap out of
     # the cell under the invariance check; a ring over a cap ran (exit 0)
     (BASE + "probe_radius = 1.05\n",
      r"run\.probe_radius: point 1\.05\+0j is 0\.050 from a cap, inside the margin 0\.1"),
     (TORUS + "probe_center = 0.5+0.5j\nprobe_radius = 0.13\n",
-     r"run\.probe_radius: point 0\.591924\+0\.591924j is 0\.030 from a cap, "
+     r"run\.probe_center, run\.probe_radius: point 0\.591924\+0\.591924j is 0\.030 from a cap, "
      r"inside the margin 0\.05"),
     (BASE + "probe_center = 0.5+0.5j\nprobe_radius = 0.16\n",
-     r"run\.probe_radius: point 0\.66\+0\.5j lies in a cap"),
+     r"run\.probe_center, run\.probe_radius: point 0\.66\+0\.5j lies in a cap"),
     (TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j"),
      r"run\.translation: cap 0 leaves the fundamental cell \(margin 0\.05\); lattice "
      r"coordinates span \[0\.790, 0\.990\] x \[0\.400, 0\.600\]"),

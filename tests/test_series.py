@@ -531,8 +531,20 @@ def test_uniform_error_decreases_for_pole_target():
     errs = [uniform_error(target, surface, dec, ring, upto=mp) for mp in (5, 10, 20)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 1e-3
-    with pytest.raises(ValidationError, match="margin"):
-        uniform_error(target, surface, dec, np.array([1.4 + 0.0j]), margin=0.5)
+    # 0.067 from the cap, inside the sphere's margin of 0.1
+    with pytest.raises(ValidationError, match=r"is 0\.067 from a cap, inside the margin 0\.1$"):
+        uniform_error(target, surface, dec, np.array([1.4 + 0.0j]))
+
+
+def test_a_pole_at_the_depth_the_solve_admits_builds_and_solves():
+    # the pole family refused |eta| >= 0.9, short of the 0.95 - POLE_CLEARANCE
+    # the solve's own guard admits
+    surface = joukowski_sphere()
+    dec = project_faber(build_target(surface, "pole", cap=0, eta=0.919), surface, M=10)
+    assert dec.M == 10 and dec.pairing_nodes == 1024
+    with pytest.raises(ValidationError, match=r"^target\.eta: the pole preimage must satisfy "
+                                              r"\|eta\| <= 0\.9195, got 0\.92$"):
+        build_target(surface, "pole", cap=0, eta=0.92)
 
 
 def test_uniform_errors_read_the_ring_once_for_every_order(monkeypatch):
@@ -561,8 +573,8 @@ def test_uniform_errors_read_the_ring_once_for_every_order(monkeypatch):
     want = [uniform_error(target, surface, dec, ring, upto=mp) for mp in orders]
     monkeypatch.undo()
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
-    with pytest.raises(ValidationError, match="margin"):
-        uniform_errors(target, surface, dec, np.array([1.4 + 0.0j]), orders, margin=0.5)
+    with pytest.raises(ValidationError, match=r"is 0\.067 from a cap, inside the margin 0\.1$"):
+        uniform_errors(target, surface, dec, np.array([1.4 + 0.0j]), orders)
 
 
 def test_uniform_errors_match_per_order_reads_torus():
