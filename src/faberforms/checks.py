@@ -115,17 +115,10 @@ def check_pole_structure(ctx) -> CheckResult:
                     f"caps 0..{surface.n_caps - 1}, orders 1..{ctx.pole_orders}")
 
 
-def _separation(surface: SurfaceSpec, w, marks):
-    """Smallest distance from each w to any marked point; on the torus
-    from the lattice copies of w around the cell to the marks reduced into
-    it. A float for a scalar w."""
-    ww, marks = np.asarray(w, dtype=complex), np.array(marks, dtype=complex)
-    if surface.genus == 1:
-        ww, marks = surface._lattice_copies(ww), surface.reduce_to_cell(marks)
-    else:
-        ww = ww[None]
-    out = np.min(np.abs(ww[..., None] - marks), axis=(0, -1))
-    return out if np.ndim(w) else float(out)
+def _second_base_point(surface: SurfaceSpec) -> complex:
+    """A base point of the surface other than its q: the clear point
+    farthest from q and w0."""
+    return surface.clear_point(avoid=(surface.q, surface.w0))
 
 
 def check_harmonicity(ctx) -> CheckResult:
@@ -133,43 +126,15 @@ def check_harmonicity(ctx) -> CheckResult:
     surface = ctx.surface
     rng = Pcg64Stream(ctx.seed)
     h = 3e-4
-    if surface.genus == 1:
-        z = 0.5 * (1.0 + surface.tau) + 0.06
-        q = surface.q
-    else:
-        z = complex(np.mean(np.asarray(surface.caps.centers))) + 0.31j
-        q = z + 1.7 - 0.9j
+    q = _second_base_point(surface)
+    z = surface.clear_point(avoid=(q, surface.w0))
     pts = _sample_points(surface, rng, SAMPLE_POINTS, clearance=0.0,
-                         accept=lambda w: _separation(surface, w, (z, q)) > 0.25)
+                         accept=lambda w: surface.distance(w, (z, q)) > 0.25)
     stencil = np.stack([pts + h, pts - h, pts + 1j * h, pts - 1j * h, pts], axis=1)
     vals = green(surface, stencil, z, q=q)
     lap = (np.sum(vals[:, :4], axis=1) - 4.0 * vals[:, 4]) / h**2
     return _verdict("harmonicity", {"Laplacian": (np.max(np.abs(lap.real)), 1e-4)},
                     f"{SAMPLE_POINTS} points, step {h:g}")
-
-
-def _alternative_q(surface: SurfaceSpec) -> SurfaceSpec:
-    """The same surface with a genuinely different base point."""
-    if surface.genus == 1:
-        candidates = [
-            surface.q + off
-            for off in (
-                0.13 + 0.09 * surface.tau,
-                -0.17 + 0.11 * surface.tau,
-                0.23 - 0.13 * surface.tau,
-                -0.11 - 0.19 * surface.tau,
-            )
-        ]
-    else:
-        anchor = surface.q if surface.q is not None else surface.w0
-        candidates = [anchor + off for off in (3.1 + 2.3j, -2.9 + 3.3j, 2.7 - 3.1j)]
-    for cand in candidates:
-        try:
-            return SurfaceSpec(surface.genus, surface.caps, tau=surface.tau, q=cand,
-                               w0=surface.w0)
-        except ValidationError:
-            continue
-    raise NumericalError("no admissible alternative base point found")
 
 
 def check_q_independence(ctx) -> CheckResult:
@@ -179,13 +144,14 @@ def check_q_independence(ctx) -> CheckResult:
     |D(w, z_i) - D(w, z_0) - D(w_0, z_i) + D(w_0, z_0)| over the samples."""
     surface = ctx.surface
     rng = Pcg64Stream(ctx.seed + 1)
-    alt = _alternative_q(surface)
+    alt = SurfaceSpec(surface.genus, surface.caps, tau=surface.tau,
+                      q=_second_base_point(surface), w0=surface.w0)
     # both Green's functions are finite away from z, both q and w0
     bases = tuple(q for q in (surface.q, alt.q) if q is not None)
     z = _sample_points(surface, rng, 4, clearance=0.05,
-                       accept=lambda v: _separation(surface, v, bases + (surface.w0,)) > 0.1)
+                       accept=lambda v: surface.distance(v, bases + (surface.w0,)) > 0.1)
     w = _sample_points(surface, rng, SAMPLE_POINTS, clearance=0.05,
-                       accept=lambda v: _separation(surface, v, bases + tuple(z)) > 0.1)
+                       accept=lambda v: surface.distance(v, bases + tuple(z)) > 0.1)
     d = np.stack([green(surface, w, zi) - green(alt, w, zi) for zi in z], axis=1)
     worst = np.max(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0]))
     return _verdict("q-independence", {"double difference": (worst, 1e-9)},

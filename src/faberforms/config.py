@@ -212,12 +212,17 @@ def parse_config(path: str) -> ExperimentConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(
+            f"{exc.section}.{exc.option}: duplicate key on line {exc.lineno}") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{exc.section}: duplicate block on line {exc.lineno}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
     for block in ("surface", "caps", "target", "run"):
         if block not in parser:
-            raise ConfigError(f"missing [{block}] block")
+            raise ConfigError(f"{block}: missing block")
     for block in parser.sections():
         if block not in ("surface", "caps", "target", "run", "output"):
             raise ConfigError(f"{block}: unknown block")
@@ -274,7 +279,10 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         target = build_target(surface, family, **params)
     except ValidationError as exc:
-        raise ConfigError(f"target: {exc}") from None
+        # a refusal that names its key is passed on as it is
+        message = str(exc)
+        raise ConfigError(
+            message if message.startswith("target.") else f"target: {message}") from None
 
     # -- run -------------------------------------------------------------------
     r = _Block(parser, "run")

@@ -114,6 +114,9 @@ def apply_schiffer(surface: SurfaceSpec, datum, z):
     """
     single = isinstance(datum, CapDatum)
     data = [datum] if single else list(datum)
+    for k in (k for d in data for k in d.caps()):
+        if not 0 <= k < surface.n_caps:
+            raise ValidationError(f"cap index {k} out of range")
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     _require_in_sigma(surface, zz)
     val = measured_area(

@@ -104,8 +104,8 @@ class Cycle:
 class SurfaceSpec:
     """A capped sphere or torus: genus, caps, base point q, normalization w0.
 
-    Use the ``sphere`` and ``torus`` classmethods; both auto-place q and w0
-    away from the caps when they are not given.
+    Use the ``sphere`` and ``torus`` classmethods; both place q and w0 by
+    ``clear_point`` when they are not given.
     """
 
     def __init__(self, genus, caps: CapFamily, tau=None, q=None, w0=None):
@@ -127,10 +127,8 @@ class SurfaceSpec:
             self.tau = None
         self.q = None if q is None else complex(q)
         if self.genus == 1 and self.q is None:
-            self.q = self._auto_point(avoid=())
-        self.w0 = complex(w0) if w0 is not None else self._auto_point(
-            avoid=() if self.q is None else (self.q,)
-        )
+            self.q = self.clear_point()
+        self.w0 = complex(w0) if w0 is not None else self.clear_point(avoid=(self.q,))
         self._check_marked_points()
         self._cycle_base = None
 
@@ -207,6 +205,18 @@ class SurfaceSpec:
             for dy in (-1, 0, 1)
         ])
 
+    def distance(self, w, points):
+        """Smallest distance from each w to any of the points, as points of
+        the surface: on the torus from the lattice copies of w around the
+        cell to the points reduced into it. A float for a scalar w."""
+        ww, points = np.asarray(w, dtype=complex), np.array(points, dtype=complex)
+        if self.genus == 1:
+            ww, points = self._lattice_copies(ww), self.reduce_to_cell(points)
+        else:
+            ww = ww[None]
+        out = np.min(np.abs(ww[..., None] - points), axis=(0, -1), initial=np.inf)
+        return out if np.ndim(w) else float(out)
+
     def distance_to_caps_reduced(self, w) -> np.ndarray:
         """Distance to the nearest cap boundary, torus points reduced first.
 
@@ -257,13 +267,14 @@ class SurfaceSpec:
                 continue
             if not self.in_sigma(p) or self.distance_to_caps_reduced(p)[0] < 1e-6:
                 raise ValidationError(f"marked point {name} = {p:.6g} lies in a closed cap")
-        if self.q is not None and abs(self.q - self.w0) < 1e-9:
-            raise ValidationError("q and w0 must be distinct")
+        if self.q is not None and self.distance(self.w0, [self.q]) < 1e-9:
+            raise ValidationError(f"marked points q = {self.q:.6g} and w0 = {self.w0:.6g} "
+                                  f"are the same point of the surface")
 
     @cached_property
     def _candidates(self):
-        """The grid q and w0 are placed on, and each point's distance to the
-        caps (torus: to every lattice copy), -1 inside one."""
+        """The grid ``clear_point`` chooses from, and each point's distance
+        to the caps (torus: to every lattice copy), -1 inside one."""
         if self.genus == 1:
             g = np.linspace(0.08, 0.92, 22)
             cand = (g[:, None] + g[None, :] * self.tau).ravel()
@@ -276,10 +287,13 @@ class SurfaceSpec:
         d[~self.in_sigma(cand)] = -1.0
         return cand, d
 
-    def _auto_point(self, avoid=()):
+    def clear_point(self, avoid=()):
+        """The candidate of a fixed grid outside the caps farthest from
+        them and from the points ``avoid``, by ``distance``; None in
+        ``avoid`` is the sphere's point at infinity, which every candidate
+        clears."""
         cand, d = self._candidates
-        for p in avoid:
-            d = np.minimum(d, np.abs(cand - p))
+        d = np.minimum(d, self.distance(cand, [p for p in avoid if p is not None]))
         j = int(np.argmax(d))
         if d[j] <= 0:
             raise ValidationError("found no marked point clear of the caps")
@@ -322,11 +336,13 @@ def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT):
         q = surface.q
     elif q is not None:
         q = complex(q)
-    _guard_apart(w - z, "Green's function evaluated at its z-singularity")
+    for name, mark in (("z", z), ("q", q)):
+        if mark is not None and np.any(surface.distance(w, [mark]) < 1e-12):
+            raise NumericalError(
+                f"Green's function evaluated at its {name}-singularity (distance below 1e-12)")
     if surface.genus == 0:
         if q is None:
             return np.log(np.abs(z - w0)) - np.log(np.abs(w - z))
-        _guard_apart(w - q, "Green's function evaluated at its q-singularity")
         # single log of the cross-ratio modulus: at w = w0 numerator and
         # denominator are the same doubles, so the value is exactly zero
         return np.log(
@@ -334,7 +350,6 @@ def green(surface: SurfaceSpec, w, z, q=_SURFACE_DEFAULT):
         )
     if q is None:
         raise ValidationError("torus Green's function needs a finite base point q")
-    _guard_apart(w - q, "Green's function evaluated at its q-singularity")
     tau = surface.tau
 
     def g0(u):

@@ -148,7 +148,8 @@ def build_target(surface: SurfaceSpec, kind: str, **params) -> TargetForm:
     """Build a target of family ``kind``; a keyword its builder does not
     take is rejected by name."""
     if kind not in FAMILIES:
-        raise ValidationError(f"unknown target family {kind!r}; choose from {tuple(FAMILIES)}")
+        raise ValidationError(f"target.family: unknown family {kind!r}; "
+                              f"choose from {tuple(FAMILIES)}")
     builder = FAMILIES[kind]
     takes = list(inspect.signature(builder).parameters)[1:]  # all but the surface
     for key in params:

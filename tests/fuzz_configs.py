@@ -7,14 +7,16 @@ Run from the repository root:
 Each input is a shipped config that parses as shipped, with one number
 replaced by one of VALUES: the value of a [surface], [target] or [run]
 key, or one parameter of a [caps] map spec, named ``caps.<cap>.<param>``.
+Five structural inputs follow: the torus config with a duplicate key, a
+duplicate block, a missing block, an unknown map kind or overlapping caps.
 ``parse_config`` must return or raise ConfigError within BUDGET seconds,
 never another exception. A refusal names the mutated ``block.key``; one
 that another key's check or a library check raises names at least a
 block at its head, as ``surface:`` or ``run.probe_radius:`` do. The
 script parses every input, prints each that breaks a rule with its
 message, then the count, and exits 1 if any does.
-``tests/test_config_fuzz.py`` parses a seeded draw of about 50 inputs in
-the tier-1 run. Pytest does not collect this file.
+``tests/test_config_fuzz.py`` parses a seeded draw of 50 mutated numbers
+and every structural input in the tier-1 run. Pytest does not collect this file.
 """
 
 import os
@@ -51,7 +53,13 @@ def _lines(text: str):
 
 def inputs() -> list:
     """(name, mutated key, value, config text) of every input, in a fixed
-    order: the shipped configs that parse, their numbers, then VALUES."""
+    order: the mutated numbers, then the structural cases."""
+    return mutated_numbers() + structural()
+
+
+def mutated_numbers() -> list:
+    """The inputs with one number mutated: the shipped configs that parse,
+    their numbers, then VALUES."""
     from faberforms.config import ConfigError, parse_config
 
     out = []
@@ -79,6 +87,26 @@ def inputs() -> list:
                     new = lines[:i] + [f"{key} = {value}"] + lines[i + 1:]
                     out.append((name, f"{block}.{key}", value, "\n".join(new) + "\n"))
     return out
+
+
+def structural() -> list:
+    """The structural inputs, each a change to the torus config with the
+    key or block its refusal must name: a duplicate key, a duplicate
+    block, a missing block, an unknown map kind and overlapping caps."""
+    name = "torus_two_caps.cfg"
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    lower = "lower = affine scale=0.11 offset=0.39+0.33j"
+    assert "[run]\nM = 10\n" in text and lower in text
+    cases = [
+        ("run.m", "duplicate key", text.replace("M = 10\n", "M = 10\nM = 12\n")),
+        ("run", "duplicate block", text + "\n[run]\nseed = 6\n"),
+        ("run", "missing block", text.split("[run]")[0]),
+        ("caps.lower", "unknown map kind", text.replace(lower, "lower = moebius scale=0.11")),
+        ("surface", "overlapping caps",
+         text.replace(lower, lower + "\nbeside = affine scale=0.11 offset=0.45+0.33j")),
+    ]
+    return [(name, key, value, new) for key, value, new in cases]
 
 
 def broken_rule(key: str, text: str, directory: str) -> str | None:

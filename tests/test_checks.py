@@ -14,12 +14,7 @@ import pytest
 
 from faberforms import checks
 
-from faberforms.checks import (
-    _sample_points,
-    _separation,
-    check_harmonicity,
-    check_uniform_convergence,
-)
+from faberforms.checks import _sample_points, check_harmonicity, check_uniform_convergence
 from faberforms.cli import main
 from faberforms.config import parse_config, probe_ring
 from faberforms.conformal import AffineMap, CapFamily
@@ -62,7 +57,7 @@ def test_batched_sample_points_match_the_one_at_a_time_loop(name):
     marks = (surface.w0, surface.w0 + 0.3)
     for count in (1, 20, 100):
         for clearance in (0.0, 0.05, 0.25):
-            for accept in (None, lambda w: _separation(surface, w, marks) > 0.25):
+            for accept in (None, lambda w: surface.distance(w, marks) > 0.25):
                 want_rng = np.random.default_rng(count)
                 got_rng = Pcg64Stream(count)
                 want = _one_at_a_time(surface, want_rng, count, clearance, accept)
@@ -148,16 +143,6 @@ def test_a_cap_wider_than_the_centers_box_leaves_room_to_sample(tmp_path, name, 
     assert all(entry["passed"] for entry in report["checks"])
 
 
-def test_vectorized_separation_matches_scalar_calls():
-    for surface in (parse_config(_config_path("torus_two_caps")).surface,
-                    parse_config(_config_path("sphere_joukowski")).surface):
-        marks = (surface.w0, surface.w0 + 0.4 - 0.1j)
-        w = surface.w0 + np.random.default_rng(3).normal(size=50) * (1 + 1j)
-        got = _separation(surface, w, marks)
-        assert np.array_equal(got, [_separation(surface, v, marks) for v in w])
-        assert isinstance(_separation(surface, w[0], marks), float)
-
-
 @pytest.mark.parametrize("name", ["torus_two_caps", "sphere_joukowski"])
 def test_random_point_checks_read_the_one_at_a_time_values(name, monkeypatch):
     config = parse_config(_config_path(name))
@@ -197,19 +182,37 @@ def test_green_checks_read_a_base_point_written_cells_away(shift):
     assert checks.check_q_independence(ctx).passed
 
 
-def test_q_independence_names_a_surface_without_an_alternative_base_point(monkeypatch):
-    # every candidate base point is refused, on either kind of surface
-    sphere = SurfaceSpec.sphere(CapFamily([AffineMap(0.5)]))
-    torus = SurfaceSpec.torus(0.3 + 1.1j, CapFamily([AffineMap(0.1, 0.5 + 0.5j)]))
+def _green_marks(check, ctx, monkeypatch):
+    # the set of (z, base point) of the Green's functions a check evaluates
+    marks = set()
 
-    def refuse(*args, **kwargs):
-        raise ValidationError("base point too close to a cap")
+    def recorded(surface, w, z, **kwargs):
+        marks.add((z, kwargs.get("q", surface.q)))
+        return green(surface, w, z, **kwargs)
 
-    monkeypatch.setattr(checks, "SurfaceSpec", refuse)
-    for surface in (sphere, torus):
-        ctx = SimpleNamespace(surface=surface, seed=0)
-        with pytest.raises(NumericalError, match="^no admissible alternative base point found$"):
-            checks.check_q_independence(ctx)
+    monkeypatch.setattr(checks, "green", recorded)
+    check(ctx)
+    return marks
+
+
+@pytest.mark.parametrize("surface", [
+    SurfaceSpec.sphere(CapFamily([AffineMap(2.5)])),
+    SurfaceSpec.sphere(CapFamily([AffineMap(1.0), AffineMap(0.5, 3 + 0.5j)]), q=-4 + 1j),
+    SurfaceSpec.torus(TAU, CapFamily([AffineMap(0.11, 0.39 + 0.33j),
+                                      AffineMap(0.11, 0.924 + 0.748j)])),
+], ids=["wide-sphere", "sphere-finite-q", "torus"])
+def test_the_green_checks_place_their_marks_by_the_surfaces_rule(surface, monkeypatch):
+    # on a sphere cap of radius 2.5 the harmonicity check put its z = 0.31i
+    # and its q = 1.7 - 0.59i inside the cap, and passed all the same
+    ctx = SimpleNamespace(surface=surface, seed=0)
+    own = tuple(p for p in (surface.q, surface.w0) if p is not None)
+    second = surface.clear_point(avoid=own)
+    z = surface.clear_point(avoid=(second, surface.w0))
+    assert _green_marks(check_harmonicity, ctx, monkeypatch) == {(z, second)}
+    bases = {q for _z, q in _green_marks(checks.check_q_independence, ctx, monkeypatch)}
+    assert bases == {surface.q, second}
+    assert all(surface.in_sigma([z, second]))
+    assert surface.distance(second, own) > 0.1 and surface.distance(z, [second, surface.w0]) > 0.1
 
 
 def test_r0_independence_reports_the_figure_nearer_its_bound(monkeypatch):
@@ -275,12 +278,12 @@ def _pointwise_harmonicity(surface, seed, samples):
     # the stream exactly as the check draws them
     rng = Pcg64Stream(seed)
     h = 3e-4
-    z = 0.5 * (1.0 + surface.tau) + 0.06
-    q = surface.q
+    q = surface.clear_point(avoid=(surface.q, surface.w0))
+    z = surface.clear_point(avoid=(q, surface.w0))
     pts = []
     while len(pts) < samples:
         w = _sample_points(surface, rng, 1, clearance=0.0)[0]
-        if _separation(surface, w, (z, q)) > 0.25:
+        if surface.distance(w, (z, q)) > 0.25:
             pts.append(w)
     worst = 0.0
     for w in pts:

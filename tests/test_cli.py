@@ -177,7 +177,7 @@ def test_unknown_check_named(tmp_path):
 def test_missing_block_named(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[surface]\ngenus = 0\n[caps]\nmain = affine scale=1 offset=0\n")
-    with pytest.raises(ConfigError, match=r"\[target\]"):
+    with pytest.raises(ConfigError, match=r"^target: missing block$"):
         parse_config(str(bad))
 
 

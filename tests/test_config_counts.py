@@ -108,6 +108,8 @@ def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, 
     assert not (out / "report.json").exists()
 
 
+with open(os.path.join(ROOT, "configs", "torus_two_caps.cfg"), encoding="utf-8") as _fh:
+    TORUS_CONFIG = _fh.read()
 TORUS = BASE.replace("genus = 0\nq = inf\n", "genus = 1\ntau = 1j\n").replace(
     "main = affine scale=1 offset=0", "main = affine scale=0.1 offset=0.5+0.5j")
 
@@ -336,20 +338,20 @@ ROUNDOFF = "the roundoff limit of the basis read on the contour radius 0.92"
 @pytest.mark.parametrize("name, old, new, message", [
     # a MemoryError from a 1.46 TiB array (exit 1), and a solve that exited 3
     ("sphere_identity", "family = basis\nk = 0\nm = 1", "family = combination\nh = 99999999999,0:1",
-     f"target: target.h: must be <= 211, {ROUNDOFF}, got 99999999999"),
+     f"target.h: must be <= 211, {ROUNDOFF}, got 99999999999"),
     ("sphere_identity", "family = basis\nk = 0\nm = 1", "family = combination\nh = 300,0:1",
-     f"target: target.h: must be <= 211, {ROUNDOFF}, got 300"),
+     f"target.h: must be <= 211, {ROUNDOFF}, got 300"),
     # 7.7 s of normal draws, then exit 3
     ("torus_two_caps", "order = 6", "order = 100000",
-     f"target: target.order: must be <= 211, {ROUNDOFF}, got 100000"),
+     f"target.order: must be <= 211, {ROUNDOFF}, got 100000"),
     # ran with no h terms (exit 0)
-    ("torus_two_caps", "order = 6", "order = -3", "target: target.order: must be >= 0, got -3"),
+    ("torus_two_caps", "order = 6", "order = -3", "target.order: must be >= 0, got -3"),
     # an OverflowError (exit 1)
     ("torus_two_caps", "order = 6", "order = 6\ndecay = 1e300",
-     "target: target.decay: 1e+300 to the power 6 overflows a float"),
+     "target.decay: 1e+300 to the power 6 overflows a float"),
     # refused at 0.9, short of the depth the solve admits
     ("sphere_joukowski", "eta = 0.55", "eta = 0.92",
-     "target: target.eta: the pole preimage must satisfy |eta| <= 0.9195, got 0.92"),
+     "target.eta: the pole preimage must satisfy |eta| <= 0.9195, got 0.92"),
 ], ids=["h-order-huge", "h-order-300", "seeded-order-huge", "seeded-order-negative",
         "decay-overflow", "pole-too-deep"])
 def test_a_target_parameter_past_its_limit_is_refused_before_a_draw(
@@ -464,13 +466,32 @@ CAP = "main = affine scale=1 offset=0"
     (TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j"),
      r"run\.translation: cap 0 leaves the fundamental cell \(margin 0\.05\); lattice "
      r"coordinates span \[0\.790, 0\.990\] x \[0\.400, 0\.600\]"),
+    # configparser's own messages, which named the key only inside a
+    # sentence, and a missing block that was named after the message's head
+    (BASE + "M = 3\n", r"run\.m: duplicate key on line 13"),
+    (BASE + "[run]\nseed = 2\n", r"run: duplicate block on line 13"),
+    (BASE.split("[run]")[0], r"run: missing block"),
+    (BASE.replace("family = basis", "family = combo"),
+     r"target\.family: unknown family 'combo'; choose from \('basis', 'pole', 'combination'\)"),
+    (BASE.replace(CAP, "main = frobnicate scale=1"),
+     r"caps\.main: unknown map kind 'frobnicate'; choose from \[.*\]"),
+    (BASE.replace(CAP, CAP + "\nright = affine scale=1 offset=1.5"),
+     r"surface: caps 0 and 1 come within 0\.001727 < separation 0\.02"),
+    # the torus config with w0 on a lattice copy of q: it exited 3 with
+    # two checks' values not finite, naming neither point
+    *[(TORUS_CONFIG.replace("tau = 0.3+1.1j", f"tau = 0.3+1.1j\nq = 0.5+0.55j\nw0 = {w0}"),
+       rf"surface: marked points q = 0\.5\+0\.55j and w0 = {re.escape(w0)} "
+       r"are the same point of the surface")
+      for w0 in ("1.5+0.55j", "0.8+1.65j")],
 ], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
         "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
         "q-inf-imaginary", "pole-cap-index", "c-length", "no-nonzero-terms", "tau-nan",
         "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
-        "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell"])
+        "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell",
+        "duplicate-key", "duplicate-block", "missing-block", "unknown-family", "unknown-map-kind",
+        "overlapping-caps", "w0-q-plus-1", "w0-q-plus-tau"])
 def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -1,7 +1,7 @@
 """A seeded draw of the parse fuzzer's inputs: a shipped config with one
-number mutated parses, or is refused by ConfigError naming the mutated
-key or a block, within its budget. ``python tests/fuzz_configs.py`` runs
-the full sweep."""
+number mutated, or with one of the structural changes, parses, or is
+refused by ConfigError naming the mutated key or a block, within its
+budget. ``python tests/fuzz_configs.py`` runs the full sweep."""
 
 import random
 
@@ -9,7 +9,7 @@ import pytest
 
 import fuzz_configs
 
-DRAW = random.Random(7).sample(fuzz_configs.inputs(), 50)
+DRAW = random.Random(7).sample(fuzz_configs.mutated_numbers(), 50) + fuzz_configs.structural()
 
 
 @pytest.mark.parametrize("name, key, value, text", DRAW,

@@ -523,6 +523,16 @@ def test_coarse_grid_self_report(monkeypatch):
         apply_schiffer(surface, datum, z)
 
 
+@pytest.mark.parametrize("k", [3, -1])
+def test_area_read_refuses_a_datum_on_a_cap_index_out_of_range(k):
+    # cap 3 of one raised IndexError; cap -1 read the last cap (0.111)
+    surface = sphere_one_cap()
+    with pytest.raises(ValidationError, match=f"^cap index {k} out of range$"):
+        apply_schiffer(surface, CapDatum.monomial(k, 1), 3.0)
+    with pytest.raises(ValidationError, match=f"^cap index {k} out of range$"):
+        apply_schiffer(surface, [CapDatum.monomial(0, 1), CapDatum.monomial(k, 2)], 3.0)
+
+
 def test_a_datum_must_be_callable():
     with pytest.raises(ValidationError, match="^datum for cap 0 is not callable$"):
         CapDatum({0: 3.0})

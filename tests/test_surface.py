@@ -98,6 +98,44 @@ def test_green_coincidence_guard():
         green(t, t.q, 0.5 + 0.5 * TAU)
 
 
+@pytest.mark.parametrize("name, shift", [("z", 1), ("z", TAU), ("z", -2 + 3 * TAU),
+                                         ("q", TAU), ("q", 1 - TAU)])
+def test_torus_green_refuses_a_lattice_copy_of_its_singularities(name, shift):
+    # the same torus point written in another cell: at z + 1 the value was
+    # inf, and at q + tau a finite -36.13
+    t = torus_two_caps()
+    z = 0.52 + 0.52 * TAU
+    w = (z if name == "z" else t.q) + shift
+    message = f"Green's function evaluated at its {name}-singularity (distance below 1e-12)"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        green(t, w, z)
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        green(t, np.array([0.5 + 0.2j, w]), z)
+
+
+def test_vectorized_distance_matches_scalar_calls():
+    for surface in (parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface,
+                    parse_config(str(ROOT / "configs" / "sphere_joukowski.cfg")).surface):
+        marks = (surface.w0, surface.w0 + 0.4 - 0.1j)
+        w = surface.w0 + np.random.default_rng(3).normal(size=50) * (1 + 1j)
+        got = surface.distance(w, marks)
+        assert np.array_equal(got, [surface.distance(v, marks) for v in w])
+        assert isinstance(surface.distance(w[0], marks), float)
+        assert np.array_equal(surface.distance(w.reshape(5, 10), marks), got.reshape(5, 10))
+
+
+def test_torus_distance_is_the_distance_between_lattice_classes():
+    t = torus_two_caps()
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.1, 0.9, 40) + rng.uniform(0.1, 0.9, 40) * TAU
+    p = 0.3 + 0.8 * TAU
+    want = _reduced_distance(w, p)
+    for shift in (0, 1, -TAU, 3 - 2 * TAU):
+        assert np.allclose(t.distance(w + shift, [p]), want, atol=1e-12)
+        assert np.allclose(t.distance(w, [p - shift]), want, atol=1e-12)
+    assert t.distance(p + 2 - TAU, [p]) < 1e-12
+
+
 def test_kernel_diagonal_guard():
     w = np.array([[0.2 + 0.3 * TAU, 0.5 + 0.1j], [0.6 + 0.8 * TAU, 0.1j]])
     for surface in (sphere_two_caps(), torus_two_caps()):
@@ -306,8 +344,9 @@ def test_surface_validation():
         SurfaceSpec.torus(0.5 - 1.0j, caps)
     with pytest.raises(ValidationError):
         SurfaceSpec.sphere(caps, w0=0.1)  # normalization point inside the cap
-    with pytest.raises(ValidationError):
-        SurfaceSpec.sphere(caps, q=2.0, w0=2.0)  # marked points must differ
+    same = r"^marked points q = 2\+0j and w0 = 2\+0j are the same point of the surface$"
+    with pytest.raises(ValidationError, match=same):
+        SurfaceSpec.sphere(caps, q=2.0, w0=2.0)
     # cap sticking out of the fundamental cell
     big = CapFamily([AffineMap(0.3, offset=0.05 + 0.5 * TAU)])
     with pytest.raises(ValidationError, match="cell"):
@@ -355,6 +394,18 @@ def test_a_torus_q_is_the_candidate_farthest_from_every_lattice_copy_of_the_caps
     cand = (g[:, None] + g[None, :] * surface.tau).ravel()
     best = np.max(surface.distance_to_caps_reduced(cand[surface.in_sigma(cand)]))
     assert surface.distance_to_caps_reduced(surface.q)[0] == best > 0.4
+
+
+def test_an_auto_placed_torus_w0_is_the_candidate_farthest_from_the_caps_and_q():
+    # on the torus config w0 was ranked 0.950 from q by plain distance,
+    # but sat 0.362 from a lattice copy of q
+    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+    g = np.linspace(0.08, 0.92, 22)
+    cand = (g[:, None] + g[None, :] * surface.tau).ravel()
+    cand = cand[surface.in_sigma(cand)]
+    score = np.minimum(surface.distance_to_caps_reduced(cand), surface.distance(cand, [surface.q]))
+    assert surface.w0 == cand[np.argmax(score)]
+    assert surface.distance(surface.w0, [surface.q]) > np.max(score) > 0.39
 
 
 def test_auto_marked_points():
