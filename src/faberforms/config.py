@@ -24,8 +24,8 @@ from .checks import CHECKS
 from .conformal import CapFamily, make_map
 from .faber import PRINCIPAL_RADIUS
 from .numerics import CONDITION_LIMIT, ValidationError
-from .schiffer import guard_basis_order, order_limit
-from .series import TargetForm, require_margin
+from .schiffer import guard_order
+from .series import UNIFORM_MARGIN, TargetForm
 from .surface import SurfaceSpec
 from .targets import build_target
 
@@ -142,15 +142,22 @@ def _bool(block: str, key: str, raw: str) -> bool:
         raise ConfigError(f"{block}.{key}: not a boolean: {raw!r}") from None
 
 
-def _count(block: str, key: str, raw: str, least: int = 1) -> int:
+def _seed(block: str, key: str, raw: str) -> int:
     value = _int(block, key, raw)
-    if value < least:
-        raise ConfigError(f"{block}.{key}: must be >= {least}, got {value}")
+    if value < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"{block}.{key}: must be >= 0, got {value}")
     return value
 
 
-def _seed(block: str, key: str, raw: str) -> int:
-    return _count(block, key, raw, least=0)  # numpy's generators take no negative seed
+def _order(key: str, raw: str, r0: float | None = None) -> int:
+    """A [run] order, held to ``schiffer.guard_order`` on the radius r0
+    of its read (default: the order's own basis read)."""
+    value = _int("run", key, raw)
+    try:
+        guard_order(value, r0, key=f"run.{key}")
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+    return value
 
 
 def _parse_map_spec(key: str, spec: str):
@@ -232,16 +239,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if "genus" not in s:
         raise ConfigError("surface.genus: required")
     genus = _int("surface", "genus", s["genus"])
-    if genus not in (0, 1):
-        raise ConfigError(f"surface.genus: must be 0 or 1, got {genus}")
     tau = _complex("surface", "tau", s["tau"]) if "tau" in s else None
-    if genus == 1:
-        if tau is None:
-            raise ConfigError("surface.tau: required for genus 1")
-        if not tau.imag > 0:
-            raise ConfigError(f"surface.tau: Im tau must be positive, got {tau}")
-    elif tau is not None:
-        raise ConfigError("surface.tau: not allowed for genus 0")
     q = None
     if "q" in s and s["q"].strip().lower() in ("inf", "infinity"):
         if genus == 1:
@@ -257,12 +255,15 @@ def parse_config(path: str) -> ExperimentConfig:
     maps = [_parse_map_spec(key, spec) for key, spec in caps_items]
     try:
         caps = CapFamily(maps)
-        if genus == 0:
-            surface = SurfaceSpec.sphere(caps, q=q, w0=w0)
-        else:
-            surface = SurfaceSpec.torus(tau, caps, q=q, w0=w0)
     except ValidationError as exc:
-        raise ConfigError(f"surface: {exc}") from None
+        raise ConfigError(f"caps: {exc}") from None
+    try:
+        surface = SurfaceSpec(genus, caps, tau=tau, q=q, w0=w0)
+    except ValidationError as exc:
+        # a refusal of the genus or of tau starts with the argument's name
+        message = str(exc)
+        raise ConfigError(f"surface.{message}" if message.startswith(("genus:", "tau:"))
+                          else f"surface: {message}") from None
 
     # -- target ---------------------------------------------------------------
     t = parser["target"]
@@ -288,7 +289,7 @@ def parse_config(path: str) -> ExperimentConfig:
     r = _Block(parser, "run")
     if "m" not in r:
         raise ConfigError("run.M: required")
-    M = _count("run", "M", r["m"])
+    M = _order("M", r["m"])
     raw_checks = [c.strip() for c in r.get("checks", "").split(",") if c.strip()]
     seen = []
     for name in raw_checks:
@@ -312,7 +313,7 @@ def parse_config(path: str) -> ExperimentConfig:
         seed=_seed("run", "seed", r.get("seed", "0")),
         l2_tolerance=_positive("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
         sup_tolerance=_positive("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
-        pole_orders=_count("run", "pole_orders", r.get("pole_orders", "4")),
+        pole_orders=_order("pole_orders", r.get("pole_orders", "4"), PRINCIPAL_RADIUS),
         translation=_complex("run", "translation", r.get("translation", translation_default)),
         condition_limit=_positive("run", "condition_limit",
                                   r.get("condition_limit", str(CONDITION_LIMIT))),
@@ -327,7 +328,7 @@ def parse_config(path: str) -> ExperimentConfig:
     # the run would refuse these only after the solve, naming no key
     if cfg.probe_radius is not None:
         try:
-            require_margin(surface, probe_ring(cfg))
+            surface.require_clear(probe_ring(cfg), UNIFORM_MARGIN[surface.genus], "probe point z")
         except ValidationError as exc:
             keys = "run.probe_center, run.probe_radius" if "probe_center" in r else "run.probe_radius"
             raise ConfigError(f"{keys}: {exc}") from None
@@ -336,9 +337,4 @@ def parse_config(path: str) -> ExperimentConfig:
             surface.translated(cfg.translation)
         except ValidationError as exc:
             raise ConfigError(f"run.translation: {exc}") from None
-    guard_basis_order("run.M", cfg.M, ConfigError)
-    top = order_limit(PRINCIPAL_RADIUS)
-    if cfg.pole_orders > top:
-        raise ConfigError(f"run.pole_orders: must be <= {top}, the roundoff limit of the "
-                          f"principal-part read, got {cfg.pole_orders}")
     return cfg

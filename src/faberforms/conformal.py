@@ -354,21 +354,24 @@ class CapFamily:
         return max(float(np.max(np.abs(b - origin))) for b in self._boundaries)
 
     def which_cap(self, z) -> np.ndarray:
-        """Index of the cap whose closed image contains each point, else -1.
+        """Index of the cap whose closed image contains each point, else -1."""
+        zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        out = np.full(zz.shape, -1, dtype=int)
+        for k in range(len(self._boundaries)):
+            out[self._in_cap(zz, k)] = k
+        return out.reshape(np.shape(z)) if np.ndim(z) else int(out[0])
 
-        Only the points in a cap's bounding disk are measured against its
+    def _in_cap(self, z, k: int) -> np.ndarray:
+        """Indices of the points of the 1-d array ``z`` in cap k's closed
+        image: within 1e-9 of its sample polygon or wound around by it.
+
+        Only the points in the cap's bounding disk are measured against its
         polygon; the rest are far from it and outside it, so the verdicts
         are those of testing every point.
         """
-        zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        out = np.full(zz.shape, -1, dtype=int)
-        for k, poly in enumerate(self._boundaries):
-            idx = self._in_disk(zz, k)
-            w = zz[idx]
-            near = nearest_distance(poly, w) < 1e-9
-            inside = winding_number(poly, w) != 0
-            out[idx[near | inside]] = k
-        return out.reshape(np.shape(z)) if np.ndim(z) else int(out[0])
+        idx = self._in_disk(z, k)
+        poly, w = self._boundaries[k], z[idx]
+        return idx[(nearest_distance(poly, w) < 1e-9) | (winding_number(poly, w) != 0)]
 
     def _in_disk(self, z, k: int) -> np.ndarray:
         """Indices of the points of the 1-d array ``z`` within cap k's
@@ -440,21 +443,20 @@ class CapFamily:
     def _validate(self):
         for i in range(len(self.maps)):
             for j in range(i + 1, len(self.maps)):
-                pi, pj = self._boundaries[i], self._boundaries[j]
+                # overlap first, whatever the gap: a boundary sample of one
+                # cap in the closed image of the other
+                for a, b in ((i, j), (j, i)):
+                    if self._in_cap(self._boundaries[a], b).size:
+                        raise ValidationError(f"caps {i} and {j} overlap: a boundary point "
+                                              f"of cap {a} lies in cap {b}")
                 # the centroid bound on the gap, with the slack of
                 # _lower_bounds: a pair it keeps apart is not measured
                 centre = abs(self._centroids[i] - self._centroids[j])
                 reach = self._radii[i] + self._radii[j]
                 if (centre - reach) - 1e-12 * (centre + reach) < self.separation:
-                    gap = float(np.min(nearest_distance(pi, pj)))
+                    gap = float(np.min(nearest_distance(self._boundaries[i], self._boundaries[j])))
                     if gap < self.separation:
                         raise ValidationError(
                             f"caps {i} and {j} come within {gap:.4g} "
                             f"< separation {self.separation}"
                         )
-                # a sample outside the other cap's bounding disk is outside
-                # that cap, so only the samples inside it are tested; a pair
-                # with disjoint disks has none
-                if (np.any(winding_number(pj, pi[self._in_disk(pi, j)]) != 0)
-                        or np.any(winding_number(pi, pj[self._in_disk(pj, i)]) != 0)):
-                    raise ValidationError(f"caps {i} and {j} overlap (one contains the other)")

@@ -24,7 +24,6 @@ from .numerics import (
     TWO_PI,
     NumericalError,
     PowerSeries,
-    ValidationError,
     laurent_from_samples,
 )
 from .schiffer import contour_nodes, contour_radius, guard_order, schiffer_contour
@@ -85,15 +84,14 @@ def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
     points inside the evaluation contour itself are rejected by the
     underlying quadrature.
     """
-    _check_order(m, contour_radius(m))
-    if not 0 <= k < surface.n_caps:
-        raise ValidationError(f"cap index {k} out of range")
+    guard_order(m)
+    f = surface.cap(k)
 
     def ev(z, surface=surface, k=k, m=m):
         vals = alpha_values(surface, k, [m], z)[..., 0]
         return vals if vals.ndim else complex(vals)
 
-    form = OneForm(ev, poles=((surface.caps[k].center, m + 1),), label=f"alpha[{k},{m}]")
+    form = OneForm(ev, poles=((f.center, m + 1),), label=f"alpha[{k},{m}]")
     return FaberBasisElement(form, cap=k, order=m)
 
 
@@ -192,9 +190,9 @@ def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
     until n > 2J.
     """
     orders = [int(m) for m in orders]
-    guard_order(max(orders, default=0), PRINCIPAL_RADIUS, ValidationError)
+    guard_order(orders, PRINCIPAL_RADIUS)
+    f = surface.cap(k)
     depths = [max(8, m + 4) for m in orders]
-    f = surface.caps[k]
     rho = EXPANSION_RADIUS
     n = 2 * contour_nodes(rho)
     while n <= 2 * max(depths, default=0):
@@ -238,7 +236,7 @@ def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None,
     ``contour_radius(m)``; an order past its ``order_limit`` raises.
     """
     rr = contour_radius(m) if r0 is None else float(r0)
-    _check_order(m, rr)
+    guard_order(m, rr)
     zeta = rr * np.exp(1j * TWO_PI * np.arange(n) / n)
     w = f.evaluate(zeta)
     fp = f.derivative(zeta)
@@ -257,9 +255,3 @@ def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None,
             "raise r0 or check the map"
         )
     return tail
-
-
-def _check_order(m: int, r0: float):
-    if m < 1:
-        raise ValidationError(f"order must be >= 1, got {m}")
-    guard_order(m, r0, ValidationError)

@@ -57,8 +57,7 @@ class CapDatum:
     def monomial(cls, k: int, m: int) -> "CapDatum":
         """The order-m basis datum on cap k: b(zeta) = m zeta^(m-1),
         i.e. the conjugate differential of zeta-bar^m."""
-        if m < 1:
-            raise ValidationError(f"monomial datum needs m >= 1, got {m}")
+        guard_order(m)
 
         def b(zeta, m=m):
             return m * np.asarray(zeta, dtype=complex) ** (m - 1)
@@ -92,14 +91,6 @@ class CapDatum:
         return sorted(self.analytic)
 
 
-def _require_in_sigma(surface: SurfaceSpec, z: np.ndarray):
-    zz = np.atleast_1d(z)
-    ok = surface.in_sigma(zz)
-    if not np.all(ok):
-        j = int(np.flatnonzero(~ok)[0])
-        raise ValidationError(f"evaluation point z = {zz[j]:.6g} lies inside a closed cap")
-
-
 def apply_schiffer(surface: SurfaceSpec, datum, z):
     """Area-quadrature evaluation of the operator at points z in the
     cap complement.
@@ -115,10 +106,8 @@ def apply_schiffer(surface: SurfaceSpec, datum, z):
     single = isinstance(datum, CapDatum)
     data = [datum] if single else list(datum)
     for k in (k for d in data for k in d.caps()):
-        if not 0 <= k < surface.n_caps:
-            raise ValidationError(f"cap index {k} out of range")
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _require_in_sigma(surface, zz)
+        surface.cap(k)
+    zz = surface.require_clear(z, 0.0, "evaluation point z")
     val = measured_area(
         lambda grid, cols: _apply_area(surface, [data[j] for j in cols], zz, grid), len(data))
     if single:
@@ -171,34 +160,22 @@ def order_limit(r0: float) -> int:
     return m
 
 
-def guard_order(m: int, r0: float, error=NumericalError):
-    """Raise ``error`` naming the order, the radius and the roundoff
-    figure when m is past ``order_limit(r0)``."""
-    if m > order_limit(r0):
-        # the figure is printed from its logarithm: r0^(-m) itself
-        # overflows a float once m is a few thousand
-        log10 = float(np.log10(np.finfo(float).eps) - m * np.log10(r0))
-        raise error(f"order {m} on the contour radius {r0:.4g} amplifies roundoff to "
-                    f"r0^(-m) * eps = {_scientific(log10)}, above {ROUNDOFF_LIMIT:.0e}")
-
-
-def guard_basis_order(name: str, m: int, error=ValidationError):
-    """Raise ``error`` naming ``name`` when the order m is past
-    ``order_limit`` of ``contour_radius(m)``, the radius its basis read takes."""
-    radius = contour_radius(m)
-    top = order_limit(radius)
-    if m > top:
-        raise error(f"{name}: must be <= {top}, the roundoff limit of the basis read "
-                    f"on the contour radius {radius:.4g}, got {m}")
-
-
-def _scientific(log10: float) -> str:
-    # format(10 ** log10, ".2e") for a figure of any magnitude
-    exponent = int(np.floor(log10))
-    mantissa = round(10.0 ** (log10 - exponent), 2)
-    if mantissa >= 10:
-        mantissa, exponent = mantissa / 10, exponent + 1
-    return f"{mantissa:.2f}e{exponent:+03d}"
+def guard_order(m, r0: float | None = None, key: str = "order"):
+    """The one check of an order: refuses, naming ``key``, an order m (or
+    any of a sequence of orders) below 1 or past ``order_limit(r0)``. r0
+    defaults to ``contour_radius`` of the highest order, the radius its
+    basis read takes."""
+    orders = [int(mi) for mi in np.ravel(m)]
+    if not orders:
+        return
+    low, high = min(orders), max(orders)
+    if low < 1:
+        raise ValidationError(f"{key}: must be >= 1, got {low}")
+    r0 = contour_radius(high) if r0 is None else float(r0)
+    top = order_limit(r0)
+    if high > top:
+        raise ValidationError(f"{key}: must be <= {top}, the roundoff limit of a read on the "
+                              f"contour radius {r0:.4g}, got {high}")
 
 
 def contour_radius(m: int) -> float:
@@ -279,10 +256,7 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     orders = np.atleast_1d(np.asarray(m))
     if orders.ndim != 1 or orders.size == 0 or not np.issubdtype(orders.dtype, np.integer):
         raise ValidationError(f"orders must be one integer or a flat sequence of them, got {m!r}")
-    if np.any(orders < 1):
-        raise ValidationError(f"monomial order must be >= 1, got {int(np.min(orders))}")
-    if not 0 <= k < surface.n_caps:
-        raise ValidationError(f"cap index {k} out of range")
+    f = surface.cap(k)
     if r0 is None:
         radii = {contour_radius(int(mi)) for mi in orders}
         if len(radii) > 1:
@@ -292,8 +266,7 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
             )
         r0 = radii.pop()
     r0 = float(r0)
-    guard_order(int(np.max(orders)), r0)
-    f = surface.caps[k]
+    guard_order(orders, r0)
     zz = np.asarray(z, dtype=complex)
     pts = zz.ravel()
     shape = zz.shape + (orders.size,)

@@ -56,7 +56,7 @@ from .numerics import (
     least_squares,
     row_slices,
 )
-from .schiffer import NODE_COUNTS
+from .schiffer import NODE_COUNTS, guard_order
 from .surface import (
     OneForm,
     SurfaceSpec,
@@ -491,8 +491,7 @@ def project_faber(target, surface: SurfaceSpec, M: int,
     M = 40); the count and the largest band content measured at it are
     reported as ``pairing_nodes`` and ``spectral_tail``.
     """
-    if M < 1:
-        raise ValidationError(f"truncation order must be >= 1, got {M}")
+    guard_order(M, key="M")
     n = surface.n_caps
     pairing, eps, c_vec, d_vec, rho_data, data, tail = _resolved_split(
         getattr(target, "form", target), surface, M)
@@ -541,25 +540,6 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
     return decomposition.h[:M] if h is None else h
 
 
-def require_margin(surface: SurfaceSpec, points) -> np.ndarray:
-    """The points as a complex array of at least one dimension; raises
-    ValidationError naming the first point in a cap, or the nearest when
-    one lies closer to a cap than its genus's ``UNIFORM_MARGIN``."""
-    margin = UNIFORM_MARGIN[surface.genus]
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    inside = ~surface.in_sigma(pts)
-    if np.any(inside):
-        raise ValidationError(f"point {pts[inside][0]:.6g} lies in a cap")
-    dist = surface.distance_to_caps_reduced(pts)
-    if np.any(dist < margin):
-        j = int(np.argmin(dist))
-        raise ValidationError(
-            f"point {pts[j]:.6g} is {float(dist[j]):.3f} from a cap, "
-            f"inside the margin {margin}"
-        )
-    return pts
-
-
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
                    points, orders) -> list:
     """Sup-norm coefficient errors of the partial sums of every order in
@@ -574,7 +554,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     reads its basis forms on the step of its own order, so the two agree
     up to roundoff.
     """
-    pts = require_margin(surface, points)
+    pts = surface.require_clear(points, UNIFORM_MARGIN[surface.genus], "probe point z")
     orders = [int(M) for M in orders]
     hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)

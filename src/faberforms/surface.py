@@ -26,6 +26,7 @@ PI = np.pi
 # the node lattice on which SurfaceSpec.cycle_base measures clearance
 CYCLE_NODES = 64
 CELL_MARGIN = 0.05  # least lattice-coordinate gap between a torus cap and the cell's edges
+DIAGONAL_GAP = 1e-12  # least distance, as points of the surface, of a kernel entry's two points
 # Points per slice of SurfaceSpec.distance_to_caps_reduced on the torus.
 # Measured whole, the cycle-base search's 4096-node lattice freed over 1 MB
 # of mapped temporaries, which raised glibc's dynamic mmap and trim
@@ -109,22 +110,18 @@ class SurfaceSpec:
     """
 
     def __init__(self, genus, caps: CapFamily, tau=None, q=None, w0=None):
+        # the one check of the genus and, through theta.check_tau, of tau;
+        # each refusal starts with the argument it names
         if genus not in (0, 1):
-            raise ValidationError(f"genus must be 0 or 1, got {genus}")
+            raise ValidationError(f"genus: must be 0 or 1, got {genus}")
+        if (tau is None) == (genus == 1):
+            need = "required" if genus else "not allowed"
+            raise ValidationError(f"tau: {need} for genus {genus}")
         self.genus = int(genus)
         self.caps = caps
+        self.tau = None if tau is None else theta.check_tau(tau)
         if self.genus == 1:
-            if tau is None:
-                raise ValidationError("torus surface needs a lattice parameter tau")
-            tau = complex(tau)
-            if not tau.imag > 0:
-                raise ValidationError(f"lattice parameter needs Im tau > 0, got tau = {tau}")
-            self.tau = tau
             self._check_caps_in_cell()
-        else:
-            if tau is not None:
-                raise ValidationError("sphere surface takes no lattice parameter")
-            self.tau = None
         self.q = None if q is None else complex(q)
         if self.genus == 1 and self.q is None:
             self.q = self.clear_point()
@@ -148,6 +145,13 @@ class SurfaceSpec:
     @property
     def n_caps(self) -> int:
         return len(self.caps)
+
+    def cap(self, k: int, key: str | None = None):
+        """The map of cap k: the one check of a cap index. An index outside
+        0..n_caps - 1 is refused, after ``key`` when one is given."""
+        if not 0 <= k < self.n_caps:
+            raise ValidationError(f"{key + ': ' if key else ''}cap index {k} out of range")
+        return self.caps[k]
 
     def cell_coordinates(self, w):
         """Torus lattice coordinates (x, y) with w = x + y tau."""
@@ -261,12 +265,28 @@ class SurfaceSpec:
                     f"[{y.min():.3f}, {y.max():.3f}]"
                 )
 
+    def require_clear(self, points, margin: float, name: str) -> np.ndarray:
+        """The points as a complex array of at least one dimension: the one
+        refusal of a point too near the caps. Raises ValidationError naming
+        ``name`` and the first point in a closed cap (torus: in a lattice
+        copy of one), or, for a positive margin, the nearest point when one
+        lies closer to a cap than the margin."""
+        pts = np.atleast_1d(np.asarray(points, dtype=complex))
+        inside = ~self.in_sigma(pts)
+        if np.any(inside):
+            raise ValidationError(f"{name} = {pts[inside][0]:.6g} lies in a closed cap")
+        if margin > 0:
+            dist = self.distance_to_caps_reduced(pts)
+            j = int(np.argmin(dist))
+            if dist.flat[j] < margin:
+                raise ValidationError(f"{name} = {pts.flat[j]:.6g} is {float(dist.flat[j]):.3f} "
+                                      f"from a cap, inside the margin {margin}")
+        return pts
+
     def _check_marked_points(self):
         for name, p in (("q", self.q), ("w0", self.w0)):
-            if p is None:
-                continue
-            if not self.in_sigma(p) or self.distance_to_caps_reduced(p)[0] < 1e-6:
-                raise ValidationError(f"marked point {name} = {p:.6g} lies in a closed cap")
+            if p is not None:
+                self.require_clear(p, 1e-6, f"marked point {name}")
         if self.q is not None and self.distance(self.w0, [self.q]) < 1e-9:
             raise ValidationError(f"marked points q = {self.q:.6g} and w0 = {self.w0:.6g} "
                                   f"are the same point of the surface")
@@ -304,18 +324,26 @@ class SurfaceSpec:
         return f"SurfaceSpec({kind}, {len(self.caps)} caps)"
 
 
-def _guard_apart(diff, what: str, tol: float = 1e-12):
-    """Raise when any entry of the difference ``diff`` of two point sets is
-    below ``tol`` in modulus. The moduli are taken a chunk of an eighth of
-    the block budget at a time, into one small buffer, so a guard on a
+def _guard_diagonal(values, inverse_square: bool = False):
+    """Raise the kernel's diagonal NumericalError when an entry of
+    ``values`` comes from two points less than DIAGONAL_GAP apart.
+    ``values`` holds the points' differences or, with ``inverse_square``,
+    (log theta1)'' of them, which is -1/v^2 + O(1) at the lattice-reduced
+    difference v: at least DIAGONAL_GAP^-2 in modulus there, and not
+    finite on a lattice point. The moduli are taken a chunk of an eighth
+    of the block budget at a time, into one small buffer, so a guard on a
     kernel slice adds no slice-sized array."""
-    flat = np.asarray(diff).reshape(-1)
+    flat = np.asarray(values).reshape(-1)
     step = BLOCK_ENTRIES // 8
     moduli = np.empty(min(flat.size, step))
     for start in range(0, flat.size, step):
         part = flat[start:start + step]
-        if np.any(np.abs(part, out=moduli[:part.size]) < tol):
-            raise NumericalError(f"{what} (distance below {tol:.0e})")
+        mod = np.abs(part, out=moduli[:part.size])
+        # a nan modulus fails the comparison, so it counts as too large
+        near = ~(mod < DIAGONAL_GAP ** -2) if inverse_square else mod < DIAGONAL_GAP
+        if np.any(near):
+            raise NumericalError(
+                f"Schiffer kernel evaluated on its diagonal (distance below {DIAGONAL_GAP:.0e})")
 
 
 _SURFACE_DEFAULT = object()
@@ -382,14 +410,18 @@ def schiffer_kernel(surface: SurfaceSpec, w, z, out=None):
     if out is None:
         out = np.empty(np.broadcast_shapes(w.shape, z.shape), dtype=complex)
     d = np.subtract(w, z, out=out)
-    _guard_apart(d, "Schiffer kernel evaluated on its diagonal")
     if surface.genus == 0:
+        _guard_diagonal(d)
         # -1 / (pi d^2), with d squared, scaled and inverted in place
         d **= 2
         d *= PI
         np.divide(-1.0, d, out=d)
     else:
-        theta.log_derivative2(d, surface.tau, out=d)
+        # guarded after the series, which reduces w - z: a lattice copy of
+        # the diagonal is refused too, and its division by theta1 = 0 is quiet
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta.log_derivative2(d, surface.tau, out=d)
+        _guard_diagonal(d, inverse_square=True)
         d /= PI
         d += 1.0 / surface.tau.imag
     return d if d.ndim else d[()]
@@ -438,9 +470,7 @@ def gamma_basis(surface: SurfaceSpec) -> list:
 def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 512) -> Cycle:
     """Circle |zeta| = radius in cap k's disk chart, winding once around
     the cap center, counterclockwise."""
-    if not 0 <= k < surface.n_caps:
-        raise ValidationError(f"cap index {k} out of range")
-    f = surface.caps[k]
+    f = surface.cap(k)
     zeta = radius * np.exp(1j * TWO_PI * np.arange(n) / n)
     nodes = f.evaluate(zeta)
     weights = (TWO_PI * 1j / n) * zeta * f.derivative(zeta)
@@ -448,10 +478,10 @@ def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 5
 
 
 def _segment_cycle(surface: SurfaceSpec, kind: str) -> Cycle:
-    if surface.genus == 0:
-        raise ValidationError("the sphere has no lattice cycles")
+    # cycle_base refuses the sphere
+    base = surface.cycle_base()
     direction = 1.0 if kind == "a" else surface.tau
-    nodes = surface.cycle_base() + np.arange(CYCLE_NODES) / CYCLE_NODES * direction
+    nodes = base + np.arange(CYCLE_NODES) / CYCLE_NODES * direction
     return Cycle(kind, 0, nodes, np.full(CYCLE_NODES, direction / CYCLE_NODES, dtype=complex))
 
 

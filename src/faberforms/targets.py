@@ -20,13 +20,15 @@ import numpy as np
 
 from .faber import faber_form, faber_series
 from .numerics import Pcg64Stream, ValidationError
-from .schiffer import guard_basis_order
+from .schiffer import guard_order
 from .series import MEASURING_RADII, POLE_CLEARANCE, TargetForm
 from .surface import OneForm, SurfaceSpec
 from .theta import log_derivative2
 
 
 def _basis_target(surface, k: int = 0, m: int = 1) -> TargetForm:
+    surface.cap(int(k), key="target.k")
+    guard_order(int(m), key="target.m")
     el = faber_form(surface, int(k), int(m))
     known = {
         "epsilon": np.zeros(surface.n_caps, dtype=complex),
@@ -39,8 +41,7 @@ def _basis_target(surface, k: int = 0, m: int = 1) -> TargetForm:
 def _pole_target(surface, cap: int = 0, eta: complex = 0.5,
                  strength: complex = 1.0) -> TargetForm:
     k = int(cap)
-    if not 0 <= k < surface.n_caps:
-        raise ValidationError(f"cap index {k} out of range")
+    f = surface.cap(k, key="target.cap")
     eta = complex(eta)
     # the depth the solve's own guard admits inside its inner measuring circle
     depth = min(MEASURING_RADII) - POLE_CLEARANCE
@@ -48,7 +49,6 @@ def _pole_target(surface, cap: int = 0, eta: complex = 0.5,
         raise ValidationError(f"target.eta: the pole preimage must satisfy |eta| <= {depth:.4g}, "
                               f"got {abs(eta):.4g}")
     s = complex(strength)
-    f = surface.caps[k]
     a = complex(f.evaluate(eta))
     known = {
         "epsilon": np.zeros(surface.n_caps, dtype=complex),
@@ -94,7 +94,8 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
         decay = 0.75 if decay is None else decay
         if order < 0:
             raise ValidationError(f"target.order: must be >= 0, got {order}")
-        guard_basis_order("target.order", order)
+        if order:  # order 0 draws no h terms
+            guard_order(order, key="target.order")
         try:
             float(abs(decay)) ** order
         except OverflowError:
@@ -119,15 +120,15 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     h = {} if h is None else {
         (int(m), int(k)): complex(v) for (m, k), v in dict(h).items()
     }
-    guard_basis_order("target.h", max([0, *(m for m, _k in h)]))
+    guard_order([m for m, _k in h], key="target.h")
+    for _m, k in h:
+        surface.cap(k, key="target.h")
     if epsilon.size != max(n - 1, 0):
         raise ValidationError(f"epsilon needs {n - 1} entries, got {epsilon.size}")
     if c.size != g:
         raise ValidationError(f"c needs {g} entries, got {c.size}")
     h_matrix = np.zeros((max([0, *(m for m, _k in h)]), n), dtype=complex)
     for (m, k), v in h.items():
-        if m < 1 or not 0 <= k < n:
-            raise ValidationError(f"h entry ({m}, {k}) out of range")
         h_matrix[m - 1, k] = v
     if not (np.any(epsilon) or np.any(c) or np.any(h_matrix)):
         raise ValidationError("combination target has no nonzero terms")

@@ -35,10 +35,12 @@ from .numerics import BLOCK_ENTRIES, ValidationError
 PI = np.pi
 
 
-def _check_tau(tau: complex) -> complex:
+def check_tau(tau) -> complex:
+    """The lattice parameter as a complex number; refuses Im tau <= 0. The
+    one check of tau: every public function here and ``SurfaceSpec`` call it."""
     tau = complex(tau)
     if not tau.imag > 0:
-        raise ValidationError(f"lattice parameter needs Im tau > 0, got tau = {tau}")
+        raise ValidationError(f"tau: Im tau must be positive, got {tau}")
     return tau
 
 
@@ -164,9 +166,10 @@ def _blockwise(fn, v, dtype, out=None):
 def lattice_reduce(v, tau):
     """Split v = v_red + m + n tau with v_red in the centered fundamental cell.
 
-    Returns (v_red, m, n) with m, n integer arrays.
+    Returns (v_red, m, n) with m, n integer arrays. tau is a complex
+    number with Im tau > 0 (``check_tau``), checked once by the caller
+    rather than once per block.
     """
-    tau = _check_tau(tau)
     vv = np.asarray(v, dtype=complex)
     n = np.round(vv.imag / tau.imag)
     v1 = vv - n * tau
@@ -183,7 +186,7 @@ def theta1(v, tau, deriv: int = 0):
     moderate |Im v| is exact; very large n tau-shifts overflow F, as they
     must.
     """
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     if deriv not in (0, 1, 2):
         raise ValidationError(f"theta series supports derivatives 0..2, got {deriv}")
 
@@ -210,7 +213,7 @@ def log_derivative(v, tau):
     argument and subtracting 2 pi i n restores the exact meromorphic
     function, with simple poles of residue 1 at the lattice points.
     """
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
 
     def block(v):
         vr, _, n = lattice_reduce(v, tau)
@@ -228,7 +231,7 @@ def log_derivative2(v, tau, out=None):
     Schiffer kernel uses to turn w - z into the kernel in place. The values
     are the same bits with or without it.
     """
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
 
     def block(v):
         vr, _, _ = lattice_reduce(v, tau)
@@ -243,7 +246,7 @@ def log_derivative2(v, tau, out=None):
 
 def log_abs(v, tau):
     """log |theta1(v | tau)|, stable for any v via the quasi-period law."""
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
 
     def block(v):
         vr, _, n = lattice_reduce(v, tau)

@@ -31,8 +31,9 @@ BLOCKS = ("surface", "caps", "target", "run")
 # keys whose values are not numbers
 NOT_NUMBERS = {"target.family", "run.checks", "run.strict"}
 # nan, the infinities, a huge and a tiny float, an integer past 64 bits,
-# empty, text and a complex value where a real one belongs
-VALUES = ("nan", "inf", "-inf", "1e300", "1e-300", "12345678901234567890", "", "text", "1+2j")
+# zero, minus one, empty, text and a complex value where a real one belongs
+VALUES = ("nan", "inf", "-inf", "1e300", "1e-300", "12345678901234567890", "0", "-1", "", "text",
+          "1+2j")
 BUDGET = 1.0  # seconds per input
 
 
@@ -103,7 +104,7 @@ def structural() -> list:
         ("run", "duplicate block", text + "\n[run]\nseed = 6\n"),
         ("run", "missing block", text.split("[run]")[0]),
         ("caps.lower", "unknown map kind", text.replace(lower, "lower = moebius scale=0.11")),
-        ("surface", "overlapping caps",
+        ("caps", "overlapping caps",
          text.replace(lower, lower + "\nbeside = affine scale=0.11 offset=0.45+0.33j")),
     ]
     return [(name, key, value, new) for key, value, new in cases]

@@ -228,7 +228,7 @@ def test_M_past_the_roundoff_limit_is_a_named_config_error(tmp_path, capsys, M):
     _rejected_before_anything_runs(tmp_path, capsys, BASE.replace("M = 2", f"M = {M}"), "run.M")
     with pytest.raises(ConfigError) as err:
         parse_config(str(tmp_path / "bad.cfg"))
-    assert str(err.value) == ("run.M: must be <= 211, the roundoff limit of the basis read "
+    assert str(err.value) == ("run.M: must be <= 211, the roundoff limit of a read "
                               f"on the contour radius 0.92, got {M}")
     path = tmp_path / "ok.cfg"
     path.write_text(BASE.replace("M = 2", "M = 211"))
@@ -332,7 +332,7 @@ def test_a_combination_term_that_would_be_dropped_is_a_named_config_error(
     assert not (out / "report.json").exists()
 
 
-ROUNDOFF = "the roundoff limit of the basis read on the contour radius 0.92"
+ROUNDOFF = "the roundoff limit of a read on the contour radius 0.92"
 
 
 @pytest.mark.parametrize("name, old, new, message", [
@@ -416,7 +416,7 @@ CAP = "main = affine scale=1 offset=0"
      r"caps\.main\.coefficients: not a complex number: 'x'"),
     (BASE.replace(CAP + "\n", ""), r"caps: at least one map spec required"),
     (BASE.replace(CAP, CAP + "\ninner = affine scale=0.2 offset=0"),
-     r"surface: caps 0 and 1 overlap \(one contains the other\)"),
+     r"caps: caps 0 and 1 overlap: a boundary point of cap 1 lies in cap 0"),
     (BASE.replace("family = basis\n", ""), r"target\.family: required"),
     (BASE.replace("m = 1\n", "m = 1\nwibble = 2\n"), r"target\.wibble: unknown parameter"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1;2:1"),
@@ -433,7 +433,7 @@ CAP = "main = affine scale=1 offset=0"
       for value in ("nan", "-inf", "1e999", "infj")],
     # refused when the target is built
     (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\ncap = 5"),
-     r"target: cap index 5 out of range"),
+     r"target\.cap: cap index 5 out of range"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nc = 1"),
      r"target: c needs 0 entries, got 1"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 0"),
@@ -457,12 +457,13 @@ CAP = "main = affine scale=1 offset=0"
     # margin of its genus, and a translation carrying a torus cap out of
     # the cell under the invariance check; a ring over a cap ran (exit 0)
     (BASE + "probe_radius = 1.05\n",
-     r"run\.probe_radius: point 1\.05\+0j is 0\.050 from a cap, inside the margin 0\.1"),
+     r"run\.probe_radius: probe point z = 1\.05\+0j is 0\.050 from a cap, inside the margin 0\.1"),
     (TORUS + "probe_center = 0.5+0.5j\nprobe_radius = 0.13\n",
-     r"run\.probe_center, run\.probe_radius: point 0\.591924\+0\.591924j is 0\.030 from a cap, "
+     r"run\.probe_center, run\.probe_radius: probe point z = 0\.591924\+0\.591924j is 0\.030 "
+     r"from a cap, "
      r"inside the margin 0\.05"),
     (BASE + "probe_center = 0.5+0.5j\nprobe_radius = 0.16\n",
-     r"run\.probe_center, run\.probe_radius: point 0\.66\+0\.5j lies in a cap"),
+     r"run\.probe_center, run\.probe_radius: probe point z = 0\.66\+0\.5j lies in a closed cap"),
     (TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j"),
      r"run\.translation: cap 0 leaves the fundamental cell \(margin 0\.05\); lattice "
      r"coordinates span \[0\.790, 0\.990\] x \[0\.400, 0\.600\]"),
@@ -476,7 +477,7 @@ CAP = "main = affine scale=1 offset=0"
     (BASE.replace(CAP, "main = frobnicate scale=1"),
      r"caps\.main: unknown map kind 'frobnicate'; choose from \[.*\]"),
     (BASE.replace(CAP, CAP + "\nright = affine scale=1 offset=1.5"),
-     r"surface: caps 0 and 1 come within 0\.001727 < separation 0\.02"),
+     r"caps: caps 0 and 1 overlap: a boundary point of cap 0 lies in cap 1"),
     # the torus config with w0 on a lattice copy of q: it exited 3 with
     # two checks' values not finite, naming neither point
     *[(TORUS_CONFIG.replace("tau = 0.3+1.1j", f"tau = 0.3+1.1j\nq = 0.5+0.55j\nw0 = {w0}"),

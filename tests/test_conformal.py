@@ -250,13 +250,26 @@ def test_cap_family_rejects_containment_in_either_order(separation):
 
 @pytest.mark.parametrize("separation", [0.02, 0.0])
 def test_cap_family_names_close_and_crossing_caps(separation):
-    # a nested cap 0.01 from its host's boundary, and two crossing disks
+    # a nested cap 0.01 from its host's boundary, and two crossing disks:
+    # the winding test speaks before the gap test, whatever the separation
+    # (the nested cap read "come within 0.01 < separation 0.02")
     for pair in ([AffineMap(1.0), AffineMap(0.2, offset=0.79)],
                  [AffineMap(1.0), AffineMap(1.0, offset=0.5)]):
         for maps in (pair, pair[::-1]):
-            with pytest.raises(ValidationError,
-                               match="come within" if separation > 0 else "overlap"):
+            with pytest.raises(ValidationError, match=r"^caps 0 and 1 overlap: a boundary point "
+                                                      r"of cap \d lies in cap \d$"):
                 CapFamily(maps, separation=separation)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.06, 0.2])
+def test_cap_family_names_identical_and_shifted_caps_as_overlapping(offset):
+    # two torus-sized caps 0.06 apart read "come within 0.0003688 <
+    # separation 0.02", and two identical ones "come within 0 < ...": a
+    # boundary sample on the other cap's polygon is in its closed image
+    maps = [AffineMap(0.11, offset=0.39 + 0.33j), AffineMap(0.11, offset=0.39 + 0.33j + offset)]
+    with pytest.raises(ValidationError,
+                       match=r"^caps 0 and 1 overlap: a boundary point of cap 0 lies in cap 1$"):
+        CapFamily(maps)
 
 
 def test_cap_family_accepts_disjoint_caps_with_overlapping_bounding_disks():

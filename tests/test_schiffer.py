@@ -384,31 +384,36 @@ def test_block_budget_does_not_change_contour_and_area_reads(budget, monkeypatch
         assert np.all(np.abs(got_area - area) <= 1e-14 * scale)
 
 
-def test_roundoff_guard_names_order_radius_and_figure():
+def test_roundoff_guard_names_order_radius_and_limit():
     surface = sphere_one_cap()
-    # 0.5^-40 * eps = 2.44e-04
-    with pytest.raises(NumericalError,
-                       match=r"order 40 on the contour radius 0\.5 .* 2\.44e-04"):
+    # 0.5^-40 * eps = 2.44e-04, where 0.5 carries orders up to 25
+    with pytest.raises(ValidationError,
+                       match=r"^order: must be <= 25, the roundoff limit of a read on the "
+                             r"contour radius 0\.5, got 40$"):
         schiffer_contour(surface, 0, [30, 40], 2.0, r0=0.5)
     # the default radius tops out at 0.92, where order 250 is past the bound
-    with pytest.raises(NumericalError, match=r"order 250 on the contour radius 0\.92 "):
+    with pytest.raises(ValidationError, match=r"^order: must be <= 211, .* 0\.92, got 250$"):
         schiffer_contour(surface, 0, 250, 2.0)
     # the long sphere run reads order 40 at radius 48/54: figure ~ 2.5e-14
     assert abs(schiffer_contour(surface, 0, 40, 2.0) - 40 * 2.0**-41) < 1e-12
 
 
-def test_the_roundoff_guard_prints_a_figure_past_the_float_range():
+def test_the_roundoff_guard_refuses_an_order_past_the_float_range():
     # 0.92^(-100000) * eps overflows a float, and formatting it crashed the
-    # guard with an OverflowError; the figure comes from its logarithm and
-    # reads as mpmath's at 50 digits
-    message = ("order 100000 on the contour radius 0.92 amplifies roundoff to "
-               "r0^(-m) * eps = 3.66e+3605, above 1e-08")
-    with pytest.raises(NumericalError) as err:
+    # guard with an OverflowError; the guard names the limit, not the figure
+    message = ("order: must be <= 211, the roundoff limit of a read on the contour "
+               "radius 0.92, got 100000")
+    with pytest.raises(ValidationError) as err:
         schiffer_contour(sphere_one_cap(), 0, 100000, 2.0)
     assert str(err.value) == message
     with pytest.raises(ValidationError) as err:
-        guard_order(100000, 0.92, ValidationError)
+        guard_order(100000, 0.92)
     assert str(err.value) == message
+    # the radius defaults to that of the order's own basis read, and a key
+    # takes the place of the word order
+    with pytest.raises(ValidationError) as err:
+        guard_order(10**30, key="run.M")
+    assert str(err.value) == message.replace("order:", "run.M:").replace("100000", str(10**30))
 
 
 @pytest.mark.parametrize("r0", [PRINCIPAL_RADIUS] + [contour_radius(e)
@@ -419,7 +424,7 @@ def test_order_limit_is_the_roundoff_guard(r0):
     surface = sphere_one_cap()
     top = order_limit(r0)
     schiffer_contour(surface, 0, top, 2.0, r0=r0)
-    with pytest.raises(NumericalError, match=rf"order {top + 1} on the contour radius "):
+    with pytest.raises(ValidationError, match=rf"^order: must be <= {top}, .* got {top + 1}$"):
         schiffer_contour(surface, 0, top + 1, 2.0, r0=r0)
 
 

@@ -714,12 +714,13 @@ def test_project_matches_torus_solve_reference(tmp_path):
 
 def test_faber_series_order_past_roundoff_bound_raises():
     # no silent order ceiling: an order whose contour read amplifies
-    # roundoff past the bound fails loudly and names the figure
+    # roundoff past the bound fails loudly and names the limit
     surface = identity_cap_sphere()
     partial = faber.faber_series(surface, np.zeros(1, dtype=complex), np.zeros(0),
                                  np.ones((250, 1), dtype=complex))
-    with pytest.raises(NumericalError,
-                       match=r"order 250 on the contour radius 0\.92 .* = 2\.5\de-07"):
+    with pytest.raises(ValidationError,
+                       match=r"^order: must be <= 211, the roundoff limit of a read on the "
+                             r"contour radius 0\.92, got 250$"):
         partial(np.array([3.0 + 1.0j]))
 
 
@@ -800,7 +801,7 @@ def test_project_refuses_a_residual_that_rises_with_the_order(monkeypatch):
 def test_project_rejects_bad_order():
     surface = identity_cap_sphere()
     target = build_target(surface, "basis")
-    with pytest.raises(ValidationError, match="order"):
+    with pytest.raises(ValidationError, match="^M: must be >= 1, got 0$"):
         project_faber(target, surface, M=0)
 
 
@@ -812,8 +813,10 @@ def test_build_target_validation():
         build_target(surface, "pole", cap=0, eta=0.95)
     with pytest.raises(ValidationError, match="epsilon"):
         build_target(surface, "combination", epsilon=[1.0, 2.0], h={(1, 0): 1.0})
-    with pytest.raises(ValidationError, match="out of range"):
+    with pytest.raises(ValidationError, match="^target.h: must be >= 1, got 0$"):
         build_target(surface, "combination", h={(0, 0): 1.0})
+    with pytest.raises(ValidationError, match="^target.h: cap index 2 out of range$"):
+        build_target(surface, "combination", h={(1, 2): 1.0})
 
 
 def _counting(form):

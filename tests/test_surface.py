@@ -10,6 +10,7 @@ from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.numerics import NumericalError, ValidationError, slice_views
 from faberforms import surface as surface_module
+from faberforms import theta
 from faberforms.surface import (
     CELL_MARGIN,
     Cycle,
@@ -144,6 +145,34 @@ def test_kernel_diagonal_guard():
             with pytest.raises(NumericalError, match="on its diagonal \\(distance below 1e-12\\)"):
                 schiffer_kernel(surface, w, z)
         assert np.all(np.isfinite(schiffer_kernel(surface, w, w + 0.05)))
+
+
+@pytest.mark.parametrize("shift", [1.0, TAU, -2 + 3 * TAU])
+def test_kernel_refuses_a_lattice_copy_of_its_diagonal(shift):
+    # w = z + 1 read nan and w = z + tau read -1.03e32: the guard read the
+    # raw difference w - z, not the difference as points of the torus
+    t = torus_two_caps()
+    z = 0.52 + 0.5j
+    diagonal = r"^Schiffer kernel evaluated on its diagonal \(distance below 1e-12\)$"
+    with pytest.raises(NumericalError, match=diagonal):
+        schiffer_kernel(t, z + shift, z)
+    w = np.array([[z + 0.1, z + shift], [z - 0.2j, z + 0.3]])
+    with pytest.raises(NumericalError, match=diagonal):
+        schiffer_kernel(t, w, z, out=np.empty(w.shape, dtype=complex))
+    # off the copy the kernel is the lattice-periodic value at w - z
+    near = schiffer_kernel(t, z + shift + 1e-3, z)
+    assert abs(near - schiffer_kernel(t, z + 1e-3, z)) <= 1e-9 * abs(near)
+
+
+def test_the_torus_kernel_guard_reads_and_keeps_the_kernel_bits():
+    # the guard only reads the series' values: the kernel is the same
+    # arithmetic, bit for bit, as the unguarded formula
+    t = torus_two_caps()
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-2.0, 2.0, 500) + 1j * rng.uniform(-2.0, 2.0, 500)
+    z = 0.52 + 0.5j
+    want = theta.log_derivative2(w - z, TAU) / np.pi + 1.0 / TAU.imag
+    assert np.array_equal(schiffer_kernel(t, w, z), want)
 
 
 def test_kernel_slices_in_one_buffer_are_the_fresh_values():
@@ -340,7 +369,7 @@ def test_period_pole_on_path_guard():
 
 def test_surface_validation():
     caps = CapFamily([AffineMap(0.4)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^tau: Im tau must be positive, got \(0\.5-1j\)$"):
         SurfaceSpec.torus(0.5 - 1.0j, caps)
     with pytest.raises(ValidationError):
         SurfaceSpec.sphere(caps, w0=0.1)  # normalization point inside the cap
@@ -351,11 +380,11 @@ def test_surface_validation():
     big = CapFamily([AffineMap(0.3, offset=0.05 + 0.5 * TAU)])
     with pytest.raises(ValidationError, match="cell"):
         SurfaceSpec.torus(TAU, big)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^genus: must be 0 or 1, got 2$"):
         SurfaceSpec(2, caps)
-    with pytest.raises(ValidationError, match="^torus surface needs a lattice parameter tau$"):
+    with pytest.raises(ValidationError, match="^tau: required for genus 1$"):
         SurfaceSpec(1, caps)
-    with pytest.raises(ValidationError, match="^sphere surface takes no lattice parameter$"):
+    with pytest.raises(ValidationError, match="^tau: not allowed for genus 0$"):
         SurfaceSpec(0, caps, tau=TAU)
 
 
