@@ -46,11 +46,10 @@ from .surface import (
     Cycle,
     OneForm,
     SurfaceSpec,
-    a_cycle,
-    b_cycle,
     beta_form,
     gamma_basis,
     green,
+    lattice_cycles,
     period,
     schiffer_kernel,
 )
@@ -76,10 +75,8 @@ __all__ = [
     "SurfaceSpec",
     "TargetForm",
     "ValidationError",
-    "a_cycle",
     "apply_schiffer",
     "area_pairing",
-    "b_cycle",
     "beta_form",
     "build_target",
     "contour_nodes",
@@ -89,6 +86,7 @@ __all__ = [
     "gamma_basis",
     "green",
     "invariance_check",
+    "lattice_cycles",
     "least_squares",
     "make_map",
     "period",

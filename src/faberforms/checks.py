@@ -56,25 +56,17 @@ _CANDIDATES_PER_POINT = 1000
 
 def _sample_points(surface: SurfaceSpec, rng: Pcg64Stream, count: int, clearance: float,
                    accept=None):
-    """Points of the cap complement with a stated clearance, reproducible
-    from the stream's state; ``accept(z)``, given, is a further vectorized
-    test. A region that yields fewer than ``count`` points within
-    ``count * _CANDIDATES_PER_POINT`` candidates raises ValidationError.
+    """Points of the cap complement with a stated clearance, drawn from the
+    geometry's ``sample_region`` and reproducible from the stream's state;
+    ``accept(z)``, given, is a further vectorized test. A region that
+    yields fewer than ``count`` points within ``count *
+    _CANDIDATES_PER_POINT`` candidates raises ValidationError.
 
     Candidates are drawn and tested a batch at a time, but the accepted
     points, and the stream state left behind, are those of drawing and
     testing one candidate at a time until ``count`` pass.
     """
-    if surface.genus == 1:
-        origin, lo, hi, step = 0.0, 0.02, 0.98, surface.tau
-    else:
-        centers = np.asarray(surface.caps.centers)
-        origin = complex(np.mean(centers))
-        # the caps lie within their boundary reach of the origin, so a square
-        # of half-width reach + clearance keeps its corners, 1 - pi/4 of it, open
-        hi = max(2.0 + float(np.max(np.abs(centers - origin))),
-                 surface.caps.reach(origin) + clearance)
-        lo, step = -hi, 1j
+    origin, lo, hi, step = surface.geometry.sample_region(clearance)
     pts, tested = [], 0
     while len(pts) < count:
         if tested >= count * _CANDIDATES_PER_POINT:

@@ -25,7 +25,8 @@ from .conformal import CapFamily, make_map
 from .faber import PRINCIPAL_RADIUS
 from .numerics import CONDITION_LIMIT, ValidationError
 from .schiffer import guard_order
-from .series import UNIFORM_MARGIN, TargetForm
+from .geometry import CapOutsideCell
+from .series import TargetForm
 from .surface import SurfaceSpec
 from .targets import build_target
 
@@ -86,15 +87,10 @@ class _Block:
 
 def probe_ring(config: ExperimentConfig) -> np.ndarray:
     """The circle the sup errors are read on, the configured one or by
-    default one away from every cap, as PROBE_POINTS points."""
-    surface = config.surface
+    default the geometry's ``probe_ring``, as PROBE_POINTS points."""
     center, radius = config.probe_center, config.probe_radius
-    if radius is None and surface.genus == 0:
-        center = complex(np.mean(surface.caps.centers))
-        radius = max(0.5, surface.caps.reach(center)) + 0.75
-    elif radius is None:
-        # torus: ride the corridor of the cycle base the pairing searched for
-        center, radius = complex(surface.cycle_base()), 0.04
+    if radius is None:
+        center, radius = config.surface.geometry.probe_ring()
     theta = 2.0 * np.pi * np.arange(PROBE_POINTS) / PROBE_POINTS
     return center + radius * np.exp(1j * theta)
 
@@ -259,6 +255,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"caps: {exc}") from None
     try:
         surface = SurfaceSpec(genus, caps, tau=tau, q=q, w0=w0)
+    except CapOutsideCell as exc:
+        raise ConfigError(f"caps.{caps_items[exc.cap][0]}: {exc.reason}") from None
     except ValidationError as exc:
         # a refusal of the genus or of tau starts with the argument's name
         message = str(exc)
@@ -302,7 +300,6 @@ def parse_config(path: str) -> ExperimentConfig:
     if "probe_center" in r and "probe_radius" not in r:
         raise ConfigError("run.probe_center: set without run.probe_radius")
     output = _Block(parser, "output")
-    translation_default = "0.5" if genus == 0 else "0.05"
     cfg = ExperimentConfig(
         surface=surface,
         target=target,
@@ -314,7 +311,8 @@ def parse_config(path: str) -> ExperimentConfig:
         l2_tolerance=_positive("run", "l2_tolerance", r.get("l2_tolerance", "1e-6")),
         sup_tolerance=_positive("run", "sup_tolerance", r.get("sup_tolerance", "1e-6")),
         pole_orders=_order("pole_orders", r.get("pole_orders", "4"), PRINCIPAL_RADIUS),
-        translation=_complex("run", "translation", r.get("translation", translation_default)),
+        translation=(_complex("run", "translation", r["translation"]) if "translation" in r
+                     else complex(surface.geometry.translation)),
         condition_limit=_positive("run", "condition_limit",
                                   r.get("condition_limit", str(CONDITION_LIMIT))),
         probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
@@ -328,7 +326,7 @@ def parse_config(path: str) -> ExperimentConfig:
     # the run would refuse these only after the solve, naming no key
     if cfg.probe_radius is not None:
         try:
-            surface.require_clear(probe_ring(cfg), UNIFORM_MARGIN[surface.genus], "probe point z")
+            surface.require_clear(probe_ring(cfg), surface.geometry.probe_margin, "probe point z")
         except ValidationError as exc:
             keys = "run.probe_center, run.probe_radius" if "probe_center" in r else "run.probe_radius"
             raise ConfigError(f"{keys}: {exc}") from None

@@ -128,13 +128,11 @@ def alpha_values(surface: SurfaceSpec, k: int, orders, z, out=None) -> np.ndarra
 
 def closed_terms(surface: SurfaceSpec, epsilon, c) -> list:
     """The closed-form part of a Faber-Tietz sum as (coefficient, form)
-    pairs: epsilon[k] beta_k for k < n - 1 and, on the torus, c[0] gamma.
-    Terms whose coefficient is zero are left out."""
+    pairs: epsilon[k] beta_k for k < n - 1 and c[j] gamma_j over the
+    geometry's holomorphic basis. Terms whose coefficient is zero are left out."""
     terms = [(epsilon[k], beta_form(surface, k))
              for k in range(surface.n_caps - 1) if epsilon[k] != 0]
-    if surface.genus == 1 and c[0] != 0:
-        terms.append((c[0], gamma_basis(surface)[0]))
-    return terms
+    return terms + [(cj, gamma) for cj, gamma in zip(c, gamma_basis(surface)) if cj != 0]
 
 
 def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneForm:

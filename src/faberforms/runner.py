@@ -91,7 +91,7 @@ def _surface_summary(surface: SurfaceSpec) -> dict:
     return {
         "genus": surface.genus,
         "n_caps": surface.n_caps,
-        "tau": _cnum(surface.tau) if surface.genus == 1 else None,
+        "tau": _cnum(surface.tau),
         "q": _cnum(surface.q),
         "w0": _cnum(surface.w0),
     }

@@ -293,9 +293,10 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
 
 
 def _guard_outside_contour(surface: SurfaceSpec, contour_image: np.ndarray, zz: np.ndarray):
-    # reduce torus points into the fundamental cell before the winding test;
-    # the kernel itself is elliptic, so lattice copies are legitimate inputs
-    pts = surface.reduce_to_cell(zz) if surface.genus == 1 else zz
+    # the geometry reduces torus points into the fundamental cell before the
+    # winding test; the kernel itself is elliptic, so lattice copies are
+    # legitimate inputs
+    pts = surface.geometry.reduce(zz)
     center = np.mean(contour_image)
     scale = float(np.max(np.abs(contour_image - center)))
     tol = 1e-6 * max(scale, 1.0)

@@ -60,9 +60,8 @@ from .schiffer import NODE_COUNTS, guard_order
 from .surface import (
     OneForm,
     SurfaceSpec,
-    a_cycle,
-    b_cycle,
     boundary_cycle,
+    lattice_cycles,
     per_cycle,
     period,
     require_finite,
@@ -87,9 +86,6 @@ RADIUS_GAP_TOL = 1e-9  # relative gap allowed between the reads on the two circl
 # node count. On the 0.95 circle the guard admits up to 0.9195.
 POLE_CLEARANCE = 0.0305
 BOUNDARY_FREE_TOL = 1e-8  # boundary period / 2 pi left once the boundary terms are removed
-# Least distance from the caps of a point the sup-norm error reads, by genus; the
-# default torus ring, radius 0.04 about the cycle base, keeps at least 2 * CELL_MARGIN - 0.04
-UNIFORM_MARGIN = (0.1, 0.05)
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,7 @@ class ExteriorPairing:
         zeta = np.exp(1j * (TWO_PI * np.arange(n) / n))
         self._dw = np.array([f.derivative(zeta) * 1j * zeta for f in surface.caps])
         self._weights = _parseval_weights(n)
-        self.cycles = (a_cycle(surface), b_cycle(surface)) if surface.genus == 1 else ()
+        self.cycles = lattice_cycles(surface)
         self.nodes = np.concatenate([c.nodes for c in self.circles + self.cycles])
 
     def data(self, form: OneForm) -> PairingData:
@@ -346,19 +342,15 @@ def _check_poles_clear(form: OneForm, surface: SurfaceSpec, r_min: float):
 
 def cycle_coefficients(form: OneForm, surface: SurfaceSpec) -> tuple:
     """Split the lattice periods of a boundary-period-free form into the
-    holomorphic and conjugate directions.
-
-    Solves A = c + d, B = tau c + conj(tau) d. The c part is the honest
-    holomorphic coefficient; d collects whatever conjugate-type period
-    mass the input carries (the cap basis forms are all of that type) and
-    is returned for diagnostics. Sphere surfaces return empty vectors.
+    holomorphic coefficient c and the conjugate-type period mass d, for
+    diagnostics, by the geometry's ``cycle_split`` (empty on the sphere).
     Both are read on the node sets of a BOUNDARY_NODES-node ``ExteriorPairing``.
     """
     pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     cycles = pairing.circles + pairing.cycles
     periods = _periods(cycles, sample(form, cycles))
     _check_boundary_free(periods[:surface.n_caps])
-    return _cycle_split(surface, periods[surface.n_caps:])
+    return surface.geometry.cycle_split(periods[surface.n_caps:])
 
 
 def _check_boundary_free(periods):
@@ -368,19 +360,6 @@ def _check_boundary_free(periods):
                 f"input has nonvanishing boundary period {abs(p):.3e} at cap {k}; "
                 "remove the boundary coefficients first"
             )
-
-
-def _cycle_split(surface: SurfaceSpec, lattice_periods) -> tuple:
-    # (c, d) from the a- and b-periods; empty on the sphere, which has none
-    if surface.genus == 0:
-        return (np.zeros(0, dtype=complex),) * 2
-    A, B = lattice_periods
-    tau = surface.tau
-    det = tau - np.conj(tau)
-    assert abs(det) > 0  # Im tau > 0 is a construction invariant
-    c = (B - np.conj(tau) * A) / det
-    d = (tau * A - B) / det
-    return np.array([c]), np.array([d])
 
 
 def _periods(cycles, vals) -> list:
@@ -426,11 +405,10 @@ def _split_target(form: OneForm, pairing: ExteriorPairing,
         return None, None, None, None, tails
     periods = _periods(inner + pairing.circles, vals[:2 * n * N])
     eps = _boundary_coefficients(periods[:n], periods[n:], r1, r2)
-    rho = _subtract(vals[n * N:], closed_terms(surface, eps, np.zeros(surface.genus)),
-                    pairing.nodes)
+    rho = _subtract(vals[n * N:], closed_terms(surface, eps, ()), pairing.nodes)
     periods = _periods(cycles, rho)
     _check_boundary_free(periods[:n])
-    c_vec, d_vec = _cycle_split(surface, periods[n:])
+    c_vec, d_vec = surface.geometry.cycle_split(periods[n:])
     rho = _subtract(rho, closed_terms(surface, np.zeros(n - 1), c_vec), pairing.nodes)
     rho_data = pairing._pack(rho)
     return eps, c_vec, d_vec, rho_data, np.maximum(tails, _spectral_tail(rho_data.ghat))
@@ -543,7 +521,8 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
 def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
                    points, orders) -> list:
     """Sup-norm coefficient errors of the partial sums of every order in
-    ``orders`` on a point set that keeps ``UNIFORM_MARGIN`` from every cap.
+    ``orders`` on a point set that keeps the geometry's ``probe_margin``
+    from every cap.
 
     The target and the closed part are read on the points once, and the
     basis forms of orders 1..max(orders) of each cap with one
@@ -554,7 +533,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
     reads its basis forms on the step of its own order, so the two agree
     up to roundoff.
     """
-    pts = surface.require_clear(points, UNIFORM_MARGIN[surface.genus], "probe point z")
+    pts = surface.require_clear(points, surface.geometry.probe_margin, "probe point z")
     orders = [int(M) for M in orders]
     hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)
@@ -576,7 +555,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
 def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
                   points, upto: int | None = None) -> float:
     """Sup-norm coefficient error of the partial sum on a point set that
-    keeps ``UNIFORM_MARGIN`` from every cap: ``uniform_errors`` at the one
+    keeps the geometry's ``probe_margin`` from every cap: ``uniform_errors`` at the one
     order upto (default: the full truncation)."""
     M = decomposition.M if upto is None else int(upto)
     return uniform_errors(target, surface, decomposition, points, [M])[0]

@@ -5,9 +5,8 @@ Each family records what it knows about its own coefficients in
 against construction values without re-deriving them:
 
     basis        one cap basis form; everything zero except one h entry
-    pole         double pole inside a cap; on the sphere the exact h
-                 column is eta^(m-1)/f'(eta) by the generating identity,
-                 on the torus the lattice coefficient is -s/Im(tau)
+    pole         double pole inside a cap, the geometry's ``double_pole``,
+                 which gives its known h column or lattice coefficient
     combination  explicit or seeded finite combination of basis terms,
                  evaluated as a ``faber.faber_series``
 """
@@ -22,7 +21,7 @@ from .faber import faber_form, faber_series
 from .numerics import Pcg64Stream, ValidationError
 from .schiffer import guard_order
 from .series import MEASURING_RADII, POLE_CLEARANCE, TargetForm
-from .surface import OneForm, SurfaceSpec
+from .surface import OneForm, SurfaceSpec, gamma_basis
 from .theta import log_derivative2
 
 
@@ -32,7 +31,7 @@ def _basis_target(surface, k: int = 0, m: int = 1) -> TargetForm:
     el = faber_form(surface, int(k), int(m))
     known = {
         "epsilon": np.zeros(surface.n_caps, dtype=complex),
-        "c": np.zeros(surface.genus, dtype=complex),
+        "c": np.zeros(len(gamma_basis(surface)), dtype=complex),
         "h": {(int(m), int(k)): 1.0 + 0.0j},
     }
     return TargetForm(el.form, label=f"basis[{k},{m}]", known=known)
@@ -41,34 +40,17 @@ def _basis_target(surface, k: int = 0, m: int = 1) -> TargetForm:
 def _pole_target(surface, cap: int = 0, eta: complex = 0.5,
                  strength: complex = 1.0) -> TargetForm:
     k = int(cap)
-    f = surface.cap(k, key="target.cap")
+    surface.cap(k, key="target.cap")
     eta = complex(eta)
     # the depth the solve's own guard admits inside its inner measuring circle
     depth = min(MEASURING_RADII) - POLE_CLEARANCE
     if not abs(eta) <= depth:
         raise ValidationError(f"target.eta: the pole preimage must satisfy |eta| <= {depth:.4g}, "
                               f"got {abs(eta):.4g}")
-    s = complex(strength)
-    a = complex(f.evaluate(eta))
-    known = {
-        "epsilon": np.zeros(surface.n_caps, dtype=complex),
-        "c": np.zeros(surface.genus, dtype=complex),
-    }
-    if surface.genus == 0:
-        def ev(z, a=a, s=s):
-            return s / (np.asarray(z, dtype=complex) - a) ** 2
-
-        # generating identity: sum_m alpha^m eta^(m-1) = f'(eta) dz/(z-a)^2
-        fp = complex(f.derivative(eta))
-        known["h_column"] = (k, lambda m, s=s, eta=eta, fp=fp: s * eta ** (m - 1) / fp)
-    else:
-        tau = surface.tau
-
-        def ev(z, a=a, s=s, tau=tau):
-            return (s / np.pi) * log_derivative2(np.asarray(z, dtype=complex) - a, tau)
-
-        # b-period of (log theta1)'' is -2 pi i; a-period vanishes
-        known["c"] = np.array([-s / tau.imag])
+    # the torus form reads (log theta1)'' through this module's binding, an
+    # import site that perfbench's tracer rebinds
+    a, ev, known = surface.geometry.double_pole(k, eta, complex(strength), log_derivative2)
+    known = {"epsilon": np.zeros(surface.n_caps, dtype=complex), **known}
     return TargetForm(OneForm(ev, poles=((a, 2),), label=f"pole[{a:.3g}]"),
                       label=f"pole[cap {k}]", known=known)
 
@@ -88,7 +70,7 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     if named:
         raise ValidationError(f"{', '.join(named)}: {why}")
     n = surface.n_caps
-    g = surface.genus
+    g = len(gamma_basis(surface))
     if seed is not None:
         order = 6 if order is None else int(order)
         decay = 0.75 if decay is None else decay
@@ -124,9 +106,9 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     for _m, k in h:
         surface.cap(k, key="target.h")
     if epsilon.size != max(n - 1, 0):
-        raise ValidationError(f"epsilon needs {n - 1} entries, got {epsilon.size}")
+        raise ValidationError(f"target.epsilon: needs {n - 1} entries, got {epsilon.size}")
     if c.size != g:
-        raise ValidationError(f"c needs {g} entries, got {c.size}")
+        raise ValidationError(f"target.c: needs {g} entries, got {c.size}")
     h_matrix = np.zeros((max([0, *(m for m, _k in h)]), n), dtype=complex)
     for (m, k), v in h.items():
         h_matrix[m - 1, k] = v

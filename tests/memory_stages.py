@@ -7,7 +7,8 @@ Run from the repository root, one config per process:
 It runs the stages of ``faberforms run CONFIG`` in this process, in the
 runner's order, and after each one prints the process's VmHWM, VmRSS,
 RssAnon and RssFile (from ``/proc/self/status``, in MB), its minor page
-faults so far (``resource.getrusage``), and the numpy subpackages
+faults so far (``resource.getrusage``), VmRSS, RssAnon and RssFile again
+as the integer kB the kernel reports, and the numpy subpackages
 (``numpy.<name>``) and ``_hashlib`` that the stage loaded first,
 comma-separated, or ``-``.
 The import stage names what the package's import loads beyond numpy's
@@ -20,7 +21,9 @@ beside it often say why. VmRSS is RssAnon plus RssFile plus RssShmem.
 RssAnon is the anonymous part, the heap and numpy's mapped arrays: a
 stage whose RssAnon rises grew them. RssFile is the part mapped from
 files, mostly library code pages: a stage whose RssFile rises paged in
-code (a library call used for the first time). Pytest does not collect
+code (a library call used for the first time). The MB figures are each
+rounded to 0.01 MB, so only the kB columns compare exactly: RssAnon +
+RssFile <= VmRSS holds on them. Pytest does not collect
 this file, and the tier-1 run only smoke-tests it.
 """
 
@@ -35,14 +38,14 @@ STATUS_FIELDS = ("VmHWM", "VmRSS", "RssAnon", "RssFile")
 
 
 def memory() -> tuple:
-    """(VmHWM MB, VmRSS MB, RssAnon MB, RssFile MB, minor faults) of this
-    process so far."""
+    """(VmHWM, VmRSS, RssAnon, RssFile, all in kB, and minor faults) of
+    this process so far."""
     fields = {}
     with open("/proc/self/status", encoding="ascii") as fh:
         for line in fh:
             key, _, value = line.partition(":")
             if key in STATUS_FIELDS:
-                fields[key] = int(value.split()[0]) / 1024.0
+                fields[key] = int(value.split()[0])
     return (*(fields[key] for key in STATUS_FIELDS),
             resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
@@ -90,10 +93,11 @@ def main(argv) -> int:
         stage(f"check {name}")
 
     print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'RssAnon MB':>10} {'RssFile MB':>10}"
-          f" {'minflt':>8}  loaded first")
+          f" {'minflt':>8} {'VmRSS kB':>9} {'RssAnon kB':>10} {'RssFile kB':>10}  loaded first")
     for name, hwm, rss, rss_anon, rss_file, faults, loaded in rows:
-        print(f"{name:<28} {hwm:>9.2f} {rss:>9.2f} {rss_anon:>10.2f} {rss_file:>10.2f}"
-              f" {faults:>8d}  {loaded}")
+        print(f"{name:<28} {hwm / 1024:>9.2f} {rss / 1024:>9.2f} {rss_anon / 1024:>10.2f}"
+              f" {rss_file / 1024:>10.2f} {faults:>8d} {rss:>9d} {rss_anon:>10d} {rss_file:>10d}"
+              f"  {loaded}")
     return 0
 
 

@@ -435,7 +435,9 @@ CAP = "main = affine scale=1 offset=0"
     (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\ncap = 5"),
      r"target\.cap: cap index 5 out of range"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nc = 1"),
-     r"target: c needs 0 entries, got 1"),
+     r"target\.c: needs 0 entries, got 1"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 1, 2"),
+     r"target\.epsilon: needs 1 entries, got 2"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 0"),
      r"target: combination target has no nonzero terms"),
     # a number that is not finite: a nan in tau died writing the report
@@ -467,6 +469,11 @@ CAP = "main = affine scale=1 offset=0"
     (TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j"),
      r"run\.translation: cap 0 leaves the fundamental cell \(margin 0\.05\); lattice "
      r"coordinates span \[0\.790, 0\.990\] x \[0\.400, 0\.600\]"),
+    # a torus cap out of the cell, named by its key: it read "surface: cap 1 ..."
+    (TORUS.replace("offset=0.5+0.5j",
+                   "offset=0.5+0.5j\nupper = affine scale=0.1 offset=0.5+0.97j"),
+     r"caps\.upper: leaves the fundamental cell \(margin 0\.05\); lattice "
+     r"coordinates span \[0\.400, 0\.600\] x \[0\.870, 1\.070\]"),
     # configparser's own messages, which named the key only inside a
     # sentence, and a missing block that was named after the message's head
     (BASE + "M = 3\n", r"run\.m: duplicate key on line 13"),
@@ -488,11 +495,11 @@ CAP = "main = affine scale=1 offset=0"
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
         "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
-        "q-inf-imaginary", "pole-cap-index", "c-length", "no-nonzero-terms", "tau-nan",
-        "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
+        "q-inf-imaginary", "pole-cap-index", "c-length", "epsilon-length", "no-nonzero-terms",
+        "tau-nan", "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
         "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell",
-        "duplicate-key", "duplicate-block", "missing-block", "unknown-family", "unknown-map-kind",
-        "overlapping-caps", "w0-q-plus-1", "w0-q-plus-tau"])
+        "cap-out-of-cell", "duplicate-key", "duplicate-block", "missing-block", "unknown-family",
+        "unknown-map-kind", "overlapping-caps", "w0-q-plus-1", "w0-q-plus-tau"])
 def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -339,7 +339,7 @@ def test_which_cap_prefilter_matches_unfiltered_loop_on_the_torus():
     near = probe_points(fam, rng)
     shifts = rng.integers(-2, 3, near.size) + rng.integers(-2, 3, near.size) * tau
     wide = rng.uniform(-2, 3, 3000) + rng.uniform(-2, 3, 3000) * tau
-    z = surface.reduce_to_cell(np.concatenate([near + shifts, wide]))
+    z = surface.geometry.reduce(np.concatenate([near + shifts, wide]))
     got = fam.which_cap(z)
     assert np.array_equal(got, unfiltered_which_cap(fam, z))
     assert set(got.tolist()) == {-1, 0, 1, 2}

@@ -20,7 +20,7 @@ from faberforms.schiffer import (
     order_limit,
     schiffer_contour,
 )
-from faberforms.surface import SurfaceSpec, a_cycle, b_cycle, boundary_cycle, schiffer_kernel
+from faberforms.surface import SurfaceSpec, boundary_cycle, lattice_cycles, schiffer_kernel
 
 TAU = 0.3 + 1.1j
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -228,7 +228,7 @@ def test_default_node_count_matches_fine_reads_sphere():
 
 def test_default_node_count_matches_fine_reads_torus():
     surface = torus_two_caps()
-    cycles = [a_cycle(surface).nodes, b_cycle(surface).nodes]
+    cycles = [c.nodes for c in lattice_cycles(surface)]
     _default_vs_fine_reads(surface, _measuring_circles(surface) + cycles)
 
 

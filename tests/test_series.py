@@ -16,7 +16,6 @@ from faberforms.series import (
     BOUNDARY_NODES,
     ExteriorPairing,
     TargetForm,
-    _cycle_split,
     _split_target,
     boundary_coefficients,
     coefficient_deviations,
@@ -480,9 +479,9 @@ def test_cycle_coefficients_torus():
     c, d = cycle_coefficients(gamma, surface)
     assert abs(c[0] - 1.0) < 1e-12 and abs(d[0]) < 1e-12
     # the split of the periods (1, tau) of dw and (1, conj tau) of dw-bar
-    c1, d1 = _cycle_split(surface, (1.0, TAU))
+    c1, d1 = surface.geometry.cycle_split((1.0, TAU))
     assert abs(c1[0] - 1.0) < 1e-12 and abs(d1[0]) < 1e-12
-    c2, d2 = _cycle_split(surface, (1.0, np.conj(TAU)))
+    c2, d2 = surface.geometry.cycle_split((1.0, np.conj(TAU)))
     assert abs(c2[0]) < 1e-12 and abs(d2[0] - 1.0) < 1e-12
     with pytest.raises(ValidationError, match="boundary period"):
         cycle_coefficients(beta_form(surface, 0), surface)

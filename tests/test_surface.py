@@ -9,19 +9,18 @@ import pytest
 from faberforms.config import parse_config
 from faberforms.conformal import AffineMap, CapFamily, JoukowskiEllipseMap, PolynomialCapMap
 from faberforms.numerics import NumericalError, ValidationError, slice_views
-from faberforms import surface as surface_module
+from faberforms import geometry as geometry_module
 from faberforms import theta
+from faberforms.geometry import CELL_MARGIN
 from faberforms.surface import (
-    CELL_MARGIN,
     Cycle,
     OneForm,
     SurfaceSpec,
-    a_cycle,
-    b_cycle,
     beta_form,
     boundary_cycle,
     gamma_basis,
     green,
+    lattice_cycles,
     period,
     schiffer_kernel,
 )
@@ -339,24 +338,26 @@ def test_gamma_basis_and_period_matrix():
     (g,) = gamma_basis(t)
     assert g.poles == () and g(0.3 + 0.2j) == 1.0
     # a-normalized, so the period matrix is the b-period [[tau]]
-    assert period(g, a_cycle(t)) == pytest.approx(1.0, abs=1e-14)
-    assert period(g, b_cycle(t)) == pytest.approx(TAU, abs=1e-14)
+    a, b = lattice_cycles(t)
+    assert (a.kind, b.kind) == ("a", "b")
+    assert period(g, a) == pytest.approx(1.0, abs=1e-14)
+    assert period(g, b) == pytest.approx(TAU, abs=1e-14)
 
 
 def test_exact_form_has_zero_periods():
     t = torus_two_caps()
     # d(sin(2 pi w)) is exact and doubly periodic, so all periods vanish
     form = OneForm(lambda w: TWO_PI * np.cos(TWO_PI * np.asarray(w, dtype=complex)))
-    assert abs(period(form, a_cycle(t))) < 1e-12
+    assert abs(period(form, lattice_cycles(t)[0])) < 1e-12
     for k in range(2):
         assert abs(period(form, boundary_cycle(t, k))) < 1e-12
 
 
 def test_the_sphere_has_no_lattice_cycles():
     s = sphere_two_caps()
-    for read in (a_cycle, b_cycle, lambda surface: surface.cycle_base()):
-        with pytest.raises(ValidationError, match="^the sphere has no lattice cycles$"):
-            read(s)
+    assert lattice_cycles(s) == ()
+    with pytest.raises(ValidationError, match="^the sphere has no lattice cycles$"):
+        s.cycle_base()
 
 
 def test_period_pole_on_path_guard():
@@ -405,7 +406,7 @@ def test_a_torus_whose_cap_covers_every_candidate_has_no_marked_point(monkeypatc
     # the degree-13 truncation of the Schwarz-Christoffel map of the disk
     # onto a square, scaled by 0.51, fills the cell's 22 x 22 grid of
     # candidate marked points; a cell margin of 0 lets it reach the edges
-    monkeypatch.setattr(surface_module, "CELL_MARGIN", 0.0)
+    monkeypatch.setattr(geometry_module, "CELL_MARGIN", 0.0)
     square = [1, 0, 0, 0, -1 / 10, 0, 0, 0, 1 / 24, 0, 0, 0, -5 / 208]
     caps = CapFamily([PolynomialCapMap([0.51 * c for c in square], offset=0.5 + 0.5j)])
     with pytest.raises(ValidationError, match=r"^found no marked point clear of the caps$"):
@@ -442,7 +443,7 @@ def test_auto_marked_points():
     assert t.caps.which_cap(t.q) == -1
     assert t.caps.which_cap(t.w0) == -1
     assert abs(t.q - t.w0) > 1e-3
-    x, y = t.cell_coordinates(t.q)
+    x, y = t.geometry.cell_coordinates(t.q)
     assert 0 < x < 1 and 0 < y < 1
 
 
@@ -476,7 +477,7 @@ def brute_force_cycle_base(surface):
     n = 64
     k = np.arange(n)
     nodes = (k + k[:, None] * surface.tau) / n
-    x, y = surface.cell_coordinates(nodes)
+    x, y = surface.geometry.cell_coordinates(nodes)
     d = np.full(nodes.shape, np.inf)
     for dx, dy in LATTICE_SHIFTS:
         shifted = (x - np.floor(x) + dx) + (y - np.floor(y) + dy) * surface.tau
@@ -497,7 +498,7 @@ def test_cycle_base_matches_numpy_brute_force():
     surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
     base, clearance = brute_force_cycle_base(surface)
     assert surface.cycle_base() == base
-    path = np.concatenate([a_cycle(surface).nodes, b_cycle(surface).nodes])
+    path = np.concatenate([c.nodes for c in lattice_cycles(surface)])
     assert float(np.min(surface.distance_to_caps_reduced(path))) == clearance
 
 
@@ -531,18 +532,18 @@ def test_cycle_base_matches_brute_force(tmp_path):
     surfaces = (parse_config(str(cfg)).surface, SurfaceSpec.torus(TAU, mixed), inner,
                 pool_surface("torus-solve", 4, tmp_path),
                 pool_surface("torus-verify", 0, tmp_path))
-    x, y = inner.cell_coordinates(inner.cycle_base())
+    x, y = inner.geometry.cell_coordinates(inner.cycle_base())
     assert (x, y) == (0.5, 0.8125)
     for surface in surfaces:
         base, clearance = brute_force_cycle_base(surface)
         assert surface.cycle_base() == base
         # the clearance is that of the quadrature nodes of both cycles
-        path = np.concatenate([a_cycle(surface).nodes, b_cycle(surface).nodes])
+        path = np.concatenate([c.nodes for c in lattice_cycles(surface)])
         assert float(np.min(surface.distance_to_caps_reduced(path))) == clearance
         # the pruned distance is the same float as the full search
         rng = np.random.default_rng(8)
         pts = rng.uniform(-1, 2, 300) + rng.uniform(-1, 2, 300) * TAU
-        x, y = surface.cell_coordinates(pts)
+        x, y = surface.geometry.cell_coordinates(pts)
         full = np.full(pts.shape, np.inf)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
@@ -610,7 +611,7 @@ def test_cycle_base_crowded_cell_raises():
 def test_cycle_base_clears_caps():
     t = torus_two_caps()
     base = t.cycle_base()
-    path = np.concatenate([a_cycle(t).nodes, b_cycle(t).nodes])
+    path = np.concatenate([c.nodes for c in lattice_cycles(t)])
     assert float(np.min(t.distance_to_caps_reduced(path))) > 2 * CELL_MARGIN
     assert base == t.cycle_base()  # cached, deterministic
 
