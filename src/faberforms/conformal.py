@@ -397,6 +397,32 @@ class CapFamily:
         centre -= slack
         return centre
 
+    def _bound_slices(self, cand):
+        """Row slices of the (point, position, cap) lower bounds of the
+        columns of ``cand`` (shape (C, P)): yields (cols, bounds), the
+        bounds of columns ``cols`` as a (points, C * n_caps) block whose row
+        lists a point's pairs (position, cap) in the order q = position *
+        n_caps + cap. The slices are ``numerics.slice_views``' for that
+        width, in buffers allocated once per call."""
+        n_cand, n_pts = cand.shape
+        n_caps = len(self._boundaries)
+        shape = (-1, n_cand, n_caps)
+        for cols, (lower, diff, slack) in slice_views(n_pts, n_cand * n_caps,
+                                                      float, complex, float):
+            self._lower_bounds(cand[:, cols].T, lower.reshape(shape), diff.reshape(shape),
+                               slack.reshape(shape))
+            yield cols, lower
+
+    def lower_bound(self, candidates) -> np.ndarray:
+        """For each column of ``candidates`` (shape (C, P)), the least
+        bound |z - c_k| - R_k over its C positions and the caps: never above
+        the float ``min_distance`` returns for it."""
+        cand = np.asarray(candidates, dtype=complex)
+        out = np.empty(cand.shape[1])
+        for cols, lower in self._bound_slices(cand):
+            np.min(lower, axis=1, out=out[cols])
+        return out
+
     def min_distance(self, candidates) -> np.ndarray:
         """For each column of ``candidates`` (shape (C, P)), the distance from
         the nearest of its C positions to the nearest cap boundary sample.
@@ -405,23 +431,15 @@ class CapFamily:
         full search computes. Per point, (position, cap) pairs are visited
         in order of the lower bound |z - c_k| - R_k, and a pair's samples
         are measured only while that bound is below the point's running
-        minimum. The points go in row slices of ``numerics.row_slices``
-        (a slice's bounds are a block as wide as the pairs, built in
-        buffers allocated once per call), and so does every measured
-        point-by-sample block (``nearest_distance``).
+        minimum. The points go in row slices (``_bound_slices``), and so
+        does every measured point-by-sample block (``nearest_distance``).
         """
         cand = np.asarray(candidates, dtype=complex)
-        n_cand, n_pts = cand.shape
         n_caps = len(self._boundaries)
-        n_pairs = n_cand * n_caps
-        best = np.full(n_pts, np.inf)
-        for cols, (lower, diff, slack) in slice_views(n_pts, n_pairs, float, complex, float):
+        n_pairs = cand.shape[0] * n_caps
+        best = np.full(cand.shape[1], np.inf)
+        for cols, lower in self._bound_slices(cand):
             block = cand[:, cols]
-            # bounds laid out (point, position, cap): a point's row lists
-            # its pairs (position, cap) in the order q = position * n_caps + cap
-            shape = (-1, n_cand, n_caps)
-            self._lower_bounds(block.T, lower.reshape(shape), diff.reshape(shape),
-                               slack.reshape(shape))
             order = np.argsort(lower, axis=1)
             rows = np.arange(block.shape[1])
             run = best[cols]

@@ -24,18 +24,19 @@ PI = np.pi
 CYCLE_NODES = 64
 CELL_MARGIN = 0.05  # least lattice-coordinate gap between a torus cap and the cell's edges
 DIAGONAL_GAP = 1e-12  # least distance, as points of the surface, of a kernel entry's two points
-# Points per slice of Torus.distance_to_caps, whose nine lattice copies and
-# min_distance storage then take a few hundred KiB. Measured whole, the
-# cycle-base search's 4096-node lattice took nine copies twice over (1.2 MB)
-# and freed over 1 MB of mapped temporaries, which raised glibc's dynamic
-# mmap and trim thresholds above a contour read's heap; the reads' freed
-# heap then stayed resident until the first LAPACK call paged in its code,
-# where torus-solve's peak RSS is set. In slices of 512 points that peak
-# reads 0.63 MB lower without bytecode and level with it written
+# Points per slice of Torus.distance_to_caps and of the cycle-base search's
+# bounds, whose nine lattice copies and min_distance or lower_bound storage
+# then take a few hundred KiB. Measured whole, the cycle-base search's
+# 4096-node lattice took nine copies twice over (1.2 MB) and freed over
+# 1 MB of mapped temporaries, which raised glibc's dynamic mmap and trim
+# thresholds above a contour read's heap; the reads' freed heap then stayed
+# resident until the first LAPACK call paged in its code, where
+# torus-solve's peak RSS is set. In slices of 512 points that peak reads
+# 0.63 MB lower without bytecode and level with it written
 # (perfbench/child.py, the first eight pool inputs, theta's 4096-point
-# blocks on both sides), and the search takes 16.4 ms against 15.8 ms
-# (median over the 16 torus-solve inputs of the best of 7, one process,
-# 2-vCPU x86-64 VM).
+# blocks on both sides), and the search, then measuring every node, took
+# 16.4 ms against 15.8 ms (median over the 16 torus-solve inputs of the
+# best of 7, one process, 2-vCPU x86-64 VM).
 DISTANCE_SLICE = BLOCK_ENTRIES // 64
 
 
@@ -158,6 +159,11 @@ class Sphere:
                        "h_column": (k, lambda m, s=s, eta=eta, fp=fp: s * eta ** (m - 1) / fp)}
 
 
+# the 3x3 block of lattice shifts (dx, dy) of Torus.copies, dx outer, in
+# plain Python: a numpy call at import faults in pages of numpy's code
+_SHIFTS = tuple((dx, dy) for dx in (-1.0, 0.0, 1.0) for dy in (-1.0, 0.0, 1.0))
+
+
 def _dw(w):
     return np.ones_like(np.asarray(w, dtype=complex))
 
@@ -206,8 +212,9 @@ class Torus:
         """The 3x3 block of lattice copies around the cell of each point w
         reduced into the cell, stacked along a new first axis."""
         x, y = self.cell_coordinates(w)
-        return np.stack([(x - np.floor(x) + dx) + (y - np.floor(y) + dy) * self.tau
-                         for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+        x, y = x - np.floor(x), y - np.floor(y)
+        shifts = np.array(_SHIFTS).reshape((9, 2) + (1,) * x.ndim)
+        return (x + shifts[:, 0]) + (y + shifts[:, 1]) * self.tau
 
     def in_sigma(self, zz) -> np.ndarray:
         return self.caps.which_cap(self.reduce(zz)) == -1
@@ -218,12 +225,17 @@ class Torus:
                       axis=(0, -1), initial=np.inf)
 
     def distance_to_caps(self, ww) -> np.ndarray:
-        flat = ww.ravel()  # in slices of DISTANCE_SLICE points
-        d = np.empty(flat.size)
+        return self._through_copies(self.caps.min_distance, ww)
+
+    def _through_copies(self, read, ww) -> np.ndarray:
+        """``read`` (a CapFamily method) of the lattice copies of each point,
+        in slices of DISTANCE_SLICE points."""
+        flat = ww.ravel()
+        out = np.empty(flat.size)
         for start in range(0, flat.size, DISTANCE_SLICE):
             part = flat[start:start + DISTANCE_SLICE]
-            d[start:start + part.size] = self.caps.min_distance(self.copies(part))
-        return d.reshape(ww.shape)
+            out[start:start + part.size] = read(self.copies(part))
+        return out.reshape(ww.shape)
 
     def default_q(self, surface):
         return surface.clear_point()
@@ -240,16 +252,41 @@ class Torus:
         return complex(self.cycle_base()), 0.04
 
     def cycle_base(self) -> complex:
-        """The candidates are the points (j + i tau) / n of the cell's n x n
-        node lattice, n = CYCLE_NODES. The a-cycle nodes of the base (i, j)
-        are row i of that lattice and its b-cycle nodes are column j, up to
-        lattice shifts, so its clearance, that of its quadrature nodes, is
-        the smaller of its row's and its column's minimum. The first
-        maximum in row-major order wins."""
+        """The first maximum in row-major order of a base's clearance on
+        the node lattice (j + i tau) / n, n = CYCLE_NODES: the smaller of
+        the least distance to the caps of row i's and column j's nodes (its
+        a- and b-cycle nodes). Every node is bounded from below, and only
+        nodes whose bound can decide the pick are measured; the maxima stay
+        exact, so the pick is that of measuring every node."""
         if self._cycle_base is None:
             k = np.arange(CYCLE_NODES)
             nodes = (k + k[:, None] * self.tau) / CYCLE_NODES
-            d = self.distance_to_caps(nodes)
+            # bounded: each node by the least |z - c_k| - R_k of its lattice
+            # copies, never above its measured distance
+            bound = self._through_copies(self.caps.lower_bound, nodes)
+            d = np.full(nodes.shape, np.inf)  # inf where not measured
+
+            def measure(mask):
+                d[mask] = self.distance_to_caps(nodes[mask])
+
+            # measured first: each row's and each column's node of least
+            # bound. A row's least measured distance is then an upper
+            # estimate of its minimum and its least bound a lower one, so the
+            # base in the row and the column of largest least bound clears at
+            # least floor, the smaller of those two bounds.
+            seed = np.zeros(nodes.shape, dtype=bool)
+            seed[k, np.argmin(bound, axis=1)] = True
+            seed[np.argmin(bound, axis=0), k] = True
+            measure(seed)
+            rows, cols = d.min(axis=1)[:, None], d.min(axis=0)
+            floor = min(bound.min(axis=1).max(), bound.min(axis=0).max())
+            # measured then: in every row and column whose estimate reaches
+            # floor, the nodes whose bound is below the estimate, which makes
+            # its least measured distance its exact minimum. A row or column
+            # below floor holds no maximum: its bases read below floor, and
+            # every maximum keeps its exact clearance.
+            measure(~seed & (((rows >= floor) & (bound < rows))
+                             | ((cols >= floor) & (bound < cols))))
             clearance = np.minimum(d.min(axis=1)[:, None], d.min(axis=0))
             j = int(np.argmax(clearance))
             best_d = float(clearance.flat[j])

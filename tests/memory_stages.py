@@ -5,17 +5,20 @@ Run from the repository root, one config per process:
     python tests/memory_stages.py CONFIG
 
 It runs the stages of ``faberforms run CONFIG`` in this process, in the
-runner's order, and after each one prints the process's VmHWM, VmRSS,
-RssAnon and RssFile (from ``/proc/self/status``, in MB), its minor page
-faults so far (``resource.getrusage``), VmRSS, RssAnon and RssFile again
-as the integer kB the kernel reports, and the numpy subpackages
+runner's order, and after each one prints the stage's elapsed seconds
+(``time.perf_counter``; the import stage counts from before numpy's
+import), the process's VmHWM, VmRSS, RssAnon and RssFile (from
+``/proc/self/status``, in MB), its minor page faults so far
+(``resource.getrusage``), VmRSS, RssAnon and RssFile again as the
+integer kB the kernel reports, and the numpy subpackages
 (``numpy.<name>``) and ``_hashlib`` that the stage loaded first,
 comma-separated, or ``-``.
 The import stage names what the package's import loads beyond numpy's
 own. The stages are: import, parse, cycle base (torus only),
 project_faber, the sup errors on the probe ring, then each check of the
-config. Nothing is written to disk. Every figure is cumulative from the
-start of the process, so run it in a fresh process for each config; a
+config. Nothing is written to disk. Every figure but the seconds is
+cumulative from the start of the process, so run it in a fresh process
+for each config; a
 VmHWM that rises at a stage was set by that stage, and the modules named
 beside it often say why. VmRSS is RssAnon plus RssFile plus RssShmem.
 RssAnon is the anonymous part, the heap and numpy's mapped arrays: a
@@ -30,6 +33,7 @@ this file, and the tier-1 run only smoke-tests it.
 import os
 import resource
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -65,10 +69,13 @@ def main(argv) -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python tests/memory_stages.py CONFIG", file=sys.stderr)
         return 2
-    rows, seen = [], set()
+    rows, seen, clock = [], set(), time.perf_counter()
 
     def stage(name: str):
-        rows.append((name,) + memory() + (first_loaded(seen),))
+        nonlocal clock
+        seconds = time.perf_counter() - clock
+        rows.append((name, seconds) + memory() + (first_loaded(seen),))
+        clock = time.perf_counter()  # the next stage starts after these reads
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
     __import__("numpy")
@@ -92,10 +99,10 @@ def main(argv) -> int:
         checks.CHECKS[name][0](ctx)
         stage(f"check {name}")
 
-    print(f"{'stage':<28} {'VmHWM MB':>9} {'VmRSS MB':>9} {'RssAnon MB':>10} {'RssFile MB':>10}"
+    print(f"{'stage':<28} {'seconds':>8} {'VmHWM MB':>9} {'VmRSS MB':>9} {'RssAnon MB':>10} {'RssFile MB':>10}"
           f" {'minflt':>8} {'VmRSS kB':>9} {'RssAnon kB':>10} {'RssFile kB':>10}  loaded first")
-    for name, hwm, rss, rss_anon, rss_file, faults, loaded in rows:
-        print(f"{name:<28} {hwm / 1024:>9.2f} {rss / 1024:>9.2f} {rss_anon / 1024:>10.2f}"
+    for name, seconds, hwm, rss, rss_anon, rss_file, faults, loaded in rows:
+        print(f"{name:<28} {seconds:>8.4f} {hwm / 1024:>9.2f} {rss / 1024:>9.2f} {rss_anon / 1024:>10.2f}"
               f" {rss_file / 1024:>10.2f} {faults:>8d} {rss:>9d} {rss_anon:>10d} {rss_file:>10d}"
               f"  {loaded}")
     return 0

@@ -258,6 +258,18 @@ def test_gauss_legendre_nodes_match_numpys():
         assert np.array_equal(w, w[::-1]), n  # mirror nodes share a weight
 
 
+def test_disk_grids_of_one_size_share_one_read_only_rule():
+    _gauss_legendre.cache_clear()
+    first, second = DiskGrid(32, 64), DiskGrid(32, 64)
+    info = _gauss_legendre.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the second grid built no rule
+    assert np.array_equal(first.weights, second.weights)
+    x, w = _gauss_legendre(32)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
 def test_gauss_legendre_integrates_every_power_below_2n():
     for n in range(1, 257):
         x, w = _gauss_legendre(n)

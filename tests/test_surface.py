@@ -529,11 +529,35 @@ def test_cycle_base_matches_brute_force(tmp_path):
         [AffineMap(0.08, offset=0.15 + 0.15 * TAU), AffineMap(0.08, offset=0.85 + 0.5 * TAU)],
         separation=0.05,
     ))
+    # ties: a centred circle on tau = i, whose row 0 and column 0 have the
+    # same minimum, and a circle off the middle of a flat cell, where 32
+    # bases of row 0 tie, their columns clearing more than the row does;
+    # the first of them in row-major order, (0, 29), wins
+    centred = SurfaceSpec.torus(1j, CapFamily([AffineMap(0.2, offset=0.5 + 0.5j)]))
+    flat = SurfaceSpec.torus(0.5j, CapFamily([AffineMap(0.1, offset=0.2 + 0.25j)]))
+    # a surface on which the pick is wrong when the columns keep the
+    # estimate of their node of least bound, or when the floor is the
+    # larger of the largest row and column bounds
+    columns = SurfaceSpec.torus(0.22 + 1.28j, CapFamily(
+        [AffineMap(0.13, offset=0.31 + 0.52j), AffineMap(0.17, offset=0.79 + 0.81j)]))
     surfaces = (parse_config(str(cfg)).surface, SurfaceSpec.torus(TAU, mixed), inner,
                 pool_surface("torus-solve", 4, tmp_path),
-                pool_surface("torus-verify", 0, tmp_path))
+                pool_surface("torus-verify", 0, tmp_path), centred, flat, columns)
     x, y = inner.geometry.cell_coordinates(inner.cycle_base())
     assert (x, y) == (0.5, 0.8125)
+    k = np.arange(64)
+
+    def minima(surface):  # each row's and each column's least node distance
+        d = surface.distance_to_caps_reduced((k + k[:, None] * surface.tau) / 64)
+        return d.min(axis=1), d.min(axis=0)
+
+    rows, cols = minima(centred)
+    assert rows[0] == cols[0] == max(rows.max(), cols.max()) and centred.cycle_base() == 0
+    rows, cols = minima(flat)
+    clearance = np.minimum(rows[:, None], cols)
+    assert np.flatnonzero(clearance == clearance.max()).tolist() == list(range(29, 61))
+    x, y = flat.geometry.cell_coordinates(flat.cycle_base())
+    assert (x, y) == (29 / 64, 0.0)
     for surface in surfaces:
         base, clearance = brute_force_cycle_base(surface)
         assert surface.cycle_base() == base
@@ -552,6 +576,23 @@ def test_cycle_base_matches_brute_force(tmp_path):
                     p = surface.caps.boundary_samples(k)
                     full = np.minimum(full, np.min(np.abs(p[None, :] - shifted[:, None]), axis=1))
         assert np.array_equal(surface.distance_to_caps_reduced(pts), full)
+
+
+def test_cycle_base_measures_at_most_a_quarter_of_the_lattice(monkeypatch):
+    # the search bounds all 4096 nodes and measures only those that can
+    # decide the base (126 on this config); a full search would pass all
+    # 4096 to min_distance
+    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+    measured = []
+    min_distance = CapFamily.min_distance
+
+    def counted(self, candidates):
+        measured.append(np.shape(candidates)[1])
+        return min_distance(self, candidates)
+
+    monkeypatch.setattr(CapFamily, "min_distance", counted)
+    surface.cycle_base()
+    assert 0 < sum(measured) <= 1024
 
 
 def test_torus_setup_keeps_its_temporaries_small():
