@@ -2,31 +2,23 @@
 
 Conventions: lattice 1, tau with Im tau > 0, nome p = exp(i pi tau),
 
-    theta1(v | tau) = 2 sum_{j>=0} (-1)^j p^((j+1/2)^2) sin((2j+1) pi v).
+    theta1(v | tau) = 2 sum_{j>=0} (-1)^j p^((j+1/2)^2) sin((2j+1) pi v)
 
-The series is evaluated only on lattice-reduced arguments, |Im v| <=
-Im(tau)/2, where term j is bounded by exp(-pi Im(tau) (j^2 - 1/4))
-(from DLMF 20.2.1); the term count comes from that bound. theta1, theta1' and
-theta1'' are summed together in one pass, and quasi-period factors are
+(DLMF 20.2.1), read as theta1(v) = s Q(y) for s = sin(pi v) and
+y = cos(2 pi v), on lattice-reduced arguments; quasi-period factors are
 restored in closed form. The log-derivative gets an exact branch
 correction of -2 pi i per tau-shift, which is what keeps pole-difference
-forms on the torus single valued.
-
-Every public function runs its whole chain (reduction, series, quotient
-or quasi-period step) on successive flat blocks of ``_BLOCK`` points and
-writes each block's result into one output array. The series keeps
-eleven rows of its input's size alive (``_BLOCK`` says which); on a block
-they stay in a core's cache, where on a whole area grid of a few hundred
-thousand points they would run at memory speed and dominate peak memory,
-and on the torus they come on top of every kernel read's slice storage.
-The arithmetic per point does not depend on the blocking, so the values
-are the same as those of one call on the whole array.
+forms on the torus single valued. Every public function runs on
+successive flat blocks of ``_BLOCK`` points into one output array, with
+the values of one call on the whole array.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -44,95 +36,103 @@ def check_tau(tau) -> complex:
     return tau
 
 
-# Truncation tolerance for the omitted tail of the series. On a reduced
-# argument the first omitted term is bounded by exp(-pi Im(tau) (J^2 - 1/4));
-# asking for 1e-25 keeps it about six orders below double roundoff even
-# after the (2j + 1)^2 pi^2 weight that the second derivative puts on it.
-_TAIL_TOLERANCE = 1e-25
+# Truncation bound of the series, relative to its leading term (``_n_terms``).
+_RELATIVE_TAIL = 1e-18
 
 
+# Term count J of the series on lattice-reduced arguments, where term j is
+# at most exp(-pi Im(tau) j^2) times the leading one and the second
+# derivative weights it by (2j+1)^2: the least J whose first omitted term,
+# so weighted, is at most _RELATIVE_TAIL of the leading one.
 def _n_terms(tau: complex) -> int:
-    """Term count J of the series on lattice-reduced arguments.
-
-    For |Im v| <= Im(tau)/2 term j is bounded by
-    |p|^((j+1/2)^2) exp((2j+1) pi |Im v|) = exp(-pi Im(tau) (j^2 - 1/4))
-    (from DLMF 20.2.1), so J is the first index whose bound falls below
-    ``_TAIL_TOLERANCE``.
-    """
-    j2 = math.log(1.0 / _TAIL_TOLERANCE) / (PI * complex(tau).imag) + 0.25
-    return max(1, math.ceil(math.sqrt(j2)))
+    j = 1
+    while math.exp(-PI * tau.imag * j * j) * (2 * j + 1) ** 2 > _RELATIVE_TAIL:
+        j += 1
+    return j
 
 
-def _theta1_series(v, tau: complex, n_deriv: int):
-    """theta1 and its first ``n_deriv`` v-derivatives at reduced arguments, in
-    one pass; v is a 1-D complex array, and the result is an
-    (n_deriv + 1, v.size) array, one row per order.
-
-    sin((2j+1) pi v) and cos((2j+1) pi v) come from the three-term
-    recurrence f_(j+1) = 2 cos(2 pi v) f_j - f_(j-1), stepped as one stacked
-    pair (row 0 the sine, row 1 the cosine when derivatives are asked for),
-    and the three sums are accumulated in place, so a term costs two array
-    operations for the pair and n_deriv + 2 for the sums. Every element
-    goes through the same operations in the same operand order as with one
-    array per sine, cosine and sum. Unlike differences of
-    exp(+-i (2j+1) pi v), the recurrence keeps full relative accuracy next
-    to the zero at v = 0.
-    """
+# sin((2j+1) pi v) / s is a polynomial D_j(y): D_(-1) = -1, D_0 = 1 and
+# D_(j+1) = 2 y D_j - D_(j-1). So Q = sum_j 2 (-1)^j p^((j+1/2)^2) D_j. Its
+# coefficients and those of Q' and Q'' are built here once per tau, highest
+# power first, each a tuple (no buffer in the C heap mid-run) of at least
+# one complex number; a point then costs sin, cos, sinh and cosh of the
+# parts of pi v and a Horner pass for each of Q, Q' and Q'' it needs.
+@functools.cache
+def _coefficients(tau: complex):
     p = cmath.exp(1j * PI * tau)
-    # sin and cos of pi v from the real functions of its parts, which numpy
-    # evaluates several times faster than its complex sin and cos
+    n = _n_terms(tau)
+    q = [0j] * n
+    # D_(-1) and D_0, lowest power first; each step writes D_(j+1) =
+    # 2 y D_j - D_(j-1) over D_(j-1), in exact integers
+    d_prev, d = [-1] + [0] * n, [1] + [0] * n
+    for j in range(n):
+        amp = 2.0 * (-1.0) ** j * p ** ((j + 0.5) ** 2)
+        for k in range(j + 1):
+            q[k] += amp * d[k]
+        d_prev[0] = -d_prev[0]
+        for k in range(1, j + 2):
+            d_prev[k] = 2 * d[k - 1] - d_prev[k]
+        d, d_prev = d_prev, d
+    q1 = list(map(operator.mul, range(1, n), q[1:])) or [0j]
+    q2 = list(map(operator.mul, range(1, len(q1)), q1[1:])) or [0j]
+    return tuple(q[::-1]), tuple(q1[::-1]), tuple(q2[::-1])
+
+
+# The polynomial with coeffs (highest power first) at y, by Horner's rule,
+# each product written to a second array (see _blockwise).
+def _horner(coeffs, y):
+    if len(coeffs) == 1:
+        return np.full_like(y, coeffs[0])
+    qy = y * coeffs[0]
+    q = qy + coeffs[1]
+    for c in coeffs[2:]:
+        np.multiply(q, y, out=qy)
+        np.add(qy, c, out=q)
+    return q
+
+
+# At reduced v: s = sin(pi v), c = cos(pi v) if with_cos else None, s^2,
+# y = 1 - 2 s^2 and [Q, Q', Q''][:n_deriv + 1] at y. The zero at v = 0 is
+# that of s alone, so the values keep full relative accuracy next to it.
+# s and c come from the real functions of the parts of pi v, several times
+# faster in numpy than its complex sin and cos.
+def _series(v, tau: complex, n_deriv: int, with_cos: bool = False):
     a, b = PI * v.real, PI * v.imag
     sin_a, cos_a, sinh_b, cosh_b = np.sin(a), np.cos(a), np.sinh(b), np.cosh(b)
-    f = np.empty((2 if n_deriv else 1, v.size), dtype=complex)
-    np.add(sin_a * cosh_b, 1j * (cos_a * sinh_b), out=f[0])
-    if n_deriv:
-        np.subtract(cos_a * cosh_b, 1j * (sin_a * sinh_b), out=f[1])
+    s = np.empty(v.shape, dtype=complex)
+    np.multiply(sin_a, cosh_b, out=s.real)
+    np.multiply(cos_a, sinh_b, out=s.imag)
+    c = None
+    if with_cos:
+        c = np.empty(v.shape, dtype=complex)
+        np.multiply(cos_a, cosh_b, out=c.real)
+        np.multiply(sin_a, sinh_b, out=c.imag)
+        np.negative(c.imag, out=c.imag)
     del a, b, sin_a, cos_a, sinh_b, cosh_b
-    # the pair at j = -1: (-sin, cos) of pi v
-    f_prev = f.copy()
-    np.negative(f[0], out=f_prev[0])
-    two_cos2 = 2.0 - 4.0 * f[0] * f[0]
-    sums = np.empty((n_deriv + 1, v.size), dtype=complex)
-    products = np.empty_like(sums)
-    for j in range(_n_terms(tau)):
-        if j:
-            np.subtract(np.multiply(two_cos2, f, out=products[:len(f)]), f_prev, out=f_prev)
-            f, f_prev = f_prev, f
-        freq = (2 * j + 1) * PI
-        amp = 2.0 * (-1.0) ** j * p ** ((j + 0.5) ** 2)
-        # d/dv of sin((2j+1) pi v) is freq cos(...), and of cos it is -freq sin(...)
-        weights = (amp, freq * amp, -freq * freq * amp)
-        for k in range(n_deriv + 1):
-            np.multiply(f[k % 2], weights[k], out=products[k] if j else sums[k])
-        if j:
-            sums += products
-    return sums
+    s2 = s * s
+    y = 1.0 - 2.0 * s2
+    q = []
+    for coeffs in _coefficients(tau)[:n_deriv + 1]:
+        q.append(_horner(coeffs, y))
+    return s, c, s2, y, q
 
 
 # Points per block of the public functions: a sixteenth of the block
-# budget, 2048 points. The series then holds eleven rows of 32 KiB (the
-# stacked pair and its previous term, two rows each, three sums, three
-# products and 2 cos(2 pi v)), 0.35 MB, where 4096-point blocks of one array
-# per sine, cosine and sum held about 0.9 MB. On the torus that comes on
-# top of a kernel read's 512 KiB slice storage, and it sets torus-verify's
-# peak RSS, which its r0-independence check's area reads reach: against
-# 4096-point blocks, with the distance search sliced (surface.DISTANCE_SLICE)
-# on both sides, 0.37 MB lower without bytecode and 0.36 MB lower with it
-# written (perfbench/child.py, the first eight pool inputs, fresh
-# processes). torus-solve's peak is set later, when the first LAPACK call
-# pages in its code on top of whatever heap the contour reads left
-# resident; a smaller read leaves glibc's trim threshold unreached, so its
-# freed heap stays, and that peak reads 0.34 MB higher without bytecode and
-# 0.06 MB lower with it. The cost is per block, some sixty numpy calls:
-# log_derivative2 takes 20% more per point than with the former 4096-point
-# blocks of one array per sine, cosine and sum, and 9% more at 4096 points
-# (100k reduced points at tau = 0.3+1.1i, best of 15, interleaved, median
-# of ten rounds, 2-vCPU x86-64 VM, numpy 2.4). At 8192 points the old
-# series' temporaries were exactly 128 KiB, glibc's initial mmap
-# threshold, and the heap was trimmed and faulted in again on every call
-# (see numerics.BLOCK_ENTRIES). The kernel has the series write into its
-# slice buffer (``log_derivative2(..., out=)``), so no output the size of
-# a kernel slice is allocated.
+# budget, 2048 points. A log_derivative2 block holds at most eight rows of
+# 32 KiB beyond its output (0.26 MB traced; the stepped sin/cos series
+# held fifteen). On the torus they come on top of a kernel read's 512 KiB
+# slice storage, and wider blocks would raise torus-verify's peak RSS,
+# which its r0-independence check's area reads reach (the stepped series'
+# 2048-point blocks read 0.37 MB below 4096-point ones there). torus-solve's
+# peak is set later, when the first LAPACK call pages in its code on top
+# of whatever heap the contour reads left resident. The cost is per
+# block, some forty numpy calls: 11% more per point than at 4096 points
+# (log_derivative2, 100k reduced points at tau = 0.3+1.1i, 2-vCPU x86-64
+# VM, numpy 2.4). At 8192 points the stepped series' temporaries were
+# exactly 128 KiB, glibc's initial mmap threshold, and the heap was
+# trimmed and faulted in again on every call (see numerics.BLOCK_ENTRIES).
+# The kernel has the series write into its slice buffer
+# (``log_derivative2(..., out=)``).
 _BLOCK = BLOCK_ENTRIES // 16
 
 
@@ -150,7 +150,9 @@ def _blockwise(fn, v, dtype, out=None):
     temporary operand as the output (above 256 kB, so never on a block) and
     then swaps the operands of a commutative ufunc, and its complex product
     is not bitwise commutative; so no temporary is the right-hand factor of
-    a complex product in the bodies below.
+    a complex product in the bodies below, nor is a product of two complex
+    arrays written over one of them, which rounds differently on arrays of
+    one to three points.
     """
     v = np.asarray(v, dtype=complex)
     if out is None:
@@ -192,15 +194,25 @@ def theta1(v, tau, deriv: int = 0):
 
     def block(v):
         vr, m, n = lattice_reduce(v, tau)
-        t = _theta1_series(vr, tau, deriv)
+        s, c, s2, _, q = _series(vr, tau, deriv, with_cos=deriv > 0)
         factor = (-1.0) ** (m + n) * np.exp(-1j * PI * n ** 2 * tau - 2j * PI * n * vr)
+        t0 = s * q[0]
         if deriv == 0:
-            return factor * t[0]
-        s = -2j * PI * n
-        # theta1' = F (theta1'_r + s theta1_r), theta1'' = F (theta1''_r +
-        # 2 s theta1'_r + s^2 theta1_r); restored is named, so that it is no
-        # temporary in the product with F (see _blockwise)
-        restored = t[1] + s * t[0] if deriv == 1 else t[2] + 2.0 * s * t[1] + s * s * t[0]
+            return factor * t0
+        # with x = pi v, c = cos x and dy/dx = -4 s c: theta1' = pi c g for
+        # g = Q - 4 s^2 Q', theta1'' = -pi^2 s g - 4 pi^2 s c^2 (3 Q' - 4 s^2 Q'')
+        g = q[0] - 4.0 * s2 * q[1]
+        t1 = PI * c * g
+        shift = -2j * PI * n
+        # theta1' = F (theta1'_r + shift theta1_r), theta1'' = F (theta1''_r
+        # + 2 shift theta1'_r + shift^2 theta1_r); restored is named, so
+        # that it is no temporary in the product with F (see _blockwise)
+        if deriv == 1:
+            restored = t1 + shift * t0
+        else:
+            h = 3.0 * q[1] - 4.0 * s2 * q[2]
+            t2 = -PI * PI * s * g - 4.0 * PI * PI * s * c * c * h
+            restored = t2 + 2.0 * shift * t1 + shift * shift * t0
         return factor * restored
 
     return _blockwise(block, v, complex)
@@ -217,8 +229,9 @@ def log_derivative(v, tau):
 
     def block(v):
         vr, _, n = lattice_reduce(v, tau)
-        t0, t1 = _theta1_series(vr, tau, 1)
-        return t1 / t0 - 2j * PI * n
+        s, c, s2, _, (q, q1) = _series(vr, tau, 1, with_cos=True)
+        g = q - 4.0 * s2 * q1  # theta1' / (pi c), as in theta1
+        return PI * c * g / (s * q) - 2j * PI * n
 
     return _blockwise(block, v, complex)
 
@@ -234,12 +247,24 @@ def log_derivative2(v, tau, out=None):
     tau = check_tau(tau)
 
     def block(v):
-        vr, _, _ = lattice_reduce(v, tau)
-        t0, t1, t2 = _theta1_series(vr, tau, 2)
-        t1 /= t0
-        t2 /= t0
-        t2 -= t1 * t1
-        return t2
+        _, _, s2, y, (q, q1, q2) = _series(lattice_reduce(v, tau)[0], tau, 2)
+        q1 /= q
+        q2 /= q
+        q2 -= q1 * q1
+        # log theta1 = log s + log Q(y), and for x = pi v (dy/dx)^2 =
+        # 4 (1 - y^2) and d^2y/dx^2 = -4 y: (log theta1)'' = -pi^2 / s^2 +
+        # 4 pi^2 ((1 - y^2) (Q''/Q - (Q'/Q)^2) - y Q'/Q), with q spent and
+        # reused, and each complex product written to an array other than
+        # its factors (see _blockwise)
+        np.multiply(y, y, out=q)
+        np.subtract(1.0, q, out=q)
+        k = q2 * q
+        np.multiply(y, q1, out=q)
+        k -= q
+        k *= 4.0 * PI * PI
+        np.divide(PI * PI, s2, out=q)
+        k -= q
+        return k
 
     return _blockwise(block, v, complex, out)
 
@@ -250,7 +275,7 @@ def log_abs(v, tau):
 
     def block(v):
         vr, _, n = lattice_reduce(v, tau)
-        t0 = _theta1_series(vr, tau, 0)[0]
-        return np.log(np.abs(t0)) + PI * n ** 2 * tau.imag + 2 * PI * n * vr.imag
+        s, _, _, _, (q,) = _series(vr, tau, 0)
+        return np.log(np.abs(s)) + np.log(np.abs(q)) + PI * n ** 2 * tau.imag + 2 * PI * n * vr.imag
 
     return _blockwise(block, v, float)

@@ -131,10 +131,10 @@ def test_alpha_values_keeps_its_kernel_blocks_small():
 def test_torus_alpha_values_keep_one_storage_and_one_theta_block():
     # a torus read of torus_two_caps' first cap on both caps' 512-node
     # radius-1 circles: the kernel's slice storage (0.52 MB), the 1024 x 10
-    # output (0.16 MB) and one theta block's eleven rows (0.35 MB), with the
-    # block's reduced points and the real temporaries of sin(pi v), make
-    # the 1.20 MB traced (4096-point blocks of one array per sine, cosine
-    # and sum: 1.61 MB); the margin covers a line tracer's 0.08 MB
+    # output (0.16 MB) and one theta block's rows (0.26 MB), with the
+    # block's reduced points, make the 0.98 MB traced (the stepped sin/cos
+    # series: 1.20 MB; 4096-point blocks of one array per sine, cosine and
+    # sum: 1.61 MB); the margin covers a line tracer's 0.08 MB
     surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
     pts = np.concatenate([boundary_cycle(surface, k).nodes for k in range(surface.n_caps)])
     tracemalloc.start()

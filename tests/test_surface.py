@@ -609,25 +609,11 @@ def test_torus_setup_keeps_its_temporaries_small():
     assert peak < 6e6
 
 
-def test_cycle_base_search_peak_stays_under_three_megabytes():
-    # the search measures the 64 x 64 node lattice in slices of
-    # DISTANCE_SLICE points: a slice's 3x3 block of lattice copies, and
-    # min_distance's row slices add their buffers on top
-    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
-    tracemalloc.start()
-    try:
-        surface.cycle_base()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.0e6
-
-
 def test_cycle_base_search_measures_the_lattice_in_slices():
     # a 512-point slice holds its nine lattice copies (72 KiB), and
     # min_distance adds its bounds and argsort order for the 18 (copy, cap)
     # pairs (288 + 72 KiB) and a nearest_distance block of 32 points by 512
-    # samples (384 KiB): 1.23 MB traced with the lattice's nodes and
+    # samples (384 KiB): 0.92 MB traced with the lattice's nodes, bounds and
     # distances and the search's smaller temporaries, against 2.04 MB for
     # the whole lattice at once; the margin covers a line tracer's 0.08 MB
     surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface

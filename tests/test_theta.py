@@ -1,4 +1,3 @@
-import cmath
 import tracemalloc
 
 import mpmath
@@ -9,7 +8,9 @@ from faberforms import theta
 from faberforms.numerics import ValidationError
 from faberforms.theta import (
     _BLOCK,
-    _TAIL_TOLERANCE,
+    _RELATIVE_TAIL,
+    _coefficients,
+    _horner,
     _n_terms,
     lattice_reduce,
     log_abs,
@@ -199,6 +200,21 @@ def test_theta1_derivatives_match_mpmath_off_the_strip(tau):
         assert np.max(np.abs(ours - ref[:, d]) / np.abs(ref[:, d])) < 1e-12, d
 
 
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_log_abs_matches_mpmath(tau):
+    # on the reduced cell's hard edges and up to 6 tau-shifts off it, where
+    # the quasi-period law supplies most of the value
+    rng = np.random.default_rng(16)
+    y = rng.choice([-1, 1], 16) * rng.uniform(0.5, 6.0, 16)
+    v = np.concatenate([oracle_points(tau), rng.uniform(-2.0, 2.0, 16) + y * tau])
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * tau)
+        ref = np.array([float(mpmath.log(abs(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(complex(vj)), q))))
+                        for vj in v])
+    ours = log_abs(v, tau)
+    assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+
 PUBLIC = (
     lambda v: theta1(v, TAU),
     lambda v: theta1(v, TAU, 1),
@@ -234,44 +250,57 @@ def test_blocked_evaluation_matches_slices_and_one_call(fn, monkeypatch):
     assert np.array_equal(out, slices.reshape(v.shape))
     monkeypatch.setattr(theta, "_BLOCK", n)
     assert np.array_equal(out, fn(v))
+    # blocks of one and three points, on the first block's hard edges and
+    # some random points: the Horner passes too must not depend on the size
+    head = v[:400]
+    for size in (1, 3):
+        monkeypatch.setattr(theta, "_BLOCK", size)
+        assert np.array_equal(out[:400], fn(head)), size
 
 
-def one_array_per_sum(v, tau, n_deriv):
-    # the reference arithmetic: sin and cos stepped as separate arrays, and
-    # each sum built term by term on its own
-    p = cmath.exp(1j * PI * tau)
-    a, b = PI * v.real, PI * v.imag
-    sin_a, cos_a, sinh_b, cosh_b = np.sin(a), np.cos(a), np.sinh(b), np.cosh(b)
-    sin_j = sin_a * cosh_b + 1j * (cos_a * sinh_b)
-    cos_j = cos_a * cosh_b - 1j * (sin_a * sinh_b)
-    sin_prev, cos_prev = -sin_j, cos_j
-    two_cos2 = 2.0 - 4.0 * sin_j * sin_j
-    sums = None
+def term_by_term(y, tau):
+    # the reference arithmetic: Q, Q' and Q'' as sums of a_j D_j(y) and its
+    # y-derivatives, each D_j stepped by its recurrence on arrays, and the
+    # bound sum |a_j D_j^(k)(y)| of each sum's rounding
+    p = complex(mpmath.exp(1j * mpmath.pi * tau))
+    d_prev, d = [-np.ones_like(y), np.zeros_like(y), np.zeros_like(y)], [np.ones_like(y), np.zeros_like(y), np.zeros_like(y)]
+    sums = [np.zeros_like(y) for _ in range(3)]
+    sizes = [np.zeros(y.shape) for _ in range(3)]
     for j in range(_n_terms(tau)):
-        if j:
-            sin_j, sin_prev = two_cos2 * sin_j - sin_prev, sin_j
-            cos_j, cos_prev = two_cos2 * cos_j - cos_prev, cos_j
-        freq = (2 * j + 1) * PI
         amp = 2.0 * (-1.0) ** j * p ** ((j + 0.5) ** 2)
-        terms = [sin_j * amp, cos_j * (freq * amp), sin_j * (-freq * freq * amp)][:n_deriv + 1]
-        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
-    return sums
+        for k in range(3):
+            sums[k] += amp * d[k]
+            sizes[k] += abs(amp) * np.abs(d[k])
+        # D_(j+1) = 2 y D_j - D_(j-1), and its y-derivatives
+        d, d_prev = [2 * y * d[0] - d_prev[0],
+                     2 * d[0] + 2 * y * d[1] - d_prev[1],
+                     4 * d[1] + 2 * y * d[2] - d_prev[2]], d
+    return sums, sizes
 
 
-@pytest.mark.parametrize("tau", [TAU, 0.1 + 0.35j])
-def test_stacked_series_gives_the_bits_of_one_array_per_sum(tau):
-    # random reduced points and the two hard edges, |v| = 1e-7 and
-    # |Im v| = 0.49 Im tau, under two term counts
+@pytest.mark.parametrize("tau", [0.1 + 0.35j, *ORACLE_TAUS])
+def test_coefficients_reproduce_the_series_term_by_term(tau):
+    # y = cos(2 pi v) at the two hard edges of the series, |v| = 1e-7, next
+    # to the zero at v = 0, and |Im v| = 0.49 Im tau, next to the edge of
+    # the reduced cell, where |y| is largest
     rng = np.random.default_rng(15)
-    n = 3000
-    v = lattice_reduce(rng.uniform(-3.0, 3.0, n) + rng.uniform(-3.0, 3.0, n) * tau, tau)[0]
-    v[0::3] = 1e-7 * np.exp(2j * PI * rng.uniform(0.0, 1.0, n // 3))
-    v[1::3] = rng.uniform(-0.5, 0.5, n // 3) + 0.49j * tau.imag * rng.choice([-1.0, 1.0], n // 3)
-    for n_deriv in range(3):
-        got = theta._theta1_series(v, tau, n_deriv)
-        assert got.shape == (n_deriv + 1, n)
-        for row, want in zip(got, one_array_per_sum(v, tau, n_deriv)):
-            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), n_deriv
+    v = np.concatenate([1e-7 * np.exp(2j * PI * rng.uniform(0.0, 1.0, 200)),
+                        rng.uniform(-0.5, 0.5, 200) + 0.49j * tau.imag * rng.choice([-1.0, 1.0], 200)])
+    y = np.cos(2 * PI * v)
+    n = _n_terms(tau)
+    coeffs = _coefficients(tau)
+    assert [len(c) for c in coeffs] == [n, max(n - 1, 1), max(n - 2, 1)]
+    sums, sizes = term_by_term(y, tau)
+    eps = np.finfo(float).eps
+    for k in range(3):
+        got = _horner(coeffs[k], y)
+        # Horner's rounding is below 2 n eps sum |c_i| |y|^i (Higham, 5.1),
+        # the term-by-term sum's below n eps sum |a_j D_j^(k)(y)|; a complex
+        # product rounds by up to sqrt(5) eps, hence the factor 4
+        horner_size = sum(abs(c) * np.abs(y) ** i for i, c in enumerate(reversed(coeffs[k])))
+        bound = 4 * n * eps * (2 * horner_size + sizes[k])
+        assert np.all(np.abs(got - sums[k]) <= bound), k
+
 
 @pytest.mark.parametrize("fn", PUBLIC)
 def test_scalar_and_empty_inputs(fn):
@@ -296,15 +325,20 @@ def test_blocked_series_keeps_its_temporaries_small():
     assert peak < 2 * out.nbytes
 
 
-def test_term_count_falls_as_im_tau_grows():
+def test_term_count_is_the_least_that_meets_the_relative_tail_bound():
     counts = [_n_terms(tau) for tau in ORACLE_TAUS]
-    assert counts == sorted(counts, reverse=True)
-    assert counts[0] > counts[-1]
-    # the first omitted term is negligible; the last kept one is not
-    for tau in ORACLE_TAUS:
+    assert counts == [8, 5, 4, 3]
+
+    def tail(j, tau):
+        # the first omitted term against the leading one, weighted as in
+        # the second derivative
+        return np.exp(-PI * tau.imag * j * j) * (2 * j + 1) ** 2
+
+    for tau in (*ORACLE_TAUS, 0.1 + 0.35j, 0.25j, 5j, 20j):
         j = _n_terms(tau)
-        assert np.exp(-PI * tau.imag * (j ** 2 - 0.25)) < _TAIL_TOLERANCE
-        assert np.exp(-PI * tau.imag * ((j - 1) ** 2 - 0.25)) > _TAIL_TOLERANCE
+        assert tail(j, tau) <= _RELATIVE_TAIL
+        assert j == 1 or tail(j - 1, tau) > _RELATIVE_TAIL
+    assert _n_terms(20j) == 1
 
 
 def test_theta1_rejects_unsupported_derivative():
