@@ -194,6 +194,8 @@ def _h_entries(block: str, key: str, raw: str) -> dict:
             raise ConfigError(
                 f"{block}.{key}: expected m,k:value entries separated by ';', got {chunk!r}"
             ) from None
+        if (m, k) in out:
+            raise ConfigError(f"{block}.{key}: entry {(m, k)} given twice")
         out[(m, k)] = _complex(block, key, value)
     return out
 

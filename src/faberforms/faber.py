@@ -183,9 +183,9 @@ def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
     aliases like 0.6^n: contour_nodes(0.6) nodes. The pullback's regular
     part is analytic on the closed unit disk, so its modes on the circle
     fall like rho^j and contour_nodes(rho) samples are alias-free; the
-    circle takes twice that, since one- and multi-order reads round apart
-    by 1e-13 in a head mode at the plain count by order 6, then doubles
-    until n > 2J.
+    circle takes twice that, 128, since one- and multi-order reads round
+    apart by 1e-13 in a head mode at the plain count by order 6. That is
+    past 2J for every order the guard admits: m <= 14 gives J <= 18.
     """
     orders = [int(m) for m in orders]
     guard_order(orders, PRINCIPAL_RADIUS)
@@ -193,8 +193,6 @@ def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
     depths = [max(8, m + 4) for m in orders]
     rho = EXPANSION_RADIUS
     n = 2 * contour_nodes(rho)
-    while n <= 2 * max(depths, default=0):
-        n *= 2
     zeta = rho * np.exp(1j * TWO_PI * np.arange(n) / n)
     # evaluate through the meromorphic extension: the quadrature contour
     # must sit strictly inside the expansion circle

@@ -6,14 +6,15 @@ coefficient on the complement: with K the Schiffer kernel,
 
     (T datum)(z) = - sum_k  integral over cap k of  K(w, z) * datum  dA(w),
 
-pulled back to the unit disk through each cap map. For the monomial datum
-of order m on cap k the integrand is holomorphic in an annulus, so the
-area integral collapses to a circle integral (the contour route); both are
-implemented and tested against each other. The contour route is the
-default evaluation path: it is spectrally accurate and much cheaper. The
-area route sizes its disk grid by measurement (``numerics.measured_area``):
-a small affine torus cap stops at 48 x 96, a large Joukowski cap of the
-sphere goes on to 162 x 324.
+pulled back to the unit disk through each cap map. The data are the
+monomial ones (``CapDatum``), conj(m zeta^(m-1)) d(conj zeta) on one cap
+k, whose images are the basis forms. For each the integrand is
+holomorphic in an annulus, so the area integral collapses to a circle
+integral (the contour route); both are implemented and tested against
+each other. The contour route is the default evaluation path: it is
+spectrally accurate and much cheaper. The area route sizes its disk grid
+by measurement (``numerics.measured_area``): a small affine torus cap
+stops at 48 x 96, a large Joukowski cap of the sphere goes on to 162 x 324.
 
 The default contour read sits on a radius that steps up with the order
 (``contour_radius``), carries orders up to ``order_limit`` of that radius,
@@ -22,82 +23,52 @@ aliasing factor r0^n is at most 1e-19, else 1024 (``contour_nodes``).
 The factor bounds the error for points whose preimage under the cap map
 has modulus at least 1, and stays near it down to 0.95, the inner measuring
 circle of the series; points at a smaller modulus rho take contour_nodes(r0 / rho).
-A read of several orders (``faber.alpha_values``) takes the radius and
-node count of its highest order: a lower order's roundoff only shrinks on
-a larger radius and the aliasing does not depend on the order, so at the
-0.95 circle every order of a read up to order 48 aliases like
+A read of several orders takes the radius of its highest order, and
+``faber.alpha_values`` its node count too: a lower order's roundoff only
+shrinks on a larger radius and the aliasing does not depend on the order,
+so at the 0.95 circle every order of a read up to order 48 aliases like
 (8/9 / 0.95)^512 = 1.6e-15.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .conformal import nearest_distance, winding_number
-from .numerics import TWO_PI, NumericalError, ValidationError, measured_area, slice_views
+from .numerics import TWO_PI, ValidationError, measured_area, slice_views
 from .surface import SurfaceSpec, schiffer_kernel
 
 PI = np.pi
 
 
+@dataclass(frozen=True)
 class CapDatum:
-    """Conjugate-analytic one-form data on the caps, in disk coordinates.
+    """The order-m monomial datum on cap k, in disk coordinates: the
+    conjugate differential of zeta-bar^m, conj(m zeta^(m-1)) d(conj zeta),
+    on cap ``cap`` and zero on every other cap. The basis forms are the
+    operator's images of these data, and no other datum enters."""
 
-    ``analytic`` maps cap index -> callable b(zeta); the datum on cap k is
-    conj(b_k(zeta)) d(conj zeta). Caps without an entry carry zero.
-    """
-
-    def __init__(self, analytic: dict):
-        self.analytic = dict(analytic)
-        for k, fn in self.analytic.items():
-            if not callable(fn):
-                raise ValidationError(f"datum for cap {k} is not callable")
+    cap: int
+    order: int
 
     @classmethod
     def monomial(cls, k: int, m: int) -> "CapDatum":
-        """The order-m basis datum on cap k: b(zeta) = m zeta^(m-1),
-        i.e. the conjugate differential of zeta-bar^m."""
+        """The order-m basis datum on cap k; an order ``guard_order``
+        refuses raises."""
         guard_order(m)
-
-        def b(zeta, m=m):
-            return m * np.asarray(zeta, dtype=complex) ** (m - 1)
-
-        return cls({k: b})
-
-    @classmethod
-    def linear(cls, terms) -> "CapDatum":
-        """Linear combination sum_j c_j datum_j.
-
-        The combination acts on the d(conj zeta) coefficients; since those
-        are conj(b_k), the stored analytic parts pick up conj(c_j).
-        """
-        terms = [(np.conj(complex(c)), datum.analytic) for c, datum in terms]
-
-        def part(k):
-            fns = [(cbar, parts[k]) for cbar, parts in terms if k in parts]
-            return lambda zeta: sum(cbar * np.asarray(fn(zeta), dtype=complex) for cbar, fn in fns)
-
-        return cls({k: part(k) for k in {k for _, parts in terms for k in parts}})
-
-    def dbar_coefficient(self, k: int, zeta) -> np.ndarray:
-        """The d(conj zeta) coefficient on cap k at the disk points zeta."""
-        zeta = np.asarray(zeta, dtype=complex)
-        fn = self.analytic.get(k)
-        if fn is None:
-            return np.zeros(zeta.shape, dtype=complex)
-        return np.conj(np.asarray(fn(zeta), dtype=complex))
-
-    def caps(self):
-        return sorted(self.analytic)
+        return cls(k, m)
 
 
 def apply_schiffer(surface: SurfaceSpec, datum, z):
     """Area-quadrature evaluation of the operator at points z in the
     cap complement.
 
-    ``datum`` is one CapDatum, or a sequence of them: the values then
-    carry a trailing axis over the data, and every cap's kernel block is
-    built once per grid and shared by the data still open. Each datum is
+    ``datum`` is one monomial ``CapDatum``, or a sequence of them: the
+    values then carry a trailing axis over the data, and every cap's
+    kernel block is built once per grid and shared by the data still
+    open, a datum of another cap contributing zero there. Each datum is
     read on 1.5x refined grids until two successive reads agree to 1e-12
     relative (``numerics.measured_area``); one still moving by more than
     1e-8 at the last refinement raises, the self-report for data too
@@ -105,8 +76,8 @@ def apply_schiffer(surface: SurfaceSpec, datum, z):
     """
     single = isinstance(datum, CapDatum)
     data = [datum] if single else list(datum)
-    for k in (k for d in data for k in d.caps()):
-        surface.cap(k)
+    for d in data:
+        surface.cap(d.cap)
     zz = surface.require_clear(z, 0.0, "evaluation point z")
     val = measured_area(
         lambda grid, cols: _apply_area(surface, [data[j] for j in cols], zz, grid), len(data))
@@ -119,16 +90,16 @@ def apply_schiffer(surface: SurfaceSpec, datum, z):
 def _apply_area(surface, data, zz, grid):
     # values at the points zz (flat) of every datum, along a trailing axis;
     # per cap, the kernel block is built in row slices of the block budget
-    # and each slice is contracted with the weighted densities of all data
+    # and each slice is contracted with the weighted densities of all data,
+    # zero for a datum of another cap
     zeta = grid.nodes
     out = np.zeros((zz.size, len(data)), dtype=complex)
-    for k in sorted({k for d in data for k in d.caps()}):
+    for k in sorted({d.cap for d in data}):
         f = surface.caps[k]
         w = f.evaluate(zeta)[None, :]
         fp = f.derivative(zeta)
-        dens = np.stack([d.dbar_coefficient(k, zeta) * fp for d in data], axis=1)
-        if not np.all(np.isfinite(dens)):
-            raise NumericalError(f"datum not finite on cap {k}")
+        dens = np.stack([np.conj(d.order * zeta ** (d.order - 1)) * fp if d.cap == k
+                         else np.zeros(zeta.shape, dtype=complex) for d in data], axis=1)
         dens = grid.weights[:, None] * dens
         for rows, (kernel,) in slice_views(zz.size, zeta.size, complex):
             out[rows] -= schiffer_kernel(surface, w, zz[rows, None], kernel) @ dens
@@ -237,12 +208,12 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     circle. Radius independence on the exact annulus is a property the
     checks verify rather than assume.
 
-    ``m`` may also be a sequence of orders that share one contour radius
-    (with r0 omitted: one radius step; ``faber.alpha_values`` passes the
-    radius of its highest order). The kernel block K(f(zeta_j), z)
-    is then built and guarded once and every order comes out of one
-    matrix product, as a trailing axis over the orders. Reads of an order
-    past ``order_limit(r0)`` raise.
+    ``m`` may also be a sequence of orders. The kernel block
+    K(f(zeta_j), z) is then built and guarded once and every order comes
+    out of one matrix product, as a trailing axis over the orders. r0
+    defaults to ``contour_radius`` of the highest order, the radius
+    ``faber.alpha_values`` reads on, where a lower order loses nothing
+    (see there). Reads of an order past ``order_limit(r0)`` raise.
 
     The kernel block, points by the n nodes, is built in row slices of
     ``numerics.row_slices``, each written in place into one kernel buffer
@@ -257,15 +228,7 @@ def schiffer_contour(surface: SurfaceSpec, k: int, m, z, r0: float | None = None
     if orders.ndim != 1 or orders.size == 0 or not np.issubdtype(orders.dtype, np.integer):
         raise ValidationError(f"orders must be one integer or a flat sequence of them, got {m!r}")
     f = surface.cap(k)
-    if r0 is None:
-        radii = {contour_radius(int(mi)) for mi in orders}
-        if len(radii) > 1:
-            raise ValidationError(
-                f"orders {orders.tolist()} span {len(radii)} default contour radii; "
-                "split them by radius step or pass r0"
-            )
-        r0 = radii.pop()
-    r0 = float(r0)
+    r0 = contour_radius(int(orders.max())) if r0 is None else float(r0)
     guard_order(orders, r0)
     zz = np.asarray(z, dtype=complex)
     pts = zz.ravel()

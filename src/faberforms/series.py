@@ -286,20 +286,19 @@ def _boundary_sum(ghat1, ghat2, weights) -> np.ndarray:
     return total.reshape(shape)
 
 
-def boundary_coefficients(target, surface: SurfaceSpec, radii=MEASURING_RADII) -> np.ndarray:
+def boundary_coefficients(target, surface: SurfaceSpec) -> np.ndarray:
     """Per-cap boundary coefficients: the counterclockwise period around
     each cap divided by 2 pi i, so that subtracting the pole-difference
     combination kills every boundary period.
 
-    Measured on two circle representatives, each read on its own by
-    ``period``; a relative disagreement beyond RADIUS_GAP_TOL raises. All
-    n values are returned; their sum vanishes for a form holomorphic on
-    the complement, and the decomposition uses the first n - 1.
+    Measured on the circle representatives at the MEASURING_RADII, each
+    read on its own by ``period``; a relative disagreement beyond
+    RADIUS_GAP_TOL raises. All n values are returned; their sum vanishes
+    for a form holomorphic on the complement, and the decomposition uses
+    the first n - 1.
     """
     form = getattr(target, "form", target)
-    r1, r2 = sorted(float(r) for r in radii)
-    if not 0 < r1 < r2 <= 1.0:
-        raise ValidationError(f"radii must satisfy 0 < r1 < r2 <= 1, got {radii}")
+    r1, r2 = MEASURING_RADII
     _check_poles_clear(form, surface, r1)
     inner, outer = (
         [period(form, boundary_cycle(surface, k, radius=r, n=BOUNDARY_NODES))
@@ -325,13 +324,16 @@ def _boundary_coefficients(inner, outer, r1: float, r2: float) -> np.ndarray:
 
 
 def _check_poles_clear(form: OneForm, surface: SurfaceSpec, r_min: float):
-    # declared poles inside a cap must sit strictly inside the inner
-    # measuring circle, else the two radii see different periods
+    # a declared pole, read as a point of the surface, must sit in a cap
+    # (the target is holomorphic on the complement) and strictly inside its
+    # inner measuring circle, else the two radii see different periods
     for loc, _order in getattr(form, "poles", ()):
-        k = surface.caps.which_cap(complex(loc))
+        point = complex(surface.geometry.reduce(complex(loc)))
+        k = surface.caps.which_cap(point)
         if k < 0:
-            continue
-        eta = surface.caps[k].invert(complex(loc))
+            raise ValidationError(f"pole at {complex(loc):.6g} lies outside every cap; "
+                                  "a target must be holomorphic on the cap complement")
+        eta = surface.caps[k].invert(point)
         if abs(eta) > r_min - POLE_CLEARANCE:
             raise ValidationError(
                 f"pole at {complex(loc):.6g} sits too close to the measuring "

@@ -1,11 +1,12 @@
-"""First Jacobi theta function and the lattice-reduced quantities built on it.
+"""The lattice-reduced quantities built on the first Jacobi theta function:
+its log-derivatives and log|theta1|, the only quantities the package reads.
 
 Conventions: lattice 1, tau with Im tau > 0, nome p = exp(i pi tau),
 
     theta1(v | tau) = 2 sum_{j>=0} (-1)^j p^((j+1/2)^2) sin((2j+1) pi v)
 
 (DLMF 20.2.1), read as theta1(v) = s Q(y) for s = sin(pi v) and
-y = cos(2 pi v), on lattice-reduced arguments; quasi-period factors are
+y = cos(2 pi v), on lattice-reduced arguments; the quasi-period law is
 restored in closed form. The log-derivative gets an exact branch
 correction of -2 pi i per tau-shift, which is what keeps pole-difference
 forms on the torus single valued. Every public function runs on
@@ -179,45 +180,6 @@ def lattice_reduce(v, tau):
     return v1 - m, m, n
 
 
-def theta1(v, tau, deriv: int = 0):
-    """theta1(v | tau), or its v-derivative of order 1 or 2.
-
-    With v = v_r + m + n tau and v_r reduced, theta1(v) = F theta1(v_r) for
-    F = (-1)^(m+n) exp(-i pi n^2 tau - 2 pi i n v_r), and dF/dv = -2 pi i n F,
-    so every order is restored in closed form from the series at v_r:
-    moderate |Im v| is exact; very large n tau-shifts overflow F, as they
-    must.
-    """
-    tau = check_tau(tau)
-    if deriv not in (0, 1, 2):
-        raise ValidationError(f"theta series supports derivatives 0..2, got {deriv}")
-
-    def block(v):
-        vr, m, n = lattice_reduce(v, tau)
-        s, c, s2, _, q = _series(vr, tau, deriv, with_cos=deriv > 0)
-        factor = (-1.0) ** (m + n) * np.exp(-1j * PI * n ** 2 * tau - 2j * PI * n * vr)
-        t0 = s * q[0]
-        if deriv == 0:
-            return factor * t0
-        # with x = pi v, c = cos x and dy/dx = -4 s c: theta1' = pi c g for
-        # g = Q - 4 s^2 Q', theta1'' = -pi^2 s g - 4 pi^2 s c^2 (3 Q' - 4 s^2 Q'')
-        g = q[0] - 4.0 * s2 * q[1]
-        t1 = PI * c * g
-        shift = -2j * PI * n
-        # theta1' = F (theta1'_r + shift theta1_r), theta1'' = F (theta1''_r
-        # + 2 shift theta1'_r + shift^2 theta1_r); restored is named, so
-        # that it is no temporary in the product with F (see _blockwise)
-        if deriv == 1:
-            restored = t1 + shift * t0
-        else:
-            h = 3.0 * q[1] - 4.0 * s2 * q[2]
-            t2 = -PI * PI * s * g - 4.0 * PI * PI * s * c * c * h
-            restored = t2 + 2.0 * shift * t1 + shift * shift * t0
-        return factor * restored
-
-    return _blockwise(block, v, complex)
-
-
 def log_derivative(v, tau):
     """Branch-corrected theta1'(v)/theta1(v).
 
@@ -230,7 +192,9 @@ def log_derivative(v, tau):
     def block(v):
         vr, _, n = lattice_reduce(v, tau)
         s, c, s2, _, (q, q1) = _series(vr, tau, 1, with_cos=True)
-        g = q - 4.0 * s2 * q1  # theta1' / (pi c), as in theta1
+        # theta1 = s Q(y), and with x = pi v, c = cos x and dy/dx = -4 s c:
+        # theta1' = pi c g for g = Q - 4 s^2 Q'
+        g = q - 4.0 * s2 * q1
         return PI * c * g / (s * q) - 2j * PI * n
 
     return _blockwise(block, v, complex)

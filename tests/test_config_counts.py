@@ -421,6 +421,9 @@ CAP = "main = affine scale=1 offset=0"
     (BASE.replace("m = 1\n", "m = 1\nwibble = 2\n"), r"target\.wibble: unknown parameter"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1;2:1"),
      r"target\.h: expected m,k:value entries separated by ';', got '1'"),
+    # the second value replaced the first, while a key or block given twice is refused
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1,0:1; 1,0:5"),
+     r"target\.h: entry \(1, 0\) given twice"),
     (BASE.replace("M = 2\n", ""), r"run\.M: required"),
     # numpy's generators refuse a negative seed: it crashed the target or
     # the first random-point check
@@ -494,7 +497,7 @@ CAP = "main = affine scale=1 offset=0"
 ], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
-        "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
+        "h-entry-twice", "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
         "q-inf-imaginary", "pole-cap-index", "c-length", "epsilon-length", "no-nonzero-terms",
         "tau-nan", "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
         "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell",

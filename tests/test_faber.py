@@ -15,6 +15,8 @@ from faberforms.conformal import (
 )
 from faberforms import faber
 from faberforms.faber import (
+    EXPANSION_RADIUS,
+    PRINCIPAL_RADIUS,
     LaurentTail,
     alpha_values,
     faber_form,
@@ -27,7 +29,7 @@ from faberforms.numerics import (
     ValidationError,
     laurent_from_samples,
 )
-from faberforms.schiffer import contour_nodes, contour_radius, schiffer_contour
+from faberforms.schiffer import contour_nodes, contour_radius, order_limit, schiffer_contour
 from faberforms.surface import SurfaceSpec, boundary_cycle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -256,6 +258,27 @@ def test_principal_parts_match_a_fine_read(genus):
             assert np.max(gap[m:]) <= 1e-13
 
 
+def test_the_expansion_circle_has_more_samples_than_twice_the_deepest_tail(monkeypatch):
+    # the orders the guard admits on PRINCIPAL_RADIUS, 1..14, fit tails of
+    # depth J <= 18 from 2 contour_nodes(EXPANSION_RADIUS) = 128 samples, so
+    # the 2J + 1 Laurent modes of every fit stay below the sample count
+    surface = one_cap_sphere(AffineMap(1.0))
+    top = order_limit(PRINCIPAL_RADIUS)
+    sizes = []
+    contour = faber.schiffer_contour
+
+    def counting(surface, k, m, z, **kwargs):
+        sizes.append(np.size(z))
+        return contour(surface, k, m, z, **kwargs)
+
+    monkeypatch.setattr(faber, "schiffer_contour", counting)
+    parts = principal_parts(surface, 0, range(1, top + 1))
+    assert sizes == [2 * contour_nodes(EXPANSION_RADIUS)] == [128]
+    assert 2 * max(tail.order for tail, _head in parts) + 1 < sizes[0]
+    with pytest.raises(ValidationError, match=rf"^order: must be <= {top}, "):
+        principal_parts(surface, 0, [top + 1])
+
+
 def test_unit_cap_form_value():
     surface = one_cap_sphere(AffineMap(1.0))
     el = faber_form(surface, 0, 1)
@@ -395,9 +418,9 @@ def test_faber_form_refuses_a_cap_index_out_of_range(k):
 
 
 def limit(top, r0, m):
-    # the one message of schiffer.guard_order past the roundoff limit
-    return (f"^order: must be <= {top}, the roundoff limit of a read on the contour "
-            f"radius {r0}, got {m}$")
+    # schiffer.guard_order's message past the roundoff limit, whose full
+    # text tests/test_preconditions.py holds at each of these entry points
+    return rf"^order: must be <= {top}, .* radius {r0}, got {m}$"
 
 
 def test_order_guards():

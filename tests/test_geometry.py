@@ -15,7 +15,8 @@ import pytest
 from faberforms.conformal import AffineMap, CapFamily
 from faberforms.numerics import NumericalError, ValidationError
 from faberforms.geometry import Torus
-from faberforms.surface import SurfaceSpec, green, schiffer_kernel
+from faberforms.series import boundary_coefficients
+from faberforms.surface import OneForm, SurfaceSpec, green, schiffer_kernel
 
 TAU = 0.3 + 1.1j
 PERIODS = (1.0, TAU, -2.0 + 3.0 * TAU)
@@ -56,19 +57,24 @@ def as_given(surface, w, mark) -> dict:
     }
 
 
-def _refused(call) -> bool:
+def _refused(call, reason: str = "") -> bool:
     try:
         call()
-    except (NumericalError, ValidationError):
-        return True
+    except (NumericalError, ValidationError) as exc:
+        return reason in str(exc)
     return False
 
 
 def refusals(surface, mark) -> dict:
     """Whether each measure refuses a point on the mark, or on cap 0's
-    center for the caps, at each shift of the point."""
+    center for the caps, at each shift of the point; the declared-pole
+    guard of the series, whether it refuses a pole at f_0(0.93), outside
+    the inner measuring circle of cap 0, as sitting too close to it."""
     center = complex(surface.caps.centers[0])
+    near = complex(surface.caps[0].evaluate(0.93))
     return {
+        "declared pole": lambda p: _refused(lambda: boundary_coefficients(
+            OneForm(np.ones_like, poles=((near + p, 2),)), surface), "sits too close"),
         "green": lambda p: _refused(lambda: green(surface, mark + p, mark)),
         "schiffer_kernel": lambda p: _refused(lambda: schiffer_kernel(surface, mark + p, mark)),
         "require_clear": lambda p: _refused(lambda: surface.require_clear(center + p, 0.0, "w")),
@@ -110,7 +116,8 @@ def _distance_from_w_itself(self, ww, points):
 
 @pytest.mark.parametrize("skip, named", [
     # the reduction into the cell taken as the identity
-    (("reduce", lambda self, w: w), {"distance", "refusal by require_clear"}),
+    (("reduce", lambda self, w: w),
+     {"distance", "refusal by require_clear", "refusal by declared pole"}),
     # the distance read from w alone, not from its lattice copies
     (("distance", _distance_from_w_itself),
      {"distance", "refusal by green", "refusal by marked points"}),

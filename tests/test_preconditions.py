@@ -85,6 +85,8 @@ ORDER_ENTRIES = {
     "faber_form": ("order", None, lambda s, m: faber_form(s, 0, m)),
     "alpha_values": ("order", None, lambda s, m: alpha_values(s, 0, [1, m], Z)),
     "principal_parts": ("order", PRINCIPAL_RADIUS, lambda s, m: principal_parts(s, 0, [1, m])),
+    "principal_part": ("order", PRINCIPAL_RADIUS, lambda s, m: principal_part(
+        s, FaberBasisElement(OneForm(np.ones_like), 0, m))),
     "faber_polynomial": ("order", None, lambda s, m: faber_polynomial(AffineMap(1.0), m)),
     "project_faber": ("M", None,
                       lambda s, m: project_faber(build_target(s, "basis"), s, m)),
@@ -114,11 +116,10 @@ def test_every_order_below_one_or_past_its_roundoff_limit_is_refused_by_one_guar
     (lambda caps: SurfaceSpec(0, caps, tau=TAU), "tau: not allowed for genus 0"),
     (lambda caps: SurfaceSpec.torus(0.3 - 1.1j, caps),
      "tau: Im tau must be positive, got (0.3-1.1j)"),
-    (lambda caps: theta.theta1(0.1, 0.3 - 1.1j), "tau: Im tau must be positive, got (0.3-1.1j)"),
     (lambda caps: theta.log_derivative(0.1, 1.0), "tau: Im tau must be positive, got (1+0j)"),
     (lambda caps: theta.log_derivative2(0.1, 0j), "tau: Im tau must be positive, got 0j"),
     (lambda caps: theta.log_abs(0.1, -1j), "tau: Im tau must be positive, got (-0-1j)"),
-], ids=["genus", "tau-missing", "tau-on-sphere", "surface-tau", "theta1", "log_derivative",
+], ids=["genus", "tau-missing", "tau-on-sphere", "surface-tau", "log_derivative",
         "log_derivative2", "log_abs"])
 def test_the_genus_and_tau_are_refused_by_one_guard(call, message):
     caps = CapFamily([AffineMap(0.11, offset=0.5 + 0.5 * TAU)])

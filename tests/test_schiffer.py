@@ -65,12 +65,13 @@ def test_mean_value_point_evaluation_is_scalar():
 
 
 def test_linearity():
+    # a combination of the columns of a stack of monomials on two caps is
+    # the same combination of their one-datum reads
     surface = sphere_two_caps()
     d1 = CapDatum.monomial(0, 1)
     d2 = CapDatum.monomial(1, 2)
-    combo = CapDatum.linear([(2.0, d1), (-1.0j, d2)])
     pts = np.array([1.2 + 0.9j, -0.8 - 0.4j, 0.9 - 1.1j])
-    lhs = apply_schiffer(surface, combo, pts)
+    lhs = apply_schiffer(surface, [d1, d2], pts) @ np.array([2.0, -1.0j])
     rhs = 2.0 * apply_schiffer(surface, d1, pts) - 1.0j * apply_schiffer(surface, d2, pts)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -268,8 +269,9 @@ def test_multi_order_scalar_point_and_bad_orders():
     vals = schiffer_contour(surface, 0, [1, 2, 3], 2.0)
     assert vals.shape == (3,)
     assert np.max(np.abs(vals - np.array([1, 2, 3]) * 2.0 ** -np.arange(2, 5))) < 1e-12
-    with pytest.raises(ValidationError, match="radius step"):
-        schiffer_contour(surface, 0, [6, 7], 2.0)
+    # orders of two radius steps read on the radius of the highest
+    assert np.array_equal(schiffer_contour(surface, 0, [6, 7], 2.0),
+                          schiffer_contour(surface, 0, [6, 7], 2.0, r0=contour_radius(7)))
     with pytest.raises(ValidationError, match="order"):
         schiffer_contour(surface, 0, [1, 0], 2.0)
     with pytest.raises(ValidationError, match="integer"):
@@ -348,8 +350,9 @@ def area_term_scale(surface, data, pts):
     for k in range(surface.n_caps):
         f = surface.caps[k]
         kern = np.abs(schiffer_kernel(surface, f.evaluate(grid.nodes)[None, :], pts[:, None]))
-        dens = np.stack([np.abs(d.dbar_coefficient(k, grid.nodes) * f.derivative(grid.nodes))
-                         for d in data], axis=1)
+        # |conj(m zeta^(m-1)) f'(zeta)| on the datum's own cap, zero on the other
+        dens = np.stack([np.abs(d.order * grid.nodes ** (d.order - 1) * f.derivative(grid.nodes))
+                         * (d.cap == k) for d in data], axis=1)
         total = total + kern @ (grid.weights[:, None] * dens)
     return total
 
@@ -407,9 +410,7 @@ def test_block_budget_does_not_change_contour_and_area_reads(budget, monkeypatch
 def test_roundoff_guard_names_order_radius_and_limit():
     surface = sphere_one_cap()
     # 0.5^-40 * eps = 2.44e-04, where 0.5 carries orders up to 25
-    with pytest.raises(ValidationError,
-                       match=r"^order: must be <= 25, the roundoff limit of a read on the "
-                             r"contour radius 0\.5, got 40$"):
+    with pytest.raises(ValidationError, match=r"^order: must be <= 25, .* 0\.5, got 40$"):
         schiffer_contour(surface, 0, [30, 40], 2.0, r0=0.5)
     # the default radius tops out at 0.92, where order 250 is past the bound
     with pytest.raises(ValidationError, match=r"^order: must be <= 211, .* 0\.92, got 250$"):
@@ -421,19 +422,17 @@ def test_roundoff_guard_names_order_radius_and_limit():
 def test_the_roundoff_guard_refuses_an_order_past_the_float_range():
     # 0.92^(-100000) * eps overflows a float, and formatting it crashed the
     # guard with an OverflowError; the guard names the limit, not the figure
-    message = ("order: must be <= 211, the roundoff limit of a read on the contour "
-               "radius 0.92, got 100000")
-    with pytest.raises(ValidationError) as err:
+    message = r"^order: must be <= 211, .* 0\.92, got 100000$"
+    with pytest.raises(ValidationError, match=message):
         schiffer_contour(sphere_one_cap(), 0, 100000, 2.0)
-    assert str(err.value) == message
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ValidationError, match=message):
         guard_order(100000, 0.92)
-    assert str(err.value) == message
     # the radius defaults to that of the order's own basis read, and a key
     # takes the place of the word order
     with pytest.raises(ValidationError) as err:
         guard_order(10**30, key="run.M")
-    assert str(err.value) == message.replace("order:", "run.M:").replace("100000", str(10**30))
+    assert str(err.value) == ("run.M: must be <= 211, the roundoff limit of a read on the "
+                              f"contour radius 0.92, got {10**30}")
 
 
 @pytest.mark.parametrize("r0", [PRINCIPAL_RADIUS] + [contour_radius(e)
@@ -558,24 +557,14 @@ def test_area_read_refuses_a_datum_on_a_cap_index_out_of_range(k):
         apply_schiffer(surface, [CapDatum.monomial(0, 1), CapDatum.monomial(k, 2)], 3.0)
 
 
-def test_a_datum_must_be_callable():
-    with pytest.raises(ValidationError, match="^datum for cap 0 is not callable$"):
-        CapDatum({0: 3.0})
-
-
-def test_area_read_refuses_a_datum_not_finite_on_a_cap():
-    datum = CapDatum({1: lambda zeta: np.where(np.abs(zeta) < 0.5, np.nan, zeta)})
-    with pytest.raises(NumericalError, match="^datum not finite on cap 1$"):
-        apply_schiffer(sphere_two_caps(), [CapDatum.monomial(0, 1), datum], 5.0)
-
-
 def test_stacked_area_read_matches_per_datum_reads():
     # one kernel block per (cap, grid), shared by every datum of the stack
     # still open; each datum stops on its own grid
     data = [
         CapDatum.monomial(1, 2),
         CapDatum.monomial(0, 1),
-        CapDatum.linear([(0.5, CapDatum.monomial(0, 3)), (2j, CapDatum.monomial(1, 1))]),
+        CapDatum.monomial(0, 3),
+        CapDatum.monomial(1, 1),
         CapDatum.monomial(1, 6),
     ]
     cases = (

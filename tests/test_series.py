@@ -427,27 +427,42 @@ def test_boundary_coefficients_of_beta():
     assert abs(np.sum(eps2)) < 1e-10
 
 
-def test_boundary_coefficients_pole_guards():
-    surface = two_cap_sphere()
-    f = surface.caps[1]
-    a = complex(f.evaluate(0.88))
-    declared = OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - a) ** 2,
-                       poles=((a, 2),))
-    with pytest.raises(ValidationError, match="close"):
-        boundary_coefficients(declared, surface, radii=(0.85, 1.0))
+def double_pole_at(a):
+    return OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - a) ** 2, poles=((a, 2),))
+
+
+def test_boundary_coefficients_refuse_an_undeclared_pole_between_the_circles():
     # an undeclared simple pole between the two circles changes the period
-    b = complex(f.evaluate(0.97))
+    surface = two_cap_sphere()
+    b = complex(surface.caps[1].evaluate(0.97))
     hidden = OneForm(lambda z: 1.0 / (np.asarray(z, dtype=complex) - b))
     with pytest.raises(NumericalError, match="moved"):
         boundary_coefficients(hidden, surface)
 
 
-@pytest.mark.parametrize("radii", [(0.0, 1.0), (0.9, 0.9), (0.5, 1.2)])
-def test_boundary_coefficients_rejects_radii_out_of_order_or_range(radii):
-    form = OneForm(lambda z: np.ones(np.shape(z), dtype=complex))
+def test_project_faber_refuses_a_declared_pole_near_the_measuring_circles():
+    surface = two_cap_sphere()
+    a = complex(surface.caps[1].evaluate(0.93))
     with pytest.raises(ValidationError) as err:
-        boundary_coefficients(form, two_cap_sphere(), radii=radii)
-    assert str(err.value) == f"radii must satisfy 0 < r1 < r2 <= 1, got {radii}"
+        project_faber(double_pole_at(a), surface, 2)
+    assert str(err.value) == (f"pole at {a:.6g} sits too close to the measuring circles of "
+                              "cap 1 (|preimage| = 0.9300, above 0.9195)")
+
+
+def test_a_declared_pole_outside_every_cap_is_refused():
+    # a double pole at 2 + 0.5i, outside the unit cap, is no target: the
+    # guard passed it over, and the solve returned h ~ 1e-17 with an L2
+    # residual of 0.771 and no error
+    surface = identity_cap_sphere()
+    message = ("pole at 2+0.5j lies outside every cap; a target must be holomorphic "
+               "on the cap complement")
+    form = double_pole_at(2.0 + 0.5j)
+    with pytest.raises(ValidationError) as err:
+        project_faber(form, surface, 4)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        boundary_coefficients(form, surface)
+    assert str(err.value) == message
 
 
 def test_a_declared_pole_no_node_count_can_read_is_refused_by_name():
@@ -939,11 +954,14 @@ def test_project_faber_names_the_cycle_a_sampling_guard_trips_on():
 
     with pytest.raises(NumericalError, match="^form not finite on the b cycle$"):
         project_faber(TargetForm(OneForm(nan_on_b, poles=target.poles)), surface, M=2)
-    # a declared pole on a node of the a cycle, away from every cap
+    # a declared pole on a node of the a cycle, away from every cap: the
+    # solve refuses it as no target, and the lattice split names the cycle
     node = complex(pairing.cycles[0].nodes[10])
     on_a = OneForm(target.evaluator, poles=target.poles + ((node, 1),))
-    with pytest.raises(NumericalError, match=r"^a pole sits on the a cycle \(gap 0\.00e\+00\)$"):
+    with pytest.raises(ValidationError, match=r"^pole at .* lies outside every cap; "):
         project_faber(TargetForm(on_a), surface, M=2)
+    with pytest.raises(NumericalError, match=r"^a pole sits on the a cycle \(gap 0\.00e\+00\)$"):
+        cycle_coefficients(on_a, surface)
 
 
 def test_project_faber_refuses_basis_data_that_are_not_finite(monkeypatch):

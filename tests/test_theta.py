@@ -16,50 +16,35 @@ from faberforms.theta import (
     log_abs,
     log_derivative,
     log_derivative2,
-    theta1,
 )
 
 TAU = 0.3 + 1.1j
 PI = np.pi
 
 
-def mp_theta1(v, tau):
-    # independent oracle: mpmath's jtheta uses theta1(z, q) with z = pi v
+def mp_theta1_derivs(v, tau):
+    """theta1, theta1' and theta1'' in v, as mpmath numbers: the
+    independent oracle, whose jtheta reads theta1 at z = pi v and
+    differentiates in z."""
     q = mpmath.exp(1j * mpmath.pi * tau)
-    val = mpmath.jtheta(1, mpmath.pi * complex(v), q)
-    return complex(val)
+    z = mpmath.pi * mpmath.mpc(complex(v))
+    return [mpmath.jtheta(1, z, q, derivative=d) * mpmath.pi ** d for d in range(3)]
+
+
+def mp_log_abs(v, tau):
+    return float(mpmath.log(abs(mp_theta1_derivs(v, tau)[0])))
+
+
+def mp_log_derivatives(v, tau):
+    """theta1'/theta1 and (log theta1)'' at v, formed in mpmath's precision."""
+    t0, t1, t2 = mp_theta1_derivs(v, tau)
+    return complex(t1 / t0), complex(t2 / t0 - (t1 / t0) ** 2)
 
 
 def random_cell_points(rng, n, tau=TAU, pad=0.1):
     x = rng.uniform(pad, 1 - pad, n)
     y = rng.uniform(pad, 1 - pad, n)
     return x + y * complex(tau)
-
-
-def test_theta1_matches_mpmath_in_cell():
-    rng = np.random.default_rng(2)
-    v = random_cell_points(rng, 20)
-    ours = theta1(v, TAU)
-    ref = np.array([mp_theta1(vj, TAU) for vj in v])
-    assert np.max(np.abs(ours - ref)) < 1e-13 * np.max(np.abs(ref))
-
-
-def test_theta1_matches_mpmath_far_from_cell():
-    # quasi-period factors restored in closed form, so shifted arguments
-    # must still agree with the direct oracle
-    rng = np.random.default_rng(3)
-    base = random_cell_points(rng, 8)
-    for shift in (2.0, -3.0, 2 * TAU, -1 - TAU, 3 + 2 * TAU):
-        v = base + shift
-        ours = theta1(v, TAU)
-        ref = np.array([mp_theta1(vj, TAU) for vj in v])
-        assert np.max(np.abs(ours - ref) / np.abs(ref)) < 1e-11
-
-
-def test_theta1_odd_and_zero_at_origin():
-    assert abs(theta1(0.0, TAU)) < 1e-14
-    v = 0.17 - 0.05j
-    assert theta1(-v, TAU) == pytest.approx(-theta1(v, TAU), abs=1e-14)
 
 
 def test_lattice_reduce():
@@ -114,14 +99,6 @@ def test_log_derivative2_is_derivative_of_log_derivative():
     assert log_derivative2(v, TAU) == pytest.approx(fd, abs=1e-8)
 
 
-def test_log_abs_consistent_with_theta1():
-    rng = np.random.default_rng(6)
-    v = random_cell_points(rng, 10) + 2 + TAU
-    ours = log_abs(v, TAU)
-    ref = np.log(np.abs(theta1(v, TAU)))
-    assert np.max(np.abs(ours - ref)) < 1e-11
-
-
 def test_log_abs_large_shift_stable():
     # direct evaluation of theta1 would overflow at n = 40 tau-shifts; the
     # closed-form correction keeps log|theta1| finite and smooth
@@ -136,26 +113,20 @@ def test_small_im_tau_still_accurate():
     tau = 0.1 + 0.25j
     rng = np.random.default_rng(7)
     v = random_cell_points(rng, 5, tau=tau)
-    ours = theta1(v, tau)
-    ref = np.array([mp_theta1(vj, tau) for vj in v])
-    assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
+    ours = log_abs(v, tau)
+    with mpmath.workdps(30):
+        ref = np.array([mp_log_abs(vj, tau) for vj in v])
+    assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_tau_validation():
     with pytest.raises(ValidationError):
-        theta1(0.3, 0.5 - 1.0j)
+        log_abs(0.3, 0.5 - 1.0j)
     with pytest.raises(ValidationError):
         log_abs(0.3, 1.0)
 
 
 ORACLE_TAUS = (0.2 + 0.3j, -0.1 + 0.7j, 0.3 + 1.1j, 0.45 + 2.0j)
-
-
-def mp_theta1_derivs(v, tau):
-    """theta1, theta1', theta1'' in v (mpmath differentiates in pi v)."""
-    q = mpmath.exp(1j * mpmath.pi * tau)
-    z = mpmath.pi * mpmath.mpc(complex(v))
-    return [complex(mpmath.jtheta(1, z, q, derivative=d) * mpmath.pi ** d) for d in range(3)]
 
 
 def oracle_points(tau):
@@ -169,35 +140,30 @@ def oracle_points(tau):
     return np.concatenate([edge, ring, rng.uniform(-0.4, 0.4, 6) + 0.2j * tau.imag])
 
 
-@pytest.mark.parametrize("tau", ORACLE_TAUS)
-def test_theta1_derivatives_match_mpmath(tau):
-    v = oracle_points(tau)
+def assert_log_derivatives_match_mpmath(v, tau):
     with mpmath.workdps(30):
-        ref = np.array([mp_theta1_derivs(vj, tau) for vj in v])
-    assert np.all(lattice_reduce(v, tau)[2] == 0)
-    for d in range(3):
-        ours = theta1(v, tau, d)
+        ref = np.array([mp_log_derivatives(vj, tau) for vj in v])
+    for d, ours in enumerate((log_derivative(v, tau), log_derivative2(v, tau))):
         assert np.max(np.abs(ours - ref[:, d]) / np.abs(ref[:, d])) < 1e-12, d
-    exact = ref[:, 2] / ref[:, 0] - (ref[:, 1] / ref[:, 0]) ** 2
-    rel = np.abs(log_derivative2(v, tau) - exact) / np.abs(exact)
-    assert np.max(rel) < 1e-12
-    rel = np.abs(log_derivative(v, tau) - ref[:, 1] / ref[:, 0]) / np.abs(ref[:, 1] / ref[:, 0])
-    assert np.max(rel) < 1e-12
 
 
 @pytest.mark.parametrize("tau", ORACLE_TAUS)
-def test_theta1_derivatives_match_mpmath_off_the_strip(tau):
-    # the closed-form quasi-period factor and its v-derivatives restore
-    # theta1, theta1' and theta1'' from the reduced argument, up to 6 tau-shifts
+def test_log_derivatives_match_mpmath(tau):
+    v = oracle_points(tau)
+    assert np.all(lattice_reduce(v, tau)[2] == 0)
+    assert_log_derivatives_match_mpmath(v, tau)
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_log_derivatives_match_mpmath_off_the_strip(tau):
+    # up to 6 tau-shifts off the reduced cell: the branch-corrected
+    # log-derivative is the true theta1'/theta1 there, and (log theta1)''
+    # is elliptic
     rng = np.random.default_rng(12)
     y = rng.choice([-1, 1], 16) * rng.uniform(0.5, 6.0, 16)
     v = rng.uniform(-2.0, 2.0, 16) + y * tau
     assert np.max(np.abs(v.imag)) > 5 * tau.imag
-    with mpmath.workdps(30):
-        ref = np.array([mp_theta1_derivs(vj, tau) for vj in v])
-    for d in range(3):
-        ours = theta1(v, tau, d)
-        assert np.max(np.abs(ours - ref[:, d]) / np.abs(ref[:, d])) < 1e-12, d
+    assert_log_derivatives_match_mpmath(v, tau)
 
 
 @pytest.mark.parametrize("tau", ORACLE_TAUS)
@@ -208,24 +174,70 @@ def test_log_abs_matches_mpmath(tau):
     y = rng.choice([-1, 1], 16) * rng.uniform(0.5, 6.0, 16)
     v = np.concatenate([oracle_points(tau), rng.uniform(-2.0, 2.0, 16) + y * tau])
     with mpmath.workdps(30):
-        q = mpmath.exp(1j * mpmath.pi * tau)
-        ref = np.array([float(mpmath.log(abs(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(complex(vj)), q))))
-                        for vj in v])
+        ref = np.array([mp_log_abs(vj, tau) for vj in v])
     ours = log_abs(v, tau)
     assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
 
+@pytest.mark.parametrize("m, n", [(2, 0), (-3, 0), (0, 2), (-1, -1), (3, 2)])
+def test_quasi_periods_hold_at_lattice_shifts(m, n):
+    # theta1(v + tau) = -exp(-i pi tau - 2 pi i v) theta1(v): a shift by
+    # m + n tau lowers theta1'/theta1 by 2 pi i n, leaves (log theta1)''
+    # alone and raises log|theta1| by pi n^2 Im tau + 2 pi n Im v
+    rng = np.random.default_rng(3)
+    v = random_cell_points(rng, 8)
+    w = v + m + n * TAU
+    assert np.max(np.abs(log_derivative(w, TAU) - (log_derivative(v, TAU) - 2j * PI * n))) < 1e-11
+    assert np.max(np.abs(log_derivative2(w, TAU) - log_derivative2(v, TAU))) < 1e-11
+    want = log_abs(v, TAU) + PI * n * n * TAU.imag + 2 * PI * n * v.imag
+    assert np.max(np.abs(log_abs(w, TAU) - want)) < 1e-11
+
+
+@pytest.mark.parametrize("fn, parity", [(log_derivative, -1), (log_derivative2, 1), (log_abs, 1)],
+                         ids=["log_derivative", "log_derivative2", "log_abs"])
+def test_theta1_oddness_carries_to_the_log_functions(fn, parity):
+    # theta1 is odd, so theta1'/theta1 is odd and (log theta1)'' and
+    # log|theta1| are even, on the reduced cell and off it
+    rng = np.random.default_rng(2)
+    v = np.concatenate([oracle_points(TAU), rng.uniform(-2.0, 2.0, 16) + rng.uniform(-6.0, 6.0, 16) * TAU])
+    ours, mirrored = fn(v, TAU), fn(-v, TAU)
+    assert np.max(np.abs(mirrored - parity * ours) / np.maximum(1.0, np.abs(ours))) < 1e-12
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_log_abs_is_the_real_part_of_the_log_derivatives_primitive(tau):
+    # log|theta1| = Re log theta1, so by Cauchy-Riemann its x- and
+    # y-derivatives are Re and -Im of theta1'/theta1: two outputs formed
+    # from the one series by different arithmetic
+    rng = np.random.default_rng(6)
+    v = random_cell_points(rng, 10, tau=tau, pad=0.25) + 2 - tau
+    h = 1e-5
+    dx = (log_abs(v + h, tau) - log_abs(v - h, tau)) / (2 * h)
+    dy = (log_abs(v + 1j * h, tau) - log_abs(v - 1j * h, tau)) / (2 * h)
+    assert np.max(np.abs(dx - 1j * dy - log_derivative(v, tau))) < 1e-6
+
+
+def test_log_derivative2_double_pole():
+    # (log theta1)'' = -1/v^2 + an even function regular at 0: no residue,
+    # and -1 as the coefficient of 1/v^2
+    n = 256
+    r = 0.05
+    zeta = r * np.exp(2j * PI * np.arange(n) / n)
+    dz = 1j * zeta * (2 * PI / n)
+    values = log_derivative2(zeta, TAU)
+    assert np.sum(values * dz) / (2j * PI) == pytest.approx(0.0, abs=1e-12)
+    assert np.sum(zeta * values * dz) / (2j * PI) == pytest.approx(-1.0, abs=1e-12)
+
+
 PUBLIC = (
-    lambda v: theta1(v, TAU),
-    lambda v: theta1(v, TAU, 1),
-    lambda v: theta1(v, TAU, 2),
     lambda v: log_derivative(v, TAU),
     lambda v: log_derivative2(v, TAU),
     lambda v: log_abs(v, TAU),
 )
+PUBLIC_IDS = ("log_derivative", "log_derivative2", "log_abs")
 
 
-@pytest.mark.parametrize("fn", PUBLIC)
+@pytest.mark.parametrize("fn", PUBLIC, ids=PUBLIC_IDS)
 def test_blocked_evaluation_matches_slices_and_one_call(fn, monkeypatch):
     rng = np.random.default_rng(13)
     # 12305 random points, as many as three blocks held at 4096 points
@@ -302,7 +314,7 @@ def test_coefficients_reproduce_the_series_term_by_term(tau):
         assert np.all(np.abs(got - sums[k]) <= bound), k
 
 
-@pytest.mark.parametrize("fn", PUBLIC)
+@pytest.mark.parametrize("fn", PUBLIC, ids=PUBLIC_IDS)
 def test_scalar_and_empty_inputs(fn):
     scalar = fn(0.31 + 0.22j + 2 * TAU)
     assert type(scalar) is (float if fn is PUBLIC[-1] else complex)
@@ -339,11 +351,6 @@ def test_term_count_is_the_least_that_meets_the_relative_tail_bound():
         assert tail(j, tau) <= _RELATIVE_TAIL
         assert j == 1 or tail(j - 1, tau) > _RELATIVE_TAIL
     assert _n_terms(20j) == 1
-
-
-def test_theta1_rejects_unsupported_derivative():
-    with pytest.raises(ValidationError):
-        theta1(0.3, TAU, deriv=3)
 
 
 def test_log_derivative2_writes_its_output_in_place():

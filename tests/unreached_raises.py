@@ -51,22 +51,31 @@ def raise_statements(path: str) -> tuple:
             {line: text for line, text in raises.items() if line in stubs})
 
 
-def main(argv) -> int:
-    raises, stubs = {}, {}
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            path = os.path.join(PACKAGE, name)
-            raises[path], stubs[path] = raise_statements(path)
-    ran = {path: set() for path in raises}
-    by_filename = {}  # co_filename -> the set of its lines that ran, or None
+def package_files() -> list:
+    """The paths of ``src/faberforms/*.py``."""
+    return [os.path.join(PACKAGE, name) for name in sorted(os.listdir(PACKAGE))
+            if name.endswith(".py")]
+
+
+def traced(run, paths) -> tuple:
+    """Run ``run()`` under a ``sys.settrace`` tracer that follows only the
+    files ``paths``. Returns (its result, {path: the lines that ran},
+    {path: the first lines of the code objects entered}); a decorated
+    function's code object starts at its first decorator."""
+    ran = {path: set() for path in paths}
+    entered = {path: set() for path in paths}
+    by_filename = {}  # co_filename -> (lines, entered) of its path, or None
 
     def tracer(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in by_filename:
-            by_filename[name] = ran.get(os.path.realpath(name))
-        lines = by_filename[name]
-        if lines is None:
+            path = os.path.realpath(name)
+            by_filename[name] = (ran[path], entered[path]) if path in ran else None
+        sets = by_filename[name]
+        if sets is None:
             return None
+        lines, firsts = sets
+        firsts.add(frame.f_code.co_firstlineno)
 
         def local(frame, event, arg):
             if event == "line":
@@ -75,13 +84,24 @@ def main(argv) -> int:
 
         return local
 
-    import pytest
-
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"), *argv])
+        result = run()
     finally:
         sys.settrace(None)
+    return result, ran, entered
+
+
+def main(argv) -> int:
+    raises, stubs = {}, {}
+    for path in package_files():
+        raises[path], stubs[path] = raise_statements(path)
+
+    import pytest
+
+    status, ran, _ = traced(
+        lambda: pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"), *argv]),
+        raises)
 
     unreached = [(path, line, text) for path, stmts in raises.items()
                  for line, text in sorted(stmts.items()) if line not in ran[path]]
