@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faber import principal_parts
+from .faber import faber_form, principal_part
 from .numerics import NumericalError, Pcg64Stream, ValidationError
 from .schiffer import CapDatum, apply_schiffer, schiffer_contour
 from .series import coefficient_deviations, project_faber
@@ -99,7 +99,7 @@ def check_pole_structure(ctx) -> CheckResult:
     orders = range(1, ctx.pole_orders + 1)
     for k in range(surface.n_caps):
         # every order of the cap from one contour kernel block
-        parts = principal_parts(surface, k, orders)
+        parts = principal_part(surface, [faber_form(surface, k, m) for m in orders])
         for m, (tail, _head) in zip(orders, parts):
             gaps.append(abs(tail.coefficients[m] - m))
             gaps.append(np.max(np.abs(tail.coefficients[m + 1:])))
@@ -136,15 +136,14 @@ def check_q_independence(ctx) -> CheckResult:
     |D(w, z_i) - D(w, z_0) - D(w_0, z_i) + D(w_0, z_0)| over the samples."""
     surface = ctx.surface
     rng = Pcg64Stream(ctx.seed + 1)
-    alt = SurfaceSpec(surface.genus, surface.caps, tau=surface.tau,
-                      q=_second_base_point(surface), w0=surface.w0)
+    alt = _second_base_point(surface)
     # both Green's functions are finite away from z, both q and w0
-    bases = tuple(q for q in (surface.q, alt.q) if q is not None)
+    bases = tuple(q for q in (surface.q, alt) if q is not None)
     z = _sample_points(surface, rng, 4, clearance=0.05,
                        accept=lambda v: surface.distance(v, bases + (surface.w0,)) > 0.1)
     w = _sample_points(surface, rng, SAMPLE_POINTS, clearance=0.05,
                        accept=lambda v: surface.distance(v, bases + tuple(z)) > 0.1)
-    d = np.stack([green(surface, w, zi) - green(alt, w, zi) for zi in z], axis=1)
+    d = np.stack([green(surface, w, zi) - green(surface, w, zi, q=alt) for zi in z], axis=1)
     worst = np.max(np.abs(d - d[:, :1] - d[:1, :] + d[0, 0]))
     return _verdict("q-independence", {"double difference": (worst, 1e-9)},
                     f"{w.size} points w, {z.size} points z")

@@ -304,6 +304,7 @@ def make_map(kind: str, **params) -> ConformalMap:
 # boundary samples per cap for the disjointness, containment and distance
 # tests
 CAP_SAMPLES = 512
+CAP_SEPARATION = 0.02  # least gap between the boundary samples of two caps
 # a cap's sample polygon lies in the disk |z - centroid| <= radius; a point
 # farther out than radius + _DISK_SLACK is more than 1e-6 from the polygon
 # and outside it, so the near-polygon and winding tests may skip it
@@ -314,16 +315,15 @@ class CapFamily:
     """An ordered list of cap maps with pairwise disjoint closed images.
 
     Disjointness is verified on boundary samples: the polygons must stay at
-    least ``separation`` apart and no boundary point of one cap may fall
+    least CAP_SEPARATION apart and no boundary point of one cap may fall
     inside another (winding-number test).
     """
 
-    def __init__(self, maps, separation: float = 0.02):
+    def __init__(self, maps):
         maps = list(maps)
         if not maps:
             raise ValidationError("cap family needs at least one map")
         self.maps = maps
-        self.separation = float(separation)
         self._boundaries = [m.boundary(CAP_SAMPLES) for m in maps]
         # sample centroid and radius of each cap: |z - c_k| - R_k bounds the
         # distance from z to every boundary sample of cap k from below
@@ -471,10 +471,10 @@ class CapFamily:
                 # _lower_bounds: a pair it keeps apart is not measured
                 centre = abs(self._centroids[i] - self._centroids[j])
                 reach = self._radii[i] + self._radii[j]
-                if (centre - reach) - 1e-12 * (centre + reach) < self.separation:
+                if (centre - reach) - 1e-12 * (centre + reach) < CAP_SEPARATION:
                     gap = float(np.min(nearest_distance(self._boundaries[i], self._boundaries[j])))
-                    if gap < self.separation:
+                    if gap < CAP_SEPARATION:
                         raise ValidationError(
                             f"caps {i} and {j} come within {gap:.4g} "
-                            f"< separation {self.separation}"
+                            f"< separation {CAP_SEPARATION}"
                         )

@@ -24,6 +24,7 @@ from .numerics import (
     TWO_PI,
     NumericalError,
     PowerSeries,
+    ValidationError,
     laurent_from_samples,
 )
 from .schiffer import contour_nodes, contour_radius, guard_order, schiffer_contour
@@ -156,29 +157,23 @@ def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneFor
     return OneForm(ev, poles=poles, label=label)
 
 
-def principal_part(surface: SurfaceSpec, element: FaberBasisElement):
-    """Laurent data of the basis element's pullback through its own cap.
+def principal_part(surface: SurfaceSpec, element):
+    """Laurent data of a basis element's pullback through its own cap.
 
-    Returns (tail, head): tail holds the coefficients of zeta^-1 ..
-    zeta^-J read on |zeta| = EXPANSION_RADIUS, head the regular part as a
-    power series. The read self-checks the structure theorem (coefficient
-    m at index -(m+1), nothing deeper) at a loose 1e-5 tolerance and
-    raises on violation; tests pin the sharp tolerances. This is the
-    one-element view of ``principal_parts``, with the same read sizes.
-    """
-    return principal_parts(surface, element.cap, [element.order])[0]
-
-
-def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
-    """``principal_part`` of the basis form of cap k for every order in
-    ``orders``: a list of (tail, head) pairs, one per order.
+    One ``FaberBasisElement`` gives (tail, head): tail holds the
+    coefficients of zeta^-1 .. zeta^-J read on |zeta| = EXPANSION_RADIUS,
+    head the regular part as a power series. A sequence of elements of
+    one cap gives a list of those pairs, one per element, from one read;
+    a sequence that spans caps is refused, and an empty one gives [].
 
     Every order is sampled on one expansion circle |zeta| = rho, with
     rho = EXPANSION_RADIUS, through one multi-order ``schiffer_contour``
     read at r0 = PRINCIPAL_RADIUS = 0.6 * rho, so the cap's kernel block is
     built once; an order past ``order_limit(PRINCIPAL_RADIUS)`` raises
     ValidationError before any read. Each order gets its own Laurent fit
-    (J = max(8, m + 4)) and pole-structure guard. ``contour_nodes`` sizes
+    (J = max(8, m + 4)) and self-checks the structure theorem (coefficient
+    m at index -(m+1), nothing deeper) at a loose 1e-5 tolerance, raising
+    on violation; tests pin the sharp tolerances. ``contour_nodes`` sizes
     both reads. The points read have preimage modulus rho, so the contour
     aliases like 0.6^n: contour_nodes(0.6) nodes. The pullback's regular
     part is analytic on the closed unit disk, so its modes on the circle
@@ -187,8 +182,17 @@ def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
     apart by 1e-13 in a head mode at the plain count by order 6. That is
     past 2J for every order the guard admits: m <= 14 gives J <= 18.
     """
-    orders = [int(m) for m in orders]
+    single = isinstance(element, FaberBasisElement)
+    elements = [element] if single else list(element)
+    if not elements:
+        return []
+    caps = sorted({el.cap for el in elements})
+    if len(caps) > 1:
+        raise ValidationError(f"principal_part: one read takes the elements of one cap, "
+                              f"got caps {caps}")
+    orders = [int(el.order) for el in elements]
     guard_order(orders, PRINCIPAL_RADIUS)
+    k = caps[0]
     f = surface.cap(k)
     depths = [max(8, m + 4) for m in orders]
     rho = EXPANSION_RADIUS
@@ -214,7 +218,7 @@ def principal_parts(surface: SurfaceSpec, k: int, orders) -> list:
             )
         tail = LaurentTail(0.0, [neg[j] for j in range(1, J + 1)])
         parts.append((tail, PowerSeries(0.0, coeff[J:], radius=rho)))
-    return parts
+    return parts[0] if single else parts
 
 
 def faber_polynomial(f: ConformalMap, m: int, r0: float | None = None,

@@ -2,12 +2,14 @@
 
 A ``surface.SurfaceSpec`` chooses its geometry once, from its genus, and
 every caller asks the geometry, never the genus. The geometry owns what
-differs between the two surfaces: point reduction, lattice copies and
-distances, the cell margin, the default base point q, the closed forms
-of the Green's function, the Schiffer kernel, the pole-difference form
-and the pole target's double pole, the holomorphic forms, the lattice
-periods and their split, and the regions the checks, the candidate grid
-of the marked points and the probe ring read.
+differs between the two surfaces: point reduction and lattice copies
+(from which ``SurfaceSpec`` writes its one ``in_sigma`` and
+``distance``), the distances to the caps, the cell margin, the default
+base point q, the closed forms of the Green's function, the Schiffer
+kernel, the pole-difference form and the pole target's double pole, the
+holomorphic forms, the lattice periods and their split, and the regions
+the checks, the candidate grid of the marked points and the probe ring
+read.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ class CapOutsideCell(ValidationError):
 
 
 class Sphere:
-    """The plane plus the point at infinity. Points are read as given, with
-    no reduction and no lattice copies; there are no lattice cycles and no
-    holomorphic forms, and q defaults to infinity (None)."""
+    """The plane plus the point at infinity. Points are read as given:
+    ``reduce`` is the identity and each point is its own one copy; there
+    are no lattice cycles and no holomorphic forms, and q defaults to
+    infinity (None)."""
 
     genus, tau, periods, holomorphic = 0, None, (), ()
     probe_margin = 0.1  # least distance from the caps of a point the sup errors read
@@ -90,11 +93,9 @@ class Sphere:
     def reduce(self, w):
         return w
 
-    def in_sigma(self, zz) -> np.ndarray:
-        return self.caps.which_cap(zz) == -1
-
-    def distance(self, ww, points):
-        return np.min(np.abs(ww[..., None] - points), axis=-1, initial=np.inf)
+    def copies(self, w) -> np.ndarray:
+        """Each point w itself, along a new first axis of one copy."""
+        return np.asarray(w)[None]
 
     def distance_to_caps(self, ww) -> np.ndarray:
         return self.caps.distance_to_caps(ww)
@@ -171,7 +172,8 @@ def _dw(w):
 class Torus:
     """The plane modulo the lattice spanned by 1 and tau, charted as the
     cell {x + y tau : 0 <= x, y < 1}, whose edges every cap clears by
-    CELL_MARGIN. Every point is read through its lattice copies, and every
+    CELL_MARGIN. Every point is read through its lattice copies (``reduce``
+    into the cell, the 3x3 block of ``copies`` around it), and every
     closed form through lattice-reduced theta calls, exactly doubly
     periodic. dw, whose a-period is exactly 1, is the one holomorphic form."""
 
@@ -215,14 +217,6 @@ class Torus:
         x, y = x - np.floor(x), y - np.floor(y)
         shifts = np.array(_SHIFTS).reshape((9, 2) + (1,) * x.ndim)
         return (x + shifts[:, 0]) + (y + shifts[:, 1]) * self.tau
-
-    def in_sigma(self, zz) -> np.ndarray:
-        return self.caps.which_cap(self.reduce(zz)) == -1
-
-    def distance(self, ww, points):
-        # from the lattice copies of each w to the points reduced into the cell
-        return np.min(np.abs(self.copies(ww)[..., None] - self.reduce(points)),
-                      axis=(0, -1), initial=np.inf)
 
     def distance_to_caps(self, ww) -> np.ndarray:
         return self._through_copies(self.caps.min_distance, ww)

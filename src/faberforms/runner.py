@@ -27,7 +27,7 @@ from . import __version__
 from .checks import CHECKS, CheckResult
 from .config import ExperimentConfig, probe_ring
 from .numerics import NumericalError
-from .series import SPECTRAL_TAIL_TOL, SeriesDecomposition, project_faber, uniform_errors
+from .series import SPECTRAL_TAIL_TOL, SeriesDecomposition, project_faber, uniform_error
 from .surface import SurfaceSpec
 
 
@@ -138,8 +138,8 @@ def run_experiment(config: ExperimentConfig):
     residual_rows = []
     if dec is not None:
         # one read of the probe ring serves every checkpoint order
-        sups = uniform_errors(config.target, config.surface, dec, probe_ring(config),
-                              [order for order, _l2 in dec.residual_history])
+        sups = uniform_error(config.target, config.surface, dec, probe_ring(config),
+                             [order for order, _l2 in dec.residual_history])
         residual_rows = [(order, l2, sup)
                          for (order, l2), sup in zip(dec.residual_history, sups)]
 

@@ -520,23 +520,26 @@ def _partial_h(decomposition: SeriesDecomposition, M: int) -> np.ndarray:
     return decomposition.h[:M] if h is None else h
 
 
-def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                   points, orders) -> list:
-    """Sup-norm coefficient errors of the partial sums of every order in
-    ``orders`` on a point set that keeps the geometry's ``probe_margin``
-    from every cap.
+def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
+                  points, upto=None):
+    """Sup-norm coefficient error of the partial sum of order ``upto``
+    (default: the full truncation) on a point set that keeps the
+    geometry's ``probe_margin`` from every cap; for a sequence of orders,
+    the list of their errors from one read.
 
     The target and the closed part are read on the points once, and the
     basis forms of orders 1..max(orders) of each cap with one
     ``alpha_values`` call, one kernel block on the radius step of the
     highest order; each partial sum contracts the leading columns with its
     own coefficients, a checkpoint order's own sub-solve and any other
-    order's the full solution truncated. A one-order ``uniform_error``
-    reads its basis forms on the step of its own order, so the two agree
-    up to roundoff.
+    order's the full solution truncated. An order read alone takes its
+    basis forms on the step of its own order, so it agrees with the same
+    order read among higher ones up to roundoff.
     """
     pts = surface.require_clear(points, surface.geometry.probe_margin, "probe point z")
-    orders = [int(M) for M in orders]
+    single = np.ndim(upto) == 0
+    orders = ([decomposition.M if upto is None else int(upto)] if single
+              else [int(M) for M in upto])
     hs = [_partial_h(decomposition, M) for M in orders]
     form = getattr(target, "form", target)
     want = np.asarray(form(pts))
@@ -551,16 +554,7 @@ def uniform_errors(target, surface: SurfaceSpec, decomposition: SeriesDecomposit
         for k, vals in basis.items():
             partial = partial + vals[:, :M] @ h[:, k]
         errors.append(float(np.max(np.abs(want - partial))))
-    return errors
-
-
-def uniform_error(target, surface: SurfaceSpec, decomposition: SeriesDecomposition,
-                  points, upto: int | None = None) -> float:
-    """Sup-norm coefficient error of the partial sum on a point set that
-    keeps the geometry's ``probe_margin`` from every cap: ``uniform_errors`` at the one
-    order upto (default: the full truncation)."""
-    M = decomposition.M if upto is None else int(upto)
-    return uniform_errors(target, surface, decomposition, points, [M])[0]
+    return errors[0] if single else errors
 
 
 def coefficient_deviations(a: SeriesDecomposition, b: SeriesDecomposition) -> dict:

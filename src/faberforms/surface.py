@@ -129,8 +129,10 @@ class SurfaceSpec:
         return self.caps[k]
 
     def in_sigma(self, z) -> np.ndarray:
-        """True where z, as a point of the surface, lies outside every closed cap."""
-        out = self.geometry.in_sigma(np.atleast_1d(np.asarray(z, dtype=complex)))
+        """True where z, as a point of the surface, lies outside every
+        closed cap: z reduced by the geometry lies in no cap."""
+        zz = self.geometry.reduce(np.atleast_1d(np.asarray(z, dtype=complex)))
+        out = self.caps.which_cap(zz) == -1
         return out if np.ndim(z) else bool(out[0])
 
     def cycle_base(self) -> complex:
@@ -140,8 +142,11 @@ class SurfaceSpec:
 
     def distance(self, w, points):
         """Smallest distance from each w to any of the points, as points of
-        the surface. A float for a scalar w."""
-        out = self.geometry.distance(np.asarray(w, dtype=complex), np.array(points, dtype=complex))
+        the surface: from the geometry's copies of w to the points reduced
+        by it. A float for a scalar w."""
+        copies = self.geometry.copies(np.asarray(w, dtype=complex))
+        points = self.geometry.reduce(np.array(points, dtype=complex))
+        out = np.min(np.abs(copies[..., None] - points), axis=(0, -1), initial=np.inf)
         return out if np.ndim(w) else float(out)
 
     def distance_to_caps_reduced(self, w) -> np.ndarray:
@@ -151,8 +156,7 @@ class SurfaceSpec:
     def translated(self, t: complex) -> "SurfaceSpec":
         """The same surface with every marked object shifted by t."""
         t = complex(t)
-        moved = CapFamily([TranslatedMap(m, t) for m in self.caps],
-                          separation=self.caps.separation)
+        moved = CapFamily([TranslatedMap(m, t) for m in self.caps])
         q = None if self.q is None else self.q + t
         return SurfaceSpec(self.genus, moved, tau=self.tau, q=q, w0=self.w0 + t)
 

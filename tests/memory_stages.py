@@ -91,8 +91,8 @@ def main(argv) -> int:
         stage("cycle base")
     dec = series.project_faber(cfg.target, surface, cfg.M, condition_limit=cfg.condition_limit)
     stage("project_faber")
-    sups = series.uniform_errors(cfg.target, surface, dec, config.probe_ring(cfg),
-                                 [order for order, _l2 in dec.residual_history])
+    sups = series.uniform_error(cfg.target, surface, dec, config.probe_ring(cfg),
+                                [order for order, _l2 in dec.residual_history])
     stage("sup errors")
     ctx = runner.RunContext(**vars(cfg), decomposition=dec, sup_errors=tuple(sups))
     for name in cfg.checks:

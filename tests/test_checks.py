@@ -20,7 +20,7 @@ from faberforms.config import parse_config, probe_ring
 from faberforms.conformal import AffineMap, CapFamily
 from faberforms.numerics import NumericalError, Pcg64Stream, ValidationError
 from faberforms.runner import RunContext
-from faberforms.series import project_faber, uniform_errors
+from faberforms.series import project_faber, uniform_error
 from faberforms.surface import SurfaceSpec, green
 from faberforms.targets import build_target
 
@@ -162,7 +162,8 @@ def test_q_independence_fails_a_green_function_that_feels_q(name, monkeypatch):
 
     def feels_q(surface, w, z, **kwargs):
         # a term coupling w, z and the base point survives the double difference
-        q = 0.0 if surface.q is None else surface.q
+        q = kwargs.get("q", surface.q)
+        q = 0.0 if q is None else q
         return green(surface, w, z, **kwargs) + 1e-6 * (q * np.asarray(w) * np.conj(z)).real
 
     monkeypatch.setattr(checks, "green", feels_q)
@@ -376,8 +377,8 @@ def torus_run():
     config = parse_config(_config_path("torus_two_caps"))
     dec = project_faber(config.target, config.surface, config.M,
                         condition_limit=config.condition_limit)
-    sups = uniform_errors(config.target, config.surface, dec, probe_ring(config),
-                          [order for order, _l2 in dec.residual_history])
+    sups = uniform_error(config.target, config.surface, dec, probe_ring(config),
+                         [order for order, _l2 in dec.residual_history])
     return RunContext(**vars(config), decomposition=dec, sup_errors=tuple(sups))
 
 
@@ -415,14 +416,14 @@ def _poison_call(monkeypatch, attr, when=lambda *args, **kwargs: True):
 
 def _poison_tail(monkeypatch, index):
     # the tail coefficient ``index`` places past coefficient m of every order
-    original = checks.principal_parts
+    original = checks.principal_part
 
-    def poisoned(surface, k, orders):
-        parts = original(surface, k, orders)
-        return [(replace(tail, coefficients=_poisoned(tail.coefficients, m + index)), head)
-                for m, (tail, head) in zip(orders, parts)]
+    def poisoned(surface, elements):
+        parts = original(surface, elements)
+        return [(replace(tail, coefficients=_poisoned(tail.coefficients, el.order + index)), head)
+                for el, (tail, head) in zip(elements, parts)]
 
-    monkeypatch.setattr(checks, "principal_parts", poisoned)
+    monkeypatch.setattr(checks, "principal_part", poisoned)
 
 
 def _poison_history(ctx, index):

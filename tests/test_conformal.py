@@ -224,7 +224,7 @@ def test_winding_number():
 
 
 def test_cap_family_accepts_disjoint():
-    fam = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)], separation=0.1)
+    fam = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)])
     assert len(fam) == 2
     assert np.allclose(fam.centers, [0.0, 2.0])
 
@@ -239,26 +239,23 @@ def test_cap_family_rejects_containment():
         CapFamily([AffineMap(1.0), AffineMap(0.2)])
 
 
-@pytest.mark.parametrize("separation", [0.02, 0.0, -1.0])
-def test_cap_family_rejects_containment_in_either_order(separation):
-    # a separation that waives the gap test still leaves the winding test
+def test_cap_family_rejects_containment_in_either_order():
     big, small = AffineMap(1.0), AffineMap(0.2, offset=0.1 + 0.1j)
     for maps in ([big, small], [small, big]):
         with pytest.raises(ValidationError, match="overlap"):
-            CapFamily(maps, separation=separation)
+            CapFamily(maps)
 
 
-@pytest.mark.parametrize("separation", [0.02, 0.0])
-def test_cap_family_names_close_and_crossing_caps(separation):
+def test_cap_family_names_close_and_crossing_caps():
     # a nested cap 0.01 from its host's boundary, and two crossing disks:
-    # the winding test speaks before the gap test, whatever the separation
-    # (the nested cap read "come within 0.01 < separation 0.02")
+    # the winding test speaks before the gap test (the nested cap read
+    # "come within 0.01 < separation 0.02")
     for pair in ([AffineMap(1.0), AffineMap(0.2, offset=0.79)],
                  [AffineMap(1.0), AffineMap(1.0, offset=0.5)]):
         for maps in (pair, pair[::-1]):
             with pytest.raises(ValidationError, match=r"^caps 0 and 1 overlap: a boundary point "
                                                       r"of cap \d lies in cap \d$"):
-                CapFamily(maps, separation=separation)
+                CapFamily(maps)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.06, 0.2])
@@ -273,12 +270,17 @@ def test_cap_family_names_identical_and_shifted_caps_as_overlapping(offset):
 
 
 def test_cap_family_accepts_disjoint_caps_with_overlapping_bounding_disks():
-    # two flat ovals (half-width 1, half-height 0.53) stacked 1.2 apart
-    ovals = [JoukowskiEllipseMap(0.5, scale=0.5), JoukowskiEllipseMap(0.5, scale=0.5, offset=1.2j)]
-    fam = CapFamily(ovals, separation=0.1)
+    # two flat ovals (half-width 1, half-height 0.53) stacked 1.2 apart,
+    # 0.139 between their boundaries, and stacked 1.07 apart, 0.0095
+    def ovals(offset):
+        return [JoukowskiEllipseMap(0.5, scale=0.5),
+                JoukowskiEllipseMap(0.5, scale=0.5, offset=offset)]
+
+    fam = CapFamily(ovals(1.2j))
     assert np.all(fam.which_cap(np.array([0.9, 0.9 + 1.2j, 0.6j])) == [0, 1, -1])
-    with pytest.raises(ValidationError, match="come within"):
-        CapFamily(ovals, separation=0.2)
+    with pytest.raises(ValidationError, match=r"^caps 0 and 1 come within 0\.009453 "
+                                              r"< separation 0\.02$"):
+        CapFamily(ovals(1.07j))
 
 
 def unfiltered_which_cap(fam, z):
@@ -333,7 +335,7 @@ def test_which_cap_prefilter_matches_unfiltered_loop_on_the_torus():
         AffineMap(0.11, offset=0.39 + 0.33j),
         JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
         PolynomialCapMap([0.07, 0.01], offset=0.25 + 0.75 * tau),
-    ], separation=0.05))
+    ]))
     rng = np.random.default_rng(12)
     fam = surface.caps
     near = probe_points(fam, rng)
@@ -370,7 +372,7 @@ def test_block_budget_does_not_change_cap_geometry(budget, monkeypatch):
         AffineMap(0.11, offset=0.39 + 0.33j),
         JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
         PolynomialCapMap([0.07, 0.01], offset=0.25 + 0.75 * tau),
-    ], separation=0.05))
+    ]))
     z = probe_points(surface.caps, np.random.default_rng(15), n=600)[::5]
     assert z.size > 4 * (numerics.BLOCK_ENTRIES // 512)
     want = cap_geometry_reads(surface, z)

@@ -22,7 +22,6 @@ from faberforms.faber import (
     faber_form,
     faber_polynomial,
     principal_part,
-    principal_parts,
 )
 from faberforms.numerics import (
     NumericalError,
@@ -42,6 +41,10 @@ def one_cap_sphere(cap):
 
 def torus_one_cap():
     return SurfaceSpec.torus(TAU, CapFamily([AffineMap(0.12, 0.5 + 0.5 * TAU)]))
+
+
+def elements(surface, k, orders):
+    return [faber_form(surface, k, m) for m in orders]
 
 
 def test_laurent_tail_evaluation_and_derivative():
@@ -185,7 +188,7 @@ def test_faber_form_is_the_one_order_alpha_read(m):
     assert point == schiffer_contour(surface, 0, m, pts[2], r0=r0, n=contour_nodes(r0))
 
 
-def test_principal_parts_match_single_element_reads(monkeypatch):
+def test_principal_part_of_many_orders_matches_single_element_reads(monkeypatch):
     # the pole-structure check's reads, orders 1..6 of both torus caps;
     # orders 5 and 6 fit deeper tails than the others
     surface = SurfaceSpec.torus(TAU, CapFamily([
@@ -201,7 +204,7 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
-    parts = [principal_parts(surface, k, orders) for k in (0, 1)]
+    parts = [principal_part(surface, elements(surface, k, orders)) for k in (0, 1)]
     assert calls == [0, 1]
     res = check_pole_structure(SimpleNamespace(surface=surface, pole_orders=6))
     assert calls == [0, 1, 0, 1]
@@ -226,7 +229,7 @@ def test_principal_parts_match_single_element_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("genus", [1, 0])
-def test_principal_parts_match_a_fine_read(genus):
+def test_principal_part_of_many_orders_matches_a_fine_read(genus):
     # the default sizes (a 128-node contour read on a 128-sample circle)
     # against a 1024-node read on a 4096-sample circle, built by hand, on
     # the two torus caps of the benchmark's check path and one sphere cap
@@ -248,7 +251,8 @@ def test_principal_parts_match_a_fine_read(genus):
         f = surface.caps[k]
         vals = schiffer_contour(surface, k, list(orders), f.evaluate(zeta), r0=0.6 * rho,
                                 n=1024) * f.derivative(zeta)[:, None]
-        for i, (m, (tail, _head)) in enumerate(zip(orders, principal_parts(surface, k, orders))):
+        parts = principal_part(surface, elements(surface, k, orders))
+        for i, (m, (tail, _head)) in enumerate(zip(orders, parts)):
             J = tail.order
             ref = laurent_from_samples(vals[:, i], rho, np.arange(-1, -J - 1, -1))
             gap = np.abs(np.array(tail.coefficients) - ref)
@@ -272,11 +276,11 @@ def test_the_expansion_circle_has_more_samples_than_twice_the_deepest_tail(monke
         return contour(surface, k, m, z, **kwargs)
 
     monkeypatch.setattr(faber, "schiffer_contour", counting)
-    parts = principal_parts(surface, 0, range(1, top + 1))
+    parts = principal_part(surface, elements(surface, 0, range(1, top + 1)))
     assert sizes == [2 * contour_nodes(EXPANSION_RADIUS)] == [128]
     assert 2 * max(tail.order for tail, _head in parts) + 1 < sizes[0]
     with pytest.raises(ValidationError, match=rf"^order: must be <= {top}, "):
-        principal_parts(surface, 0, [top + 1])
+        principal_part(surface, elements(surface, 0, [top + 1]))
 
 
 def test_unit_cap_form_value():
@@ -392,7 +396,7 @@ def test_translation_invariance_of_forms():
         assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_principal_parts_fail_a_form_off_its_pole_structure(monkeypatch):
+def test_principal_part_fails_a_form_off_its_pole_structure(monkeypatch):
     # a basis form scaled by 1.01 leads its pullback with 1.01 m, not m
     surface = one_cap_sphere(AffineMap(1.0))
     monkeypatch.setattr(faber, "schiffer_contour",
@@ -400,15 +404,35 @@ def test_principal_parts_fail_a_form_off_its_pole_structure(monkeypatch):
     with pytest.raises(NumericalError, match=r"^pole structure violated at order 2: "
                                              r"\|c\[-\(m\+1\)\] - m\| = 2\.000e-02, "
                                              r"deeper mass \d\.\d{3}e-1\d$"):
-        principal_parts(surface, 0, [2, 3])
+        principal_part(surface, elements(surface, 0, [2, 3]))
 
 
-def test_principal_parts_refuse_a_pullback_that_is_not_finite(monkeypatch):
+def test_principal_part_refuses_a_pullback_that_is_not_finite(monkeypatch):
     surface = one_cap_sphere(AffineMap(1.0))
     monkeypatch.setattr(faber, "schiffer_contour",
                         lambda *a, **kw: np.nan * schiffer_contour(*a, **kw))
     with pytest.raises(NumericalError, match="^pullback not finite on the expansion circle$"):
-        principal_parts(surface, 0, [1])
+        principal_part(surface, faber_form(surface, 0, 1))
+
+
+def test_principal_part_refuses_a_sequence_that_spans_caps(monkeypatch):
+    # refused by name before any read
+    surface = SurfaceSpec.sphere(CapFamily([AffineMap(1.0), AffineMap(0.5, 3.0)]), w0=4.0 + 3.0j)
+    calls = []
+    monkeypatch.setattr(faber, "schiffer_contour", lambda *a, **kw: calls.append(a))
+    mixed = [faber_form(surface, 1, 2), faber_form(surface, 0, 1), faber_form(surface, 1, 3)]
+    with pytest.raises(ValidationError, match=r"^principal_part: one read takes the elements "
+                                              r"of one cap, got caps \[0, 1\]$"):
+        principal_part(surface, mixed)
+    assert calls == []
+
+
+def test_principal_part_of_no_elements_reads_nothing(monkeypatch):
+    surface = SurfaceSpec.sphere(CapFamily([AffineMap(1.0), AffineMap(0.5, 3.0)]), w0=4.0 + 3.0j)
+    calls = []
+    monkeypatch.setattr(faber, "schiffer_contour", lambda *a, **kw: calls.append(a))
+    assert principal_part(surface, []) == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [-1, 1])

@@ -23,13 +23,13 @@ PERIODS = (1.0, TAU, -2.0 + 3.0 * TAU)
 
 
 def sphere():
-    caps = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)], separation=0.1)
+    caps = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)])
     return SurfaceSpec.sphere(caps, w0=1.0 + 2.0j)
 
 
 def torus():
     caps = CapFamily([AffineMap(0.11, offset=0.39 + 0.33j),
-                      AffineMap(0.11, offset=0.924 + 0.748j)], separation=0.05)
+                      AffineMap(0.11, offset=0.924 + 0.748j)])
     return SurfaceSpec.torus(TAU, caps)
 
 
@@ -110,18 +110,14 @@ def test_every_measure_reads_points_of_its_surface(make):
     assert lattice_mismatches(make()) == []
 
 
-def _distance_from_w_itself(self, ww, points):
-    return np.min(np.abs(ww[..., None] - self.reduce(points)), axis=-1, initial=np.inf)
-
-
 @pytest.mark.parametrize("skip, named", [
     # the reduction into the cell taken as the identity
     (("reduce", lambda self, w: w),
      {"distance", "refusal by require_clear", "refusal by declared pole"}),
-    # the distance read from w alone, not from its lattice copies
-    (("distance", _distance_from_w_itself),
+    # each point read as its own one copy, as on the sphere
+    (("copies", lambda self, w: np.asarray(w)[None]),
      {"distance", "refusal by green", "refusal by marked points"}),
-], ids=["reduce", "distance"])
+], ids=["reduce", "copies"])
 def test_a_torus_path_that_skips_the_lattice_copies_is_named(monkeypatch, skip, named):
     monkeypatch.setattr(Torus, *skip)
     with np.errstate(divide="ignore"):  # a Green's function read on its singularity

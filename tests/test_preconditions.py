@@ -19,7 +19,6 @@ from faberforms.faber import (
     faber_form,
     faber_polynomial,
     principal_part,
-    principal_parts,
 )
 from faberforms.numerics import ValidationError
 from faberforms.schiffer import (
@@ -39,7 +38,7 @@ Z = 2.0 + 2.0j  # a point clear of both caps of the sphere below
 
 
 def sphere_two_caps():
-    caps = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)], separation=0.1)
+    caps = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)])
     return SurfaceSpec.sphere(caps, w0=1.0 + 2.0j)
 
 
@@ -53,9 +52,10 @@ CAP_ENTRIES = {
     "faber_form": ("", lambda s, k: faber_form(s, k, 1)),
     "alpha_values": ("", lambda s, k: alpha_values(s, k, [1, 2], Z)),
     # raised a bare IndexError for k = n_caps
-    "principal_parts": ("", lambda s, k: principal_parts(s, k, [1])),
     "principal_part": (
         "", lambda s, k: principal_part(s, FaberBasisElement(OneForm(np.ones_like), k, 1))),
+    "principal_part-list": (
+        "", lambda s, k: principal_part(s, [FaberBasisElement(OneForm(np.ones_like), k, 1)])),
     "basis-target": ("target.k: ", lambda s, k: build_target(s, "basis", k=k)),
     "pole-target": ("target.cap: ", lambda s, k: build_target(s, "pole", cap=k)),
     "combination-target": ("target.h: ",
@@ -84,9 +84,10 @@ ORDER_ENTRIES = {
     "schiffer_contour-r0": ("order", 0.5, lambda s, m: schiffer_contour(s, 0, m, Z, r0=0.5)),
     "faber_form": ("order", None, lambda s, m: faber_form(s, 0, m)),
     "alpha_values": ("order", None, lambda s, m: alpha_values(s, 0, [1, m], Z)),
-    "principal_parts": ("order", PRINCIPAL_RADIUS, lambda s, m: principal_parts(s, 0, [1, m])),
     "principal_part": ("order", PRINCIPAL_RADIUS, lambda s, m: principal_part(
         s, FaberBasisElement(OneForm(np.ones_like), 0, m))),
+    "principal_part-list": ("order", PRINCIPAL_RADIUS, lambda s, m: principal_part(
+        s, [FaberBasisElement(OneForm(np.ones_like), 0, j) for j in (1, m)])),
     "faber_polynomial": ("order", None, lambda s, m: faber_polynomial(AffineMap(1.0), m)),
     "project_faber": ("M", None,
                       lambda s, m: project_faber(build_target(s, "basis"), s, m)),

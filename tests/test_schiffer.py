@@ -621,7 +621,7 @@ def torus_affine_joukowski():
     caps = CapFamily([
         AffineMap(0.11, offset=0.39 + 0.33j),
         JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
-    ], separation=0.05)
+    ])
     return SurfaceSpec.torus(TAU, caps)
 
 

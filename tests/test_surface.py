@@ -31,7 +31,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def sphere_two_caps():
-    caps = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)], separation=0.1)
+    caps = CapFamily([AffineMap(0.4), AffineMap(0.4, offset=2.0)])
     return SurfaceSpec.sphere(caps, w0=1.0 + 2.0j)
 
 
@@ -41,7 +41,6 @@ def torus_two_caps():
             AffineMap(0.11, offset=0.3 + 0.3 * TAU),
             AffineMap(0.11, offset=0.75 + 0.7 * TAU),
         ],
-        separation=0.05,
     )
     return SurfaceSpec.torus(TAU, caps)
 
@@ -521,13 +520,11 @@ def test_cycle_base_matches_brute_force(tmp_path):
             AffineMap(0.11, offset=0.39 + 0.33j),
             JoukowskiEllipseMap(0.2, scale=0.1, offset=0.924 + 0.748j),
         ],
-        separation=0.05,
     )
     # caps by a corner and by the right edge push the winner off row 0
     # and column 0 of the node lattice
     inner = SurfaceSpec.torus(TAU, CapFamily(
         [AffineMap(0.08, offset=0.15 + 0.15 * TAU), AffineMap(0.08, offset=0.85 + 0.5 * TAU)],
-        separation=0.05,
     ))
     # ties: a centred circle on tau = i, whose row 0 and column 0 have the
     # same minimum, and a circle off the middle of a flat cell, where 32
