@@ -8,8 +8,8 @@ artifact directory. Parse errors name the offending block.field; a key
 that [surface], [run] or [output] does not read is one of them, and so
 is a number that is not finite. The parsed config is frozen: the command
 line's ``--out-dir`` makes a new one with ``dataclasses.replace``.
-``probe_ring`` gives the ring the run reads its sup errors on; the
-default one is picked at run time.
+``probe_ring`` gives the ring the run reads its sup errors on: the
+geometry's, with the radius ``run.probe_radius`` when that is set.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class ExperimentConfig:
     pole_orders: int
     translation: complex
     condition_limit: float
-    probe_center: complex
-    probe_radius: float | None  # None: the run picks a ring clear of the caps
+    probe_radius: float | None  # None: the geometry's radius
     strict: bool
     out_dir: str | None
 
@@ -86,11 +85,12 @@ class _Block:
 
 
 def probe_ring(config: ExperimentConfig) -> np.ndarray:
-    """The circle the sup errors are read on, the configured one or by
-    default the geometry's ``probe_ring``, as PROBE_POINTS points."""
-    center, radius = config.probe_center, config.probe_radius
-    if radius is None:
-        center, radius = config.surface.geometry.probe_ring()
+    """The circle the sup errors are read on, as PROBE_POINTS points: the
+    geometry's ``probe_ring``, with ``run.probe_radius`` as its radius when
+    the config sets one (on the torus its center is the cycle base)."""
+    center, radius = config.surface.geometry.probe_ring()
+    if config.probe_radius is not None:
+        radius = config.probe_radius
     theta = 2.0 * np.pi * np.arange(PROBE_POINTS) / PROBE_POINTS
     return center + radius * np.exp(1j * theta)
 
@@ -244,7 +244,6 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError("surface.q: must be finite on the torus")
     elif "q" in s:
         q = _complex("surface", "q", s["q"])
-    w0 = _complex("surface", "w0", s["w0"]) if "w0" in s else None
     s.reject_unread()
 
     caps_items = list(parser["caps"].items())
@@ -256,7 +255,7 @@ def parse_config(path: str) -> ExperimentConfig:
     except ValidationError as exc:
         raise ConfigError(f"caps: {exc}") from None
     try:
-        surface = SurfaceSpec(genus, caps, tau=tau, q=q, w0=w0)
+        surface = SurfaceSpec(genus, caps, tau=tau, q=q)
     except CapOutsideCell as exc:
         raise ConfigError(f"caps.{caps_items[exc.cap][0]}: {exc.reason}") from None
     except ValidationError as exc:
@@ -299,8 +298,6 @@ def parse_config(path: str) -> ExperimentConfig:
             )
         if name not in seen:
             seen.append(name)
-    if "probe_center" in r and "probe_radius" not in r:
-        raise ConfigError("run.probe_center: set without run.probe_radius")
     output = _Block(parser, "output")
     cfg = ExperimentConfig(
         surface=surface,
@@ -317,7 +314,6 @@ def parse_config(path: str) -> ExperimentConfig:
                      else complex(surface.geometry.translation)),
         condition_limit=_positive("run", "condition_limit",
                                   r.get("condition_limit", str(CONDITION_LIMIT))),
-        probe_center=_complex("run", "probe_center", r.get("probe_center", "0")),
         probe_radius=(_positive("run", "probe_radius", r["probe_radius"])
                       if "probe_radius" in r else None),
         strict=_bool("run", "strict", r.get("strict", "false")),
@@ -330,8 +326,7 @@ def parse_config(path: str) -> ExperimentConfig:
         try:
             surface.require_clear(probe_ring(cfg), surface.geometry.probe_margin, "probe point z")
         except ValidationError as exc:
-            keys = "run.probe_center, run.probe_radius" if "probe_center" in r else "run.probe_radius"
-            raise ConfigError(f"{keys}: {exc}") from None
+            raise ConfigError(f"run.probe_radius: {exc}") from None
     if "invariance" in cfg.checks:
         try:
             surface.translated(cfg.translation)

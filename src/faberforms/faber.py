@@ -169,8 +169,9 @@ def principal_part(surface: SurfaceSpec, element):
     Every order is sampled on one expansion circle |zeta| = rho, with
     rho = EXPANSION_RADIUS, through one multi-order ``schiffer_contour``
     read at r0 = PRINCIPAL_RADIUS = 0.6 * rho, so the cap's kernel block is
-    built once; an order past ``order_limit(PRINCIPAL_RADIUS)`` raises
-    ValidationError before any read. Each order gets its own Laurent fit
+    built once; that read refuses an order past
+    ``order_limit(PRINCIPAL_RADIUS)`` with ValidationError before it builds
+    the block. Each order gets its own Laurent fit
     (J = max(8, m + 4)) and self-checks the structure theorem (coefficient
     m at index -(m+1), nothing deeper) at a loose 1e-5 tolerance, raising
     on violation; tests pin the sharp tolerances. ``contour_nodes`` sizes
@@ -191,7 +192,6 @@ def principal_part(surface: SurfaceSpec, element):
         raise ValidationError(f"principal_part: one read takes the elements of one cap, "
                               f"got caps {caps}")
     orders = [int(el.order) for el in elements]
-    guard_order(orders, PRINCIPAL_RADIUS)
     k = caps[0]
     f = surface.cap(k)
     depths = [max(8, m + 4) for m in orders]

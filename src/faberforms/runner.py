@@ -69,11 +69,8 @@ def write_coefficients(path: str, dec: SeriesDecomposition) -> None:
         lines.append(f"c,{i},,{_fmt(value.real)},{_fmt(value.imag)}")
     for i, value in enumerate(dec.d):
         lines.append(f"d,{i},,{_fmt(value.real)},{_fmt(value.imag)}")
-    n = dec.h.shape[1] if dec.h.size else 0
-    for m in range(1, dec.h.shape[0] + 1):
-        for k in range(n):
-            value = dec.h[m - 1, k]
-            lines.append(f"h,{k},{m},{_fmt(value.real)},{_fmt(value.imag)}")
+    for (i, k), value in np.ndenumerate(dec.h):
+        lines.append(f"h,{k},{i + 1},{_fmt(value.real)},{_fmt(value.imag)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

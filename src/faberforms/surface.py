@@ -37,11 +37,11 @@ class OneForm:
         return self.evaluator(w)
 
     @staticmethod
-    def combine(terms, label: str = "") -> "OneForm":
+    def combine(terms) -> "OneForm":
         """Linear combination sum_j c_j form_j."""
         terms = [(complex(c), f) for c, f in terms]
         if not terms:
-            return OneForm(lambda w: np.zeros_like(np.asarray(w, dtype=complex)), label=label)
+            return OneForm(lambda w: np.zeros_like(np.asarray(w, dtype=complex)))
         poles = tuple(p for _, f in terms for p in f.poles)
 
         def ev(w, _terms=terms):
@@ -51,7 +51,7 @@ class OneForm:
                 out = out + c * np.asarray(f.evaluator(w), dtype=complex)
             return out
 
-        return OneForm(ev, poles=poles, label=label)
+        return OneForm(ev, poles=poles)
 
 
 @dataclass(frozen=True)
@@ -311,14 +311,9 @@ def per_cycle(vals, cycles) -> list:
 def sample(form: OneForm, cycles) -> np.ndarray:
     """The form's coefficient at the nodes of the cycles, concatenated in
     their order, from one evaluation. Raises, naming the cycle, when a
-    declared pole sits on a cycle or a value is not finite."""
+    value is not finite; the solve admits only declared poles well inside
+    a cap (``series._check_poles_clear``), so none sits on its cycles."""
     nodes = np.concatenate([c.nodes for c in cycles])
-    if form.poles:
-        locs = np.array([p for p, _ in form.poles])
-        gaps = np.min(np.abs(nodes[None, :] - locs[:, None]), axis=0)
-        for c, g in zip(cycles, per_cycle(gaps, cycles)):
-            if np.min(g) < 1e-8:
-                raise NumericalError(f"a pole sits on the {c.name} (gap {np.min(g):.2e})")
     vals = np.asarray(form(nodes), dtype=complex)
     require_finite(vals, cycles)
     return vals

@@ -105,7 +105,7 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     guard_order([m for m, _k in h], key="target.h")
     for _m, k in h:
         surface.cap(k, key="target.h")
-    if epsilon.size != max(n - 1, 0):
+    if epsilon.size != n - 1:
         raise ValidationError(f"target.epsilon: needs {n - 1} entries, got {epsilon.size}")
     if c.size != g:
         raise ValidationError(f"target.c: needs {g} entries, got {c.size}")
@@ -115,7 +115,7 @@ def _combination_target(surface, epsilon=None, c=None, h=None, seed=None,
     if not (np.any(epsilon) or np.any(c) or np.any(h_matrix)):
         raise ValidationError("combination target has no nonzero terms")
     form = faber_series(surface, epsilon, c, h_matrix, label="combination")
-    eps_full = np.concatenate([epsilon, [-np.sum(epsilon)]]) if n > 0 else epsilon
+    eps_full = np.concatenate([epsilon, [-np.sum(epsilon)]])
     known = {"epsilon": eps_full, "c": c, "h": dict(h)}
     return TargetForm(form, label="combination", known=known)
 

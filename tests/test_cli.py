@@ -200,7 +200,7 @@ def test_parse_config_fields():
     assert config.target_params == {"seed": 3, "order": 6}
     assert config.checks == CHECK_NAMES
     # the checks' point count is a constant, the former default
-    assert SAMPLE_POINTS == 100 and len(dataclasses.fields(config)) == 16
+    assert SAMPLE_POINTS == 100 and len(dataclasses.fields(config)) == 15
     assert np.isclose(config.translation, 0.05)
     assert config.out_dir == "runs/torus-two-caps"
 

@@ -1,33 +1,36 @@
 """The counts in [run] must be positive: a zero or negative count is a
 config error that names its field and exits 2 before anything runs. The
-same holds for a probe radius that is not positive, a probe center
-without a probe radius, a tolerance, condition limit or probe radius
-that is not finite and positive, a translation or probe center that is
-not finite, a probe ring with a point in a cap or inside its genus's
-margin, a translation that carries a torus cap out of the cell under the
-invariance check, a [surface] w0, tau, cap parameter or [target] number
-that is not finite, a truncation order past the roundoff limit of the
-basis read (run.M, a combination target's h orders or seeded order), a
-negative seeded order, a decay whose powers overflow, a pole deeper than
-the solve admits, a pole-structure order past the roundoff limit of the
-principal-part read, a [target] parameter that the chosen family does
-not take, a key that [surface], [run] or [output] does not read (the
-retired margin, samples, probe_points and uniform_margin among them), a
-block that the parse does not read, a negative seed and a base point q
-that is neither finite nor inf, or a torus marked point on a lattice
-copy of a cap. Every other refusal of the parse is matched by its full
-message too, and the README's lists of the keys each block reads are the
-keys the parse reads."""
+same holds for a probe radius that is not positive, a tolerance,
+condition limit or probe radius that is not finite and positive, a
+translation that is not finite, a probe ring with a point in a cap or
+inside its genus's margin, a translation that carries a torus cap out of
+the cell under the invariance check, a [surface] tau, cap parameter or
+[target] number that is not finite, a truncation order past the roundoff
+limit of the basis read (run.M, a combination target's h orders or
+seeded order), a negative seeded order, a decay whose powers overflow, a
+pole deeper than the solve admits, a pole-structure order past the
+roundoff limit of the principal-part read, a [target] parameter that the
+chosen family does not take, a key that [surface], [run] or [output]
+does not read (the retired margin, w0, samples, probe_points,
+probe_center and uniform_margin among them), a block that the parse does
+not read, a negative seed and a base point q that is neither finite nor
+inf, or a torus base point on a lattice copy of a cap. Every other
+refusal of the parse is matched by its full message too, the README's
+lists of the keys each block reads are the keys the parse reads, and
+each of those keys is set by a shipped config or a benchmark workload."""
 
+import glob
 import inspect
 import os
 import re
+import sys
 
+import numpy as np
 import pytest
 
 from faberforms import targets
 from faberforms.cli import main
-from faberforms.config import TARGET_PARAMS, ConfigError, _Block, parse_config
+from faberforms.config import TARGET_PARAMS, ConfigError, _Block, parse_config, probe_ring
 from faberforms.surface import SurfaceSpec
 from faberforms.targets import FAMILIES
 
@@ -58,7 +61,7 @@ def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, 
 
 
 @pytest.mark.parametrize("line, message", [
-    ("probe_center = 5+5j", r"run\.probe_center: set without run\.probe_radius$"),
+    ("probe_center = 5+5j", r"run\.probe_center: unknown key$"),
     ("probe_radius = -1.5", r"run\.probe_radius: must be > 0, got -1\.5$"),
     ("probe_radius = 0", r"run\.probe_radius: must be > 0, got 0\.0$"),
     ("uniform_margin = -1", r"run\.uniform_margin: unknown key$"),
@@ -66,7 +69,8 @@ def test_nonpositive_run_count_is_a_named_config_error(tmp_path, capsys, field, 
 def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, line, message):
     # each was parsed silently: the default probe replaced a lone center,
     # and a negative margin switched off the guard of the sup-norm errors;
-    # the margin is a constant now, and the key is refused as unknown
+    # the ring's center is the geometry's and the margin a constant now,
+    # and both keys are refused as unknown
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + line + "\n")
     with pytest.raises(ConfigError, match=message):
@@ -86,7 +90,7 @@ def test_an_unusable_probe_setting_is_a_named_config_error(tmp_path, capsys, lin
     ("condition_limit = nan", r"run\.condition_limit: must be finite, got 'nan'$"),
     ("condition_limit = inf", r"run\.condition_limit: must be finite, got 'inf'$"),
     ("translation = nan", r"run\.translation: must be finite, got 'nan'$"),
-    ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: must be finite, got 'nan'$"),
+    ("probe_center = nan\nprobe_radius = 1.5", r"run\.probe_center: unknown key$"),
     ("probe_radius = inf", r"run\.probe_radius: must be finite, got 'inf'$"),
     ("uniform_margin = inf", r"run\.uniform_margin: unknown key$"),
 ], ids=["nan-l2", "inf-l2", "zero-l2", "negative-sup", "inf-sup", "nan-condition-limit",
@@ -97,7 +101,8 @@ def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, 
     # nan probe center poisoned the sup errors, a nan translation was
     # refused as a map covering its center more than once, an inf probe
     # radius failed the run as a sup error that is not finite (exit 3) and
-    # an inf uniform margin, now a retired key, was refused naming a point
+    # an inf uniform margin was refused naming a point; the probe center
+    # and the uniform margin are retired keys
     path = tmp_path / "bad.cfg"
     path.write_text(BASE + line + "\n")
     with pytest.raises(ConfigError, match=message):
@@ -108,15 +113,13 @@ def test_an_unusable_run_number_is_a_named_config_error(tmp_path, capsys, line, 
     assert not (out / "report.json").exists()
 
 
-with open(os.path.join(ROOT, "configs", "torus_two_caps.cfg"), encoding="utf-8") as _fh:
-    TORUS_CONFIG = _fh.read()
 TORUS = BASE.replace("genus = 0\nq = inf\n", "genus = 1\ntau = 1j\n").replace(
     "main = affine scale=1 offset=0", "main = affine scale=0.1 offset=0.5+0.5j")
 
 
 @pytest.mark.parametrize("text, message", [
-    (BASE.replace("q = inf", "q = inf\nw0 = nan"), r"surface\.w0: must be finite, got 'nan'"),
-    (BASE.replace("q = inf", "q = inf\nw0 = inf"), r"surface\.w0: must be finite, got 'inf'"),
+    (BASE.replace("q = inf", "q = inf\nw0 = nan"), r"surface\.w0: unknown key"),
+    (BASE.replace("q = inf", "q = inf\nw0 = inf"), r"surface\.w0: unknown key"),
     *[(TORUS.replace("tau = 1j", f"tau = 1j\nmargin = {value}"), r"surface\.margin: unknown key")
       for value in ("nan", "inf", "0")],
 ], ids=["nan-w0", "inf-w0", "nan-margin", "inf-margin", "zero-margin"])
@@ -124,7 +127,8 @@ def test_an_unusable_surface_number_is_a_named_config_error(tmp_path, capsys, te
     # a nan w0 made the q-independence check draw points forever and the
     # convergence report die in json.dump (exit 1); a nan margin on the
     # torus switched the caps-in-cell and cycle clearance checks off (exit
-    # 0), and the cell margin is a constant now, its key refused as unknown
+    # 0); w0 is placed by the surface and the cell margin is a constant
+    # now, and both keys are refused as unknown
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"^{message}$") as err:
@@ -137,9 +141,9 @@ def test_an_unusable_surface_number_is_a_named_config_error(tmp_path, capsys, te
 
 def test_the_torus_config_of_the_surface_number_cases_parses(tmp_path):
     path = tmp_path / "ok.cfg"
-    path.write_text(TORUS.replace("tau = 1j", "tau = 1j\nw0 = 0.1+0.1j"))
+    path.write_text(TORUS)
     surface = parse_config(str(path)).surface
-    assert (surface.genus, surface.w0) == (1, 0.1 + 0.1j)
+    assert (surface.genus, surface.w0) == (1, surface.clear_point(avoid=(surface.q,)))
 
 
 def test_a_torus_q_on_a_lattice_copy_of_a_cap_is_a_config_error(tmp_path, capsys):
@@ -167,18 +171,21 @@ def test_the_parse_leaves_the_probe_to_the_run(monkeypatch):
     assert config.surface.genus == 1 and config.probe_radius is None
 
 
-def test_a_probe_with_center_and_radius_is_kept(tmp_path):
+def test_a_probe_radius_is_kept_around_the_geometry_center(tmp_path):
     path = tmp_path / "ok.cfg"
-    path.write_text(BASE + "probe_center = 5+5j\nprobe_radius = 1.5\n")
+    path.write_text(BASE + "probe_radius = 1.5\n")
     config = parse_config(str(path))
-    assert (config.probe_center, config.probe_radius) == (5 + 5j, 1.5)
+    center, radius = config.surface.geometry.probe_ring()
+    assert config.probe_radius == 1.5 != radius
+    assert np.allclose(np.abs(probe_ring(config) - center), 1.5, rtol=0, atol=1e-15)
 
 
 def test_a_torus_probe_ring_is_held_to_the_torus_margin(tmp_path):
-    # 0.06 from the cap: inside the sphere's margin of 0.1, outside the torus's
+    # about the cycle base 0, 0.077 from the cap: inside the sphere's margin
+    # of 0.1, outside the torus's
     path = tmp_path / "ok.cfg"
-    path.write_text(TORUS + "probe_center = 0.5+0.5j\nprobe_radius = 0.16\n")
-    assert parse_config(str(path)).probe_radius == 0.16
+    path.write_text(TORUS + "probe_radius = 0.53\n")
+    assert parse_config(str(path)).probe_radius == 0.53
 
 
 def test_a_translation_out_of_the_cell_is_refused_only_under_invariance(tmp_path):
@@ -278,6 +285,49 @@ def test_the_readme_lists_the_keys_each_block_reads(tmp_path, monkeypatch, text)
     path.write_text(text)
     parse_config(str(path))
     assert read == {block: _readme_keys(block) for block in ("surface", "run", "output")}
+
+
+def _shipped_texts() -> list:
+    # the configs in configs/ and pool input 0 of each benchmark workload,
+    # whose module is imported without writing bytecode under perfbench/
+    texts = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    sys.path.insert(0, ROOT)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        from perfbench.workloads import WORKLOADS, make_config
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(ROOT)
+    return texts + [make_config(w, 0) for w in WORKLOADS.values()]
+
+
+def test_every_key_the_parse_reads_is_set_by_a_shipped_config(tmp_path, monkeypatch):
+    # a key that no config or workload sets is a choice the program makes
+    # itself, and belongs in the program
+    read = set()
+    reject = _Block.reject_unread
+
+    def record(self):
+        read.update(f"{self.name}.{key}" for key in self._read)
+        reject(self)
+
+    monkeypatch.setattr(_Block, "reject_unread", record)
+    texts = _shipped_texts()
+    for j, text in enumerate(texts):
+        path = tmp_path / f"{j}.cfg"
+        path.write_text(text)
+        try:
+            parse_config(str(path))
+        except ConfigError:
+            pass  # a refused config has recorded the blocks parsed before it
+    assert {name.split(".")[0] for name in read} == {"surface", "run", "output"}
+    unset = sorted(name for name in read if not any(
+        re.search(rf"^{name.split('.')[1]}\s*=", text, re.M | re.I) for text in texts))
+    assert unset == []
 
 
 def test_an_unknown_block_is_a_named_config_error(tmp_path, capsys):
@@ -463,12 +513,11 @@ CAP = "main = affine scale=1 offset=0"
     # the cell under the invariance check; a ring over a cap ran (exit 0)
     (BASE + "probe_radius = 1.05\n",
      r"run\.probe_radius: probe point z = 1\.05\+0j is 0\.050 from a cap, inside the margin 0\.1"),
-    (TORUS + "probe_center = 0.5+0.5j\nprobe_radius = 0.13\n",
-     r"run\.probe_center, run\.probe_radius: probe point z = 0\.591924\+0\.591924j is 0\.030 "
-     r"from a cap, "
+    (TORUS + "probe_radius = 0.58\n",
+     r"run\.probe_radius: probe point z = -0\.410122\+0\.410122j is 0\.027 from a cap, "
      r"inside the margin 0\.05"),
-    (BASE + "probe_center = 0.5+0.5j\nprobe_radius = 0.16\n",
-     r"run\.probe_center, run\.probe_radius: probe point z = 0\.66\+0\.5j lies in a closed cap"),
+    (BASE + "probe_radius = 0.5\n",
+     r"run\.probe_radius: probe point z = 0\.5\+0j lies in a closed cap"),
     (TORUS.replace("offset=0.5+0.5j", "offset=0.84+0.5j"),
      r"run\.translation: cap 0 leaves the fundamental cell \(margin 0\.05\); lattice "
      r"coordinates span \[0\.790, 0\.990\] x \[0\.400, 0\.600\]"),
@@ -488,12 +537,6 @@ CAP = "main = affine scale=1 offset=0"
      r"caps\.main: unknown map kind 'frobnicate'; choose from \[.*\]"),
     (BASE.replace(CAP, CAP + "\nright = affine scale=1 offset=1.5"),
      r"caps: caps 0 and 1 overlap: a boundary point of cap 0 lies in cap 1"),
-    # the torus config with w0 on a lattice copy of q: it exited 3 with
-    # two checks' values not finite, naming neither point
-    *[(TORUS_CONFIG.replace("tau = 0.3+1.1j", f"tau = 0.3+1.1j\nq = 0.5+0.55j\nw0 = {w0}"),
-       rf"surface: marked points q = 0\.5\+0\.55j and w0 = {re.escape(w0)} "
-       r"are the same point of the surface")
-      for w0 in ("1.5+0.55j", "0.8+1.65j")],
 ], ids=["malformed", "complex", "number", "integer", "genus-required", "genus-range",
         "tau-required", "tau-on-sphere", "empty-map", "key-value", "coefficients",
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
@@ -502,7 +545,7 @@ CAP = "main = affine scale=1 offset=0"
         "tau-nan", "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
         "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell",
         "cap-out-of-cell", "duplicate-key", "duplicate-block", "missing-block", "unknown-family",
-        "unknown-map-kind", "overlapping-caps", "w0-q-plus-1", "w0-q-plus-tau"])
+        "unknown-map-kind", "overlapping-caps"])
 def test_each_refusal_of_the_parse_names_its_cause(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -363,7 +363,8 @@ def test_period_pole_on_path_guard():
     s = sphere_two_caps()
     b = beta_form(s, 0)
     through_pole = Cycle("test", 0, *_circle_rule(1.0, 1.0, 64))
-    with pytest.raises(NumericalError):
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="^form not finite on the test cycle$"):
         period(b, through_pole)
 
 
@@ -399,6 +400,17 @@ def test_a_torus_refuses_a_marked_point_on_a_lattice_copy_of_a_cap():
     edge = caps.boundary_samples(0)[0] - 1 + 2 * TAU
     with pytest.raises(ValidationError, match=r"^marked point q = .* lies in a closed cap$"):
         SurfaceSpec.torus(TAU, caps, q=edge)
+
+
+@pytest.mark.parametrize("w0", ["1.5+0.55j", "0.8+1.65j"], ids=["q-plus-1", "q-plus-tau"])
+def test_a_torus_w0_on_a_lattice_copy_of_q_is_refused(w0):
+    # w0 at q + 1 or q + tau is q as a point of the torus: given in the
+    # torus config, it exited 3 with two checks' values not finite, naming
+    # neither point
+    surface = parse_config(str(ROOT / "configs" / "torus_two_caps.cfg")).surface
+    message = f"marked points q = 0.5+0.55j and w0 = {w0} are the same point of the surface"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SurfaceSpec.torus(surface.tau, surface.caps, q=0.5 + 0.55j, w0=complex(w0))
 
 
 def test_a_torus_whose_cap_covers_every_candidate_has_no_marked_point(monkeypatch):
