@@ -175,43 +175,16 @@ def _parse_map_spec(key: str, spec: str):
         raise ConfigError(f"caps.{key}: {exc}") from None
 
 
-def _complex_list(block: str, key: str, raw: str) -> list:
-    return [_complex(block, key, v) for v in raw.split(",") if v.strip()]
-
-
-def _h_entries(block: str, key: str, raw: str) -> dict:
-    # grammar: m,k:value entries separated by semicolons
-    out = {}
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            mk, value = chunk.split(":")
-            m_txt, k_txt = mk.split(",")
-            m, k = int(m_txt), int(k_txt)
-        except ValueError:
-            raise ConfigError(
-                f"{block}.{key}: expected m,k:value entries separated by ';', got {chunk!r}"
-            ) from None
-        if (m, k) in out:
-            raise ConfigError(f"{block}.{key}: entry {(m, k)} given twice")
-        out[(m, k)] = _complex(block, key, value)
-    return out
-
-
 # How each [target] key is read; ``build_target`` checks the family takes it.
 TARGET_PARAMS = {
     "k": _int, "m": _int, "cap": _int, "seed": _seed, "order": _int,
     "eta": _complex, "strength": _complex,
-    "decay": _float,
-    "epsilon": _complex_list, "c": _complex_list,
-    "h": _h_entries,
 }
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header line spells a newline, so [DEFAULT] is a block like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

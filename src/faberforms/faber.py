@@ -92,7 +92,7 @@ def faber_form(surface: SurfaceSpec, k: int, m: int) -> FaberBasisElement:
         vals = alpha_values(surface, k, [m], z)[..., 0]
         return vals if vals.ndim else complex(vals)
 
-    form = OneForm(ev, poles=((f.center, m + 1),), label=f"alpha[{k},{m}]")
+    form = OneForm(ev, poles=((f.center, m + 1),))
     return FaberBasisElement(form, cap=k, order=m)
 
 
@@ -136,7 +136,7 @@ def closed_terms(surface: SurfaceSpec, epsilon, c) -> list:
     return terms + [(cj, gamma) for cj, gamma in zip(c, gamma_basis(surface)) if cj != 0]
 
 
-def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneForm:
+def faber_series(surface: SurfaceSpec, epsilon, c, h) -> OneForm:
     """The finite Faber-Tietz sum: the ``closed_terms`` plus
     sum_{m,k} h[m-1, k] alpha_{k,m}, as a form. Each cap's nonzero orders
     are read with one ``alpha_values`` call; poles are listed by order m,
@@ -154,7 +154,7 @@ def faber_series(surface: SurfaceSpec, epsilon, c, h, label: str = "") -> OneFor
 
     poles = closed.poles + tuple((surface.caps[k].center, i + 2)
                                  for i, k in zip(rows.tolist(), caps.tolist()))
-    return OneForm(ev, poles=poles, label=label)
+    return OneForm(ev, poles=poles)
 
 
 def principal_part(surface: SurfaceSpec, element):

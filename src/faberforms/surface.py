@@ -31,7 +31,6 @@ class OneForm:
 
     evaluator: Callable
     poles: tuple = ()
-    label: str = ""
 
     def __call__(self, w):
         return self.evaluator(w)
@@ -272,13 +271,13 @@ def beta_form(surface: SurfaceSpec, k: int) -> OneForm:
     zk = complex(surface.caps.centers[k])
     zn = complex(surface.caps.centers[n - 1])
     return OneForm(partial(surface.geometry.pole_difference, zk=zk, zn=zn),
-                   poles=((zk, 1), (zn, 1)), label=f"beta_{k}")
+                   poles=((zk, 1), (zn, 1)))
 
 
 def gamma_basis(surface: SurfaceSpec) -> list:
     """The geometry's a-normalized holomorphic one-form basis: [] on the
     sphere, [dw] on the torus."""
-    return [OneForm(ev, label=f"gamma_{j}") for j, ev in enumerate(surface.geometry.holomorphic)]
+    return [OneForm(ev) for ev in surface.geometry.holomorphic]
 
 
 def boundary_cycle(surface: SurfaceSpec, k: int, radius: float = 1.0, n: int = 512) -> Cycle:

@@ -41,7 +41,7 @@ def test_report_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("name, nodes", [("sphere_identity", 64), ("sphere_joukowski", 256),
-                                         ("torus_two_caps", 64)])
+                                         ("torus_two_caps", 64), ("torus_pole", 256)])
 def test_report_shows_the_pairing_node_count_and_its_spectral_tail(tmp_path, name, nodes):
     # every passing shipped config reports the node count its measuring
     # circles took and the band content measured there, beside its limit
@@ -52,6 +52,15 @@ def test_report_shows_the_pairing_node_count_and_its_spectral_tail(tmp_path, nam
     tail = dec["spectral_tail"]
     assert tail["limit"] == 1e-12
     assert 0.0 < tail["value"] <= tail["limit"]
+
+
+def test_the_torus_pole_run_recovers_the_lattice_coefficient_of_its_closed_form(tmp_path):
+    # the double pole s / (z - a)^2 on the torus has lattice coefficient -s / Im tau
+    assert main(["run", cfg("torus_pole.cfg"), "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "coefficients.csv").read_text().splitlines()
+    real, imag = next(row for row in rows if row.startswith("c,0,")).split(",")[3:]
+    tau = parse_config(cfg("torus_pole.cfg")).surface.tau
+    assert abs(complex(float(real), float(imag)) + 1.0 / tau.imag) < 1e-8
 
 
 def test_csv_determinism(tmp_path):

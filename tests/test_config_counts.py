@@ -6,18 +6,19 @@ translation that is not finite, a probe ring with a point in a cap or
 inside its genus's margin, a translation that carries a torus cap out of
 the cell under the invariance check, a [surface] tau, cap parameter or
 [target] number that is not finite, a truncation order past the roundoff
-limit of the basis read (run.M, a combination target's h orders or
-seeded order), a negative seeded order, a decay whose powers overflow, a
-pole deeper than the solve admits, a pole-structure order past the
-roundoff limit of the principal-part read, a [target] parameter that the
-chosen family does not take, a key that [surface], [run] or [output]
-does not read (the retired margin, w0, samples, probe_points,
-probe_center and uniform_margin among them), a block that the parse does
-not read, a negative seed and a base point q that is neither finite nor
-inf, or a torus base point on a lattice copy of a cap. Every other
-refusal of the parse is matched by its full message too, the README's
-lists of the keys each block reads are the keys the parse reads, and
-each of those keys is set by a shipped config or a benchmark workload."""
+limit of the basis read (run.M or a combination target's order), a
+negative combination order, a pole deeper than the solve admits, a
+pole-structure order past the roundoff limit of the principal-part read,
+a [target] parameter that the chosen family does not take or that no
+family reads (the retired epsilon, c, h and decay among them), a key
+that [surface], [run] or [output] does not read (the retired margin, w0,
+samples, probe_points, probe_center and uniform_margin among them), a
+block that the parse does not read ([DEFAULT] among them), a negative
+seed and a base point q that is neither finite nor inf, or a torus base
+point on a lattice copy of a cap. Every other refusal of the parse is
+matched by its full message too, the README's lists of the keys each
+block reads are the keys the parse reads, and each of those keys, and
+each [target] key, is set by a shipped config or a benchmark workload."""
 
 import glob
 import inspect
@@ -330,14 +331,35 @@ def test_every_key_the_parse_reads_is_set_by_a_shipped_config(tmp_path, monkeypa
     assert unset == []
 
 
+def test_every_target_key_is_set_by_a_shipped_config():
+    # the same rule for the keys the target families read
+    blocks = [re.search(r"^\[target\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+              for text in _shipped_texts()]
+    unset = sorted(key for key in TARGET_PARAMS
+                   if not any(re.search(rf"^{key}\s*=", block, re.M) for block in blocks))
+    assert unset == []
+
+
 def test_an_unknown_block_is_a_named_config_error(tmp_path, capsys):
     # a misspelt [output] would otherwise drop the output directory unread
     _rejected_before_anything_runs(tmp_path, capsys, BASE + "[outptu]\ndirectory = out\n",
                                    "outptu: unknown block")
 
 
+@pytest.mark.parametrize("block", ["[DEFAULT]\n", "[DEFAULT]\nM = 3\n"], ids=["empty", "with-key"])
+def test_a_default_block_is_an_unknown_block(tmp_path, capsys, block):
+    # configparser's special section: an empty one parsed, and its keys
+    # were read into every block, so M = 3 was refused as run.m's
+    path = tmp_path / "bad.cfg"
+    path.write_text(block + BASE)
+    with pytest.raises(ConfigError, match="^DEFAULT: unknown block$"):
+        parse_config(str(path))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: DEFAULT: unknown block\n"
+
+
 @pytest.mark.parametrize("target, key", [
-    ("family = basis\nk = 0\nm = 1\ndecay = 0.5", "decay"),
+    ("family = basis\nk = 0\nm = 1\nseed = 3", "seed"),
     ("family = pole\ncap = 0\neta = 0.3\nk = 0", "k"),
     ("family = combination\nseed = 3\norder = 1\neta = 0.3", "eta"),
     ("family = basis\nk = 0\nm = 1\ncap = 0", "cap"),
@@ -361,24 +383,24 @@ TWO_CAPS = BASE.replace("main = affine scale=1 offset=0",
 @pytest.mark.parametrize("target, keys", [
     ("seed = 3\nepsilon = 5\nh = 2,0:1", ["target.epsilon", "target.h"]),
     ("seed = 3\norder = 2\nh = 1,1:2", ["target.h"]),
-    ("decay = 0.5\nh = 1,0:1", ["target.decay"]),
-    ("order = 2\nepsilon = 1", ["target.order"]),
-    ("order = 2\ndecay = 0.5\nepsilon = 1", ["target.order", "target.decay"]),
+    ("decay = 0.5\nh = 1,0:1", ["target.decay", "target.h"]),
+    ("order = 2\nepsilon = 1", ["target.epsilon"]),
+    ("order = 2\ndecay = 0.5\nepsilon = 1", ["target.decay", "target.epsilon"]),
 ])
 def test_a_combination_term_that_would_be_dropped_is_a_named_config_error(
         tmp_path, capsys, target, keys):
-    # seeded terms replace explicit ones, and order and decay only shape
-    # seeded terms: either mix would run a target the config did not write
+    # a mix of seeded and explicit terms ran a target the config did not
+    # write; the seed draws every term now, and the retired keys of the
+    # explicit terms and of the decay are refused, the first one by name
     text = TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\n" + target)
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError) as err:
         parse_config(str(path))
-    assert all(key in str(err.value) for key in keys)
+    assert str(err.value) == f"{keys[0]}: unknown parameter"
     out = tmp_path / "out"
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
-    message = capsys.readouterr().err
-    assert all(key in message for key in keys)
+    assert capsys.readouterr().err == f"config error: {keys[0]}: unknown parameter\n"
     assert not (out / "report.json").exists()
 
 
@@ -386,19 +408,20 @@ ROUNDOFF = "the roundoff limit of a read on the contour radius 0.92"
 
 
 @pytest.mark.parametrize("name, old, new, message", [
-    # a MemoryError from a 1.46 TiB array (exit 1), and a solve that exited 3
+    # a MemoryError from a 1.46 TiB array (exit 1), and a solve that exited
+    # 3; explicit h terms are retired, and refused as a key
     ("sphere_identity", "family = basis\nk = 0\nm = 1", "family = combination\nh = 99999999999,0:1",
-     f"target.h: must be <= 211, {ROUNDOFF}, got 99999999999"),
+     "target.h: unknown parameter"),
     ("sphere_identity", "family = basis\nk = 0\nm = 1", "family = combination\nh = 300,0:1",
-     f"target.h: must be <= 211, {ROUNDOFF}, got 300"),
+     "target.h: unknown parameter"),
     # 7.7 s of normal draws, then exit 3
     ("torus_two_caps", "order = 6", "order = 100000",
      f"target.order: must be <= 211, {ROUNDOFF}, got 100000"),
     # ran with no h terms (exit 0)
     ("torus_two_caps", "order = 6", "order = -3", "target.order: must be >= 0, got -3"),
-    # an OverflowError (exit 1)
+    # an OverflowError (exit 1); the decay is the constant 0.75 now
     ("torus_two_caps", "order = 6", "order = 6\ndecay = 1e300",
-     "target.decay: 1e+300 to the power 6 overflows a float"),
+     "target.decay: unknown parameter"),
     # refused at 0.9, short of the depth the solve admits
     ("sphere_joukowski", "eta = 0.55", "eta = 0.92",
      "target.eta: the pole preimage must satisfy |eta| <= 0.9195, got 0.92"),
@@ -425,11 +448,11 @@ def test_a_target_parameter_past_its_limit_is_refused_before_a_draw(
 
 
 @pytest.mark.parametrize("target", [
-    "seed = 3\norder = 2\ndecay = 0.5",
+    "seed = 3\norder = 2",
     "seed = 3",
-    "epsilon = 5\nh = 2,0:1",
+    "seed = 3\norder = 0",
 ])
-def test_a_combination_of_one_kind_is_accepted(tmp_path, target):
+def test_a_seeded_combination_is_accepted(tmp_path, target):
     path = tmp_path / "ok.cfg"
     path.write_text(TWO_CAPS.replace("family = basis\nk = 0\nm = 1",
                                      "family = combination\n" + target))
@@ -469,11 +492,12 @@ CAP = "main = affine scale=1 offset=0"
      r"caps: caps 0 and 1 overlap: a boundary point of cap 1 lies in cap 0"),
     (BASE.replace("family = basis\n", ""), r"target\.family: required"),
     (BASE.replace("m = 1\n", "m = 1\nwibble = 2\n"), r"target\.wibble: unknown parameter"),
+    # the h entries are retired: a malformed one, and one whose second
+    # value replaced the first, are refused as a key
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1;2:1"),
-     r"target\.h: expected m,k:value entries separated by ';', got '1'"),
-    # the second value replaced the first, while a key or block given twice is refused
+     r"target\.h: unknown parameter"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1,0:1; 1,0:5"),
-     r"target\.h: entry \(1, 0\) given twice"),
+     r"target\.h: unknown parameter"),
     (BASE.replace("M = 2\n", ""), r"run\.M: required"),
     # numpy's generators refuse a negative seed: it crashed the target or
     # the first random-point check
@@ -488,11 +512,14 @@ CAP = "main = affine scale=1 offset=0"
     (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\ncap = 5"),
      r"target\.cap: cap index 5 out of range"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nc = 1"),
-     r"target\.c: needs 0 entries, got 1"),
+     r"target\.c: unknown parameter"),
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 1, 2"),
-     r"target\.epsilon: needs 1 entries, got 2"),
-    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nepsilon = 0"),
+     r"target\.epsilon: unknown parameter"),
+    # one cap on the sphere: no epsilon or c term, and order 0 draws no h
+    (BASE.replace("family = basis\nk = 0\nm = 1", "family = combination\nseed = 3\norder = 0"),
      r"target: combination target has no nonzero terms"),
+    (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\norder = 2"),
+     r"target\.seed: required by the combination family"),
     # a number that is not finite: a nan in tau died writing the report
     # (exit 1), an inf offset or a nan Joukowski parameter was refused as a
     # map covering its center more than once, and a nan strength failed the
@@ -506,8 +533,9 @@ CAP = "main = affine scale=1 offset=0"
      r"caps\.main\.coefficients: must be finite, got 'nan'"),
     (BASE.replace("family = basis\nk = 0\nm = 1", "family = pole\neta = 0.3\nstrength = nan"),
      r"target\.strength: must be finite, got 'nan'"),
+    # (h is a retired key, refused before its value is read)
     (TWO_CAPS.replace("family = basis\nk = 0\nm = 1", "family = combination\nh = 1,0:inf"),
-     r"target\.h: must be finite, got 'inf'"),
+     r"target\.h: unknown parameter"),
     # refused only after the solve, naming no key: a probe ring inside the
     # margin of its genus, and a translation carrying a torus cap out of
     # the cell under the invariance check; a ring over a cap ran (exit 0)
@@ -542,6 +570,7 @@ CAP = "main = affine scale=1 offset=0"
         "no-caps", "nested-caps", "family-required", "unknown-parameter", "h-entries",
         "h-entry-twice", "M-required", "run-seed", "target-seed", "q-nan", "q-minus-inf", "q-overflow",
         "q-inf-imaginary", "pole-cap-index", "c-length", "epsilon-length", "no-nonzero-terms",
+        "seed-required",
         "tau-nan", "offset-inf", "joukowski-a-nan", "coefficient-nan", "strength-nan", "h-inf",
         "sphere-ring-in-margin", "torus-ring-in-margin", "ring-in-cap", "translation-out-of-cell",
         "cap-out-of-cell", "duplicate-key", "duplicate-block", "missing-block", "unknown-family",

@@ -58,8 +58,6 @@ CAP_ENTRIES = {
         "", lambda s, k: principal_part(s, [FaberBasisElement(OneForm(np.ones_like), k, 1)])),
     "basis-target": ("target.k: ", lambda s, k: build_target(s, "basis", k=k)),
     "pole-target": ("target.cap: ", lambda s, k: build_target(s, "pole", cap=k)),
-    "combination-target": ("target.h: ",
-                           lambda s, k: build_target(s, "combination", h={(1, k): 1.0})),
 }
 
 
@@ -92,8 +90,6 @@ ORDER_ENTRIES = {
     "project_faber": ("M", None,
                       lambda s, m: project_faber(build_target(s, "basis"), s, m)),
     "basis-target": ("target.m", None, lambda s, m: build_target(s, "basis", m=m)),
-    "combination-target": ("target.h", None,
-                           lambda s, m: build_target(s, "combination", h={(m, 0): 1.0})),
 }
 
 

@@ -41,6 +41,11 @@ TAU = 0.3 + 1.1j
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
+def explicit_target(surface, epsilon, c, h):
+    # the finite Faber-Tietz sum of the given terms, h an (order, cap) matrix
+    return TargetForm(faber.faber_series(surface, epsilon, c, h), known={"epsilon": epsilon, "c": c, "h": h})
+
+
 def identity_cap_sphere():
     return SurfaceSpec.sphere(CapFamily([AffineMap(1.0)]), w0=4.0 + 3.0j)
 
@@ -328,8 +333,7 @@ def test_stacked_residual_matches_sequential_subtraction():
     surface = torus_two_caps()
     pairing = ExteriorPairing(surface, BOUNDARY_NODES)
     data = pairing.alpha_data(3)
-    target = build_target(surface, "combination", epsilon=[0.0], c=[0.7],
-                          h={(1, 0): 0.5, (2, 1): -0.2j})
+    target = explicit_target(surface, [0.0], [0.7], [[0.5, 0.0], [0.0, -0.2j]])
     rho = pairing.data(target.form)
     x = np.array([0.3 - 0.1j, 1.2, -0.5j, 0.25, 0.1 + 0.1j])
     ghat, a, b = rho.ghat, rho.a, rho.b
@@ -690,13 +694,12 @@ def test_coefficient_stability_under_truncation_growth():
     # finite-combination target: the 2M0 -> 3M0 growth must leave the
     # low-order coefficients untouched
     surface = two_cap_sphere()
-    h = {(1, 0): 0.8, (2, 1): -0.3j, (3, 0): 0.1 + 0.2j}
-    target = build_target(surface, "combination", epsilon=[0.5], h=h)
+    h = np.array([[0.8, 0.0], [0.0, -0.3j], [0.1 + 0.2j, 0.0]])
+    target = explicit_target(surface, [0.5], [], h)
     d6 = project_faber(target, surface, M=6, checkpoints=())
     d9 = project_faber(target, surface, M=9, checkpoints=())
     assert np.max(np.abs(d6.h[:3] - d9.h[:3])) < 1e-8
-    for (m, k), v in h.items():
-        assert abs(d9.h[m - 1, k] - v) < 1e-9
+    assert np.max(np.abs(d9.h[:3] - h)) < 1e-9
 
 
 def test_faber_series_of_the_solve_reproduces_target():
@@ -849,10 +852,10 @@ def test_build_target_validation():
         build_target(surface, "mystery")
     with pytest.raises(ValidationError, match="eta"):
         build_target(surface, "pole", cap=0, eta=0.95)
-    with pytest.raises(ValidationError, match="epsilon"):
-        build_target(surface, "combination", epsilon=[1.0, 2.0], h={(1, 0): 1.0})
-    with pytest.raises(ValidationError, match="^target.h: must be >= 1, got 0$"):
-        build_target(surface, "combination", h={(0, 0): 1.0})
+    with pytest.raises(ValidationError, match="^target.seed: required by the combination family$"):
+        build_target(surface, "combination", order=2)
+    with pytest.raises(ValidationError, match="^target.order: must be >= 0, got -1$"):
+        build_target(surface, "combination", seed=0, order=-1)
 
 
 def _counting(form):
@@ -862,7 +865,7 @@ def _counting(form):
         sizes.append(np.size(z))
         return form.evaluator(z)
 
-    return OneForm(ev, poles=form.poles, label=form.label), sizes
+    return OneForm(ev, poles=form.poles), sizes
 
 
 def test_project_samples_the_target_once_per_solve():
@@ -1032,7 +1035,9 @@ def test_combination_target_reads_each_cap_once_per_radius_step(monkeypatch):
 
 def test_sparse_combination_reads_only_its_orders(monkeypatch):
     surface = two_cap_sphere()
-    target = build_target(surface, "combination", h={(3, 0): 1.0, (9, 1): 2.0})
+    h = np.zeros((9, 2), dtype=complex)
+    h[2, 0], h[8, 1] = 1.0, 2.0
+    target = explicit_target(surface, [0.0], [], h)
     centers = surface.caps.centers
     assert target.form.poles == ((centers[0], 4), (centers[1], 10))
     pts = np.array([4.0 + 1.0j, -2.5 + 2.0j, 0.5 - 3.0j])

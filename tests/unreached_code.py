@@ -5,13 +5,14 @@ Run from the repository root:
     python tests/unreached_code.py
 
 In one process, under the tracer of ``tests/unreached_raises.py``, it
-runs the six configs in ``configs/`` through ``cli.main``, every demo in
+runs every config in ``configs/`` through ``cli.main``, every demo in
 ``demos/``, and pool inputs 0, 5 and 11 of each benchmark workload, whose
 config text comes from ``perfbench/workloads.make_config`` (imported
 without writing bytecode there). It then prints each function of the
 package that none of them entered as ``module.py:line: qualified name``,
 and the count: code that only the unit tests reach. Pytest does not
-collect this file, and the tier-1 run does not use it.
+collect this file; ``tests/test_unreached_code.py`` runs it and pins the
+list it prints.
 """
 
 import ast
